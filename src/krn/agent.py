@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .core import Net, NodeId, PropertyChange, SensorSignal, Value
 from .errors import MalformedCondition
 from .reasoning import Fragment, check_predicate, find_matches, parse_fragment
-from .sim import Snapshot, diff
+# diff is re-exported: bench/tracing.py wraps `agent.diff` as a call site.
+from .sim import Snapshot, diff  # noqa: F401
 
 
 @dataclass
@@ -126,7 +127,13 @@ def compare_with_reality(model: SelfModel, predicted: Snapshot,
     Reality is authoritative only for properties present in the sensed
     snapshot; everything else is left uncontradicted.
     """
-    return [c for c in diff(predicted, sensed) if (c.node, c.name) in sensed.state]
+    changes: list[PropertyChange] = []
+    for key in sorted(sensed.state):
+        before = predicted.state.get(key)
+        after = sensed.state[key]
+        if before != after:
+            changes.append(PropertyChange(key[0], key[1], before, after))
+    return changes
 
 
 def reality_snapshot(model: SelfModel) -> Snapshot:

@@ -36,12 +36,14 @@ class Session:
         self.symbols: dict[str, int] = {}
         self.model: agent.SelfModel | None = None
         self.verb_table = sim.verb_table_from_env()
+        self._display_names: dict[int, str] | None = None   # built from symbols on demand
 
     def reset(self) -> None:
         self.net = Net()
         self.lexicon = Lexicon()
         self.symbols = {}
         self.model = None
+        self._display_names = None
 
     # -- name handling --
 
@@ -50,12 +52,7 @@ class Session:
             return int(tok.lstrip("#"))
         if tok in self.symbols:
             return self.symbols[tok]
-        hits = self.lexicon.lookup("en", tok)
-        if not hits:
-            hits = set()
-            for (lang, text), nodes in self.lexicon.reverse.items():
-                if text == tok:
-                    hits |= nodes
+        hits = self.lexicon.lookup("en", tok) or self.lexicon.lookup_any(tok)
         if len(hits) == 1:
             return next(iter(hits))
         if len(hits) > 1:
@@ -66,12 +63,17 @@ class Session:
         if not _NAME_RE.match(name):
             raise CommandError(f"bad name {name!r}")
         self.symbols[name] = nid
+        self._display_names = None
         self.lexicon.set_label(nid, "en", name)
 
     def display(self, nid: int) -> str:
-        for name in sorted(self.symbols):
-            if self.symbols[name] == nid:
-                return name
+        if self._display_names is None:
+            self._display_names = {}
+            for name in sorted(self.symbols):
+                self._display_names.setdefault(self.symbols[name], name)
+        name = self._display_names.get(nid)
+        if name is not None:
+            return name
         try:
             text, _ = self.lexicon.label_of(nid, "en")
             return text
@@ -181,10 +183,9 @@ def run_command(session: Session, text: str) -> list[str]:
             raise CommandError("usage: load <path>")
         with store.open(args[0]) as handle:
             net, lexicon = handle.load_full()
+        session.reset()
         session.net = net
         session.lexicon = lexicon
-        session.symbols = {}
-        session.model = None
         return [f"loaded {len(net.objects)} objects, {len(net.actions)} actions"]
 
     if verb == "save":

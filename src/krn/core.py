@@ -177,6 +177,9 @@ class PropertyRecord:
     value: Value
     provenance: Optional[Provenance]
     load_state: PropLoad = PropLoad.HYDRATED
+    # set by store hydration only; a write installs a fresh record, so
+    # eviction can tell values read from the file from values written since
+    from_store: bool = field(default=False, compare=False)
 
 
 @dataclass
@@ -324,6 +327,12 @@ class Net:
         self.clock += 1
         return self.clock
 
+    def touch(self, nid: NodeId) -> None:
+        """Tell the timeline, if any, that this node or one of its property
+        records was added, replaced or removed."""
+        if self.timeline is not None:
+            self.timeline.touched.add(nid)
+
     # -- lookup ------------------------------------------------------------
 
     def is_object(self, nid: NodeId) -> bool:
@@ -352,6 +361,7 @@ class Net:
         props = self._build_properties(properties, provenance)
         nid = self.allocate_id()
         self.objects[nid] = ObjectRecord(id=nid, properties=props, provenance=provenance)
+        self.touch(nid)
         return nid
 
     def add_action(
@@ -381,6 +391,7 @@ class Net:
         if subject is not None:
             self.objects[subject].outgoing.append(nid)
         self.objects[target].incoming.append(nid)
+        self.touch(nid)
         return nid
 
     def set_property(
@@ -395,6 +406,7 @@ class Net:
         if provenance is Provenance.SENSED and value.kind is not Kind.SIGNAL:
             raise InvalidName("sensed properties must hold signal values")
         rec.properties[name] = PropertyRecord(name, value, provenance)
+        self.touch(nid)
 
     def get_property(self, nid: NodeId, name: str) -> Value:
         rec = self.node(nid)
@@ -408,6 +420,7 @@ class Net:
         if name not in rec.properties:
             raise UnknownProperty(f"node {nid} has no property {name!r}")
         del rec.properties[name]
+        self.touch(nid)
 
     def erase_node(self, nid: NodeId) -> None:
         if nid in self.objects:
@@ -415,6 +428,7 @@ class Net:
             for aid in sorted(doomed):
                 self._erase_action(aid)
             del self.objects[nid]
+            self.touch(nid)
             self._drop_isa(nid)
         elif nid in self.actions:
             self._erase_action(nid)
@@ -524,6 +538,7 @@ class Net:
             if aid in inc:
                 inc.remove(aid)
         del self.actions[aid]
+        self.touch(aid)
 
     def _drop_isa(self, nid: NodeId) -> None:
         self.isa_edges = [(i, c) for i, c in self.isa_edges if i != nid and c != nid]

@@ -21,6 +21,7 @@ class Lexicon:
         self.labels: dict[tuple[NodeId, str], str] = {}
         self.reverse: dict[tuple[str, str], set[NodeId]] = {}
         self.fallback_chain = list(fallback_chain)
+        self.languages: set[str] = set()
 
     def set_label(self, node: NodeId, lang: str, text: str) -> None:
         if not _LANG_RE.match(lang):
@@ -33,6 +34,7 @@ class Lexicon:
                 if not bucket:
                     del self.reverse[(lang, old)]
         self.labels[(node, lang)] = text
+        self.languages.add(lang)
         self.reverse.setdefault((lang, text), set()).add(node)
 
     def label_of(self, node: NodeId, lang: str) -> tuple[str, str]:
@@ -53,8 +55,12 @@ class Lexicon:
         """Exact-match reverse lookup; no fallback, no normalization."""
         return set(self.reverse.get((lang, text), set()))
 
-    def languages_of(self, node: NodeId) -> list[str]:
-        return sorted(lang for (nid, lang) in self.labels if nid == node)
+    def lookup_any(self, text: str) -> set[NodeId]:
+        """Exact-match reverse lookup in every language that has labels."""
+        hits: set[NodeId] = set()
+        for lang in self.languages:
+            hits.update(self.reverse.get((lang, text), ()))
+        return hits
 
     def items(self) -> list[tuple[NodeId, str, str]]:
         """All entries as (node, lang, text), sorted for stable output."""

@@ -164,6 +164,7 @@ def collapse_to_object(net: Net, inside) -> NodeId:
     for nid in inside:
         net.objects.pop(nid, None)
         net.actions.pop(nid, None)
+        net.touch(nid)
     return new_id
 
 
@@ -223,6 +224,7 @@ def collapse_to_action(net: Net, inside, *, subject_hint: NodeId | None = None,
     for nid in inside:
         net.objects.pop(nid, None)
         net.actions.pop(nid, None)
+        net.touch(nid)
     new_id = net.allocate_id()
     net.actions[new_id] = ActionRecord(
         id=new_id, subject=subject, target=target, collapse_payload=payload,
@@ -285,6 +287,7 @@ def expand(net: Net, complex_id: NodeId) -> set:
         if obj.collapse_payload is not None:
             remap_nested(obj.collapse_payload)
         net.objects[obj.id] = obj
+        net.touch(obj.id)
     for old in sorted(payload.actions):
         act = payload.actions[old]
         act.id = idmap[old]
@@ -294,6 +297,7 @@ def expand(net: Net, complex_id: NodeId) -> set:
         if act.collapse_payload is not None:
             remap_nested(act.collapse_payload)
         net.actions[act.id] = act
+        net.touch(act.id)
 
     if payload.kind == "object":
         # outside crossing actions point at the complex object; point them back
@@ -306,6 +310,7 @@ def expand(net: Net, complex_id: NodeId) -> set:
             else:
                 act.target = idmap[orig]
         del net.objects[complex_id]
+        net.touch(complex_id)
     else:
         # wire restored actions back into outside objects' lists
         for old in sorted(payload.actions):
@@ -409,9 +414,10 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
     results: list[dict] = []
     mapping: dict = {}
     used: set = set()
-    target_ids = target.node_ids()
+    target_ids = None   # sorted on first need; anchored searches rarely need it
 
     def candidates(p: NodeId) -> list:
+        nonlocal target_ids
         if anchor is not None and p == anchor[0]:
             return [anchor[1]]
         pools = []
@@ -429,6 +435,8 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
                     pool.add(wrec.subject)
                 pools.append(pool)
         if not pools:
+            if target_ids is None:
+                target_ids = target.node_ids()
             return target_ids
         merged = set.union(*pools)
         return sorted(merged)

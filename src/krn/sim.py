@@ -4,11 +4,25 @@ Change detection is deliberately memoryful: it is a pure function of
 two snapshots, so without a remembered earlier state there is nothing
 to compare against. Snapshots capture only hydrated values and never
 trigger hydration, preserving the store's laziness guarantees.
+
+A timeline stores its snapshots as deltas, after the "fat node"
+persistent structure of Driscoll, Sarnak, Sleator and Tarjan ("Making
+data structures persistent", JCSS 1989): each (node, property) key keeps
+the versions at which its value changed and its value at each, and a
+snapshot's state is a read-only view of one version. The net reports
+every node whose records it adds, replaces or drops (`Net.touch`). So
+the first snapshot of a timeline scans the net once, O(net); each later
+one re-reads only the nodes touched since, O(touched nodes); `diff` of
+two snapshots of one timeline visits only the keys changed between them,
+O(changed keys); and the timeline's memory grows with the number of
+changes, not with net size times snapshots.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .core import ChangeSet, Net, NodeId, PropertyChange, PropLoad, Value
@@ -22,35 +36,132 @@ DEFAULT_VERBS = {
     "colour": "changing-colour",
 }
 
+Key = tuple[NodeId, str]
+
 
 @dataclass(frozen=True)
 class Snapshot:
     """Property state at one tick. Treated as immutable once captured."""
 
     tick: int
-    state: dict[tuple[NodeId, str], Value]
+    state: Mapping[Key, Value]
+
+
+class TimelineState(Mapping):
+    """The read-only state of one timeline version.
+
+    It holds the timeline's history containers, never the timeline, so
+    retained snapshots make no reference cycle. A lookup bisects the
+    key's history; `len` is kept, not counted.
+    """
+
+    __slots__ = ("history", "changed", "version", "_len")
+
+    def __init__(self, history: dict, changed: list, version: int, size: int):
+        self.history = history      # key -> (versions, values); None = absent
+        self.changed = changed      # version -> keys recorded at it
+        self.version = version
+        self._len = size
+
+    def get(self, key, default=None):
+        hist = self.history.get(key)
+        if hist is not None:
+            versions, values = hist
+            i = bisect_right(versions, self.version)
+            if i and values[i - 1] is not None:
+                return values[i - 1]
+        return default
+
+    def __getitem__(self, key) -> Value:
+        value = self.get(key)
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key) -> bool:
+        return self.get(key) is not None
+
+    def __iter__(self):
+        return (key for key in self.history if key in self)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def changed_between(self, other: "TimelineState") -> set[Key]:
+        """Keys recorded at any version after the older of the two, up to the newer."""
+        lo, hi = sorted((self.version, other.version))
+        keys: set[Key] = set()
+        for version in range(lo + 1, hi + 1):
+            keys.update(self.changed[version])
+        return keys
 
 
 class Timeline:
+    """Snapshots of one net, stored as per-key version histories."""
+
     def __init__(self):
         self.snapshots: list[Snapshot] = []
+        self.touched: set[NodeId] = set()     # filled by Net.touch
+        self.head: dict[NodeId, dict[str, Value]] = {}
+        self._by_tick: dict[int, Snapshot] = {}
+        self._history: dict[Key, tuple[list[int], list[Value | None]]] = {}
+        self._changed: list[list[Key]] = []
+        self._size = 0
 
     def append(self, snap: Snapshot) -> None:
         if self.snapshots and snap.tick <= self.snapshots[-1].tick:
             raise ValueError("snapshot ticks must strictly increase")
         self.snapshots.append(snap)
+        self._by_tick[snap.tick] = snap
 
     def latest(self) -> Snapshot | None:
         return self.snapshots[-1] if self.snapshots else None
 
     def by_tick(self, tick: int) -> Snapshot:
-        for snap in self.snapshots:
-            if snap.tick == tick:
-                return snap
-        raise KrnError(f"no snapshot at tick {tick}")
+        snap = self._by_tick.get(tick)
+        if snap is None:
+            raise KrnError(f"no snapshot at tick {tick}")
+        return snap
 
     def __len__(self) -> int:
         return len(self.snapshots)
+
+    def record(self, net: Net) -> TimelineState:
+        """Fold the nodes touched since the last version into a new one.
+
+        The first version scans the whole net. A key is recorded when its
+        value object changes identity, so a re-ingested equal signal with
+        a new capture tick still replaces the remembered one.
+        """
+        version = len(self._changed)
+        nodes = self.touched if version else net.objects.keys() | net.actions.keys()
+        self.touched = set()
+        head, history = self.head, self._history
+        changed: list[Key] = []
+        for nid in nodes:
+            rec = net.objects.get(nid) or net.actions.get(nid)
+            new = {} if rec is None else {
+                name: prop.value for name, prop in rec.properties.items()
+                if prop.load_state is PropLoad.HYDRATED
+            }
+            old = head.pop(nid, {})
+            updates = [(name, value) for name, value in new.items()
+                       if old.get(name) is not value]
+            updates += [(name, None) for name in old if name not in new]
+            for name, value in updates:
+                key = (nid, name)
+                hist = history.get(key)
+                if hist is None:
+                    history[key] = ([version], [value])
+                else:
+                    hist[0].append(version)
+                    hist[1].append(value)
+                changed.append(key)
+            if new:
+                head[nid] = new
+            self._size += len(new) - len(old)
+        self._changed.append(changed)
+        return TimelineState(history, self._changed, version, self._size)
 
 
 def timeline_of(net: Net) -> Timeline:
@@ -60,17 +171,16 @@ def timeline_of(net: Net) -> Timeline:
 
 
 def snapshot(net: Net, timeline: Timeline | None = None) -> Snapshot:
-    """Capture all hydrated property values at a fresh tick."""
-    state: dict[tuple[NodeId, str], Value] = {}
-    for nid in net.node_ids():
-        rec = net.node(nid)
-        for name, prop in rec.properties.items():
-            if prop.load_state is PropLoad.HYDRATED:
-                state[(nid, name)] = prop.value
-    snap = Snapshot(net.next_tick(), state)
-    if timeline is None:
-        timeline = timeline_of(net)
-    timeline.append(snap)
+    """Capture all hydrated property values at a fresh tick.
+
+    The snapshot is recorded in the net's own timeline, the only one the
+    net reports its changes to; any other timeline raises ValueError.
+    """
+    tl = timeline_of(net)
+    if timeline is not None and timeline is not tl:
+        raise ValueError("a snapshot can only be recorded in its net's own timeline")
+    snap = Snapshot(net.next_tick(), tl.record(net))
+    tl.append(snap)
     return snap
 
 
@@ -96,12 +206,11 @@ def run_action(net: Net, action_id: NodeId, store=None) -> ChangeSet:
 
         ast = parse(act.script.text)
         act.script.ast = ast
-    tl = timeline_of(net)
-    snapshot(net, tl)
+    snapshot(net)
     changes = execute(ast, ExecContext(
         net=net, target=act.target, subject=act.subject, self_node=action_id,
     ))
-    snapshot(net, tl)
+    snapshot(net)
     return changes
 
 
@@ -111,24 +220,33 @@ def run_pending(net: Net, order: list[NodeId], store=None) -> list[ChangeSet]:
     There is no rollback: on failure the completed change sets ride on
     the raised BatchError and earlier effects remain applied.
     """
-    tl = timeline_of(net)
-    snapshot(net, tl)
+    snapshot(net)
     results: list[ChangeSet] = []
     for i, aid in enumerate(order):
         try:
             results.append(run_action(net, aid, store))
         except KrnError as exc:
             raise BatchError(i, exc, results) from exc
-    snapshot(net, tl)
+    snapshot(net)
     return results
 
 
 def diff(a: Snapshot, b: Snapshot) -> list[PropertyChange]:
-    """Changes from a to b, including appearances and disappearances."""
+    """Changes from a to b, including appearances and disappearances.
+
+    Two snapshots of one timeline compare only the keys recorded between
+    them; any other pair compares the union of their keys.
+    """
+    sa, sb = a.state, b.state
+    if (isinstance(sa, TimelineState) and isinstance(sb, TimelineState)
+            and sa.history is sb.history):
+        keys = sa.changed_between(sb)
+    else:
+        keys = sa.keys() | sb.keys()
     changes: list[PropertyChange] = []
-    for key in sorted(a.state.keys() | b.state.keys()):
-        before = a.state.get(key)
-        after = b.state.get(key)
+    for key in sorted(keys):
+        before = sa.get(key)
+        after = sb.get(key)
         if before != after:
             changes.append(PropertyChange(key[0], key[1], before, after))
     return changes

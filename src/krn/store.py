@@ -464,7 +464,9 @@ class StoreHandle:
         else:
             value = _decode_value(toks[3], toks[4], 0)
             prov = _provenance(toks[5] if len(toks) > 5 else None, Provenance.ASSERTED, 0)
-        rec.properties[name] = PropertyRecord(name, value, prov, PropLoad.HYDRATED)
+        rec.properties[name] = PropertyRecord(name, value, prov, PropLoad.HYDRATED,
+                                              from_store=True)
+        net.touch(nid)
         if (nid, name) not in self._hydrated_props:
             self._hydrated_props.add((nid, name))
             self.stats.properties_hydrated += 1
@@ -511,9 +513,10 @@ class StoreHandle:
     def evict(self, nid: NodeId, net: Net) -> None:
         """Demote a store-backed node to a stub, freeing hydrated values.
 
-        Properties and scripts that exist only in memory (written after
-        loading) are kept; only store-backed state is dropped. Refused
-        while a script is executing against the net.
+        Only values read from the store are dropped. A value written
+        since (a write installs a new record) or never loaded is kept,
+        and so are scripts that exist only in memory. Refused while a
+        script is executing against the net.
         """
         entry = self.index.get(nid)
         if entry is None:
@@ -522,10 +525,12 @@ class StoreHandle:
             raise EvictionBlocked("cannot evict while a script is executing")
         rec = net.node(nid)
         for name in entry.prop_offsets:
-            if name in rec.properties:
+            prop = rec.properties.get(name)
+            if prop is not None and prop.from_store:
                 rec.properties[name] = PropertyRecord(
                     name, Value.unset(), None, PropLoad.STUB
                 )
+        net.touch(nid)
         if isinstance(rec, ActionRecord) and entry.script_offset is not None:
             rec.script = ScriptRef.stub(entry.script_offset)
         self._refresh_load_state(nid, net)

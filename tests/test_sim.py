@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from krn import Net, Value, store
-from krn.errors import BatchError, FormatError, UnknownScript
-from krn.sim import Snapshot, classify_change, diff, load_verb_table, run_action, run_pending, snapshot, timeline_of
+from krn import ConceptTemplate, Net, Value, reasoning, store
+from krn.core import PropLoad, SensorAddress, SensorSignal
+from krn.errors import BatchError, FormatError, KrnError, UnknownScript
+from krn.script import apply_undo
+from krn.sim import Snapshot, Timeline, classify_change, diff, load_verb_table, run_action, run_pending, snapshot, timeline_of
 
-from helpers import chameleon_signals, random_net, wall_net
+from helpers import chameleon_signals, person_pattern, rand_name, rand_value, random_net, wall_net
 
 
 def test_snapshot_captures_hydrated_state():
@@ -242,3 +244,164 @@ def test_snapshot_skips_stub_properties(tmp_path):
         assert (man, "hand") in snap.state
         assert (man, "married") not in snap.state
         assert handle.stats.properties_hydrated == 1  # snapshot hydrated nothing
+
+
+# ------------------------------------------------ delta timeline oracle
+
+def _full_scan_state(net):
+    """The full-copy snapshot body the delta timeline replaces."""
+    state = {}
+    for nid in net.node_ids():
+        rec = net.node(nid)
+        for name, prop in rec.properties.items():
+            if prop.load_state is PropLoad.HYDRATED:
+                state[(nid, name)] = prop.value
+    return state
+
+
+def _neighbours(net, nid):
+    if nid in net.objects:
+        return net.objects[nid].outgoing + net.objects[nid].incoming
+    act = net.actions[nid]
+    return [n for n in (act.subject, act.target) if n is not None]
+
+
+def _mutate(rng, net, handle, stored, signals, last_run):
+    """One random mutation through a public path; engine errors are fine."""
+    nodes = net.node_ids()
+    objects = sorted(net.objects)
+    actions = sorted(net.actions)
+    roll = rng.randrange(13)
+    if roll == 0 and nodes:
+        nid = rng.choice(nodes)
+        net.set_property(nid, rand_name(rng), rand_value(rng, net))
+    elif roll == 1 and nodes:
+        rec = net.node(rng.choice(nodes))
+        if rec.properties:
+            net.erase_property(rec.id, rng.choice(sorted(rec.properties)))
+    elif roll == 2:
+        if objects and rng.random() < 0.5:
+            subject = rng.choice(objects) if rng.random() < 0.5 else None
+            net.add_action(subject, rng.choice(objects), "set object.x = 7;",
+                           [("w", rand_value(rng, net))])
+        else:
+            net.add_object([("x", rand_value(rng, net))])
+    elif roll == 3 and nodes:
+        net.erase_node(rng.choice(nodes))
+    elif roll == 4 and objects:
+        # a repeat of an equal signal still replaces the stored value object
+        net.ingest_signal(rng.choice(objects), "colour", rng.choice(signals))
+    elif roll == 5 and actions:
+        last_run[:] = run_action(net, rng.choice(actions), handle)
+    elif roll == 6:
+        apply_undo(net, last_run)
+        last_run.clear()
+    elif roll == 7:
+        handle.load_stub(rng.choice(stored), net)
+    elif roll == 8:
+        nid = rng.choice(stored)
+        names = sorted(handle.index[nid].prop_offsets)
+        if names:
+            handle.hydrate_property(nid, rng.choice(names), net)
+    elif roll == 9:
+        handle.evict(rng.choice(stored), net)
+    elif roll == 10 and objects and rng.random() < 0.5:
+        inside = {rng.choice(objects)}
+        for _ in range(rng.randrange(3)):
+            nbs = [n for m in sorted(inside) for n in _neighbours(net, m)]
+            if nbs:
+                inside.add(rng.choice(nbs))
+        reasoning.collapse_to_object(net, inside)
+    elif roll == 10 and objects:
+        # an object with all its actions is bounded by objects
+        obj = rng.choice(objects)
+        acts = [net.actions[a] for a in _neighbours(net, obj)]
+        inside = {obj, *(a.id for a in acts)}
+        subjects = sorted({a.subject for a in acts} - inside - {None})
+        targets = sorted({a.target for a in acts} - inside)
+        reasoning.collapse_to_action(net, inside, subject_hint=(subjects or [None])[0],
+                                     target_hint=(targets or [None])[0])
+    elif roll == 11:
+        complex_nodes = [n for n in nodes if net.node(n).collapse_payload is not None]
+        if complex_nodes:
+            reasoning.expand(net, rng.choice(complex_nodes))
+    elif roll == 12 and objects:
+        pattern, root = person_pattern()
+        concept = reasoning.register_concept(net, ConceptTemplate(pattern, root, support=2))
+        instance = rng.choice(objects)
+        net.add_isa(instance, concept)
+        reasoning.shape(net, instance, concept)
+
+
+def test_delta_timeline_matches_full_scan_oracle(tmp_path):
+    rng = random.Random(9031)
+    grey, green = chameleon_signals()
+    signals = [grey, green, SensorSignal(SensorAddress.of("eye", "ch1"), grey.payload)]
+    for round_no in range(60):
+        source, _ = random_net(rng, with_labels=False)
+        path = str(tmp_path / f"src{round_no}.krn")
+        store.save(source, None, path)
+        with store.open(path) as handle:
+            stored = sorted(handle.index)
+            net = Net()
+            net.bump_id(max(stored))    # fresh nodes never collide with stored ids
+            for _ in range(rng.randrange(1, 5)):
+                net.add_object([(rand_name(rng), rand_value(rng, net))])
+            snaps, refs, last_run = [], [], []
+            for _ in range(30):
+                for _ in range(rng.randrange(4)):
+                    try:
+                        _mutate(rng, net, handle, stored, signals, last_run)
+                    except KrnError:
+                        pass
+                snap = snapshot(net)
+                ref = _full_scan_state(net)
+                assert dict(snap.state) == ref
+                assert len(snap.state) == len(ref)
+                assert all(snap.state[key] is value for key, value in ref.items())
+                snaps.append(snap)
+                refs.append(ref)
+            tl = timeline_of(net)
+            for snap, ref in zip(snaps, refs):    # earlier versions are unchanged
+                assert tl.by_tick(snap.tick) is snap
+                assert dict(snap.state) == ref and len(snap.state) == len(ref)
+            for _ in range(30):
+                i, j = rng.randrange(len(snaps)), rng.randrange(len(snaps))
+                assert diff(snaps[i], snaps[j]) == diff(Snapshot(0, refs[i]), Snapshot(1, refs[j]))
+
+
+def test_hydration_between_snapshots_shows_as_appearance(tmp_path):
+    net, man, wall, paint = wall_net()
+    path = str(tmp_path / "wall.krn")
+    store.save(net, None, path)
+    with store.open(path) as handle:
+        target = Net()
+        handle.load_stub(wall, target)
+        before = snapshot(target)
+        handle.hydrate_property(wall, "colour", target)
+        after = snapshot(target)
+    assert [(c.node, c.name, c.before, c.after) for c in diff(before, after)] == [
+        (wall, "colour", None, Value.text("green")),
+    ]
+
+
+def test_run_action_records_only_changed_keys():
+    net = Net()
+    objs = [net.add_object([("x", Value.num(0)), ("y", Value.num(i))]) for i in range(1000)]
+    acts = [net.add_action(None, o, "set object.x = object.x + 1;") for o in objs]
+    run_action(net, acts[0])
+    run_action(net, acts[500])
+    tl = timeline_of(net)
+    pre, post = tl.snapshots[-2].state, tl.snapshots[-1].state
+    assert pre.changed[pre.version] == []
+    assert post.changed[post.version] == [(objs[500], "x")]
+    # one entry per property for the first scan, then one per change
+    assert sum(len(keys) for keys in post.changed) == 2000 + 2
+    assert len(post) == 2000
+    assert diff(tl.snapshots[-2], tl.snapshots[-1])[0].after == Value.num(1)
+
+
+def test_snapshot_refuses_a_foreign_timeline():
+    net = Net()
+    with pytest.raises(ValueError):
+        snapshot(net, Timeline())

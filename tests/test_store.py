@@ -4,6 +4,7 @@ import pytest
 
 from krn import Lexicon, Net, Provenance, SensorAddress, SensorSignal, Value, nets_equal
 from krn import store
+from krn.sim import run_action
 from krn.core import NodeLoad, PropLoad
 from krn.errors import EvictionBlocked, FormatError, UnknownProperty, UnknownScript
 
@@ -285,6 +286,19 @@ def test_evict_demotes_to_stub(tmp_path):
         # re-hydration works and does not double-count
         assert handle.hydrate_property(wall, "colour", target) == Value.text("green")
         assert handle.stats.properties_hydrated == 1
+
+
+def test_evict_keeps_values_written_since_hydration(tmp_path):
+    net, man, wall, paint = wall_net()
+    path = _saved(tmp_path, net)
+    with store.open(path) as handle:
+        target = Net()
+        handle.load_stub(paint, target)
+        assert handle.hydrate_property(wall, "colour", target) == Value.text("green")
+        run_action(target, paint, handle)
+        handle.evict(wall, target)
+        assert target.get_property(wall, "colour") == Value.text("black")
+        assert handle.hydrate_property(wall, "colour", target) == Value.text("black")
 
 
 def test_evict_blocked_during_execution(tmp_path):
