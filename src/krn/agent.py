@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 from .core import Net, NodeId, PropertyChange, SensorSignal, Value
 from .errors import MalformedCondition
-from .reasoning import Fragment, check_predicate, find_matches, parse_fragment
+from .reasoning import Fragment, fragment_state, parse_fragment
+# find_matches is re-exported: bench/tracing.py wraps `agent.find_matches`.
+from .reasoning import find_matches  # noqa: F401
 # diff is re-exported: bench/tracing.py wraps `agent.diff` as a call site.
 from .sim import Snapshot, diff  # noqa: F401
 
@@ -69,47 +71,16 @@ def define_goal(model: SelfModel, polarity: str, anchor: NodeId,
     return gid
 
 
-def _condition_state(net: Net, anchor: NodeId, fragment: Fragment):
-    """Three-valued condition check: True, False, or None (undetermined).
-
-    Referenced properties that are absent or unset make the condition
-    undetermined; missing structure makes it false.
-    """
-    if anchor not in net.objects and anchor not in net.actions:
-        return None
-    try:
-        matches = find_matches(fragment.pattern, net, anchor=(fragment.root, anchor))
-    except Exception:
-        return None
-    if not matches:
-        return False
-    saw_undetermined = False
-    for m in matches:
-        verdict = True
-        for pred in fragment.predicates:
-            res = check_predicate(net, pred, m[pred.node])
-            if res is None:
-                verdict = None
-                break
-            if res[0] is not True:
-                verdict = False
-                break
-        if verdict is True:
-            return True
-        if verdict is None:
-            saw_undetermined = True
-    return None if saw_undetermined else False
-
-
 def evaluate_goals(model: SelfModel, net: Net) -> list[tuple[int, str]]:
     """Status per goal: satisfied, violated, or undetermined.
 
     A goal is satisfied when its condition holds; an anti-goal is
-    violated when its condition holds.
+    violated when its condition holds. Conditions are judged by
+    `reasoning.fragment_state`, the evaluator behind `has`.
     """
     results = []
     for goal in model.goals:
-        state = _condition_state(net, goal.anchor, goal.fragment)
+        state, _inferred = fragment_state(net, goal.anchor, goal.fragment)
         if state is None:
             status = "undetermined"
         elif goal.polarity == "goal":

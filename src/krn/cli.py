@@ -1,9 +1,10 @@
 """Batch and REPL front end.
 
-One command per line (or several separated by `;`); output is plain
-text, one fact per line, with stable ordering so sessions can be
-compared byte for byte. The REPL is the batch interpreter reading
-interactively; there is no separate code path.
+One command per line (or several separated by `;`); a command that
+starts with `#` begins a comment that runs to the end of the line.
+Output is plain text, one fact per line, with stable ordering so
+sessions can be compared byte for byte. The REPL is the batch
+interpreter reading interactively; there is no separate code path.
 """
 
 from __future__ import annotations
@@ -329,11 +330,9 @@ def run_command(session: Session, text: str) -> list[str]:
     if verb == "shape":
         if len(args) != 1:
             raise CommandError("usage: shape <instance>")
-        inst = session.resolve(args[0])
-        created: list[int] = []
-        for i, cid in list(session.net.isa_edges):
-            if i == inst:
-                created.extend(reasoning.shape(session.net, inst, cid))
+        created, error = reasoning.shape_all(session.net, session.resolve(args[0]))
+        if error is not None:
+            raise error
         return [f"shaped {args[0]}: {len(created)} new nodes"]
 
     if verb == "has":
@@ -408,45 +407,42 @@ def run_command(session: Session, text: str) -> list[str]:
     raise CommandError(f"unknown command {verb!r}")
 
 
-def run_lines(lines, out=None) -> int:
-    """Interpret lines in a fresh session; returns the exit status."""
-    if out is None:
-        out = sys.stdout
-    session = Session()
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+def _run(session: Session, lines, out, *, keep_going: bool) -> int:
+    """Run each line's commands, printing output or the error; the exit status.
+
+    Batch mode stops at the first error; the REPL keeps going.
+    """
+    status = 0
+    for line in lines:
         for command in split_commands(line):
+            if command.startswith("#"):
+                break
             try:
                 for rendered in run_command(session, command):
                     print(rendered, file=out)
             except (KrnError, OSError, ValueError) as exc:
                 print(f"error: {type(exc).__name__}: {exc}", file=out)
-                return 1
-    return 0
+                if not keep_going:
+                    return 1
+                status = 1
+    return status
+
+
+def run_lines(lines, out=None) -> int:
+    """Interpret lines in a fresh session; returns the exit status."""
+    return _run(Session(), lines, sys.stdout if out is None else out, keep_going=False)
 
 
 def _repl(session: Session) -> int:
-    status = 0
-    while True:
-        try:
-            line = input("krn> ")
-        except EOFError:
-            print()
-            return status
-        except KeyboardInterrupt:
-            print()
-            return status
-        for command in split_commands(line.strip()):
-            if not command or command.startswith("#"):
-                continue
+    def prompted():
+        while True:
             try:
-                for rendered in run_command(session, command):
-                    print(rendered)
-            except (KrnError, OSError, ValueError) as exc:
-                print(f"error: {type(exc).__name__}: {exc}")
-                status = 1
+                yield input("krn> ")
+            except (EOFError, KeyboardInterrupt):
+                print()
+                return
+
+    return _run(session, prompted(), sys.stdout, keep_going=True)
 
 
 def main(argv=None) -> int:
@@ -456,8 +452,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("script", nargs="?",
                         help="command file to run ('-' for stdin); REPL if omitted on a tty")
-    parser.add_argument("--format", choices=["plain"], default="plain",
-                        help="output format (plain is the only one)")
     args = parser.parse_args(argv)
 
     if args.script and args.script != "-":

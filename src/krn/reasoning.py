@@ -56,14 +56,55 @@ PARENT_PROP = "concept-parent"
 _BOOKKEEPING = {SUPPORT_PROP, PARENT_PROP}
 
 
-def _neighbors(net: Net, nid: NodeId) -> list[NodeId]:
+def _adjacent(net: Net, nid: NodeId) -> set:
     rec = net.node(nid)
     if isinstance(rec, ObjectRecord):
-        return sorted(set(rec.outgoing) | set(rec.incoming))
-    out = {rec.target}
-    if rec.subject is not None:
-        out.add(rec.subject)
-    return sorted(out)
+        return set(rec.outgoing) | set(rec.incoming)
+    return {rec.target} if rec.subject is None else {rec.target, rec.subject}
+
+
+def _neighbors(net: Net, nid: NodeId) -> list[NodeId]:
+    return sorted(_adjacent(net, nid))
+
+
+def _bfs_order(net: Net, start: NodeId) -> list[NodeId]:
+    """Nodes reachable from start, breadth-first, neighbours in id order."""
+    order = [start]
+    seen = {start}
+    for nid in order:   # the list grows while it is read: a FIFO queue
+        for nb in _neighbors(net, nid):
+            if nb not in seen:
+                seen.add(nb)
+                order.append(nb)
+    return order
+
+
+def _copy_structure(src: Net, nodes, dst: Net, idmap: dict | None = None, *,
+                    provenance: Provenance = Provenance.ASSERTED) -> dict:
+    """Copy the value-free structure of `nodes` from src into dst.
+
+    Objects, then actions, each in id order, get fresh dst ids, their
+    property names minus bookkeeping, and unset values. `idmap` (src id
+    to dst id) may be seeded with nodes that already have an image; it
+    is returned with the copies added. A subject with no image is left
+    blank.
+    """
+    if idmap is None:
+        idmap = {}
+
+    def names(rec) -> list:
+        return [(n, Value.unset()) for n in sorted(set(rec.properties) - _BOOKKEEPING)]
+
+    nodes = sorted(nodes)
+    for nid in nodes:
+        if nid in src.objects:
+            idmap[nid] = dst.add_object(names(src.objects[nid]), provenance=provenance)
+    for nid in nodes:
+        rec = src.actions.get(nid)
+        if rec is not None:
+            idmap[nid] = dst.add_action(idmap.get(rec.subject), idmap[rec.target], None,
+                                        names(rec), provenance=provenance)
+    return idmap
 
 
 # ------------------------------------------------------------- boundaries
@@ -131,6 +172,16 @@ def _capture_payload(net: Net, inside: set, kind: str,
                            isa=isa, rewired=rewired)
 
 
+def _remove_inside(net: Net, inside: set) -> None:
+    """Drop a collapsed subnet's nodes and the is-a edges that touch them."""
+    net.isa_edges = [(i, c) for i, c in net.isa_edges
+                     if i not in inside and c not in inside]
+    for nid in inside:
+        net.objects.pop(nid, None)
+        net.actions.pop(nid, None)
+        net.touch(nid)
+
+
 def collapse_to_object(net: Net, inside) -> NodeId:
     """Replace a subnet bounded only by actions with one complex object.
 
@@ -159,12 +210,7 @@ def collapse_to_object(net: Net, inside) -> NodeId:
         else:
             act.target = new_id
             record.incoming.append(aid)
-    net.isa_edges = [(i, c) for i, c in net.isa_edges
-                     if i not in inside and c not in inside]
-    for nid in inside:
-        net.objects.pop(nid, None)
-        net.actions.pop(nid, None)
-        net.touch(nid)
+    _remove_inside(net, inside)
     return new_id
 
 
@@ -219,12 +265,7 @@ def collapse_to_action(net: Net, inside, *, subject_hint: NodeId | None = None,
         lst = obj.outgoing if cl.role == "subject" else obj.incoming
         if cl.inside in lst:
             lst.remove(cl.inside)
-    net.isa_edges = [(i, c) for i, c in net.isa_edges
-                     if i not in inside and c not in inside]
-    for nid in inside:
-        net.objects.pop(nid, None)
-        net.actions.pop(nid, None)
-        net.touch(nid)
+    _remove_inside(net, inside)
     new_id = net.allocate_id()
     net.actions[new_id] = ActionRecord(
         id=new_id, subject=subject, target=target, collapse_payload=payload,
@@ -397,19 +438,9 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
     else:
         objs = [i for i in ids if pattern.is_object(i)]
         start = min(objs) if objs else min(ids)
-    order = [start]
-    seen = {start}
-    queue = [start]
-    while queue:
-        nid = queue.pop(0)
-        for nb in _neighbors(pattern, nid):
-            if nb not in seen:
-                seen.add(nb)
-                order.append(nb)
-                queue.append(nb)
-    for nid in ids:  # disconnected leftovers fall back to full scans
-        if nid not in seen:
-            order.append(nid)
+    order = _bfs_order(pattern, start)
+    seen = set(order)
+    order += [nid for nid in ids if nid not in seen]  # disconnected: full scans
 
     results: list[dict] = []
     mapping: dict = {}
@@ -420,26 +451,13 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
         nonlocal target_ids
         if anchor is not None and p == anchor[0]:
             return [anchor[1]]
-        pools = []
-        for q in _neighbors(pattern, p):
-            if q not in mapping:
-                continue
-            w = mapping[q]
-            if target.is_object(w):
-                wrec = target.objects[w]
-                pools.append(set(wrec.outgoing) | set(wrec.incoming))
-            else:
-                wrec = target.actions[w]
-                pool = {wrec.target}
-                if wrec.subject is not None:
-                    pool.add(wrec.subject)
-                pools.append(pool)
+        pools = [_adjacent(target, mapping[q])
+                 for q in _neighbors(pattern, p) if q in mapping]
         if not pools:
             if target_ids is None:
                 target_ids = target.node_ids()
             return target_ids
-        merged = set.union(*pools)
-        return sorted(merged)
+        return sorted(set.union(*pools))
 
     def extend(k: int) -> None:
         if limit is not None and len(results) >= limit:
@@ -600,19 +618,8 @@ def extract_pattern(net: Net, nodes) -> Net:
     Subjects pointing outside the subset are blanked; bookkeeping
     property names are dropped.
     """
-    nodes = set(nodes)
     pattern = Net()
-    idmap: dict[NodeId, NodeId] = {}
-    for nid in sorted(n for n in nodes if net.is_object(n)):
-        names = sorted(set(net.objects[nid].properties) - _BOOKKEEPING)
-        idmap[nid] = pattern.add_object([(n, Value.unset()) for n in names])
-    for nid in sorted(n for n in nodes if net.is_action(n)):
-        rec = net.actions[nid]
-        names = sorted(set(rec.properties) - _BOOKKEEPING)
-        subject = idmap.get(rec.subject) if rec.subject in idmap else None
-        idmap[nid] = pattern.add_action(
-            subject, idmap[rec.target], None, [(n, Value.unset()) for n in names]
-        )
+    _copy_structure(net, nodes, pattern)
     return pattern
 
 
@@ -747,18 +754,7 @@ def register_concept(net: Net, template: ConceptTemplate) -> NodeId:
     ride along as bookkeeping properties of the root.
     """
     pattern = template.pattern
-    idmap: dict[NodeId, NodeId] = {}
-    for pid in sorted(p for p in pattern.node_ids() if pattern.is_object(p)):
-        names = sorted(pattern.objects[pid].properties)
-        idmap[pid] = net.add_object([(n, Value.unset()) for n in names])
-    for pid in sorted(p for p in pattern.node_ids() if pattern.is_action(p)):
-        rec = pattern.actions[pid]
-        subject = idmap[rec.subject] if rec.subject is not None else None
-        idmap[pid] = net.add_action(
-            subject, idmap[rec.target], None,
-            [(n, Value.unset()) for n in sorted(rec.properties)],
-        )
-    root = idmap[template.root]
+    root = _copy_structure(pattern, pattern.node_ids(), net)[template.root]
     net.set_property(root, SUPPORT_PROP, Value.num(template.support))
     if template.parent is not None:
         net.set_property(root, PARENT_PROP, Value.ref(template.parent))
@@ -774,26 +770,8 @@ def concept_of(net: Net, concept_id: NodeId) -> ConceptTemplate:
     """
     if concept_id not in net.objects:
         raise UnknownConcept(f"no concept object {concept_id}")
-    component = {concept_id}
-    frontier = [concept_id]
-    while frontier:
-        nid = frontier.pop()
-        for nb in _neighbors(net, nid):
-            if nb not in component:
-                component.add(nb)
-                frontier.append(nb)
     pattern = Net()
-    idmap: dict[NodeId, NodeId] = {}
-    for nid in sorted(n for n in component if net.is_object(n)):
-        names = sorted(set(net.objects[nid].properties) - _BOOKKEEPING)
-        idmap[nid] = pattern.add_object([(n, Value.unset()) for n in names])
-    for nid in sorted(n for n in component if net.is_action(n)):
-        rec = net.actions[nid]
-        names = sorted(set(rec.properties) - _BOOKKEEPING)
-        subject = idmap[rec.subject] if rec.subject is not None else None
-        idmap[nid] = pattern.add_action(
-            subject, idmap[rec.target], None, [(n, Value.unset()) for n in names]
-        )
+    idmap = _copy_structure(net, _bfs_order(net, concept_id), pattern)
     root_rec = net.objects[concept_id]
     support = 0
     parent = None
@@ -856,19 +834,9 @@ def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
     of matched nodes. Deterministic: candidates are tried in id order
     and skipping is tried last.
     """
-    order = []
-    seen = {root}
-    queue = [root]
-    while queue:
-        nid = queue.pop(0)
-        order.append(nid)
-        for nb in _neighbors(pattern, nid):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    for nid in pattern.node_ids():
-        if nid not in seen:
-            order.append(nid)
+    order = _bfs_order(pattern, root)
+    seen = set(order)
+    order += [nid for nid in pattern.node_ids() if nid not in seen]
 
     best: dict = {}
 
@@ -884,17 +852,8 @@ def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
             return
         pool: set = set()
         for q in _neighbors(pattern, p):
-            if q not in mapping:
-                continue
-            w = mapping[q]
-            if net.is_object(w):
-                wrec = net.objects[w]
-                pool |= set(wrec.outgoing) | set(wrec.incoming)
-            else:
-                wrec = net.actions[w]
-                pool.add(wrec.target)
-                if wrec.subject is not None:
-                    pool.add(wrec.subject)
+            if q in mapping:
+                pool |= _adjacent(net, mapping[q])
         for t in sorted(pool):
             if t in used:
                 continue
@@ -940,25 +899,26 @@ def shape(net: Net, instance: NodeId, concept) -> list:
         raise UnknownNode(f"no object {instance}")
     pattern = concept.pattern
     mapping = _max_anchored_match(pattern, concept.root, net, instance)
+    missing = [p for p in pattern.node_ids() if p not in mapping]
+    _copy_structure(pattern, missing, net, mapping, provenance=Provenance.INFERRED)
+    return sorted(mapping[p] for p in missing)   # ids rise: creation order
+
+
+def shape_all(net: Net, instance: NodeId) -> tuple[list, KrnError | None]:
+    """Shape an instance from each of its is-a edges, in edge order.
+
+    A failing edge does not stop the others. Returns the created ids
+    and the first error met, or None.
+    """
     created: list[NodeId] = []
-    for pid in sorted(p for p in pattern.node_ids()
-                      if pattern.is_object(p) and p not in mapping):
-        names = sorted(pattern.objects[pid].properties)
-        nid = net.add_object([(n, Value.unset()) for n in names],
-                             provenance=Provenance.INFERRED)
-        mapping[pid] = nid
-        created.append(nid)
-    for pid in sorted(p for p in pattern.node_ids()
-                      if pattern.is_action(p) and p not in mapping):
-        rec = pattern.actions[pid]
-        subject = mapping[rec.subject] if rec.subject is not None else None
-        names = sorted(rec.properties)
-        nid = net.add_action(subject, mapping[rec.target], None,
-                             [(n, Value.unset()) for n in names],
-                             provenance=Provenance.INFERRED)
-        mapping[pid] = nid
-        created.append(nid)
-    return created
+    error = None
+    for inst, cid in list(net.isa_edges):
+        if inst == instance:
+            try:
+                created.extend(shape(net, instance, cid))
+            except KrnError as exc:
+                error = error or exc
+    return created, error
 
 
 # ------------------------------------------------------------- queries
@@ -968,8 +928,6 @@ class Answer(enum.Enum):
     YES_INFERRED = "yes-inferred"
     UNKNOWN = "unknown"
 
-
-_ANSWER_RANK = {Answer.UNKNOWN: 0, Answer.YES_INFERRED: 1, Answer.YES_ASSERTED: 2}
 
 _OPS = ("==", "!=", "<=", ">=", "<", ">")
 
@@ -1079,28 +1037,39 @@ def check_predicate(net: Net, pred: Predicate, image: NodeId):
     return ok, inferred
 
 
-def _match_fragment(net: Net, instance: NodeId, frag: Fragment) -> Answer:
+def fragment_state(net: Net, anchor: NodeId, frag: Fragment) -> tuple[bool | None, bool]:
+    """Judge a fragment at an anchor: (verdict, inferred).
+
+    The verdict is True when some match satisfies every predicate; None
+    (undetermined) when none does but some match stopped at an absent
+    or unset property, or the anchor is not in the net; False otherwise,
+    missing structure included. `inferred` tells whether the witness
+    rests on inferred nodes or values; an asserted witness wins.
+    """
+    if anchor not in net.objects and anchor not in net.actions:
+        return None, False
     try:
-        matches = find_matches(frag.pattern, net, anchor=(frag.root, instance))
+        matches = find_matches(frag.pattern, net, anchor=(frag.root, anchor))
     except UnknownNode:
-        return Answer.UNKNOWN
-    best = Answer.UNKNOWN
+        return None, False
+    verdict = False
     for m in matches:
-        witness = True
-        inferred = any(net.node(t).provenance is Provenance.INFERRED
-                       for t in m.values())
+        holds, inferred = True, False
         for pred in frag.predicates:
             res = check_predicate(net, pred, m[pred.node])
             if res is None or res[0] is not True:
-                witness = False
+                holds = None if res is None else False
                 break
             inferred = inferred or res[1]
-        if not witness:
-            continue
-        if not inferred:
-            return Answer.YES_ASSERTED
-        best = Answer.YES_INFERRED
-    return best
+        if holds is None:
+            if verdict is False:
+                verdict = None
+        elif holds:
+            if not (inferred or any(net.node(t).provenance is Provenance.INFERRED
+                                    for t in m.values())):
+                return True, False
+            verdict = True
+    return verdict, verdict is True
 
 
 def query_has(net: Net, instance: NodeId, fragment) -> Answer:
@@ -1127,21 +1096,14 @@ def query_has(net: Net, instance: NodeId, fragment) -> Answer:
     def best_answer() -> Answer:
         best = Answer.UNKNOWN
         for frag in frags:
-            ans = _match_fragment(net, instance, frag)
-            if _ANSWER_RANK[ans] > _ANSWER_RANK[best]:
-                best = ans
+            verdict, inferred = fragment_state(net, instance, frag)
+            if verdict is True:
+                if not inferred:
+                    return Answer.YES_ASSERTED
+                best = Answer.YES_INFERRED
         return best
 
     answer = best_answer()
-    if answer is Answer.UNKNOWN:
-        created_any = False
-        for inst, cid in list(net.isa_edges):
-            if inst != instance:
-                continue
-            try:
-                created_any |= bool(shape(net, instance, cid))
-            except KrnError:
-                continue
-        if created_any:
-            answer = best_answer()
+    if answer is Answer.UNKNOWN and shape_all(net, instance)[0]:
+        answer = best_answer()
     return answer

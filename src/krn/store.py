@@ -52,6 +52,7 @@ from .core import (
     Value,
 )
 from .errors import (
+    BipartiteViolation,
     EvictionBlocked,
     FormatError,
     UnknownNode,
@@ -246,11 +247,8 @@ class IndexEntry:
 class StoreHandle:
     """An open `.krn` file plus its offset index and hydration counters."""
 
-    def __init__(self, path: str, mode: str = "read"):
-        if mode not in ("read", "read-write"):
-            raise ValueError(f"bad mode {mode!r}")
+    def __init__(self, path: str):
         self.path = path
-        self.mode = mode
         self.index: dict[NodeId, IndexEntry] = {}
         self.isa: list[tuple[NodeId, NodeId]] = []
         self.labels: list[tuple[NodeId, str, str]] = []
@@ -417,6 +415,11 @@ class StoreHandle:
             toks = _split_record(self._read_line_at(entry.offset), 0)
             subject = None if toks[2] == "-" else int(toks[2])
             target = int(toks[3])
+            for endpoint in (subject, target):   # check both before changing anything
+                if endpoint is not None and (endpoint in net.actions or (
+                        endpoint not in net.objects and self.index[endpoint].kind != "obj")):
+                    raise BipartiteViolation(
+                        f"endpoint {endpoint} of action {nid} is an action")
             for endpoint in (subject, target):
                 if endpoint is not None and endpoint not in net.objects:
                     self.load_stub(endpoint, net)
@@ -563,10 +566,10 @@ class StoreHandle:
             rec.load_state = NodeLoad.STUB
 
 
-def open(path: str, mode: str = "read") -> StoreHandle:  # noqa: A001 - deliberate name
+def open(path: str) -> StoreHandle:  # noqa: A001 - deliberate name
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    return StoreHandle(path, mode)
+    return StoreHandle(path)
 
 
 open_store = open

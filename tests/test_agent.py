@@ -1,6 +1,19 @@
+import io
+
 import pytest
 
-from krn import Net, SensorAddress, SensorSignal, Value, run_action, sim
+from krn import (
+    Answer,
+    Net,
+    SensorAddress,
+    SensorSignal,
+    Value,
+    cli,
+    query_has,
+    run_action,
+    shape,
+    sim,
+)
 from krn.agent import (
     SelfModel,
     compare_with_reality,
@@ -10,7 +23,7 @@ from krn.agent import (
 )
 from krn.errors import MalformedCondition
 
-from helpers import wall_net
+from helpers import peter_net, wall_net
 from test_core import run_fuzz
 
 
@@ -93,6 +106,79 @@ def test_goal_on_erased_anchor_is_undetermined():
     gid = define_goal(model, "goal", target, "height == 2")
     net.erase_node(target)
     assert evaluate_goals(model, net) == [(gid, "undetermined")]
+
+
+def _asserted_witness():
+    net, _man, wall, _paint = wall_net()
+    return net, wall, 'colour == "green"'
+
+
+def _inferred_witness():
+    net, peter, concept_id = peter_net()
+    assert shape(net, peter, concept_id)
+    return net, peter, "has head"
+
+
+def _unset_property():
+    net = Net()
+    return net, net.add_object([("height", Value.unset())]), "height == 2"
+
+
+def _missing_part():
+    net = Net()
+    return net, net.add_object([]), "has wheel"
+
+
+def _erased_anchor():
+    net = Net()
+    target = net.add_object([("height", Value.num(2))])
+    net.erase_node(target)
+    return net, target, "height == 2"
+
+
+def _action_anchor():
+    net = Net()
+    a = net.add_object([])
+    b = net.add_object([])
+    act = net.add_action(a, b, None, [("colour", Value.text("black"))])
+    return net, act, 'colour == "black"'
+
+
+@pytest.mark.parametrize("build, answer, status", [
+    (_asserted_witness, Answer.YES_ASSERTED, "satisfied"),
+    (_inferred_witness, Answer.YES_INFERRED, "satisfied"),
+    (_unset_property, Answer.UNKNOWN, "undetermined"),
+    (_missing_part, Answer.UNKNOWN, "violated"),
+    (_erased_anchor, Answer.UNKNOWN, "undetermined"),
+    (_action_anchor, Answer.UNKNOWN, "violated"),
+], ids=["asserted", "inferred", "unset", "missing-part", "erased", "action"])
+def test_has_and_goals_judge_a_fragment_alike(build, answer, status):
+    net, anchor, condition = build()
+    model = SelfModel(net)
+    gid = define_goal(model, "goal", anchor, condition)
+    agid = define_goal(model, "antigoal", anchor, condition)
+    flipped = {"satisfied": "violated", "violated": "satisfied"}.get(status, status)
+    assert evaluate_goals(model, net) == [(gid, status), (agid, flipped)]
+    assert query_has(net, anchor, condition) is answer
+
+
+def test_dangling_isa_edge_is_unknown_to_has_and_an_error_to_shape(monkeypatch):
+    net = Net()
+    inst = net.add_object([])
+    net.isa_edges.append((inst, 99))
+    assert query_has(net, inst, "wheel") is Answer.UNKNOWN
+
+    class Session(cli.Session):
+        def __init__(self):
+            super().__init__()
+            self.net = net
+
+    monkeypatch.setattr(cli, "Session", Session)
+    out = io.StringIO()
+    assert cli.run_lines([f"has #{inst} wheel", f"shape #{inst}"], out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "unknown"
+    assert lines[1].startswith("error: UnknownConcept: ")
 
 
 def test_sense_log_completeness():

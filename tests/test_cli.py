@@ -248,7 +248,7 @@ def test_main_reads_file_and_stdin(tmp_path):
     assert proc.stdout.splitlines()[-1] == "green"
 
     piped = subprocess.run(
-        [sys.executable, "-m", "krn", "--format", "plain"],
+        [sys.executable, "-m", "krn"],
         input="new\nobj wall\nrun wall\n",
         capture_output=True, text=True,
     )

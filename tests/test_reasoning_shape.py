@@ -12,6 +12,7 @@ from krn import (
     shape,
 )
 from krn.errors import UnknownConcept
+from krn.reasoning import shape_all
 
 from helpers import peter_net, person_pattern, wall_net
 
@@ -49,6 +50,15 @@ def test_shape_requires_isa_edge():
     stranger = net.add_object([])
     with pytest.raises(UnknownConcept):
         shape(net, stranger, concept_id)
+
+
+def test_shape_all_goes_past_a_failing_edge():
+    net, peter, concept_id = peter_net()
+    net.isa_edges.insert(0, (peter, 99))
+    created, error = shape_all(net, peter)
+    assert len(created) == 6
+    assert isinstance(error, UnknownConcept)
+    assert shape_all(net, peter)[0] == []
 
 
 def test_partial_instance_keeps_existing_parts():

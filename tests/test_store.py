@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -6,7 +7,13 @@ from krn import Lexicon, Net, Provenance, SensorAddress, SensorSignal, Value, ne
 from krn import store
 from krn.sim import run_action
 from krn.core import NodeLoad, PropLoad
-from krn.errors import EvictionBlocked, FormatError, UnknownProperty, UnknownScript
+from krn.errors import (
+    BipartiteViolation,
+    EvictionBlocked,
+    FormatError,
+    UnknownProperty,
+    UnknownScript,
+)
 
 from helpers import random_net, wall_net
 
@@ -128,6 +135,35 @@ def test_load_stub_action_wires_endpoints_without_script(tmp_path):
         assert target.actions[paint].script.state == "stub"
         assert handle.stats.scripts_hydrated == 0
         assert target.validate_bipartite().ok
+
+
+def test_load_stub_refuses_an_endpoint_held_as_an_action(tmp_path):
+    saved = Net()
+    one = saved.add_object([])
+    two = saved.add_object([])
+    act = saved.add_action(one, two)
+    assert (one, two, act) == (1, 2, 3)
+    path = _saved(tmp_path, saved)
+    target = Net()
+    target.add_object([])
+    assert target.add_action(None, 1) == 2
+    before = copy.deepcopy(target)
+    with store.open(path) as handle:
+        with pytest.raises(BipartiteViolation):
+            handle.load_stub(act, target)
+    assert nets_equal(target, before)
+    assert target.objects[1].outgoing == []
+    assert target.validate_bipartite().ok
+
+
+def test_load_stub_refuses_a_file_action_aimed_at_an_action(tmp_path):
+    bad = tmp_path / "bad.krn"
+    bad.write_text("KRN 1\nOBJ 1\nACT 2 - 1\nACT 3 1 2\n")
+    target = Net()
+    with store.open(str(bad)) as handle:
+        with pytest.raises(BipartiteViolation):
+            handle.load_stub(3, target)
+    assert target.node_ids() == []
 
 
 def test_hydrate_property_is_partial_and_cached(tmp_path):
