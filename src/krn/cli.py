@@ -182,8 +182,7 @@ def run_command(session: Session, text: str) -> list[str]:
     if verb == "load":
         if len(args) != 1:
             raise CommandError("usage: load <path>")
-        with store.open(args[0]) as handle:
-            net, lexicon = handle.load_full()
+        net, lexicon = store.load(args[0])
         session.reset()
         session.net = net
         session.lexicon = lexicon
@@ -308,9 +307,7 @@ def run_command(session: Session, text: str) -> list[str]:
             raise CommandError("usage: mine [--min-support N] [--max-nodes K] <paths...>")
         nets = []
         for path in paths:
-            with store.open(path) as handle:
-                net, _ = handle.load_full()
-            nets.append(net)
+            nets.append(store.load(path)[0])
         templates = reasoning.mine_concepts(nets, min_support, max_nodes)
         if not templates:
             return ["no templates"]

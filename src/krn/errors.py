@@ -76,6 +76,7 @@ class UnknownScript(KrnError):
 class FormatError(KrnError):
     def __init__(self, message: str, line: int):
         super().__init__(f"{message} (line {line})")
+        self.message = message
         self.line = line
 
 

@@ -16,6 +16,10 @@ from .errors import BadLanguageTag, NoLabel
 _LANG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*\Z")
 
 
+def valid_language_tag(lang: str) -> bool:
+    return bool(_LANG_RE.match(lang))
+
+
 class Lexicon:
     def __init__(self, fallback_chain: tuple[str, ...] = ("en",)):
         self.labels: dict[tuple[NodeId, str], str] = {}
@@ -24,7 +28,7 @@ class Lexicon:
         self.languages: set[str] = set()
 
     def set_label(self, node: NodeId, lang: str, text: str) -> None:
-        if not _LANG_RE.match(lang):
+        if not valid_language_tag(lang):
             raise BadLanguageTag(f"bad language tag {lang!r}")
         old = self.labels.get((node, lang))
         if old is not None:

@@ -352,6 +352,7 @@ def expand(net: Net, complex_id: NodeId) -> set:
                 act.target = idmap[orig]
         del net.objects[complex_id]
         net.touch(complex_id)
+        net._drop_isa(complex_id)
     else:
         # wire restored actions back into outside objects' lists
         for old in sorted(payload.actions):

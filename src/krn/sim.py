@@ -200,14 +200,8 @@ def run_action(net: Net, action_id: NodeId, store=None) -> ChangeSet:
         store.hydrate_script(action_id, net)
     if act.script.state != "hydrated":
         raise UnknownScript(f"action {action_id} has no script")
-    ast = act.script.ast
-    if ast is None:
-        from .script import parse
-
-        ast = parse(act.script.text)
-        act.script.ast = ast
     snapshot(net)
-    changes = execute(ast, ExecContext(
+    changes = execute(act.script.ast, ExecContext(
         net=net, target=act.target, subject=act.subject, self_node=action_id,
     ))
     snapshot(net)

@@ -1,4 +1,4 @@
-"""Durable `.krn` files with an offset index for partial loading.
+"""Durable `.krn` files: a one-pass full load, or an offset index for partial loading.
 
 The format is line oriented so fixtures stay inspectable:
 
@@ -14,25 +14,30 @@ The format is line oriented so fixtures stay inspectable:
     ISA <instance-id> <concept-id>
     LABEL <node-id> <lang-tag> <escaped-text>
 
-Kinds are num|text|bool|ref|unset (signal values are written as SIG
-records; PROP lines with kind signal are accepted on read). Text is
-double quoted with \\n, \\t, \\r, \\\\ and \\" escapes; origin paths are
-percent-encoded segments joined by "/". The trailing provenance token
-is optional on read and defaults to asserted (sensed for SIG).
+Kinds are num|text|bool|ref|unset; signal values are written as SIG
+records. Text is double quoted with \\n, \\t, \\r, \\\\ and \\" escapes;
+origin paths are percent-encoded segments joined by "/". The trailing
+provenance token is optional on read and defaults to asserted (sensed
+for SIG).
 
-Records may appear in any order; one sequential scan on open builds a
-byte-offset index and resolves forward references. Nothing beyond the
-index is held in memory until a node is stubbed in and its properties
-or script are hydrated one by one. A save is byte-deterministic:
-records sorted by id, properties by name. Collapse payloads are not
-persisted; a saved complex node keeps its shape but loses its stored
-subnet.
+Records may appear in any order. Both ways of reading a file stream it
+once, line by line, through one record reader that checks the framing
+and every reference between records (an action's endpoints and is-a
+ends must be objects). `load` decodes each record as it passes and
+parses each distinct script text once; actions with equal text share
+the AST. `open` decodes no values: it builds a byte-offset index, and
+nothing beyond the index is held in memory until a node is stubbed in
+and its properties or script are hydrated one by one. A save is
+byte-deterministic: records sorted by id, properties by name. Collapse
+payloads are not persisted; a saved complex node keeps its shape but
+loses its stored subnet.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
 from dataclasses import dataclass, field
 from urllib.parse import quote, unquote
 
@@ -55,11 +60,12 @@ from .errors import (
     BipartiteViolation,
     EvictionBlocked,
     FormatError,
+    InvalidName,
     UnknownNode,
     UnknownProperty,
     UnknownScript,
 )
-from .lexicon import Lexicon
+from .lexicon import Lexicon, valid_language_tag
 from .script import parse as parse_script
 
 HEADER = "KRN 1"
@@ -75,6 +81,8 @@ def encode_text(s: str) -> str:
 def decode_text(tok: str, line: int) -> str:
     if len(tok) < 2 or not tok.startswith('"') or not tok.endswith('"'):
         raise FormatError(f"bad text token {tok!r}", line)
+    if "\\" not in tok:
+        return tok[1:-1]
     out = []
     i = 1
     end = len(tok) - 1
@@ -91,33 +99,19 @@ def decode_text(tok: str, line: int) -> str:
     return "".join(out)
 
 
+# a quoted token runs to the first unescaped quote; a lone quote is one
+# that never closes
+_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[^ "][^ ]*|"', re.DOTALL)
+
+
 def _split_record(line: str, lineno: int) -> list[str]:
     """Split a record line on spaces, keeping quoted text as one token."""
-    tokens: list[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        if line[i] == " ":
-            i += 1
-            continue
-        if line[i] == '"':
-            j = i + 1
-            while j < n:
-                if line[j] == "\\":
-                    j += 2
-                    continue
-                if line[j] == '"':
-                    break
-                j += 1
-            if j >= n:
-                raise FormatError("unterminated quote", lineno)
-            tokens.append(line[i:j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and line[j] != " ":
-                j += 1
-            tokens.append(line[i:j])
-            i = j
+    if '"' not in line:
+        tokens = line.split(" ")
+        return tokens if "" not in tokens else [t for t in tokens if t]
+    tokens = _TOKEN_RE.findall(line)
+    if '"' in tokens:
+        raise FormatError("unterminated quote", lineno)
     return tokens
 
 
@@ -125,10 +119,10 @@ def _encode_origin(origin: SensorAddress) -> str:
     return "/".join(quote(seg, safe="") for seg in origin.segments)
 
 def _decode_origin(tok: str, line: int) -> SensorAddress:
-    parts = tok.split("/")
-    if not parts or any(not p for p in parts):
-        raise FormatError(f"bad origin path {tok!r}", line)
-    return SensorAddress(tuple(unquote(p) for p in parts))
+    try:
+        return SensorAddress(tuple(unquote(p) for p in tok.split("/")))
+    except InvalidName:
+        raise FormatError(f"bad origin path {tok!r}", line) from None
 
 
 def _encode_value(v: Value) -> tuple[str, str]:
@@ -171,13 +165,47 @@ def _int(tok: str, line: int) -> int:
         raise FormatError(f"bad integer {tok!r}", line) from None
 
 
+_PROVENANCE = {p.value: p for p in Provenance}
+
+
 def _provenance(tok: str | None, default: Provenance, line: int) -> Provenance:
     if tok is None:
         return default
-    for p in Provenance:
-        if p.value == tok:
-            return p
-    raise FormatError(f"bad provenance {tok!r}", line)
+    prov = _PROVENANCE.get(tok)
+    if prov is None:
+        raise FormatError(f"bad provenance {tok!r}", line)
+    return prov
+
+
+def _decode_node(toks: list[str], line: int):
+    """(id, provenance, subject, target) of an OBJ or ACT record."""
+    base = 2 if toks[0] == "OBJ" else 4
+    if len(toks) > base and toks[base] != "inferred":
+        raise FormatError(f"malformed {toks[0]} record", line)
+    prov = Provenance.INFERRED if len(toks) > base else Provenance.ASSERTED
+    nid = _int(toks[1], line)
+    if base == 2:
+        return nid, prov, None, None
+    subject = None if toks[2] == "-" else _int(toks[2], line)
+    return nid, prov, subject, _int(toks[3], line)
+
+
+def _decode_prop(toks: list[str], line: int) -> PropertyRecord:
+    """The property record of a PROP or SIG line, as read from the store."""
+    if toks[0] == "SIG":
+        try:
+            payload = b"" if toks[4] == "-" else bytes.fromhex(toks[4])
+        except ValueError:
+            raise FormatError(f"bad signal payload {toks[4]!r}", line) from None
+        sig = SensorSignal(_decode_origin(toks[3], line), payload, _int(toks[5], line))
+        value = Value.signal(sig)
+        prov = _provenance(toks[6] if len(toks) > 6 else None, Provenance.SENSED, line)
+    else:
+        value = _decode_value(toks[3], toks[4], line)
+        prov = _provenance(toks[5] if len(toks) > 5 else None, Provenance.ASSERTED, line)
+        if prov is Provenance.SENSED:
+            raise FormatError("a sensed property must hold a signal", line)
+    return PropertyRecord(toks[2], value, prov, PropLoad.HYDRATED, from_store=True)
 
 
 # ------------------------------------------------------------------ save
@@ -223,6 +251,167 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     data = ("\n".join(lines) + "\n").encode("utf-8")
     with io.open(path, "wb") as fh:
         fh.write(data)
+
+
+# ------------------------------------------------------------------ read
+
+# token counts each tag allows; the optional last one is a marker or provenance
+_ARITY = {"OBJ": (2, 3), "ACT": (4, 5), "PROP": (5, 6), "SIG": (6, 7),
+          "SCRIPT": (2,), "ISA": (3,), "LABEL": (4,)}
+
+
+def _text(raw: bytes, lineno: int) -> str:
+    try:
+        return raw.decode("utf-8").rstrip("\n")
+    except UnicodeDecodeError:
+        raise FormatError("undecodable line", lineno) from None
+
+
+def _records(fh, lineno: int, offset: int):
+    """Yield (tokens, script text, line, offset) per record from the file position.
+
+    `lineno` and `offset` count the lines and bytes before that position.
+    Blank lines are skipped; every line must be UTF-8 and every record
+    carry its tag's token count. A SCRIPT line must be followed by a <<<
+    line, and its text is the body up to the closing >>> line; other
+    records have None.
+    """
+    lines = iter(fh.readline, b"")
+    for raw in lines:
+        lineno += 1
+        start, offset = offset, offset + len(raw)
+        line = _text(raw, lineno)
+        if not line.strip():
+            continue
+        toks = _split_record(line, lineno)
+        tag = toks[0]
+        if len(toks) not in _ARITY.get(tag, ()):
+            raise FormatError(f"malformed {tag} record" if tag in _ARITY
+                              else f"unknown record {tag!r}", lineno)
+        if tag != "SCRIPT":
+            yield toks, None, lineno, start
+            continue
+        head = lineno
+        raw = next(lines, b"")
+        lineno += 1
+        offset += len(raw)
+        if raw.rstrip(b"\n") != b"<<<":
+            raise FormatError("SCRIPT without <<< block", head)
+        body = []
+        for raw in lines:
+            lineno += 1
+            offset += len(raw)
+            line = _text(raw, lineno)
+            if line == ">>>":
+                break
+            body.append(line)
+        else:
+            raise FormatError("unterminated SCRIPT block", head)
+        yield toks, "\n".join(body), head, start
+
+
+def _read(fh, prop, script):
+    """One streaming pass over a whole `.krn` file, every reference checked.
+
+    `prop(tokens, line, offset)` and `script(text, offset)` make what is
+    kept of each PROP/SIG and SCRIPT record: offsets for the index scan,
+    decoded records for a full load. Returns (nodes, props, scripts,
+    isa, labels): nodes maps id to (tag, provenance, subject, target,
+    offset); props maps id to {name: kept}; scripts maps id to kept.
+    """
+    raw = fh.readline()
+    if raw.rstrip(b"\n") != HEADER.encode():
+        raise FormatError(f"missing {HEADER} header", 1)
+    nodes: dict = {}
+    props: dict[NodeId, dict] = {}
+    scripts: dict = {}
+    isa: list[tuple[NodeId, NodeId]] = []
+    labels: list[tuple[NodeId, str, str]] = []
+    refs: list[tuple[int, str, NodeId, str | None]] = []   # line, tag, id, tag it needs
+    for toks, text, lineno, offset in _records(fh, 1, len(raw)):
+        tag = toks[0]
+        if tag == "PROP" or tag == "SIG":
+            owner = _int(toks[1], lineno)
+            named = props.setdefault(owner, {})
+            if toks[2] in named:
+                raise FormatError(f"duplicate property {toks[2]!r} on {owner}", lineno)
+            named[toks[2]] = prop(toks, lineno, offset)
+            refs.append((lineno, tag, owner, None))
+        elif tag == "OBJ" or tag == "ACT":
+            nid, prov, subject, target = _decode_node(toks, lineno)
+            if nid in nodes:
+                raise FormatError(f"duplicate node id {nid}", lineno)
+            nodes[nid] = (tag, prov, subject, target, offset)
+            if tag == "ACT":
+                refs.append((lineno, tag, target, "OBJ"))
+                if subject is not None:
+                    refs.append((lineno, tag, subject, "OBJ"))
+        elif tag == "SCRIPT":
+            owner = _int(toks[1], lineno)
+            if owner in scripts:
+                raise FormatError(f"duplicate SCRIPT for {owner}", lineno)
+            scripts[owner] = script(text, offset)
+            refs.append((lineno, tag, owner, "ACT"))
+        elif tag == "ISA":
+            inst, concept = _int(toks[1], lineno), _int(toks[2], lineno)
+            isa.append((inst, concept))
+            refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
+        else:  # LABEL
+            node = _int(toks[1], lineno)
+            if not valid_language_tag(toks[2]):
+                raise FormatError(f"bad language tag {toks[2]!r}", lineno)
+            labels.append((node, toks[2], decode_text(toks[3], lineno)))
+            refs.append((lineno, tag, node, None))
+    # records may arrive in any order, so references are checked only now
+    for lineno, tag, nid, need in refs:
+        node = nodes.get(nid)
+        if node is None:
+            raise FormatError(f"{tag} record refers to unknown node {nid}", lineno)
+        if need is not None and node[0] != need:
+            kind = "an object" if need == "OBJ" else "an action"
+            raise FormatError(f"{tag} record needs node {nid} to be {kind}", lineno)
+    return nodes, props, scripts, isa, labels
+
+
+def _load(fh) -> tuple[Net, Lexicon]:
+    asts: dict = {}
+
+    def script(text: str, offset: int) -> ScriptRef:
+        ast = asts.get(text)
+        if ast is None:
+            ast = asts[text] = parse_script(text)
+        return ScriptRef(text=text, ast=ast, offset=offset)
+
+    nodes, props, scripts, isa, labels = _read(
+        fh, lambda toks, line, _offset: _decode_prop(toks, line), script)
+    net = Net()
+    for nid in sorted(nodes):
+        tag, prov, subject, target, _ = nodes[nid]
+        named = props.get(nid, {})
+        properties = {name: named[name] for name in sorted(named)}
+        if tag == "OBJ":
+            net.objects[nid] = ObjectRecord(nid, properties, provenance=prov)
+        else:
+            net.actions[nid] = ActionRecord(
+                nid, subject, target, scripts.get(nid) or ScriptRef.none(),
+                properties, provenance=prov)
+    for aid, act in net.actions.items():
+        if act.subject is not None:
+            net.objects[act.subject].outgoing.append(aid)
+        net.objects[act.target].incoming.append(aid)
+    if nodes:
+        net.bump_id(max(nodes))
+    net.isa_edges = sorted(set(isa))
+    lexicon = Lexicon()
+    for node, lang, text in labels:
+        lexicon.set_label(node, lang, text)
+    return net, lexicon
+
+
+def load(path: str) -> tuple[Net, Lexicon]:
+    """Read a whole `.krn` file into a fresh net plus its labels, in one pass."""
+    with io.open(path, "rb") as fh:
+        return _load(fh)
 
 
 # ------------------------------------------------------------------ open
@@ -275,117 +464,31 @@ class StoreHandle:
     # -- indexing scan --
 
     def _scan(self) -> None:
-        data = self._fh.read()
-        self.stats.bytes_read += len(data)
-        raw_lines = data.split(b"\n")
-        offsets = []
-        pos = 0
-        for raw in raw_lines:
-            offsets.append(pos)
-            pos += len(raw) + 1
-        pending_refs: list[tuple[int, NodeId]] = []
-        prop_records: list[tuple[NodeId, str, int, int]] = []
-        script_records: list[tuple[NodeId, int, int]] = []
-        in_script: NodeId | None = None
-        script_open_line = 0
-        nlines = len(raw_lines)
-        if nlines == 0 or raw_lines[0].decode("utf-8", "replace") != HEADER:
-            raise FormatError(f"missing {HEADER} header", 1)
-        i = 1
-        while i < nlines:
-            lineno = i + 1
-            try:
-                line = raw_lines[i].decode("utf-8")
-            except UnicodeDecodeError:
-                raise FormatError("undecodable line", lineno) from None
-            if in_script is not None:
-                if line == ">>>":
-                    in_script = None
-                i += 1
-                continue
-            if not line.strip():
-                i += 1
-                continue
-            toks = _split_record(line, lineno)
-            tag = toks[0]
-            if tag == "OBJ":
-                self._record_node(toks, "obj", offsets[i], lineno, 2)
-            elif tag == "ACT":
-                self._record_node(toks, "act", offsets[i], lineno, 4)
-                pending_refs.append((lineno, _int(toks[3], lineno)))
-                if toks[2] != "-":
-                    pending_refs.append((lineno, _int(toks[2], lineno)))
-            elif tag in ("PROP", "SIG"):
-                want = 6 if tag == "PROP" else 7
-                if len(toks) not in (want - 1, want):
-                    raise FormatError(f"malformed {tag} record", lineno)
-                prop_records.append((_int(toks[1], lineno), toks[2], offsets[i], lineno))
-            elif tag == "SCRIPT":
-                if len(toks) != 2:
-                    raise FormatError("malformed SCRIPT record", lineno)
-                owner = _int(toks[1], lineno)
-                script_records.append((owner, offsets[i], lineno))
-                if i + 1 >= nlines or raw_lines[i + 1].decode("utf-8", "replace") != "<<<":
-                    raise FormatError("SCRIPT without <<< block", lineno)
-                in_script = owner
-                script_open_line = lineno
-                i += 1  # skip the <<< line
-            elif tag == "ISA":
-                if len(toks) != 3:
-                    raise FormatError("malformed ISA record", lineno)
-                inst, concept = _int(toks[1], lineno), _int(toks[2], lineno)
-                pending_refs.extend([(lineno, inst), (lineno, concept)])
-                self.isa.append((inst, concept))
-            elif tag == "LABEL":
-                if len(toks) != 4:
-                    raise FormatError("malformed LABEL record", lineno)
-                node = _int(toks[1], lineno)
-                pending_refs.append((lineno, node))
-                self.labels.append((node, toks[2], decode_text(toks[3], lineno)))
-            else:
-                raise FormatError(f"unknown record {tag!r}", lineno)
-            i += 1
-        if in_script is not None:
-            raise FormatError("unterminated SCRIPT block", script_open_line)
-        # records may arrive in any order; attach references only now
-        for owner, name, offset, lineno in prop_records:
-            entry = self.index.get(owner)
-            if entry is None:
-                raise FormatError(f"property for unknown node {owner}", lineno)
-            if name in entry.prop_offsets:
-                raise FormatError(f"duplicate property {name!r} on {owner}", lineno)
-            entry.prop_offsets[name] = offset
-        for owner, offset, lineno in script_records:
-            entry = self.index.get(owner)
-            if entry is None or entry.kind != "act":
-                raise FormatError(f"SCRIPT for unknown action {owner}", lineno)
-            if entry.script_offset is not None:
-                raise FormatError(f"duplicate SCRIPT for {owner}", lineno)
-            entry.script_offset = offset
-        for lineno, ref in pending_refs:
-            if ref not in self.index:
-                raise FormatError(f"reference to unknown node {ref}", lineno)
-
-    def _record_node(self, toks, kind, offset, lineno, base_len) -> None:
-        inferred = False
-        if len(toks) == base_len + 1 and toks[base_len] == "inferred":
-            inferred = True
-        elif len(toks) != base_len:
-            raise FormatError(f"malformed {toks[0]} record", lineno)
-        nid = _int(toks[1], lineno)
-        if nid in self.index:
-            raise FormatError(f"duplicate node id {nid}", lineno)
-        if kind == "act":
-            _int(toks[3], lineno)
-        self.index[nid] = IndexEntry(kind=kind, offset=offset, inferred=inferred)
+        nodes, props, scripts, self.isa, self.labels = _read(
+            self._fh, lambda _toks, _line, offset: offset, lambda _text, offset: offset)
+        self.stats.bytes_read += self._fh.tell()
+        for nid, (tag, prov, _, _, offset) in nodes.items():
+            self.index[nid] = IndexEntry(
+                tag.lower(), offset, prov is Provenance.INFERRED,
+                props.get(nid, {}), scripts.get(nid))
 
     # -- reads --
 
-    def _read_line_at(self, offset: int) -> str:
+    def _read_at(self, offset: int, decode):
+        """decode(tokens, script text, line) of the record at a byte offset.
+
+        A FormatError carries the record's real line, counted only then.
+        """
         self._fh.seek(offset)
-        raw = self._fh.readline()
-        self.stats.bytes_read += len(raw)
-        return raw.decode("utf-8").rstrip("\n")
+        try:
+            for toks, text, _, _ in _records(self._fh, 0, offset):
+                self.stats.bytes_read += self._fh.tell() - offset
+                return decode(toks, text, 1)
+            raise FormatError("record missing", 1)
+        except FormatError as exc:
+            self._fh.seek(0)
+            line = self._fh.read(offset).count(b"\n") + exc.line
+            raise FormatError(exc.message, line) from None
 
     # -- lazy loading --
 
@@ -401,32 +504,28 @@ class StoreHandle:
         if nid in net.objects or nid in net.actions:
             return
         prov = Provenance.INFERRED if entry.inferred else Provenance.ASSERTED
+        props = {
+            name: PropertyRecord(name, Value.unset(), None, PropLoad.STUB)
+            for name in sorted(entry.prop_offsets)
+        }
         if entry.kind == "obj":
-            props = {
-                name: PropertyRecord(name, Value.unset(), None, PropLoad.STUB)
-                for name in sorted(entry.prop_offsets)
-            }
             net.objects[nid] = ObjectRecord(
                 id=nid, properties=props,
                 load_state=NodeLoad.STUB if props else NodeLoad.FULL,
                 provenance=prov,
             )
         else:
-            toks = _split_record(self._read_line_at(entry.offset), 0)
-            subject = None if toks[2] == "-" else int(toks[2])
-            target = int(toks[3])
+            _, _, subject, target = self._read_at(
+                entry.offset, lambda toks, _text, line: _decode_node(toks, line))
+            # the file's endpoints are objects (checked on open); the net's
+            # own nodes may still clash with their ids
             for endpoint in (subject, target):   # check both before changing anything
-                if endpoint is not None and (endpoint in net.actions or (
-                        endpoint not in net.objects and self.index[endpoint].kind != "obj")):
+                if endpoint in net.actions:
                     raise BipartiteViolation(
                         f"endpoint {endpoint} of action {nid} is an action")
             for endpoint in (subject, target):
                 if endpoint is not None and endpoint not in net.objects:
                     self.load_stub(endpoint, net)
-            props = {
-                name: PropertyRecord(name, Value.unset(), None, PropLoad.STUB)
-                for name in sorted(entry.prop_offsets)
-            }
             script = (ScriptRef.stub(entry.script_offset)
                       if entry.script_offset is not None else ScriptRef.none())
             net.actions[nid] = ActionRecord(
@@ -456,25 +555,14 @@ class StoreHandle:
         prop = rec.properties.get(name)
         if prop is not None and prop.load_state is PropLoad.HYDRATED:
             return prop.value
-        line = self._read_line_at(offset)
-        toks = _split_record(line, 0)
-        if toks[0] == "SIG":
-            origin = _decode_origin(toks[3], 0)
-            payload = b"" if toks[4] == "-" else bytes.fromhex(toks[4])
-            sig = SensorSignal(origin, payload, _int(toks[5], 0))
-            value = Value.signal(sig)
-            prov = _provenance(toks[6] if len(toks) > 6 else None, Provenance.SENSED, 0)
-        else:
-            value = _decode_value(toks[3], toks[4], 0)
-            prov = _provenance(toks[5] if len(toks) > 5 else None, Provenance.ASSERTED, 0)
-        rec.properties[name] = PropertyRecord(name, value, prov, PropLoad.HYDRATED,
-                                              from_store=True)
+        prop = self._read_at(offset, lambda toks, _text, line: _decode_prop(toks, line))
+        rec.properties[name] = prop
         net.touch(nid)
         if (nid, name) not in self._hydrated_props:
             self._hydrated_props.add((nid, name))
             self.stats.properties_hydrated += 1
         self._refresh_load_state(nid, net)
-        return value
+        return prop.value
 
     def hydrate_script(self, action_id: NodeId, net: Net):
         """Read, parse, and cache an action's script; later runs reuse it."""
@@ -490,21 +578,7 @@ class StoreHandle:
             return act.script.ast
         if act.script.state == "none" or entry.script_offset is None:
             raise UnknownScript(f"action {action_id} has no script")
-        self._fh.seek(entry.script_offset)
-        header = self._fh.readline()
-        opener = self._fh.readline()
-        self.stats.bytes_read += len(header) + len(opener)
-        body: list[str] = []
-        while True:
-            raw = self._fh.readline()
-            self.stats.bytes_read += len(raw)
-            if not raw:
-                raise FormatError("unterminated SCRIPT block", 0)
-            line = raw.decode("utf-8").rstrip("\n")
-            if line == ">>>":
-                break
-            body.append(line)
-        text = "\n".join(body)
+        text = self._read_at(entry.script_offset, lambda _toks, text, _line: text)
         ast = parse_script(text)
         act.script = ScriptRef(text=text, ast=ast, offset=entry.script_offset)
         if action_id not in self._hydrated_scripts:
@@ -539,20 +613,11 @@ class StoreHandle:
         self._refresh_load_state(nid, net)
 
     def load_full(self) -> tuple[Net, Lexicon]:
-        """Hydrate everything into a fresh net plus its labels."""
-        net = Net()
-        lexicon = Lexicon()
-        for nid in sorted(self.index):
-            self.load_stub(nid, net)
-            for name in sorted(self.index[nid].prop_offsets):
-                self.hydrate_property(nid, name, net)
-            if self.index[nid].script_offset is not None:
-                self.hydrate_script(nid, net)
-        for inst, concept in sorted(self.isa):
-            net.add_isa(inst, concept)
-        for node, lang, text in self.labels:
-            lexicon.set_label(node, lang, text)
-        return net, lexicon
+        """Read everything into a fresh net plus its labels, as `load` does."""
+        self._fh.seek(0)
+        loaded = _load(self._fh)
+        self.stats.bytes_read += self._fh.tell()
+        return loaded
 
     def _refresh_load_state(self, nid: NodeId, net: Net) -> None:
         rec = net.node(nid)

@@ -224,3 +224,16 @@ def test_collapse_payload_keeps_scripts_verbatim():
     restored = expand(net, complex_id)
     restored_act = next(a for a in restored if a in net.actions)
     assert net.actions[restored_act].script.text == 'set object.colour = "black";'
+
+
+def test_expand_drops_isa_edges_of_the_complex_node():
+    net = Net()
+    a = net.add_object([])
+    b = net.add_object([])
+    act = net.add_action(a, b)
+    concept = net.add_object([])
+    cid = collapse_to_object(net, {a, b, act})
+    net.add_isa(cid, concept)
+    expand(net, cid)
+    assert net.isa_edges == []
+    assert net.validate_bipartite().ok

@@ -11,6 +11,7 @@ from krn.errors import (
     BipartiteViolation,
     EvictionBlocked,
     FormatError,
+    ScriptParseError,
     UnknownProperty,
     UnknownScript,
 )
@@ -22,6 +23,24 @@ def _saved(tmp_path, net, lexicon=None, name="net.krn"):
     path = tmp_path / name
     store.save(net, lexicon, str(path))
     return str(path)
+
+
+def _hydrated_lazily(path):
+    """Every node stubbed in, every property and script hydrated through a handle."""
+    with store.open(path) as handle:
+        net = Net()
+        for nid in sorted(handle.index):
+            handle.load_stub(nid, net)
+            for name in sorted(handle.index[nid].prop_offsets):
+                handle.hydrate_property(nid, name, net)
+            if handle.index[nid].script_offset is not None:
+                handle.hydrate_script(nid, net)
+        for inst, concept in sorted(handle.isa):
+            net.add_isa(inst, concept)
+        lexicon = Lexicon()
+        for node, lang, text in handle.labels:
+            lexicon.set_label(node, lang, text)
+    return net, lexicon
 
 
 def test_save_empty_net_is_header_only(tmp_path):
@@ -159,11 +178,9 @@ def test_load_stub_refuses_an_endpoint_held_as_an_action(tmp_path):
 def test_load_stub_refuses_a_file_action_aimed_at_an_action(tmp_path):
     bad = tmp_path / "bad.krn"
     bad.write_text("KRN 1\nOBJ 1\nACT 2 - 1\nACT 3 1 2\n")
-    target = Net()
-    with store.open(str(bad)) as handle:
-        with pytest.raises(BipartiteViolation):
-            handle.load_stub(3, target)
-    assert target.node_ids() == []
+    with pytest.raises(FormatError) as err:
+        store.open(str(bad))
+    assert err.value.line == 4
 
 
 def test_hydrate_property_is_partial_and_cached(tmp_path):
@@ -350,3 +367,126 @@ def test_evict_blocked_during_execution(tmp_path):
                 handle.evict(wall, target)
         finally:
             target._executing = False
+
+
+def test_load_equals_a_fully_hydrated_handle(tmp_path):
+    rng = random.Random(4242)
+    for i in range(60):
+        net, lexicon = random_net(rng, max_objects=rng.choice([3, 8, 30]))
+        if rng.random() < 0.5:
+            net.add_action(None, rng.choice(sorted(net.objects)), "set object.x = 1;",
+                           provenance=Provenance.INFERRED)
+        path = _saved(tmp_path, net, lexicon, f"net{i}.krn")
+        loaded, loaded_lex = store.load(path)
+        lazy, lazy_lex = _hydrated_lazily(path)
+        assert nets_equal(loaded, lazy) and nets_equal(loaded, net), f"net {i}"
+        assert loaded_lex.items() == lazy_lex.items() == lexicon.items()
+        assert loaded.next_id == lazy.next_id
+        again = _saved(tmp_path, loaded, loaded_lex, f"again{i}.krn")
+        assert open(again, "rb").read() == open(path, "rb").read()
+
+
+def test_actions_with_equal_script_text_share_one_parse(tmp_path, monkeypatch):
+    net = Net()
+    left = net.add_object([("x", Value.num(1))])
+    right = net.add_object([("x", Value.num(1))])
+    text = "set object.x = object.x + 1;"
+    one = net.add_action(None, left, text)
+    two = net.add_action(None, right, text)
+    net.add_action(None, right, "set object.x = 0;")
+    path = _saved(tmp_path, net)
+    real_parse = store.parse_script
+    parsed = []
+    monkeypatch.setattr(store, "parse_script", lambda src: parsed.append(src) or real_parse(src))
+    loaded, _ = store.load(path)
+    assert sorted(parsed) == sorted([text, "set object.x = 0;"])
+    assert loaded.actions[one].script.ast is loaded.actions[two].script.ast
+    run_action(loaded, one)
+    assert loaded.get_property(left, "x") == Value.num(2)
+    assert loaded.get_property(right, "x") == Value.num(1)
+    assert loaded.actions[two].script.ast == real_parse(text)
+    run_action(loaded, two)
+    assert loaded.get_property(right, "x") == Value.num(2)
+
+
+@pytest.mark.parametrize("record", [
+    "SIG 1 warmth skin/p7 fg 3",               # payload is not hex
+    "SIG 1 warmth skin//p7 ff 3",              # empty origin segment
+    "PROP 1 mass num heavy",
+    'PROP 1 colour text "green" sensed',       # sensed but not a signal
+])
+def test_bad_values_are_format_errors_at_their_line(tmp_path, record):
+    bad = tmp_path / "bad.krn"
+    bad.write_text(f"KRN 1\nOBJ 1\n\n{record}\nACT 5 - 1\n")
+    with pytest.raises(FormatError) as err:
+        store.load(str(bad))
+    assert err.value.line == 4
+    with store.open(str(bad)) as handle:
+        with pytest.raises(FormatError) as lazy_err:
+            handle.hydrate_property(1, record.split()[2], Net())
+    assert lazy_err.value.line == 4
+
+
+def test_bad_language_tag_is_a_format_error_at_its_line(tmp_path):
+    bad = tmp_path / "bad.krn"
+    bad.write_text('KRN 1\nOBJ 1\nLABEL 1 e_n "wall"\n')
+    for read in (store.load, store.open):
+        with pytest.raises(FormatError) as err:
+            read(str(bad))
+        assert err.value.line == 3
+
+
+def test_is_a_edge_to_an_action_is_refused_on_open_and_load(tmp_path):
+    bad = tmp_path / "bad.krn"
+    bad.write_text("KRN 1\nOBJ 1\nACT 2 - 1\nISA 1 2\n")
+    for read in (store.load, store.open):
+        with pytest.raises(FormatError) as err:
+            read(str(bad))
+        assert err.value.line == 4
+
+
+def _mutated(rng, data: bytes) -> bytes:
+    roll = rng.randrange(4)
+    if roll == 0:                                   # flip one bit
+        i = rng.randrange(len(data))
+        return data[:i] + bytes([data[i] ^ (1 << rng.randrange(8))]) + data[i + 1:]
+    if roll == 1:                                   # truncate
+        return data[:rng.randrange(len(data))]
+    lines = data.split(b"\n")
+    if roll == 2:                                   # duplicate a line
+        i = rng.randrange(len(lines))
+        lines.insert(i, lines[i])
+    else:                                           # shuffle all but the header
+        body = lines[1:]
+        rng.shuffle(body)
+        lines[1:] = body
+    return b"\n".join(lines)
+
+
+def test_mutated_saves_fail_only_with_typed_errors(tmp_path):
+    rng = random.Random(9090)
+    path = str(tmp_path / "mutant.krn")
+    loaded = 0
+    for i in range(400):
+        net, lexicon = random_net(rng)
+        with open(_saved(tmp_path, net, lexicon), "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(_mutated(rng, data))
+        try:
+            got = store.load(path)
+        except (FormatError, ScriptParseError):
+            got = None
+        try:
+            lazy = _hydrated_lazily(path)
+        except (FormatError, ScriptParseError):
+            lazy = None
+        assert (got is None) == (lazy is None), f"mutant {i}"
+        if got is None:
+            continue
+        loaded += 1
+        assert got[0].validate_bipartite().ok, f"mutant {i}"
+        assert nets_equal(got[0], lazy[0]) and got[1].items() == lazy[1].items()
+        again, again_lex = store.load(_saved(tmp_path, *got, name="again.krn"))
+        assert nets_equal(again, got[0]) and again_lex.items() == got[1].items(), f"mutant {i}"
+    assert loaded > 40  # mutants that still load reach the checks above
