@@ -232,15 +232,27 @@ class CollapsePayload:
     rewired: list[tuple[NodeId, str, NodeId]]
 
 
+def _node_load(properties: dict[str, PropertyRecord], script_stubbed: bool) -> NodeLoad:
+    """FULL when nothing is left to read from the store, PARTIAL when some
+    property is hydrated, STUB otherwise."""
+    hydrated = [p.load_state is PropLoad.HYDRATED for p in properties.values()]
+    if all(hydrated) and not script_stubbed:
+        return NodeLoad.FULL
+    return NodeLoad.PARTIAL if any(hydrated) else NodeLoad.STUB
+
+
 @dataclass
 class ObjectRecord:
     id: NodeId
     properties: dict[str, PropertyRecord] = field(default_factory=dict)
     outgoing: list[NodeId] = field(default_factory=list)
     incoming: list[NodeId] = field(default_factory=list)
-    load_state: NodeLoad = NodeLoad.FULL
     provenance: Provenance = Provenance.ASSERTED
     collapse_payload: Optional[CollapsePayload] = field(default=None, compare=False)
+
+    @property
+    def load_state(self) -> NodeLoad:
+        return _node_load(self.properties, False)
 
 
 @dataclass
@@ -250,25 +262,28 @@ class ActionRecord:
     target: NodeId
     script: ScriptRef = field(default_factory=ScriptRef.none)
     properties: dict[str, PropertyRecord] = field(default_factory=dict)
-    load_state: NodeLoad = NodeLoad.FULL
     provenance: Provenance = Provenance.ASSERTED
     collapse_payload: Optional[CollapsePayload] = field(default=None, compare=False)
+
+    @property
+    def load_state(self) -> NodeLoad:
+        return _node_load(self.properties, self.script.state == "stub")
 
 
 @dataclass(frozen=True)
 class PropertyChange:
     """One effective write or erase: before is None on appear, after on erase.
 
-    Provenance fields are filled by the interpreter so the change list
-    doubles as an exact undo log; snapshot diffs leave them None.
+    The interpreter also keeps the record the change replaced (None if
+    the property was absent), stub or not, so the change list doubles as
+    an exact undo log; snapshot diffs leave it None.
     """
 
     node: NodeId
     name: str
     before: Optional[Value]
     after: Optional[Value]
-    before_provenance: Optional[Provenance] = None
-    after_provenance: Optional[Provenance] = None
+    replaced: Optional[PropertyRecord] = field(default=None, compare=False)
 
 
 ChangeSet = list[PropertyChange]
@@ -414,6 +429,17 @@ class Net:
         if prop is None or prop.load_state is PropLoad.STUB:
             raise UnknownProperty(f"node {nid} has no hydrated property {name!r}")
         return prop.value
+
+    def restore_property(self, nid: NodeId, name: str,
+                         record: Optional[PropertyRecord]) -> None:
+        """Put back a property record as it was, or drop the property when
+        there was none: the inverse of one write or erase."""
+        properties = self.node(nid).properties
+        if record is None:
+            properties.pop(name, None)
+        else:
+            properties[name] = record
+        self.touch(nid)
 
     def erase_property(self, nid: NodeId, name: str) -> None:
         rec = self.node(nid)

@@ -165,8 +165,13 @@ def compute_boundary(net: Net, inside) -> Boundary:
 
 def _capture_payload(net: Net, inside: set, kind: str,
                      rewired: list) -> CollapsePayload:
-    objects = {nid: copy.deepcopy(net.objects[nid]) for nid in inside if nid in net.objects}
-    actions = {nid: copy.deepcopy(net.actions[nid]) for nid in inside if nid in net.actions}
+    """Move the inside records, as they are, into a payload.
+
+    No copy is made: `_remove_inside` then drops the net's references to
+    them, and `expand` puts the same records back under the same ids.
+    """
+    objects = {nid: net.objects[nid] for nid in inside if nid in net.objects}
+    actions = {nid: net.actions[nid] for nid in inside if nid in net.actions}
     isa = [(i, c) for i, c in net.isa_edges if i in inside or c in inside]
     return CollapsePayload(kind=kind, objects=objects, actions=actions,
                            isa=isa, rewired=rewired)
@@ -277,103 +282,65 @@ def collapse_to_action(net: Net, inside, *, subject_hint: NodeId | None = None,
 
 
 def expand(net: Net, complex_id: NodeId) -> set:
-    """Reinsert a collapsed subnet with fresh ids and remove the complex node."""
+    """Put a collapsed subnet back under its own ids and remove the complex node.
+
+    Ids are never reallocated, so the restored nodes take their
+    pre-collapse ids: names, labels, goal anchors and the ids of nested
+    complex nodes stay valid. Every check runs before the net changes,
+    so a refused expansion leaves the net as it was. Returns the
+    restored ids.
+    """
     rec = net.node(complex_id)
     payload = rec.collapse_payload
     if payload is None:
         raise NotCollapsed(f"node {complex_id} holds no collapsed subnet")
+    restored = payload.objects.keys() | payload.actions.keys()
+    for nid in sorted(restored):
+        if nid in net.objects or nid in net.actions:
+            raise NotCollapsed(f"node {nid} of the collapsed subnet is in use again")
     if payload.kind == "object":
-        # refuse before touching anything if links were added after collapse
         covered = {(aid, role) for aid, role, _ in payload.rewired}
-        for aid in rec.outgoing:
-            if (aid, "subject") not in covered:
-                raise NotCollapsed(
-                    f"action {aid} attached after collapse blocks expansion"
-                )
-        for aid in rec.incoming:
-            if (aid, "target") not in covered:
-                raise NotCollapsed(
-                    f"action {aid} attached after collapse blocks expansion"
-                )
-    payload = copy.deepcopy(payload)
-    idmap = {old: net.allocate_id()
-             for old in sorted(payload.objects.keys() | payload.actions.keys())}
+        attached = {(aid, "subject") for aid in rec.outgoing} | \
+                   {(aid, "target") for aid in rec.incoming}
+        extra, missing = sorted(attached - covered), sorted(covered - attached)
+        if extra:
+            raise NotCollapsed(f"action {extra[0][0]} attached after collapse blocks expansion")
+        if missing:
+            raise UnknownNode(f"crossing action {missing[0][0]} vanished before expansion")
+    else:
+        for act in payload.actions.values():
+            for end in (act.subject, act.target):
+                if end is not None and end not in restored and end not in net.objects:
+                    raise UnknownNode(f"outside object {end} vanished before expansion")
+    for inst, concept in payload.isa:
+        for end in (inst, concept):
+            if end not in payload.objects and end not in net.objects:
+                raise UnknownNode(f"is-a end {end} vanished before expansion")
 
-    def remap(nid):
-        return idmap.get(nid, nid)
-
-    def remap_nested(nested: CollapsePayload) -> None:
-        # ids are never reused, so only references to renumbered outer
-        # nodes can appear in idmap; inner-only ids pass through remap
-        for obj in nested.objects.values():
-            obj.outgoing = [remap(a) for a in obj.outgoing]
-            obj.incoming = [remap(a) for a in obj.incoming]
-            if obj.collapse_payload is not None:
-                remap_nested(obj.collapse_payload)
-        for act in nested.actions.values():
-            if act.subject is not None:
-                act.subject = remap(act.subject)
-            act.target = remap(act.target)
-            if act.collapse_payload is not None:
-                remap_nested(act.collapse_payload)
-        nested.isa = [(remap(i), remap(c)) for i, c in nested.isa]
-        nested.rewired = [(remap(a), role, remap(o))
-                          for a, role, o in nested.rewired]
-
-    for old in sorted(payload.objects):
-        obj = payload.objects[old]
-        obj.id = idmap[old]
-        obj.outgoing = [remap(a) for a in obj.outgoing]
-        obj.incoming = [remap(a) for a in obj.incoming]
-        if obj.collapse_payload is not None:
-            remap_nested(obj.collapse_payload)
-        net.objects[obj.id] = obj
-        net.touch(obj.id)
-    for old in sorted(payload.actions):
-        act = payload.actions[old]
-        act.id = idmap[old]
-        if act.subject is not None:
-            act.subject = remap(act.subject)
-        act.target = remap(act.target)
-        if act.collapse_payload is not None:
-            remap_nested(act.collapse_payload)
-        net.actions[act.id] = act
-        net.touch(act.id)
-
+    for nid in sorted(payload.objects):
+        net.objects[nid] = payload.objects[nid]
+        net.touch(nid)
+    for nid in sorted(payload.actions):
+        net.actions[nid] = payload.actions[nid]
+        net.touch(nid)
     if payload.kind == "object":
         # outside crossing actions point at the complex object; point them back
         for aid, role, orig in payload.rewired:
-            act = net.actions.get(aid)
-            if act is None:
-                raise UnknownNode(f"crossing action {aid} vanished before expansion")
-            if role == "subject":
-                act.subject = idmap[orig]
-            else:
-                act.target = idmap[orig]
+            setattr(net.actions[aid], role, orig)
         del net.objects[complex_id]
         net.touch(complex_id)
         net._drop_isa(complex_id)
     else:
-        # wire restored actions back into outside objects' lists
-        for old in sorted(payload.actions):
-            act = net.actions[idmap[old]]
-            if act.subject is not None and act.subject not in idmap.values():
-                outside = net.objects.get(act.subject)
-                if outside is None:
-                    raise UnknownNode(f"outside object {act.subject} vanished before expansion")
-                if act.id not in outside.outgoing:
-                    outside.outgoing.append(act.id)
-            if act.target not in idmap.values():
-                outside = net.objects.get(act.target)
-                if outside is None:
-                    raise UnknownNode(f"outside object {act.target} vanished before expansion")
-                if act.id not in outside.incoming:
-                    outside.incoming.append(act.id)
+        # wire restored actions back into the outside objects' lists
+        for aid in sorted(payload.actions):
+            act = net.actions[aid]
+            if act.subject is not None and act.subject not in restored:
+                net.objects[act.subject].outgoing.append(aid)
+            if act.target not in restored:
+                net.objects[act.target].incoming.append(aid)
         net._erase_action(complex_id)
-
-    for inst, concept in payload.isa:
-        net.isa_edges.append((remap(inst), remap(concept)))
-    return set(idmap.values())
+    net.isa_edges.extend(payload.isa)
+    return restored
 
 
 # ------------------------------------------------------------- matching
@@ -382,27 +349,19 @@ def _names(net: Net, nid: NodeId) -> frozenset:
     return frozenset(net.node(nid).properties.keys())
 
 
-def _compat(pattern: Net, target: Net, p: NodeId, t: NodeId,
-            exact: bool, bypass_names: bool) -> bool:
+def _compat(pattern: Net, target: Net, p: NodeId, t: NodeId, bypass_names: bool = False) -> bool:
     if pattern.is_object(p) != target.is_object(t):
         return False
-    if bypass_names:
-        return True
-    pn, tn = _names(pattern, p), _names(target, t)
-    return pn == tn if exact else pn <= tn
+    return bypass_names or _names(pattern, p) <= _names(target, t)
 
 
-def _consistent(pattern: Net, target: Net, mapping: dict,
-                p: NodeId, t: NodeId, exact: bool) -> bool:
+def _consistent(pattern: Net, target: Net, mapping: dict, p: NodeId, t: NodeId) -> bool:
     if pattern.is_action(p):
         prec = pattern.actions[p]
         trec = target.actions[t]
         if prec.target in mapping and trec.target != mapping[prec.target]:
             return False
-        if prec.subject is None:
-            if exact and trec.subject is not None:
-                return False
-        else:
+        if prec.subject is not None:
             if trec.subject is None:
                 return False
             if prec.subject in mapping and trec.subject != mapping[prec.subject]:
@@ -421,13 +380,11 @@ def _consistent(pattern: Net, target: Net, mapping: dict,
 
 
 def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
-                 exact: bool = False, limit: int | None = None) -> list[dict]:
+                 limit: int | None = None) -> list[dict]:
     """All injective structure-preserving mappings of pattern into target.
 
     `anchor` pins one pattern node to one target node, bypassing the
     property-name requirement for that pair (the caller vouches for it).
-    `exact` demands equal name sets and matching blank subjects, which
-    turns the check into exact-structure occurrence testing.
     """
     ids = pattern.node_ids()
     if not ids:
@@ -473,9 +430,9 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
                 continue
             if (t not in target.objects) and (t not in target.actions):
                 continue
-            if not _compat(pattern, target, p, t, exact, bypass):
+            if not _compat(pattern, target, p, t, bypass):
                 continue
-            if not _consistent(pattern, target, mapping, p, t, exact):
+            if not _consistent(pattern, target, mapping, p, t):
                 continue
             mapping[p] = t
             used.add(t)
@@ -487,9 +444,9 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
     return results
 
 
-def match_images(pattern: Net, target: Net, *, exact: bool = False) -> set:
+def match_images(pattern: Net, target: Net) -> set:
     """Distinct node sets covered by matches; automorphisms collapse."""
-    return {frozenset(m.values()) for m in find_matches(pattern, target, exact=exact)}
+    return {frozenset(m.values()) for m in find_matches(pattern, target)}
 
 
 # ------------------------------------------------------- canonical form
@@ -713,6 +670,8 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
         if not contained:
             kept.append(key)
 
+    # each bucket key already is its pattern's canonical form
+    kept.sort(key=lambda key: (-len(candidates[key]["images"]), key))
     templates = []
     for key in kept:
         bucket = candidates[key]
@@ -723,7 +682,6 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
             root=min(objs) if objs else min(pattern.node_ids()),
             support=len(bucket["images"]),
         ))
-    templates.sort(key=lambda t: (-t.support, canonical_key(t.pattern)))
     return templates
 
 
@@ -810,7 +768,7 @@ def _action_bindings(pattern: Net, net: Net, mapping: dict, used: set,
             return forced[q] == w
         if w in used or w in forced.values():
             return False
-        if not _compat(pattern, net, q, w, exact=False, bypass_names=False):
+        if not _compat(pattern, net, q, w):
             return False
         forced[q] = w
         pairs.append((q, w))
@@ -858,9 +816,9 @@ def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
         for t in sorted(pool):
             if t in used:
                 continue
-            if not _compat(pattern, net, p, t, exact=False, bypass_names=False):
+            if not _compat(pattern, net, p, t):
                 continue
-            if not _consistent(pattern, net, mapping, p, t, exact=False):
+            if not _consistent(pattern, net, mapping, p, t):
                 continue
             if pattern.is_action(p):
                 pairs = _action_bindings(pattern, net, mapping, used, p, t)

@@ -487,16 +487,11 @@ def _do_set(st: SetStmt, ctx: ExecContext, changes: ChangeSet) -> None:
     nid = _resolve(st.lvalue.role, ctx)
     rec = ctx.net.node(nid)
     prop = rec.properties.get(st.lvalue.name)
-    if prop is not None and prop.load_state is PropLoad.HYDRATED:
-        before, before_prov = prop.value, prop.provenance
-    else:
-        before, before_prov = None, None
+    before = prop.value if prop is not None and prop.load_state is PropLoad.HYDRATED else None
     if before is not None and before == value:
         return
     ctx.net.set_property(nid, st.lvalue.name, value, Provenance.ASSERTED)
-    changes.append(PropertyChange(
-        nid, st.lvalue.name, before, value, before_prov, Provenance.ASSERTED,
-    ))
+    changes.append(PropertyChange(nid, st.lvalue.name, before, value, prop))
 
 
 def _do_unset(st: UnsetStmt, ctx: ExecContext, changes: ChangeSet) -> None:
@@ -506,9 +501,8 @@ def _do_unset(st: UnsetStmt, ctx: ExecContext, changes: ChangeSet) -> None:
     if prop is None:
         raise UnknownProperty(f"unset of missing property {st.lvalue.name!r} on {nid}")
     before = prop.value if prop.load_state is PropLoad.HYDRATED else None
-    before_prov = prop.provenance if prop.load_state is PropLoad.HYDRATED else None
     ctx.net.erase_property(nid, st.lvalue.name)
-    changes.append(PropertyChange(nid, st.lvalue.name, before, None, before_prov, None))
+    changes.append(PropertyChange(nid, st.lvalue.name, before, None, prop))
 
 
 def _resolve(role: Role, ctx: ExecContext) -> NodeId:
@@ -601,12 +595,10 @@ def _eval_binary(ex: Binary, ctx: ExecContext) -> Value:
 
 
 def apply_undo(net: Net, changes: ChangeSet) -> None:
-    """Replay before-values in reverse order, restoring the pre-run net."""
+    """Put back the replaced records in reverse order, restoring the pre-run net.
+
+    A stubbed property comes back as the same stub, still backed by the
+    store.
+    """
     for ch in reversed(changes):
-        if ch.before is None:
-            if ch.name in net.node(ch.node).properties:
-                net.erase_property(ch.node, ch.name)
-        else:
-            net.set_property(
-                ch.node, ch.name, ch.before, ch.before_provenance or Provenance.ASSERTED
-            )
+        net.restore_property(ch.node, ch.name, ch.replaced)

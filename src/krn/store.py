@@ -46,7 +46,6 @@ from .core import (
     Kind,
     Net,
     NodeId,
-    NodeLoad,
     ObjectRecord,
     PropertyRecord,
     PropLoad,
@@ -211,6 +210,8 @@ def _decode_prop(toks: list[str], line: int) -> PropertyRecord:
 # ------------------------------------------------------------------ save
 
 def _prop_line(owner: NodeId, prop: PropertyRecord) -> str:
+    if prop.load_state is PropLoad.STUB:
+        raise UnknownProperty(f"property {prop.name!r} of node {owner} is not hydrated")
     prov = (prop.provenance or Provenance.ASSERTED).value
     if prop.value.kind is Kind.SIGNAL:
         sig: SensorSignal = prop.value.data
@@ -222,7 +223,11 @@ def _prop_line(owner: NodeId, prop: PropertyRecord) -> str:
 
 
 def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
-    """Serialize the whole net (plus labels) deterministically."""
+    """Serialize the whole net (plus labels) deterministically.
+
+    A stubbed property or script has no value in memory to write, so it
+    raises UnknownProperty or UnknownScript before the file is opened.
+    """
     lines = [HEADER]
     for oid in sorted(net.objects):
         obj = net.objects[oid]
@@ -237,6 +242,8 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
         lines.append(f"ACT {aid} {subj} {act.target}{marker}")
         for name in sorted(act.properties):
             lines.append(_prop_line(aid, act.properties[name]))
+        if act.script.state == "stub":
+            raise UnknownScript(f"script of action {aid} is not hydrated")
         if act.script.text is not None:
             lines.append(f"SCRIPT {aid}")
             lines.append("<<<")
@@ -509,11 +516,7 @@ class StoreHandle:
             for name in sorted(entry.prop_offsets)
         }
         if entry.kind == "obj":
-            net.objects[nid] = ObjectRecord(
-                id=nid, properties=props,
-                load_state=NodeLoad.STUB if props else NodeLoad.FULL,
-                provenance=prov,
-            )
+            net.objects[nid] = ObjectRecord(id=nid, properties=props, provenance=prov)
         else:
             _, _, subject, target = self._read_at(
                 entry.offset, lambda toks, _text, line: _decode_node(toks, line))
@@ -530,12 +533,11 @@ class StoreHandle:
                       if entry.script_offset is not None else ScriptRef.none())
             net.actions[nid] = ActionRecord(
                 id=nid, subject=subject, target=target, script=script,
-                properties=props, load_state=NodeLoad.STUB, provenance=prov,
+                properties=props, provenance=prov,
             )
             if subject is not None:
                 net.objects[subject].outgoing.append(nid)
             net.objects[target].incoming.append(nid)
-            self._refresh_load_state(nid, net)
         net.bump_id(nid)
         if nid not in self._loaded_nodes:
             self._loaded_nodes.add(nid)
@@ -561,7 +563,6 @@ class StoreHandle:
         if (nid, name) not in self._hydrated_props:
             self._hydrated_props.add((nid, name))
             self.stats.properties_hydrated += 1
-        self._refresh_load_state(nid, net)
         return prop.value
 
     def hydrate_script(self, action_id: NodeId, net: Net):
@@ -584,7 +585,6 @@ class StoreHandle:
         if action_id not in self._hydrated_scripts:
             self._hydrated_scripts.add(action_id)
             self.stats.scripts_hydrated += 1
-        self._refresh_load_state(action_id, net)
         return ast
 
     def evict(self, nid: NodeId, net: Net) -> None:
@@ -610,7 +610,6 @@ class StoreHandle:
         net.touch(nid)
         if isinstance(rec, ActionRecord) and entry.script_offset is not None:
             rec.script = ScriptRef.stub(entry.script_offset)
-        self._refresh_load_state(nid, net)
 
     def load_full(self) -> tuple[Net, Lexicon]:
         """Read everything into a fresh net plus its labels, as `load` does."""
@@ -618,17 +617,6 @@ class StoreHandle:
         loaded = _load(self._fh)
         self.stats.bytes_read += self._fh.tell()
         return loaded
-
-    def _refresh_load_state(self, nid: NodeId, net: Net) -> None:
-        rec = net.node(nid)
-        states = [p.load_state for p in rec.properties.values()]
-        script_pending = isinstance(rec, ActionRecord) and rec.script.state == "stub"
-        if all(s is PropLoad.HYDRATED for s in states) and not script_pending:
-            rec.load_state = NodeLoad.FULL
-        elif any(s is PropLoad.HYDRATED for s in states):
-            rec.load_state = NodeLoad.PARTIAL
-        else:
-            rec.load_state = NodeLoad.STUB
 
 
 def open(path: str) -> StoreHandle:  # noqa: A001 - deliberate name

@@ -254,3 +254,38 @@ def test_main_reads_file_and_stdin(tmp_path):
     )
     assert piped.returncode == 1
     assert "error: " in piped.stdout
+
+
+
+def test_names_and_goals_inside_a_subnet_survive_collapse_and_expand():
+    script = """
+new
+obj man
+obj button
+obj circuit
+act man button script='set object.pressed = true;' as press
+act button circuit as closes
+label button fr bouton
+goal button.pressed == true
+run press
+collapse-act press button closes as turn-on
+goals
+expand turn-on
+show button.pressed
+say button --lang fr
+goals
+set button.pressed false
+goals
+"""
+    out, code = run_script(script)
+    assert code == 0, out
+    assert out.splitlines()[-8:] == [
+        "collapse-act turn-on #7",
+        "goal 1 (goal): undetermined",
+        "expanded #7: 3 nodes",
+        "true",
+        "bouton (fr)",
+        "goal 1 (goal): satisfied",
+        "button.pressed = false",
+        "goal 1 (goal): violated",
+    ]

@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 
@@ -9,10 +10,19 @@ from krn import (
     collapse_to_object,
     compute_boundary,
     expand,
+    nets_equal,
+    store,
 )
-from krn.errors import AmbiguousEndpoints, BoundaryViolation, NotCollapsed, UnknownNode
+from krn.errors import (
+    AmbiguousEndpoints,
+    BoundaryViolation,
+    KrnError,
+    NotCollapsed,
+    UnknownNode,
+)
+from krn.reasoning import _neighbors
 
-from helpers import tv_net
+from helpers import random_net, tv_net
 from oracle_iso import nets_isomorphic
 
 
@@ -237,3 +247,174 @@ def test_expand_drops_isa_edges_of_the_complex_node():
     expand(net, cid)
     assert net.isa_edges == []
     assert net.validate_bipartite().ok
+
+
+# ------------------------------------------------- expansion keeps the ids
+
+def _chain_net():
+    net = Net()
+    man = net.add_object([("alive", Value.truth(True))])
+    button = net.add_object([("button", Value.truth(True))])
+    circuit = net.add_object([("circuit", Value.num(1))])
+    press = net.add_action(man, button, 'set object.pressed = true;')
+    closes = net.add_action(button, circuit)
+    return net, man, button, circuit, press, closes
+
+
+def test_tv_round_trip_restores_the_original_ids():
+    net, inside, press, show, person = tv_net()
+    net.add_isa(min(inside), person)
+    original = copy.deepcopy(net)
+    tv = collapse_to_object(net, inside)
+    assert expand(net, tv) == inside
+    assert nets_equal(net, original)
+    assert net.validate_bipartite().ok
+
+
+def test_chain_round_trip_restores_the_original_ids():
+    net, man, button, circuit, press, closes = _chain_net()
+    original = copy.deepcopy(net)
+    turn_on = collapse_to_action(net, {press, button, closes})
+    assert expand(net, turn_on) == {press, button, closes}
+    assert nets_equal(net, original)
+    assert net.validate_bipartite().ok
+
+
+def test_nested_round_trip_and_the_held_nested_id_still_expands():
+    net, inside, press, show, person = tv_net()
+    original = copy.deepcopy(net)
+    circuits = {nid for nid in inside
+                if nid in net.objects and "circuit" in net.objects[nid].properties}
+    powers = next(a for a in net.actions
+                  if net.actions[a].subject in circuits
+                  and net.actions[a].target in circuits)
+    capsule = collapse_to_object(net, circuits | {powers})
+    tv = collapse_to_object(net, (inside - circuits - {powers}) | {capsule})
+    assert capsule in expand(net, tv)
+    assert expand(net, capsule) == circuits | {powers}
+    assert nets_equal(net, original)
+    assert net.validate_bipartite().ok
+
+
+def _refused(net, complex_id, error):
+    before = copy.deepcopy(net)
+    with pytest.raises(error):
+        expand(net, complex_id)
+    assert nets_equal(net, before)
+    assert net.node(complex_id).collapse_payload is not None
+    assert net.validate_bipartite().ok
+
+
+def test_expand_refuses_when_a_crossing_action_was_erased():
+    net, inside, press, show, person = tv_net()
+    tv = collapse_to_object(net, inside)
+    net.erase_node(press)
+    _refused(net, tv, UnknownNode)
+
+
+def test_expand_refuses_when_an_outside_initiator_was_erased():
+    net = Net()
+    alice = net.add_object([])
+    bob = net.add_object([])
+    door = net.add_object([])
+    room = net.add_object([])
+    push1 = net.add_action(alice, door)
+    push2 = net.add_action(bob, door)
+    opens = net.add_action(door, room)
+    nid = collapse_to_action(net, {push1, push2, door, opens}, subject_hint=bob)
+    net.erase_node(alice)    # an initiator the complex action does not name
+    _refused(net, nid, UnknownNode)
+
+
+def test_expand_refuses_an_id_reused_by_a_store_stub(tmp_path):
+    net, inside, press, show, person = tv_net()
+    path = str(tmp_path / "tv.krn")
+    store.save(net, None, path)
+    tv = collapse_to_object(net, inside)
+    with store.open(path) as handle:
+        handle.load_stub(min(inside), net)
+    _refused(net, tv, NotCollapsed)
+
+
+def test_expand_refuses_when_an_is_a_end_was_erased():
+    net, inside, press, show, person = tv_net()
+    concept = net.add_object([])
+    net.add_isa(min(inside), concept)
+    tv = collapse_to_object(net, inside)
+    net.erase_node(concept)
+    _refused(net, tv, UnknownNode)
+
+
+def _random_collapse(rng, net):
+    obj = rng.choice(sorted(net.objects))
+    links = _neighbors(net, obj)
+    if rng.random() < 0.5:
+        inside = {obj}
+        for _ in range(rng.randrange(3)):
+            grow = sorted({n for m in inside for n in _neighbors(net, m)} - inside)
+            if grow:
+                inside.add(rng.choice(grow))
+        collapse_to_object(net, inside)
+    else:
+        # an object with all its actions is bounded by objects
+        acts = [net.actions[a] for a in links]
+        subjects = sorted({a.subject for a in acts} - {obj, None})
+        targets = sorted({a.target for a in acts} - {obj})
+        collapse_to_action(net, {obj, *links}, subject_hint=(subjects or [None])[0],
+                           target_hint=(targets or [None])[0])
+
+
+def _complex_nodes(net):
+    return [n for n in net.node_ids() if net.node(n).collapse_payload is not None]
+
+
+def _with_sorted_links(net):
+    net = copy.deepcopy(net)
+    for obj in net.objects.values():
+        obj.outgoing.sort()
+        obj.incoming.sort()
+    return net
+
+
+def test_seeded_collapse_and_expand_keep_the_net_valid(tmp_path):
+    """Valid after every call; a refused expansion changes nothing; with no
+    erasure or stub in between, expanding everything gives the original
+    back (an outside object's action list may come back reordered)."""
+    rng = random.Random(4417)
+    path = str(tmp_path / "net.krn")
+    for _ in range(60):
+        net, _ = random_net(rng, with_labels=False)
+        original = copy.deepcopy(net)
+        store.save(net, None, path)
+        hostile = rng.random() < 0.5
+        with store.open(path) as handle:
+            for _ in range(20):
+                before = copy.deepcopy(net)
+                roll = rng.random()
+                try:
+                    if roll < 0.45 and net.objects:
+                        _random_collapse(rng, net)
+                    elif roll < 0.8 and _complex_nodes(net):
+                        try:
+                            expand(net, rng.choice(_complex_nodes(net)))
+                        except KrnError:
+                            assert nets_equal(net, before)
+                            raise
+                    elif hostile and roll < 0.9 and net.node_ids():
+                        net.erase_node(rng.choice(net.node_ids()))
+                    elif hostile:
+                        handle.load_stub(rng.choice(sorted(handle.index)), net)
+                except KrnError:
+                    pass
+                assert net.validate_bipartite().ok
+        if not hostile:
+            while _complex_nodes(net):
+                for nid in _complex_nodes(net):
+                    try:
+                        expand(net, nid)
+                        break
+                    except NotCollapsed:
+                        continue
+                else:
+                    raise AssertionError("no complex node can be expanded")
+            assert nets_equal(_with_sorted_links(net), _with_sorted_links(original))

@@ -181,13 +181,6 @@ def test_exact_matching_pins_names_and_blank_subjects():
     # loose semantics: extra names and present subjects are fine
     assert find_matches(loose, net, limit=1)
     assert find_matches(loose, subjected, limit=1)
-    # exact semantics: name sets must be equal and blanks must stay blank
-    assert find_matches(loose, net, exact=True) == []
-    exact_pattern = Net()
-    r2 = exact_pattern.add_object([("colour", Value.unset()), ("height", Value.unset())])
-    exact_pattern.add_action(None, r2)
-    assert find_matches(exact_pattern, net, exact=True)
-    assert find_matches(exact_pattern, subjected, exact=True) == []
 
 
 def test_specialize_adds_property_and_subsumes():

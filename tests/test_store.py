@@ -5,6 +5,7 @@ import pytest
 
 from krn import Lexicon, Net, Provenance, SensorAddress, SensorSignal, Value, nets_equal
 from krn import store
+from krn.script import apply_undo
 from krn.sim import run_action
 from krn.core import NodeLoad, PropLoad
 from krn.errors import (
@@ -490,3 +491,67 @@ def test_mutated_saves_fail_only_with_typed_errors(tmp_path):
         again, again_lex = store.load(_saved(tmp_path, *got, name="again.krn"))
         assert nets_equal(again, got[0]) and again_lex.items() == got[1].items(), f"mutant {i}"
     assert loaded > 40  # mutants that still load reach the checks above
+
+
+def _stubbed_wall(tmp_path, script):
+    net = Net()
+    man = net.add_object([])
+    wall = net.add_object([("colour", Value.text("green"))])
+    paint = net.add_action(man, wall, script)
+    return net, man, wall, paint, _saved(tmp_path, net)
+
+
+@pytest.mark.parametrize("script", ['set object.colour = "black";', "unset object.colour;"])
+def test_undo_puts_back_a_stubbed_property(tmp_path, script):
+    net, man, wall, paint, path = _stubbed_wall(tmp_path, script)
+    with store.open(path) as handle:
+        target = Net()
+        handle.load_stub(paint, target)
+        handle.hydrate_script(paint, target)
+        before = copy.deepcopy(target)
+        changes = run_action(target, paint)
+        apply_undo(target, changes)
+        assert nets_equal(target, before)
+        assert target.objects[wall].properties["colour"].load_state is PropLoad.STUB
+        assert handle.hydrate_property(wall, "colour", target) == Value.text("green")
+        # a hydrated store value put back by undo is still the store's to evict
+        apply_undo(target, run_action(target, paint))
+        handle.evict(wall, target)
+        assert target.objects[wall].properties["colour"].load_state is PropLoad.STUB
+
+
+def test_save_refuses_stubs_and_leaves_the_file_alone(tmp_path):
+    net, man, wall, paint, path = _stubbed_wall(tmp_path, 'set object.colour = "black";')
+    out = tmp_path / "out.krn"
+    out.write_bytes(b"untouched")
+    with store.open(path) as handle:
+        target = Net()
+        handle.load_stub(paint, target)
+        handle.hydrate_script(paint, target)
+        with pytest.raises(UnknownProperty):
+            store.save(target, None, str(out))
+        handle.hydrate_property(wall, "colour", target)
+        handle.evict(paint, target)
+        with pytest.raises(UnknownScript):
+            store.save(target, None, str(out))
+        assert out.read_bytes() == b"untouched"
+        handle.hydrate_script(paint, target)
+        store.save(target, None, str(out))
+    assert nets_equal(store.load(str(out))[0], net)
+
+
+def test_node_load_state_follows_its_records(tmp_path):
+    net, man, wall, paint, path = _stubbed_wall(tmp_path, 'set object.colour = "black";')
+    with store.open(path) as handle:
+        target = Net()
+        handle.load_stub(paint, target)
+        assert target.objects[wall].load_state is NodeLoad.STUB
+        assert target.objects[man].load_state is NodeLoad.FULL
+        assert target.actions[paint].load_state is NodeLoad.STUB
+        run_action(target, paint, handle)    # writes the wall's only property
+        assert target.actions[paint].load_state is NodeLoad.FULL
+        assert target.objects[wall].load_state is NodeLoad.FULL
+        handle.evict(wall, target)           # the written colour stays
+        assert target.objects[wall].load_state is NodeLoad.FULL
+        handle.evict(paint, target)
+        assert target.actions[paint].load_state is NodeLoad.STUB
