@@ -230,6 +230,10 @@ class CollapsePayload:
     # (outside action id, "subject"|"target", original inside object id);
     # only object collapses rewire outside actions.
     rewired: list[tuple[NodeId, str, NodeId]]
+    # (outside object id, "subject"|"target", index, inside action id): where
+    # an action collapse took a crossing action out of the outside object's
+    # outgoing or incoming list, so expand can put it back in place.
+    slots: list[tuple[NodeId, str, int, NodeId]] = field(default_factory=list)
 
 
 def _node_load(properties: dict[str, PropertyRecord], script_stubbed: bool) -> NodeLoad:
@@ -315,6 +319,10 @@ class Net:
     Ids are allocated from a monotonically increasing counter and never
     reused after erasure.
     """
+
+    # ids collapsed and not expanded since; a net replaces the shared empty
+    # set with its own on its first collapse, and never mutates it in place
+    collapsed: frozenset[NodeId] = frozenset()
 
     def __init__(self):
         self.objects: dict[NodeId, ObjectRecord] = {}

@@ -98,6 +98,10 @@ class NotCollapsed(KrnError):
     pass
 
 
+class NodeCollapsed(KrnError):
+    """The node is held inside a collapsed subnet, not in the net itself."""
+
+
 class UnknownConcept(KrnError):
     pass
 

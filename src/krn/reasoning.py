@@ -26,6 +26,7 @@ import copy
 import enum
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -35,6 +36,7 @@ from .core import (
     Net,
     NodeId,
     ObjectRecord,
+    PropertyRecord,
     Provenance,
     Value,
     values_equal,
@@ -181,6 +183,7 @@ def _remove_inside(net: Net, inside: set) -> None:
     """Drop a collapsed subnet's nodes and the is-a edges that touch them."""
     net.isa_edges = [(i, c) for i, c in net.isa_edges
                      if i not in inside and c not in inside]
+    net.collapsed = net.collapsed.union(inside)
     for nid in inside:
         net.objects.pop(nid, None)
         net.actions.pop(nid, None)
@@ -264,12 +267,15 @@ def collapse_to_action(net: Net, inside, *, subject_hint: NodeId | None = None,
     if target is None:
         raise AmbiguousEndpoints("no outside recipient to serve as the complex action's target")
     payload = _capture_payload(net, inside, "action", [])
-    # detach every crossing link from the outside objects' lists
+    # detach every crossing link from the outside objects' lists, keeping
+    # each one's place in the list as it was
     for cl in boundary.cut:
         obj = net.objects[cl.outside]
         lst = obj.outgoing if cl.role == "subject" else obj.incoming
-        if cl.inside in lst:
-            lst.remove(cl.inside)
+        payload.slots.append((cl.outside, cl.role, lst.index(cl.inside), cl.inside))
+    for outside, role, _, aid in payload.slots:
+        obj = net.objects[outside]
+        (obj.outgoing if role == "subject" else obj.incoming).remove(aid)
     _remove_inside(net, inside)
     new_id = net.allocate_id()
     net.actions[new_id] = ActionRecord(
@@ -294,10 +300,9 @@ def expand(net: Net, complex_id: NodeId) -> set:
     payload = rec.collapse_payload
     if payload is None:
         raise NotCollapsed(f"node {complex_id} holds no collapsed subnet")
+    # no restored id can be in use: ids are never reallocated, and a store
+    # handle refuses to stub one in (`net.collapsed`)
     restored = payload.objects.keys() | payload.actions.keys()
-    for nid in sorted(restored):
-        if nid in net.objects or nid in net.actions:
-            raise NotCollapsed(f"node {nid} of the collapsed subnet is in use again")
     if payload.kind == "object":
         covered = {(aid, role) for aid, role, _ in payload.rewired}
         attached = {(aid, "subject") for aid in rec.outgoing} | \
@@ -331,15 +336,14 @@ def expand(net: Net, complex_id: NodeId) -> set:
         net.touch(complex_id)
         net._drop_isa(complex_id)
     else:
-        # wire restored actions back into the outside objects' lists
-        for aid in sorted(payload.actions):
-            act = net.actions[aid]
-            if act.subject is not None and act.subject not in restored:
-                net.objects[act.subject].outgoing.append(aid)
-            if act.target not in restored:
-                net.objects[act.target].incoming.append(aid)
+        # wire restored actions back into the outside objects' lists, each
+        # at its old index: in ascending order, every earlier one is back
+        for outside, role, index, aid in sorted(payload.slots, key=lambda s: s[2]):
+            obj = net.objects[outside]
+            (obj.outgoing if role == "subject" else obj.incoming).insert(index, aid)
         net._erase_action(complex_id)
     net.isa_edges.extend(payload.isa)
+    net.collapsed = net.collapsed.difference(restored)
     return restored
 
 
@@ -457,29 +461,36 @@ def _rank(colors: dict) -> dict:
     return {nid: index[c] for nid, c in colors.items()}
 
 
-def _refined_classes(pattern: Net) -> dict:
-    ids = pattern.node_ids()
-    colors = {}
-    for nid in ids:
-        rec = pattern.node(nid)
-        names = tuple(sorted(rec.properties))
+def _view(net: Net, nodes) -> dict:
+    """What `extract_pattern` copies of a node set, read in place.
+
+    Each node maps to (kind, sorted names minus bookkeeping, x, y): for
+    an object its outgoing and incoming actions inside the set, for an
+    action its subject (None if blank or outside the set) and target.
+    """
+    view = {}
+    for nid in nodes:
+        rec = net.node(nid)
+        names = tuple(sorted(rec.properties.keys() - _BOOKKEEPING))
         if isinstance(rec, ObjectRecord):
-            colors[nid] = ("o", names)
+            view[nid] = ("o", names, [a for a in rec.outgoing if a in nodes],
+                         [a for a in rec.incoming if a in nodes])
         else:
-            colors[nid] = ("a", names, rec.subject is None)
+            view[nid] = ("a", names, rec.subject if rec.subject in nodes else None, rec.target)
+    return view
+
+
+def _refined_classes(view: dict) -> dict:
+    colors = {nid: node[:2] if node[0] == "o" else node[:2] + (node[2] is None,)
+              for nid, node in view.items()}
     ranks = _rank(colors)
-    for _ in range(len(ids)):
+    for _ in range(len(view)):
         sig = {}
-        for nid in ids:
-            rec = pattern.node(nid)
-            nb = []
-            if isinstance(rec, ObjectRecord):
-                nb.extend(("out", ranks[a]) for a in rec.outgoing)
-                nb.extend(("in", ranks[a]) for a in rec.incoming)
+        for nid, (kind, _names, x, y) in view.items():
+            if kind == "o":
+                nb = [("out", ranks[a]) for a in x] + [("in", ranks[a]) for a in y]
             else:
-                if rec.subject is not None:
-                    nb.append(("subj", ranks[rec.subject]))
-                nb.append(("tgt", ranks[rec.target]))
+                nb = [("tgt", ranks[y])] if x is None else [("subj", ranks[x]), ("tgt", ranks[y])]
             sig[nid] = (ranks[nid], tuple(sorted(nb)))
         new_ranks = _rank(sig)
         if new_ranks == ranks:
@@ -488,50 +499,45 @@ def _refined_classes(pattern: Net) -> dict:
     return ranks
 
 
-def _canonical(pattern: Net) -> tuple[str, list]:
-    """Canonical encoding plus the node ordering that produced it.
+def _canonical(net: Net, nodes) -> tuple[str, list]:
+    """Canonical encoding of a node set's pattern, plus the ordering of
+    the set's own ids that produced it.
 
     Isomorphic patterns (same kinds, name sets, wiring, blank-subject
     flags) yield identical strings. Node classes come from iterative
     color refinement; the encoding is minimized over permutations
     within classes, which is exhaustive and fine at pattern scale.
     """
-    ids = pattern.node_ids()
-    if not ids:
+    view = _view(net, nodes)
+    if not view:
         return "", []
-    ranks = _refined_classes(pattern)
+    ranks = _refined_classes(view)
     classes: dict[int, list] = {}
-    for nid in ids:
+    for nid in sorted(view):
         classes.setdefault(ranks[nid], []).append(nid)
-    class_lists = [sorted(classes[r]) for r in sorted(classes)]
+    class_lists = [classes[r] for r in sorted(classes)]
 
     def encode(order: list) -> str:
         pos = {nid: i for i, nid in enumerate(order)}
         node_parts = []
         edge_parts = []
         for i, nid in enumerate(order):
-            rec = pattern.node(nid)
-            kind = "o" if isinstance(rec, ObjectRecord) else "a"
-            node_parts.append(kind + "(" + ",".join(sorted(rec.properties)) + ")")
+            kind, names, subject, target = view[nid]
+            node_parts.append(kind + "(" + ",".join(names) + ")")
             if kind == "a":
-                subj = "-" if rec.subject is None else str(pos[rec.subject])
-                edge_parts.append(f"{i}:s{subj}:t{pos[rec.target]}")
+                subj = "-" if subject is None else str(pos[subject])
+                edge_parts.append(f"{i}:s{subj}:t{pos[target]}")
         return "|".join(node_parts) + "#" + ";".join(edge_parts)
 
-    best_key = None
-    best_order = None
-    for perm_combo in itertools.product(
-            *[itertools.permutations(cl) for cl in class_lists]):
-        order = [nid for group in perm_combo for nid in group]
-        key = encode(order)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_order = order
-    return best_key, best_order
+    # orders are generated in ascending order: a tie keeps the first one
+    orders = ([nid for group in combo for nid in group]
+              for combo in itertools.product(*map(itertools.permutations, class_lists)))
+    return min((encode(order), order) for order in orders)
 
 
 def canonical_key(pattern: Net) -> str:
-    return _canonical(pattern)[0]
+    """The canonical form of a whole pattern (bookkeeping names ignored)."""
+    return _canonical(pattern, pattern.objects.keys() | pattern.actions.keys())[0]
 
 
 # ------------------------------------------------------------- mining
@@ -581,32 +587,37 @@ def extract_pattern(net: Net, nodes) -> Net:
     return pattern
 
 
-def _rebuild_in_order(pattern: Net, order: list) -> Net:
-    """Renumber a pattern so canonical position i gets id i+1."""
-    pos = {nid: i + 1 for i, nid in enumerate(order)}
+def _rebuild_in_order(net: Net, order: list) -> Net:
+    """The pattern of the node set `order`, with position i as id i+1,
+    built from the same records `extract_pattern` would copy."""
+    view = _view(net, set(order))
+    pos = {nid: i for i, nid in enumerate(order, 1)}
     rebuilt = Net()
-    for nid in sorted(order, key=lambda n: pos[n]):
-        if pattern.is_object(nid):
-            rec = pattern.objects[nid]
-            rebuilt.objects[pos[nid]] = ObjectRecord(
-                id=pos[nid],
-                properties=copy.deepcopy(rec.properties),
-            )
     for nid in order:
-        if pattern.is_action(nid):
-            rec = pattern.actions[nid]
-            new = ActionRecord(
-                id=pos[nid],
-                subject=None if rec.subject is None else pos[rec.subject],
-                target=pos[rec.target],
-                properties=copy.deepcopy(rec.properties),
-            )
-            rebuilt.actions[pos[nid]] = new
-            if new.subject is not None:
-                rebuilt.objects[new.subject].outgoing.append(pos[nid])
-            rebuilt.objects[new.target].incoming.append(pos[nid])
+        kind, names, x, y = view[nid]
+        props = {n: PropertyRecord(n, Value.unset(), Provenance.ASSERTED) for n in names}
+        if kind == "o":
+            rebuilt.objects[pos[nid]] = ObjectRecord(id=pos[nid], properties=props)
+        else:
+            rebuilt.actions[pos[nid]] = ActionRecord(id=pos[nid], subject=pos.get(x),
+                                                     target=pos[y], properties=props)
+    for act in rebuilt.actions.values():
+        if act.subject is not None:
+            rebuilt.objects[act.subject].outgoing.append(act.id)
+        rebuilt.objects[act.target].incoming.append(act.id)
     rebuilt.next_id = len(order) + 1
     return rebuilt
+
+
+def _profile(pattern: Net) -> Counter:
+    """Counts an embedding into another pattern cannot exceed: objects,
+    actions, actions with a subject, and nodes of each kind per name."""
+    profile = Counter(o=len(pattern.objects), a=len(pattern.actions))
+    profile["subject"] = sum(a.subject is not None for a in pattern.actions.values())
+    for kind, records in (("o", pattern.objects), ("a", pattern.actions)):
+        for rec in records.values():
+            profile.update((kind, name) for name in rec.properties)
+    return profile
 
 
 @dataclass
@@ -635,54 +646,33 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
         raise ValueError("min_support must be at least 2")
     if not 1 <= max_pattern_nodes <= 8:
         raise ValueError("max_pattern_nodes must be between 1 and 8")
-    buckets: dict[str, dict] = {}
-    for net_i, net in enumerate(nets):
+    support: Counter = Counter()
+    first: dict[str, tuple] = {}
+    for net in nets:
         for sub in _connected_subsets(net, max_pattern_nodes):
-            if not _pattern_closed(net, sub):
-                continue
-            pat = extract_pattern(net, sub)
-            key, order = _canonical(pat)
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = buckets[key] = {
-                    "images": set(),
-                    "pattern": _rebuild_in_order(pat, order),
-                }
-            bucket["images"].add((net_i, sub))
-    candidates = {k: b for k, b in buckets.items()
-                  if len(b["images"]) >= min_support}
+            if _pattern_closed(net, sub):
+                key, order = _canonical(net, sub)
+                support[key] += 1
+                first.setdefault(key, (net, order))
+    # only a bucket that reaches min_support gets its pattern built
+    patterns = {key: _rebuild_in_order(*first[key])
+                for key, count in support.items() if count >= min_support}
 
-    keys = sorted(candidates)
-    kept = []
-    for key in keys:
-        pat = candidates[key]["pattern"]
-        size = len(pat.node_ids())
-        contained = False
-        for other in keys:
-            if other == key:
-                continue
-            opat = candidates[other]["pattern"]
-            if len(opat.node_ids()) < size:
-                continue
-            if find_matches(pat, opat, limit=1):
-                contained = True
-                break
-        if not contained:
-            kept.append(key)
+    # maximal only: drop a pattern that embeds in another; most pairs
+    # fail the profile test and never reach the search
+    profiles = {key: _profile(pattern) for key, pattern in patterns.items()}
+    keys = sorted(patterns)
+    kept = [key for key in keys
+            if not any(other != key and profiles[key] <= profiles[other]
+                       and find_matches(patterns[key], patterns[other], limit=1)
+                       for other in keys)]
 
-    # each bucket key already is its pattern's canonical form
-    kept.sort(key=lambda key: (-len(candidates[key]["images"]), key))
-    templates = []
-    for key in kept:
-        bucket = candidates[key]
-        pattern = bucket["pattern"]
-        objs = [i for i in pattern.node_ids() if pattern.is_object(i)]
-        templates.append(ConceptTemplate(
-            pattern=pattern,
-            root=min(objs) if objs else min(pattern.node_ids()),
-            support=len(bucket["images"]),
-        ))
-    return templates
+    # each key already is its pattern's canonical form
+    kept.sort(key=lambda key: (-support[key], key))
+    return [ConceptTemplate(pattern=patterns[key],
+                            root=min(patterns[key].objects or patterns[key].actions),
+                            support=support[key])
+            for key in kept]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ list of effective changes, which doubles as a complete undo log.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     ChangeSet,
@@ -53,6 +53,10 @@ from .errors import (
 )
 
 MAX_SOURCE_BYTES = 64 * 1024
+# How deep parentheses, unary operators, if blocks and chains of binary
+# operators may nest, together. It bounds the parser's recursion and the
+# depth of the tree that `check` and `execute` walk.
+MAX_NESTING = 64
 
 
 class Role(enum.Enum):
@@ -79,10 +83,18 @@ class Read:
     lvalue: LValue
 
 
+def _depth(ex) -> int:
+    return getattr(ex, "depth", 0)
+
+
 @dataclass(frozen=True)
 class Unary:
     op: str
     operand: object
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + _depth(self.operand))
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,10 @@ class Binary:
     op: str
     left: object
     right: object
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + max(_depth(self.left), _depth(self.right)))
 
 
 @dataclass(frozen=True)
@@ -225,6 +241,18 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0   # parens, unary operators and if blocks around the current token
+
+    def nest(self, tok: Token, depth: int = 1) -> None:
+        """Refuse a construct `depth` levels below what is open around tok."""
+        if self.open + depth > MAX_NESTING:
+            raise ScriptParseError(f"nesting deeper than {MAX_NESTING}", tok.line, tok.column)
+
+    def enter(self) -> Token:
+        """Consume the opener of a paren, unary operator or if block."""
+        self.nest(self.peek())
+        self.open += 1
+        return self.advance()
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -269,12 +297,13 @@ class _Parser:
             self.expect(";")
             return UnsetStmt(lv)
         if tok.type == "if":
-            self.advance()
+            self.enter()
             cond = self.expression()
             then = self.block()
             otherwise: tuple = ()
             if self.accept("else"):
                 otherwise = self.block()
+            self.open -= 1
             return IfStmt(cond, then, otherwise)
         raise ScriptParseError(
             f"expected statement, found {tok.type!r}", tok.line, tok.column, "set|unset|if"
@@ -306,45 +335,48 @@ class _Parser:
     def expression(self):
         return self.or_expr()
 
+    def binary(self, tok: Token, left, right) -> Binary:
+        node = Binary(tok.type, left, right)
+        self.nest(tok, node.depth)
+        return node
+
     def or_expr(self):
         left = self.and_expr()
-        while self.accept("or"):
-            left = Binary("or", left, self.and_expr())
+        while self.peek().type == "or":
+            left = self.binary(self.advance(), left, self.and_expr())
         return left
 
     def and_expr(self):
         left = self.cmp()
-        while self.accept("and"):
-            left = Binary("and", left, self.cmp())
+        while self.peek().type == "and":
+            left = self.binary(self.advance(), left, self.cmp())
         return left
 
     def cmp(self):
         left = self.add()
-        tok = self.peek()
-        if tok.type in ("==", "!=", "<", ">", "<=", ">="):
-            self.advance()
-            return Binary(tok.type, left, self.add())
+        if self.peek().type in ("==", "!=", "<", ">", "<=", ">="):
+            return self.binary(self.advance(), left, self.add())
         return left
 
     def add(self):
         left = self.mul()
         while self.peek().type in ("+", "-"):
-            op = self.advance().type
-            left = Binary(op, left, self.mul())
+            left = self.binary(self.advance(), left, self.mul())
         return left
 
     def mul(self):
         left = self.unary()
         while self.peek().type in ("*", "/"):
-            op = self.advance().type
-            left = Binary(op, left, self.unary())
+            left = self.binary(self.advance(), left, self.unary())
         return left
 
     def unary(self):
         tok = self.peek()
         if tok.type in ("not", "-"):
-            self.advance()
-            return Unary(tok.type, self.unary())
+            self.enter()
+            operand = self.unary()
+            self.open -= 1
+            return Unary(tok.type, operand)
         return self.atom()
 
     def atom(self):
@@ -364,8 +396,9 @@ class _Parser:
         if tok.type in ("subject", "object", "self"):
             return Read(self.lvalue())
         if tok.type == "(":
-            self.advance()
+            self.enter()
             ex = self.expression()
+            self.open -= 1
             self.expect(")")
             return ex
         raise ScriptParseError(
@@ -375,7 +408,13 @@ class _Parser:
 
 def parse(source: str) -> Ast:
     """Parse script source into an Ast, reporting positions on failure."""
-    if len(source.encode("utf-8")) > MAX_SOURCE_BYTES:
+    try:
+        size = len(source.encode("utf-8"))
+    except UnicodeEncodeError as exc:   # a lone surrogate has no UTF-8 form
+        line = source.count("\n", 0, exc.start) + 1
+        raise ScriptParseError("character has no UTF-8 encoding", line,
+                               exc.start - source.rfind("\n", 0, exc.start)) from None
+    if size > MAX_SOURCE_BYTES:
         raise ScriptParseError("script exceeds 64 KiB", 1, 1)
     return _Parser(_lex(source)).script()
 

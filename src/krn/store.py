@@ -60,6 +60,7 @@ from .errors import (
     EvictionBlocked,
     FormatError,
     InvalidName,
+    NodeCollapsed,
     UnknownNode,
     UnknownProperty,
     UnknownScript,
@@ -503,13 +504,16 @@ class StoreHandle:
         """Materialize a node skeleton: names and endpoints, no values.
 
         Idempotent; a second call reads nothing. Action endpoints are
-        stubbed in automatically so symmetry lists stay consistent.
+        stubbed in automatically so symmetry lists stay consistent. A node
+        held inside a collapsed subnet is refused: `expand` brings it back.
         """
         entry = self.index.get(nid)
         if entry is None:
             raise UnknownNode(f"store has no node {nid}")
         if nid in net.objects or nid in net.actions:
             return
+        if nid in net.collapsed:
+            raise NodeCollapsed(f"node {nid} is inside a collapsed subnet")
         prov = Provenance.INFERRED if entry.inferred else Provenance.ASSERTED
         props = {
             name: PropertyRecord(name, Value.unset(), None, PropLoad.STUB)
@@ -526,6 +530,9 @@ class StoreHandle:
                 if endpoint in net.actions:
                     raise BipartiteViolation(
                         f"endpoint {endpoint} of action {nid} is an action")
+                if endpoint in net.collapsed:
+                    raise NodeCollapsed(
+                        f"endpoint {endpoint} of action {nid} is inside a collapsed subnet")
             for endpoint in (subject, target):
                 if endpoint is not None and endpoint not in net.objects:
                     self.load_stub(endpoint, net)

@@ -17,6 +17,7 @@ from krn.errors import (
     AmbiguousEndpoints,
     BoundaryViolation,
     KrnError,
+    NodeCollapsed,
     NotCollapsed,
     UnknownNode,
 )
@@ -280,6 +281,21 @@ def test_chain_round_trip_restores_the_original_ids():
     assert net.validate_bipartite().ok
 
 
+def test_action_round_trip_keeps_the_order_of_endpoint_lists():
+    net = Net()
+    one, two, three = (net.add_object([]) for _ in range(3))
+    net.add_action(one, two)
+    via_three = net.add_action(one, three)
+    three_two = net.add_action(three, two)
+    last = net.add_action(one, two)
+    original = copy.deepcopy(net)
+    complex_id = collapse_to_action(net, {via_three, three, three_two})
+    assert net.objects[one].outgoing[1:2] == [last]
+    expand(net, complex_id)
+    assert net.objects[one].outgoing == [via_three - 1, via_three, last]
+    assert nets_equal(net, original)
+
+
 def test_nested_round_trip_and_the_held_nested_id_still_expands():
     net, inside, press, show, person = tv_net()
     original = copy.deepcopy(net)
@@ -326,14 +342,34 @@ def test_expand_refuses_when_an_outside_initiator_was_erased():
     _refused(net, nid, UnknownNode)
 
 
-def test_expand_refuses_an_id_reused_by_a_store_stub(tmp_path):
+def test_load_stub_refuses_a_node_inside_a_collapsed_subnet(tmp_path):
     net, inside, press, show, person = tv_net()
+    original = copy.deepcopy(net)
     path = str(tmp_path / "tv.krn")
     store.save(net, None, path)
     tv = collapse_to_object(net, inside)
+    before = copy.deepcopy(net)
     with store.open(path) as handle:
-        handle.load_stub(min(inside), net)
-    _refused(net, tv, NotCollapsed)
+        with pytest.raises(NodeCollapsed):
+            handle.load_stub(min(inside), net)
+        with pytest.raises(NodeCollapsed):
+            handle.hydrate_property(min(inside), "button", net)
+    assert nets_equal(net, before)
+    assert expand(net, tv) == inside     # no detached copy blocks the expansion
+    assert nets_equal(net, original)
+
+
+def test_load_stub_refuses_an_action_whose_endpoint_is_collapsed(tmp_path):
+    net, inside, press, show, person = tv_net()
+    path = str(tmp_path / "tv.krn")
+    store.save(net, None, path)
+    collapse_to_object(net, inside)
+    net.erase_node(person)    # takes press with it
+    before = copy.deepcopy(net)
+    with store.open(path) as handle:
+        with pytest.raises(NodeCollapsed):
+            handle.load_stub(press, net)   # person -> button, button collapsed
+    assert nets_equal(net, before)         # person was not stubbed in either
 
 
 def test_expand_refuses_when_an_is_a_end_was_erased():
@@ -368,18 +404,10 @@ def _complex_nodes(net):
     return [n for n in net.node_ids() if net.node(n).collapse_payload is not None]
 
 
-def _with_sorted_links(net):
-    net = copy.deepcopy(net)
-    for obj in net.objects.values():
-        obj.outgoing.sort()
-        obj.incoming.sort()
-    return net
-
-
 def test_seeded_collapse_and_expand_keep_the_net_valid(tmp_path):
     """Valid after every call; a refused expansion changes nothing; with no
     erasure or stub in between, expanding everything gives the original
-    back (an outside object's action list may come back reordered)."""
+    back, action lists in their old order."""
     rng = random.Random(4417)
     path = str(tmp_path / "net.krn")
     for _ in range(60):
@@ -417,4 +445,4 @@ def test_seeded_collapse_and_expand_keep_the_net_valid(tmp_path):
                         continue
                 else:
                     raise AssertionError("no complex node can be expanded")
-            assert nets_equal(_with_sorted_links(net), _with_sorted_links(original))
+            assert nets_equal(net, original)

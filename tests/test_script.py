@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from krn.errors import (
     UnboundRole,
     UnknownProperty,
 )
-from krn.script import Binary, Literal, Read, Role, SetStmt
+from krn.script import MAX_NESTING, Binary, Literal, Read, Role, SetStmt
 
 from helpers import wall_net
 
@@ -88,6 +89,79 @@ def test_string_escapes():
 def test_oversized_script_rejected():
     with pytest.raises(ScriptParseError):
         parse("# " + "x" * (64 * 1024))
+
+
+# each builds a script that nests d levels deep
+_NESTED = {
+    "parens": lambda d: "set object.x = " + "(" * d + "1" + ")" * d + ";",
+    "if": lambda d: "if true { " * d + "set object.x = 1;" + " }" * d,
+    "unary": lambda d: "set object.x = " + "- " * d + "1;",
+    "chain": lambda d: "set object.x = " + " + ".join(["1"] * (d + 1)) + ";",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_nesting_past_the_limit_is_a_parse_error(kind):
+    for depth in (MAX_NESTING + 1, 1200):    # 1200 overflowed the Python stack
+        with pytest.raises(ScriptParseError) as err:
+            parse(_NESTED[kind](depth))
+        assert "nesting" in str(err.value)
+        assert err.value.line == 1 and err.value.column > 1
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_nesting_at_the_limit_parses_checks_and_runs(kind):
+    ast = parse(_NESTED[kind](MAX_NESTING))
+    check(ast)
+    net = Net()
+    target = net.add_object([])
+    execute(ast, ExecContext(net, target))
+    assert net.get_property(target, "x").kind.value == "num"
+
+
+def test_lone_surrogate_is_a_parse_error():
+    with pytest.raises(ScriptParseError):
+        parse("set object.x = '\ud800';")
+    with pytest.raises(ScriptParseError) as err:
+        parse('set object.x = 1;\nset object.y = "a\udfff";')
+    assert (err.value.line, err.value.column) == (2, 18)
+
+
+_FUZZ_SEEDS = [
+    'set object.colour = "black";',
+    "if subject.x >= 2 and not (object.y == 1) { set self.z = -object.w * 3; }"
+    " else { unset object.q; }",
+    'set object.t = "a\\"b" ; # note\nset subject.n = (1 + 2) / 4 - 5;',
+    "if true { if false { set object.x = 1; } } set object.y = object.x or true;",
+]
+_FUZZ_INSERTS = list("(){};.=<>+-*/#\"\\ \n\t1a") + [
+    "if ", "else ", "set ", "unset ", "not ", "object.", "\ud800", "\udfff", "\u00e9", "\x00",
+]
+
+
+def test_seeded_parse_fuzz_raises_only_parse_errors():
+    """String mutants of valid scripts, deep nesting and lone surrogates:
+    parse either returns an Ast that check accepts or raises ScriptParseError."""
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        src = rng.choice(_FUZZ_SEEDS)
+        for _ in range(rng.randrange(1, 4)):
+            at = rng.randrange(len(src) + 1)
+            roll = rng.random()
+            if roll < 0.3:
+                src = src[:at] + src[at + rng.randrange(1, 8):]
+            elif roll < 0.7:
+                src = src[:at] + rng.choice(_FUZZ_INSERTS) + src[at:]
+            elif roll < 0.8:
+                src = src[:at] + rng.choice(["(", "- ", "not ", "if true { "]) \
+                    * rng.randrange(MAX_NESTING - 2, 400) + src[at:]
+            else:
+                src = src[:at] + src[rng.randrange(len(src) + 1):]
+        try:
+            ast = parse(src)
+        except ScriptParseError:
+            continue
+        check(ast)
 
 
 # ---------------------------------------------------------------- checker

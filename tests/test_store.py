@@ -123,6 +123,17 @@ def test_open_rejects_garbage(tmp_path):
         store.open(str(dangling))
 
 
+def test_deeply_nested_script_fails_with_a_typed_error(tmp_path):
+    deep = tmp_path / "deep.krn"
+    deep.write_text("KRN 1\nOBJ 1\nACT 2 - 1\nSCRIPT 2\n<<<\nset object.x = "
+                    + "(" * 1200 + "1" + ")" * 1200 + ";\n>>>\n")
+    with pytest.raises((FormatError, ScriptParseError)):
+        store.load(str(deep))
+    with store.open(str(deep)) as handle:
+        with pytest.raises((FormatError, ScriptParseError)):
+            handle.hydrate_script(2, Net())
+
+
 def test_load_stub_lists_names_without_values(tmp_path):
     net = Net()
     man = net.add_object([("married", Value.truth(True)), ("hand", Value.text("left"))])
