@@ -78,7 +78,7 @@ class NodeLoad(enum.Enum):
     FULL = "full"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorAddress:
     """Which channel a signal arrived on, as an ordered path of segments."""
 
@@ -100,7 +100,7 @@ class SensorAddress:
         return "/".join(self.segments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorSignal:
     """Two-part sensory input: where it came from and its raw shape.
 
@@ -114,7 +114,7 @@ class SensorSignal:
     captured_at: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """Dynamically tagged property value.
 
@@ -171,7 +171,7 @@ def values_equal(a: Value, b: Value) -> bool:
     return a.data == b.data
 
 
-@dataclass
+@dataclass(slots=True)
 class PropertyRecord:
     name: str
     value: Value
@@ -182,7 +182,7 @@ class PropertyRecord:
     from_store: bool = field(default=False, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ScriptRef:
     """An action's executable half: inline text, a store offset, or absent.
 
@@ -245,7 +245,7 @@ def _node_load(properties: dict[str, PropertyRecord], script_stubbed: bool) -> N
     return NodeLoad.PARTIAL if any(hydrated) else NodeLoad.STUB
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectRecord:
     id: NodeId
     properties: dict[str, PropertyRecord] = field(default_factory=dict)
@@ -259,7 +259,7 @@ class ObjectRecord:
         return _node_load(self.properties, False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ActionRecord:
     id: NodeId
     subject: Optional[NodeId]
@@ -274,7 +274,7 @@ class ActionRecord:
         return _node_load(self.properties, self.script.state == "stub")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyChange:
     """One effective write or erase: before is None on appear, after on erase.
 

@@ -42,6 +42,7 @@ class NoLabel(KrnError):
 class ScriptParseError(KrnError):
     def __init__(self, message: str, line: int, column: int, expected: str | None = None):
         super().__init__(f"{message} at line {line}, column {column}")
+        self.message = message
         self.line = line
         self.column = column
         self.expected = expected
@@ -74,8 +75,11 @@ class UnknownScript(KrnError):
 # store
 
 class FormatError(KrnError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
+    """A `.krn` file the store cannot read; line is None when the fault is
+    the file as a whole rather than one of its lines."""
+
+    def __init__(self, message: str, line: int | None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.message = message
         self.line = line
 

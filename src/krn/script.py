@@ -143,7 +143,7 @@ _ONE_CHAR = set("=<>+-*/;.{}()")
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     type: str     # keyword text, operator text, or ident/number/string/eof
     value: object

@@ -23,14 +23,23 @@ for SIG).
 Records may appear in any order. Both ways of reading a file stream it
 once, line by line, through one record reader that checks the framing
 and every reference between records (an action's endpoints and is-a
-ends must be objects). `load` decodes each record as it passes and
-parses each distinct script text once; actions with equal text share
-the AST. `open` decodes no values: it builds a byte-offset index, and
-nothing beyond the index is held in memory until a node is stubbed in
-and its properties or script are hydrated one by one. A save is
-byte-deterministic: records sorted by id, properties by name. Collapse
-payloads are not persisted; a saved complex node keeps its shape but
-loses its stored subnet.
+ends must be objects); of several bad references, the first in file
+order is reported. `load` decodes each record as it passes, shares one
+Value between equal value tokens and parses each distinct script text
+once; actions with equal text share the AST. `open` decodes no values:
+it builds a byte-offset index, and nothing beyond the index is held in
+memory until a node is stubbed in and its properties or script are
+hydrated one by one. A handle reads only the file it indexed: once the
+path's device, inode, size or modification time differ from those at
+open, every lazy read raises FormatError. A ScriptParseError from
+either reader names the action and gives the file line.
+
+A save is byte-deterministic (records sorted by id, properties by name)
+and atomic: it writes a temp file beside the target, syncs it and
+renames it over the target, which keeps its mode. Collapse payloads are
+not persisted; a saved complex node keeps its shape but loses its
+stored subnet. The records built here are slotted dataclasses and take
+no ad-hoc attributes.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from __future__ import annotations
 import io
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 from urllib.parse import quote, unquote
 
@@ -61,6 +71,7 @@ from .errors import (
     FormatError,
     InvalidName,
     NodeCollapsed,
+    ScriptParseError,
     UnknownNode,
     UnknownProperty,
     UnknownScript,
@@ -70,12 +81,17 @@ from .script import parse as parse_script
 
 HEADER = "KRN 1"
 
-_TEXT_ESC = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_TEXT_ESC = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
 _TEXT_UNESC = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
 def encode_text(s: str) -> str:
-    return '"' + "".join(_TEXT_ESC.get(c, c) for c in s) + '"'
+    # printable text holds no newline, tab or carriage return, so only a
+    # backslash or a double quote would need an escape
+    if s.isprintable() and "\\" not in s and '"' not in s:
+        return f'"{s}"'
+    return f'"{s.translate(_TEXT_ESC)}"'
 
 
 def decode_text(tok: str, line: int) -> str:
@@ -125,20 +141,6 @@ def _decode_origin(tok: str, line: int) -> SensorAddress:
         raise FormatError(f"bad origin path {tok!r}", line) from None
 
 
-def _encode_value(v: Value) -> tuple[str, str]:
-    if v.kind is Kind.NUM:
-        return "num", repr(v.data)
-    if v.kind is Kind.TEXT:
-        return "text", encode_text(v.data)
-    if v.kind is Kind.BOOL:
-        return "bool", "true" if v.data else "false"
-    if v.kind is Kind.REF:
-        return "ref", str(v.data)
-    if v.kind is Kind.UNSET:
-        return "unset", "-"
-    raise ValueError("signal values are written as SIG records")
-
-
 def _decode_value(kind: str, tok: str, line: int) -> Value:
     if kind == "num":
         try:
@@ -166,6 +168,7 @@ def _int(tok: str, line: int) -> int:
 
 
 _PROVENANCE = {p.value: p for p in Provenance}
+_PROVENANCE_TOKEN = {p: p.value for p in Provenance}
 
 
 def _provenance(tok: str | None, default: Provenance, line: int) -> Provenance:
@@ -213,52 +216,92 @@ def _decode_prop(toks: list[str], line: int) -> PropertyRecord:
 def _prop_line(owner: NodeId, prop: PropertyRecord) -> str:
     if prop.load_state is PropLoad.STUB:
         raise UnknownProperty(f"property {prop.name!r} of node {owner} is not hydrated")
-    prov = (prop.provenance or Provenance.ASSERTED).value
-    if prop.value.kind is Kind.SIGNAL:
-        sig: SensorSignal = prop.value.data
-        payload = sig.payload.hex() if sig.payload else "-"
-        return (f"SIG {owner} {prop.name} {_encode_origin(sig.origin)} "
-                f"{payload} {sig.captured_at} {prov}")
-    kind, enc = _encode_value(prop.value)
-    return f"PROP {owner} {prop.name} {kind} {enc} {prov}"
+    prov = _PROVENANCE_TOKEN[prop.provenance or Provenance.ASSERTED]
+    kind, data = prop.value.kind, prop.value.data
+    if kind is Kind.NUM:
+        enc = f"num {data!r}"
+    elif kind is Kind.TEXT:
+        enc = f"text {encode_text(data)}"
+    elif kind is Kind.BOOL:
+        enc = "bool true" if data else "bool false"
+    elif kind is Kind.REF:
+        enc = f"ref {data}"
+    elif kind is Kind.UNSET:
+        enc = "unset -"
+    else:  # signal values are written as SIG records
+        payload = data.payload.hex() if data.payload else "-"
+        return (f"SIG {owner} {prop.name} {_encode_origin(data.origin)} "
+                f"{payload} {data.captured_at} {prov}")
+    return f"PROP {owner} {prop.name} {enc} {prov}"
+
+
+def _replace(path: str, data: bytes) -> None:
+    """Write a file whole or not at all: a temp file beside it, synced, then
+    renamed over it. An existing file keeps its mode; a new one gets what a
+    plain open would give it. A symbolic link stays one: the file it points
+    to is replaced."""
+    path = os.path.realpath(path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        try:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
-    """Serialize the whole net (plus labels) deterministically.
+    """Serialize the whole net (plus labels) deterministically and atomically.
 
     A stubbed property or script has no value in memory to write, so it
-    raises UnknownProperty or UnknownScript before the file is opened.
+    raises UnknownProperty or UnknownScript before any file is touched.
     """
     lines = [HEADER]
+    add = lines.append
     for oid in sorted(net.objects):
         obj = net.objects[oid]
-        marker = " inferred" if obj.provenance is Provenance.INFERRED else ""
-        lines.append(f"OBJ {oid}{marker}")
-        for name in sorted(obj.properties):
-            lines.append(_prop_line(oid, obj.properties[name]))
+        add(f"OBJ {oid} inferred" if obj.provenance is Provenance.INFERRED else f"OBJ {oid}")
+        props = obj.properties
+        for name in sorted(props):
+            add(_prop_line(oid, props[name]))
     for aid in sorted(net.actions):
         act = net.actions[aid]
-        subj = "-" if act.subject is None else str(act.subject)
+        subj = "-" if act.subject is None else act.subject
         marker = " inferred" if act.provenance is Provenance.INFERRED else ""
-        lines.append(f"ACT {aid} {subj} {act.target}{marker}")
-        for name in sorted(act.properties):
-            lines.append(_prop_line(aid, act.properties[name]))
+        add(f"ACT {aid} {subj} {act.target}{marker}")
+        props = act.properties
+        for name in sorted(props):
+            add(_prop_line(aid, props[name]))
         if act.script.state == "stub":
             raise UnknownScript(f"script of action {aid} is not hydrated")
         if act.script.text is not None:
-            lines.append(f"SCRIPT {aid}")
-            lines.append("<<<")
+            add(f"SCRIPT {aid}")
+            add("<<<")
             if act.script.text:
-                lines.append(act.script.text)
-            lines.append(">>>")
+                add(act.script.text)
+            add(">>>")
     for inst, concept in sorted(net.isa_edges):
-        lines.append(f"ISA {inst} {concept}")
+        add(f"ISA {inst} {concept}")
     if lexicon is not None:
         for node, lang, text in lexicon.items():
-            lines.append(f"LABEL {node} {lang} {encode_text(text)}")
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    with io.open(path, "wb") as fh:
-        fh.write(data)
+            add(f"LABEL {node} {lang} {encode_text(text)}")
+    _replace(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ------------------------------------------------------------------ read
@@ -275,57 +318,46 @@ def _text(raw: bytes, lineno: int) -> str:
         raise FormatError("undecodable line", lineno) from None
 
 
-def _records(fh, lineno: int, offset: int):
-    """Yield (tokens, script text, line, offset) per record from the file position.
-
-    `lineno` and `offset` count the lines and bytes before that position.
-    Blank lines are skipped; every line must be UTF-8 and every record
-    carry its tag's token count. A SCRIPT line must be followed by a <<<
-    line, and its text is the body up to the closing >>> line; other
-    records have None.
-    """
-    lines = iter(fh.readline, b"")
-    for raw in lines:
-        lineno += 1
-        start, offset = offset, offset + len(raw)
-        line = _text(raw, lineno)
-        if not line.strip():
-            continue
-        toks = _split_record(line, lineno)
-        tag = toks[0]
-        if len(toks) not in _ARITY.get(tag, ()):
-            raise FormatError(f"malformed {tag} record" if tag in _ARITY
-                              else f"unknown record {tag!r}", lineno)
-        if tag != "SCRIPT":
-            yield toks, None, lineno, start
-            continue
-        head = lineno
-        raw = next(lines, b"")
-        lineno += 1
-        offset += len(raw)
-        if raw.rstrip(b"\n") != b"<<<":
-            raise FormatError("SCRIPT without <<< block", head)
-        body = []
-        for raw in lines:
-            lineno += 1
-            offset += len(raw)
-            line = _text(raw, lineno)
-            if line == ">>>":
-                break
-            body.append(line)
-        else:
-            raise FormatError("unterminated SCRIPT block", head)
-        yield toks, "\n".join(body), head, start
+def _script_block(fh, head: int) -> list[bytes]:
+    """The raw lines of the <<< ... >>> block that follows the SCRIPT record
+    on line `head`, both fence lines included, read from the file position."""
+    raw = fh.readline()
+    if raw.rstrip(b"\n") != b"<<<":
+        raise FormatError("SCRIPT without <<< block", head)
+    block = [raw]
+    for raw in iter(fh.readline, b""):
+        block.append(raw)
+        if raw.rstrip(b"\n") == b">>>":
+            return block
+    raise FormatError("unterminated SCRIPT block", head)
 
 
-def _read(fh, prop, script):
+def _script_text(block: list[bytes], head: int) -> str:
+    """The script text inside a block from `_script_block`, without its final newline."""
+    body = b"".join(block[1:-1])[:-1]
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError("undecodable line", head + 2 + body.count(b"\n", 0, exc.start)) from None
+
+
+def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
+    """The parse error of an action's script, placed in the file: it names
+    the action and counts lines from the SCRIPT record on line `head`."""
+    return ScriptParseError(f"{exc.message} in the script of action {aid}",
+                            head + 1 + exc.line, exc.column, exc.expected)
+
+
+def _read(fh, decode: bool):
     """One streaming pass over a whole `.krn` file, every reference checked.
 
-    `prop(tokens, line, offset)` and `script(text, offset)` make what is
-    kept of each PROP/SIG and SCRIPT record: offsets for the index scan,
-    decoded records for a full load. Returns (nodes, props, scripts,
-    isa, labels): nodes maps id to (tag, provenance, subject, target,
-    offset); props maps id to {name: kept}; scripts maps id to kept.
+    Each line is decoded, split and checked in place. With `decode`, a
+    PROP/SIG record becomes a PropertyRecord and a SCRIPT record a
+    ScriptRef; equal value tokens share one Value and equal script texts
+    one parse. Without it, each is kept as its byte offset, for the
+    index. Returns (nodes, props, scripts, isa, labels): nodes maps id to
+    (tag, provenance, subject, target, offset, line) in file order; props
+    maps id to {name: kept}; scripts maps id to kept.
     """
     raw = fh.readline()
     if raw.rstrip(b"\n") != HEADER.encode():
@@ -335,78 +367,143 @@ def _read(fh, prop, script):
     scripts: dict = {}
     isa: list[tuple[NodeId, NodeId]] = []
     labels: list[tuple[NodeId, str, str]] = []
-    refs: list[tuple[int, str, NodeId, str | None]] = []   # line, tag, id, tag it needs
-    for toks, text, lineno, offset in _records(fh, 1, len(raw)):
+    # per tag, the line of the first PROP, SIG or LABEL record naming each
+    # node, and (line, tag, id, tag it needs) of each SCRIPT and ISA reference
+    owners: dict[str, dict[NodeId, int]] = {"PROP": {}, "SIG": {}, "LABEL": {}}
+    refs: list[tuple[int, str, NodeId, str]] = []
+    values: dict[str, dict[str, Value]] = {
+        "num": {}, "text": {}, "bool": {}, "ref": {}, "unset": {}}   # by kind, then token
+    asts: dict = {}
+    lineno, offset = 1, len(raw)
+    for raw in fh:
+        lineno += 1
+        start = offset
+        offset += len(raw)
+        try:
+            line = raw.decode("utf-8").rstrip("\n")
+        except UnicodeDecodeError:
+            raise FormatError("undecodable line", lineno) from None
+        if '"' in line:
+            toks = _TOKEN_RE.findall(line)
+            if '"' in toks:
+                raise FormatError("unterminated quote", lineno)
+        else:
+            toks = line.split(" ")
+            if "" in toks:
+                toks = [t for t in toks if t]
+                if not toks:
+                    continue
         tag = toks[0]
+        arity = _ARITY.get(tag)
+        if arity is None or len(toks) not in arity:
+            if not line.strip():
+                continue
+            raise FormatError(f"malformed {tag} record" if arity
+                              else f"unknown record {tag!r}", lineno)
         if tag == "PROP" or tag == "SIG":
-            owner = _int(toks[1], lineno)
-            named = props.setdefault(owner, {})
-            if toks[2] in named:
-                raise FormatError(f"duplicate property {toks[2]!r} on {owner}", lineno)
-            named[toks[2]] = prop(toks, lineno, offset)
-            refs.append((lineno, tag, owner, None))
+            try:
+                owner = int(toks[1])
+            except ValueError:
+                raise FormatError(f"bad integer {toks[1]!r}", lineno) from None
+            named = props.get(owner)
+            if named is None:
+                named = props[owner] = {}
+                owners[tag][owner] = lineno
+            name = toks[2]
+            if name in named:
+                raise FormatError(f"duplicate property {name!r} on {owner}", lineno)
+            if not decode:
+                named[name] = start
+            elif tag == "SIG":
+                named[name] = _decode_prop(toks, lineno)
+            else:
+                kind, tok = toks[3], toks[4]
+                shared = values.get(kind)
+                value = None if shared is None else shared.get(tok)
+                if value is None:
+                    value = values[kind][tok] = _decode_value(kind, tok, lineno)
+                prov = _PROVENANCE.get(toks[5]) if len(toks) == 6 else Provenance.ASSERTED
+                if prov is None or prov is Provenance.SENSED:
+                    raise FormatError("a sensed property must hold a signal" if prov
+                                      else f"bad provenance {toks[5]!r}", lineno)
+                named[name] = PropertyRecord(name, value, prov, PropLoad.HYDRATED, True)
+        elif tag == "LABEL":
+            try:
+                node = int(toks[1])
+            except ValueError:
+                raise FormatError(f"bad integer {toks[1]!r}", lineno) from None
+            if not valid_language_tag(toks[2]):
+                raise FormatError(f"bad language tag {toks[2]!r}", lineno)
+            labels.append((node, toks[2], decode_text(toks[3], lineno)))
+            owners[tag].setdefault(node, lineno)
         elif tag == "OBJ" or tag == "ACT":
             nid, prov, subject, target = _decode_node(toks, lineno)
             if nid in nodes:
                 raise FormatError(f"duplicate node id {nid}", lineno)
-            nodes[nid] = (tag, prov, subject, target, offset)
-            if tag == "ACT":
-                refs.append((lineno, tag, target, "OBJ"))
-                if subject is not None:
-                    refs.append((lineno, tag, subject, "OBJ"))
+            nodes[nid] = (tag, prov, subject, target, start, lineno)
         elif tag == "SCRIPT":
-            owner = _int(toks[1], lineno)
+            head = lineno
+            block = _script_block(fh, head)
+            lineno += len(block)
+            offset += sum(map(len, block))
+            owner = _int(toks[1], head)
             if owner in scripts:
-                raise FormatError(f"duplicate SCRIPT for {owner}", lineno)
-            scripts[owner] = script(text, offset)
-            refs.append((lineno, tag, owner, "ACT"))
-        elif tag == "ISA":
+                raise FormatError(f"duplicate SCRIPT for {owner}", head)
+            if decode:
+                text = _script_text(block, head)
+                ast = asts.get(text)
+                if ast is None:
+                    try:
+                        ast = asts[text] = parse_script(text)
+                    except ScriptParseError as exc:
+                        raise _in_file(exc, owner, head) from None
+                scripts[owner] = ScriptRef(text=text, ast=ast, offset=start)
+            else:
+                scripts[owner] = start
+            refs.append((head, tag, owner, "ACT"))
+        else:  # ISA
             inst, concept = _int(toks[1], lineno), _int(toks[2], lineno)
             isa.append((inst, concept))
             refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
-        else:  # LABEL
-            node = _int(toks[1], lineno)
-            if not valid_language_tag(toks[2]):
-                raise FormatError(f"bad language tag {toks[2]!r}", lineno)
-            labels.append((node, toks[2], decode_text(toks[3], lineno)))
-            refs.append((lineno, tag, node, None))
-    # records may arrive in any order, so references are checked only now
-    for lineno, tag, nid, need in refs:
-        node = nodes.get(nid)
-        if node is None:
-            raise FormatError(f"{tag} record refers to unknown node {nid}", lineno)
-        if need is not None and node[0] != need:
-            kind = "an object" if need == "OBJ" else "an action"
-            raise FormatError(f"{tag} record needs node {nid} to be {kind}", lineno)
+    # records may arrive in any order, so references are checked only now;
+    # of several bad ones the first in file order is reported
+    bad = [(line, f"{tag} record refers to unknown node {nid}")
+           for tag, first in owners.items() for nid, line in first.items() if nid not in nodes]
+    ends = ((line, tag, end, "OBJ") for tag, _, subject, target, _, line in nodes.values()
+            if tag == "ACT" for end in (target, subject) if end is not None)
+    for checked in (ends, refs):
+        for line, tag, nid, need in checked:   # in file order: the first bad one will do
+            node = nodes.get(nid)
+            if node is None:
+                bad.append((line, f"{tag} record refers to unknown node {nid}"))
+                break
+            if node[0] != need:
+                kind = "an object" if need == "OBJ" else "an action"
+                bad.append((line, f"{tag} record needs node {nid} to be {kind}"))
+                break
+    if bad:
+        line, message = min(bad)
+        raise FormatError(message, line)
     return nodes, props, scripts, isa, labels
 
 
 def _load(fh) -> tuple[Net, Lexicon]:
-    asts: dict = {}
-
-    def script(text: str, offset: int) -> ScriptRef:
-        ast = asts.get(text)
-        if ast is None:
-            ast = asts[text] = parse_script(text)
-        return ScriptRef(text=text, ast=ast, offset=offset)
-
-    nodes, props, scripts, isa, labels = _read(
-        fh, lambda toks, line, _offset: _decode_prop(toks, line), script)
+    nodes, props, scripts, isa, labels = _read(fh, decode=True)
     net = Net()
+    objects, actions = net.objects, net.actions
     for nid in sorted(nodes):
-        tag, prov, subject, target, _ = nodes[nid]
-        named = props.get(nid, {})
-        properties = {name: named[name] for name in sorted(named)}
+        tag, prov, subject, target, _, _ = nodes[nid]
+        named = props.get(nid)
+        properties = {name: named[name] for name in sorted(named)} if named else {}
         if tag == "OBJ":
-            net.objects[nid] = ObjectRecord(nid, properties, provenance=prov)
+            objects[nid] = ObjectRecord(nid, properties, [], [], prov)
         else:
-            net.actions[nid] = ActionRecord(
-                nid, subject, target, scripts.get(nid) or ScriptRef.none(),
-                properties, provenance=prov)
-    for aid, act in net.actions.items():
+            actions[nid] = ActionRecord(nid, subject, target, scripts.get(nid) or ScriptRef(),
+                                        properties, prov)
+    for aid, act in actions.items():
         if act.subject is not None:
-            net.objects[act.subject].outgoing.append(aid)
-        net.objects[act.target].incoming.append(aid)
+            objects[act.subject].outgoing.append(aid)
+        objects[act.target].incoming.append(aid)
     if nodes:
         net.bump_id(max(nodes))
     net.isa_edges = sorted(set(isa))
@@ -423,6 +520,10 @@ def load(path: str) -> tuple[Net, Lexicon]:
 
 
 # ------------------------------------------------------------------ open
+
+# the value of every stubbed property: never read, so one serves them all
+_UNSET = Value.unset()
+
 
 @dataclass
 class HydrationStats:
@@ -442,7 +543,12 @@ class IndexEntry:
 
 
 class StoreHandle:
-    """An open `.krn` file plus its offset index and hydration counters."""
+    """An open `.krn` file plus its offset index and hydration counters.
+
+    The handle reads only the file it indexed: each public lazy call first
+    checks that the path still names that file, unchanged, and raises
+    FormatError once it does not.
+    """
 
     def __init__(self, path: str):
         self.path = path
@@ -455,6 +561,7 @@ class StoreHandle:
         self._loaded_nodes: set[NodeId] = set()
         self._fh = io.open(path, "rb")
         try:
+            self._identity = _identity(os.fstat(self._fh.fileno()))
             self._scan()
         except Exception:
             self._fh.close()
@@ -472,15 +579,28 @@ class StoreHandle:
     # -- indexing scan --
 
     def _scan(self) -> None:
-        nodes, props, scripts, self.isa, self.labels = _read(
-            self._fh, lambda _toks, _line, offset: offset, lambda _text, offset: offset)
+        nodes, props, scripts, self.isa, self.labels = _read(self._fh, decode=False)
         self.stats.bytes_read += self._fh.tell()
-        for nid, (tag, prov, _, _, offset) in nodes.items():
+        for nid, (tag, prov, _, _, offset, _) in nodes.items():
             self.index[nid] = IndexEntry(
                 tag.lower(), offset, prov is Provenance.INFERRED,
                 props.get(nid, {}), scripts.get(nid))
 
     # -- reads --
+
+    def _check_unchanged(self) -> None:
+        """Refuse to read once the path no longer names the file as indexed."""
+        try:
+            now = _identity(os.stat(self.path))
+        except OSError:
+            now = None
+        if now != self._identity:
+            raise FormatError(f"{self.path} changed since it was opened", None)
+
+    def _line_at(self, offset: int) -> int:
+        """The line number of the record at a byte offset."""
+        self._fh.seek(0)
+        return self._fh.read(offset).count(b"\n") + 1
 
     def _read_at(self, offset: int, decode):
         """decode(tokens, script text, line) of the record at a byte offset.
@@ -489,14 +609,16 @@ class StoreHandle:
         """
         self._fh.seek(offset)
         try:
-            for toks, text, _, _ in _records(self._fh, 0, offset):
-                self.stats.bytes_read += self._fh.tell() - offset
-                return decode(toks, text, 1)
-            raise FormatError("record missing", 1)
+            toks = _split_record(_text(self._fh.readline(), 1), 1)
+            if not toks or len(toks) not in _ARITY.get(toks[0], ()):
+                raise FormatError("indexed record missing", 1)
+            text = None
+            if toks[0] == "SCRIPT":
+                text = _script_text(_script_block(self._fh, 1), 1)
+            self.stats.bytes_read += self._fh.tell() - offset
+            return decode(toks, text, 1)
         except FormatError as exc:
-            self._fh.seek(0)
-            line = self._fh.read(offset).count(b"\n") + exc.line
-            raise FormatError(exc.message, line) from None
+            raise FormatError(exc.message, self._line_at(offset) - 1 + exc.line) from None
 
     # -- lazy loading --
 
@@ -507,6 +629,10 @@ class StoreHandle:
         stubbed in automatically so symmetry lists stay consistent. A node
         held inside a collapsed subnet is refused: `expand` brings it back.
         """
+        self._check_unchanged()
+        self._stub(nid, net)
+
+    def _stub(self, nid: NodeId, net: Net) -> None:
         entry = self.index.get(nid)
         if entry is None:
             raise UnknownNode(f"store has no node {nid}")
@@ -516,7 +642,7 @@ class StoreHandle:
             raise NodeCollapsed(f"node {nid} is inside a collapsed subnet")
         prov = Provenance.INFERRED if entry.inferred else Provenance.ASSERTED
         props = {
-            name: PropertyRecord(name, Value.unset(), None, PropLoad.STUB)
+            name: PropertyRecord(name, _UNSET, None, PropLoad.STUB)
             for name in sorted(entry.prop_offsets)
         }
         if entry.kind == "obj":
@@ -535,7 +661,7 @@ class StoreHandle:
                         f"endpoint {endpoint} of action {nid} is inside a collapsed subnet")
             for endpoint in (subject, target):
                 if endpoint is not None and endpoint not in net.objects:
-                    self.load_stub(endpoint, net)
+                    self._stub(endpoint, net)
             script = (ScriptRef.stub(entry.script_offset)
                       if entry.script_offset is not None else ScriptRef.none())
             net.actions[nid] = ActionRecord(
@@ -552,11 +678,12 @@ class StoreHandle:
 
     def hydrate_property(self, nid: NodeId, name: str, net: Net) -> Value:
         """Load one property value; everything else on the node stays put."""
+        self._check_unchanged()
         entry = self.index.get(nid)
         if entry is None:
             raise UnknownNode(f"store has no node {nid}")
         if nid not in net.objects and nid not in net.actions:
-            self.load_stub(nid, net)
+            self._stub(nid, net)
         offset = entry.prop_offsets.get(name)
         if offset is None:
             raise UnknownProperty(f"store has no property {name!r} on {nid}")
@@ -574,20 +701,24 @@ class StoreHandle:
 
     def hydrate_script(self, action_id: NodeId, net: Net):
         """Read, parse, and cache an action's script; later runs reuse it."""
+        self._check_unchanged()
         entry = self.index.get(action_id)
         if entry is None:
             raise UnknownNode(f"store has no node {action_id}")
         if action_id not in net.actions:
             if entry.kind != "act":
                 raise UnknownScript(f"node {action_id} is not an action")
-            self.load_stub(action_id, net)
+            self._stub(action_id, net)
         act = net.actions[action_id]
         if act.script.state == "hydrated":
             return act.script.ast
         if act.script.state == "none" or entry.script_offset is None:
             raise UnknownScript(f"action {action_id} has no script")
         text = self._read_at(entry.script_offset, lambda _toks, text, _line: text)
-        ast = parse_script(text)
+        try:
+            ast = parse_script(text)
+        except ScriptParseError as exc:
+            raise _in_file(exc, action_id, self._line_at(entry.script_offset)) from None
         act.script = ScriptRef(text=text, ast=ast, offset=entry.script_offset)
         if action_id not in self._hydrated_scripts:
             self._hydrated_scripts.add(action_id)
@@ -611,19 +742,22 @@ class StoreHandle:
         for name in entry.prop_offsets:
             prop = rec.properties.get(name)
             if prop is not None and prop.from_store:
-                rec.properties[name] = PropertyRecord(
-                    name, Value.unset(), None, PropLoad.STUB
-                )
+                rec.properties[name] = PropertyRecord(name, _UNSET, None, PropLoad.STUB)
         net.touch(nid)
         if isinstance(rec, ActionRecord) and entry.script_offset is not None:
             rec.script = ScriptRef.stub(entry.script_offset)
 
     def load_full(self) -> tuple[Net, Lexicon]:
         """Read everything into a fresh net plus its labels, as `load` does."""
+        self._check_unchanged()
         self._fh.seek(0)
         loaded = _load(self._fh)
         self.stats.bytes_read += self._fh.tell()
         return loaded
+
+
+def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def open(path: str) -> StoreHandle:  # noqa: A001 - deliberate name

@@ -1,4 +1,6 @@
 import copy
+import itertools
+import os
 import random
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from krn import Lexicon, Net, Provenance, SensorAddress, SensorSignal, Value, nets_equal
 from krn import store
 from krn.script import apply_undo
+from krn import sim
 from krn.sim import run_action
 from krn.core import NodeLoad, PropLoad
 from krn.errors import (
@@ -127,11 +130,15 @@ def test_deeply_nested_script_fails_with_a_typed_error(tmp_path):
     deep = tmp_path / "deep.krn"
     deep.write_text("KRN 1\nOBJ 1\nACT 2 - 1\nSCRIPT 2\n<<<\nset object.x = "
                     + "(" * 1200 + "1" + ")" * 1200 + ";\n>>>\n")
-    with pytest.raises((FormatError, ScriptParseError)):
+    with pytest.raises((FormatError, ScriptParseError)) as err:
         store.load(str(deep))
     with store.open(str(deep)) as handle:
-        with pytest.raises((FormatError, ScriptParseError)):
+        with pytest.raises((FormatError, ScriptParseError)) as lazy_err:
             handle.hydrate_script(2, Net())
+    for e in (err.value, lazy_err.value):
+        # the script's first line is file line 6, after the SCRIPT record and <<<
+        assert isinstance(e, ScriptParseError) and e.line == 6
+        assert "action 2" in str(e)
 
 
 def test_load_stub_lists_names_without_values(tmp_path):
@@ -566,3 +573,154 @@ def test_node_load_state_follows_its_records(tmp_path):
         assert target.objects[wall].load_state is NodeLoad.FULL
         handle.evict(paint, target)
         assert target.actions[paint].load_state is NodeLoad.STUB
+
+
+# ---------------------------------------------------------------- reader
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_first_bad_reference_in_file_order_is_reported_by_both_readers(tmp_path, order):
+    bad_records = [
+        "PROP 9 colour text \"green\" asserted",   # owner 9 does not exist
+        "ACT 4 2 1",                                 # subject 2 is an action
+        "ISA 1 3",                                   # 3 is an action
+    ]
+    body = ["OBJ 1", "ACT 2 - 1", "ACT 3 1 1"] + [bad_records[i] for i in order]
+    bad = tmp_path / "bad.krn"
+    bad.write_text("KRN 1\n" + "\n".join(body) + "\n")
+    first = 5   # header and three good records come first
+    for read in (store.load, store.open):
+        with pytest.raises(FormatError) as err:
+            read(str(bad))
+        assert err.value.line == first, (read.__name__, order)
+
+
+def test_loaded_records_are_slotted(tmp_path):
+    net, man, wall, paint = wall_net()
+    loaded, _ = store.load(_saved(tmp_path, net))
+    obj, act = loaded.objects[wall], loaded.actions[paint]
+    prop = obj.properties["colour"]
+    for rec in (obj, act, prop, act.script, prop.value):
+        assert not hasattr(rec, "__dict__"), type(rec).__name__
+        # frozen and slotted, Value raises TypeError here on Python 3.11
+        with pytest.raises((AttributeError, TypeError)):
+            rec.note = "ad hoc"
+
+
+def test_values_shared_within_a_load_stay_independent(tmp_path):
+    net = Net()
+    left = net.add_object([("x", Value.num(1)), ("colour", Value.text("green"))])
+    right = net.add_object([("x", Value.num(1)), ("colour", Value.text("green"))])
+    paint = net.add_action(None, left, 'set object.x = object.x + 1; set object.colour = "red";')
+    loaded, _ = store.load(_saved(tmp_path, net))
+    lp, rp = loaded.objects[left].properties, loaded.objects[right].properties
+    assert lp["x"].value is rp["x"].value and lp["colour"].value is rp["colour"].value
+    assert lp["x"] is not rp["x"]
+    changes = run_action(loaded, paint)
+    assert loaded.get_property(left, "x") == Value.num(2)
+    assert loaded.get_property(right, "x") == Value.num(1)
+    assert loaded.get_property(right, "colour") == Value.text("green")
+    snaps = loaded.timeline.snapshots
+    assert {(c.node, c.name) for c in sim.diff(snaps[-2], snaps[-1])} == {
+        (left, "x"), (left, "colour")}
+    apply_undo(loaded, changes)
+    assert nets_equal(loaded, net)
+    after_undo = sim.snapshot(loaded)
+    assert {(c.node, c.name) for c in sim.diff(snaps[-2], after_undo)} == {
+        (left, "x"), (left, "colour")}
+    assert sim.diff(snaps[0], after_undo) == []
+
+
+# ---------------------------------------------------------------- atomic save
+
+
+def _labelled_wall(tmp_path):
+    net, man, wall, paint = wall_net()
+    lexicon = Lexicon()
+    lexicon.set_label(wall, "en", "wall")
+    return net, wall, lexicon, _saved(tmp_path, net, lexicon)
+
+
+def test_save_keeps_the_file_mode_and_leaves_no_temp_file(tmp_path):
+    net, wall, lexicon, path = _labelled_wall(tmp_path)
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    assert os.stat(path).st_mode == os.stat(plain).st_mode   # a new file: as open makes it
+    os.chmod(path, 0o640)
+    net.set_property(wall, "extra", Value.num(3))
+    store.save(net, lexicon, path)
+    assert os.stat(path).st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["net.krn", "plain"]
+    assert nets_equal(store.load(path)[0], net)
+
+
+def test_save_through_a_symbolic_link_keeps_the_link(tmp_path):
+    net, wall, lexicon, path = _labelled_wall(tmp_path)
+    link = tmp_path / "link.krn"
+    link.symlink_to("net.krn")
+    net.set_property(wall, "extra", Value.num(3))
+    store.save(net, lexicon, str(link))
+    assert link.is_symlink()
+    assert nets_equal(store.load(path)[0], net)
+    assert sorted(os.listdir(tmp_path)) == ["link.krn", "net.krn"]
+
+
+@pytest.mark.parametrize("failing", ["write", "fsync"])
+def test_failed_save_leaves_the_old_file_whole(tmp_path, monkeypatch, failing):
+    net, wall, lexicon, path = _labelled_wall(tmp_path)
+    with open(path, "rb") as fh:
+        old = fh.read()
+    net.set_property(wall, "extra", Value.num(3))
+
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, failing, fail)
+        with pytest.raises(OSError):
+            store.save(net, lexicon, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == old
+    assert os.listdir(tmp_path) == ["net.krn"]
+
+
+# ---------------------------------------------------------------- changed files
+
+
+def _scripted(tmp_path):
+    net = Net()
+    wall = net.add_object([("colour", Value.text("green"))])
+    paint = net.add_action(None, wall, 'set object.colour = "black";')
+    return net, wall, paint, _saved(tmp_path, net)
+
+
+def test_handle_refuses_a_file_rewritten_in_place(tmp_path):
+    net, wall, paint, path = _scripted(tmp_path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = data.index(b"SCRIPT")
+    without_script = data[:start] + data[data.index(b">>>\n", start) + 4:]
+    with store.open(path) as handle:
+        target = Net()
+        handle.load_stub(paint, target)
+        with open(path, "r+b") as fh:   # same file, new bytes
+            fh.write(without_script)
+            fh.truncate()
+        with pytest.raises(FormatError, match="changed since it was opened"):
+            handle.hydrate_script(paint, target)
+    assert target.actions[paint].script.state == "stub"
+
+
+@pytest.mark.parametrize("call", ["load_stub", "hydrate_property", "hydrate_script",
+                                  "load_full"])
+def test_handle_refuses_a_file_replaced_by_a_save(tmp_path, call):
+    net, wall, paint, path = _scripted(tmp_path)
+    with store.open(path) as handle:
+        target = Net()
+        net.set_property(wall, "colour", Value.text("red"))
+        store.save(net, None, path)
+        args = {"load_stub": (wall, target), "hydrate_property": (wall, "colour", target),
+                "hydrate_script": (paint, target), "load_full": ()}[call]
+        with pytest.raises(FormatError, match="changed since it was opened"):
+            getattr(handle, call)(*args)
+    assert not target.objects and not target.actions
