@@ -53,6 +53,10 @@ from .errors import (
 )
 
 MAX_SOURCE_BYTES = 64 * 1024
+# How many characters of source the parse memo holds, summed over its
+# texts; at the bound it is emptied whole. Room for 16 scripts of the
+# largest size, or tens of thousands of typical one-liners.
+MAX_MEMO_CHARS = 1024 * 1024
 # How deep parentheses, unary operators, if blocks and chains of binary
 # operators may nest, together. It bounds the parser's recursion and the
 # depth of the tree that `check` and `execute` walk.
@@ -406,8 +410,33 @@ class _Parser:
         )
 
 
+# source text -> its Ast, shared by every caller; see `parse`
+_memo: dict[str, Ast] = {}
+_memo_chars = 0
+
+
+def clear_parse_memo() -> None:
+    """Forget every parse; the next parse of each text starts afresh."""
+    global _memo_chars
+    _memo.clear()
+    _memo_chars = 0
+
+
 def parse(source: str) -> Ast:
-    """Parse script source into an Ast, reporting positions on failure."""
+    """Parse script source into an Ast, reporting positions on failure.
+
+    Parses are memoised by source text for the whole process: a repeat
+    returns the very same Ast, which is safe to share because every AST
+    node (and every Value a Literal holds) is frozen. So every action,
+    net and load with equal text shares one Ast. The memo holds at most
+    MAX_MEMO_CHARS characters of source and is emptied whole when one
+    more text would pass that. A failed parse is never stored: a bad
+    script raises the same ScriptParseError on every call.
+    """
+    global _memo_chars
+    ast = _memo.get(source)
+    if ast is not None:
+        return ast
     try:
         size = len(source.encode("utf-8"))
     except UnicodeEncodeError as exc:   # a lone surrogate has no UTF-8 form
@@ -416,7 +445,12 @@ def parse(source: str) -> Ast:
                                exc.start - source.rfind("\n", 0, exc.start)) from None
     if size > MAX_SOURCE_BYTES:
         raise ScriptParseError("script exceeds 64 KiB", 1, 1)
-    return _Parser(_lex(source)).script()
+    ast = _Parser(_lex(source)).script()
+    if _memo_chars + len(source) > MAX_MEMO_CHARS:
+        clear_parse_memo()
+    _memo[source] = ast
+    _memo_chars += len(source)
+    return ast
 
 
 # ---------------------------------------------------------------- checker

@@ -10,12 +10,15 @@ persistent structure of Driscoll, Sarnak, Sleator and Tarjan ("Making
 data structures persistent", JCSS 1989): each (node, property) key keeps
 the versions at which its value changed and its value at each, and a
 snapshot's state is a read-only view of one version. The net reports
-every node whose records it adds, replaces or drops (`Net.touch`). So
-the first snapshot of a timeline scans the net once, O(net); each later
-one re-reads only the nodes touched since, O(touched nodes); `diff` of
-two snapshots of one timeline visits only the keys changed between them,
-O(changed keys); and the timeline's memory grows with the number of
-changes, not with net size times snapshots.
+every node whose records it adds, replaces or drops (`Net.touch`). The
+first snapshot of a timeline scans the net once, O(net), and keeps the
+per-node {name: value} dicts it builds as version 0, the base; it makes
+no history for any key. A key gets a history only when its value first
+changes, and a read before that change falls back to the base. Each
+later snapshot re-reads only the nodes touched since, O(touched nodes);
+`diff` of two snapshots of one timeline visits only the keys changed
+between them, O(changed keys); and the timeline's memory is the base
+plus the number of changes, not net size times snapshots.
 """
 
 from __future__ import annotations
@@ -50,15 +53,17 @@ class Snapshot:
 class TimelineState(Mapping):
     """The read-only state of one timeline version.
 
-    It holds the timeline's history containers, never the timeline, so
-    retained snapshots make no reference cycle. A lookup bisects the
-    key's history; `len` is kept, not counted.
+    It holds the timeline's containers, never the timeline, so retained
+    snapshots make no reference cycle. A lookup bisects the key's history;
+    a key with no history, or read at a version before its first change,
+    has its version-0 value from `base`. `len` is kept, not counted.
     """
 
-    __slots__ = ("history", "changed", "version", "_len")
+    __slots__ = ("history", "base", "changed", "version", "_len")
 
-    def __init__(self, history: dict, changed: list, version: int, size: int):
+    def __init__(self, history: dict, base: dict, changed: list, version: int, size: int):
         self.history = history      # key -> (versions, values); None = absent
+        self.base = base            # node -> {name: value} at version 0
         self.changed = changed      # version -> keys recorded at it
         self.version = version
         self._len = size
@@ -68,9 +73,11 @@ class TimelineState(Mapping):
         if hist is not None:
             versions, values = hist
             i = bisect_right(versions, self.version)
-            if i and values[i - 1] is not None:
-                return values[i - 1]
-        return default
+            if i:
+                value = values[i - 1]
+                return default if value is None else value
+        props = self.base.get(key[0])
+        return default if props is None else props.get(key[1], default)
 
     def __getitem__(self, key) -> Value:
         value = self.get(key)
@@ -82,7 +89,14 @@ class TimelineState(Mapping):
         return self.get(key) is not None
 
     def __iter__(self):
-        return (key for key in self.history if key in self)
+        base = self.base
+        for nid, props in base.items():
+            for name in props:
+                if (nid, name) in self:
+                    yield nid, name
+        for key in self.history:
+            if key[1] not in base.get(key[0], ()) and key in self:
+                yield key
 
     def __len__(self) -> int:
         return self._len
@@ -96,13 +110,25 @@ class TimelineState(Mapping):
         return keys
 
 
+def _hydrated(rec) -> dict[str, Value]:
+    return {name: prop.value for name, prop in rec.properties.items()
+            if prop.load_state is PropLoad.HYDRATED}
+
+
 class Timeline:
-    """Snapshots of one net, stored as per-key version histories."""
+    """Snapshots of one net: a version-0 base plus per-key version histories.
+
+    `head` maps each node to its current {name: value} dict and `base` to
+    its dict at version 0; the two share dicts. `record` gives a touched
+    node a new dict in `head` and never changes a dict in place, so every
+    dict in `base` stays as version 0 saw it.
+    """
 
     def __init__(self):
         self.snapshots: list[Snapshot] = []
         self.touched: set[NodeId] = set()     # filled by Net.touch
         self.head: dict[NodeId, dict[str, Value]] = {}
+        self.base: dict[NodeId, dict[str, Value]] = {}
         self._by_tick: dict[int, Snapshot] = {}
         self._history: dict[Key, tuple[list[int], list[Value | None]]] = {}
         self._changed: list[list[Key]] = []
@@ -129,21 +155,28 @@ class Timeline:
     def record(self, net: Net) -> TimelineState:
         """Fold the nodes touched since the last version into a new one.
 
-        The first version scans the whole net. A key is recorded when its
-        value object changes identity, so a re-ingested equal signal with
-        a new capture tick still replaces the remembered one.
+        The first version scans the whole net into `base` and records no
+        key. After it, a key is recorded when its value object changes
+        identity, so a re-ingested equal signal with a new capture tick
+        still replaces the remembered one; a key's first record starts
+        its history.
         """
         version = len(self._changed)
-        nodes = self.touched if version else net.objects.keys() | net.actions.keys()
-        self.touched = set()
+        touched, self.touched = self.touched, set()
         head, history = self.head, self._history
         changed: list[Key] = []
-        for nid in nodes:
+        if not version:     # the base: per-node dicts, and no key recorded
+            for records in (net.objects, net.actions):
+                for nid, rec in records.items():
+                    new = _hydrated(rec)
+                    if new:
+                        head[nid] = new
+                        self._size += len(new)
+            self.base = dict(head)
+            touched = ()
+        for nid in touched:
             rec = net.objects.get(nid) or net.actions.get(nid)
-            new = {} if rec is None else {
-                name: prop.value for name, prop in rec.properties.items()
-                if prop.load_state is PropLoad.HYDRATED
-            }
+            new = {} if rec is None else _hydrated(rec)
             old = head.pop(nid, {})
             updates = [(name, value) for name, value in new.items()
                        if old.get(name) is not value]
@@ -161,7 +194,7 @@ class Timeline:
                 head[nid] = new
             self._size += len(new) - len(old)
         self._changed.append(changed)
-        return TimelineState(history, self._changed, version, self._size)
+        return TimelineState(history, self.base, self._changed, version, self._size)
 
 
 def timeline_of(net: Net) -> Timeline:

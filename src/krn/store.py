@@ -24,9 +24,13 @@ Records may appear in any order. Both ways of reading a file stream it
 once, line by line, through one record reader that checks the framing
 and every reference between records (an action's endpoints and is-a
 ends must be objects); of several bad references, the first in file
-order is reported. `load` decodes each record as it passes, shares one
-Value between equal value tokens and parses each distinct script text
-once; actions with equal text share the AST. `open` decodes no values:
+order is reported. `load` decodes each record as it passes and shares
+one Value between equal value tokens. It reads script texts only once
+the framing and references hold, so a fault inside a script never hides
+a later framing or reference fault that `open` would report; each
+distinct text is parsed once per load, and actions with equal text
+share the AST. `script.parse` memoises by text across loads, so a
+reload parses no script seen before. `open` decodes no values:
 it builds a byte-offset index, and nothing beyond the index is held in
 memory until a node is stubbed in and its properties or script are
 hydrated one by one. A handle reads only the file it indexed: once the
@@ -352,12 +356,13 @@ def _read(fh, decode: bool):
     """One streaming pass over a whole `.krn` file, every reference checked.
 
     Each line is decoded, split and checked in place. With `decode`, a
-    PROP/SIG record becomes a PropertyRecord and a SCRIPT record a
-    ScriptRef; equal value tokens share one Value and equal script texts
-    one parse. Without it, each is kept as its byte offset, for the
-    index. Returns (nodes, props, scripts, isa, labels): nodes maps id to
-    (tag, provenance, subject, target, offset, line) in file order; props
-    maps id to {name: kept}; scripts maps id to kept.
+    PROP/SIG record becomes a PropertyRecord, equal value tokens sharing
+    one Value, and a SCRIPT record a ScriptRef, its text decoded and
+    parsed only after the reference checks, equal texts sharing one
+    parse. Without it, each is kept as its byte offset, for the index.
+    Returns (nodes, props, scripts, isa, labels): nodes maps id to (tag,
+    provenance, subject, target, offset, line) in file order; props maps
+    id to {name: kept}; scripts maps id to kept.
     """
     raw = fh.readline()
     if raw.rstrip(b"\n") != HEADER.encode():
@@ -373,7 +378,6 @@ def _read(fh, decode: bool):
     refs: list[tuple[int, str, NodeId, str]] = []
     values: dict[str, dict[str, Value]] = {
         "num": {}, "text": {}, "bool": {}, "ref": {}, "unset": {}}   # by kind, then token
-    asts: dict = {}
     lineno, offset = 1, len(raw)
     for raw in fh:
         lineno += 1
@@ -449,17 +453,7 @@ def _read(fh, decode: bool):
             owner = _int(toks[1], head)
             if owner in scripts:
                 raise FormatError(f"duplicate SCRIPT for {owner}", head)
-            if decode:
-                text = _script_text(block, head)
-                ast = asts.get(text)
-                if ast is None:
-                    try:
-                        ast = asts[text] = parse_script(text)
-                    except ScriptParseError as exc:
-                        raise _in_file(exc, owner, head) from None
-                scripts[owner] = ScriptRef(text=text, ast=ast, offset=start)
-            else:
-                scripts[owner] = start
+            scripts[owner] = (block, head, start) if decode else start
             refs.append((head, tag, owner, "ACT"))
         else:  # ISA
             inst, concept = _int(toks[1], lineno), _int(toks[2], lineno)
@@ -484,6 +478,21 @@ def _read(fh, decode: bool):
     if bad:
         line, message = min(bad)
         raise FormatError(message, line)
+    if decode:
+        # a fault inside a script text is raised only now that the framing
+        # and references hold, and in action id order, as a lazy read of
+        # every script meets it; equal texts share one parse
+        asts: dict = {}
+        for owner in sorted(scripts):
+            block, head, start = scripts[owner]
+            text = _script_text(block, head)
+            ast = asts.get(text)
+            if ast is None:
+                try:
+                    ast = asts[text] = parse_script(text)
+                except ScriptParseError as exc:
+                    raise _in_file(exc, owner, head) from None
+            scripts[owner] = ScriptRef(text=text, ast=ast, offset=start)
     return nodes, props, scripts, isa, labels
 
 

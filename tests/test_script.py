@@ -1,9 +1,12 @@
 import copy
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
-from krn import ExecContext, Net, Provenance, Value, apply_undo, check, execute, parse
+from krn import ExecContext, Net, Provenance, Value, apply_undo, check, execute, parse, script, store
 from krn.errors import (
     BudgetExhausted,
     DivisionByZero,
@@ -13,6 +16,9 @@ from krn.errors import (
     UnknownProperty,
 )
 from krn.script import MAX_NESTING, Binary, Literal, Read, Role, SetStmt
+
+from krn.core import nets_equal
+from krn.sim import run_action
 
 from helpers import wall_net
 
@@ -162,6 +168,59 @@ def test_seeded_parse_fuzz_raises_only_parse_errors():
         except ScriptParseError:
             continue
         check(ast)
+
+
+# ---------------------------------------------------------------- parse memo
+
+MEMO_TEXT = 'set object.x = object.x + 1; if subject.on { set object.colour = "red"; }'
+
+
+def test_a_repeat_parse_is_the_same_object_and_equals_a_fresh_parse():
+    first = parse(MEMO_TEXT)
+    assert parse(MEMO_TEXT) is first
+    assert parse(MEMO_TEXT.encode().decode()) is first      # an equal string, not the same one
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import pickle, sys; from krn import parse; "
+         "sys.stdout.buffer.write(pickle.dumps(parse(sys.argv[1])))", MEMO_TEXT],
+        capture_output=True, check=True).stdout
+    assert pickle.loads(fresh) == first
+
+
+def test_a_failed_parse_raises_alike_every_time_and_is_never_stored():
+    bad = "set object.x = (1 + ;"
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ScriptParseError) as err:
+            parse(bad)
+        errors.append((err.value.line, err.value.column, str(err.value)))
+    assert errors[0] == errors[1] and errors[0][:2] == (1, 21)
+    assert bad not in script._memo and script._memo_chars == 0
+
+
+def test_the_memo_empties_whole_at_its_bound_and_parsing_goes_on(monkeypatch):
+    monkeypatch.setattr(script, "MAX_MEMO_CHARS", 100)
+    texts = [f"set object.x = {10**7 + i};" for i in range(5)]     # 24 characters each
+    asts = [parse(text) for text in texts[:4]]
+    assert list(script._memo) == texts[:4] and script._memo_chars == 96
+    last = parse(texts[4])                                      # 120 would pass the bound
+    assert list(script._memo) == texts[4:] and script._memo_chars == 24
+    assert last.statements[0].expr == Literal(Value.num(10**7 + 4))
+    again = parse(texts[0])
+    assert again is not asts[0] and again == asts[0]
+
+
+def test_two_loads_of_one_file_share_asts_and_stay_independent(tmp_path):
+    net, man, wall, paint = wall_net()
+    path = str(tmp_path / "wall.krn")
+    store.save(net, None, path)
+    one, _ = store.load(path)
+    two, _ = store.load(path)
+    assert one.actions[paint].script.ast is two.actions[paint].script.ast
+    assert one.actions[paint].script.ast is net.actions[paint].script.ast
+    run_action(one, paint)
+    assert one.get_property(wall, "colour") == Value.text("black")
+    assert two.get_property(wall, "colour") == Value.text("green")
+    assert nets_equal(two, store.load(path)[0])
 
 
 # ---------------------------------------------------------------- checker

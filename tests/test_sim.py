@@ -395,8 +395,8 @@ def test_run_action_records_only_changed_keys():
     pre, post = tl.snapshots[-2].state, tl.snapshots[-1].state
     assert pre.changed[pre.version] == []
     assert post.changed[post.version] == [(objs[500], "x")]
-    # one entry per property for the first scan, then one per change
-    assert sum(len(keys) for keys in post.changed) == 2000 + 2
+    # the first scan is the base and records no key; then one entry per change
+    assert sum(len(keys) for keys in post.changed) == 2
     assert len(post) == 2000
     assert diff(tl.snapshots[-2], tl.snapshots[-1])[0].after == Value.num(1)
 
@@ -405,3 +405,35 @@ def test_snapshot_refuses_a_foreign_timeline():
     net = Net()
     with pytest.raises(ValueError):
         snapshot(net, Timeline())
+
+
+def test_a_key_reads_its_base_value_until_its_first_change():
+    net = Net()
+    wall = net.add_object([("x", Value.num(1)), ("y", Value.num(7))])
+    states = [snapshot(net).state]                      # version 0: the base
+    states.append(snapshot(net).state)                  # 1: nothing changed
+    net.set_property(wall, "x", Value.num(2))
+    states.append(snapshot(net).state)                  # 2: x changes
+    net.set_property(wall, "z", Value.num(5))
+    states.append(snapshot(net).state)                  # 3: z appears
+    net.erase_property(wall, "x")
+    states.append(snapshot(net).state)                  # 4: x is erased
+    key = (wall, "x")
+    assert [s.version for s in states] == [0, 1, 2, 3, 4]
+    assert [s.get(key) for s in states] == [Value.num(1)] * 2 + [Value.num(2)] * 2 + [None]
+    assert [key in s for s in states] == [True] * 4 + [False]
+    assert [s[(wall, "y")] for s in states] == [Value.num(7)] * 5
+    assert [s.get((wall, "z")) for s in states] == [None] * 3 + [Value.num(5)] * 2
+    # version 0 built no history; x's starts at its first change and y has none
+    history = states[0].history
+    assert history[key] == ([2, 4], [Value.num(2), None])
+    assert (wall, "y") not in history and states[0].changed[0] == []
+    # iteration and len agree with get at every version
+    for s in states:
+        assert len(list(s)) == len(s) == len(set(s))
+        assert all(s.get(k) is not None for k in s)
+    assert sorted(states[1]) == [(wall, "x"), (wall, "y")]
+    assert sorted(states[3]) == [(wall, "x"), (wall, "y"), (wall, "z")]
+    assert sorted(states[4]) == [(wall, "y"), (wall, "z")]
+    assert diff(Snapshot(0, states[0]), Snapshot(4, states[4])) == diff(
+        Snapshot(0, dict(states[0])), Snapshot(4, dict(states[4])))

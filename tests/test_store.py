@@ -464,6 +464,21 @@ def test_is_a_edge_to_an_action_is_refused_on_open_and_load(tmp_path):
         assert err.value.line == 4
 
 
+@pytest.mark.parametrize("body", [b"set object.x = ((;", b"set object.x = \"\xff\";"])
+@pytest.mark.parametrize("later", [b"BOGUS 1", b"PROP 9 x num 1", b"ISA 1 2"])
+def test_a_bad_script_before_a_later_bad_record_gives_one_error(tmp_path, body, later):
+    # the script is bad (a parse error or undecodable bytes), but the file
+    # is not well formed either: both readers report the record on line 8
+    bad = tmp_path / "bad.krn"
+    bad.write_bytes(b"KRN 1\nOBJ 1\nACT 2 - 1\nSCRIPT 2\n<<<\n" + body + b"\n>>>\n" + later + b"\n")
+    errors = []
+    for read in (store.load, store.open):
+        with pytest.raises(FormatError) as err:
+            read(str(bad))
+        errors.append((err.value.line, str(err.value)))
+    assert errors[0] == errors[1] and errors[0][0] == 8
+
+
 def _mutated(rng, data: bytes) -> bytes:
     roll = rng.randrange(4)
     if roll == 0:                                   # flip one bit
@@ -492,15 +507,19 @@ def test_mutated_saves_fail_only_with_typed_errors(tmp_path):
             data = fh.read()
         with open(path, "wb") as fh:
             fh.write(_mutated(rng, data))
+        load_err = lazy_err = None
         try:
             got = store.load(path)
-        except (FormatError, ScriptParseError):
-            got = None
+        except (FormatError, ScriptParseError) as exc:
+            got, load_err = None, exc
         try:
             lazy = _hydrated_lazily(path)
-        except (FormatError, ScriptParseError):
-            lazy = None
+        except (FormatError, ScriptParseError) as exc:
+            lazy, lazy_err = None, exc
         assert (got is None) == (lazy is None), f"mutant {i}"
+        if isinstance(lazy_err, FormatError):   # both readers name the same fault
+            assert type(load_err) is FormatError, f"mutant {i}: {load_err!r}"
+            assert (load_err.line, str(load_err)) == (lazy_err.line, str(lazy_err)), f"mutant {i}"
         if got is None:
             continue
         loaded += 1
