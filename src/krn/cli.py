@@ -292,23 +292,24 @@ def run_command(session: Session, text: str) -> list[str]:
         return [f"expanded #{nid}: {len(created)} nodes"]
 
     if verb == "mine":
-        min_support = 2
-        max_nodes = 4
+        usage = "usage: mine [--min-support N] [--max-nodes K] <paths...>"
+        options = {"--min-support": 2, "--max-nodes": 4}
         paths = []
         it = iter(args)
         for arg in it:
-            if arg == "--min-support":
-                min_support = int(next(it, "2"))
-            elif arg == "--max-nodes":
-                max_nodes = int(next(it, "4"))
+            if arg in options:
+                try:
+                    options[arg] = int(next(it, ""))
+                except ValueError:
+                    raise CommandError(f"{arg} needs an integer; {usage}") from None
             else:
                 paths.append(arg)
         if not paths:
-            raise CommandError("usage: mine [--min-support N] [--max-nodes K] <paths...>")
+            raise CommandError(usage)
         nets = []
         for path in paths:
             nets.append(store.load(path)[0])
-        templates = reasoning.mine_concepts(nets, min_support, max_nodes)
+        templates = reasoning.mine_concepts(nets, options["--min-support"], options["--max-nodes"])
         if not templates:
             return ["no templates"]
         return [

@@ -461,21 +461,34 @@ def _rank(colors: dict) -> dict:
     return {nid: index[c] for nid, c in colors.items()}
 
 
-def _view(net: Net, nodes) -> dict:
+def _shape_table(net: Net, nodes) -> dict:
+    """Each node's (kind, sorted names minus bookkeeping): the part of its
+    view that does not depend on the node set around it."""
+    table = {}
+    for nid in nodes:
+        rec = net.node(nid)
+        table[nid] = ("o" if isinstance(rec, ObjectRecord) else "a",
+                      tuple(sorted(rec.properties.keys() - _BOOKKEEPING)))
+    return table
+
+
+def _view(net: Net, nodes, shapes: dict) -> dict:
     """What `extract_pattern` copies of a node set, read in place.
 
-    Each node maps to (kind, sorted names minus bookkeeping, x, y): for
-    an object its outgoing and incoming actions inside the set, for an
-    action its subject (None if blank or outside the set) and target.
+    Each node maps to (kind, names, x, y), kind and names read from the
+    shape table `shapes`: for an object, x and y are its outgoing and
+    incoming actions inside the set; for an action, its subject (None if
+    blank or outside the set) and its target.
     """
     view = {}
     for nid in nodes:
-        rec = net.node(nid)
-        names = tuple(sorted(rec.properties.keys() - _BOOKKEEPING))
-        if isinstance(rec, ObjectRecord):
+        kind, names = shapes[nid]
+        if kind == "o":
+            rec = net.objects[nid]
             view[nid] = ("o", names, [a for a in rec.outgoing if a in nodes],
                          [a for a in rec.incoming if a in nodes])
         else:
+            rec = net.actions[nid]
             view[nid] = ("a", names, rec.subject if rec.subject in nodes else None, rec.target)
     return view
 
@@ -501,14 +514,19 @@ def _refined_classes(view: dict) -> dict:
 
 def _canonical(net: Net, nodes) -> tuple[str, list]:
     """Canonical encoding of a node set's pattern, plus the ordering of
-    the set's own ids that produced it.
+    the set's own ids that produced it."""
+    return _canonical_view(_view(net, nodes, _shape_table(net, nodes)))
+
+
+def _canonical_view(view: dict) -> tuple[str, list]:
+    """Canonical encoding of a view, plus the ordering of its ids that
+    produced it.
 
     Isomorphic patterns (same kinds, name sets, wiring, blank-subject
     flags) yield identical strings. Node classes come from iterative
     color refinement; the encoding is minimized over permutations
     within classes, which is exhaustive and fine at pattern scale.
     """
-    view = _view(net, nodes)
     if not view:
         return "", []
     ranks = _refined_classes(view)
@@ -576,6 +594,66 @@ def _pattern_closed(net: Net, nodes: frozenset) -> bool:
     return True
 
 
+def _closed_subsets(net: Net, shapes: dict, shape_index: dict, max_nodes: int) -> list:
+    """Every closed connected subset of net (see `_pattern_closed`), in
+    `_connected_subsets` order, paired with a cheap isomorphism invariant.
+
+    The invariant is the sorted tuple, over the subset's nodes, of
+    (shape id, out-degree, in-degree) inside the subset for an object and
+    (shape id, subject inside the subset) for an action. `shape_index`
+    numbers the (kind, names) pairs of the shape table `shapes`; nets
+    whose invariants are compared share it. The invariant reads only
+    what `_view` reads, so isomorphic views have equal invariants.
+    """
+    shape_ids = {nid: shape_index.setdefault(shape, len(shape_index))
+                 for nid, shape in shapes.items()}
+    ends = {nid: (rec.subject, rec.target) for nid, rec in net.actions.items()}
+    closed = []
+    for sub in _connected_subsets(net, max_nodes):
+        subjects, targets, parts = [], [], []
+        for nid in sub:
+            if nid in ends:
+                subject, target = ends[nid]
+                if target not in sub:
+                    break
+                subjects.append(subject)
+                targets.append(target)
+                parts.append((shape_ids[nid], subject in sub))
+        else:
+            parts += [(shape_ids[nid], subjects.count(nid), targets.count(nid))
+                      for nid in sub if nid not in ends]
+            parts.sort()
+            closed.append((sub, tuple(parts)))
+    return closed
+
+
+def _supported_buckets(nets, min_support: int, max_nodes: int) -> dict:
+    """Canonical key -> (support, net, order of its first subset) for each
+    key that at least min_support closed subsets across the nets share.
+
+    Two passes over the same enumeration. The first counts invariants
+    (`_closed_subsets`); the second canonicalises only the subsets whose
+    invariant at least min_support subsets share. A canonical bucket lies
+    inside one invariant bucket, so no member of a surviving bucket is
+    skipped and its first subset in enumeration order stays first.
+    """
+    shape_index: dict[tuple, int] = {}
+    counted = []
+    for net in nets:
+        shapes = _shape_table(net, net.node_ids())
+        counted.append((net, shapes, _closed_subsets(net, shapes, shape_index, max_nodes)))
+    inv_count = Counter(inv for _, _, closed in counted for _, inv in closed)
+    support: Counter = Counter()
+    first: dict[str, tuple] = {}
+    for net, shapes, closed in counted:
+        for sub, inv in closed:
+            if inv_count[inv] >= min_support:
+                key, order = _canonical_view(_view(net, sub, shapes))
+                support[key] += 1
+                first.setdefault(key, (net, order))
+    return {key: (count, *first[key]) for key, count in support.items() if count >= min_support}
+
+
 def extract_pattern(net: Net, nodes) -> Net:
     """Value-free copy of a subnet: names and shape kept, values wildcarded.
 
@@ -590,7 +668,7 @@ def extract_pattern(net: Net, nodes) -> Net:
 def _rebuild_in_order(net: Net, order: list) -> Net:
     """The pattern of the node set `order`, with position i as id i+1,
     built from the same records `extract_pattern` would copy."""
-    view = _view(net, set(order))
+    view = _view(net, set(order), _shape_table(net, order))
     pos = {nid: i for i, nid in enumerate(order, 1)}
     rebuilt = Net()
     for nid in order:
@@ -641,22 +719,18 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
     Returns maximal templates only, ordered by support descending and
     canonical form ascending. Support counts distinct occurrence node
     sets whose extracted structure matches the template exactly.
+
+    Every closed subset's cheap isomorphism invariant is counted first;
+    only subsets whose invariant reaches min_support are canonicalised,
+    and a template is built only for a canonical bucket that reaches it
+    (`_supported_buckets`).
     """
     if min_support < 2:
         raise ValueError("min_support must be at least 2")
     if not 1 <= max_pattern_nodes <= 8:
         raise ValueError("max_pattern_nodes must be between 1 and 8")
-    support: Counter = Counter()
-    first: dict[str, tuple] = {}
-    for net in nets:
-        for sub in _connected_subsets(net, max_pattern_nodes):
-            if _pattern_closed(net, sub):
-                key, order = _canonical(net, sub)
-                support[key] += 1
-                first.setdefault(key, (net, order))
-    # only a bucket that reaches min_support gets its pattern built
-    patterns = {key: _rebuild_in_order(*first[key])
-                for key, count in support.items() if count >= min_support}
+    buckets = _supported_buckets(nets, min_support, max_pattern_nodes)
+    patterns = {key: _rebuild_in_order(net, order) for key, (_, net, order) in buckets.items()}
 
     # maximal only: drop a pattern that embeds in another; most pairs
     # fail the profile test and never reach the search
@@ -668,10 +742,10 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
                        for other in keys)]
 
     # each key already is its pattern's canonical form
-    kept.sort(key=lambda key: (-support[key], key))
+    kept.sort(key=lambda key: (-buckets[key][0], key))
     return [ConceptTemplate(pattern=patterns[key],
                             root=min(patterns[key].objects or patterns[key].actions),
-                            support=support[key])
+                            support=buckets[key][0])
             for key in kept]
 
 

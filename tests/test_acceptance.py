@@ -6,6 +6,7 @@ criterion fails the test outright.
 
 import copy
 import random
+from pathlib import Path
 
 from krn import (
     Answer,
@@ -197,5 +198,5 @@ def test_acceptance_10_round_trip_persistence(tmp_path):
         assert loaded_lex.items() == lexicon.items()
         again = str(tmp_path / f"rt{i}b.krn")
         store.save(net, lexicon, again)
-        assert open(path, "rb").read() == open(again, "rb").read()
+        assert Path(path).read_bytes() == Path(again).read_bytes()
     _ok(10, "round-trip-persistence")

@@ -117,6 +117,20 @@ save {q}
     assert mine_out.splitlines() == ["template 1: support 2, 3 nodes"]
 
 
+def test_mine_flag_without_an_integer_value_is_a_usage_error(tmp_path):
+    p = tmp_path / "a.krn"
+    q = tmp_path / "b.krn"
+    out, code = run_script(f"new\nobj a\nsave {p}\nsave {q}\n")
+    assert code == 0
+    usage = "usage: mine [--min-support N] [--max-nodes K] <paths...>"
+    for command in (f"mine {p} {q} --min-support", f"mine {p} {q} --max-nodes",
+                    f"mine --min-support {p} {q}", f"mine --max-nodes x {p} {q}"):
+        out, code = run_script(command + "\n")
+        assert code == 1, command
+        assert out.startswith("error: CommandError: "), out
+        assert out.rstrip().endswith(usage), out
+
+
 def test_snapshots_and_classification():
     script = """
 new

@@ -1,21 +1,26 @@
 """The miner's in-place shortcuts against the public routines they replace.
 
 `mine_concepts` canonicalises a subset straight from the source net,
-builds a template only for a surviving bucket, and skips the maximality
-search for a pair whose profiles already rule an embedding out. Each
-shortcut must agree with the slow path it stands for.
+canonicalises only subsets whose cheap invariant reaches the minimum
+support, builds a template only for a surviving bucket, and skips the
+maximality search for a pair whose profiles already rule an embedding
+out. Each shortcut must agree with the slow path it stands for.
 """
 
 import random
+from collections import Counter
 
 from krn import ConceptTemplate, Net, Value, canonical_key, find_matches, register_concept
 from krn.reasoning import (
     _BOOKKEEPING,
     _canonical,
+    _closed_subsets,
     _connected_subsets,
     _pattern_closed,
     _profile,
     _rebuild_in_order,
+    _shape_table,
+    _supported_buckets,
     extract_pattern,
 )
 
@@ -73,3 +78,65 @@ def test_in_place_canonical_form_and_profile_filter_agree_with_the_slow_path():
                 matched += 1
                 assert fits, (canonical_key(small), canonical_key(big))
     assert matched > len(sample) and rejected > len(sample)
+
+
+def _relabelled(net: Net, rng: random.Random) -> tuple[Net, dict]:
+    """A copy of net, bookkeeping names and values included, whose nodes
+    are added in a shuffled order; returns it with the id map."""
+    twin = Net()
+    idmap = {}
+    objs = list(net.objects)
+    acts = list(net.actions)
+    rng.shuffle(objs)
+    rng.shuffle(acts)
+    for nid in objs:
+        props = net.objects[nid].properties.values()
+        idmap[nid] = twin.add_object([(p.name, p.value) for p in props])
+    for nid in acts:
+        rec = net.actions[nid]
+        idmap[nid] = twin.add_action(idmap.get(rec.subject), idmap[rec.target], None,
+                                     [(p.name, p.value) for p in rec.properties.values()])
+    return twin, idmap
+
+
+def test_invariant_filter_keeps_every_bucket_that_reaches_min_support():
+    rng = random.Random(909)
+    skipped = {2: 0, 3: 0}
+    for _ in range(12):
+        nets = [_vocab_net(rng) for _ in range(4)]
+        # the reference: every closed subset canonicalised, no filter
+        support = Counter()
+        first = {}
+        invariants = {}
+        inv_count = Counter()
+        shape_index = {}
+        for net in nets:
+            invariant = dict(_closed_subsets(net, _shape_table(net, net.node_ids()), shape_index, 4))
+            closed = [sub for sub in _connected_subsets(net, 4) if _pattern_closed(net, sub)]
+            assert list(invariant) == closed
+            for sub in closed:
+                key, order = _canonical(net, sub)
+                support[key] += 1
+                first.setdefault(key, (id(net), order))
+                inv_count[invariant[sub]] += 1
+                # isomorphic views never split across invariants
+                assert invariants.setdefault(key, invariant[sub]) == invariant[sub]
+        for min_support in (2, 3):
+            want = {key: (count, *first[key])
+                    for key, count in support.items() if count >= min_support}
+            got = {key: (count, id(net), order)
+                   for key, (count, net, order) in _supported_buckets(nets, min_support, 4).items()}
+            assert got == want
+            skipped[min_support] += sum(n for n in inv_count.values() if n < min_support)
+    assert skipped[2] > 200 and skipped[3] > 200    # the filter had subsets to skip
+
+
+def test_relabelled_copies_have_equal_invariants():
+    rng = random.Random(717)
+    for _ in range(20):
+        net = _vocab_net(rng)
+        twin, idmap = _relabelled(net, rng)
+        shape_index = {}
+        closed = _closed_subsets(net, _shape_table(net, net.node_ids()), shape_index, 4)
+        relabelled = _closed_subsets(twin, _shape_table(twin, twin.node_ids()), shape_index, 4)
+        assert {frozenset(idmap[n] for n in sub): inv for sub, inv in closed} == dict(relabelled)

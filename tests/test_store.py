@@ -2,6 +2,7 @@ import copy
 import itertools
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +71,7 @@ def test_save_is_byte_deterministic(tmp_path):
     net, lexicon = random_net(rng)
     p1 = _saved(tmp_path, net, lexicon, "a.krn")
     p2 = _saved(tmp_path, net, lexicon, "b.krn")
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_round_trip_fifty_random_nets(tmp_path):
@@ -100,10 +101,8 @@ def test_open_builds_index_without_hydration(tmp_path):
         assert handle.stats.properties_hydrated == 0
         assert handle.stats.scripts_hydrated == 0
         # index covers every OBJ and ACT record
-        record_count = sum(
-            1 for line in open(path, encoding="utf-8")
-            if line.startswith(("OBJ ", "ACT "))
-        )
+        with open(path, encoding="utf-8") as fh:
+            record_count = sum(1 for line in fh if line.startswith(("OBJ ", "ACT ")))
         assert len(handle.index) == record_count
 
 
@@ -224,7 +223,7 @@ def test_hydrate_property_is_partial_and_cached(tmp_path):
         assert handle.stats.properties_hydrated == 1
         # partial read is smaller than the whole record block
         whole_record = sum(
-            len(line.encode()) + 1 for line in open(path, encoding="utf-8").read().splitlines()
+            len(line.encode()) + 1 for line in Path(path).read_text(encoding="utf-8").splitlines()
             if line.startswith(("OBJ 1", "PROP 1 "))
         )
         assert one_prop_bytes < whole_record
@@ -402,7 +401,7 @@ def test_load_equals_a_fully_hydrated_handle(tmp_path):
         assert loaded_lex.items() == lazy_lex.items() == lexicon.items()
         assert loaded.next_id == lazy.next_id
         again = _saved(tmp_path, loaded, loaded_lex, f"again{i}.krn")
-        assert open(again, "rb").read() == open(path, "rb").read()
+        assert Path(again).read_bytes() == Path(path).read_bytes()
 
 
 def test_actions_with_equal_script_text_share_one_parse(tmp_path, monkeypatch):
