@@ -78,6 +78,15 @@ class NodeLoad(enum.Enum):
     FULL = "full"
 
 
+# The members that hot code reads, bound once. On Python 3.11 reading a
+# member off its class (`Kind.NUM`) is a Python-level call, since EnumType
+# defines __getattr__, and costs about ten times a module-level name.
+KIND_NUM, KIND_TEXT, KIND_BOOL = Kind.NUM, Kind.TEXT, Kind.BOOL
+KIND_REF, KIND_SIGNAL, KIND_UNSET = Kind.REF, Kind.SIGNAL, Kind.UNSET
+ASSERTED, INFERRED, SENSED = Provenance.ASSERTED, Provenance.INFERRED, Provenance.SENSED
+PROP_HYDRATED, PROP_STUB = PropLoad.HYDRATED, PropLoad.STUB
+
+
 @dataclass(frozen=True, slots=True)
 class SensorAddress:
     """Which channel a signal arrived on, as an ordered path of segments."""
@@ -128,31 +137,31 @@ class Value:
 
     @classmethod
     def num(cls, x: float) -> "Value":
-        return cls(Kind.NUM, float(x))
+        return cls(KIND_NUM, float(x))
 
     @classmethod
     def text(cls, s: str) -> "Value":
-        return cls(Kind.TEXT, str(s))
+        return cls(KIND_TEXT, str(s))
 
     @classmethod
     def truth(cls, b: bool) -> "Value":
-        return cls(Kind.BOOL, bool(b))
+        return cls(KIND_BOOL, bool(b))
 
     @classmethod
     def ref(cls, node: NodeId) -> "Value":
-        return cls(Kind.REF, int(node))
+        return cls(KIND_REF, int(node))
 
     @classmethod
     def signal(cls, sig: SensorSignal) -> "Value":
-        return cls(Kind.SIGNAL, sig)
+        return cls(KIND_SIGNAL, sig)
 
     @classmethod
     def unset(cls) -> "Value":
-        return cls(Kind.UNSET, None)
+        return cls(KIND_UNSET, None)
 
     @property
     def is_unset(self) -> bool:
-        return self.kind is Kind.UNSET
+        return self.kind is KIND_UNSET
 
 
 def values_equal(a: Value, b: Value) -> bool:
@@ -164,10 +173,8 @@ def values_equal(a: Value, b: Value) -> bool:
     """
     if a.kind is not b.kind:
         return False
-    if a.kind is Kind.UNSET:
+    if a.kind is KIND_UNSET:
         return True
-    if a.kind is Kind.SIGNAL:
-        return a.data == b.data
     return a.data == b.data
 
 
@@ -239,7 +246,7 @@ class CollapsePayload:
 def _node_load(properties: dict[str, PropertyRecord], script_stubbed: bool) -> NodeLoad:
     """FULL when nothing is left to read from the store, PARTIAL when some
     property is hydrated, STUB otherwise."""
-    hydrated = [p.load_state is PropLoad.HYDRATED for p in properties.values()]
+    hydrated = [p.load_state is PROP_HYDRATED for p in properties.values()]
     if all(hydrated) and not script_stubbed:
         return NodeLoad.FULL
     return NodeLoad.PARTIAL if any(hydrated) else NodeLoad.STUB
@@ -426,7 +433,7 @@ class Net:
     ) -> None:
         rec = self.node(nid)
         _check_name(name)
-        if provenance is Provenance.SENSED and value.kind is not Kind.SIGNAL:
+        if provenance is SENSED and value.kind is not KIND_SIGNAL:
             raise InvalidName("sensed properties must hold signal values")
         rec.properties[name] = PropertyRecord(name, value, provenance)
         self.touch(nid)
@@ -434,7 +441,7 @@ class Net:
     def get_property(self, nid: NodeId, name: str) -> Value:
         rec = self.node(nid)
         prop = rec.properties.get(name)
-        if prop is None or prop.load_state is PropLoad.STUB:
+        if prop is None or prop.load_state is PROP_STUB:
             raise UnknownProperty(f"node {nid} has no hydrated property {name!r}")
         return prop.value
 
@@ -474,7 +481,7 @@ class Net:
         if nid not in self.objects:
             raise UnknownNode(f"no object {nid}")
         stamped = replace(signal, captured_at=self.next_tick())
-        self.set_property(nid, name, Value.signal(stamped), Provenance.SENSED)
+        self.set_property(nid, name, Value.signal(stamped), SENSED)
         if self.agent is not None:
             self.agent.record_sense(stamped.captured_at, nid, name, stamped)
 
@@ -530,7 +537,7 @@ class Net:
                         add(Violation("symmetry-break", (oid, aid),
                                       f"action {aid} is not the {role} of {oid}"))
             for prop in obj.properties.values():
-                if prop.provenance is Provenance.SENSED and prop.value.kind is not Kind.SIGNAL:
+                if prop.provenance is SENSED and prop.value.kind is not KIND_SIGNAL:
                     add(Violation("bad-provenance", (oid,),
                                   f"sensed property {prop.name!r} is not a signal"))
         for inst, concept in self.isa_edges:
@@ -589,7 +596,7 @@ def _props_equal(a: dict[str, PropertyRecord], b: dict[str, PropertyRecord]) -> 
         pa, pb = a[name], b[name]
         if (pa.value, pa.provenance, pa.load_state) != (pb.value, pb.provenance, pb.load_state):
             return False
-        if pa.value.kind is Kind.SIGNAL:
+        if pa.value.kind is KIND_SIGNAL:
             # signal equality ignores ticks; structural net equality must not
             if pa.value.data.captured_at != pb.value.data.captured_at:
                 return False

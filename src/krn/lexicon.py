@@ -28,7 +28,8 @@ class Lexicon:
         self.languages: set[str] = set()
 
     def set_label(self, node: NodeId, lang: str, text: str) -> None:
-        if not valid_language_tag(lang):
+        # `languages` holds only tags that passed this check
+        if lang not in self.languages and not valid_language_tag(lang):
             raise BadLanguageTag(f"bad language tag {lang!r}")
         old = self.labels.get((node, lang))
         if old is not None:

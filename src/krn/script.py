@@ -33,14 +33,17 @@ import enum
 from dataclasses import dataclass, field
 
 from .core import (
+    ASSERTED,
+    KIND_BOOL,
+    KIND_NUM,
+    PROP_HYDRATED,
+    PROP_STUB,
     ChangeSet,
-    Kind,
     Net,
     NodeId,
     PropertyChange,
-    PropLoad,
-    Provenance,
     Value,
+    values_equal,
 )
 from .errors import (
     BudgetExhausted,
@@ -67,6 +70,10 @@ class Role(enum.Enum):
     SUBJECT = "subject"
     OBJECT = "object"
     SELF = "self"
+
+
+# bound once, as core binds its members: the interpreter reads them per statement
+ROLE_SUBJECT, ROLE_OBJECT, ROLE_SELF = Role.SUBJECT, Role.OBJECT, Role.SELF
 
 
 # ---------------------------------------------------------------- ast
@@ -488,7 +495,7 @@ def check(ast: Ast) -> list[StaticIssue]:
                 roles_seen.add(st.lvalue.role)
             elif isinstance(st, IfStmt):
                 walk_expr(st.cond)
-                if isinstance(st.cond, Literal) and st.cond.value.kind is Kind.BOOL:
+                if isinstance(st.cond, Literal) and st.cond.value.kind is KIND_BOOL:
                     dead = "else" if st.cond.value.data else "then"
                     if dead == "then" or st.otherwise:
                         issues.append(StaticIssue("dead-branch", dead))
@@ -496,7 +503,7 @@ def check(ast: Ast) -> list[StaticIssue]:
                 walk(st.otherwise)
 
     walk(ast.statements)
-    for role in (Role.SUBJECT, Role.SELF):
+    for role in (ROLE_SUBJECT, ROLE_SELF):
         if role in roles_seen:
             issues.append(StaticIssue("requires-role", role.value))
     return issues
@@ -548,7 +555,7 @@ def _run_block(stmts, ctx, budget, changes) -> None:
             _do_unset(st, ctx, changes)
         elif isinstance(st, IfStmt):
             cond = _eval(st.cond, ctx)
-            if cond.kind is not Kind.BOOL:
+            if cond.kind is not KIND_BOOL:
                 raise TypeMismatch(f"if condition is {cond.kind.value}, not bool")
             _run_block(st.then if cond.data else st.otherwise, ctx, budget, changes)
         else:
@@ -560,10 +567,10 @@ def _do_set(st: SetStmt, ctx: ExecContext, changes: ChangeSet) -> None:
     nid = _resolve(st.lvalue.role, ctx)
     rec = ctx.net.node(nid)
     prop = rec.properties.get(st.lvalue.name)
-    before = prop.value if prop is not None and prop.load_state is PropLoad.HYDRATED else None
+    before = prop.value if prop is not None and prop.load_state is PROP_HYDRATED else None
     if before is not None and before == value:
         return
-    ctx.net.set_property(nid, st.lvalue.name, value, Provenance.ASSERTED)
+    ctx.net.set_property(nid, st.lvalue.name, value, ASSERTED)
     changes.append(PropertyChange(nid, st.lvalue.name, before, value, prop))
 
 
@@ -573,15 +580,15 @@ def _do_unset(st: UnsetStmt, ctx: ExecContext, changes: ChangeSet) -> None:
     prop = rec.properties.get(st.lvalue.name)
     if prop is None:
         raise UnknownProperty(f"unset of missing property {st.lvalue.name!r} on {nid}")
-    before = prop.value if prop.load_state is PropLoad.HYDRATED else None
+    before = prop.value if prop.load_state is PROP_HYDRATED else None
     ctx.net.erase_property(nid, st.lvalue.name)
     changes.append(PropertyChange(nid, st.lvalue.name, before, None, prop))
 
 
 def _resolve(role: Role, ctx: ExecContext) -> NodeId:
-    if role is Role.OBJECT:
+    if role is ROLE_OBJECT:
         return ctx.target
-    if role is Role.SUBJECT:
+    if role is ROLE_SUBJECT:
         if ctx.subject is None:
             raise UnboundRole("script uses subject but no subject is bound")
         return ctx.subject
@@ -597,7 +604,7 @@ def _eval(ex, ctx: ExecContext) -> Value:
         nid = _resolve(ex.lvalue.role, ctx)
         rec = ctx.net.node(nid)
         prop = rec.properties.get(ex.lvalue.name)
-        if prop is None or prop.load_state is PropLoad.STUB:
+        if prop is None or prop.load_state is PROP_STUB:
             raise UnknownProperty(
                 f"read of missing property {ex.lvalue.name!r} on node {nid}"
             )
@@ -605,10 +612,10 @@ def _eval(ex, ctx: ExecContext) -> Value:
     if isinstance(ex, Unary):
         val = _eval(ex.operand, ctx)
         if ex.op == "-":
-            if val.kind is not Kind.NUM:
+            if val.kind is not KIND_NUM:
                 raise TypeMismatch(f"cannot negate {val.kind.value}")
             return Value.num(-val.data)
-        if val.kind is not Kind.BOOL:
+        if val.kind is not KIND_BOOL:
             raise TypeMismatch(f"cannot apply not to {val.kind.value}")
         return Value.truth(not val.data)
     if isinstance(ex, Binary):
@@ -617,19 +624,17 @@ def _eval(ex, ctx: ExecContext) -> Value:
 
 
 def _eval_binary(ex: Binary, ctx: ExecContext) -> Value:
-    from .core import values_equal
-
     op = ex.op
     if op in ("and", "or"):
         left = _eval(ex.left, ctx)
-        if left.kind is not Kind.BOOL:
+        if left.kind is not KIND_BOOL:
             raise TypeMismatch(f"{op} needs bool operands, got {left.kind.value}")
         if op == "and" and not left.data:
             return Value.truth(False)
         if op == "or" and left.data:
             return Value.truth(True)
         right = _eval(ex.right, ctx)
-        if right.kind is not Kind.BOOL:
+        if right.kind is not KIND_BOOL:
             raise TypeMismatch(f"{op} needs bool operands, got {right.kind.value}")
         return Value.truth(bool(right.data))
     left = _eval(ex.left, ctx)
@@ -639,7 +644,7 @@ def _eval_binary(ex: Binary, ctx: ExecContext) -> Value:
     if op == "!=":
         return Value.truth(not values_equal(left, right))
     if op in ("<", ">", "<=", ">="):
-        if left.kind is not Kind.NUM or right.kind is not Kind.NUM:
+        if left.kind is not KIND_NUM or right.kind is not KIND_NUM:
             raise TypeMismatch(
                 f"ordering needs numbers, got {left.kind.value} {op} {right.kind.value}"
             )
@@ -650,7 +655,7 @@ def _eval_binary(ex: Binary, ctx: ExecContext) -> Value:
             ">=": left.data >= right.data,
         }
         return Value.truth(table[op])
-    if left.kind is not Kind.NUM or right.kind is not Kind.NUM:
+    if left.kind is not KIND_NUM or right.kind is not KIND_NUM:
         raise TypeMismatch(
             f"arithmetic needs numbers, got {left.kind.value} {op} {right.kind.value}"
         )

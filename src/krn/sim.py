@@ -28,7 +28,7 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .core import ChangeSet, Net, NodeId, PropertyChange, PropLoad, Value
+from .core import PROP_HYDRATED, ChangeSet, Net, NodeId, PropertyChange, Value
 from .errors import BatchError, FormatError, KrnError, UnknownNode, UnknownScript
 from .lexicon import Lexicon
 from .script import ExecContext, execute
@@ -112,7 +112,7 @@ class TimelineState(Mapping):
 
 def _hydrated(rec) -> dict[str, Value]:
     return {name: prop.value for name, prop in rec.properties.items()
-            if prop.load_state is PropLoad.HYDRATED}
+            if prop.load_state is PROP_HYDRATED}
 
 
 class Timeline:

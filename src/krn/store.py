@@ -24,12 +24,16 @@ Records may appear in any order. Both ways of reading a file stream it
 once, line by line, through one record reader that checks the framing
 and every reference between records (an action's endpoints and is-a
 ends must be objects); of several bad references, the first in file
-order is reported. `load` decodes each record as it passes and shares
-one Value between equal value tokens. It reads script texts only once
-the framing and references hold, so a fault inside a script never hides
-a later framing or reference fault that `open` would report; each
-distinct text is parsed once per load, and actions with equal text
-share the AST. `script.parse` memoises by text across loads, so a
+order is reported. A line in one of the forms `save` writes for the
+bulk of a file (a PROP with a plain value, a LABEL, an OBJ, an ACT) is
+matched whole by one compiled pattern and decoded from the match; any
+other line is decoded to text and split into tokens, and that path
+finds every fault. `load` decodes each record as it passes, and matched
+records with equal value tokens share one Value. It reads script texts
+only once the framing and references hold, so a fault inside a script
+never hides a later framing or reference fault that `open` would
+report; each distinct text is parsed once per load, and actions with
+equal text share the AST. `script.parse` memoises by text across loads, so a
 reload parses no script seen before. `open` decodes no values:
 it builds a byte-offset index, and nothing beyond the index is held in
 memory until a node is stubbed in and its properties or script are
@@ -56,18 +60,27 @@ from dataclasses import dataclass, field
 from urllib.parse import quote, unquote
 
 from .core import (
+    ASSERTED,
+    INFERRED,
+    KIND_BOOL,
+    KIND_NUM,
+    KIND_REF,
+    KIND_TEXT,
+    KIND_UNSET,
+    PROP_HYDRATED,
+    PROP_STUB,
+    SENSED,
     ActionRecord,
-    Kind,
     Net,
     NodeId,
     ObjectRecord,
     PropertyRecord,
-    PropLoad,
     Provenance,
     ScriptRef,
     SensorAddress,
     SensorSignal,
     Value,
+    valid_property_name,
 )
 from .errors import (
     BipartiteViolation,
@@ -172,7 +185,6 @@ def _int(tok: str, line: int) -> int:
 
 
 _PROVENANCE = {p.value: p for p in Provenance}
-_PROVENANCE_TOKEN = {p: p.value for p in Provenance}
 
 
 def _provenance(tok: str | None, default: Provenance, line: int) -> Provenance:
@@ -189,7 +201,7 @@ def _decode_node(toks: list[str], line: int):
     base = 2 if toks[0] == "OBJ" else 4
     if len(toks) > base and toks[base] != "inferred":
         raise FormatError(f"malformed {toks[0]} record", line)
-    prov = Provenance.INFERRED if len(toks) > base else Provenance.ASSERTED
+    prov = INFERRED if len(toks) > base else ASSERTED
     nid = _int(toks[1], line)
     if base == 2:
         return nid, prov, None, None
@@ -206,31 +218,33 @@ def _decode_prop(toks: list[str], line: int) -> PropertyRecord:
             raise FormatError(f"bad signal payload {toks[4]!r}", line) from None
         sig = SensorSignal(_decode_origin(toks[3], line), payload, _int(toks[5], line))
         value = Value.signal(sig)
-        prov = _provenance(toks[6] if len(toks) > 6 else None, Provenance.SENSED, line)
+        prov = _provenance(toks[6] if len(toks) > 6 else None, SENSED, line)
     else:
         value = _decode_value(toks[3], toks[4], line)
-        prov = _provenance(toks[5] if len(toks) > 5 else None, Provenance.ASSERTED, line)
-        if prov is Provenance.SENSED:
+        prov = _provenance(toks[5] if len(toks) > 5 else None, ASSERTED, line)
+        if prov is SENSED:
             raise FormatError("a sensed property must hold a signal", line)
-    return PropertyRecord(toks[2], value, prov, PropLoad.HYDRATED, from_store=True)
+    return PropertyRecord(toks[2], value, prov, PROP_HYDRATED, from_store=True)
 
 
 # ------------------------------------------------------------------ save
 
 def _prop_line(owner: NodeId, prop: PropertyRecord) -> str:
-    if prop.load_state is PropLoad.STUB:
+    if prop.load_state is PROP_STUB:
         raise UnknownProperty(f"property {prop.name!r} of node {owner} is not hydrated")
-    prov = _PROVENANCE_TOKEN[prop.provenance or Provenance.ASSERTED]
+    # by identity: a dict keyed by member would hash it in Python
+    prov = prop.provenance
+    prov = "inferred" if prov is INFERRED else "sensed" if prov is SENSED else "asserted"
     kind, data = prop.value.kind, prop.value.data
-    if kind is Kind.NUM:
+    if kind is KIND_NUM:
         enc = f"num {data!r}"
-    elif kind is Kind.TEXT:
+    elif kind is KIND_TEXT:
         enc = f"text {encode_text(data)}"
-    elif kind is Kind.BOOL:
+    elif kind is KIND_BOOL:
         enc = "bool true" if data else "bool false"
-    elif kind is Kind.REF:
+    elif kind is KIND_REF:
         enc = f"ref {data}"
-    elif kind is Kind.UNSET:
+    elif kind is KIND_UNSET:
         enc = "unset -"
     else:  # signal values are written as SIG records
         payload = data.payload.hex() if data.payload else "-"
@@ -280,14 +294,14 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     add = lines.append
     for oid in sorted(net.objects):
         obj = net.objects[oid]
-        add(f"OBJ {oid} inferred" if obj.provenance is Provenance.INFERRED else f"OBJ {oid}")
+        add(f"OBJ {oid} inferred" if obj.provenance is INFERRED else f"OBJ {oid}")
         props = obj.properties
         for name in sorted(props):
             add(_prop_line(oid, props[name]))
     for aid in sorted(net.actions):
         act = net.actions[aid]
         subj = "-" if act.subject is None else act.subject
-        marker = " inferred" if act.provenance is Provenance.INFERRED else ""
+        marker = " inferred" if act.provenance is INFERRED else ""
         add(f"ACT {aid} {subj} {act.target}{marker}")
         props = act.properties
         for name in sorted(props):
@@ -313,6 +327,23 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
 # token counts each tag allows; the optional last one is a marker or provenance
 _ARITY = {"OBJ": (2, 3), "ACT": (4, 5), "PROP": (5, 6), "SIG": (6, 7),
           "SCRIPT": (2,), "ISA": (3,), "LABEL": (4,)}
+
+# The forms `save` writes for the bulk of a file, each matched whole with its
+# newline: a PROP with a plain value, a LABEL, an OBJ and an ACT, their
+# fields single-spaced and printable ASCII. Names follow valid_property_name
+# and tags valid_language_tag; a token is unquoted, or quoted text with no
+# quote or backslash inside. Ids have at most 18 digits, so int() takes them
+# as the tokenising path would. A matched line holds no fault but a
+# duplicate or a bad value; the lastgroup of a match is its tag.
+_RECORD = re.compile(rb"""
+    PROP\ ([0-9]{1,18})\ ([a-z][a-z0-9_-]*|(?:goal|antigoal):[a-z0-9_-]+)
+        \ (?P<PROP>(num|text|bool|ref|unset)\ ([!#-~]+|"[ !#-\[\]-~]*")
+        (?:\ (asserted|inferred))?)\n
+  | LABEL\ ([0-9]{1,18})\ ([A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*)
+        \ "(?P<LABEL>[ !#-\[\]-~]*)"\n
+  | OBJ\ ([0-9]{1,18})(?P<OBJ>(?:\ inferred)?)\n
+  | ACT\ ([0-9]{1,18})\ (-|[0-9]{1,18})\ ([0-9]{1,18})(?P<ACT>(?:\ inferred)?)\n
+""", re.X)
 
 
 def _text(raw: bytes, lineno: int) -> str:
@@ -355,14 +386,16 @@ def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
 def _read(fh, decode: bool):
     """One streaming pass over a whole `.krn` file, every reference checked.
 
-    Each line is decoded, split and checked in place. With `decode`, a
-    PROP/SIG record becomes a PropertyRecord, equal value tokens sharing
-    one Value, and a SCRIPT record a ScriptRef, its text decoded and
-    parsed only after the reference checks, equal texts sharing one
-    parse. Without it, each is kept as its byte offset, for the index.
-    Returns (nodes, props, scripts, isa, labels): nodes maps id to (tag,
-    provenance, subject, target, offset, line) in file order; props maps
-    id to {name: kept}; scripts maps id to kept.
+    Each line is checked and decoded in place: a line `_RECORD` matches
+    straight from its groups, any other line token by token, and only
+    that path (and the duplicate checks) raises. With `decode`, a
+    PROP/SIG record becomes a PropertyRecord, matched records with equal
+    value tokens sharing one Value, and a SCRIPT record a ScriptRef, its
+    text decoded and parsed only after the reference checks, equal texts
+    sharing one parse. Without it, each is kept as its byte offset, for
+    the index. Returns (nodes, props, scripts, isa, labels): nodes maps id
+    to (tag, provenance, subject, target, offset, line) in file order;
+    props maps id to {name: kept}; scripts maps id to kept.
     """
     raw = fh.readline()
     if raw.rstrip(b"\n") != HEADER.encode():
@@ -375,14 +408,53 @@ def _read(fh, decode: bool):
     # per tag, the line of the first PROP, SIG or LABEL record naming each
     # node, and (line, tag, id, tag it needs) of each SCRIPT and ISA reference
     owners: dict[str, dict[NodeId, int]] = {"PROP": {}, "SIG": {}, "LABEL": {}}
+    prop_owners, label_owners = owners["PROP"], owners["LABEL"]
     refs: list[tuple[int, str, NodeId, str]] = []
-    values: dict[str, dict[str, Value]] = {
-        "num": {}, "text": {}, "bool": {}, "ref": {}, "unset": {}}   # by kind, then token
+    # (Value, Provenance) of each matched "<kind> <token>[ <provenance>]"
+    values: dict[bytes, tuple[Value, Provenance]] = {}
+    match = _RECORD.match
     lineno, offset = 1, len(raw)
     for raw in fh:
         lineno += 1
         start = offset
         offset += len(raw)
+        m = match(raw)
+        if m is not None:
+            tag = m.lastgroup
+            if tag == "PROP":
+                owner = int(m[1])
+                named = props.get(owner)
+                if named is None:
+                    named = props[owner] = {}
+                    prop_owners[owner] = lineno
+                name = m[2].decode()
+                if name in named:
+                    raise FormatError(f"duplicate property {name!r} on {owner}", lineno)
+                if decode:
+                    shared = values.get(m[3])
+                    if shared is None:
+                        kind, tok, prov = m.group(4, 5, 6)
+                        shared = values[m[3]] = (
+                            _decode_value(kind.decode(), tok.decode(), lineno),
+                            INFERRED if prov == b"inferred" else ASSERTED)
+                    named[name] = PropertyRecord(name, shared[0], shared[1], PROP_HYDRATED, True)
+                else:
+                    named[name] = start
+            elif tag == "LABEL":
+                node = int(m[7])
+                labels.append((node, m[8].decode(), m[9].decode()))
+                label_owners.setdefault(node, lineno)
+            else:
+                nid = int(m[10] or m[12])
+                if nid in nodes:
+                    raise FormatError(f"duplicate node id {nid}", lineno)
+                prov = INFERRED if m[tag] else ASSERTED
+                if tag == "OBJ":
+                    nodes[nid] = (tag, prov, None, None, start, lineno)
+                else:
+                    subject = None if m[13] == b"-" else int(m[13])
+                    nodes[nid] = (tag, prov, subject, int(m[14]), start, lineno)
+            continue
         try:
             line = raw.decode("utf-8").rstrip("\n")
         except UnicodeDecodeError:
@@ -414,23 +486,11 @@ def _read(fh, decode: bool):
                 named = props[owner] = {}
                 owners[tag][owner] = lineno
             name = toks[2]
+            if not valid_property_name(name):
+                raise FormatError(f"bad property name {name!r}", lineno)
             if name in named:
                 raise FormatError(f"duplicate property {name!r} on {owner}", lineno)
-            if not decode:
-                named[name] = start
-            elif tag == "SIG":
-                named[name] = _decode_prop(toks, lineno)
-            else:
-                kind, tok = toks[3], toks[4]
-                shared = values.get(kind)
-                value = None if shared is None else shared.get(tok)
-                if value is None:
-                    value = values[kind][tok] = _decode_value(kind, tok, lineno)
-                prov = _PROVENANCE.get(toks[5]) if len(toks) == 6 else Provenance.ASSERTED
-                if prov is None or prov is Provenance.SENSED:
-                    raise FormatError("a sensed property must hold a signal" if prov
-                                      else f"bad provenance {toks[5]!r}", lineno)
-                named[name] = PropertyRecord(name, value, prov, PropLoad.HYDRATED, True)
+            named[name] = _decode_prop(toks, lineno) if decode else start
         elif tag == "LABEL":
             try:
                 node = int(toks[1])
@@ -439,7 +499,7 @@ def _read(fh, decode: bool):
             if not valid_language_tag(toks[2]):
                 raise FormatError(f"bad language tag {toks[2]!r}", lineno)
             labels.append((node, toks[2], decode_text(toks[3], lineno)))
-            owners[tag].setdefault(node, lineno)
+            label_owners.setdefault(node, lineno)
         elif tag == "OBJ" or tag == "ACT":
             nid, prov, subject, target = _decode_node(toks, lineno)
             if nid in nodes:
@@ -592,7 +652,7 @@ class StoreHandle:
         self.stats.bytes_read += self._fh.tell()
         for nid, (tag, prov, _, _, offset, _) in nodes.items():
             self.index[nid] = IndexEntry(
-                tag.lower(), offset, prov is Provenance.INFERRED,
+                tag.lower(), offset, prov is INFERRED,
                 props.get(nid, {}), scripts.get(nid))
 
     # -- reads --
@@ -649,9 +709,9 @@ class StoreHandle:
             return
         if nid in net.collapsed:
             raise NodeCollapsed(f"node {nid} is inside a collapsed subnet")
-        prov = Provenance.INFERRED if entry.inferred else Provenance.ASSERTED
+        prov = INFERRED if entry.inferred else ASSERTED
         props = {
-            name: PropertyRecord(name, _UNSET, None, PropLoad.STUB)
+            name: PropertyRecord(name, _UNSET, None, PROP_STUB)
             for name in sorted(entry.prop_offsets)
         }
         if entry.kind == "obj":
@@ -698,7 +758,7 @@ class StoreHandle:
             raise UnknownProperty(f"store has no property {name!r} on {nid}")
         rec = net.node(nid)
         prop = rec.properties.get(name)
-        if prop is not None and prop.load_state is PropLoad.HYDRATED:
+        if prop is not None and prop.load_state is PROP_HYDRATED:
             return prop.value
         prop = self._read_at(offset, lambda toks, _text, line: _decode_prop(toks, line))
         rec.properties[name] = prop
@@ -751,7 +811,7 @@ class StoreHandle:
         for name in entry.prop_offsets:
             prop = rec.properties.get(name)
             if prop is not None and prop.from_store:
-                rec.properties[name] = PropertyRecord(name, _UNSET, None, PropLoad.STUB)
+                rec.properties[name] = PropertyRecord(name, _UNSET, None, PROP_STUB)
         net.touch(nid)
         if isinstance(rec, ActionRecord) and entry.script_offset is not None:
             rec.script = ScriptRef.stub(entry.script_offset)

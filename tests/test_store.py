@@ -454,6 +454,110 @@ def test_bad_language_tag_is_a_format_error_at_its_line(tmp_path):
         assert err.value.line == 3
 
 
+@pytest.mark.parametrize("record, name", [
+    ("PROP 1 Bad/Name num 1.0", "Bad/Name"),
+    ('PROP 1 x:y text "q"', "x:y"),
+    ("PROP 1 goal:a:b num 1.0", "goal:a:b"),
+    ("SIG 1 Warmth skin ff 3", "Warmth"),
+])
+def test_a_property_name_the_net_refuses_is_a_format_error(tmp_path, record, name):
+    bad = tmp_path / "bad.krn"
+    bad.write_text(f"KRN 1\nOBJ 1\n{record}\n")
+    for read in (store.load, store.open):
+        with pytest.raises(FormatError) as err:
+            read(str(bad))
+        assert (err.value.line, err.value.message) == (3, f"bad property name {name!r}")
+    good = tmp_path / "good.krn"
+    good.write_text('KRN 1\nOBJ 1\nPROP 1 goal:x text "q"\n')
+    loaded, _ = store.load(str(good))
+    assert loaded.get_property(1, "goal:x") == Value.text("q")
+    with store.open(str(good)) as handle:
+        assert list(handle.index[1].prop_offsets) == ["goal:x"]
+
+
+def test_an_id_too_long_for_int_is_a_format_error(tmp_path):
+    bad = tmp_path / "bad.krn"
+    bad.write_text(f"KRN 1\nOBJ 1\nOBJ {'9' * 5000}\n")
+    for read in (store.load, store.open):
+        with pytest.raises(FormatError) as err:
+            read(str(bad))
+        assert err.value.line == 3 and err.value.message.startswith("bad integer")
+
+
+def _respaced(data: bytes) -> bytes:
+    """The file with one more space after the tag of every record line
+    outside the header and the script blocks: no line keeps a form that
+    `store._RECORD` matches, so each takes the tokenising path."""
+    lines = data.split(b"\n")
+    inside = False
+    for i, line in enumerate(lines[1:], 1):
+        if line in (b"<<<", b">>>"):
+            inside = line == b"<<<"
+        elif line and not inside:
+            lines[i] = line.replace(b" ", b"  ", 1)
+    return b"\n".join(lines)
+
+
+def test_matched_and_tokenised_records_read_alike(tmp_path):
+    rng = random.Random(5151)
+    for i in range(40):
+        net, lexicon = random_net(rng, max_objects=rng.choice([3, 8, 30]))
+        net.add_action(None, min(net.objects), "set object.x = 1;",
+                       provenance=Provenance.INFERRED)
+        path = _saved(tmp_path, net, lexicon, f"net{i}.krn")
+        spaced = tmp_path / f"spaced{i}.krn"
+        spaced.write_bytes(_respaced(Path(path).read_bytes()))
+        with open(spaced, "rb") as fh:
+            assert not any(store._RECORD.match(line) for line in fh)
+        (matched, matched_lex), (tokenised, tokenised_lex) = map(store.load, (path, str(spaced)))
+        assert nets_equal(matched, tokenised) and nets_equal(matched, net), f"net {i}"
+        assert matched_lex.labels == tokenised_lex.labels == lexicon.labels
+        with store.open(path) as one, store.open(str(spaced)) as other:
+            assert one.index.keys() == other.index.keys()
+            for nid, entry in one.index.items():
+                assert entry.prop_offsets.keys() == other.index[nid].prop_offsets.keys()
+            assert (one.isa, one.labels) == (other.isa, other.labels)
+
+
+def test_every_plain_record_that_save_writes_is_matched(tmp_path):
+    # an ASCII-only net with no signal: each PROP, LABEL, OBJ and ACT line
+    # takes the matched path, so that path cannot silently stop applying,
+    # and what it reads saves back byte for byte
+    rng = random.Random(6262)
+    texts = ["", " ", "green", "two  spaces", "a-b_c!#$%&'()*+,./:;<=>?@[]^`{|}~"]
+    numbers = [0.0, -0.0, 1.5, -3.25, 1e20, 1.5e-07, float("inf"), float("-inf"), float("nan")]
+    net, lexicon = Net(), Lexicon()
+    for i in range(30):
+        prov = Provenance.INFERRED if i % 3 == 0 else Provenance.ASSERTED
+        props = [("mass", Value.num(rng.choice(numbers))),
+                 ("colour", Value.text(rng.choice(texts))),
+                 ("ready", Value.truth(i % 2 == 0)), ("guess", Value.unset()),
+                 (f"goal:{i}", Value.text("1 colour == black"))]
+        if net.objects:
+            props.append(("next", Value.ref(rng.choice(sorted(net.objects)))))
+        oid = net.add_object(props, provenance=prov)
+        lexicon.set_label(oid, rng.choice(["en", "fr", "zh-Hant"]), rng.choice(texts))
+    objects = sorted(net.objects)
+    for i in range(20):
+        aid = net.add_action(rng.choice([None, *objects]), rng.choice(objects),
+                             "set object.x = 1;" if i % 2 else None,
+                             [("antigoal:x-1", Value.num(i))],
+                             provenance=Provenance.INFERRED if i % 4 == 0 else Provenance.ASSERTED)
+        lexicon.set_label(aid, "de", f"a{i}")
+    path = _saved(tmp_path, net, lexicon)
+    seen = set()
+    with open(path, "rb") as fh:
+        for line in fh:
+            tag = line.split(b" ", 1)[0].decode()
+            if tag in ("PROP", "LABEL", "OBJ", "ACT"):
+                m = store._RECORD.match(line)
+                assert m is not None and m.lastgroup == tag, line
+                seen.add(tag)
+    assert seen == {"PROP", "LABEL", "OBJ", "ACT"}
+    again = _saved(tmp_path, *store.load(path), name="again.krn")
+    assert Path(again).read_bytes() == Path(path).read_bytes()
+
+
 def test_is_a_edge_to_an_action_is_refused_on_open_and_load(tmp_path):
     bad = tmp_path / "bad.krn"
     bad.write_text("KRN 1\nOBJ 1\nACT 2 - 1\nISA 1 2\n")
