@@ -90,7 +90,10 @@ def parse_value(tok: str) -> Value:
     if tok == "unset":
         return Value.unset()
     if tok.startswith("ref:"):
-        return Value.ref(int(tok[4:]))
+        try:
+            return Value.ref(int(tok[4:]))
+        except ValueError:
+            raise CommandError(f"bad reference {tok!r}; usage: ref:<id>") from None
     if _NUM_RE.match(tok):
         return Value.num(float(tok))
     return Value.text(tok)
@@ -255,34 +258,25 @@ def run_command(session: Session, text: str) -> list[str]:
         return [f"snapshot {snap.tick}"]
 
     if verb == "diff":
-        if len(args) != 2:
-            raise CommandError("usage: diff <tick1> <tick2>")
+        try:
+            first, second = map(int, args)
+        except ValueError:   # not two integers
+            raise CommandError("usage: diff <tick1> <tick2>") from None
         tl = sim.timeline_of(session.net)
-        a = tl.by_tick(int(args[0]))
-        b = tl.by_tick(int(args[1]))
-        return _change_lines(session, sim.diff(a, b))
+        return _change_lines(session, sim.diff(tl.by_tick(first), tl.by_tick(second)))
 
-    if verb == "collapse-obj":
+    if verb in ("collapse-obj", "collapse-act"):
         args, as_name = _take_as_name(args)
         if not args:
-            raise CommandError("usage: collapse-obj <ids...> as <name>")
+            raise CommandError(f"usage: {verb} <ids...> [as <name>]")
         inside = {session.resolve(a) for a in args}
-        nid = reasoning.collapse_to_object(session.net, inside)
+        collapse = (reasoning.collapse_to_object if verb == "collapse-obj"
+                    else reasoning.collapse_to_action)
+        nid = collapse(session.net, inside)
         if as_name:
             session.bind(as_name, nid)
-            return [f"collapse-obj {as_name} #{nid}"]
-        return [f"collapse-obj #{nid}"]
-
-    if verb == "collapse-act":
-        args, as_name = _take_as_name(args)
-        if not args:
-            raise CommandError("usage: collapse-act <ids...> [as <name>]")
-        inside = {session.resolve(a) for a in args}
-        nid = reasoning.collapse_to_action(session.net, inside)
-        if as_name:
-            session.bind(as_name, nid)
-            return [f"collapse-act {as_name} #{nid}"]
-        return [f"collapse-act #{nid}"]
+            return [f"{verb} {as_name} #{nid}"]
+        return [f"{verb} #{nid}"]
 
     if verb == "expand":
         if len(args) != 1:
@@ -306,6 +300,8 @@ def run_command(session: Session, text: str) -> list[str]:
                 paths.append(arg)
         if not paths:
             raise CommandError(usage)
+        if options["--min-support"] < 2 or not 1 <= options["--max-nodes"] <= 8:
+            raise CommandError(f"--min-support must be at least 2, --max-nodes 1 to 8; {usage}")
         nets = []
         for path in paths:
             nets.append(store.load(path)[0])

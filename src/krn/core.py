@@ -213,18 +213,6 @@ class ScriptRef:
             return "stub"
         return "none"
 
-    @classmethod
-    def none(cls) -> "ScriptRef":
-        return cls()
-
-    @classmethod
-    def inline(cls, text: str, ast: "Ast") -> "ScriptRef":
-        return cls(text=text, ast=ast)
-
-    @classmethod
-    def stub(cls, offset: int) -> "ScriptRef":
-        return cls(offset=offset)
-
 
 @dataclass
 class CollapsePayload:
@@ -271,7 +259,7 @@ class ActionRecord:
     id: NodeId
     subject: Optional[NodeId]
     target: NodeId
-    script: ScriptRef = field(default_factory=ScriptRef.none)
+    script: ScriptRef = field(default_factory=ScriptRef)
     properties: dict[str, PropertyRecord] = field(default_factory=dict)
     provenance: Provenance = Provenance.ASSERTED
     collapse_payload: Optional[CollapsePayload] = field(default=None, compare=False)
@@ -409,9 +397,9 @@ class Net:
         if script is not None:
             from .script import parse  # deferred: script depends on core
 
-            ref = ScriptRef.inline(script, parse(script))
+            ref = ScriptRef(text=script, ast=parse(script))
         else:
-            ref = ScriptRef.none()
+            ref = ScriptRef()
         props = self._build_properties(properties, provenance)
         nid = self.allocate_id()
         self.actions[nid] = ActionRecord(

@@ -349,14 +349,10 @@ def expand(net: Net, complex_id: NodeId) -> set:
 
 # ------------------------------------------------------------- matching
 
-def _names(net: Net, nid: NodeId) -> frozenset:
-    return frozenset(net.node(nid).properties.keys())
-
-
 def _compat(pattern: Net, target: Net, p: NodeId, t: NodeId, bypass_names: bool = False) -> bool:
     if pattern.is_object(p) != target.is_object(t):
         return False
-    return bypass_names or _names(pattern, p) <= _names(target, t)
+    return bypass_names or pattern.node(p).properties.keys() <= target.node(t).properties.keys()
 
 
 def _consistent(pattern: Net, target: Net, mapping: dict, p: NodeId, t: NodeId) -> bool:
@@ -1105,16 +1101,12 @@ def query_has(net: Net, instance: NodeId, fragment) -> Answer:
     """
     if instance not in net.objects:
         return Answer.UNKNOWN
+    frags = [fragment]
     if isinstance(fragment, str):
-        src = fragment.strip()
-        if not src.startswith("has ") and not any(op in src for op in _OPS) \
-                and _NAME_TOKEN.match(src):
-            frags = [property_fragment(src, source=src),
-                     part_fragment((src,), source=src)]
-        else:
-            frags = [parse_fragment(src)]
-    else:
-        frags = [fragment]
+        frag = parse_fragment(fragment)
+        frags = [frag]
+        if frag.predicates and frag.predicates[0].op == "present":   # a bare name
+            frags.append(part_fragment((frag.source,), source=frag.source))
 
     def best_answer() -> Answer:
         best = Answer.UNKNOWN

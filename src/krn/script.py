@@ -248,6 +248,11 @@ def _lex(src: str) -> list[Token]:
 
 # ---------------------------------------------------------------- parser
 
+# binary operators by level, the loosest binding first
+_LEVELS = (("or",), ("and",), ("==", "!=", "<", ">", "<=", ">="), ("+", "-"), ("*", "/"))
+_COMPARISONS = 2
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -343,42 +348,18 @@ class _Parser:
         name = self.expect("ident")
         return LValue(Role(tok.type), name.value)
 
-    def expression(self):
-        return self.or_expr()
-
-    def binary(self, tok: Token, left, right) -> Binary:
-        node = Binary(tok.type, left, right)
-        self.nest(tok, node.depth)
-        return node
-
-    def or_expr(self):
-        left = self.and_expr()
-        while self.peek().type == "or":
-            left = self.binary(self.advance(), left, self.and_expr())
-        return left
-
-    def and_expr(self):
-        left = self.cmp()
-        while self.peek().type == "and":
-            left = self.binary(self.advance(), left, self.cmp())
-        return left
-
-    def cmp(self):
-        left = self.add()
-        if self.peek().type in ("==", "!=", "<", ">", "<=", ">="):
-            return self.binary(self.advance(), left, self.add())
-        return left
-
-    def add(self):
-        left = self.mul()
-        while self.peek().type in ("+", "-"):
-            left = self.binary(self.advance(), left, self.mul())
-        return left
-
-    def mul(self):
-        left = self.unary()
-        while self.peek().type in ("*", "/"):
-            left = self.binary(self.advance(), left, self.unary())
+    def expression(self, level: int = 0):
+        """An expression whose binary operators bind at least as tightly as
+        those of _LEVELS[level]; all but comparisons associate to the left."""
+        if level == len(_LEVELS):
+            return self.unary()
+        left = self.expression(level + 1)
+        while self.peek().type in _LEVELS[level]:
+            tok = self.advance()
+            left = Binary(tok.type, left, self.expression(level + 1))
+            self.nest(tok, left.depth)
+            if level == _COMPARISONS:   # comparisons do not chain
+                break
         return left
 
     def unary(self):

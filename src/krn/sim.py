@@ -203,15 +203,13 @@ def timeline_of(net: Net) -> Timeline:
     return net.timeline
 
 
-def snapshot(net: Net, timeline: Timeline | None = None) -> Snapshot:
+def snapshot(net: Net) -> Snapshot:
     """Capture all hydrated property values at a fresh tick.
 
     The snapshot is recorded in the net's own timeline, the only one the
-    net reports its changes to; any other timeline raises ValueError.
+    net reports its changes to.
     """
     tl = timeline_of(net)
-    if timeline is not None and timeline is not tl:
-        raise ValueError("a snapshot can only be recorded in its net's own timeline")
     snap = Snapshot(net.next_tick(), tl.record(net))
     tl.append(snap)
     return snap

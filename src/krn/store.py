@@ -27,20 +27,22 @@ ends must be objects); of several bad references, the first in file
 order is reported. A line in one of the forms `save` writes for the
 bulk of a file (a PROP with a plain value, a LABEL, an OBJ, an ACT) is
 matched whole by one compiled pattern and decoded from the match; any
-other line is decoded to text and split into tokens, and that path
-finds every fault. `load` decodes each record as it passes, and matched
-records with equal value tokens share one Value. It reads script texts
-only once the framing and references hold, so a fault inside a script
-never hides a later framing or reference fault that `open` would
-report; each distinct text is parsed once per load, and actions with
-equal text share the AST. `script.parse` memoises by text across loads, so a
-reload parses no script seen before. `open` decodes no values:
-it builds a byte-offset index, and nothing beyond the index is held in
-memory until a node is stubbed in and its properties or script are
-hydrated one by one. A handle reads only the file it indexed: once the
-path's device, inode, size or modification time differ from those at
-open, every lazy read raises FormatError. A ScriptParseError from
-either reader names the action and gives the file line.
+other line goes through the one line decoder that the lazy reads use,
+and that path finds every fault. `load` decodes each record as it
+passes, and matched records with equal value tokens share one Value. It
+reads script texts only once the framing and references hold, so a
+fault inside a script never hides a later framing or reference fault
+that `open` would report; each distinct text is parsed once per load,
+and actions with equal text share the AST. `script.parse` memoises by
+text across loads, so a reload parses no script seen before. `open`
+decodes no values: it builds a byte-offset index, and nothing beyond
+the index is held in memory until a node is stubbed in (from the index
+alone) and its properties or script are hydrated one by one. A handle
+reads only the file it indexed: once the path's device, inode, size or
+modification time differ from those at open, every lazy read raises
+FormatError, and so does a lazy read that finds any record but the one
+indexed at its offset. A ScriptParseError from either reader names the
+action and gives the file line.
 
 A save is byte-deterministic (records sorted by id, properties by name)
 and atomic: it writes a temp file beside the target, syncs it and
@@ -135,17 +137,6 @@ def decode_text(tok: str, line: int) -> str:
 # a quoted token runs to the first unescaped quote; a lone quote is one
 # that never closes
 _TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[^ "][^ ]*|"', re.DOTALL)
-
-
-def _split_record(line: str, lineno: int) -> list[str]:
-    """Split a record line on spaces, keeping quoted text as one token."""
-    if '"' not in line:
-        tokens = line.split(" ")
-        return tokens if "" not in tokens else [t for t in tokens if t]
-    tokens = _TOKEN_RE.findall(line)
-    if '"' in tokens:
-        raise FormatError("unterminated quote", lineno)
-    return tokens
 
 
 def _encode_origin(origin: SensorAddress) -> str:
@@ -346,11 +337,23 @@ _RECORD = re.compile(rb"""
 """, re.X)
 
 
-def _text(raw: bytes, lineno: int) -> str:
+def _tokens(raw: bytes, lineno: int) -> list[str] | None:
+    """The tokens of one record line, its tag's arity checked; None for a
+    blank line. Tokens are split on spaces, quoted text kept whole."""
     try:
-        return raw.decode("utf-8").rstrip("\n")
+        line = raw.decode("utf-8").rstrip("\n")
     except UnicodeDecodeError:
         raise FormatError("undecodable line", lineno) from None
+    if not line.strip():
+        return None
+    toks = _TOKEN_RE.findall(line)
+    if '"' in toks:
+        raise FormatError("unterminated quote", lineno)
+    arity = _ARITY.get(toks[0])
+    if arity is None or len(toks) not in arity:
+        raise FormatError(f"malformed {toks[0]} record" if arity
+                          else f"unknown record {toks[0]!r}", lineno)
+    return toks
 
 
 def _script_block(fh, head: int) -> list[bytes]:
@@ -394,7 +397,7 @@ def _read(fh, decode: bool):
     text decoded and parsed only after the reference checks, equal texts
     sharing one parse. Without it, each is kept as its byte offset, for
     the index. Returns (nodes, props, scripts, isa, labels): nodes maps id
-    to (tag, provenance, subject, target, offset, line) in file order;
+    to (tag, provenance, subject, target, line) in file order;
     props maps id to {name: kept}; scripts maps id to kept.
     """
     raw = fh.readline()
@@ -450,37 +453,17 @@ def _read(fh, decode: bool):
                     raise FormatError(f"duplicate node id {nid}", lineno)
                 prov = INFERRED if m[tag] else ASSERTED
                 if tag == "OBJ":
-                    nodes[nid] = (tag, prov, None, None, start, lineno)
+                    nodes[nid] = (tag, prov, None, None, lineno)
                 else:
                     subject = None if m[13] == b"-" else int(m[13])
-                    nodes[nid] = (tag, prov, subject, int(m[14]), start, lineno)
+                    nodes[nid] = (tag, prov, subject, int(m[14]), lineno)
             continue
-        try:
-            line = raw.decode("utf-8").rstrip("\n")
-        except UnicodeDecodeError:
-            raise FormatError("undecodable line", lineno) from None
-        if '"' in line:
-            toks = _TOKEN_RE.findall(line)
-            if '"' in toks:
-                raise FormatError("unterminated quote", lineno)
-        else:
-            toks = line.split(" ")
-            if "" in toks:
-                toks = [t for t in toks if t]
-                if not toks:
-                    continue
+        toks = _tokens(raw, lineno)
+        if toks is None:
+            continue
         tag = toks[0]
-        arity = _ARITY.get(tag)
-        if arity is None or len(toks) not in arity:
-            if not line.strip():
-                continue
-            raise FormatError(f"malformed {tag} record" if arity
-                              else f"unknown record {tag!r}", lineno)
         if tag == "PROP" or tag == "SIG":
-            try:
-                owner = int(toks[1])
-            except ValueError:
-                raise FormatError(f"bad integer {toks[1]!r}", lineno) from None
+            owner = _int(toks[1], lineno)
             named = props.get(owner)
             if named is None:
                 named = props[owner] = {}
@@ -492,10 +475,7 @@ def _read(fh, decode: bool):
                 raise FormatError(f"duplicate property {name!r} on {owner}", lineno)
             named[name] = _decode_prop(toks, lineno) if decode else start
         elif tag == "LABEL":
-            try:
-                node = int(toks[1])
-            except ValueError:
-                raise FormatError(f"bad integer {toks[1]!r}", lineno) from None
+            node = _int(toks[1], lineno)
             if not valid_language_tag(toks[2]):
                 raise FormatError(f"bad language tag {toks[2]!r}", lineno)
             labels.append((node, toks[2], decode_text(toks[3], lineno)))
@@ -504,7 +484,7 @@ def _read(fh, decode: bool):
             nid, prov, subject, target = _decode_node(toks, lineno)
             if nid in nodes:
                 raise FormatError(f"duplicate node id {nid}", lineno)
-            nodes[nid] = (tag, prov, subject, target, start, lineno)
+            nodes[nid] = (tag, prov, subject, target, lineno)
         elif tag == "SCRIPT":
             head = lineno
             block = _script_block(fh, head)
@@ -523,7 +503,7 @@ def _read(fh, decode: bool):
     # of several bad ones the first in file order is reported
     bad = [(line, f"{tag} record refers to unknown node {nid}")
            for tag, first in owners.items() for nid, line in first.items() if nid not in nodes]
-    ends = ((line, tag, end, "OBJ") for tag, _, subject, target, _, line in nodes.values()
+    ends = ((line, tag, end, "OBJ") for tag, _, subject, target, line in nodes.values()
             if tag == "ACT" for end in (target, subject) if end is not None)
     for checked in (ends, refs):
         for line, tag, nid, need in checked:   # in file order: the first bad one will do
@@ -561,7 +541,7 @@ def _load(fh) -> tuple[Net, Lexicon]:
     net = Net()
     objects, actions = net.objects, net.actions
     for nid in sorted(nodes):
-        tag, prov, subject, target, _, _ = nodes[nid]
+        tag, prov, subject, target, _ = nodes[nid]
         named = props.get(nid)
         properties = {name: named[name] for name in sorted(named)} if named else {}
         if tag == "OBJ":
@@ -602,11 +582,12 @@ class HydrationStats:
     bytes_read: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class IndexEntry:
     kind: str                      # "obj" | "act"
-    offset: int
     inferred: bool = False
+    subject: NodeId | None = None  # an action's endpoints, as the scan read them
+    target: NodeId | None = None
     prop_offsets: dict[str, int] = field(default_factory=dict)
     script_offset: int | None = None
 
@@ -650,10 +631,9 @@ class StoreHandle:
     def _scan(self) -> None:
         nodes, props, scripts, self.isa, self.labels = _read(self._fh, decode=False)
         self.stats.bytes_read += self._fh.tell()
-        for nid, (tag, prov, _, _, offset, _) in nodes.items():
-            self.index[nid] = IndexEntry(
-                tag.lower(), offset, prov is INFERRED,
-                props.get(nid, {}), scripts.get(nid))
+        for nid, (tag, prov, subject, target, _) in nodes.items():
+            self.index[nid] = IndexEntry(tag.lower(), prov is INFERRED, subject, target,
+                                         props.get(nid, {}), scripts.get(nid))
 
     # -- reads --
 
@@ -671,21 +651,28 @@ class StoreHandle:
         self._fh.seek(0)
         return self._fh.read(offset).count(b"\n") + 1
 
-    def _read_at(self, offset: int, decode):
-        """decode(tokens, script text, line) of the record at a byte offset.
+    def _read_at(self, offset: int, nid: NodeId, name: str | None):
+        """Property `name` of node `nid`, decoded from the record at a byte
+        offset, or with `name` None the text of action `nid`'s script.
 
-        A FormatError carries the record's real line, counted only then.
+        A same-size rewrite within one clock tick passes the identity check,
+        so any record there but that PROP/SIG or SCRIPT raises
+        FormatError("indexed record missing"). A FormatError carries the
+        record's real line, counted only then.
         """
         self._fh.seek(offset)
         try:
-            toks = _split_record(_text(self._fh.readline(), 1), 1)
-            if not toks or len(toks) not in _ARITY.get(toks[0], ()):
+            toks = _tokens(self._fh.readline(), 1)
+            tags = ("SCRIPT",) if name is None else ("PROP", "SIG")
+            if (toks is None or toks[0] not in tags or _int(toks[1], 1) != nid
+                    or name is not None and toks[2] != name):
                 raise FormatError("indexed record missing", 1)
-            text = None
-            if toks[0] == "SCRIPT":
-                text = _script_text(_script_block(self._fh, 1), 1)
+            if name is None:
+                kept = _script_text(_script_block(self._fh, 1), 1)
+            else:
+                kept = _decode_prop(toks, 1)
             self.stats.bytes_read += self._fh.tell() - offset
-            return decode(toks, text, 1)
+            return kept
         except FormatError as exc:
             raise FormatError(exc.message, self._line_at(offset) - 1 + exc.line) from None
 
@@ -717,8 +704,7 @@ class StoreHandle:
         if entry.kind == "obj":
             net.objects[nid] = ObjectRecord(id=nid, properties=props, provenance=prov)
         else:
-            _, _, subject, target = self._read_at(
-                entry.offset, lambda toks, _text, line: _decode_node(toks, line))
+            subject, target = entry.subject, entry.target
             # the file's endpoints are objects (checked on open); the net's
             # own nodes may still clash with their ids
             for endpoint in (subject, target):   # check both before changing anything
@@ -731,10 +717,9 @@ class StoreHandle:
             for endpoint in (subject, target):
                 if endpoint is not None and endpoint not in net.objects:
                     self._stub(endpoint, net)
-            script = (ScriptRef.stub(entry.script_offset)
-                      if entry.script_offset is not None else ScriptRef.none())
             net.actions[nid] = ActionRecord(
-                id=nid, subject=subject, target=target, script=script,
+                id=nid, subject=subject, target=target,
+                script=ScriptRef(offset=entry.script_offset),
                 properties=props, provenance=prov,
             )
             if subject is not None:
@@ -760,7 +745,7 @@ class StoreHandle:
         prop = rec.properties.get(name)
         if prop is not None and prop.load_state is PROP_HYDRATED:
             return prop.value
-        prop = self._read_at(offset, lambda toks, _text, line: _decode_prop(toks, line))
+        prop = self._read_at(offset, nid, name)
         rec.properties[name] = prop
         net.touch(nid)
         if (nid, name) not in self._hydrated_props:
@@ -783,7 +768,7 @@ class StoreHandle:
             return act.script.ast
         if act.script.state == "none" or entry.script_offset is None:
             raise UnknownScript(f"action {action_id} has no script")
-        text = self._read_at(entry.script_offset, lambda _toks, text, _line: text)
+        text = self._read_at(entry.script_offset, action_id, None)
         try:
             ast = parse_script(text)
         except ScriptParseError as exc:
@@ -814,7 +799,7 @@ class StoreHandle:
                 rec.properties[name] = PropertyRecord(name, _UNSET, None, PROP_STUB)
         net.touch(nid)
         if isinstance(rec, ActionRecord) and entry.script_offset is not None:
-            rec.script = ScriptRef.stub(entry.script_offset)
+            rec.script = ScriptRef(offset=entry.script_offset)
 
     def load_full(self) -> tuple[Net, Lexicon]:
         """Read everything into a fresh net plus its labels, as `load` does."""
@@ -830,8 +815,6 @@ def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
 
 
 def open(path: str) -> StoreHandle:  # noqa: A001 - deliberate name
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     return StoreHandle(path)
 
 

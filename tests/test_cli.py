@@ -2,6 +2,8 @@ import io
 import subprocess
 import sys
 
+import pytest
+
 from krn.cli import run_lines, split_commands
 
 
@@ -129,6 +131,23 @@ def test_mine_flag_without_an_integer_value_is_a_usage_error(tmp_path):
         assert code == 1, command
         assert out.startswith("error: CommandError: "), out
         assert out.rstrip().endswith(usage), out
+
+
+@pytest.mark.parametrize("command, usage", [
+    ("diff 1 >", "usage: diff <tick1> <tick2>"),
+    ("set a.x ref:zz", "usage: ref:<id>"),
+    ("obj b x=ref:abc", "usage: ref:<id>"),
+    ("mine --max-nodes 0 {p} {q}", "usage: mine [--min-support N] [--max-nodes K] <paths...>"),
+    ("mine --min-support 1 {p} {q}", "usage: mine [--min-support N] [--max-nodes K] <paths...>"),
+    ("collapse-obj as tv", "usage: collapse-obj <ids...> [as <name>]"),
+])
+def test_a_usage_fault_is_a_command_error(tmp_path, command, usage):
+    p = tmp_path / "a.krn"
+    q = tmp_path / "b.krn"
+    out, code = run_script(f"new\nobj a\nsave {p}\nsave {q}\nsnap\n" + command.format(p=p, q=q))
+    assert code == 1
+    assert out.splitlines()[-1].startswith("error: CommandError: "), out
+    assert out.rstrip().endswith(usage), out
 
 
 def test_snapshots_and_classification():

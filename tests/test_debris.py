@@ -1,0 +1,86 @@
+"""No debris in `src/krn`: every import is used, and every module-level
+private def or constant is named somewhere in the package."""
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "krn"
+
+
+def _trees():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    return {module: (source, ast.parse(source)) for module, source in sources.items()}
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            yield from (elt.value for elt in node.value.elts)
+
+
+def _names_used(tree) -> set[str]:
+    """Every name a module reads: plain names, attributes, names inside
+    quoted annotations and the entries of `__all__`."""
+    used = set(_exported(tree))
+    quoted = [ast.parse(node.value, mode="eval")
+              for annotation in _annotations(tree) if annotation is not None
+              for node in ast.walk(annotation)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    for node in (n for root in [tree, *quoted] for n in ast.walk(root)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, (source, tree) in _trees().items():
+        lines = source.splitlines()
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{module}:{node.lineno} {bound}")
+    assert not unused, unused
+
+
+def _private_top_level(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield node.lineno, target.id
+
+
+def test_every_private_module_name_is_used():
+    trees = _trees()
+    # named anywhere in the package, a docstring included, besides its definition
+    text = "\n".join(source for source, _ in trees.values())
+    unused = [f"{module}:{line} {name}"
+              for module, (_, tree) in trees.items()
+              for line, name in _private_top_level(tree)
+              if name.startswith("_") and not name.startswith("__")
+              and len(re.findall(rf"(?<!\w){name}(?!\w)", text)) < 2]
+    assert not unused, unused

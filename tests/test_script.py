@@ -52,6 +52,14 @@ def test_precedence_star_binds_tighter():
     assert net.get_property(target, "x") == Value.num(7.0)
 
 
+def test_comparisons_do_not_chain():
+    with pytest.raises(ScriptParseError) as err:
+        parse("set object.x = 1 < 2 < 3;")
+    assert (err.value.line, err.value.column) == (1, 22)
+    expr = parse("set object.x = (1 < 2) == true;").statements[0].expr
+    assert expr.op == "==" and expr.left.op == "<"
+
+
 def test_parse_if_else():
     ast = parse("if object.a > 1 { set object.b = 2; } else { unset object.c; }")
     st = ast.statements[0]

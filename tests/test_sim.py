@@ -6,7 +6,7 @@ from krn import ConceptTemplate, Net, Value, reasoning, store
 from krn.core import PropLoad, SensorAddress, SensorSignal
 from krn.errors import BatchError, FormatError, KrnError, UnknownScript
 from krn.script import apply_undo
-from krn.sim import Snapshot, Timeline, classify_change, diff, load_verb_table, run_action, run_pending, snapshot, timeline_of
+from krn.sim import Snapshot, classify_change, diff, load_verb_table, run_action, run_pending, snapshot, timeline_of
 
 from helpers import chameleon_signals, person_pattern, rand_name, rand_value, random_net, wall_net
 
@@ -39,7 +39,7 @@ def test_two_snapshots_without_mutation_are_equal_states():
 def test_timeline_ticks_strictly_increase():
     net = Net()
     tl = timeline_of(net)
-    ticks = [snapshot(net, tl).tick for _ in range(5)]
+    ticks = [snapshot(net).tick for _ in range(5)]
     assert ticks == sorted(ticks)
     assert len(set(ticks)) == 5
     with pytest.raises(ValueError):
@@ -399,12 +399,6 @@ def test_run_action_records_only_changed_keys():
     assert sum(len(keys) for keys in post.changed) == 2
     assert len(post) == 2000
     assert diff(tl.snapshots[-2], tl.snapshots[-1])[0].after == Value.num(1)
-
-
-def test_snapshot_refuses_a_foreign_timeline():
-    net = Net()
-    with pytest.raises(ValueError):
-        snapshot(net, Timeline())
 
 
 def test_a_key_reads_its_base_value_until_its_first_change():

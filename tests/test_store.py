@@ -164,7 +164,9 @@ def test_load_stub_action_wires_endpoints_without_script(tmp_path):
     path = _saved(tmp_path, net)
     with store.open(path) as handle:
         target = Net()
+        scanned = handle.stats.bytes_read
         handle.load_stub(paint, target)
+        assert handle.stats.bytes_read == scanned   # endpoints come from the index
         assert target.actions[paint].subject == man
         assert target.actions[paint].target == wall
         assert target.objects[man].outgoing == [paint]
@@ -846,3 +848,47 @@ def test_handle_refuses_a_file_replaced_by_a_save(tmp_path, call):
         with pytest.raises(FormatError, match="changed since it was opened"):
             getattr(handle, call)(*args)
     assert not target.objects and not target.actions
+
+
+def _rewritten_in_place(path, data):
+    """New bytes of the same size in the same file, its modification time put
+    back: what a same-size edit within one coarse clock tick leaves."""
+    st = os.stat(path)
+    assert len(data) == st.st_size
+    with open(path, "r+b") as fh:
+        fh.write(data)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+@pytest.mark.parametrize("name, found", [
+    ("colour", "OBJ 2"),                        # another kind of record
+    ("colour", "ISA 1 colour"),                 # another tag naming that node and name
+    ("colour", 'PROP 1 shade text "green"'),    # another property of that node
+    ("colour", 'PROP 2 colour text "green"'),   # that property of another node
+    (None, "ISA 3 1"),                          # no script at a script's offset
+    (None, "SCRIPT 2"),                         # another node's script
+])
+def test_a_lazy_read_refuses_a_record_that_is_not_the_one_indexed(tmp_path, name, found):
+    net = Net()
+    wall = net.add_object([("colour", Value.text("green"))])
+    net.add_object([])
+    paint = net.add_action(None, wall, 'set object.colour = "black";')
+    path = _saved(tmp_path, net)
+    data = Path(path).read_bytes()
+    with store.open(path) as handle:
+        offset = (handle.index[wall].prop_offsets[name] if name
+                  else handle.index[paint].script_offset)
+        end = data.index(b"\n", offset)
+        assert len(found) <= end - offset
+        _rewritten_in_place(path, data[:offset] + found.ljust(end - offset).encode() + data[end:])
+        target = Net()
+        with pytest.raises(FormatError, match="indexed record missing") as err:
+            if name:
+                handle.hydrate_property(wall, name, target)
+            else:
+                handle.hydrate_script(paint, target)
+        assert err.value.line == (3 if name else 6)
+    if name:
+        assert target.objects[wall].properties[name].load_state is PropLoad.STUB
+    else:
+        assert target.actions[paint].script.state == "stub"
