@@ -16,8 +16,9 @@ from .errors import MalformedCondition
 from .reasoning import Fragment, fragment_state, parse_fragment
 # find_matches is re-exported: bench/tracing.py wraps `agent.find_matches`.
 from .reasoning import find_matches  # noqa: F401
+from .sim import Snapshot, changes_over
 # diff is re-exported: bench/tracing.py wraps `agent.diff` as a call site.
-from .sim import Snapshot, diff  # noqa: F401
+from .sim import diff  # noqa: F401
 
 
 @dataclass
@@ -98,13 +99,7 @@ def compare_with_reality(model: SelfModel, predicted: Snapshot,
     Reality is authoritative only for properties present in the sensed
     snapshot; everything else is left uncontradicted.
     """
-    changes: list[PropertyChange] = []
-    for key in sorted(sensed.state):
-        before = predicted.state.get(key)
-        after = sensed.state[key]
-        if before != after:
-            changes.append(PropertyChange(key[0], key[1], before, after))
-    return changes
+    return changes_over(sensed.state.keys(), predicted.state, sensed.state)
 
 
 def reality_snapshot(model: SelfModel) -> Snapshot:

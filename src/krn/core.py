@@ -17,6 +17,7 @@ provenance.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -176,6 +177,10 @@ def values_equal(a: Value, b: Value) -> bool:
     if a.kind is KIND_UNSET:
         return True
     return a.data == b.data
+
+
+# the ordering operators of scripts and fragment predicates, on numbers only
+ORDERINGS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 
 
 @dataclass(slots=True)

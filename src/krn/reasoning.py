@@ -30,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
+    ORDERINGS,
     ActionRecord,
     CollapsePayload,
     Kind,
@@ -948,9 +949,6 @@ class Answer(enum.Enum):
     UNKNOWN = "unknown"
 
 
-_OPS = ("==", "!=", "<=", ">=", "<", ">")
-
-
 @dataclass(frozen=True)
 class Predicate:
     node: NodeId
@@ -987,6 +985,8 @@ def part_fragment(part_names, source: str = "") -> Fragment:
 
 _NAME_TOKEN = re.compile(r"[a-z][a-z0-9_-]*\Z")
 _NUM_TOKEN = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
+# the leftmost operator, the longest at its place
+_PREDICATE_OP = re.compile(r"[=!<>]=|[<>]")
 
 
 def parse_literal(tok: str) -> Value:
@@ -1016,13 +1016,12 @@ def parse_fragment(text: str) -> Fragment:
         if not _NAME_TOKEN.match(name):
             raise MalformedCondition(f"bad part name {name!r}")
         return part_fragment((name,), source=src)
-    for op in _OPS:
-        if op in src:
-            name, lit = src.split(op, 1)
-            name = name.strip()
-            if not _NAME_TOKEN.match(name):
-                raise MalformedCondition(f"bad property name {name!r}")
-            return property_fragment(name, op, parse_literal(lit), source=src)
+    op = _PREDICATE_OP.search(src)
+    if op:
+        name = src[:op.start()].strip()
+        if not _NAME_TOKEN.match(name):
+            raise MalformedCondition(f"bad property name {name!r}")
+        return property_fragment(name, op[0], parse_literal(src[op.end():]), source=src)
     if not _NAME_TOKEN.match(src):
         raise MalformedCondition(f"bad fragment {text!r}")
     return property_fragment(src, source=src)
@@ -1033,11 +1032,7 @@ def _compare(op: str, left: Value, right: Value) -> bool:
         return values_equal(left, right)
     if op == "!=":
         return not values_equal(left, right)
-    if left.kind is not Kind.NUM or right.kind is not Kind.NUM:
-        return False
-    table = {"<": left.data < right.data, ">": left.data > right.data,
-             "<=": left.data <= right.data, ">=": left.data >= right.data}
-    return table[op]
+    return left.kind is Kind.NUM and right.kind is Kind.NUM and ORDERINGS[op](left.data, right.data)
 
 
 def check_predicate(net: Net, pred: Predicate, image: NodeId):
@@ -1067,12 +1062,8 @@ def fragment_state(net: Net, anchor: NodeId, frag: Fragment) -> tuple[bool | Non
     """
     if anchor not in net.objects and anchor not in net.actions:
         return None, False
-    try:
-        matches = find_matches(frag.pattern, net, anchor=(frag.root, anchor))
-    except UnknownNode:
-        return None, False
     verdict = False
-    for m in matches:
+    for m in find_matches(frag.pattern, net, anchor=(frag.root, anchor)):
         holds, inferred = True, False
         for pred in frag.predicates:
             res = check_predicate(net, pred, m[pred.node])

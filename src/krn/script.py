@@ -16,11 +16,15 @@ An action's behaviour is a short, loop-free list of property changes:
     mul     := unary { ("*"|"/") unary }
     unary   := [ "not" | "-" ] atom
     atom    := number | string | "true" | "false" | lvalue | "(" expr ")"
-    ident   := [a-z][a-z0-9_-]*
+    ident   := [a-z][a-z0-9_-]*        (never a keyword)
+    number  := [0-9]+ [ "." [0-9]+ ]
+    string  := '"' { escape | any character but '"', '\\' or newline } '"'
+    escape  := '\\n' | '\\t' | '\\\\' | '\\"'
 
-Comments run from `#` to end of line; whitespace is insignificant.
-Note that `-` is an identifier character, so `object.x-1` names the
-property "x-1"; write `object.x - 1` to subtract.
+Comments run from `#` to end of line; spaces, tabs and carriage returns
+are insignificant and count one column each. Note that `-` is an
+identifier character, so `object.x-1` names the property "x-1"; write
+`object.x - 1` to subtract. `1.` is the number 1 and a dot.
 
 Execution mutates the live net statement by statement and returns the
 list of effective changes, which doubles as a complete undo log.
@@ -30,12 +34,15 @@ list of effective changes, which doubles as a complete undo log.
 from __future__ import annotations
 
 import enum
+import operator
+import re
 from dataclasses import dataclass, field
 
 from .core import (
     ASSERTED,
     KIND_BOOL,
     KIND_NUM,
+    ORDERINGS,
     PROP_HYDRATED,
     PROP_STUB,
     ChangeSet,
@@ -148,10 +155,23 @@ _KEYWORDS = {
     "set", "unset", "if", "else", "or", "and", "not",
     "true", "false", "subject", "object", "self",
 }
-_TWO_CHAR = {"==", "!=", "<=", ">="}
-_ONE_CHAR = set("=<>+-*/;.{}()")
-
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
+
+# One named group per token class, then any other character and the end,
+# so the matches tile the source; blanks before a token count only toward
+# its column, and a comment yields no token. A final comment is part of
+# eof, which so stands at its '#'. An unclosed string stops at the
+# newline, the end or the backslash of a bad escape.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<word>[a-z][a-z0-9_-]*)
+  | (?P<op>[=!<>]=|[-=<>+*/;.{}()])
+  | (?P<number>[0-9]+(?:\.[0-9]+)?)
+  | (?P<newline>\n)
+  | (?P<string>"(?P<body>(?:[^"\\\n]|\\[nt\\"])*)(?P<closed>"?))
+  | (?P<eof>(?:\#[^\n]*)?\Z)
+  | (?P<comment>\#[^\n]*)
+  | (?P<bad>.)
+)""", re.VERBOSE)
 
 
 @dataclass(slots=True)
@@ -164,86 +184,33 @@ class Token:
 
 def _lex(src: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def err(msg, expected=None):
-        raise ScriptParseError(msg, line, col, expected)
-
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if "a" <= c <= "z":
-            j = i
-            while j < n and ("a" <= src[j] <= "z" or "0" <= src[j] <= "9" or src[j] in "_-"):
-                j += 1
-            word = src[i:j]
-            ttype = word if word in _KEYWORDS else "ident"
-            tokens.append(Token(ttype, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if "0" <= c <= "9":
-            j = i
-            while j < n and "0" <= src[j] <= "9":
-                j += 1
-            if j < n and src[j] == "." and j + 1 < n and "0" <= src[j + 1] <= "9":
-                j += 1
-                while j < n and "0" <= src[j] <= "9":
-                    j += 1
-            tokens.append(Token("number", float(src[i:j]), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while True:
-                if j >= n or src[j] == "\n":
-                    err("unterminated string", expected='"')
-                ch = src[j]
-                if ch == '"':
-                    j += 1
-                    break
-                if ch == "\\":
-                    if j + 1 >= n or src[j + 1] not in _ESCAPES:
-                        err("bad escape in string")
-                    out.append(_ESCAPES[src[j + 1]])
-                    j += 2
-                    continue
-                out.append(ch)
-                j += 1
-            tokens.append(Token("string", "".join(out), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = src[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(two, two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(Token(c, c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        err(f"unexpected character {c!r}")
-    tokens.append(Token("eof", None, line, col))
-    return tokens
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        text = m[kind]
+        col = m.end() - len(text) - line_start + 1
+        if kind == "word":
+            tokens.append(Token(text if text in _KEYWORDS else "ident", text, line, col))
+        elif kind == "op":
+            tokens.append(Token(text, text, line, col))
+        elif kind == "number":
+            tokens.append(Token("number", float(text), line, col))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "string":
+            if not m["closed"]:
+                if src.startswith("\\", m.end()):
+                    raise ScriptParseError("bad escape in string", line, col)
+                raise ScriptParseError("unterminated string", line, col, '"')
+            body = m["body"]
+            if "\\" in body:
+                body = re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], body)
+            tokens.append(Token("string", body, line, col))
+        elif kind == "eof":
+            tokens.append(Token("eof", None, line, col))
+            return tokens
+        elif kind == "bad":
+            raise ScriptParseError(f"unexpected character {text!r}", line, col)
 
 
 # ---------------------------------------------------------------- parser
@@ -604,6 +571,9 @@ def _eval(ex, ctx: ExecContext) -> Value:
     raise TypeMismatch(f"unknown expression {ex!r}")
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _eval_binary(ex: Binary, ctx: ExecContext) -> Value:
     op = ex.op
     if op in ("and", "or"):
@@ -624,33 +594,16 @@ def _eval_binary(ex: Binary, ctx: ExecContext) -> Value:
         return Value.truth(values_equal(left, right))
     if op == "!=":
         return Value.truth(not values_equal(left, right))
-    if op in ("<", ">", "<=", ">="):
-        if left.kind is not KIND_NUM or right.kind is not KIND_NUM:
-            raise TypeMismatch(
-                f"ordering needs numbers, got {left.kind.value} {op} {right.kind.value}"
-            )
-        table = {
-            "<": left.data < right.data,
-            ">": left.data > right.data,
-            "<=": left.data <= right.data,
-            ">=": left.data >= right.data,
-        }
-        return Value.truth(table[op])
     if left.kind is not KIND_NUM or right.kind is not KIND_NUM:
-        raise TypeMismatch(
-            f"arithmetic needs numbers, got {left.kind.value} {op} {right.kind.value}"
-        )
-    if op == "+":
-        return Value.num(left.data + right.data)
-    if op == "-":
-        return Value.num(left.data - right.data)
-    if op == "*":
-        return Value.num(left.data * right.data)
-    if op == "/":
-        if right.data == 0.0:
-            raise DivisionByZero("division by zero")
-        return Value.num(left.data / right.data)
-    raise TypeMismatch(f"unknown operator {op!r}")
+        what = "ordering" if op in ORDERINGS else "arithmetic"
+        raise TypeMismatch(f"{what} needs numbers, got {left.kind.value} {op} {right.kind.value}")
+    if op in ORDERINGS:
+        return Value.truth(ORDERINGS[op](left.data, right.data))
+    if op == "/" and right.data == 0.0:
+        raise DivisionByZero("division by zero")
+    if op not in _ARITHMETIC:
+        raise TypeMismatch(f"unknown operator {op!r}")
+    return Value.num(_ARITHMETIC[op](left.data, right.data))
 
 
 def apply_undo(net: Net, changes: ChangeSet) -> None:

@@ -29,7 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .core import PROP_HYDRATED, ChangeSet, Net, NodeId, PropertyChange, Value
-from .errors import BatchError, FormatError, KrnError, UnknownNode, UnknownScript
+from .errors import BatchError, FormatError, KrnError, NoLabel, UnknownNode, UnknownScript
 from .lexicon import Lexicon
 from .script import ExecContext, execute
 
@@ -268,13 +268,14 @@ def diff(a: Snapshot, b: Snapshot) -> list[PropertyChange]:
         keys = sa.changed_between(sb)
     else:
         keys = sa.keys() | sb.keys()
-    changes: list[PropertyChange] = []
-    for key in sorted(keys):
-        before = sa.get(key)
-        after = sb.get(key)
-        if before != after:
-            changes.append(PropertyChange(key[0], key[1], before, after))
-    return changes
+    return changes_over(keys, sa, sb)
+
+
+def changes_over(keys, before: Mapping, after: Mapping) -> list[PropertyChange]:
+    """A change for each (node, name) key whose value differs between two
+    snapshot states, in key order; an absent key reads as None."""
+    return [PropertyChange(key[0], key[1], old, new) for key in sorted(keys)
+            if (old := before.get(key)) != (new := after.get(key))]
 
 
 def load_verb_table(path: str) -> dict[str, str]:
@@ -320,8 +321,6 @@ def classify_change(
     if lexicon is not None and lang is not None:
         nodes = lexicon.lookup("en", key)
         if len(nodes) == 1:
-            from .errors import NoLabel
-
             try:
                 text, _ = lexicon.label_of(next(iter(nodes)), lang)
                 return text

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import pytest
@@ -21,7 +22,8 @@ from krn.agent import (
     evaluate_goals,
     reality_snapshot,
 )
-from krn.errors import MalformedCondition
+from krn.errors import MalformedCondition, UnknownNode
+from krn.reasoning import fragment_state, parse_fragment
 
 from helpers import peter_net, wall_net
 from test_core import run_fuzz
@@ -66,6 +68,30 @@ def test_malformed_conditions_rejected():
         define_goal(model, "goal", model.self_node, "9bad == 1")
     with pytest.raises(MalformedCondition):
         define_goal(model, "sideways", model.self_node, "x == 1")
+
+
+@pytest.mark.parametrize("condition, op, text", [
+    ('x < "a==b"', "<", "a==b"),
+    ('x <= "a!=b"', "<=", "a!=b"),
+])
+def test_a_predicate_splits_at_its_leftmost_operator(condition, op, text):
+    (pred,) = parse_fragment(condition).predicates
+    assert (pred.name, pred.op, pred.value) == ("x", op, Value.text(text))
+    with pytest.raises(MalformedCondition):
+        parse_fragment("9bad == 1")
+
+
+def test_a_fragment_whose_root_is_not_in_its_pattern_is_an_error():
+    net = Net()
+    target = net.add_object([("height", Value.num(2))])
+    frag = parse_fragment("height == 2")
+    malformed = dataclasses.replace(frag, root=frag.root + 99)
+    with pytest.raises(UnknownNode):
+        fragment_state(net, target, malformed)
+    with pytest.raises(UnknownNode):
+        query_has(net, target, malformed)
+    assert fragment_state(net, target, frag) == (True, False)
+    assert fragment_state(net, target + 99, frag) == (None, False)
 
 
 def test_goal_lifecycle_around_painting():

@@ -84,3 +84,20 @@ def test_every_private_module_name_is_used():
               if name.startswith("_") and not name.startswith("__")
               and len(re.findall(rf"(?<!\w){name}(?!\w)", text)) < 2]
     assert not unused, unused
+
+
+def _broad(handler) -> bool:
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return handler.type is None or any(
+        isinstance(kind, ast.Name) and kind.id in ("Exception", "BaseException") for kind in kinds)
+
+
+def test_every_broad_handler_reraises():
+    """`except Exception`, `except BaseException` and a bare `except:` may
+    clean up, but must end in a bare `raise`: no fault is swallowed."""
+    swallowing = [f"{module}:{node.lineno}"
+                  for module, (_, tree) in _trees().items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler) and _broad(node)
+                  and not (isinstance(node.body[-1], ast.Raise) and node.body[-1].exc is None)]
+    assert not swallowing, swallowing

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
-from krn import ExecContext, Net, Provenance, Value, apply_undo, check, execute, parse, script, store
+from krn import (
+    Answer, ExecContext, Net, Provenance, Value, apply_undo, check, execute, parse, query_has, script,
+    store,
+)
 from krn.errors import (
     BudgetExhausted,
     DivisionByZero,
@@ -98,6 +101,63 @@ def test_comments_and_whitespace_insignificant():
 def test_string_escapes():
     ast = parse('set object.t = "a\\"b\\\\c\\nd\\te";')
     assert ast.statements[0].expr.value.data == 'a"b\\c\nd\te'
+
+
+def _tokens(src):
+    return [(t.type, t.value, t.line, t.column) for t in script._lex(src)]
+
+
+def _lex_error(src):
+    with pytest.raises(ScriptParseError) as err:
+        script._lex(src)
+    return err.value.message, err.value.line, err.value.column, err.value.expected
+
+
+def test_a_final_comment_leaves_eof_at_its_hash():
+    assert _tokens("set object.x = 1; # note")[-2:] == [(";", ";", 1, 17), ("eof", None, 1, 19)]
+    assert _tokens("x # note\n")[-1] == ("eof", None, 2, 1)
+
+
+def test_a_tab_and_a_carriage_return_are_one_column_each():
+    assert _tokens("set\tobject")[1] == ("object", "object", 1, 5)
+    assert _tokens("set x;\r\nunset y;\r\n") == [
+        ("set", "set", 1, 1), ("ident", "x", 1, 5), (";", ";", 1, 6),
+        ("unset", "unset", 2, 1), ("ident", "y", 2, 7), (";", ";", 2, 8), ("eof", None, 3, 1),
+    ]
+
+
+def test_a_backslash_before_a_newline_is_a_bad_escape_or_a_bad_character():
+    assert _lex_error('x = "a\\\nb";') == ("bad escape in string", 1, 5, None)
+    assert _lex_error("x\\\n") == ("unexpected character '\\\\'", 1, 2, None)
+
+
+def test_string_errors_stand_at_the_opening_quote():
+    assert _lex_error('x "abc') == ("unterminated string", 1, 3, '"')
+    assert _lex_error('"abc\n"') == ("unterminated string", 1, 1, '"')
+    assert _lex_error('"a\\q') == ("bad escape in string", 1, 1, None)
+    assert _lex_error('"a\\') == ("bad escape in string", 1, 1, None)
+
+
+def test_a_number_takes_one_dot_and_only_before_a_digit():
+    assert _tokens("1.5.2 1.") == [
+        ("number", 1.5, 1, 1), (".", ".", 1, 4), ("number", 2.0, 1, 5),
+        ("number", 1.0, 1, 7), (".", ".", 1, 8), ("eof", None, 1, 9),
+    ]
+
+
+def test_a_dash_after_a_name_is_part_of_it():
+    assert _tokens("object.x-1") == [
+        ("object", "object", 1, 1), (".", ".", 1, 7), ("ident", "x-1", 1, 8),
+        ("eof", None, 1, 11),
+    ]
+    assert [t[0] for t in _tokens("x - 1 <= -2")] == [
+        "ident", "-", "number", "<=", "-", "number", "eof"]
+
+
+def test_an_unexpected_character_is_reported_where_it_stands():
+    assert _lex_error("x @") == ("unexpected character '@'", 1, 3, None)
+    assert _lex_error("x\n  !x") == ("unexpected character '!'", 2, 3, None)
+    assert _lex_error("Set") == ("unexpected character 'S'", 1, 1, None)
 
 
 def test_oversized_script_rejected():
@@ -330,6 +390,25 @@ def test_type_mismatch_and_division():
     assert issubclass(DivisionByZero, TypeMismatch)
     with pytest.raises(TypeMismatch):
         execute(parse('if object.n { set object.x = 1; }'), ctx)
+
+
+@pytest.mark.parametrize("op", ["<", ">", "<=", ">="])
+def test_scripts_and_fragment_predicates_order_numbers_alike(op):
+    for x in (1.0, 2.0, 3.0):
+        expected = {"<": x < 2, ">": x > 2, "<=": x <= 2, ">=": x >= 2}[op]
+        net = Net()
+        target = net.add_object([("x", Value.num(x)), ("t", Value.text("2"))])
+        ctx = ExecContext(net, target)
+        execute(parse(f"set object.r = object.x {op} 2;"), ctx)
+        assert net.get_property(target, "r") == Value.truth(expected)
+        assert (query_has(net, target, f"x {op} 2") is Answer.YES_ASSERTED) is expected
+        assert query_has(net, target, f"t {op} 2") is Answer.UNKNOWN
+        with pytest.raises(TypeMismatch) as err:
+            execute(parse(f"set object.r = object.t {op} 2;"), ctx)
+        assert str(err.value) == f"ordering needs numbers, got text {op} num"
+    with pytest.raises(TypeMismatch) as err:
+        execute(parse("set object.r = true * 2;"), ctx)
+    assert str(err.value) == "arithmetic needs numbers, got bool * num"
 
 
 def test_cross_kind_equality_is_false_not_error():
