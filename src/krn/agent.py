@@ -33,13 +33,9 @@ class Goal:
 class SelfModel:
     """Attaches to a net; the net reports every ingested signal here."""
 
-    def __init__(self, net: Net, self_node: NodeId | None = None):
+    def __init__(self, net: Net):
         self.net = net
-        if self_node is None:
-            self_node = net.add_object([])
-        elif self_node not in net.objects:
-            raise MalformedCondition(f"self node {self_node} is not a live object")
-        self.self_node = self_node
+        self.self_node = net.add_object([])
         self.goals: list[Goal] = []
         self.sense_log: list[tuple[int, NodeId, str, SensorSignal]] = []
         self._next_goal = 1

@@ -15,12 +15,10 @@ import shlex
 import sys
 
 from . import agent, reasoning, sim, store
-from .core import Kind, Net, Value
+from .core import _NAME_RE, Kind, Net, Value
 from .errors import CommandError, KrnError, NoLabel
 from .lexicon import Lexicon
 
-_NAME_RE = re.compile(r"[a-z][a-z0-9_-]*\Z")
-_NUM_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 _ID_RE = re.compile(r"#?[0-9]+\Z")
 
 ANSWER_TEXT = {
@@ -32,19 +30,15 @@ ANSWER_TEXT = {
 
 class Session:
     def __init__(self):
-        self.net = Net()
-        self.lexicon = Lexicon()
-        self.symbols: dict[str, int] = {}
-        self.model: agent.SelfModel | None = None
         self.verb_table = sim.verb_table_from_env()
-        self._display_names: dict[int, str] | None = None   # built from symbols on demand
+        self.reset()
 
     def reset(self) -> None:
         self.net = Net()
         self.lexicon = Lexicon()
-        self.symbols = {}
-        self.model = None
-        self._display_names = None
+        self.symbols: dict[str, int] = {}
+        self.model: agent.SelfModel | None = None
+        self._display_names: dict[int, str] | None = None   # built from symbols on demand
 
     # -- name handling --
 
@@ -94,7 +88,7 @@ def parse_value(tok: str) -> Value:
             return Value.ref(int(tok[4:]))
         except ValueError:
             raise CommandError(f"bad reference {tok!r}; usage: ref:<id>") from None
-    if _NUM_RE.match(tok):
+    if reasoning._NUM_TOKEN.match(tok):
         return Value.num(float(tok))
     return Value.text(tok)
 

@@ -30,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
+    _NAME_RE,
     ORDERINGS,
     ActionRecord,
     CollapsePayload,
@@ -37,7 +38,6 @@ from .core import (
     Net,
     NodeId,
     ObjectRecord,
-    PropertyRecord,
     Provenance,
     Value,
     values_equal,
@@ -48,9 +48,11 @@ from .errors import (
     KrnError,
     MalformedCondition,
     NotCollapsed,
+    ScriptParseError,
     UnknownConcept,
     UnknownNode,
 )
+from .script import _lex
 
 # Property names used for template bookkeeping on registered concept
 # roots; they are stripped from extracted patterns.
@@ -86,11 +88,11 @@ def _copy_structure(src: Net, nodes, dst: Net, idmap: dict | None = None, *,
                     provenance: Provenance = Provenance.ASSERTED) -> dict:
     """Copy the value-free structure of `nodes` from src into dst.
 
-    Objects, then actions, each in id order, get fresh dst ids, their
-    property names minus bookkeeping, and unset values. `idmap` (src id
-    to dst id) may be seeded with nodes that already have an image; it
-    is returned with the copies added. A subject with no image is left
-    blank.
+    Objects, then actions, each in the order given, get fresh dst ids,
+    their property names minus bookkeeping, and unset values. `idmap`
+    (src id to dst id) may be seeded with nodes that already have an
+    image; it is returned with the copies added. A subject with no image
+    is left blank.
     """
     if idmap is None:
         idmap = {}
@@ -98,7 +100,6 @@ def _copy_structure(src: Net, nodes, dst: Net, idmap: dict | None = None, *,
     def names(rec) -> list:
         return [(n, Value.unset()) for n in sorted(set(rec.properties) - _BOOKKEEPING)]
 
-    nodes = sorted(nodes)
     for nid in nodes:
         if nid in src.objects:
             idmap[nid] = dst.add_object(names(src.objects[nid]), provenance=provenance)
@@ -658,30 +659,8 @@ def extract_pattern(net: Net, nodes) -> Net:
     property names are dropped.
     """
     pattern = Net()
-    _copy_structure(net, nodes, pattern)
+    _copy_structure(net, sorted(nodes), pattern)
     return pattern
-
-
-def _rebuild_in_order(net: Net, order: list) -> Net:
-    """The pattern of the node set `order`, with position i as id i+1,
-    built from the same records `extract_pattern` would copy."""
-    view = _view(net, set(order), _shape_table(net, order))
-    pos = {nid: i for i, nid in enumerate(order, 1)}
-    rebuilt = Net()
-    for nid in order:
-        kind, names, x, y = view[nid]
-        props = {n: PropertyRecord(n, Value.unset(), Provenance.ASSERTED) for n in names}
-        if kind == "o":
-            rebuilt.objects[pos[nid]] = ObjectRecord(id=pos[nid], properties=props)
-        else:
-            rebuilt.actions[pos[nid]] = ActionRecord(id=pos[nid], subject=pos.get(x),
-                                                     target=pos[y], properties=props)
-    for act in rebuilt.actions.values():
-        if act.subject is not None:
-            rebuilt.objects[act.subject].outgoing.append(act.id)
-        rebuilt.objects[act.target].incoming.append(act.id)
-    rebuilt.next_id = len(order) + 1
-    return rebuilt
 
 
 def _profile(pattern: Net) -> Counter:
@@ -727,7 +706,9 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
     if not 1 <= max_pattern_nodes <= 8:
         raise ValueError("max_pattern_nodes must be between 1 and 8")
     buckets = _supported_buckets(nets, min_support, max_pattern_nodes)
-    patterns = {key: _rebuild_in_order(net, order) for key, (_, net, order) in buckets.items()}
+    patterns = {key: Net() for key in buckets}
+    for key, (_, net, order) in buckets.items():
+        _copy_structure(net, order, patterns[key])
 
     # maximal only: drop a pattern that embeds in another; most pairs
     # fail the profile test and never reach the search
@@ -791,7 +772,7 @@ def concept_of(net: Net, concept_id: NodeId) -> ConceptTemplate:
     if concept_id not in net.objects:
         raise UnknownConcept(f"no concept object {concept_id}")
     pattern = Net()
-    idmap = _copy_structure(net, _bfs_order(net, concept_id), pattern)
+    idmap = _copy_structure(net, sorted(_bfs_order(net, concept_id)), pattern)
     root_rec = net.objects[concept_id]
     support = 0
     parent = None
@@ -983,7 +964,6 @@ def part_fragment(part_names, source: str = "") -> Fragment:
     return Fragment(pattern, root, (), source)
 
 
-_NAME_TOKEN = re.compile(r"[a-z][a-z0-9_-]*\Z")
 _NUM_TOKEN = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 # the leftmost operator, the longest at its place
 _PREDICATE_OP = re.compile(r"[=!<>]=|[<>]")
@@ -993,14 +973,22 @@ def parse_literal(tok: str) -> Value:
     tok = tok.strip()
     if not tok:
         raise MalformedCondition("empty literal")
+    if tok[0] in "=!<>":
+        raise MalformedCondition(f"second operator in literal {tok!r}")
+    if tok[0] == '"':   # exactly one script string: no other token, no comment
+        try:
+            tokens = _lex(tok)
+        except ScriptParseError as exc:
+            raise MalformedCondition(f"bad string literal {tok!r}: {exc.message}") from None
+        if len(tokens) != 2 or tokens[0].type != "string" or tokens[1].column <= len(tok):
+            raise MalformedCondition(f"literal {tok!r} is not one string")
+        return Value.text(tokens[0].value)
     if tok == "true":
         return Value.truth(True)
     if tok == "false":
         return Value.truth(False)
     if _NUM_TOKEN.match(tok):
         return Value.num(float(tok))
-    if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
-        return Value.text(tok[1:-1])
     return Value.text(tok)
 
 
@@ -1013,16 +1001,16 @@ def parse_fragment(text: str) -> Fragment:
     src = text.strip()
     if src.startswith("has ") or src.startswith("has\t"):
         name = src[4:].strip()
-        if not _NAME_TOKEN.match(name):
+        if not _NAME_RE.match(name):
             raise MalformedCondition(f"bad part name {name!r}")
         return part_fragment((name,), source=src)
     op = _PREDICATE_OP.search(src)
     if op:
         name = src[:op.start()].strip()
-        if not _NAME_TOKEN.match(name):
+        if not _NAME_RE.match(name):
             raise MalformedCondition(f"bad property name {name!r}")
         return property_fragment(name, op[0], parse_literal(src[op.end():]), source=src)
-    if not _NAME_TOKEN.match(src):
+    if not _NAME_RE.match(src):
         raise MalformedCondition(f"bad fragment {text!r}")
     return property_fragment(src, source=src)
 
@@ -1037,18 +1025,11 @@ def _compare(op: str, left: Value, right: Value) -> bool:
 
 def check_predicate(net: Net, pred: Predicate, image: NodeId):
     """True, False, or None when the referenced property is unset/absent."""
-    rec = net.node(image)
-    prop = rec.properties.get(pred.name)
-    if pred.op == "present":
-        if prop is None:
-            return None
-        inferred = prop.provenance is Provenance.INFERRED
-        return True, inferred
-    if prop is None or prop.value.is_unset:
+    prop = net.node(image).properties.get(pred.name)
+    if prop is None or pred.op != "present" and prop.value.is_unset:
         return None
-    ok = _compare(pred.op, prop.value, pred.value)
-    inferred = prop.provenance is Provenance.INFERRED
-    return ok, inferred
+    ok = pred.op == "present" or _compare(pred.op, prop.value, pred.value)
+    return ok, prop.provenance is Provenance.INFERRED
 
 
 def fragment_state(net: Net, anchor: NodeId, frag: Fragment) -> tuple[bool | None, bool]:

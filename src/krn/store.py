@@ -688,10 +688,14 @@ class StoreHandle:
         self._check_unchanged()
         self._stub(nid, net)
 
-    def _stub(self, nid: NodeId, net: Net) -> None:
+    def _entry(self, nid: NodeId) -> IndexEntry:
         entry = self.index.get(nid)
         if entry is None:
             raise UnknownNode(f"store has no node {nid}")
+        return entry
+
+    def _stub(self, nid: NodeId, net: Net) -> None:
+        entry = self._entry(nid)
         if nid in net.objects or nid in net.actions:
             return
         if nid in net.collapsed:
@@ -733,9 +737,7 @@ class StoreHandle:
     def hydrate_property(self, nid: NodeId, name: str, net: Net) -> Value:
         """Load one property value; everything else on the node stays put."""
         self._check_unchanged()
-        entry = self.index.get(nid)
-        if entry is None:
-            raise UnknownNode(f"store has no node {nid}")
+        entry = self._entry(nid)
         if nid not in net.objects and nid not in net.actions:
             self._stub(nid, net)
         offset = entry.prop_offsets.get(name)
@@ -756,9 +758,7 @@ class StoreHandle:
     def hydrate_script(self, action_id: NodeId, net: Net):
         """Read, parse, and cache an action's script; later runs reuse it."""
         self._check_unchanged()
-        entry = self.index.get(action_id)
-        if entry is None:
-            raise UnknownNode(f"store has no node {action_id}")
+        entry = self._entry(action_id)
         if action_id not in net.actions:
             if entry.kind != "act":
                 raise UnknownScript(f"node {action_id} is not an action")
@@ -787,9 +787,7 @@ class StoreHandle:
         and so are scripts that exist only in memory. Refused while a
         script is executing against the net.
         """
-        entry = self.index.get(nid)
-        if entry is None:
-            raise UnknownNode(f"store has no node {nid}")
+        entry = self._entry(nid)
         if net._executing:
             raise EvictionBlocked("cannot evict while a script is executing")
         rec = net.node(nid)

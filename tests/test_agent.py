@@ -81,6 +81,33 @@ def test_a_predicate_splits_at_its_leftmost_operator(condition, op, text):
         parse_fragment("9bad == 1")
 
 
+@pytest.mark.parametrize("condition", [
+    'x == "a',          # unclosed string
+    'x == "a\\q"',      # not a script escape
+    'x == "a" b',       # more than one string
+    'x == "a" # b',     # a script comment
+    'x <== 1',          # a second operator
+    'x > !1',
+])
+def test_a_literal_outside_the_script_string_grammar_is_refused(condition):
+    with pytest.raises(MalformedCondition):
+        parse_fragment(condition)
+
+
+@pytest.mark.parametrize("condition, value", [
+    ('x == "a\\"b"', Value.text('a"b')),
+    ('x == "tab\\there"', Value.text("tab\there")),
+    ('x == ""', Value.text("")),
+    ('x < "a==b"', Value.text("a==b")),
+    ("x == red car", Value.text("red car")),
+    ("x != -2.5", Value.num(-2.5)),
+    ("x == false", Value.truth(False)),
+])
+def test_a_literal_reads_as_a_script_string_number_truth_or_bare_text(condition, value):
+    (pred,) = parse_fragment(condition).predicates
+    assert pred.value == value
+
+
 def test_a_fragment_whose_root_is_not_in_its_pattern_is_an_error():
     net = Net()
     target = net.add_object([("height", Value.num(2))])

@@ -1,5 +1,6 @@
-"""No debris in `src/krn`: every import is used, and every module-level
-private def or constant is named somewhere in the package."""
+"""No debris in `src/krn`: every import is used, every module-level
+private def or constant is named somewhere in the package, and every
+parameter is read by its function."""
 
 import ast
 import re
@@ -101,3 +102,29 @@ def test_every_broad_handler_reraises():
                   if isinstance(node, ast.ExceptHandler) and _broad(node)
                   and not (isinstance(node.body[-1], ast.Raise) and node.body[-1].exc is None)]
     assert not swallowing, swallowing
+
+
+# public signatures whose callers pass a parameter the body does not read:
+# the CLI, the tests and bench/tracing.py call compare_with_reality(model, ...)
+_UNREAD_KEPT = {("agent.py", "compare_with_reality", "model")}
+
+
+def test_every_parameter_is_read():
+    """Dunder methods, `self` and `_`-prefixed parameters are exempt."""
+    unread = []
+    for module, (_, tree) in _trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(fn, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            args = fn.args
+            params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+            unread += [f"{module}:{fn.lineno} {name}({param.arg})" for param in params
+                       if param is not None and param.arg not in read
+                       and param.arg != "self" and not param.arg.startswith("_")
+                       and (module, name, param.arg) not in _UNREAD_KEPT]
+    assert not unread, unread

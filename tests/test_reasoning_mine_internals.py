@@ -10,15 +10,25 @@ out. Each shortcut must agree with the slow path it stands for.
 import random
 from collections import Counter
 
-from krn import ConceptTemplate, Net, Value, canonical_key, find_matches, register_concept
+from krn import (
+    ConceptTemplate,
+    Net,
+    Value,
+    canonical_key,
+    concept_of,
+    find_matches,
+    mine_concepts,
+    nets_equal,
+    register_concept,
+)
 from krn.reasoning import (
     _BOOKKEEPING,
     _canonical,
     _closed_subsets,
     _connected_subsets,
+    _copy_structure,
     _pattern_closed,
     _profile,
-    _rebuild_in_order,
     _shape_table,
     _supported_buckets,
     extract_pattern,
@@ -62,7 +72,7 @@ def test_in_place_canonical_form_and_profile_filter_agree_with_the_slow_path():
             key, order = _canonical(net, sub)
             assert key == canonical_key(extract_pattern(net, sub))
             assert sorted(order) == sorted(sub)
-            rebuilt = _rebuild_in_order(net, order)
+            _copy_structure(net, order, rebuilt := Net())
             assert canonical_key(rebuilt) == key
             assert rebuilt.validate_bipartite().ok
             patterns.append(rebuilt)
@@ -140,3 +150,22 @@ def test_relabelled_copies_have_equal_invariants():
         closed = _closed_subsets(net, _shape_table(net, net.node_ids()), shape_index, 4)
         relabelled = _closed_subsets(twin, _shape_table(twin, twin.node_ids()), shape_index, 4)
         assert {frozenset(idmap[n] for n in sub): inv for sub, inv in closed} == dict(relabelled)
+
+
+def test_a_mined_template_survives_registration_unchanged():
+    """A mined pattern numbers its objects, then its actions, as a
+    registered concept read back does, so the round trip keeps every id."""
+    rng = random.Random(1111)
+    templates = mixed = 0
+    for _ in range(12):
+        for template in mine_concepts([_vocab_net(rng) for _ in range(3)], 2, 4):
+            host = Net()
+            back = concept_of(host, register_concept(host, template))
+            assert nets_equal(back.pattern, template.pattern)
+            assert back.pattern.node_ids() == template.pattern.node_ids()
+            assert (back.root, back.support) == (template.root, template.support)
+            nodes = canonical_key(template.pattern).split("#")[0].split("|")
+            kinds = "".join(node[0] for node in nodes)   # "o" or "a", canonical order
+            templates += 1
+            mixed += "ao" in kinds   # an action comes before an object in canonical order
+    assert templates >= 30 and mixed >= 1
