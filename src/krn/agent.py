@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Net, NodeId, PropertyChange, SensorSignal, Value
+from .core import Net, NodeId, PropertyChange, Value
 from .errors import MalformedCondition
 from .reasoning import Fragment, fragment_state, parse_fragment
 # find_matches is re-exported: bench/tracing.py wraps `agent.find_matches`.
@@ -31,19 +31,15 @@ class Goal:
 
 
 class SelfModel:
-    """Attaches to a net; the net reports every ingested signal here."""
+    """Attaches to a net, which appends every ingested signal to the sense
+    log the two share; the net holds the log, never the model."""
 
     def __init__(self, net: Net):
         self.net = net
         self.self_node = net.add_object([])
         self.goals: list[Goal] = []
-        self.sense_log: list[tuple[int, NodeId, str, SensorSignal]] = []
+        self.sense_log = net.sense_log = []   # (tick, node, name, signal)
         self._next_goal = 1
-        net.agent = self
-
-    def record_sense(self, tick: int, node: NodeId, name: str,
-                     signal: SensorSignal) -> None:
-        self.sense_log.append((tick, node, name, signal))
 
 
 def define_goal(model: SelfModel, polarity: str, anchor: NodeId,

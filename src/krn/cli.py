@@ -10,6 +10,7 @@ interpreter reading interactively; there is no separate code path.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import shlex
 import sys
@@ -19,7 +20,10 @@ from .core import _NAME_RE, Kind, Net, Value
 from .errors import CommandError, KrnError, NoLabel
 from .lexicon import Lexicon
 
-_ID_RE = re.compile(r"#?[0-9]+\Z")
+_ID_RE = re.compile(r"#?[0-9]{1,18}\Z")   # as store._RECORD bounds ids
+# A command runs to a `;` outside quotes that no backslash escapes (inside
+# single quotes a backslash is plain); an unclosed quote runs to the end.
+_COMMAND_RE = re.compile(r"""(?:[^;'"\\]|\\.?|'[^']*'?|"(?:[^"\\]|\\.?)*"?)+""", re.DOTALL)
 
 ANSWER_TEXT = {
     reasoning.Answer.YES_ASSERTED: "yes (asserted)",
@@ -113,25 +117,8 @@ def render_value(v: Value | None) -> str:
 
 
 def split_commands(line: str) -> list[str]:
-    """Split on top-level semicolons, respecting single and double quotes."""
-    parts: list[str] = []
-    buf: list[str] = []
-    quote: str | None = None
-    for c in line:
-        if quote:
-            buf.append(c)
-            if c == quote:
-                quote = None
-        elif c in "'\"":
-            quote = c
-            buf.append(c)
-        elif c == ";":
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(c)
-    parts.append("".join(buf))
-    return [p.strip() for p in parts if p.strip()]
+    """Split on top-level semicolons; quotes and backslashes work as in shlex."""
+    return [p.strip() for p in _COMMAND_RE.findall(line) if p.strip()]
 
 
 def _props_from_args(args: list[str]) -> list[tuple[str, Value]]:
@@ -171,6 +158,12 @@ def run_command(session: Session, text: str) -> list[str]:
     if not tokens:
         return []
     verb, args = tokens[0], tokens[1:]
+    if verb in ("load", "save", "mine"):
+        try:   # a NUL byte, or a character with no file-system encoding
+            if any(b"\0" in os.fsencode(arg) for arg in args):
+                raise ValueError("embedded null byte")
+        except ValueError as exc:
+            raise CommandError(f"{verb}: bad path: {exc}") from None
 
     if verb == "new":
         session.reset()
@@ -408,7 +401,7 @@ def _run(session: Session, lines, out, *, keep_going: bool) -> int:
             try:
                 for rendered in run_command(session, command):
                     print(rendered, file=out)
-            except (KrnError, OSError, ValueError) as exc:
+            except (KrnError, OSError) as exc:
                 print(f"error: {type(exc).__name__}: {exc}", file=out)
                 if not keep_going:
                     return 1

@@ -330,7 +330,7 @@ class Net:
         self.next_id: NodeId = 1
         self.isa_edges: list[tuple[NodeId, NodeId]] = []
         self.clock: int = 0
-        self.agent = None       # set by SelfModel when attached
+        self.sense_log: list | None = None   # set by an attached SelfModel
         self.timeline = None    # lazily created by the sim module
         self._executing = False
 
@@ -475,8 +475,8 @@ class Net:
             raise UnknownNode(f"no object {nid}")
         stamped = replace(signal, captured_at=self.next_tick())
         self.set_property(nid, name, Value.signal(stamped), SENSED)
-        if self.agent is not None:
-            self.agent.record_sense(stamped.captured_at, nid, name, stamped)
+        if self.sense_log is not None:
+            self.sense_log.append((stamped.captured_at, nid, name, stamped))
 
     def add_isa(self, instance: NodeId, concept: NodeId) -> None:
         self._require_object(instance, "instance")
@@ -599,7 +599,7 @@ def _props_equal(a: dict[str, PropertyRecord], b: dict[str, PropertyRecord]) -> 
 def nets_equal(a: Net, b: Net) -> bool:
     """Strict structural equality: records, wiring, provenance, scripts, isa.
 
-    Ignores run-state (clock, timeline, agent, collapse payloads) and the
+    Ignores run-state (clock, timeline, sense log, collapse payloads) and the
     id allocator position.
     """
     if a.objects.keys() != b.objects.keys() or a.actions.keys() != b.actions.keys():

@@ -75,8 +75,8 @@ class UnknownScript(KrnError):
 # store
 
 class FormatError(KrnError):
-    """A `.krn` file the store cannot read; line is None when the fault is
-    the file as a whole rather than one of its lines."""
+    """A `.krn` file the store cannot read or text it cannot write; line is
+    None when the fault is the file as a whole rather than one of its lines."""
 
     def __init__(self, message: str, line: int | None):
         super().__init__(message if line is None else f"{message} (line {line})")

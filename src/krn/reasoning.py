@@ -790,54 +790,20 @@ def concept_of(net: Net, concept_id: NodeId) -> ConceptTemplate:
 
 # ------------------------------------------------------------- shaping
 
-def _action_bindings(pattern: Net, net: Net, mapping: dict, used: set,
-                     p: NodeId, t: NodeId):
-    """Pairs to bind when action p maps to t, or None if impossible.
-
-    An action is matched as a unit with its endpoints: unmatched pattern
-    endpoints are forced onto the image's endpoints, so a matched action
-    can never end up wired to an unmatched part.
-    """
-    prec = pattern.actions[p]
-    trec = net.actions[t]
-    pairs = [(p, t)]
-    forced: dict[NodeId, NodeId] = {}
-
-    def bind(q: NodeId, w: NodeId) -> bool:
-        if q in mapping:
-            return mapping[q] == w
-        if q in forced:
-            return forced[q] == w
-        if w in used or w in forced.values():
-            return False
-        if not _compat(pattern, net, q, w):
-            return False
-        forced[q] = w
-        pairs.append((q, w))
-        return True
-
-    if not bind(prec.target, trec.target):
-        return None
-    if prec.subject is not None:
-        if trec.subject is None:
-            return None
-        if not bind(prec.subject, trec.subject):
-            return None
-    return pairs
-
-
 def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
                         instance: NodeId) -> dict:
     """Largest partial match of the pattern with root pinned to instance.
 
-    Backtracking over pattern nodes in breadth-first order from the
-    root; each node may be skipped, so the search maximizes the number
-    of matched nodes. Deterministic: candidates are tried in id order
-    and skipping is tried last.
+    Backtracking over pattern actions, breadth-first from the root, then
+    the unreached ones by id. An action maps onto an action adjacent to
+    the image of one of its mapped endpoints; its other endpoint, if
+    unmapped, is bound to that action's endpoint in the same step, so no
+    object is matched on its own. Each action may be skipped, so the search
+    maximizes the number of matched nodes. Deterministic: candidates are
+    tried in id order and skipping is tried last.
     """
-    order = _bfs_order(pattern, root)
-    seen = set(order)
-    order += [nid for nid in pattern.node_ids() if nid not in seen]
+    order = [p for p in _bfs_order(pattern, root) if p in pattern.actions]
+    order += sorted(pattern.actions.keys() - set(order))
 
     best: dict = {}
 
@@ -848,38 +814,35 @@ def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
                 best = dict(mapping)
             return
         p = order[k]
-        if p in mapping:
-            dfs(k + 1, mapping, used)
-            return
+        prec = pattern.actions[p]
         pool: set = set()
-        for q in _neighbors(pattern, p):
+        for q in _adjacent(pattern, p):
             if q in mapping:
                 pool |= _adjacent(net, mapping[q])
         for t in sorted(pool):
-            if t in used:
+            trec = net.actions[t]
+            if t in used or not _compat(pattern, net, p, t) or (
+                    trec.subject is None and prec.subject is not None):
                 continue
-            if not _compat(pattern, net, p, t):
-                continue
-            if not _consistent(pattern, net, mapping, p, t):
-                continue
-            if pattern.is_action(p):
-                pairs = _action_bindings(pattern, net, mapping, used, p, t)
-                if pairs is None:
+            # t came through a mapped endpoint, so at most the other one is
+            # unmapped; the object of a self-loop is mapped, and checked twice
+            bound = {p: t}
+            for q, w in ((prec.target, trec.target), (prec.subject, trec.subject)):
+                if q is None or mapping.get(q) == w:
                     continue
+                if q in mapping or w in used or not _compat(pattern, net, q, w):
+                    break
+                bound[q] = w
             else:
-                pairs = [(p, t)]
-            for q, w in pairs:
-                mapping[q] = w
-                used.add(w)
-            dfs(k + 1, mapping, used)
-            for q, w in pairs:
-                del mapping[q]
-                used.discard(w)
+                mapping.update(bound)
+                used.update(bound.values())
+                dfs(k + 1, mapping, used)
+                for q, w in bound.items():
+                    del mapping[q]
+                    used.discard(w)
         dfs(k + 1, mapping, used)  # skipping p is always an option
 
     dfs(0, {root: instance}, {instance})
-    if not best:
-        best = {root: instance}
     return best
 
 

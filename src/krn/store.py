@@ -278,8 +278,8 @@ def _replace(path: str, data: bytes) -> None:
 def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     """Serialize the whole net (plus labels) deterministically and atomically.
 
-    A stubbed property or script has no value in memory to write, so it
-    raises UnknownProperty or UnknownScript before any file is touched.
+    A stubbed property or script (UnknownProperty, UnknownScript) or text
+    with no UTF-8 form (FormatError) fails before any file is touched.
     """
     lines = [HEADER]
     add = lines.append
@@ -310,7 +310,13 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     if lexicon is not None:
         for node, lang, text in lexicon.items():
             add(f"LABEL {node} {lang} {encode_text(text)}")
-    _replace(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    body = "\n".join(lines) + "\n"
+    try:
+        data = body.encode("utf-8")
+    except UnicodeEncodeError as exc:   # a lone surrogate has no UTF-8 form
+        raise FormatError(f"cannot save {body[exc.start:exc.end]!r}: no UTF-8 encoding",
+                          body.count("\n", 0, exc.start) + 1) from None
+    _replace(path, data)
 
 
 # ------------------------------------------------------------------ read

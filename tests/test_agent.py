@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import io
+import weakref
 
 import pytest
 
@@ -247,6 +249,22 @@ def test_sense_log_completeness():
     # erasing a sensed property never rewrites the log
     net.erase_property(obj, "touch")
     assert len(model.sense_log) == 5
+
+
+def test_a_net_and_its_self_model_form_no_cycle():
+    # reference counting alone frees them, as it must once gc.freeze holds
+    # whatever a cycle would keep
+    gc.disable()
+    try:
+        net = Net()
+        model = SelfModel(net)
+        define_goal(model, "goal", net.add_object([]), "colour")
+        net.ingest_signal(model.self_node, "touch", SensorSignal(SensorAddress.of("skin"), b"\x01"))
+        ref = weakref.ref(net)
+        del net, model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_compare_with_reality_restriction():

@@ -1,10 +1,13 @@
 import io
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
-from krn.cli import run_lines, split_commands
+from krn.cli import Session, run_command, run_lines, split_commands
+from krn.errors import KrnError
 
 
 def run_script(text: str) -> tuple[str, int]:
@@ -140,6 +143,8 @@ def test_mine_flag_without_an_integer_value_is_a_usage_error(tmp_path):
     ("mine --max-nodes 0 {p} {q}", "usage: mine [--min-support N] [--max-nodes K] <paths...>"),
     ("mine --min-support 1 {p} {q}", "usage: mine [--min-support N] [--max-nodes K] <paths...>"),
     ("collapse-obj as tv", "usage: collapse-obj <ids...> [as <name>]"),
+    ("load {p}\0", "load: bad path: embedded null byte"),
+    ("save x\ud800", "surrogates not allowed"),
 ])
 def test_a_usage_fault_is_a_command_error(tmp_path, command, usage):
     p = tmp_path / "a.krn"
@@ -148,6 +153,82 @@ def test_a_usage_fault_is_a_command_error(tmp_path, command, usage):
     assert code == 1
     assert out.splitlines()[-1].startswith("error: CommandError: "), out
     assert out.rstrip().endswith(usage), out
+
+
+@pytest.mark.parametrize("command, error", [
+    ("show " + "1" * 4301 + ".x", "CommandError: unknown name '111"),
+    ("set a.x a\udcffb", "FormatError: cannot save '\\udcff': no UTF-8 encoding (line 3)"),
+    ("label a fr \udcff", "FormatError: cannot save '\\udcff': no UTF-8 encoding (line 4)"),
+], ids=["long-id", "surrogate-value", "surrogate-label"])
+def test_input_python_cannot_take_is_a_typed_error(tmp_path, command, error):
+    p = tmp_path / "a.krn"
+    out, code = run_script(f"new\nobj a\nsave {p}\n{command}\nsave {p}\n")
+    assert code == 1
+    assert out.splitlines()[-1].startswith(f"error: {error}"), out
+    assert p.read_text() == "KRN 1\nOBJ 1\nLABEL 1 en \"a\"\n"   # the failed save wrote nothing
+    assert [f.name for f in tmp_path.iterdir()] == ["a.krn"]
+
+
+def test_a_backslash_keeps_a_quote_open_as_in_shlex():
+    line = 'set o.x "a\\";b"'
+    assert split_commands(line) == [line]
+    assert split_commands("set o.x a\\;b; show o.x") == ["set o.x a\\;b", "show o.x"]
+    assert split_commands("x 'a\\';b") == ["x 'a\\'", "b"]
+    out, code = run_script(f"new\nobj o\n{line}; show o.x\n")
+    assert code == 0
+    assert out.splitlines()[-1] == 'a";b'
+
+
+# One template per CLI verb (and an unknown one); each slot is filled from its
+# own pool, or at times with a hostile token.
+_FUZZ_COMMANDS = [
+    "new", "load {path}", "save {path}", "obj {name} {kv}", "act {node} {node} {kv} as {name}",
+    "act - {node}", "set {node}.{prop} {value}", "show {node}.{prop}", "run {node}",
+    "runs {node} {node}", "snap", "diff {num} {num}", "collapse-obj {node} {node} as {name}",
+    "collapse-act {node} {node} {node}", "expand {node}", "mine --max-nodes {num} {path} {path}",
+    "isa {node} {node}", "shape {node}", "has {node} {frag}", "label {node} {lang} {value}",
+    "say {node} --lang {lang}", "goal {node} has {prop}", "antigoal {node}.{prop} == {value}",
+    "goals", "compare", "frobnicate {value}",
+]
+_FUZZ_SLOTS = {
+    "name": ["o", "p", "q"],
+    "node": ["o", "p", "q", "#1", "#2", "#3", "#4", "#5", "-"],
+    "prop": ["x", "colour", "spin"],
+    "value": ["1", "green", "true", "unset", "ref:1", "-2.5", "'two words'", "a\udcffb"],
+    "kv": ["x=1", "colour=green", "spin=true", "script='set object.x = object.x + 1;'"],
+    "frag": ["colour", "x==1", "has spin", "colour == green"],
+    "path": ["f.krn", "g.krn"],
+    "num": ["0", "1", "2", "3"],
+    "lang": ["en", "fr"],
+    "hostile": ["\0", "a\0b", "1" * 4301, "#" + "9" * 19, "\udcff", "x\ud800y", '"', "'",
+                '"a\\";b"', "'a;b", "\\", "a\\", "\\;", ";", "ref:", "ref:zz", "1e999",
+                "script='(((('", "as", "--lang", ""],
+}
+
+
+def test_cli_fuzz_lets_only_engine_and_path_errors_escape(tmp_path, monkeypatch):
+    """Seeded random sessions of CLI commands with hostile tokens (NUL, long
+    digit runs, lone surrogates, unbalanced quotes, backslashes, `;`)."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(7)
+
+    def fill(slot):
+        pool = "hostile" if rng.random() < 0.15 else slot.group(1)
+        return rng.choice(_FUZZ_SLOTS[pool])
+
+    for _ in range(300):
+        session = Session()
+        for command in ("obj o x=1", "obj p colour=green", "act o p as q"):
+            run_command(session, command)
+        for _ in range(rng.randint(1, 20)):
+            line = re.sub(r"\{(\w+)\}", fill, rng.choice(_FUZZ_COMMANDS))
+            for command in split_commands(line):
+                try:
+                    run_command(session, command)
+                except KrnError:
+                    pass
+                except OSError:
+                    assert command.split()[0] in ("load", "save", "mine"), command
 
 
 def test_snapshots_and_classification():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from krn import (
@@ -12,7 +14,7 @@ from krn import (
     shape,
 )
 from krn.errors import UnknownConcept
-from krn.reasoning import shape_all
+from krn.reasoning import _compat, _max_anchored_match, shape_all
 
 from helpers import peter_net, person_pattern, wall_net
 
@@ -158,3 +160,68 @@ def test_shape_accepts_template_object():
     template = concept_of(net, concept_id)
     created = shape(net, peter, template)
     assert len(created) == 6
+
+
+def _self_loop_concept(net: Net) -> int:
+    """A root with a self-loop and a part, the part with a self-loop too."""
+    pattern = Net()
+    root = pattern.add_object([])
+    part = pattern.add_object([("spin", Value.unset())])
+    pattern.add_action(root, root)
+    pattern.add_action(root, part)
+    pattern.add_action(part, part)
+    return register_concept(net, ConceptTemplate(pattern=pattern, root=root, support=2))
+
+
+def test_a_self_loop_concept_shapes_its_object_once():
+    net = Net()
+    concept_id = _self_loop_concept(net)
+    bare = net.add_object([])
+    # an action into an instance is not a self-loop of it
+    fed = net.add_object([])
+    net.add_action(net.add_object([]), fed)
+    for inst in (bare, fed):
+        net.add_isa(inst, concept_id)
+        created = shape(net, inst, concept_id)
+        (part,) = [n for n in created if n in net.objects]
+        ends = sorted((net.actions[a].subject, net.actions[a].target)
+                      for a in created if a in net.actions)
+        assert ends == sorted([(inst, inst), (inst, part), (part, part)])
+        assert shape(net, inst, concept_id) == []
+    assert net.validate_bipartite().ok
+
+
+def _small_net(rng: random.Random, objects: int, actions: int, names) -> tuple[Net, list]:
+    net = Net()
+    objs = [net.add_object([(n, Value.unset()) for n in names if rng.random() < 0.5])
+            for _ in range(objects)]
+    for _ in range(actions):
+        target = rng.choice(objs)
+        roll = rng.random()
+        subject = None if roll < 0.2 else target if roll < 0.4 else rng.choice(objs)
+        net.add_action(subject, target)
+    return net, objs
+
+
+def test_the_shaping_match_keeps_structure():
+    """Seeded small nets: the largest anchored match pins the root, is
+    injective, keeps property names, and wires every mapped action's
+    endpoints onto its image's endpoints."""
+    rng = random.Random(5)
+    mapped_actions = mapped_loops = 0
+    for _ in range(1500):
+        pattern, pobjs = _small_net(rng, rng.randint(1, 4), rng.randint(0, 5), ["a"])
+        net, nobjs = _small_net(rng, rng.randint(1, 5), rng.randint(0, 9), ["a", "b"])
+        root, inst = rng.choice(pobjs), rng.choice(nobjs)
+        mapping = _max_anchored_match(pattern, root, net, inst)
+        assert mapping[root] == inst
+        assert len(set(mapping.values())) == len(mapping)
+        assert all(_compat(pattern, net, p, t) for p, t in mapping.items() if p != root)
+        for p in mapping.keys() & pattern.actions.keys():
+            prec, trec = pattern.actions[p], net.actions[mapping[p]]
+            assert mapping[prec.target] == trec.target
+            if prec.subject is not None:
+                assert mapping[prec.subject] == trec.subject
+            mapped_actions += 1
+            mapped_loops += prec.subject == prec.target
+    assert mapped_actions > 600 and mapped_loops > 300   # the cases reach both
