@@ -24,6 +24,11 @@ _ID_RE = re.compile(r"#?[0-9]{1,18}\Z")   # as store._RECORD bounds ids
 # A command runs to a `;` outside quotes that no backslash escapes (inside
 # single quotes a backslash is plain); an unclosed quote runs to the end.
 _COMMAND_RE = re.compile(r"""(?:[^;'"\\]|\\.?|'[^']*'?|"(?:[^"\\]|\\.?)*"?)+""", re.DOTALL)
+# A word of a command as shlex.split reads it, quotes kept: one per token
+# once shlex has found the quotes closed and no backslash at the end.
+_WORD_RE = re.compile(r"""(?:[^ \t\r\n'"\\]+|\\.|'[^']*'|"(?:[^"\\]+|\\.)*")+""", re.DOTALL)
+# a word that is one quoted string, after a plain `key=` if any
+_QUOTED_RE = re.compile(r"""(?:([^ \t\r\n'"\\=]*)=)?(?:'[^']*'|"(?:[^"\\]|\\.)*")\Z""", re.DOTALL)
 
 ANSWER_TEXT = {
     reasoning.Answer.YES_ASSERTED: "yes (asserted)",
@@ -80,7 +85,10 @@ class Session:
             return f"#{nid}"
 
 
-def parse_value(tok: str) -> Value:
+def parse_value(tok: str, quoted: bool) -> Value:
+    """The value a command token stands for; a quoted token is text."""
+    if quoted:
+        return Value.text(tok)
     if tok == "true":
         return Value.truth(True)
     if tok == "false":
@@ -121,13 +129,21 @@ def split_commands(line: str) -> list[str]:
     return [p.strip() for p in _COMMAND_RE.findall(line) if p.strip()]
 
 
-def _props_from_args(args: list[str]) -> list[tuple[str, Value]]:
+def _quoted(word: str, keyed: bool) -> bool:
+    """Whether a raw command word is one quoted string, or with `keyed`
+    a plain key, `=` and one quoted string."""
+    m = _QUOTED_RE.match(word)
+    return m is not None and (m[1] is not None) == keyed
+
+
+def _props_from_args(args: list[str], words: list[str]) -> list[tuple[str, Value]]:
+    """The key=value arguments as properties; `words` are their raw words."""
     props = []
-    for arg in args:
+    for arg, word in zip(args, words):
         if "=" not in arg:
             raise CommandError(f"expected key=value, got {arg!r}")
         key, raw = arg.split("=", 1)
-        props.append((key, parse_value(raw)))
+        props.append((key, parse_value(raw, _quoted(word, keyed=True))))
     return props
 
 
@@ -158,6 +174,10 @@ def run_command(session: Session, text: str) -> list[str]:
     if not tokens:
         return []
     verb, args = tokens[0], tokens[1:]
+    # the raw words of a command whose values may be quoted; with no quote
+    # in the text, no word is quoted and the tokens will do
+    has_quote = verb in ("obj", "act", "set") and ("'" in text or '"' in text)
+    words = _WORD_RE.findall(text) if has_quote else tokens
     if verb in ("load", "save", "mine"):
         try:   # a NUL byte, or a character with no file-system encoding
             if any(b"\0" in os.fsencode(arg) for arg in args):
@@ -188,7 +208,7 @@ def run_command(session: Session, text: str) -> list[str]:
         if not args:
             raise CommandError("usage: obj <name> [k=v ...]")
         name = args[0]
-        nid = session.net.add_object(_props_from_args(args[1:]))
+        nid = session.net.add_object(_props_from_args(args[1:], words[2:]))
         session.bind(name, nid)
         return [f"obj {name} #{nid}"]
 
@@ -200,11 +220,11 @@ def run_command(session: Session, text: str) -> list[str]:
         target = session.resolve(args[1])
         script = None
         props = []
-        for arg in args[2:]:
+        for arg, word in zip(args[2:], words[3:]):
             if arg.startswith("script="):
                 script = arg[len("script="):]
             else:
-                props.extend(_props_from_args([arg]))
+                props.extend(_props_from_args([arg], [word]))
         nid = session.net.add_action(subject, target, script, props)
         if as_name:
             session.bind(as_name, nid)
@@ -219,7 +239,7 @@ def run_command(session: Session, text: str) -> list[str]:
         if verb == "set":
             if len(args) != 2:
                 raise CommandError("usage: set <obj>.<prop> <value>")
-            value = parse_value(args[1])
+            value = parse_value(args[1], _quoted(words[2], keyed=False))
             session.net.set_property(nid, prop, value)
             return [f"{session.display(nid)}.{prop} = {render_value(value)}"]
         return [render_value(session.net.get_property(nid, prop))]

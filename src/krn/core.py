@@ -333,6 +333,11 @@ class Net:
         self.sense_log: list | None = None   # set by an attached SelfModel
         self.timeline = None    # lazily created by the sim module
         self._executing = False
+        # the bytes of the file the net was loaded from, and the range of
+        # offsets there of each node that `store.save` may copy; `touch`
+        # drops a node's span
+        self.source: bytes | None = None
+        self.spans: dict[NodeId, range] = {}
 
     # -- id and tick supply ------------------------------------------------
 
@@ -351,10 +356,14 @@ class Net:
         return self.clock
 
     def touch(self, nid: NodeId) -> None:
-        """Tell the timeline, if any, that this node or one of its property
-        records was added, replaced or removed."""
+        """Report that what a save writes for this node changed: the node
+        was added or removed, one of its property records added, replaced
+        or removed, or one of its endpoints moved. The timeline, if any,
+        re-reads the node, and a save encodes it instead of copying it."""
         if self.timeline is not None:
             self.timeline.touched.add(nid)
+        if self.spans:
+            self.spans.pop(nid, None)
 
     # -- lookup ------------------------------------------------------------
 

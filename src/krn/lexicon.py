@@ -26,6 +26,9 @@ class Lexicon:
         self.reverse: dict[tuple[str, str], set[NodeId]] = {}
         self.fallback_chain = list(fallback_chain)
         self.languages: set[str] = set()
+        # the LABEL lines of the file this lexicon was loaded from, while it
+        # holds just those labels: `store.save` copies them
+        self.source: bytes | None = None
 
     def set_label(self, node: NodeId, lang: str, text: str) -> None:
         # `languages` holds only tags that passed this check
@@ -41,6 +44,7 @@ class Lexicon:
         self.labels[(node, lang)] = text
         self.languages.add(lang)
         self.reverse.setdefault((lang, text), set()).add(node)
+        self.source = None
 
     def label_of(self, node: NodeId, lang: str) -> tuple[str, str]:
         """Label in the requested language, or the first fallback hit.

@@ -212,6 +212,7 @@ def collapse_to_object(net: Net, inside) -> NodeId:
     new_id = net.allocate_id()
     record = ObjectRecord(id=new_id, collapse_payload=payload)
     net.objects[new_id] = record
+    net.touch(new_id)
     for aid, role, _orig in rewired:
         act = net.actions[aid]
         if role == "subject":
@@ -220,6 +221,7 @@ def collapse_to_object(net: Net, inside) -> NodeId:
         else:
             act.target = new_id
             record.incoming.append(aid)
+        net.touch(aid)
     _remove_inside(net, inside)
     return new_id
 
@@ -283,6 +285,7 @@ def collapse_to_action(net: Net, inside, *, subject_hint: NodeId | None = None,
     net.actions[new_id] = ActionRecord(
         id=new_id, subject=subject, target=target, collapse_payload=payload,
     )
+    net.touch(new_id)
     if subject is not None:
         net.objects[subject].outgoing.append(new_id)
     net.objects[target].incoming.append(new_id)
@@ -334,6 +337,7 @@ def expand(net: Net, complex_id: NodeId) -> set:
         # outside crossing actions point at the complex object; point them back
         for aid, role, orig in payload.rewired:
             setattr(net.actions[aid], role, orig)
+            net.touch(aid)
         del net.objects[complex_id]
         net.touch(complex_id)
         net._drop_isa(complex_id)
@@ -442,7 +446,10 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
             del mapping[p]
             used.discard(t)
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend   # a nested function that calls itself is a cycle until dropped
     return results
 
 
@@ -842,7 +849,10 @@ def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
                     used.discard(w)
         dfs(k + 1, mapping, used)  # skipping p is always an option
 
-    dfs(0, {root: instance}, {instance})
+    try:
+        dfs(0, {root: instance}, {instance})
+    finally:
+        del dfs   # a nested function that calls itself is a cycle until dropped
     return best
 
 

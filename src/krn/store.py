@@ -20,12 +20,14 @@ origin paths are percent-encoded segments joined by "/". The trailing
 provenance token is optional on read and defaults to asserted (sensed
 for SIG).
 
-Records may appear in any order. Both ways of reading a file stream it
+Records may appear in any order. Both ways of reading a file go over it
 once, line by line, through one record reader that checks the framing
 and every reference between records (an action's endpoints and is-a
 ends must be objects); of several bad references, the first in file
-order is reported. A line in one of the forms `save` writes for the
-bulk of a file (a PROP with a plain value, a LABEL, an OBJ, an ACT) is
+order is reported. `open` streams the file; `load` reads it whole
+first and keeps its bytes. A line in one of the forms `save` writes
+for all but the rarest lines (a PROP with a plain value, a LABEL, an
+OBJ, an ACT, a SCRIPT head, an ISA; ids with no leading zero) is
 matched whole by one compiled pattern and decoded from the match; any
 other line goes through the one line decoder that the lazy reads use,
 and that path finds every fault. `load` decodes each record as it
@@ -46,10 +48,17 @@ action and gives the file line.
 
 A save is byte-deterministic (records sorted by id, properties by name)
 and atomic: it writes a temp file beside the target, syncs it and
-renames it over the target, which keeps its mode. Collapse payloads are
-not persisted; a saved complex node keeps its shape but loses its
-stored subnet. The records built here are slotted dataclasses and take
-no ad-hoc attributes.
+renames it over the target, which keeps its mode. It writes no label of
+a node the net does not hold. After a load it copies what has not
+changed: `load` keeps the byte span of each node block that reads
+exactly as `save` writes that node (`Net.spans`, dropped by
+`Net.touch`), and the LABEL lines while the lexicon holds just those
+labels (`Lexicon.source`). `save` copies those spans, adjacent ones as
+one slice, and encodes every other node and the ISA lines; a net with
+no spans takes the same loop and encodes everything, and the bytes are
+the same either way. Collapse payloads are not persisted; a saved
+complex node keeps its shape but loses its stored subnet. The records
+built here are slotted dataclasses and take no ad-hoc attributes.
 """
 
 from __future__ import annotations
@@ -67,8 +76,8 @@ from .core import (
     KIND_BOOL,
     KIND_NUM,
     KIND_REF,
+    KIND_SIGNAL,
     KIND_TEXT,
-    KIND_UNSET,
     PROP_HYDRATED,
     PROP_STUB,
     SENSED,
@@ -220,28 +229,33 @@ def _decode_prop(toks: list[str], line: int) -> PropertyRecord:
 
 # ------------------------------------------------------------------ save
 
+def _value_token(value: Value) -> str:
+    """`<kind> <encoded-value>` as a PROP line holds it; not for signals."""
+    kind, data = value.kind, value.data
+    if kind is KIND_NUM:
+        return f"num {data!r}"
+    if kind is KIND_TEXT:
+        return f"text {encode_text(data)}"
+    if kind is KIND_BOOL:
+        return "bool true" if data else "bool false"
+    if kind is KIND_REF:
+        return f"ref {data}"
+    return "unset -"
+
+
 def _prop_line(owner: NodeId, prop: PropertyRecord) -> str:
     if prop.load_state is PROP_STUB:
         raise UnknownProperty(f"property {prop.name!r} of node {owner} is not hydrated")
     # by identity: a dict keyed by member would hash it in Python
     prov = prop.provenance
     prov = "inferred" if prov is INFERRED else "sensed" if prov is SENSED else "asserted"
-    kind, data = prop.value.kind, prop.value.data
-    if kind is KIND_NUM:
-        enc = f"num {data!r}"
-    elif kind is KIND_TEXT:
-        enc = f"text {encode_text(data)}"
-    elif kind is KIND_BOOL:
-        enc = "bool true" if data else "bool false"
-    elif kind is KIND_REF:
-        enc = f"ref {data}"
-    elif kind is KIND_UNSET:
-        enc = "unset -"
-    else:  # signal values are written as SIG records
-        payload = data.payload.hex() if data.payload else "-"
-        return (f"SIG {owner} {prop.name} {_encode_origin(data.origin)} "
-                f"{payload} {data.captured_at} {prov}")
-    return f"PROP {owner} {prop.name} {enc} {prov}"
+    value = prop.value
+    if value.kind is KIND_SIGNAL:   # signal values are written as SIG records
+        sig = value.data
+        payload = sig.payload.hex() if sig.payload else "-"
+        return (f"SIG {owner} {prop.name} {_encode_origin(sig.origin)} "
+                f"{payload} {sig.captured_at} {prov}")
+    return f"PROP {owner} {prop.name} {_value_token(value)} {prov}"
 
 
 def _replace(path: str, data: bytes) -> None:
@@ -275,48 +289,96 @@ def _replace(path: str, data: bytes) -> None:
         raise
 
 
+def _encoded(pieces: list) -> bytes:
+    """The file from `save`'s pieces in order: lists of lines, encoded as
+    UTF-8 with a newline after each, and bytes, copied as they are."""
+    done: list[bytes] = []
+    for piece in pieces:
+        if type(piece) is list:
+            if not piece:
+                continue
+            text = "\n".join(piece) + "\n"
+            try:
+                piece = text.encode("utf-8")
+            except UnicodeEncodeError as exc:   # a lone surrogate has no UTF-8 form
+                line = sum(d.count(b"\n") for d in done) + text.count("\n", 0, exc.start) + 1
+                raise FormatError(f"cannot save {text[exc.start:exc.end]!r}: no UTF-8 encoding",
+                                  line) from None
+        done.append(piece)
+    return b"".join(done)
+
+
 def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     """Serialize the whole net (plus labels) deterministically and atomically.
 
-    A stubbed property or script (UnknownProperty, UnknownScript) or text
-    with no UTF-8 form (FormatError) fails before any file is touched.
+    A node that `load` read from a block already in the form written here,
+    and that has not changed since (`Net.spans`), is copied from the bytes
+    it was loaded from, adjacent blocks as one slice. So are the labels,
+    while the lexicon holds just those it was loaded with (`Lexicon.source`)
+    and every labelled node is in the net. The rest is encoded, is-a edges
+    always; either way the bytes are the same. Labels of nodes that are not
+    in the net are not written. A stubbed property or script
+    (UnknownProperty, UnknownScript) or text with no UTF-8 form
+    (FormatError) fails before any file is touched.
     """
-    lines = [HEADER]
+    objects, actions = net.objects, net.actions
+    source, spans = net.source, net.spans
+    pieces: list = []          # the file in order: lists of lines, copied bytes
+    lines = [HEADER]           # the lines since the last copy
     add = lines.append
-    for oid in sorted(net.objects):
-        obj = net.objects[oid]
-        add(f"OBJ {oid} inferred" if obj.provenance is INFERRED else f"OBJ {oid}")
-        props = obj.properties
+    start = stop = 0           # the source bytes to copy next; none while stop is 0
+    for nid in [*sorted(objects), *sorted(actions)]:
+        span = spans.get(nid)
+        if span is not None:
+            if not stop:
+                pieces.append(lines)
+                lines = []
+                add = lines.append
+                start = span.start
+            elif stop != span.start:
+                pieces.append(source[start:stop])
+                start = span.start
+            stop = span.stop
+            continue
+        if stop:
+            pieces.append(source[start:stop])
+            stop = 0
+        obj = objects.get(nid)
+        if obj is not None:
+            rec = obj
+            add(f"OBJ {nid} inferred" if obj.provenance is INFERRED else f"OBJ {nid}")
+        else:
+            rec = actions[nid]
+            subj = "-" if rec.subject is None else rec.subject
+            marker = " inferred" if rec.provenance is INFERRED else ""
+            add(f"ACT {nid} {subj} {rec.target}{marker}")
+        props = rec.properties
         for name in sorted(props):
-            add(_prop_line(oid, props[name]))
-    for aid in sorted(net.actions):
-        act = net.actions[aid]
-        subj = "-" if act.subject is None else act.subject
-        marker = " inferred" if act.provenance is INFERRED else ""
-        add(f"ACT {aid} {subj} {act.target}{marker}")
-        props = act.properties
-        for name in sorted(props):
-            add(_prop_line(aid, props[name]))
-        if act.script.state == "stub":
-            raise UnknownScript(f"script of action {aid} is not hydrated")
-        if act.script.text is not None:
-            add(f"SCRIPT {aid}")
-            add("<<<")
-            if act.script.text:
-                add(act.script.text)
-            add(">>>")
+            add(_prop_line(nid, props[name]))
+        if obj is None:
+            if rec.script.state == "stub":
+                raise UnknownScript(f"script of action {nid} is not hydrated")
+            if rec.script.text is not None:
+                add(f"SCRIPT {nid}")
+                add("<<<")
+                if rec.script.text:
+                    add(rec.script.text)
+                add(">>>")
+    if stop:
+        pieces.append(source[start:stop])
     for inst, concept in sorted(net.isa_edges):
         add(f"ISA {inst} {concept}")
     if lexicon is not None:
-        for node, lang, text in lexicon.items():
-            add(f"LABEL {node} {lang} {encode_text(text)}")
-    body = "\n".join(lines) + "\n"
-    try:
-        data = body.encode("utf-8")
-    except UnicodeEncodeError as exc:   # a lone surrogate has no UTF-8 form
-        raise FormatError(f"cannot save {body[exc.start:exc.end]!r}: no UTF-8 encoding",
-                          body.count("\n", 0, exc.start) + 1) from None
-    _replace(path, data)
+        if lexicon.source is not None and (
+                {node for node, _ in lexicon.labels} <= objects.keys() | actions.keys()):
+            pieces += [lines, lexicon.source]
+            lines = []
+        else:
+            for node, lang, text in lexicon.items():
+                if node in objects or node in actions:
+                    add(f"LABEL {node} {lang} {encode_text(text)}")
+    pieces.append(lines)
+    _replace(path, _encoded(pieces))
 
 
 # ------------------------------------------------------------------ read
@@ -325,22 +387,26 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
 _ARITY = {"OBJ": (2, 3), "ACT": (4, 5), "PROP": (5, 6), "SIG": (6, 7),
           "SCRIPT": (2,), "ISA": (3,), "LABEL": (4,)}
 
-# The forms `save` writes for the bulk of a file, each matched whole with its
-# newline: a PROP with a plain value, a LABEL, an OBJ and an ACT, their
-# fields single-spaced and printable ASCII. Names follow valid_property_name
-# and tags valid_language_tag; a token is unquoted, or quoted text with no
-# quote or backslash inside. Ids have at most 18 digits, so int() takes them
-# as the tokenising path would. A matched line holds no fault but a
-# duplicate or a bad value; the lastgroup of a match is its tag.
+# The forms `save` writes for all but the rarest lines of a file, each
+# matched whole with its newline: a PROP with a plain value, a LABEL, an OBJ,
+# an ACT, a SCRIPT head and an ISA, their fields single-spaced and printable
+# ASCII. Names follow valid_property_name and tags valid_language_tag; a
+# token is unquoted, or quoted text with no quote or backslash inside. Ids
+# are written as `save` writes them, with no leading zero and at most 18
+# digits, so int() takes them as the tokenising path would, and equal ids
+# have equal bytes. A matched line holds no fault but a duplicate, a bad
+# value or a bad reference; the lastgroup of a match is its tag.
 _RECORD = re.compile(rb"""
-    PROP\ ([0-9]{1,18})\ ([a-z][a-z0-9_-]*|(?:goal|antigoal):[a-z0-9_-]+)
+    PROP\ (<id>)\ ([a-z][a-z0-9_-]*|(?:goal|antigoal):[a-z0-9_-]+)
         \ (?P<PROP>(num|text|bool|ref|unset)\ ([!#-~]+|"[ !#-\[\]-~]*")
         (?:\ (asserted|inferred))?)\n
-  | LABEL\ ([0-9]{1,18})\ ([A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*)
+  | LABEL\ (<id>)\ ([A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*)
         \ "(?P<LABEL>[ !#-\[\]-~]*)"\n
-  | OBJ\ ([0-9]{1,18})(?P<OBJ>(?:\ inferred)?)\n
-  | ACT\ ([0-9]{1,18})\ (-|[0-9]{1,18})\ ([0-9]{1,18})(?P<ACT>(?:\ inferred)?)\n
-""", re.X)
+  | OBJ\ (<id>)(?P<OBJ>(?:\ inferred)?)\n
+  | ACT\ (<id>)\ (-|<id>)\ (<id>)(?P<ACT>(?:\ inferred)?)\n
+  | SCRIPT\ (?P<SCRIPT><id>)\n
+  | ISA\ (<id>)\ (?P<ISA><id>)\n
+""".replace(b"<id>", rb"(?:0|[1-9][0-9]{0,17})"), re.X)
 
 
 def _tokens(raw: bytes, lineno: int) -> list[str] | None:
@@ -385,6 +451,13 @@ def _script_text(block: list[bytes], head: int) -> str:
         raise FormatError("undecodable line", head + 2 + body.count(b"\n", 0, exc.start)) from None
 
 
+def _saved_alike(block: list[bytes]) -> bool:
+    """Whether `save` writes the script read from a block as the block
+    stands: one newline after `>>>`, and no blank line before it, whose
+    newline ScriptRef would strip."""
+    return block[-1] == b">>>\n" and (len(block) == 2 or block[-2] != b"\n")
+
+
 def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
     """The parse error of an action's script, placed in the file: it names
     the action and counts lines from the SCRIPT record on line `head`."""
@@ -397,14 +470,23 @@ def _read(fh, decode: bool):
 
     Each line is checked and decoded in place: a line `_RECORD` matches
     straight from its groups, any other line token by token, and only
-    that path (and the duplicate checks) raises. With `decode`, a
-    PROP/SIG record becomes a PropertyRecord, matched records with equal
-    value tokens sharing one Value, and a SCRIPT record a ScriptRef, its
-    text decoded and parsed only after the reference checks, equal texts
-    sharing one parse. Without it, each is kept as its byte offset, for
-    the index. Returns (nodes, props, scripts, isa, labels): nodes maps id
-    to (tag, provenance, subject, target, line) in file order;
-    props maps id to {name: kept}; scripts maps id to kept.
+    that path (and the duplicate and reference checks) raises. With
+    `decode`, a PROP/SIG record becomes a PropertyRecord, matched records
+    with equal value tokens sharing one Value, and a SCRIPT record a
+    ScriptRef, its text decoded and parsed only after the reference
+    checks, equal texts sharing one parse. Without it, each is kept as its
+    byte offset, for the index.
+
+    Returns (nodes, props, scripts, isa, labels, spans, label_start): nodes
+    maps id to (tag, provenance, subject, target, line) in file order;
+    props maps id to {name: kept}; scripts maps id to kept. With `decode`,
+    spans maps the id of each node whose block reads byte for byte as
+    `save` writes that node to the range of the block's byte offsets (a
+    net keeps one per node, and unlike a tuple a range is not tracked by
+    the collector). A block is the node's OBJ or ACT line, then all its
+    PROP lines in name order, then its SCRIPT block if any, every line
+    matched. label_start is the offset of the first LABEL line when the
+    LABEL lines are the file's last lines and all matched; else None.
     """
     raw = fh.readline()
     if raw.rstrip(b"\n") != HEADER.encode():
@@ -419,8 +501,16 @@ def _read(fh, decode: bool):
     owners: dict[str, dict[NodeId, int]] = {"PROP": {}, "SIG": {}, "LABEL": {}}
     prop_owners, label_owners = owners["PROP"], owners["LABEL"]
     refs: list[tuple[int, str, NodeId, str]] = []
-    # (Value, Provenance) of each matched "<kind> <token>[ <provenance>]"
-    values: dict[bytes, tuple[Value, Provenance]] = {}
+    # (Value, Provenance, whether save writes them so) of each matched
+    # "<kind> <token>[ <provenance>]"
+    values: dict[bytes, tuple[Value, Provenance, bool]] = {}
+    spans: dict[NodeId, range] = {}
+    spoiled: set[NodeId] = set()   # nodes with a record outside their block
+    # the open block: its node's id bytes (None when no block is open), id
+    # and first byte, and the name of its last PROP
+    head, head_id, head_start, last = None, 0, 0, b""
+    # the offset and line of the first LABEL line; None once one is tokenised
+    label_start, label_line = None, 0
     match = _RECORD.match
     lineno, offset = 1, len(raw)
     for raw in fh:
@@ -431,30 +521,40 @@ def _read(fh, decode: bool):
         if m is not None:
             tag = m.lastgroup
             if tag == "PROP":
-                owner = int(m[1])
+                ident, raw_name, field = m.group(1, 2, 3)
+                owner = int(ident)
                 named = props.get(owner)
                 if named is None:
                     named = props[owner] = {}
                     prop_owners[owner] = lineno
-                name = m[2].decode()
+                name = raw_name.decode()
                 if name in named:
                     raise FormatError(f"duplicate property {name!r} on {owner}", lineno)
-                if decode:
-                    shared = values.get(m[3])
-                    if shared is None:
-                        kind, tok, prov = m.group(4, 5, 6)
-                        shared = values[m[3]] = (
-                            _decode_value(kind.decode(), tok.decode(), lineno),
-                            INFERRED if prov == b"inferred" else ASSERTED)
-                    named[name] = PropertyRecord(name, shared[0], shared[1], PROP_HYDRATED, True)
-                else:
+                if not decode:
                     named[name] = start
+                    continue
+                shared = values.get(field)
+                if shared is None:
+                    kind, tok, prov = m.group(4, 5, 6)
+                    value = _decode_value(kind.decode(), tok.decode(), lineno)
+                    as_saved = prov is not None and (
+                        f"{_value_token(value)} {prov.decode()}" == field.decode())
+                    shared = values[field] = (
+                        value, INFERRED if prov == b"inferred" else ASSERTED, as_saved)
+                named[name] = PropertyRecord(name, shared[0], shared[1], PROP_HYDRATED, True)
+                if ident == head and raw_name > last and shared[2]:
+                    last = raw_name
+                    continue
+                spoiled.add(owner)
             elif tag == "LABEL":
+                if not labels:
+                    label_start, label_line = start, lineno
                 node = int(m[7])
                 labels.append((node, m[8].decode(), m[9].decode()))
                 label_owners.setdefault(node, lineno)
-            else:
-                nid = int(m[10] or m[12])
+            elif tag == "OBJ" or tag == "ACT":
+                ident = m[10] or m[12]
+                nid = int(ident)
                 if nid in nodes:
                     raise FormatError(f"duplicate node id {nid}", lineno)
                 prov = INFERRED if m[tag] else ASSERTED
@@ -463,48 +563,68 @@ def _read(fh, decode: bool):
                 else:
                     subject = None if m[13] == b"-" else int(m[13])
                     nodes[nid] = (tag, prov, subject, int(m[14]), lineno)
-            continue
-        toks = _tokens(raw, lineno)
-        if toks is None:
-            continue
-        tag = toks[0]
-        if tag == "PROP" or tag == "SIG":
-            owner = _int(toks[1], lineno)
-            named = props.get(owner)
-            if named is None:
-                named = props[owner] = {}
-                owners[tag][owner] = lineno
-            name = toks[2]
-            if not valid_property_name(name):
-                raise FormatError(f"bad property name {name!r}", lineno)
-            if name in named:
-                raise FormatError(f"duplicate property {name!r} on {owner}", lineno)
-            named[name] = _decode_prop(toks, lineno) if decode else start
-        elif tag == "LABEL":
-            node = _int(toks[1], lineno)
-            if not valid_language_tag(toks[2]):
-                raise FormatError(f"bad language tag {toks[2]!r}", lineno)
-            labels.append((node, toks[2], decode_text(toks[3], lineno)))
-            label_owners.setdefault(node, lineno)
-        elif tag == "OBJ" or tag == "ACT":
-            nid, prov, subject, target = _decode_node(toks, lineno)
-            if nid in nodes:
-                raise FormatError(f"duplicate node id {nid}", lineno)
-            nodes[nid] = (tag, prov, subject, target, lineno)
-        elif tag == "SCRIPT":
-            head = lineno
-            block = _script_block(fh, head)
+                if head is not None:
+                    spans[head_id] = range(head_start, start)
+                if decode:
+                    head, head_id, head_start, last = ident, nid, start, b""
+                continue
+            else:   # SCRIPT or ISA: their ids, checked below as a tokenised line's
+                ids = (m[16],) if tag == "SCRIPT" else m.group(17, 18)
+        else:
+            toks = _tokens(raw, lineno)
+            tag = toks and toks[0]
+            ids = toks and toks[1:]
+            if tag == "PROP" or tag == "SIG":
+                owner = _int(toks[1], lineno)
+                named = props.get(owner)
+                if named is None:
+                    named = props[owner] = {}
+                    owners[tag][owner] = lineno
+                name = toks[2]
+                if not valid_property_name(name):
+                    raise FormatError(f"bad property name {name!r}", lineno)
+                if name in named:
+                    raise FormatError(f"duplicate property {name!r} on {owner}", lineno)
+                named[name] = _decode_prop(toks, lineno) if decode else start
+                spoiled.add(owner)
+            elif tag == "LABEL":
+                node = _int(toks[1], lineno)
+                if not valid_language_tag(toks[2]):
+                    raise FormatError(f"bad language tag {toks[2]!r}", lineno)
+                labels.append((node, toks[2], decode_text(toks[3], lineno)))
+                label_owners.setdefault(node, lineno)
+                label_start = None
+            elif tag == "OBJ" or tag == "ACT":
+                nid, prov, subject, target = _decode_node(toks, lineno)
+                if nid in nodes:
+                    raise FormatError(f"duplicate node id {nid}", lineno)
+                nodes[nid] = (tag, prov, subject, target, lineno)
+        if tag == "SCRIPT":
+            block = _script_block(fh, lineno)
+            line = lineno
             lineno += len(block)
             offset += sum(map(len, block))
-            owner = _int(toks[1], head)
+            owner = _int(ids[0], line)
             if owner in scripts:
-                raise FormatError(f"duplicate SCRIPT for {owner}", head)
-            scripts[owner] = (block, head, start) if decode else start
-            refs.append((head, tag, owner, "ACT"))
-        else:  # ISA
-            inst, concept = _int(toks[1], lineno), _int(toks[2], lineno)
+                raise FormatError(f"duplicate SCRIPT for {owner}", line)
+            scripts[owner] = (block, line, start) if decode else start
+            refs.append((line, tag, owner, "ACT"))
+            if decode:
+                if m is not None and ids[0] == head and _saved_alike(block):
+                    spans[head_id] = range(head_start, offset)
+                    head = None
+                    continue
+                spoiled.add(owner)
+        elif tag == "ISA":
+            inst, concept = _int(ids[0], lineno), _int(ids[1], lineno)
             isa.append((inst, concept))
             refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
+        # this line is not part of the open block, which ends before it
+        if head is not None:
+            spans[head_id] = range(head_start, start)
+            head = None
+    if head is not None:
+        spans[head_id] = range(head_start, offset)
     # records may arrive in any order, so references are checked only now;
     # of several bad ones the first in file order is reported
     bad = [(line, f"{tag} record refers to unknown node {nid}")
@@ -530,26 +650,38 @@ def _read(fh, decode: bool):
         # every script meets it; equal texts share one parse
         asts: dict = {}
         for owner in sorted(scripts):
-            block, head, start = scripts[owner]
-            text = _script_text(block, head)
+            block, line, start = scripts[owner]
+            text = _script_text(block, line)
             ast = asts.get(text)
             if ast is None:
                 try:
                     ast = asts[text] = parse_script(text)
                 except ScriptParseError as exc:
-                    raise _in_file(exc, owner, head) from None
+                    raise _in_file(exc, owner, line) from None
             scripts[owner] = ScriptRef(text=text, ast=ast, offset=start)
-    return nodes, props, scripts, isa, labels
+    for nid in spoiled:
+        spans.pop(nid, None)
+    if label_start is not None and label_line + len(labels) - 1 != lineno:
+        label_start = None   # the LABEL lines are not the file's last lines
+    return nodes, props, scripts, isa, labels, spans, label_start
 
 
-def _load(fh) -> tuple[Net, Lexicon]:
-    nodes, props, scripts, isa, labels = _read(fh, decode=True)
+def _load(data: bytes) -> tuple[Net, Lexicon]:
+    """A fresh net plus its labels from a whole file's bytes. Both keep the
+    bytes that `save` can copy: the net the file and its node blocks'
+    spans, the lexicon its LABEL lines."""
+    nodes, props, scripts, isa, labels, spans, label_start = _read(io.BytesIO(data), decode=True)
     net = Net()
     objects, actions = net.objects, net.actions
     for nid in sorted(nodes):
         tag, prov, subject, target, _ = nodes[nid]
         named = props.get(nid)
-        properties = {name: named[name] for name in sorted(named)} if named else {}
+        if not named:
+            properties = {}
+        elif nid in spans:   # read in name order
+            properties = named
+        else:
+            properties = {name: named[name] for name in sorted(named)}
         if tag == "OBJ":
             objects[nid] = ObjectRecord(nid, properties, [], [], prov)
         else:
@@ -562,16 +694,21 @@ def _load(fh) -> tuple[Net, Lexicon]:
     if nodes:
         net.bump_id(max(nodes))
     net.isa_edges = sorted(set(isa))
+    net.source, net.spans = data, spans
     lexicon = Lexicon()
     for node, lang, text in labels:
         lexicon.set_label(node, lang, text)
+    # save writes labels by (node, language), each pair once
+    if label_start is not None and len(lexicon.labels) == len(labels) and labels == sorted(labels):
+        lexicon.source = data[label_start:]
     return net, lexicon
 
 
 def load(path: str) -> tuple[Net, Lexicon]:
     """Read a whole `.krn` file into a fresh net plus its labels, in one pass."""
     with io.open(path, "rb") as fh:
-        return _load(fh)
+        data = fh.read()
+    return _load(data)
 
 
 # ------------------------------------------------------------------ open
@@ -635,7 +772,7 @@ class StoreHandle:
     # -- indexing scan --
 
     def _scan(self) -> None:
-        nodes, props, scripts, self.isa, self.labels = _read(self._fh, decode=False)
+        nodes, props, scripts, self.isa, self.labels, _, _ = _read(self._fh, decode=False)
         self.stats.bytes_read += self._fh.tell()
         for nid, (tag, prov, subject, target, _) in nodes.items():
             self.index[nid] = IndexEntry(tag.lower(), prov is INFERRED, subject, target,
@@ -809,8 +946,9 @@ class StoreHandle:
         """Read everything into a fresh net plus its labels, as `load` does."""
         self._check_unchanged()
         self._fh.seek(0)
-        loaded = _load(self._fh)
-        self.stats.bytes_read += self._fh.tell()
+        data = self._fh.read()
+        loaded = _load(data)
+        self.stats.bytes_read += len(data)
         return loaded
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from krn import Value
 from krn.cli import Session, run_command, run_lines, split_commands
 from krn.errors import KrnError
 
@@ -177,6 +178,31 @@ def test_a_backslash_keeps_a_quote_open_as_in_shlex():
     out, code = run_script(f"new\nobj o\n{line}; show o.x\n")
     assert code == 0
     assert out.splitlines()[-1] == 'a";b'
+
+
+
+@pytest.mark.parametrize("word, value", [
+    ('"3"', Value.text("3")), ("'true'", Value.text("true")), ('"unset"', Value.text("unset")),
+    ('"ref:1"', Value.text("ref:1")), ('""', Value.text("")), ("3", Value.num(3)),
+    ("true", Value.truth(True)), ('3"4"', Value.num(34)), ("'3'4", Value.num(34)),
+])
+def test_a_set_value_quoted_as_a_whole_is_text(word, value):
+    session = Session()
+    run_command(session, "obj o")
+    out = run_command(session, f"set o.code {word}")
+    assert session.net.get_property(1, "code") == value
+    assert run_command(session, "show o.code") == [out[0].split(" = ", 1)[1]]
+
+
+def test_a_key_value_quoted_after_its_key_is_text():
+    session = Session()
+    run_command(session, "obj o a=\"3\" b='true' c=3 d=true e=1\"2\" \"f=4\"")
+    run_command(session, "act o o g=\"5\" h=5 as p")
+    got = {name: prop.value for nid in (1, 2)
+           for name, prop in session.net.node(nid).properties.items()}
+    assert got == {"a": Value.text("3"), "b": Value.text("true"), "c": Value.num(3),
+                   "d": Value.truth(True), "e": Value.num(12), "f": Value.num(4),
+                   "g": Value.text("5"), "h": Value.num(5)}
 
 
 # One template per CLI verb (and an unknown one); each slot is filled from its

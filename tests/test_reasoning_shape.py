@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -14,7 +16,7 @@ from krn import (
     shape,
 )
 from krn.errors import UnknownConcept
-from krn.reasoning import _compat, _max_anchored_match, shape_all
+from krn.reasoning import _compat, _max_anchored_match, find_matches, shape_all
 
 from helpers import peter_net, person_pattern, wall_net
 
@@ -225,3 +227,21 @@ def test_the_shaping_match_keeps_structure():
             mapped_actions += 1
             mapped_loops += prec.subject == prec.target
     assert mapped_actions > 600 and mapped_loops > 300   # the cases reach both
+
+
+def test_matching_and_shaping_leave_no_cycle_holding_the_net():
+    # reference counting alone frees a searched net, as it must once
+    # gc.freeze holds whatever a cycle would keep
+    gc.disable()
+    try:
+        net, peter, concept_id = peter_net()
+        pattern, root = person_pattern()
+        assert find_matches(pattern, net)
+        assert _max_anchored_match(pattern, root, net, peter)[root] == peter
+        assert shape(net, peter, concept_id)
+        assert query_has(net, peter, "head") is Answer.YES_INFERRED
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
+    finally:
+        gc.enable()

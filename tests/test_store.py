@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from krn import Lexicon, Net, Provenance, SensorAddress, SensorSignal, Value, nets_equal
+from krn import (
+    ConceptTemplate, Lexicon, Net, Provenance, SensorAddress, SensorSignal, Value,
+    collapse_to_action, collapse_to_object, expand, nets_equal, register_concept, shape,
+)
 from krn import store
+from krn.cli import Session, run_command
 from krn.script import apply_undo
 from krn import sim
 from krn.sim import run_action
@@ -16,12 +20,13 @@ from krn.errors import (
     BipartiteViolation,
     EvictionBlocked,
     FormatError,
+    KrnError,
     ScriptParseError,
     UnknownProperty,
     UnknownScript,
 )
 
-from helpers import random_net, wall_net
+from helpers import person_pattern, rand_name, rand_value, random_net, wall_net
 
 
 def _saved(tmp_path, net, lexicon=None, name="net.krn"):
@@ -892,3 +897,234 @@ def test_a_lazy_read_refuses_a_record_that_is_not_the_one_indexed(tmp_path, name
         assert target.objects[wall].properties[name].load_state is PropLoad.STUB
     else:
         assert target.actions[paint].script.state == "stub"
+
+
+
+# ---------------------------------------------------------------- splice save
+
+
+def _saved_in_full(net, lexicon, path):
+    """The bytes a save writes with nothing to copy: same net and labels, no spans."""
+    bare, labels = copy.copy(net), copy.copy(lexicon)
+    bare.spans, labels.source = {}, None
+    store.save(bare, labels, path)
+    return Path(path).read_bytes()
+
+
+def _check_splice(tmp_path, net, lexicon, path):
+    """Save the net where it was loaded from: the bytes equal a full save,
+    and they load back as the same net and the labels of its nodes."""
+    store.save(net, lexicon, path)
+    spliced = Path(path).read_bytes()
+    assert spliced == _saved_in_full(net, lexicon, str(tmp_path / "full.krn"))
+    again, again_lex = store.load(path)
+    assert nets_equal(again, net)
+    assert again_lex.items() == [label for label in lexicon.items()
+                                 if label[0] in net.objects or label[0] in net.actions]
+
+
+def _mutate(rng, net, lexicon):
+    """One random public change of a net or its labels; refusals are fine."""
+    nodes, objects = net.node_ids(), sorted(net.objects)
+    roll = rng.randrange(11)
+    if roll == 0:
+        net.set_property(rng.choice(nodes), rand_name(rng), rand_value(rng, net))
+    elif roll == 1:
+        named = [nid for nid in nodes if net.node(nid).properties]
+        if named:
+            nid = rng.choice(named)
+            net.erase_property(nid, rng.choice(sorted(net.node(nid).properties)))
+    elif roll == 2:
+        scripted = [aid for aid in sorted(net.actions) if net.actions[aid].script.text]
+        if scripted:
+            changes = run_action(net, rng.choice(scripted))
+            if rng.random() < 0.7:
+                apply_undo(net, changes)
+    elif roll == 3:
+        oid = net.add_object([(rand_name(rng), rand_value(rng, net))])
+        net.add_action(rng.choice([None, *objects]), oid, 'set object.colour = "black";')
+    elif roll == 4 and len(objects) > 1:
+        net.erase_node(rng.choice(nodes))
+    elif roll == 5:
+        collapse_to_object(net, {rng.choice(objects)})
+    elif roll == 6:
+        oid = rng.choice(objects)
+        obj = net.objects[oid]
+        collapse_to_action(net, {oid, *obj.outgoing, *obj.incoming})
+    elif roll == 7:
+        complex_ids = [nid for nid in nodes if net.node(nid).collapse_payload is not None]
+        if complex_ids:
+            expand(net, rng.choice(complex_ids))
+    elif roll == 8:
+        pattern, root = person_pattern()
+        concept = register_concept(net, ConceptTemplate(pattern=pattern, root=root, support=2))
+        instance = rng.choice(objects)
+        net.add_isa(instance, concept)
+        shape(net, instance, concept)
+    elif roll == 9 and len(objects) > 1:
+        net.add_isa(*rng.sample(objects, 2))
+    else:
+        lexicon.set_label(rng.choice(nodes), rng.choice(["en", "fr"]), rand_name(rng))
+
+
+def _evict_one(rng, net, path):
+    """Evict, through a handle on the file the net was loaded from, a node
+    holding a value read from it; False when the net holds none."""
+    with store.open(path) as handle:
+        held = [nid for nid in sorted(handle.index) if nid in net.objects or nid in net.actions
+                if any(p.from_store for p in net.node(nid).properties.values())]
+        if not held:
+            return False
+        handle.evict(rng.choice(held), net)
+    return True
+
+
+def test_load_edit_save_cycles_save_as_a_full_save(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "fsync", lambda fd: None)   # bytes are checked here, not durability
+    rng = random.Random(3131)
+    path = str(tmp_path / "net.krn")
+    copied = evicted = 0
+    for start in range(6):
+        net, lexicon = random_net(rng, max_objects=10)
+        net.add_action(None, min(net.objects), 'set object.colour = "black";')
+        store.save(net, lexicon, path)
+        for cycle in range(20):
+            net, lexicon = store.load(path)
+            for _ in range(rng.randint(1, 4)):
+                try:
+                    _mutate(rng, net, lexicon)
+                except KrnError:
+                    pass
+            if rng.random() < 0.15 and _evict_one(rng, net, path):
+                before = Path(path).read_bytes()
+                with pytest.raises(UnknownProperty):
+                    store.save(net, lexicon, path)
+                assert Path(path).read_bytes() == before
+                evicted += 1
+                continue
+            copied += bool(net.spans) + (lexicon.source is not None)
+            _check_splice(tmp_path, net, lexicon, path)
+    assert copied > 100 and evicted > 5   # saves copy blocks and labels; evicts reach the check
+
+
+def test_cli_load_edit_save_cycles_save_as_a_full_save(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "fsync", lambda fd: None)   # bytes are checked here, not durability
+    rng = random.Random(4141)
+    path = str(tmp_path / "cli.krn")
+    net, lexicon = random_net(rng, max_objects=12)
+    store.save(net, lexicon, path)
+    session = Session()
+    commands = ["set #{n}.x {v}", "set #{n}.colour '{v}'", "obj o{c} size={v}",
+                "act #{n} #{m} w={v}", "run #{n}", "label #{n} fr t{c}", "isa #{n} #{m}",
+                "collapse-obj #{n}", "expand #{n}", "shape #{n}"]
+    for cycle in range(40):
+        run_command(session, f"load {path}")
+        for _ in range(rng.randint(1, 4)):
+            nodes = session.net.node_ids()
+            command = rng.choice(commands).format(n=rng.choice(nodes), m=rng.choice(nodes),
+                                                  c=cycle, v=rng.choice(["1", "2.5", "red"]))
+            try:
+                run_command(session, command)
+            except KrnError:
+                pass
+        assert run_command(session, f"save {path}") == [f"saved {path}"]
+        _check_splice(tmp_path, session.net, session.lexicon, path)
+
+
+_CANONICAL = b"""KRN 1
+OBJ 1
+PROP 1 colour text "green" asserted
+PROP 1 mass num 2.5 asserted
+OBJ 2 inferred
+ACT 3 1 2
+PROP 3 speed num 1.0 inferred
+SCRIPT 3
+<<<
+set object.colour = "black";
+>>>
+ACT 4 - 2
+ISA 2 1
+LABEL 1 en "wall"
+LABEL 3 fr "peindre"
+"""
+
+
+@pytest.mark.parametrize("edits, unspanned, labels_copied", [
+    ([], set(), True),
+    ([(b"mass num 2.5 asserted", b"mass num 2.5")], {1}, True),     # no provenance token
+    ([(b"speed num 1.0", b"speed num 1")], {3}, True),
+    ([(b"OBJ 2 inferred\n", b"OBJ 2 inferred\nPROP 2 next ref 007 asserted\n")], {2}, True),
+    ([(b"OBJ 2 inferred", b"OBJ 02 inferred")], {2}, True),         # a leading zero
+    ([(b"PROP 1 mass", b"PROP 01 mass")], {1}, True),
+    ([(b"SCRIPT 3", b"SCRIPT 03")], {3}, True),
+    ([(b"LABEL 3", b"LABEL 03")], set(), False),
+    ([(b"PROP 1 colour", b"PROP 1 zcolour")], {1}, True),           # names out of order
+    ([(b"PROP 1 mass num 2.5 asserted\n", b""),                        # a PROP away from its node
+      (b"ACT 4 - 2\n", b"ACT 4 - 2\nPROP 1 mass num 2.5 asserted\n")], {1}, True),
+    ([(b"OBJ 2 inferred\n", b"OBJ 2 inferred\nSIG 2 touch skin 01 5 sensed\n")], {2}, True),
+    ([(b'"black";\n>>>', b'"black";\n\n>>>')], {3}, True),            # a blank line ScriptRef drops
+    ([(b"OBJ 2 inferred\n", b""), (b"ACT 4 - 2\n", b"ACT 4 - 2\nOBJ 2 inferred\n")],
+     set(), True),                                                      # blocks out of id order
+    ([(b'LABEL 1 en "wall"\n', b'LABEL 1 en "wall"\nLABEL 1 en "wall2"\n')], set(), False),
+    ([(b'LABEL 1 en "wall"\n', b""), (b'"peindre"\n', b'"peindre"\nLABEL 1 en "wall"\n')],
+     set(), False),                                                     # labels out of order
+    ([(b'ISA 2 1\nLABEL 1 en "wall"\n', b'LABEL 1 en "wall"\nISA 2 1\n')], set(), False),
+])
+def test_a_block_unlike_what_save_writes_is_encoded(tmp_path, edits, unspanned, labels_copied):
+    data = _CANONICAL
+    for old, new in edits:
+        assert old in data
+        data = data.replace(old, new, 1)
+    path = tmp_path / "net.krn"
+    path.write_bytes(data)
+    net, lexicon = store.load(str(path))
+    assert set(net.node_ids()) - net.spans.keys() == unspanned
+    assert (lexicon.source is not None) is labels_copied
+    for nid in net.node_ids():
+        assert list(net.node(nid).properties) == sorted(net.node(nid).properties)
+    _check_splice(tmp_path, net, lexicon, str(path))
+    if not edits:
+        assert path.read_bytes() == _CANONICAL
+
+
+def test_a_respaced_file_saves_as_a_full_save(tmp_path):
+    path = tmp_path / "net.krn"
+    path.write_bytes(_respaced(_CANONICAL))
+    net, lexicon = store.load(str(path))
+    assert net.spans == {} and lexicon.source is None
+    _check_splice(tmp_path, net, lexicon, str(path))
+    assert path.read_bytes() == _CANONICAL
+
+
+def test_a_spliced_save_fails_to_encode_at_the_line_a_full_save_names(tmp_path):
+    path = tmp_path / "net.krn"
+    path.write_bytes(_CANONICAL)
+    net, lexicon = store.load(str(path))
+    net.set_property(2, "bad", Value.text("a\udcffb"))
+    with pytest.raises(FormatError) as full:
+        _saved_in_full(net, lexicon, str(tmp_path / "full.krn"))
+    with pytest.raises(FormatError) as spliced:
+        store.save(net, lexicon, str(path))
+    assert spliced.value.line == full.value.line == 6
+    assert path.read_bytes() == _CANONICAL
+
+
+def test_mutants_that_load_save_as_a_full_save(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "fsync", lambda fd: None)   # bytes are checked here, not durability
+    # the mutants of test_mutated_saves_fail_only_with_typed_errors
+    rng = random.Random(9090)
+    path = str(tmp_path / "mutant.krn")
+    loaded = 0
+    for i in range(400):
+        net, lexicon = random_net(rng)
+        with open(_saved(tmp_path, net, lexicon), "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(_mutated(rng, data))
+        try:
+            net, lexicon = store.load(path)
+        except (FormatError, ScriptParseError):
+            continue
+        loaded += 1
+        _check_splice(tmp_path, net, lexicon, path)
+    assert loaded > 40
