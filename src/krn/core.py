@@ -223,7 +223,6 @@ class ScriptRef:
 class CollapsePayload:
     """Everything removed by a collapse, kept verbatim for expansion."""
 
-    kind: str  # "object" | "action"
     objects: dict[NodeId, "ObjectRecord"]
     actions: dict[NodeId, "ActionRecord"]
     isa: list[tuple[NodeId, NodeId]]
@@ -466,13 +465,13 @@ class Net:
         self.touch(nid)
 
     def erase_node(self, nid: NodeId) -> None:
-        if nid in self.objects:
-            doomed = set(self.objects[nid].outgoing) | set(self.objects[nid].incoming)
-            for aid in sorted(doomed):
-                self._erase_action(aid)
-            del self.objects[nid]
+        obj = self.objects.pop(nid, None)
+        if obj is not None:
+            # popped first, so erasing its actions leaves its own lists alone
             self.touch(nid)
-            self._drop_isa(nid)
+            for aid in sorted({*obj.outgoing, *obj.incoming}):
+                self._erase_action(aid)
+            self._drop_isa({nid})
         elif nid in self.actions:
             self._erase_action(nid)
         else:
@@ -583,8 +582,13 @@ class Net:
         del self.actions[aid]
         self.touch(aid)
 
-    def _drop_isa(self, nid: NodeId) -> None:
-        self.isa_edges = [(i, c) for i, c in self.isa_edges if i != nid and c != nid]
+    def _drop_isa(self, nodes) -> list[tuple[NodeId, NodeId]]:
+        """Take out the is-a edges with an end in `nodes`; return them."""
+        kept, dropped = [], []
+        for edge in self.isa_edges:
+            (dropped if edge[0] in nodes or edge[1] in nodes else kept).append(edge)
+        self.isa_edges = kept
+        return dropped
 
 
 def create_net() -> Net:

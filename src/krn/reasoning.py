@@ -72,13 +72,14 @@ def _neighbors(net: Net, nid: NodeId) -> list[NodeId]:
     return sorted(_adjacent(net, nid))
 
 
-def _bfs_order(net: Net, start: NodeId) -> list[NodeId]:
-    """Nodes reachable from start, breadth-first, neighbours in id order."""
+def _bfs_order(net: Net, start: NodeId, within=None) -> list[NodeId]:
+    """Nodes reachable from start, breadth-first, neighbours in id order;
+    with `within`, only through nodes in that set."""
     order = [start]
     seen = {start}
     for nid in order:   # the list grows while it is read: a FIFO queue
         for nb in _neighbors(net, nid):
-            if nb not in seen:
+            if nb not in seen and (within is None or nb in within):
                 seen.add(nb)
                 order.append(nb)
     return order
@@ -137,21 +138,9 @@ def compute_boundary(net: Net, inside) -> Boundary:
     inside = set(inside)
     if not inside:
         raise BoundaryViolation("inside set is empty")
-    for nid in inside:
-        net.node(nid)  # raises UnknownNode
-    seen = {min(inside)}
-    frontier = [min(inside)]
-    while frontier:
-        nid = frontier.pop()
-        for nb in _neighbors(net, nid):
-            if nb in inside and nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    if seen != inside:
-        raise BoundaryViolation("inside set is not connected")
     cut: list[CutLink] = []
     for nid in sorted(inside):
-        rec = net.node(nid)
+        rec = net.node(nid)  # raises UnknownNode
         if isinstance(rec, ObjectRecord):
             for aid in rec.outgoing:
                 if aid not in inside:
@@ -164,32 +153,40 @@ def compute_boundary(net: Net, inside) -> Boundary:
                 cut.append(CutLink(nid, rec.subject, "object", "subject"))
             if rec.target not in inside:
                 cut.append(CutLink(nid, rec.target, "object", "target"))
+    if len(_bfs_order(net, min(inside), within=inside)) != len(inside):
+        raise BoundaryViolation("inside set is not connected")
     return Boundary(frozenset(inside), tuple(cut))
 
 
-def _capture_payload(net: Net, inside: set, kind: str,
-                     rewired: list) -> CollapsePayload:
-    """Move the inside records, as they are, into a payload.
+def _bounded(net: Net, inside, kind: str) -> Boundary:
+    """The boundary of a subnet that collapses to one `kind` node, which
+    must meet the rest of the net only through nodes of the other kind."""
+    boundary = compute_boundary(net, inside)
+    bad = next((cl for cl in boundary.cut if cl.via == kind), None)
+    if bad is not None:
+        other = "action" if kind == "object" else "object"
+        raise BoundaryViolation(
+            f"boundary crossed via {kind} at {bad.inside}->{bad.outside}; "
+            f"a complex {kind} must meet the rest of the net through {other}s"
+        )
+    return boundary
 
-    No copy is made: `_remove_inside` then drops the net's references to
-    them, and `expand` puts the same records back under the same ids.
+
+def _take_inside(net: Net, inside, rewired: list) -> CollapsePayload:
+    """Move the inside records, as they are, out of the net into a payload,
+    with the is-a edges that touch them.
+
+    No copy is made: `expand` puts the same records back under the same ids.
     """
-    objects = {nid: net.objects[nid] for nid in inside if nid in net.objects}
-    actions = {nid: net.actions[nid] for nid in inside if nid in net.actions}
-    isa = [(i, c) for i, c in net.isa_edges if i in inside or c in inside]
-    return CollapsePayload(kind=kind, objects=objects, actions=actions,
-                           isa=isa, rewired=rewired)
-
-
-def _remove_inside(net: Net, inside: set) -> None:
-    """Drop a collapsed subnet's nodes and the is-a edges that touch them."""
-    net.isa_edges = [(i, c) for i, c in net.isa_edges
-                     if i not in inside and c not in inside]
-    net.collapsed = net.collapsed.union(inside)
-    for nid in inside:
-        net.objects.pop(nid, None)
-        net.actions.pop(nid, None)
+    objects, actions = {}, {}
+    for nid in sorted(inside):
+        if nid in net.objects:
+            objects[nid] = net.objects.pop(nid)
+        else:
+            actions[nid] = net.actions.pop(nid)
         net.touch(nid)
+    net.collapsed = net.collapsed.union(inside)
+    return CollapsePayload(objects, actions, net._drop_isa(inside), rewired)
 
 
 def collapse_to_object(net: Net, inside) -> NodeId:
@@ -198,17 +195,10 @@ def collapse_to_object(net: Net, inside) -> NodeId:
     Crossing actions are rewired to the new object; the removed subnet
     is kept on the complex node for expansion.
     """
-    boundary = compute_boundary(net, inside)
-    inside = set(boundary.inside)
-    bad = [cl for cl in boundary.cut if cl.via == "object"]
-    if bad:
-        raise BoundaryViolation(
-            f"boundary crossed via object at {bad[0].inside}->{bad[0].outside}; "
-            "a complex object must meet the rest of the net through actions"
-        )
+    boundary = _bounded(net, inside, "object")
     rewired = [(cl.outside, cl.role, cl.inside)
                for cl in sorted(boundary.cut, key=lambda c: (c.outside, c.role))]
-    payload = _capture_payload(net, inside, "object", rewired)
+    payload = _take_inside(net, boundary.inside, rewired)
     new_id = net.allocate_id()
     record = ObjectRecord(id=new_id, collapse_payload=payload)
     net.objects[new_id] = record
@@ -222,7 +212,6 @@ def collapse_to_object(net: Net, inside) -> NodeId:
             act.target = new_id
             record.incoming.append(aid)
         net.touch(aid)
-    _remove_inside(net, inside)
     return new_id
 
 
@@ -236,26 +225,12 @@ def collapse_to_action(net: Net, inside, *, subject_hint: NodeId | None = None,
     hint raises AmbiguousEndpoints. A single action collapses to itself.
     """
     inside = set(inside)
-    if len(inside) == 1:
-        only = next(iter(inside))
-        if net.is_action(only):
-            return only
-    boundary = compute_boundary(net, inside)
-    bad = [cl for cl in boundary.cut if cl.via == "action"]
-    if bad:
-        raise BoundaryViolation(
-            f"boundary crossed via action at {bad[0].inside}->{bad[0].outside}; "
-            "a complex action must meet the rest of the net through objects"
-        )
-    initiators: list[NodeId] = []
-    recipients: list[NodeId] = []
-    for aid in sorted(a for a in inside if net.is_action(a)):
-        act = net.actions[aid]
-        if act.subject is not None and act.subject not in inside \
-                and act.subject not in initiators:
-            initiators.append(act.subject)
-        if act.target not in inside and act.target not in recipients:
-            recipients.append(act.target)
+    if len(inside) == 1 and net.is_action(min(inside)):
+        return min(inside)
+    boundary = _bounded(net, inside, "action")
+    # every crossing link starts at an inside action: subject, then target
+    initiators = list(dict.fromkeys(cl.outside for cl in boundary.cut if cl.role == "subject"))
+    recipients = list(dict.fromkeys(cl.outside for cl in boundary.cut if cl.role == "target"))
 
     def pick(candidates, hint, side):
         if hint is not None:
@@ -270,7 +245,7 @@ def collapse_to_action(net: Net, inside, *, subject_hint: NodeId | None = None,
     target = pick(recipients, target_hint, "target")
     if target is None:
         raise AmbiguousEndpoints("no outside recipient to serve as the complex action's target")
-    payload = _capture_payload(net, inside, "action", [])
+    payload = _take_inside(net, boundary.inside, [])
     # detach every crossing link from the outside objects' lists, keeping
     # each one's place in the list as it was
     for cl in boundary.cut:
@@ -280,7 +255,6 @@ def collapse_to_action(net: Net, inside, *, subject_hint: NodeId | None = None,
     for outside, role, _, aid in payload.slots:
         obj = net.objects[outside]
         (obj.outgoing if role == "subject" else obj.incoming).remove(aid)
-    _remove_inside(net, inside)
     new_id = net.allocate_id()
     net.actions[new_id] = ActionRecord(
         id=new_id, subject=subject, target=target, collapse_payload=payload,
@@ -308,7 +282,7 @@ def expand(net: Net, complex_id: NodeId) -> set:
     # no restored id can be in use: ids are never reallocated, and a store
     # handle refuses to stub one in (`net.collapsed`)
     restored = payload.objects.keys() | payload.actions.keys()
-    if payload.kind == "object":
+    if complex_id in net.objects:
         covered = {(aid, role) for aid, role, _ in payload.rewired}
         attached = {(aid, "subject") for aid in rec.outgoing} | \
                    {(aid, "target") for aid in rec.incoming}
@@ -327,20 +301,18 @@ def expand(net: Net, complex_id: NodeId) -> set:
             if end not in payload.objects and end not in net.objects:
                 raise UnknownNode(f"is-a end {end} vanished before expansion")
 
-    for nid in sorted(payload.objects):
-        net.objects[nid] = payload.objects[nid]
+    net.objects.update(payload.objects)
+    net.actions.update(payload.actions)
+    for nid in restored:
         net.touch(nid)
-    for nid in sorted(payload.actions):
-        net.actions[nid] = payload.actions[nid]
-        net.touch(nid)
-    if payload.kind == "object":
+    if complex_id in net.objects:
         # outside crossing actions point at the complex object; point them back
         for aid, role, orig in payload.rewired:
             setattr(net.actions[aid], role, orig)
             net.touch(aid)
         del net.objects[complex_id]
         net.touch(complex_id)
-        net._drop_isa(complex_id)
+        net._drop_isa({complex_id})
     else:
         # wire restored actions back into the outside objects' lists, each
         # at its old index: in ascending order, every earlier one is back

@@ -43,8 +43,9 @@ alone) and its properties or script are hydrated one by one. A handle
 reads only the file it indexed: once the path's device, inode, size or
 modification time differ from those at open, every lazy read raises
 FormatError, and so does a lazy read that finds any record but the one
-indexed at its offset. A ScriptParseError from either reader names the
-action and gives the file line.
+indexed at its offset. After `close`, every lazy read but `evict` raises
+FormatError naming the path. A ScriptParseError from either reader names
+the action and gives the file line.
 
 A save is byte-deterministic (records sorted by id, properties by name)
 and atomic: it writes a temp file beside the target, syncs it and
@@ -781,7 +782,9 @@ class StoreHandle:
     # -- reads --
 
     def _check_unchanged(self) -> None:
-        """Refuse to read once the path no longer names the file as indexed."""
+        """Refuse to read once closed or once the path no longer names the file as indexed."""
+        if self._fh.closed:
+            raise FormatError(f"{self.path} handle is closed", None)
         try:
             now = _identity(os.stat(self.path))
         except OSError:

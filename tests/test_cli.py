@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from krn import Value
-from krn.cli import Session, run_command, run_lines, split_commands
+from krn.cli import Session, main, run_command, run_lines, split_commands
 from krn.errors import KrnError
 
 
@@ -394,6 +394,26 @@ def test_main_reads_file_and_stdin(tmp_path):
     )
     assert piped.returncode == 1
     assert "error: " in piped.stdout
+
+
+def test_the_repl_on_a_tty_keeps_going_after_an_error_until_eof(monkeypatch, capsys):
+    typed = iter(["new", "obj wall colour=green", "run wall", "show wall.colour"])
+    prompts = []
+
+    def fake_input(prompt):
+        prompts.append(prompt)
+        line = next(typed, None)
+        if line is None:
+            raise EOFError
+        return line
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+    assert main([]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # the error line, the command after it, and the newline printed at EOF
+    assert out == ["new net", "obj wall #1", "error: UnknownNode: no action 1", "green", ""]
+    assert prompts == ["krn> "] * 5
 
 
 

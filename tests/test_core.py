@@ -3,6 +3,7 @@ import random
 import pytest
 
 from krn import Net, Provenance, SensorAddress, SensorSignal, Value, nets_equal
+from krn.core import ObjectRecord, PropertyRecord
 from krn.errors import (
     BipartiteViolation,
     DuplicatePropertyName,
@@ -248,6 +249,38 @@ def test_validate_detects_dangling_reference():
     net.actions[a].target = 777
     report = net.validate_bipartite()
     assert any(v.kind == "dangling-ref" for v in report.violations)
+
+
+@pytest.mark.parametrize("corrupt, kind, names", [
+    # an id both object and action
+    (lambda net, man, act, wall: net.objects.update({act: ObjectRecord(act)}),
+     "bipartite-violation", ("act",)),
+    # a target whose incoming list names the action twice
+    (lambda net, man, act, wall: net.objects[wall].incoming.append(act),
+     "symmetry-break", ("wall", "act")),
+    # an object list that names an object
+    (lambda net, man, act, wall: net.objects[man].outgoing.append(wall),
+     "bipartite-violation", ("man", "wall")),
+    # an object list that names a missing action
+    (lambda net, man, act, wall: net.objects[wall].incoming.append(9),
+     "dangling-ref", ("wall", 9)),
+    # a sensed property that holds no signal
+    (lambda net, man, act, wall: net.objects[wall].properties.update(
+        x=PropertyRecord("x", Value.num(1), Provenance.SENSED)),
+     "bad-provenance", ("wall",)),
+    # an is-a edge with a missing end
+    (lambda net, man, act, wall: net.isa_edges.append((man, 9)),
+     "dangling-ref", ("man", 9)),
+])
+def test_validate_reports_each_corruption_by_kind_and_nodes(corrupt, kind, names):
+    net = Net()
+    man = net.add_object([])
+    wall = net.add_object([])
+    act = net.add_action(man, wall)
+    corrupt(net, man, act, wall)
+    ids = {"man": man, "act": act, "wall": wall}
+    first = net.validate_bipartite().violations[0]
+    assert (first.kind, first.nodes) == (kind, tuple(ids.get(n, n) for n in names))
 
 
 def run_fuzz(seed: int, steps: int, net: Net | None = None) -> Net:

@@ -392,6 +392,20 @@ def test_type_mismatch_and_division():
         execute(parse('if object.n { set object.x = 1; }'), ctx)
 
 
+@pytest.mark.parametrize("expr, message", [
+    ('-"a"', "cannot negate text"),
+    ("not 1", "cannot apply not to num"),
+    ("1 and true", "and needs bool operands, got num"),   # the left operand
+    ("false or 1", "or needs bool operands, got num"),    # the right operand
+])
+def test_an_operand_of_the_wrong_kind_is_a_type_mismatch(expr, message):
+    net = Net()
+    target = net.add_object([])
+    with pytest.raises(TypeMismatch) as err:
+        execute(parse(f"set object.r = {expr};"), ExecContext(net, target))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("op", ["<", ">", "<=", ">="])
 def test_scripts_and_fragment_predicates_order_numbers_alike(op):
     for x in (1.0, 2.0, 3.0):

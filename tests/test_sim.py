@@ -147,6 +147,18 @@ def test_run_stub_action_hydrates_once(tmp_path):
         assert handle.stats.scripts_hydrated == 1
 
 
+def test_run_stub_action_without_a_store_is_an_unknown_script(tmp_path):
+    net, man, wall, paint = wall_net()
+    path = tmp_path / "wall.krn"
+    store.save(net, None, str(path))
+    with store.open(str(path)) as handle:
+        target = Net()
+        handle.load_stub(paint, target)
+    with pytest.raises(UnknownScript, match="stubbed and no store given"):
+        run_action(target, paint)
+    assert target.actions[paint].script.state == "stub"
+
+
 def test_diff_chameleon():
     net = Net()
     chameleon = net.add_object([])

@@ -855,6 +855,30 @@ def test_handle_refuses_a_file_replaced_by_a_save(tmp_path, call):
     assert not target.objects and not target.actions
 
 
+@pytest.mark.parametrize("call", ["load_stub", "hydrate_property", "hydrate_script",
+                                  "load_full"])
+def test_a_closed_handle_refuses_a_lazy_read(tmp_path, call):
+    net, wall, paint, path = _scripted(tmp_path)
+    handle = store.open(path)
+    handle.close()
+    target = Net()
+    args = {"load_stub": (wall, target), "hydrate_property": (wall, "colour", target),
+            "hydrate_script": (paint, target), "load_full": ()}[call]
+    with pytest.raises(FormatError, match="handle is closed") as err:
+        getattr(handle, call)(*args)
+    assert path in str(err.value)
+    assert not target.objects and not target.actions
+
+
+def test_hydrate_script_of_an_object_is_an_unknown_script(tmp_path):
+    net, wall, paint, path = _scripted(tmp_path)
+    with store.open(path) as handle:
+        target = Net()
+        with pytest.raises(UnknownScript, match="not an action"):
+            handle.hydrate_script(wall, target)
+    assert not target.objects
+
+
 def _rewritten_in_place(path, data):
     """New bytes of the same size in the same file, its modification time put
     back: what a same-size edit within one coarse clock tick leaves."""
