@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import shlex
 import sys
 
 from . import agent, reasoning, sim, store
@@ -20,13 +19,21 @@ from .core import _NAME_RE, Kind, Net, Value
 from .errors import CommandError, KrnError, NoLabel
 from .lexicon import Lexicon
 
-_ID_RE = re.compile(r"#?[0-9]{1,18}\Z")   # as store._RECORD bounds ids
+_ID_RE = re.compile(r"#?[0-9]{1,18}\Z")   # as the store reader bounds ids
 # A command runs to a `;` outside quotes that no backslash escapes (inside
 # single quotes a backslash is plain); an unclosed quote runs to the end.
 _COMMAND_RE = re.compile(r"""(?:[^;'"\\]|\\.?|'[^']*'?|"(?:[^"\\]|\\.?)*"?)+""", re.DOTALL)
-# A word of a command as shlex.split reads it, quotes kept: one per token
-# once shlex has found the quotes closed and no backslash at the end.
-_WORD_RE = re.compile(r"""(?:[^ \t\r\n'"\\]+|\\.|'[^']*'|"(?:[^"\\]+|\\.)*")+""", re.DOTALL)
+# A word of a command as shlex.split(posix=True) reads it, quotes kept:
+# with no quote or backslash (the token as it stands), or with some; or,
+# from a quote that never closes or a backslash at the end, the rest of
+# the text, where shlex fails.
+_WORD_RE = re.compile(r"""([^ \t\r\n'"\\]++(?![^ \t\r\n]))
+    | ((?:[^ \t\r\n'"\\]++|\\.|'[^']*+'|"(?:[^"\\]++|\\.)*+")++) | (['"\\].*)""", re.DOTALL | re.X)
+# the pieces of a quoted word: plain text, an escaped character, a
+# single-quoted string, a double-quoted one (where a backslash escapes
+# only a backslash or a double quote)
+_PIECE_RE = re.compile(r"""([^'"\\]+)|\\(.)|'([^']*)'|"((?:[^"\\]|\\.)*)\"""", re.DOTALL)
+_ESCAPE_RE = re.compile(r'\\([\\"])')
 # a word that is one quoted string, after a plain `key=` if any
 _QUOTED_RE = re.compile(r"""(?:([^ \t\r\n'"\\=]*)=)?(?:'[^']*'|"(?:[^"\\]|\\.)*")\Z""", re.DOTALL)
 
@@ -124,6 +131,29 @@ def render_value(v: Value | None) -> str:
     return "unset"
 
 
+def _piece(m: re.Match) -> str:
+    i = m.lastindex
+    return _ESCAPE_RE.sub(r"\1", m[i]) if i == 4 else m[i]
+
+
+def split_words(text: str) -> tuple[list[str], list[str]]:
+    """The words of a command as typed, and their tokens as
+    shlex.split(text, posix=True) gives them; CommandError with shlex's
+    message where shlex fails."""
+    words, tokens = [], []
+    for plain, quoted, fault in _WORD_RE.findall(text):
+        if fault:
+            # shlex fails at the end of the text: in an escape (one backslash
+            # left over, outside quotes or in a double-quoted string) or in
+            # a quoted string
+            odd = fault[0] != "'" and (len(fault) - len(fault.rstrip("\\"))) % 2
+            raise CommandError("cannot parse command: "
+                               + ("No escaped character" if odd else "No closing quotation"))
+        words.append(plain or quoted)
+        tokens.append(plain or _PIECE_RE.sub(_piece, quoted))
+    return words, tokens
+
+
 def split_commands(line: str) -> list[str]:
     """Split on top-level semicolons; quotes and backslashes work as in shlex."""
     return [p.strip() for p in _COMMAND_RE.findall(line) if p.strip()]
@@ -167,17 +197,10 @@ def _take_as_name(args: list[str]) -> tuple[list[str], str | None]:
 
 def run_command(session: Session, text: str) -> list[str]:
     """Execute one command and return its rendered output lines."""
-    try:
-        tokens = shlex.split(text, posix=True)
-    except ValueError as exc:
-        raise CommandError(f"cannot parse command: {exc}") from None
+    words, tokens = split_words(text)
     if not tokens:
         return []
     verb, args = tokens[0], tokens[1:]
-    # the raw words of a command whose values may be quoted; with no quote
-    # in the text, no word is quoted and the tokens will do
-    has_quote = verb in ("obj", "act", "set") and ("'" in text or '"' in text)
-    words = _WORD_RE.findall(text) if has_quote else tokens
     if verb in ("load", "save", "mine"):
         try:   # a NUL byte, or a character with no file-system encoding
             if any(b"\0" in os.fsencode(arg) for arg in args):

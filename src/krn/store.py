@@ -21,17 +21,18 @@ provenance token is optional on read and defaults to asserted (sensed
 for SIG).
 
 Records may appear in any order. Both ways of reading a file go over it
-once, line by line, through one record reader that checks the framing
-and every reference between records (an action's endpoints and is-a
-ends must be objects); of several bad references, the first in file
-order is reported. `open` streams the file; `load` reads it whole
-first and keeps its bytes. A line in one of the forms `save` writes
-for all but the rarest lines (a PROP with a plain value, a LABEL, an
-OBJ, an ACT, a SCRIPT head, an ISA; ids with no leading zero) is
-matched whole by one compiled pattern and decoded from the match; any
-other line goes through the one line decoder that the lazy reads use,
-and that path finds every fault. `load` decodes each record as it
-passes, and matched records with equal value tokens share one Value. It
+once through one record reader that checks the framing and every
+reference between records (an action's endpoints and is-a ends must be
+objects); of several bad references, the first in file order is
+reported. `open` reads the file a bounded chunk at a time; `load` reads
+it whole first and keeps its bytes. The runs of lines `save` writes for
+all but the rarest nets are each matched whole by one compiled pattern
+and read from the match: a node block (its OBJ or ACT line, its PROP
+lines with plain values, an action's SCRIPT block), a run of ISA lines
+and a run of LABEL lines, ids with no leading zero. Any other line goes
+through the one line decoder that the lazy reads use, and that path
+finds every fault. `load` decodes each record as it passes, and matched
+records with equal value tokens share one Value. It
 reads script texts only once the framing and references hold, so a
 fault inside a script never hides a later framing or reference fault
 that `open` would report; each distinct text is parsed once per load,
@@ -388,26 +389,35 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
 _ARITY = {"OBJ": (2, 3), "ACT": (4, 5), "PROP": (5, 6), "SIG": (6, 7),
           "SCRIPT": (2,), "ISA": (3,), "LABEL": (4,)}
 
-# The forms `save` writes for all but the rarest lines of a file, each
-# matched whole with its newline: a PROP with a plain value, a LABEL, an OBJ,
-# an ACT, a SCRIPT head and an ISA, their fields single-spaced and printable
-# ASCII. Names follow valid_property_name and tags valid_language_tag; a
-# token is unquoted, or quoted text with no quote or backslash inside. Ids
-# are written as `save` writes them, with no leading zero and at most 18
-# digits, so int() takes them as the tokenising path would, and equal ids
-# have equal bytes. A matched line holds no fault but a duplicate, a bad
-# value or a bad reference; the lastgroup of a match is its tag.
-_RECORD = re.compile(rb"""
-    PROP\ (<id>)\ ([a-z][a-z0-9_-]*|(?:goal|antigoal):[a-z0-9_-]+)
-        \ (?P<PROP>(num|text|bool|ref|unset)\ ([!#-~]+|"[ !#-\[\]-~]*")
-        (?:\ (asserted|inferred))?)\n
-  | LABEL\ (<id>)\ ([A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*)
-        \ "(?P<LABEL>[ !#-\[\]-~]*)"\n
-  | OBJ\ (<id>)(?P<OBJ>(?:\ inferred)?)\n
-  | ACT\ (<id>)\ (-|<id>)\ (<id>)(?P<ACT>(?:\ inferred)?)\n
-  | SCRIPT\ (?P<SCRIPT><id>)\n
-  | ISA\ (<id>)\ (?P<ISA><id>)\n
+# The runs of lines `save` writes for all but the rarest nets, each matched
+# whole with its newlines: a node block (an OBJ or ACT line, then its PROP
+# lines with plain values, then an action's SCRIPT block), a run of ISA
+# lines or a run of LABEL lines; the lastgroup of a match names which. Record
+# fields are single-spaced printable ASCII. Names follow valid_property_name
+# and tags valid_language_tag; a token is unquoted, or quoted text with no
+# quote or backslash inside. Ids are written as `save` writes them, with no
+# leading zero and at most 18 digits, so int() takes them as the tokenising
+# path would, and equal ids have equal bytes. A matched line holds no fault
+# but a duplicate, a bad value or a bad reference.
+_BLOCK = re.compile(rb"""
+    (?P<NODE>(?:OBJ|(?P<act>ACT))\ (?P<nid><id>)(?(act)\ (?P<subject>-|<id>)\ (?P<target><id>))
+        (?P<inferred>\ inferred)?\n
+      (?P<props>(?:PROP\ (?P=nid)\ (?:[a-z][a-z0-9_-]*|(?:goal|antigoal):[a-z0-9_-]+)
+        \ (?:num|text|bool|ref|unset)\ (?:[!#-~]+|"[ !#-\[\]-~]*")(?:\ (?:asserted|inferred))?\n)*+)
+      (?(act)(?P<script>SCRIPT\ (?P=nid)\n<<<\n(?P<body>(?:(?!>>>\n)[^\n]*\n)*+)>>>\n)?))
+  | (?P<ISA>(?:ISA\ <id>\ <id>\n)++)
+  | (?P<LABEL>(?:LABEL\ <id>\ [A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*+\ "[ !#-\[\]-~]*"\n)++)
 """.replace(b"<id>", rb"(?:0|[1-9][0-9]{0,17})"), re.X)
+# the fields of the lines of a matched block: a PROP's name and
+# "<kind> <token>[ <provenance>]", an ISA's ids, a LABEL's id, tag and text
+_PROP_FIELDS = re.compile(rb"PROP [0-9]+ ([^ ]+) ([^\n]+)\n")
+_ISA_FIELDS = re.compile(rb"ISA ([0-9]+) ([0-9]+)\n")
+_LABEL_FIELDS = re.compile(rb'LABEL ([0-9]+) ([^ ]+) "([^"]*)"\n')
+_VALUE_FIELDS = re.compile(rb'([a-z]+) ("[^"]*"|[^ ]+)(?: ([a-z]+))?')
+
+# the bytes the open scan reads at a time; `_read` reads on until it holds
+# the whole of a node block
+_CHUNK = 1 << 16
 
 
 def _tokens(raw: bytes, lineno: int) -> list[str] | None:
@@ -443,20 +453,12 @@ def _script_block(fh, head: int) -> list[bytes]:
     raise FormatError("unterminated SCRIPT block", head)
 
 
-def _script_text(block: list[bytes], head: int) -> str:
-    """The script text inside a block from `_script_block`, without its final newline."""
-    body = b"".join(block[1:-1])[:-1]
+def _script_text(body: bytes, head: int) -> str:
+    """The script text of the lines inside a block, without its final newline."""
     try:
-        return body.decode("utf-8")
+        return body[:-1].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError("undecodable line", head + 2 + body.count(b"\n", 0, exc.start)) from None
-
-
-def _saved_alike(block: list[bytes]) -> bool:
-    """Whether `save` writes the script read from a block as the block
-    stands: one newline after `>>>`, and no blank line before it, whose
-    newline ScriptRef would strip."""
-    return block[-1] == b">>>\n" and (len(block) == 2 or block[-2] != b"\n")
 
 
 def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
@@ -466,31 +468,42 @@ def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
                             head + 1 + exc.line, exc.column, exc.expected)
 
 
-def _read(fh, decode: bool):
-    """One streaming pass over a whole `.krn` file, every reference checked.
+def _shared_value(field: bytes, line: int) -> tuple[Value, Provenance, bool]:
+    """(Value, Provenance, whether save writes them so) of a matched PROP
+    line's "<kind> <token>[ <provenance>]"."""
+    kind, tok, prov = _VALUE_FIELDS.fullmatch(field).groups()
+    value = _decode_value(kind.decode(), tok.decode(), line)
+    as_saved = prov is not None and f"{_value_token(value)} {prov.decode()}".encode() == field
+    return value, INFERRED if prov == b"inferred" else ASSERTED, as_saved
 
-    Each line is checked and decoded in place: a line `_RECORD` matches
-    straight from its groups, any other line token by token, and only
-    that path (and the duplicate and reference checks) raises. With
-    `decode`, a PROP/SIG record becomes a PropertyRecord, matched records
-    with equal value tokens sharing one Value, and a SCRIPT record a
-    ScriptRef, its text decoded and parsed only after the reference
-    checks, equal texts sharing one parse. Without it, each is kept as its
-    byte offset, for the index.
+
+def _read(fh, decode: bool):
+    """One pass over a whole `.krn` file, every reference checked.
+
+    With `decode` (for `load`) the file is read whole; without it (for the
+    `open` scan) a chunk at a time, and a node block that may go on past
+    its chunk is matched again with the next chunk in. Each run of lines
+    `_BLOCK` matches is read from the match; any other line token by
+    token, and only that path (and the duplicate and reference checks)
+    raises. With `decode`, a PROP/SIG record becomes a PropertyRecord,
+    matched records with equal value tokens sharing one Value, and a
+    SCRIPT record a ScriptRef, its text decoded and parsed only after the
+    reference checks, equal texts sharing one parse. Without it, each is
+    kept as its byte offset, for the index.
 
     Returns (nodes, props, scripts, isa, labels, spans, label_start): nodes
     maps id to (tag, provenance, subject, target, line) in file order;
     props maps id to {name: kept}; scripts maps id to kept. With `decode`,
-    spans maps the id of each node whose block reads byte for byte as
-    `save` writes that node to the range of the block's byte offsets (a
-    net keeps one per node, and unlike a tuple a range is not tracked by
-    the collector). A block is the node's OBJ or ACT line, then all its
-    PROP lines in name order, then its SCRIPT block if any, every line
-    matched. label_start is the offset of the first LABEL line when the
+    spans maps the id of each node whose matched block reads byte for byte
+    as `save` writes that node to the block's range of byte offsets (a net
+    keeps one per node, and unlike a tuple a range is not tracked by the
+    collector). label_start is the offset of the first LABEL line when the
     LABEL lines are the file's last lines and all matched; else None.
     """
-    raw = fh.readline()
-    if raw.rstrip(b"\n") != HEADER.encode():
+    buf = fh.read() if decode else fh.read(_CHUNK)
+    eof = decode or len(buf) < _CHUNK
+    header = HEADER.encode()
+    if not (buf.startswith(header + b"\n") or eof and buf == header):
         raise FormatError(f"missing {HEADER} header", 1)
     nodes: dict = {}
     props: dict[NodeId, dict] = {}
@@ -500,132 +513,147 @@ def _read(fh, decode: bool):
     # per tag, the line of the first PROP, SIG or LABEL record naming each
     # node, and (line, tag, id, tag it needs) of each SCRIPT and ISA reference
     owners: dict[str, dict[NodeId, int]] = {"PROP": {}, "SIG": {}, "LABEL": {}}
-    prop_owners, label_owners = owners["PROP"], owners["LABEL"]
+    label_owners = owners["LABEL"]
     refs: list[tuple[int, str, NodeId, str]] = []
-    # (Value, Provenance, whether save writes them so) of each matched
-    # "<kind> <token>[ <provenance>]"
-    values: dict[bytes, tuple[Value, Provenance, bool]] = {}
+    names: dict[bytes, str] = {}   # one str per matched property name
+    values: dict[bytes, tuple[Value, Provenance, bool]] = {}   # _shared_value by field
     spans: dict[NodeId, range] = {}
     spoiled: set[NodeId] = set()   # nodes with a record outside their block
-    # the open block: its node's id bytes (None when no block is open), id
-    # and first byte, and the name of its last PROP
-    head, head_id, head_start, last = None, 0, 0, b""
     # the offset and line of the first LABEL line; None once one is tokenised
     label_start, label_line = None, 0
-    match = _RECORD.match
-    lineno, offset = 1, len(raw)
-    for raw in fh:
-        lineno += 1
-        start = offset
-        offset += len(raw)
-        m = match(raw)
+    match = _BLOCK.match
+    # buf holds the file from offset base on, and its lines before tail are whole
+    base, pos, lineno = 0, len(header) + 1, 2
+    tail = len(buf) if eof else buf.rfind(b"\n") + 1
+    while pos < tail or not eof:
+        m = match(buf, pos, tail)
+        if not eof and (pos == tail or m is not None and m.lastgroup == "NODE" and (
+                m.end() == tail or m["act"] and m["script"] is None
+                and buf.startswith(b"SCRIPT %s\n<<<\n" % m["nid"], m.end()))):
+            # read on: the buffer has no whole line left, or the block may go on
+            base += pos
+            want = max(_CHUNK, len(buf) - pos)
+            chunk = fh.read(want)
+            buf, pos, eof = buf[pos:] + chunk, 0, len(chunk) < want
+            tail = len(buf) if eof else buf.rfind(b"\n") + 1
+            continue
+        start = base + pos
         if m is not None:
             tag = m.lastgroup
-            if tag == "PROP":
-                ident, raw_name, field = m.group(1, 2, 3)
-                owner = int(ident)
-                named = props.get(owner)
-                if named is None:
-                    named = props[owner] = {}
-                    prop_owners[owner] = lineno
-                name = raw_name.decode()
-                if name in named:
-                    raise FormatError(f"duplicate property {name!r} on {owner}", lineno)
-                if not decode:
-                    named[name] = start
-                    continue
-                shared = values.get(field)
-                if shared is None:
-                    kind, tok, prov = m.group(4, 5, 6)
-                    value = _decode_value(kind.decode(), tok.decode(), lineno)
-                    as_saved = prov is not None and (
-                        f"{_value_token(value)} {prov.decode()}" == field.decode())
-                    shared = values[field] = (
-                        value, INFERRED if prov == b"inferred" else ASSERTED, as_saved)
-                named[name] = PropertyRecord(name, shared[0], shared[1], PROP_HYDRATED, True)
-                if ident == head and raw_name > last and shared[2]:
-                    last = raw_name
-                    continue
-                spoiled.add(owner)
-            elif tag == "LABEL":
-                if not labels:
-                    label_start, label_line = start, lineno
-                node = int(m[7])
-                labels.append((node, m[8].decode(), m[9].decode()))
-                label_owners.setdefault(node, lineno)
-            elif tag == "OBJ" or tag == "ACT":
-                ident = m[10] or m[12]
+            if tag == "NODE":
+                ident = m["nid"]
                 nid = int(ident)
                 if nid in nodes:
                     raise FormatError(f"duplicate node id {nid}", lineno)
-                prov = INFERRED if m[tag] else ASSERTED
-                if tag == "OBJ":
-                    nodes[nid] = (tag, prov, None, None, lineno)
+                prov = INFERRED if m["inferred"] else ASSERTED
+                if m["act"]:
+                    subject = m["subject"]
+                    nodes[nid] = ("ACT", prov, None if subject == b"-" else int(subject),
+                                  int(m["target"]), lineno)
                 else:
-                    subject = None if m[13] == b"-" else int(m[13])
-                    nodes[nid] = (tag, prov, subject, int(m[14]), lineno)
-                if head is not None:
-                    spans[head_id] = range(head_start, start)
-                if decode:
-                    head, head_id, head_start, last = ident, nid, start, b""
-                continue
-            else:   # SCRIPT or ISA: their ids, checked below as a tokenised line's
-                ids = (m[16],) if tag == "SCRIPT" else m.group(17, 18)
-        else:
-            toks = _tokens(raw, lineno)
-            tag = toks and toks[0]
-            ids = toks and toks[1:]
-            if tag == "PROP" or tag == "SIG":
-                owner = _int(toks[1], lineno)
-                named = props.get(owner)
-                if named is None:
-                    named = props[owner] = {}
-                    owners[tag][owner] = lineno
-                name = toks[2]
-                if not valid_property_name(name):
-                    raise FormatError(f"bad property name {name!r}", lineno)
-                if name in named:
-                    raise FormatError(f"duplicate property {name!r} on {owner}", lineno)
-                named[name] = _decode_prop(toks, lineno) if decode else start
-                spoiled.add(owner)
-            elif tag == "LABEL":
-                node = _int(toks[1], lineno)
-                if not valid_language_tag(toks[2]):
-                    raise FormatError(f"bad language tag {toks[2]!r}", lineno)
-                labels.append((node, toks[2], decode_text(toks[3], lineno)))
-                label_owners.setdefault(node, lineno)
-                label_start = None
-            elif tag == "OBJ" or tag == "ACT":
-                nid, prov, subject, target = _decode_node(toks, lineno)
-                if nid in nodes:
-                    raise FormatError(f"duplicate node id {nid}", lineno)
-                nodes[nid] = (tag, prov, subject, target, lineno)
-        if tag == "SCRIPT":
-            block = _script_block(fh, lineno)
-            line = lineno
+                    nodes[nid] = ("OBJ", prov, None, None, lineno)
+                lineno += 1
+                saved = decode   # whether save writes the node as this block holds it
+                first, stop = m.span("props")
+                if first < stop:
+                    named = props.get(nid)
+                    if named is None:
+                        named = props[nid] = {}
+                    last, offset = b"", base + first
+                    for raw_name, field in _PROP_FIELDS.findall(buf, first, stop):
+                        name = names.get(raw_name) or names.setdefault(raw_name, raw_name.decode())
+                        if name in named:
+                            raise FormatError(f"duplicate property {name!r} on {nid}", lineno)
+                        if decode:
+                            shared = values.get(field) or values.setdefault(
+                                field, _shared_value(field, lineno))
+                            named[name] = PropertyRecord(name, shared[0], shared[1], PROP_HYDRATED, True)
+                            if raw_name <= last or not shared[2]:
+                                saved = False
+                            last = raw_name
+                        else:
+                            named[name] = offset
+                            offset += len(ident) + len(raw_name) + len(field) + 8
+                        lineno += 1
+                if m["script"] is not None:
+                    if nid in scripts:
+                        raise FormatError(f"duplicate SCRIPT for {nid}", lineno)
+                    body = m["body"]
+                    at = base + m.start("script")
+                    scripts[nid] = (body, lineno, at) if decode else at
+                    # save writes no blank last line: ScriptRef strips its newline
+                    saved = saved and (not body or body[-2:] != b"\n\n" and body != b"\n")
+                    lineno += body.count(b"\n") + 3
+                if saved:
+                    spans[nid] = range(start, base + m.end())
+            elif tag == "ISA":
+                for inst, concept in _ISA_FIELDS.findall(buf, pos, m.end()):
+                    inst, concept = int(inst), int(concept)
+                    isa.append((inst, concept))
+                    refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
+                    lineno += 1
+            else:
+                if not labels:
+                    label_start, label_line = start, lineno
+                for node, lang, text in _LABEL_FIELDS.findall(buf, pos, m.end()):
+                    node = int(node)
+                    labels.append((node, lang.decode(), text.decode()))
+                    label_owners.setdefault(node, lineno)
+                    lineno += 1
+            pos = m.end()
+            continue
+        end = buf.find(b"\n", pos, tail) + 1 or tail
+        toks = _tokens(buf[pos:end], lineno)
+        pos = end
+        line = lineno
+        lineno += 1
+        tag = toks and toks[0]
+        if tag == "PROP" or tag == "SIG":
+            owner = _int(toks[1], line)
+            named = props.get(owner)
+            if named is None:
+                named = props[owner] = {}
+                owners[tag][owner] = line
+            name = toks[2]
+            if not valid_property_name(name):
+                raise FormatError(f"bad property name {name!r}", line)
+            if name in named:
+                raise FormatError(f"duplicate property {name!r} on {owner}", line)
+            named[name] = _decode_prop(toks, line) if decode else start
+            spoiled.add(owner)
+        elif tag == "LABEL":
+            node = _int(toks[1], line)
+            if not valid_language_tag(toks[2]):
+                raise FormatError(f"bad language tag {toks[2]!r}", line)
+            labels.append((node, toks[2], decode_text(toks[3], line)))
+            label_owners.setdefault(node, line)
+            label_start = None
+        elif tag == "OBJ" or tag == "ACT":
+            nid, prov, subject, target = _decode_node(toks, line)
+            if nid in nodes:
+                raise FormatError(f"duplicate node id {nid}", line)
+            nodes[nid] = (tag, prov, subject, target, line)
+        elif tag == "SCRIPT":
+            fh.seek(base + pos)
+            block = _script_block(fh, line)
+            stop = fh.tell() - base
+            if stop <= tail:
+                pos = stop
+                fh.seek(base + len(buf))
+            else:   # the block went on past the chunk: read on from its end
+                base, buf, pos, tail = base + stop, b"", 0, 0
             lineno += len(block)
-            offset += sum(map(len, block))
-            owner = _int(ids[0], line)
+            body = b"".join(block[1:-1])
+            owner = _int(toks[1], line)
             if owner in scripts:
                 raise FormatError(f"duplicate SCRIPT for {owner}", line)
-            scripts[owner] = (block, line, start) if decode else start
+            scripts[owner] = (body, line, start) if decode else start
             refs.append((line, tag, owner, "ACT"))
-            if decode:
-                if m is not None and ids[0] == head and _saved_alike(block):
-                    spans[head_id] = range(head_start, offset)
-                    head = None
-                    continue
-                spoiled.add(owner)
+            spoiled.add(owner)
         elif tag == "ISA":
-            inst, concept = _int(ids[0], lineno), _int(ids[1], lineno)
+            inst, concept = _int(toks[1], line), _int(toks[2], line)
             isa.append((inst, concept))
-            refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
-        # this line is not part of the open block, which ends before it
-        if head is not None:
-            spans[head_id] = range(head_start, start)
-            head = None
-    if head is not None:
-        spans[head_id] = range(head_start, offset)
+            refs += [(line, tag, inst, "OBJ"), (line, tag, concept, "OBJ")]
     # records may arrive in any order, so references are checked only now;
     # of several bad ones the first in file order is reported
     bad = [(line, f"{tag} record refers to unknown node {nid}")
@@ -651,8 +679,8 @@ def _read(fh, decode: bool):
         # every script meets it; equal texts share one parse
         asts: dict = {}
         for owner in sorted(scripts):
-            block, line, start = scripts[owner]
-            text = _script_text(block, line)
+            body, line, start = scripts[owner]
+            text = _script_text(body, line)
             ast = asts.get(text)
             if ast is None:
                 try:
@@ -662,7 +690,7 @@ def _read(fh, decode: bool):
             scripts[owner] = ScriptRef(text=text, ast=ast, offset=start)
     for nid in spoiled:
         spans.pop(nid, None)
-    if label_start is not None and label_line + len(labels) - 1 != lineno:
+    if label_start is not None and label_line + len(labels) != lineno:
         label_start = None   # the LABEL lines are not the file's last lines
     return nodes, props, scripts, isa, labels, spans, label_start
 
@@ -814,7 +842,7 @@ class StoreHandle:
                     or name is not None and toks[2] != name):
                 raise FormatError("indexed record missing", 1)
             if name is None:
-                kept = _script_text(_script_block(self._fh, 1), 1)
+                kept = _script_text(b"".join(_script_block(self._fh, 1)[1:-1]), 1)
             else:
                 kept = _decode_prop(toks, 1)
             self.stats.bytes_read += self._fh.tell() - offset

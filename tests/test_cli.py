@@ -1,14 +1,15 @@
 import io
 import random
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from krn import Value
-from krn.cli import Session, main, run_command, run_lines, split_commands
-from krn.errors import KrnError
+from krn.cli import Session, main, run_command, run_lines, split_commands, split_words
+from krn.errors import CommandError, KrnError
 
 
 def run_script(text: str) -> tuple[str, int]:
@@ -179,6 +180,28 @@ def test_a_backslash_keeps_a_quote_open_as_in_shlex():
     assert code == 0
     assert out.splitlines()[-1] == 'a";b'
 
+
+def test_words_split_as_shlex_splits_them():
+    # seeded random commands over the characters shlex tells apart, with
+    # shlex as the reference: the same tokens, or the same message where it
+    # fails; where both faults occur (a quote left open, a backslash at the
+    # end inside it), shlex meets the backslash first
+    rng = random.Random(1717)
+    alphabet = ["a", "b", "=", ";", "#", "\u00e9", " ", "\t", "\n", "\r", "\x0b", "'", '"', "\\"]
+    texts = ['" \\', '"a\\', "'a\\", '"a\\\\', '"\\"', "\\", "a\\ b", "'' \"\"",
+             '"' + "a b" * 2000, "'" + "a b" * 2000]   # an open quote costs one pass
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(12))) for _ in range(20000)]
+    for text in texts:
+        try:
+            want = shlex.split(text, posix=True)
+        except ValueError as exc:
+            with pytest.raises(CommandError) as err:
+                split_words(text)
+            assert str(err.value) == f"cannot parse command: {exc}", repr(text)
+            continue
+        words, tokens = split_words(text)
+        assert tokens == want and len(words) == len(tokens), repr(text)
+        assert [shlex.split(word, posix=True) for word in words] == [[t] for t in tokens]
 
 
 @pytest.mark.parametrize("word, value", [

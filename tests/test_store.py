@@ -493,8 +493,8 @@ def test_an_id_too_long_for_int_is_a_format_error(tmp_path):
 
 def _respaced(data: bytes) -> bytes:
     """The file with one more space after the tag of every record line
-    outside the header and the script blocks: no line keeps a form that
-    `store._RECORD` matches, so each takes the tokenising path."""
+    outside the header and the script blocks: no line starts a run of lines
+    that `store._BLOCK` matches, so each takes the tokenising path."""
     lines = data.split(b"\n")
     inside = False
     for i, line in enumerate(lines[1:], 1):
@@ -505,8 +505,53 @@ def _respaced(data: bytes) -> bytes:
     return b"\n".join(lines)
 
 
-def test_matched_and_tokenised_records_read_alike(tmp_path):
+def _broken_blocks(rng, data: bytes, spans: dict) -> list[tuple[str, bytes]]:
+    """(what, file) for each way of cutting into a node block of a saved
+    file, `spans` its blocks, that the file's net allows."""
+    lines = data.split(b"\n")
+    block = {nid: range(data.count(b"\n", 0, span.start), data.count(b"\n", 0, span.stop))
+             for nid, span in spans.items()}
+    props = {nid: [i for i in rows if lines[i].startswith(b"PROP ")] for nid, rows in block.items()}
+
+    def edited(i, *new, drop=1):
+        return b"\n".join(lines[:i] + list(new) + lines[i + drop:])
+
+    def moved(i, j):   # line i moved to before line j
+        out = lines[:j] + [lines[i]] + lines[j:]
+        del out[i if i < j else i + 1]
+        return b"\n".join(out)
+
+    broken = [("a last line with no newline", data[:-1])]
+    nid = rng.choice(sorted(block))
+    broken.append(("a SIG inside a block",
+                   edited(block[nid][0] + 1, f"SIG {nid} zz skin 01 5 sensed".encode(), drop=0)))
+    named = sorted(nid for nid in props if props[nid])
+    if named:
+        nid = rng.choice(named)
+        i = rng.choice(props[nid])
+        other = rng.choice(sorted(block))
+        broken += [
+            ("a PROP without its provenance token", edited(i, lines[i].rsplit(b" ", 1)[0])),
+            ("num 1 where save writes num 1.0",
+             edited(i, b" ".join(lines[i].split(b" ")[:3] + [b"num 1 asserted"]))),
+            ("a PROP before its own OBJ or ACT", moved(i, block[nid][0])),
+            ("a PROP after another node's block", moved(i, block[other][-1] + 1)),
+        ]
+    two = sorted(nid for nid in props if len(props[nid]) > 1)
+    if two:
+        i = rng.choice(props[rng.choice(two)][1:])
+        broken.append(("a PROP out of name order", moved(i, i - 1)))
+    scripted = sorted(nid for nid, rows in block.items()
+                      if lines[rows[-1]] == b">>>" and lines[rows[-1] - 1] != b"<<<")
+    if scripted:
+        broken.append(("a script with a blank last line",
+                       edited(block[rng.choice(scripted)][-1], b"", drop=0)))
+    return broken
+
+
+def test_matched_and_tokenised_records_read_alike(tmp_path, monkeypatch):
     rng = random.Random(5151)
+    kinds = set()
     for i in range(40):
         net, lexicon = random_net(rng, max_objects=rng.choice([3, 8, 30]))
         net.add_action(None, min(net.objects), "set object.x = 1;",
@@ -514,8 +559,11 @@ def test_matched_and_tokenised_records_read_alike(tmp_path):
         path = _saved(tmp_path, net, lexicon, f"net{i}.krn")
         spaced = tmp_path / f"spaced{i}.krn"
         spaced.write_bytes(_respaced(Path(path).read_bytes()))
-        with open(spaced, "rb") as fh:
-            assert not any(store._RECORD.match(line) for line in fh)
+        data = spaced.read_bytes()
+        offset = 0
+        for line in data.split(b"\n"):
+            assert store._BLOCK.match(data, offset) is None, line
+            offset += len(line) + 1
         (matched, matched_lex), (tokenised, tokenised_lex) = map(store.load, (path, str(spaced)))
         assert nets_equal(matched, tokenised) and nets_equal(matched, net), f"net {i}"
         assert matched_lex.labels == tokenised_lex.labels == lexicon.labels
@@ -524,12 +572,36 @@ def test_matched_and_tokenised_records_read_alike(tmp_path):
             for nid, entry in one.index.items():
                 assert entry.prop_offsets.keys() == other.index[nid].prop_offsets.keys()
             assert (one.isa, one.labels) == (other.isa, other.labels)
+            whole = (one.index, one.isa, one.labels)
+        # a block split across two scan chunks is indexed as if read whole
+        data = Path(path).read_bytes()
+        span = matched.spans[rng.choice(sorted(matched.spans))]
+        monkeypatch.setattr(store, "_CHUNK", rng.randrange(span.start + 1, span.stop))
+        with store.open(path) as cut:
+            assert (cut.index, cut.isa, cut.labels) == whole, f"net {i}"
+        assert nets_equal(_hydrated_lazily(path)[0], matched), f"net {i}"
+        monkeypatch.undo()
+        # a block cut into loads as its tokenised read; only untouched
+        # saved-form blocks get spans, and the save equals a full save
+        blocks = {nid: data[span.start:span.stop] for nid, span in matched.spans.items()}
+        for kind, broken in _broken_blocks(rng, data, matched.spans):
+            kinds.add(kind)
+            bad, bad_spaced = tmp_path / "broken.krn", tmp_path / "broken-spaced.krn"
+            bad.write_bytes(broken)
+            bad_spaced.write_bytes(_respaced(broken))
+            (got, got_lex), (want, want_lex) = map(store.load, (str(bad), str(bad_spaced)))
+            assert nets_equal(got, want) and got_lex.labels == want_lex.labels, f"net {i}: {kind}"
+            for nid, span in got.spans.items():
+                assert broken[span.start:span.stop] == blocks.get(nid), f"net {i}: {kind}"
+            _check_splice(tmp_path, got, got_lex, str(bad))
+    assert len(kinds) == 8
 
 
 def test_every_plain_record_that_save_writes_is_matched(tmp_path):
-    # an ASCII-only net with no signal: each PROP, LABEL, OBJ and ACT line
-    # takes the matched path, so that path cannot silently stop applying,
-    # and what it reads saves back byte for byte
+    # an ASCII-only net with no signal: each node block, the ISA run and the
+    # LABEL run is matched whole, so that path cannot silently stop
+    # applying; each node gets its span, and what is read saves back byte
+    # for byte
     rng = random.Random(6262)
     texts = ["", " ", "green", "two  spaces", "a-b_c!#$%&'()*+,./:;<=>?@[]^`{|}~"]
     numbers = [0.0, -0.0, 1.5, -3.25, 1e20, 1.5e-07, float("inf"), float("-inf"), float("nan")]
@@ -551,18 +623,21 @@ def test_every_plain_record_that_save_writes_is_matched(tmp_path):
                              [("antigoal:x-1", Value.num(i))],
                              provenance=Provenance.INFERRED if i % 4 == 0 else Provenance.ASSERTED)
         lexicon.set_label(aid, "de", f"a{i}")
+    for _ in range(5):
+        net.add_isa(*rng.sample(objects, 2))
     path = _saved(tmp_path, net, lexicon)
-    seen = set()
-    with open(path, "rb") as fh:
-        for line in fh:
-            tag = line.split(b" ", 1)[0].decode()
-            if tag in ("PROP", "LABEL", "OBJ", "ACT"):
-                m = store._RECORD.match(line)
-                assert m is not None and m.lastgroup == tag, line
-                seen.add(tag)
-    assert seen == {"PROP", "LABEL", "OBJ", "ACT"}
-    again = _saved(tmp_path, *store.load(path), name="again.krn")
-    assert Path(again).read_bytes() == Path(path).read_bytes()
+    data = Path(path).read_bytes()
+    runs, offset = [], len(b"KRN 1\n")
+    while offset < len(data):
+        m = store._BLOCK.match(data, offset)
+        assert m is not None, data[offset:offset + 80]
+        runs.append("ACT" if m["act"] else "OBJ" if m["nid"] else m.lastgroup)
+        offset = m.end()
+    assert runs == ["OBJ"] * 30 + ["ACT"] * 20 + ["ISA", "LABEL"]
+    loaded, loaded_lex = store.load(path)
+    assert loaded.spans.keys() == set(net.node_ids()) and loaded_lex.source is not None
+    again = _saved(tmp_path, loaded, loaded_lex, name="again.krn")
+    assert Path(again).read_bytes() == data
 
 
 def test_is_a_edge_to_an_action_is_refused_on_open_and_load(tmp_path):
