@@ -398,7 +398,9 @@ _ARITY = {"OBJ": (2, 3), "ACT": (4, 5), "PROP": (5, 6), "SIG": (6, 7),
 # quote or backslash inside. Ids are written as `save` writes them, with no
 # leading zero and at most 18 digits, so int() takes them as the tokenising
 # path would, and equal ids have equal bytes. A matched line holds no fault
-# but a duplicate, a bad value or a bad reference.
+# but a duplicate, a bad value or a bad reference. The repeats are
+# possessive (Python 3.11): a greedy one keeps about 1 KB of backtracking
+# state per matched line until the match ends.
 _BLOCK = re.compile(rb"""
     (?P<NODE>(?:OBJ|(?P<act>ACT))\ (?P<nid><id>)(?(act)\ (?P<subject>-|<id>)\ (?P<target><id>))
         (?P<inferred>\ inferred)?\n

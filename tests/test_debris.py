@@ -1,9 +1,12 @@
 """No debris in `src/krn`: every import is used, every module-level
 private def or constant is named somewhere in the package, and every
-parameter is read by its function."""
+parameter is read by its function. No pattern needs a newer Python than
+the package allows."""
 
 import ast
+import importlib
 import re
+import tomllib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "krn"
@@ -128,3 +131,33 @@ def test_every_parameter_is_read():
                        and param.arg != "self" and not param.arg.startswith("_")
                        and (module, name, param.arg) not in _UNREAD_KEPT]
     assert not unread, unread
+
+
+def _opcodes(node):
+    if isinstance(node, re._parser.SubPattern):
+        node = node.data
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _opcodes(item)
+    elif hasattr(node, "name"):   # an opcode
+        yield node.name
+
+
+def test_every_pattern_compiles_on_the_oldest_python_allowed():
+    # possessive repeats (`*+`, `++`, `?+`, `{m,n}+`) and atomic groups
+    # (`(?>...)`) are new in Python 3.11; on an older Python a module-level
+    # pattern with one fails the module's import
+    with open(SRC.parent.parent / "pyproject.toml", "rb") as fh:
+        floor = tomllib.load(fh)["project"]["requires-python"]
+    newer = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":   # runs the CLI
+            continue
+        module = importlib.import_module("krn" if path.stem == "__init__" else f"krn.{path.stem}")
+        for name, value in vars(module).items():
+            if isinstance(value, re.Pattern):
+                ops = set(_opcodes(re._parser.parse(value.pattern, value.flags)))
+                newer += [f"{path.name} {name} {op}" for op in ops
+                          if op in ("POSSESSIVE_REPEAT", "ATOMIC_GROUP")]
+    oldest = tuple(map(int, re.fullmatch(r">=(\d+)\.(\d+)", floor).groups()))
+    assert oldest >= (3, 11) or not newer, f"requires-python {floor}: {newer}"

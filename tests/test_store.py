@@ -551,7 +551,19 @@ def _broken_blocks(rng, data: bytes, spans: dict) -> list[tuple[str, bytes]]:
 
 def test_matched_and_tokenised_records_read_alike(tmp_path, monkeypatch):
     rng = random.Random(5151)
+    chunks = random.Random(5152)   # small scan chunk sizes, each holding the header line
     kinds = set()
+
+    def scanned(path, chunk=None):
+        """The index, is-a edges and labels of the open scan, read in
+        chunks of `chunk` bytes or in one."""
+        if chunk is not None:
+            monkeypatch.setattr(store, "_CHUNK", chunk)
+        with store.open(path) as handle:
+            got = (handle.index, handle.isa, handle.labels)
+        monkeypatch.undo()
+        return got
+
     for i in range(40):
         net, lexicon = random_net(rng, max_objects=rng.choice([3, 8, 30]))
         net.add_action(None, min(net.objects), "set object.x = 1;",
@@ -573,12 +585,14 @@ def test_matched_and_tokenised_records_read_alike(tmp_path, monkeypatch):
                 assert entry.prop_offsets.keys() == other.index[nid].prop_offsets.keys()
             assert (one.isa, one.labels) == (other.isa, other.labels)
             whole = (one.index, one.isa, one.labels)
+        # tokenised lines and SCRIPT blocks that reach or pass a chunk's end
+        assert scanned(str(spaced), chunks.randrange(8, 256)) == scanned(str(spaced)), f"net {i}"
         # a block split across two scan chunks is indexed as if read whole
         data = Path(path).read_bytes()
         span = matched.spans[rng.choice(sorted(matched.spans))]
-        monkeypatch.setattr(store, "_CHUNK", rng.randrange(span.start + 1, span.stop))
-        with store.open(path) as cut:
-            assert (cut.index, cut.isa, cut.labels) == whole, f"net {i}"
+        chunk = rng.randrange(span.start + 1, span.stop)
+        assert scanned(path, chunk) == whole, f"net {i}"
+        monkeypatch.setattr(store, "_CHUNK", chunk)
         assert nets_equal(_hydrated_lazily(path)[0], matched), f"net {i}"
         monkeypatch.undo()
         # a block cut into loads as its tokenised read; only untouched
@@ -594,6 +608,9 @@ def test_matched_and_tokenised_records_read_alike(tmp_path, monkeypatch):
             for nid, span in got.spans.items():
                 assert broken[span.start:span.stop] == blocks.get(nid), f"net {i}: {kind}"
             _check_splice(tmp_path, got, got_lex, str(bad))
+            for scan in (bad, bad_spaced):
+                chunk = chunks.randrange(8, 256)
+                assert scanned(str(scan), chunk) == scanned(str(scan)), f"net {i}: {kind}"
     assert len(kinds) == 8
 
 
