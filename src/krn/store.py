@@ -38,11 +38,12 @@ fault inside a script never hides a later framing or reference fault
 that `open` would report; each distinct text is parsed once per load,
 and actions with equal text share the AST. `script.parse` memoises by
 text across loads, so a reload parses no script seen before. `open`
-decodes no values: it builds a byte-offset index, and nothing beyond
-the index is held in memory until a node is stubbed in (from the index
-alone) and its properties or script are hydrated one by one. A handle
-reads only the file it indexed: once the path's device, inode, size or
-modification time differ from those at open, every lazy read raises
+decodes no values: its index is the scan's own tables of nodes and of
+the byte offsets of their records, and nothing beyond them is held in
+memory until a node is stubbed in (from the index alone) and its
+properties or script are hydrated one by one. A handle reads only the
+file it indexed: once the path's device, inode, size, modification time
+or change time differ from those at open, every lazy read raises
 FormatError, and so does a lazy read that finds any record but the one
 indexed at its offset. After `close`, every lazy read but `evict` raises
 FormatError naming the path. A ScriptParseError from either reader names
@@ -69,7 +70,7 @@ import io
 import os
 import re
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import quote, unquote
 
 from .core import (
@@ -756,29 +757,22 @@ class HydrationStats:
     bytes_read: int = 0
 
 
-@dataclass(slots=True)
-class IndexEntry:
-    kind: str                      # "obj" | "act"
-    inferred: bool = False
-    subject: NodeId | None = None  # an action's endpoints, as the scan read them
-    target: NodeId | None = None
-    prop_offsets: dict[str, int] = field(default_factory=dict)
-    script_offset: int | None = None
-
-
 class StoreHandle:
     """An open `.krn` file plus its offset index and hydration counters.
 
-    The handle reads only the file it indexed: each public lazy call first
-    checks that the path still names that file, unchanged, and raises
-    FormatError once it does not.
+    The index is the open scan's own tables: `index` maps each node id to
+    (tag, provenance, subject, target, line), the tag "OBJ" or "ACT";
+    `props` maps the id of each node with properties to {name: byte offset
+    of its PROP or SIG record}; `scripts` maps the id of each action with a
+    script to the byte offset of its SCRIPT record. A node with no property
+    or no script has no entry there. The handle reads only the file it
+    indexed: each public lazy call first checks that the path still names
+    that file with the device, inode, size, modification time and change
+    time it had at open, and raises FormatError once it does not.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self.index: dict[NodeId, IndexEntry] = {}
-        self.isa: list[tuple[NodeId, NodeId]] = []
-        self.labels: list[tuple[NodeId, str, str]] = []
         self.stats = HydrationStats()
         self._hydrated_props: set[tuple[NodeId, str]] = set()
         self._hydrated_scripts: set[NodeId] = set()
@@ -786,10 +780,12 @@ class StoreHandle:
         self._fh = io.open(path, "rb")
         try:
             self._identity = _identity(os.fstat(self._fh.fileno()))
-            self._scan()
+            self.index, self.props, self.scripts, self.isa, self.labels, _, _ = _read(
+                self._fh, decode=False)
         except Exception:
             self._fh.close()
             raise
+        self.stats.bytes_read += self._fh.tell()
 
     def close(self) -> None:
         self._fh.close()
@@ -799,15 +795,6 @@ class StoreHandle:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- indexing scan --
-
-    def _scan(self) -> None:
-        nodes, props, scripts, self.isa, self.labels, _, _ = _read(self._fh, decode=False)
-        self.stats.bytes_read += self._fh.tell()
-        for nid, (tag, prov, subject, target, _) in nodes.items():
-            self.index[nid] = IndexEntry(tag.lower(), prov is INFERRED, subject, target,
-                                         props.get(nid, {}), scripts.get(nid))
 
     # -- reads --
 
@@ -864,27 +851,26 @@ class StoreHandle:
         self._check_unchanged()
         self._stub(nid, net)
 
-    def _entry(self, nid: NodeId) -> IndexEntry:
-        entry = self.index.get(nid)
-        if entry is None:
+    def _node(self, nid: NodeId) -> tuple:
+        """The index's (tag, provenance, subject, target, line) of a node."""
+        node = self.index.get(nid)
+        if node is None:
             raise UnknownNode(f"store has no node {nid}")
-        return entry
+        return node
 
     def _stub(self, nid: NodeId, net: Net) -> None:
-        entry = self._entry(nid)
+        tag, prov, subject, target, _ = self._node(nid)
         if nid in net.objects or nid in net.actions:
             return
         if nid in net.collapsed:
             raise NodeCollapsed(f"node {nid} is inside a collapsed subnet")
-        prov = INFERRED if entry.inferred else ASSERTED
         props = {
             name: PropertyRecord(name, _UNSET, None, PROP_STUB)
-            for name in sorted(entry.prop_offsets)
+            for name in sorted(self.props.get(nid, ()))
         }
-        if entry.kind == "obj":
+        if tag == "OBJ":
             net.objects[nid] = ObjectRecord(id=nid, properties=props, provenance=prov)
         else:
-            subject, target = entry.subject, entry.target
             # the file's endpoints are objects (checked on open); the net's
             # own nodes may still clash with their ids
             for endpoint in (subject, target):   # check both before changing anything
@@ -899,7 +885,7 @@ class StoreHandle:
                     self._stub(endpoint, net)
             net.actions[nid] = ActionRecord(
                 id=nid, subject=subject, target=target,
-                script=ScriptRef(offset=entry.script_offset),
+                script=ScriptRef(offset=self.scripts.get(nid)),
                 properties=props, provenance=prov,
             )
             if subject is not None:
@@ -913,17 +899,17 @@ class StoreHandle:
     def hydrate_property(self, nid: NodeId, name: str, net: Net) -> Value:
         """Load one property value; everything else on the node stays put."""
         self._check_unchanged()
-        entry = self._entry(nid)
+        self._node(nid)
         if nid not in net.objects and nid not in net.actions:
             self._stub(nid, net)
-        offset = entry.prop_offsets.get(name)
-        if offset is None:
+        named = self.props.get(nid)
+        if named is None or name not in named:
             raise UnknownProperty(f"store has no property {name!r} on {nid}")
         rec = net.node(nid)
         prop = rec.properties.get(name)
         if prop is not None and prop.load_state is PROP_HYDRATED:
             return prop.value
-        prop = self._read_at(offset, nid, name)
+        prop = self._read_at(named[name], nid, name)
         rec.properties[name] = prop
         net.touch(nid)
         if (nid, name) not in self._hydrated_props:
@@ -934,22 +920,23 @@ class StoreHandle:
     def hydrate_script(self, action_id: NodeId, net: Net):
         """Read, parse, and cache an action's script; later runs reuse it."""
         self._check_unchanged()
-        entry = self._entry(action_id)
+        tag = self._node(action_id)[0]
         if action_id not in net.actions:
-            if entry.kind != "act":
+            if tag != "ACT":
                 raise UnknownScript(f"node {action_id} is not an action")
             self._stub(action_id, net)
         act = net.actions[action_id]
         if act.script.state == "hydrated":
             return act.script.ast
-        if act.script.state == "none" or entry.script_offset is None:
+        offset = self.scripts.get(action_id)
+        if act.script.state == "none" or offset is None:
             raise UnknownScript(f"action {action_id} has no script")
-        text = self._read_at(entry.script_offset, action_id, None)
+        text = self._read_at(offset, action_id, None)
         try:
             ast = parse_script(text)
         except ScriptParseError as exc:
-            raise _in_file(exc, action_id, self._line_at(entry.script_offset)) from None
-        act.script = ScriptRef(text=text, ast=ast, offset=entry.script_offset)
+            raise _in_file(exc, action_id, self._line_at(offset)) from None
+        act.script = ScriptRef(text=text, ast=ast, offset=offset)
         if action_id not in self._hydrated_scripts:
             self._hydrated_scripts.add(action_id)
             self.stats.scripts_hydrated += 1
@@ -963,17 +950,18 @@ class StoreHandle:
         and so are scripts that exist only in memory. Refused while a
         script is executing against the net.
         """
-        entry = self._entry(nid)
+        self._node(nid)
         if net._executing:
             raise EvictionBlocked("cannot evict while a script is executing")
         rec = net.node(nid)
-        for name in entry.prop_offsets:
+        for name in self.props.get(nid, ()):
             prop = rec.properties.get(name)
             if prop is not None and prop.from_store:
                 rec.properties[name] = PropertyRecord(name, _UNSET, None, PROP_STUB)
         net.touch(nid)
-        if isinstance(rec, ActionRecord) and entry.script_offset is not None:
-            rec.script = ScriptRef(offset=entry.script_offset)
+        offset = self.scripts.get(nid)
+        if isinstance(rec, ActionRecord) and offset is not None:
+            rec.script = ScriptRef(offset=offset)
 
     def load_full(self) -> tuple[Net, Lexicon]:
         """Read everything into a fresh net plus its labels, as `load` does."""
@@ -985,8 +973,12 @@ class StoreHandle:
         return loaded
 
 
-def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+def _identity(st: os.stat_result) -> tuple[tuple[int, int], tuple[int, int, int]]:
+    """Which file a path names (device, inode) and the state it is in (size,
+    modification time, change time). Every write, `chmod` or new link moves
+    the change time, and no call can set it back, so a rewrite whose
+    modification time is put back still shows."""
+    return (st.st_dev, st.st_ino), (st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
 def open(path: str) -> StoreHandle:  # noqa: A001 - deliberate name

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from krn import Value
+from krn import SensorAddress, SensorSignal, Value
 from krn.cli import Session, main, run_command, run_lines, split_commands, split_words
 from krn.errors import CommandError, KrnError
 
@@ -147,6 +147,12 @@ def test_mine_flag_without_an_integer_value_is_a_usage_error(tmp_path):
     ("collapse-obj as tv", "usage: collapse-obj <ids...> [as <name>]"),
     ("load {p}\0", "load: bad path: embedded null byte"),
     ("save x\ud800", "surrogates not allowed"),
+    ("load a b", "usage: load <path>"),
+    ("save", "usage: save <path>"),
+    ("run", "usage: run <action>"),
+    ("runs", "usage: runs <a1> <a2> ..."),
+    ("expand", "usage: expand <id>"),
+    ("mine --max-nodes 3", "usage: mine [--min-support N] [--max-nodes K] <paths...>"),
 ])
 def test_a_usage_fault_is_a_command_error(tmp_path, command, usage):
     p = tmp_path / "a.krn"
@@ -169,6 +175,14 @@ def test_input_python_cannot_take_is_a_typed_error(tmp_path, command, error):
     assert out.splitlines()[-1].startswith(f"error: {error}"), out
     assert p.read_text() == "KRN 1\nOBJ 1\nLABEL 1 en \"a\"\n"   # the failed save wrote nothing
     assert [f.name for f in tmp_path.iterdir()] == ["a.krn"]
+
+
+def test_show_of_a_sensed_value_names_its_origin_and_size():
+    session = Session()
+    run_command(session, "obj hand")
+    session.net.ingest_signal(session.resolve("hand"), "touch",
+                              SensorSignal(SensorAddress.of("skin", "left hand"), b"\x00\xff\x10"))
+    assert run_command(session, "show hand.touch") == ["signal(skin/left hand, 3B)"]
 
 
 def test_a_backslash_keeps_a_quote_open_as_in_shlex():

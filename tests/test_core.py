@@ -1,8 +1,10 @@
+import copy
+import dataclasses
 import random
 
 import pytest
 
-from krn import Net, Provenance, SensorAddress, SensorSignal, Value, nets_equal
+from krn import Net, PropLoad, Provenance, ScriptRef, SensorAddress, SensorSignal, Value, nets_equal
 from krn.core import ObjectRecord, PropertyRecord
 from krn.errors import (
     BipartiteViolation,
@@ -348,3 +350,54 @@ def test_nets_equal_detects_differences():
     assert nets_equal(net, other)
     other.set_property(wall, "colour", Value.text("black"))
     assert not nets_equal(net, other)
+
+
+def _replaced(net, nid, name, **fields):
+    props = net.node(nid).properties
+    props[name] = dataclasses.replace(props[name], **fields)
+
+
+def _ticked(net, nid, name):
+    sig = net.node(nid).properties[name].value.data
+    _replaced(net, nid, name,
+              value=Value.signal(dataclasses.replace(sig, captured_at=sig.captured_at + 1)))
+
+
+# each changes one field that nets_equal compares, and only that field, even
+# where that leaves the net inconsistent: objects 1-3, actions 4 (1 -> 2,
+# scripted, with a property), 5 (1 -> 3, scripted) and 6 (- -> 3)
+_ONE_FIELD_CHANGED = {
+    "object id": lambda net: net.add_object([]),
+    "action id": lambda net: net.add_action(None, 2),
+    "outgoing order": lambda net: net.objects[1].outgoing.reverse(),
+    "incoming order": lambda net: net.objects[3].incoming.reverse(),
+    "object load state": lambda net: _replaced(net, 1, "colour", load_state=PropLoad.STUB),
+    "object provenance": lambda net: setattr(net.objects[2], "provenance", Provenance.INFERRED),
+    "action load state": lambda net: setattr(net.actions[6], "script", ScriptRef(offset=0)),
+    "action provenance": lambda net: setattr(net.actions[4], "provenance", Provenance.INFERRED),
+    "action subject": lambda net: setattr(net.actions[5], "subject", None),
+    "action target": lambda net: setattr(net.actions[4], "target", 3),
+    "script text": lambda net: setattr(net.actions[5], "script", ScriptRef("set object.x = 3;")),
+    "property name": lambda net: net.set_property(2, "mass", Value.num(1)),
+    "property value": lambda net: _replaced(net, 4, "speed", value=Value.num(2.0)),
+    "property provenance": lambda net: _replaced(net, 4, "speed", provenance=Provenance.INFERRED),
+    "property load state": lambda net: _replaced(net, 4, "speed", load_state=PropLoad.STUB),
+    "signal capture tick": lambda net: _ticked(net, 1, "touch"),
+    "is-a edges": lambda net: net.add_isa(3, 1),
+}
+
+
+@pytest.mark.parametrize("change", sorted(_ONE_FIELD_CHANGED))
+def test_nets_equal_tells_apart_nets_that_differ_in_one_field(change):
+    net = Net()
+    one = net.add_object([("colour", Value.text("green"))])
+    two, three = net.add_object([]), net.add_object([])
+    net.add_action(one, two, "set object.x = 1;", [("speed", Value.num(1.0))])
+    net.add_action(one, three, "set object.x = 2;")
+    net.add_action(None, three)
+    net.ingest_signal(one, "touch", SensorSignal(SensorAddress.of("skin"), b"\x01"))
+    net.add_isa(two, one)
+    other = copy.deepcopy(net)
+    assert nets_equal(net, other) and nets_equal(other, net)
+    _ONE_FIELD_CHANGED[change](other)
+    assert not nets_equal(net, other) and not nets_equal(other, net)

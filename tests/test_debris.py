@@ -1,7 +1,8 @@
 """No debris in `src/krn`: every import is used, every module-level
 private def or constant is named somewhere in the package, and every
 parameter is read by its function. No pattern needs a newer Python than
-the package allows."""
+the package allows. The README's command summary names exactly the
+verbs the CLI dispatches on."""
 
 import ast
 import importlib
@@ -161,3 +162,29 @@ def test_every_pattern_compiles_on_the_oldest_python_allowed():
                           if op in ("POSSESSIVE_REPEAT", "ATOMIC_GROUP")]
     oldest = tuple(map(int, re.fullmatch(r">=(\d+)\.(\d+)", floor).groups()))
     assert oldest >= (3, 11) or not newer, f"requires-python {floor}: {newer}"
+
+
+def _dispatched_verbs() -> set[str]:
+    """Every verb `cli.run_command` tests for, by `verb == ...` or `verb in (...)`."""
+    tree = _trees()["cli.py"][1]
+    run = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run_command")
+    verbs = set()
+    for node in ast.walk(run):
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                and node.left.id == "verb"):
+            for op, right in zip(node.ops, node.comparators):
+                assert isinstance(op, (ast.Eq, ast.In)), ast.unparse(node)
+                values = right.elts if isinstance(right, ast.Tuple) else [right]
+                verbs |= {value.value for value in values}
+    return verbs
+
+
+def test_the_readme_command_summary_names_every_verb_the_cli_dispatches_on():
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    # the paragraph under the heading: one `verb <args>` item per command
+    summary = readme.split("### Command summary\n", 1)[1].strip().split("\n\n", 1)[0]
+    named = {verb for item in re.findall(r"`([^`]+)`", summary)
+             for verb in item.split(" ", 1)[0].split("|")}
+    verbs = _dispatched_verbs()
+    assert named == verbs, (sorted(named - verbs), sorted(verbs - named))

@@ -312,7 +312,7 @@ def _mutate(rng, net, handle, stored, signals, last_run):
         handle.load_stub(rng.choice(stored), net)
     elif roll == 8:
         nid = rng.choice(stored)
-        names = sorted(handle.index[nid].prop_offsets)
+        names = sorted(handle.props.get(nid, ()))
         if names:
             handle.hydrate_property(nid, rng.choice(names), net)
     elif roll == 9:

@@ -2,6 +2,7 @@ import copy
 import itertools
 import os
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -41,9 +42,9 @@ def _hydrated_lazily(path):
         net = Net()
         for nid in sorted(handle.index):
             handle.load_stub(nid, net)
-            for name in sorted(handle.index[nid].prop_offsets):
+            for name in sorted(handle.props.get(nid, ())):
                 handle.hydrate_property(nid, name, net)
-            if handle.index[nid].script_offset is not None:
+            if nid in handle.scripts:
                 handle.hydrate_script(nid, net)
         for inst, concept in sorted(handle.isa):
             net.add_isa(inst, concept)
@@ -439,6 +440,7 @@ def test_actions_with_equal_script_text_share_one_parse(tmp_path, monkeypatch):
     "SIG 1 warmth skin//p7 ff 3",              # empty origin segment
     "PROP 1 mass num heavy",
     'PROP 1 colour text "green" sensed',       # sensed but not a signal
+    'PROP 1 note text "a\\qb"',                # no such escape
 ])
 def test_bad_values_are_format_errors_at_their_line(tmp_path, record):
     bad = tmp_path / "bad.krn"
@@ -449,7 +451,7 @@ def test_bad_values_are_format_errors_at_their_line(tmp_path, record):
     with store.open(str(bad)) as handle:
         with pytest.raises(FormatError) as lazy_err:
             handle.hydrate_property(1, record.split()[2], Net())
-    assert lazy_err.value.line == 4
+    assert (lazy_err.value.line, lazy_err.value.message) == (4, err.value.message)
 
 
 def test_bad_language_tag_is_a_format_error_at_its_line(tmp_path):
@@ -479,7 +481,7 @@ def test_a_property_name_the_net_refuses_is_a_format_error(tmp_path, record, nam
     loaded, _ = store.load(str(good))
     assert loaded.get_property(1, "goal:x") == Value.text("q")
     with store.open(str(good)) as handle:
-        assert list(handle.index[1].prop_offsets) == ["goal:x"]
+        assert list(handle.props[1]) == ["goal:x"]
 
 
 def test_an_id_too_long_for_int_is_a_format_error(tmp_path):
@@ -555,12 +557,12 @@ def test_matched_and_tokenised_records_read_alike(tmp_path, monkeypatch):
     kinds = set()
 
     def scanned(path, chunk=None):
-        """The index, is-a edges and labels of the open scan, read in
-        chunks of `chunk` bytes or in one."""
+        """The node, property and script tables, is-a edges and labels of
+        the open scan, read in chunks of `chunk` bytes or in one."""
         if chunk is not None:
             monkeypatch.setattr(store, "_CHUNK", chunk)
         with store.open(path) as handle:
-            got = (handle.index, handle.isa, handle.labels)
+            got = (handle.index, handle.props, handle.scripts, handle.isa, handle.labels)
         monkeypatch.undo()
         return got
 
@@ -580,11 +582,13 @@ def test_matched_and_tokenised_records_read_alike(tmp_path, monkeypatch):
         assert nets_equal(matched, tokenised) and nets_equal(matched, net), f"net {i}"
         assert matched_lex.labels == tokenised_lex.labels == lexicon.labels
         with store.open(path) as one, store.open(str(spaced)) as other:
-            assert one.index.keys() == other.index.keys()
-            for nid, entry in one.index.items():
-                assert entry.prop_offsets.keys() == other.index[nid].prop_offsets.keys()
+            # the same nodes, endpoints and lines; the offsets differ
+            assert one.index == other.index
+            assert {nid: named.keys() for nid, named in one.props.items()} == {
+                nid: named.keys() for nid, named in other.props.items()}
+            assert one.scripts.keys() == other.scripts.keys()
             assert (one.isa, one.labels) == (other.isa, other.labels)
-            whole = (one.index, one.isa, one.labels)
+            whole = (one.index, one.props, one.scripts, one.isa, one.labels)
         # tokenised lines and SCRIPT blocks that reach or pass a chunk's end
         assert scanned(str(spaced), chunks.randrange(8, 256)) == scanned(str(spaced)), f"net {i}"
         # a block split across two scan chunks is indexed as if read whole
@@ -667,18 +671,32 @@ def test_is_a_edge_to_an_action_is_refused_on_open_and_load(tmp_path):
 
 
 @pytest.mark.parametrize("body", [b"set object.x = ((;", b"set object.x = \"\xff\";"])
-@pytest.mark.parametrize("later", [b"BOGUS 1", b"PROP 9 x num 1", b"ISA 1 2"])
-def test_a_bad_script_before_a_later_bad_record_gives_one_error(tmp_path, body, later):
+@pytest.mark.parametrize("later, line, message", [
+    pytest.param(b"BOGUS 1", 8, "unknown record 'BOGUS'", id="BOGUS 1"),
+    pytest.param(b"PROP 9 x num 1", 8, "PROP record refers to unknown node 9", id="PROP 9 x num 1"),
+    pytest.param(b"ISA 1 2", 8, "ISA record needs node 2 to be an object", id="ISA 1 2"),
+    # tokenised records: a second OBJ 1, and a marker that is not "inferred"
+    pytest.param(b"OBJ  1", 8, "duplicate node id 1", id="OBJ  1"),
+    pytest.param(b"OBJ 1 foo", 8, "malformed OBJ record", id="OBJ 1 foo"),
+    # two tokenised SCRIPTs for action 3, then a tokenised one before the
+    # matched block of action 3 that holds its own
+    pytest.param(b"ACT 3 - 1\nSCRIPT  3\n<<<\n>>>\nSCRIPT  3\n<<<\n>>>", 12,
+                 "duplicate SCRIPT for 3", id="SCRIPT  3 twice"),
+    pytest.param(b"SCRIPT  3\n<<<\n>>>\nACT 3 - 1\nSCRIPT 3\n<<<\nset object.y = 2;\n>>>", 12,
+                 "duplicate SCRIPT for 3", id="SCRIPT  3 before its block"),
+])
+def test_a_bad_script_before_a_later_bad_record_gives_one_error(tmp_path, body, later, line,
+                                                                 message):
     # the script is bad (a parse error or undecodable bytes), but the file
-    # is not well formed either: both readers report the record on line 8
+    # is not well formed either: both readers report the later fault
     bad = tmp_path / "bad.krn"
     bad.write_bytes(b"KRN 1\nOBJ 1\nACT 2 - 1\nSCRIPT 2\n<<<\n" + body + b"\n>>>\n" + later + b"\n")
     errors = []
     for read in (store.load, store.open):
         with pytest.raises(FormatError) as err:
             read(str(bad))
-        errors.append((err.value.line, str(err.value)))
-    assert errors[0] == errors[1] and errors[0][0] == 8
+        errors.append((err.value.line, err.value.message))
+    assert errors[0] == errors[1] == (line, message)
 
 
 def _mutated(rng, data: bytes) -> bytes:
@@ -989,7 +1007,12 @@ def _rewritten_in_place(path, data):
     (None, "ISA 3 1"),                          # no script at a script's offset
     (None, "SCRIPT 2"),                         # another node's script
 ])
-def test_a_lazy_read_refuses_a_record_that_is_not_the_one_indexed(tmp_path, name, found):
+def test_a_lazy_read_refuses_a_record_that_is_not_the_one_indexed(tmp_path, monkeypatch,
+                                                                  name, found):
+    # on a coarse clock a same-size rewrite leaves the change time as it was
+    # too, so the identity check sees only the four other fields
+    monkeypatch.setattr(store, "_identity",
+                        lambda st: (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns))
     net = Net()
     wall = net.add_object([("colour", Value.text("green"))])
     net.add_object([])
@@ -997,8 +1020,7 @@ def test_a_lazy_read_refuses_a_record_that_is_not_the_one_indexed(tmp_path, name
     path = _saved(tmp_path, net)
     data = Path(path).read_bytes()
     with store.open(path) as handle:
-        offset = (handle.index[wall].prop_offsets[name] if name
-                  else handle.index[paint].script_offset)
+        offset = handle.props[wall][name] if name else handle.scripts[paint]
         end = data.index(b"\n", offset)
         assert len(found) <= end - offset
         _rewritten_in_place(path, data[:offset] + found.ljust(end - offset).encode() + data[end:])
@@ -1014,6 +1036,32 @@ def test_a_lazy_read_refuses_a_record_that_is_not_the_one_indexed(tmp_path, name
     else:
         assert target.actions[paint].script.state == "stub"
 
+
+def _past_a_clock_tick(path):
+    """Wait until the file system's clock has moved past the change time of
+    `path`, so that a change to it from now on gets a later one."""
+    probe = Path(f"{path}.tick")
+    probe.touch()
+    while os.stat(probe).st_ctime_ns <= os.stat(path).st_ctime_ns:
+        time.sleep(0.001)
+        probe.touch()
+    probe.unlink()
+
+
+def test_handle_refuses_a_same_size_rewrite_with_its_modification_time_put_back(tmp_path):
+    net = Net()
+    one = net.add_object([("x", Value.num(1.0))])
+    path = _saved(tmp_path, net)
+    data = Path(path).read_bytes()
+    assert b"PROP 1 x num 1.0 asserted\n" in data
+    with store.open(path) as handle:
+        target = Net()
+        handle.load_stub(one, target)
+        _past_a_clock_tick(path)
+        _rewritten_in_place(path, data.replace(b"num 1.0", b"num 7.0"))
+        with pytest.raises(FormatError, match="changed since it was opened"):
+            handle.hydrate_property(one, "x", target)
+    assert target.objects[one].properties["x"].load_state is PropLoad.STUB
 
 
 # ---------------------------------------------------------------- splice save
