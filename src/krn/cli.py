@@ -445,16 +445,27 @@ def _run(session: Session, lines, out, *, keep_going: bool) -> int:
                 for rendered in run_command(session, command):
                     print(rendered, file=out)
             except (KrnError, OSError) as exc:
-                print(f"error: {type(exc).__name__}: {exc}", file=out)
+                status = _failed(exc, out)
                 if not keep_going:
-                    return 1
-                status = 1
+                    return status
     return status
 
 
+def _failed(exc: Exception, out) -> int:
+    """Print one error line for a failed command or input; the exit status."""
+    print(f"error: {type(exc).__name__}: {exc}", file=out)
+    return 1
+
+
 def run_lines(lines, out=None) -> int:
-    """Interpret lines in a fresh session; returns the exit status."""
-    return _run(Session(), lines, sys.stdout if out is None else out, keep_going=False)
+    """Interpret lines in a fresh session; returns the exit status. A
+    verb table the session cannot read (`KRN_VERB_TABLE`) is an error line."""
+    out = sys.stdout if out is None else out
+    try:
+        session = Session()
+    except (KrnError, OSError) as exc:
+        return _failed(exc, out)
+    return _run(session, lines, out, keep_going=False)
 
 
 def _repl(session: Session) -> int:
@@ -478,12 +489,19 @@ def main(argv=None) -> int:
                         help="command file to run ('-' for stdin); REPL if omitted on a tty")
     args = parser.parse_args(argv)
 
-    if args.script and args.script != "-":
-        with open(args.script, encoding="utf-8") as fh:
-            return run_lines(fh.readlines())
-    if args.script == "-" or not sys.stdin.isatty():
-        return run_lines(sys.stdin.readlines())
-    return _repl(Session())
+    lines = None   # the REPL reads its lines as they are typed
+    try:   # a command file is read whole: an unreadable one fails before any command runs
+        if args.script and args.script != "-":
+            with open(args.script, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        elif args.script == "-" or not sys.stdin.isatty():
+            lines = sys.stdin.readlines()
+        session = Session()
+    except (KrnError, OSError, UnicodeDecodeError) as exc:
+        return _failed(exc, sys.stdout)
+    if lines is None:
+        return _repl(session)
+    return _run(session, lines, sys.stdout, keep_going=False)
 
 
 if __name__ == "__main__":

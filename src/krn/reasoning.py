@@ -14,7 +14,11 @@ Pattern matching compares node kinds, link shape, and property names;
 property values never participate. A pattern node's names must be a
 subset of its image's names, so more specific patterns match fewer
 nodes, and a pattern action with a blank subject leaves the image's
-subject unconstrained. Mining counts exact-structure occurrences (the
+subject unconstrained. Both searches, `find_matches` (every injective
+match) and shaping's `_max_anchored_match` (the largest partial match
+around a pinned root), draw a pattern node's candidates from one rule,
+`_images`: the target nodes that every mapped neighbour allows by role.
+Mining counts exact-structure occurrences (the
 extracted pattern of the image is isomorphic to the template); a mined
 template is kept only if no other sufficiently supported template
 properly contains it.
@@ -61,15 +65,11 @@ PARENT_PROP = "concept-parent"
 _BOOKKEEPING = {SUPPORT_PROP, PARENT_PROP}
 
 
-def _adjacent(net: Net, nid: NodeId) -> set:
+def _neighbors(net: Net, nid: NodeId) -> list[NodeId]:
     rec = net.node(nid)
     if isinstance(rec, ObjectRecord):
-        return set(rec.outgoing) | set(rec.incoming)
-    return {rec.target} if rec.subject is None else {rec.target, rec.subject}
-
-
-def _neighbors(net: Net, nid: NodeId) -> list[NodeId]:
-    return sorted(_adjacent(net, nid))
+        return sorted({*rec.outgoing, *rec.incoming})
+    return [rec.target] if rec.subject is None else sorted({rec.target, rec.subject})
 
 
 def _bfs_order(net: Net, start: NodeId, within=None) -> list[NodeId]:
@@ -328,33 +328,38 @@ def expand(net: Net, complex_id: NodeId) -> set:
 # ------------------------------------------------------------- matching
 
 def _compat(pattern: Net, target: Net, p: NodeId, t: NodeId, bypass_names: bool = False) -> bool:
-    if pattern.is_object(p) != target.is_object(t):
-        return False
-    return bypass_names or pattern.node(p).properties.keys() <= target.node(t).properties.keys()
-
-
-def _consistent(pattern: Net, target: Net, mapping: dict, p: NodeId, t: NodeId) -> bool:
-    if pattern.is_action(p):
-        prec = pattern.actions[p]
-        trec = target.actions[t]
-        if prec.target in mapping and trec.target != mapping[prec.target]:
-            return False
-        if prec.subject is not None:
-            if trec.subject is None:
-                return False
-            if prec.subject in mapping and trec.subject != mapping[prec.subject]:
-                return False
+    """Whether t, looked up in target, can be p's image: a node of p's kind,
+    with a subject if p is an action with one, and every name of p's
+    unless `bypass_names`."""
+    if p in pattern.objects:
+        prec, trec = pattern.objects[p], target.objects.get(t)
     else:
-        for q in pattern.actions:
-            if q not in mapping:
-                continue
-            qrec = pattern.actions[q]
-            timage = target.actions[mapping[q]]
-            if qrec.target == p and timage.target != t:
-                return False
-            if qrec.subject == p and timage.subject != t:
-                return False
-    return True
+        prec, trec = pattern.actions[p], target.actions.get(t)
+        if trec is not None and trec.subject is None and prec.subject is not None:
+            return False
+    return trec is not None and (bypass_names or prec.properties.keys() <= trec.properties.keys())
+
+
+def _images(pattern: Net, target: Net, mapping: dict, p: NodeId) -> list | None:
+    """The target nodes, in id order, that every mapped neighbour of p
+    allows by role, or None when no neighbour of p is mapped.
+
+    An action's image lies in the incoming list of its target's image and
+    the outgoing list of its subject's image; an object's image is the
+    subject or target, as p is, of each mapped incident action's image.
+    """
+    if p in pattern.actions:
+        prec = pattern.actions[p]
+        pools = [target.objects[mapping[prec.target]].incoming] if prec.target in mapping else []
+        if prec.subject in mapping:
+            pools.append(target.objects[mapping[prec.subject]].outgoing)
+    else:
+        prec = pattern.objects[p]
+        pools = [[target.actions[mapping[q]].subject] for q in prec.outgoing if q in mapping]
+        pools += [[target.actions[mapping[q]].target] for q in prec.incoming if q in mapping]
+    if not pools:
+        return None
+    return sorted(set(pools[0]).intersection(*pools[1:]))
 
 
 def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
@@ -363,6 +368,8 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
 
     `anchor` pins one pattern node to one target node, bypassing the
     property-name requirement for that pair (the caller vouches for it).
+    Pattern nodes are taken breadth-first from the anchor (or the lowest
+    object), then the unreached ones by id.
     """
     ids = pattern.node_ids()
     if not ids:
@@ -372,51 +379,36 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
         if start not in pattern.objects and start not in pattern.actions:
             raise UnknownNode(f"anchor {start} is not in the pattern")
     else:
-        objs = [i for i in ids if pattern.is_object(i)]
-        start = min(objs) if objs else min(ids)
+        start = min(pattern.objects, default=ids[0])
     order = _bfs_order(pattern, start)
-    seen = set(order)
-    order += [nid for nid in ids if nid not in seen]  # disconnected: full scans
+    order += sorted(set(ids).difference(order))  # disconnected: full scans
 
     results: list[dict] = []
     mapping: dict = {}
     used: set = set()
     target_ids = None   # sorted on first need; anchored searches rarely need it
 
-    def candidates(p: NodeId) -> list:
-        nonlocal target_ids
-        if anchor is not None and p == anchor[0]:
-            return [anchor[1]]
-        pools = [_adjacent(target, mapping[q])
-                 for q in _neighbors(pattern, p) if q in mapping]
-        if not pools:
-            if target_ids is None:
-                target_ids = target.node_ids()
-            return target_ids
-        return sorted(set.union(*pools))
-
     def extend(k: int) -> None:
+        nonlocal target_ids
         if limit is not None and len(results) >= limit:
             return
         if k == len(order):
             results.append(dict(mapping))
             return
         p = order[k]
-        bypass = anchor is not None and p == anchor[0]
-        for t in candidates(p):
-            if t in used:
-                continue
-            if (t not in target.objects) and (t not in target.actions):
-                continue
-            if not _compat(pattern, target, p, t, bypass):
-                continue
-            if not _consistent(pattern, target, mapping, p, t):
-                continue
-            mapping[p] = t
-            used.add(t)
-            extend(k + 1)
-            del mapping[p]
-            used.discard(t)
+        bypass = anchor is not None and k == 0   # the anchor is first
+        pool = [anchor[1]] if bypass else _images(pattern, target, mapping, p)
+        if pool is None:
+            if target_ids is None:
+                target_ids = target.node_ids()
+            pool = target_ids
+        for t in pool:
+            if t not in used and _compat(pattern, target, p, t, bypass):
+                mapping[p] = t
+                used.add(t)
+                extend(k + 1)
+                del mapping[p]
+                used.discard(t)
 
     try:
         extend(0)
@@ -635,8 +627,15 @@ def extract_pattern(net: Net, nodes) -> Net:
     """Value-free copy of a subnet: names and shape kept, values wildcarded.
 
     Subjects pointing outside the subset are blanked; bookkeeping
-    property names are dropped.
+    property names are dropped. Every node must be in the net
+    (UnknownNode), and every action's target in the subset, as mining's
+    `_pattern_closed` asks (BoundaryViolation).
     """
+    nodes = set(nodes)
+    for nid in sorted(nodes):
+        rec = net.node(nid)
+        if isinstance(rec, ActionRecord) and rec.target not in nodes:
+            raise BoundaryViolation(f"action {nid} has its target {rec.target} outside the pattern")
     pattern = Net()
     _copy_structure(net, sorted(nodes), pattern)
     return pattern
@@ -731,9 +730,12 @@ def register_concept(net: Net, template: ConceptTemplate) -> NodeId:
     """Insert a template's pattern into a net as ordinary concept nodes.
 
     The returned root id is what is-a edges point at; support and parent
-    ride along as bookkeeping properties of the root.
+    ride along as bookkeeping properties of the root, which must be an
+    object of the pattern (UnknownConcept otherwise, with the net unchanged).
     """
     pattern = template.pattern
+    if template.root not in pattern.objects:
+        raise UnknownConcept(f"concept root {template.root} is not an object of its pattern")
     root = _copy_structure(pattern, pattern.node_ids(), net)[template.root]
     net.set_property(root, SUPPORT_PROP, Value.num(template.support))
     if template.parent is not None:
@@ -774,12 +776,12 @@ def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
     """Largest partial match of the pattern with root pinned to instance.
 
     Backtracking over pattern actions, breadth-first from the root, then
-    the unreached ones by id. An action maps onto an action adjacent to
-    the image of one of its mapped endpoints; its other endpoint, if
-    unmapped, is bound to that action's endpoint in the same step, so no
-    object is matched on its own. Each action may be skipped, so the search
-    maximizes the number of matched nodes. Deterministic: candidates are
-    tried in id order and skipping is tried last.
+    the unreached ones by id. An action with a mapped endpoint maps onto
+    one of its `_images`, and its other endpoint, if unmapped, is bound to
+    that image's endpoint in the same step, so no object is matched on its
+    own. Each action may be skipped, so the search maximizes the number of
+    matched nodes. Deterministic: candidates are tried in id order and
+    skipping is tried last.
     """
     order = [p for p in _bfs_order(pattern, root) if p in pattern.actions]
     order += sorted(pattern.actions.keys() - set(order))
@@ -794,24 +796,16 @@ def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
             return
         p = order[k]
         prec = pattern.actions[p]
-        pool: set = set()
-        for q in _adjacent(pattern, p):
-            if q in mapping:
-                pool |= _adjacent(net, mapping[q])
-        for t in sorted(pool):
-            trec = net.actions[t]
-            if t in used or not _compat(pattern, net, p, t) or (
-                    trec.subject is None and prec.subject is not None):
+        for t in _images(pattern, net, mapping, p) or ():
+            if t in used or not _compat(pattern, net, p, t):
                 continue
-            # t came through a mapped endpoint, so at most the other one is
-            # unmapped; the object of a self-loop is mapped, and checked twice
-            bound = {p: t}
+            trec = net.actions[t]
+            bound = {p: t}   # t agrees with every mapped endpoint; bind the other
             for q, w in ((prec.target, trec.target), (prec.subject, trec.subject)):
-                if q is None or mapping.get(q) == w:
-                    continue
-                if q in mapping or w in used or not _compat(pattern, net, q, w):
-                    break
-                bound[q] = w
+                if q is not None and q not in mapping:
+                    if w in used or not _compat(pattern, net, q, w):
+                        break
+                    bound[q] = w
             else:
                 mapping.update(bound)
                 used.update(bound.values())

@@ -281,9 +281,12 @@ def changes_over(keys, before: Mapping, after: Mapping) -> list[PropertyChange]:
 def load_verb_table(path: str) -> dict[str, str]:
     """Read `VERB <property-name> <verb-key>` lines on top of the defaults."""
     table = dict(DEFAULT_VERBS)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    with open(path, "rb") as fh:   # lines end as in text mode: \n, \r\n or \r
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise FormatError("undecodable line", lineno) from None
             if not line or line.startswith("#"):
                 continue
             parts = line.split()

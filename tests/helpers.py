@@ -103,6 +103,21 @@ _TEXT_POOL = [
 ]
 
 
+def structure_net(rng: random.Random, objects: int, actions: int, names) -> Net:
+    """A value-free net for matching: blank subjects, self-loops, and
+    subsets of `names` on objects and actions."""
+    net = Net()
+    objs = [net.add_object([(n, Value.unset()) for n in names if rng.random() < 0.4])
+            for _ in range(objects)]
+    for _ in range(actions):
+        target = rng.choice(objs)
+        roll = rng.random()
+        subject = None if roll < 0.25 else target if roll < 0.4 else rng.choice(objs)
+        net.add_action(subject, target, None,
+                       [(n, Value.unset()) for n in names if rng.random() < 0.25])
+    return net
+
+
 def rand_name(rng: random.Random, used=None) -> str:
     while True:
         name = rng.choice(_WORDS)

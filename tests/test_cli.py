@@ -433,6 +433,43 @@ def test_main_reads_file_and_stdin(tmp_path):
     assert "error: " in piped.stdout
 
 
+@pytest.mark.parametrize("kind, error", [
+    ("missing", "error: FileNotFoundError: [Errno 2] No such file or directory"),
+    ("directory", "error: IsADirectoryError: [Errno 21] Is a directory"),
+    ("undecodable", "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+])
+def test_an_unreadable_command_file_is_one_error_line(tmp_path, capsys, kind, error):
+    path = tmp_path / "session.krn-cmd"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":   # reported before the commands ahead of it run
+        path.write_bytes(b"new\nobj wall\n\xff\n")
+    assert main([str(path)]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(error)
+
+
+@pytest.mark.parametrize("table, error", [
+    (None, "error: FileNotFoundError: [Errno 2] No such file or directory"),
+    (b"VERB weight r\xe9\n", "error: FormatError: undecodable line (line 1)"),
+    (b"VERB only-two\n", "error: FormatError: bad verb line 'VERB only-two' (line 1)"),
+])
+def test_a_bad_verb_table_is_one_error_line(tmp_path, capsys, monkeypatch, table, error):
+    path = tmp_path / "verbs.cfg"
+    if table is not None:
+        path.write_bytes(table)
+    monkeypatch.setenv("KRN_VERB_TABLE", str(path))
+    script = tmp_path / "session.krn-cmd"
+    script.write_text("new\n")
+    assert main([str(script)]) == 1
+    monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+    assert main([]) == 1   # the REPL, before its first prompt
+    out = io.StringIO()
+    assert run_lines(["new"], out) == 1
+    lines = capsys.readouterr().out.splitlines() + out.getvalue().splitlines()
+    assert len(lines) == 3 and all(line.startswith(error) for line in lines)
+
+
 def test_the_repl_on_a_tty_keeps_going_after_an_error_until_eof(monkeypatch, capsys):
     typed = iter(["new", "obj wall colour=green", "run wall", "show wall.colour"])
     prompts = []

@@ -226,6 +226,10 @@ def test_verb_table_config(tmp_path):
     bad.write_text("VERB only-two\n")
     with pytest.raises(FormatError):
         load_verb_table(str(bad))
+    undecodable = tmp_path / "latin1.cfg"
+    undecodable.write_bytes("VERB weight gaining\nVERB colour r\xe9painting\n".encode("latin-1"))
+    with pytest.raises(FormatError, match=r"^undecodable line \(line 2\)$"):
+        load_verb_table(str(undecodable))
 
 
 def test_classify_change_renders_through_lexicon():
