@@ -775,28 +775,33 @@ def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
                         instance: NodeId) -> dict:
     """Largest partial match of the pattern with root pinned to instance.
 
-    Backtracking over pattern actions, breadth-first from the root, then
-    the unreached ones by id. An action with a mapped endpoint maps onto
-    one of its `_images`, and its other endpoint, if unmapped, is bound to
-    that image's endpoint in the same step, so no object is matched on its
-    own. Each action may be skipped, so the search maximizes the number of
-    matched nodes. Deterministic: candidates are tried in id order and
-    skipping is tried last.
+    Backtracking over pattern actions: each step decides the first
+    undecided action, in breadth-first order from the root, that has a
+    mapped endpoint. It maps onto one of its `_images`, and its other
+    endpoint, if unmapped, is bound to that image's endpoint in the same
+    step, so no object is matched on its own; or it is skipped, which is
+    tried last. When no such action is left, the match is complete. So
+    every connected partial match is reached, and the largest (the first
+    found, candidates tried in id order) is returned. Nothing prunes the
+    search: its cost can grow exponentially in the number of actions.
     """
-    order = [p for p in _bfs_order(pattern, root) if p in pattern.actions]
-    order += sorted(pattern.actions.keys() - set(order))
+    actions = pattern.actions
+    order = [p for p in _bfs_order(pattern, root) if p in actions]
 
     best: dict = {}
 
-    def dfs(k: int, mapping: dict, used: set) -> None:
+    def dfs(mapping: dict, used: set, skipped: set) -> None:
         nonlocal best
-        if k == len(order):
+        for p in order:
+            prec = actions[p]
+            if p not in mapping and p not in skipped and (
+                    prec.target in mapping or prec.subject in mapping):
+                break
+        else:
             if len(mapping) > len(best):
                 best = dict(mapping)
             return
-        p = order[k]
-        prec = pattern.actions[p]
-        for t in _images(pattern, net, mapping, p) or ():
+        for t in _images(pattern, net, mapping, p):
             if t in used or not _compat(pattern, net, p, t):
                 continue
             trec = net.actions[t]
@@ -809,14 +814,16 @@ def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
             else:
                 mapping.update(bound)
                 used.update(bound.values())
-                dfs(k + 1, mapping, used)
+                dfs(mapping, used, skipped)
                 for q, w in bound.items():
                     del mapping[q]
                     used.discard(w)
-        dfs(k + 1, mapping, used)  # skipping p is always an option
+        skipped.add(p)   # skipping p is always an option
+        dfs(mapping, used, skipped)
+        skipped.discard(p)
 
     try:
-        dfs(0, {root: instance}, {instance})
+        dfs({root: instance}, {instance}, set())
     finally:
         del dfs   # a nested function that calls itself is a cycle until dropped
     return best

@@ -24,23 +24,24 @@ Records may appear in any order. Both ways of reading a file go over it
 once through one record reader that checks the framing and every
 reference between records (an action's endpoints and is-a ends must be
 objects); of several bad references, the first in file order is
-reported. `open` reads the file a bounded chunk at a time; `load` reads
-it whole first and keeps its bytes. The runs of lines `save` writes for
-all but the rarest nets are each matched whole by one compiled pattern
-and read from the match: a node block (its OBJ or ACT line, its PROP
-lines with plain values, an action's SCRIPT block), a run of ISA lines
-and a run of LABEL lines, ids with no leading zero. Any other line goes
-through the one line decoder that the lazy reads use, and that path
-finds every fault. `load` decodes each record as it passes, and matched
-records with equal value tokens share one Value. It
+reported. Both read the whole file first; `load` keeps its bytes,
+`open` drops them once its index is built. The runs of lines `save`
+writes for all but the rarest nets are each matched whole by one
+compiled pattern and read from the match: a node block (its OBJ or ACT
+line, its PROP lines with plain values, an action's SCRIPT block), a run
+of ISA lines and a run of LABEL lines, ids with no leading zero. Any
+other line goes through the one line decoder that the lazy reads use,
+and that path finds every fault. `load` decodes each record as it
+passes, and matched records with equal value tokens share one Value. It
 reads script texts only once the framing and references hold, so a
 fault inside a script never hides a later framing or reference fault
 that `open` would report; each distinct text is parsed once per load,
 and actions with equal text share the AST. `script.parse` memoises by
 text across loads, so a reload parses no script seen before. `open`
-decodes no values: its index is the scan's own tables of nodes and of
-the byte offsets of their records, and nothing beyond them is held in
-memory until a node is stubbed in (from the index alone) and its
+decodes no values and keeps no labels, though it checks every record as
+`load` does: its index is the scan's own tables of nodes, of the byte
+offsets of their records and of is-a edges, and nothing beyond them is
+held in memory until a node is stubbed in (from the index alone) and its
 properties or script are hydrated one by one. A handle reads only the
 file it indexed: once the path's device, inode, size, modification time
 or change time differ from those at open, every lazy read raises
@@ -418,10 +419,6 @@ _ISA_FIELDS = re.compile(rb"ISA ([0-9]+) ([0-9]+)\n")
 _LABEL_FIELDS = re.compile(rb'LABEL ([0-9]+) ([^ ]+) "([^"]*)"\n')
 _VALUE_FIELDS = re.compile(rb'([a-z]+) ("[^"]*"|[^ ]+)(?: ([a-z]+))?')
 
-# the bytes the open scan reads at a time; `_read` reads on until it holds
-# the whole of a node block
-_CHUNK = 1 << 16
-
 
 def _tokens(raw: bytes, lineno: int) -> list[str] | None:
     """The tokens of one record line, its tag's arity checked; None for a
@@ -480,19 +477,18 @@ def _shared_value(field: bytes, line: int) -> tuple[Value, Provenance, bool]:
     return value, INFERRED if prov == b"inferred" else ASSERTED, as_saved
 
 
-def _read(fh, decode: bool):
-    """One pass over a whole `.krn` file, every reference checked.
+def _read(buf: bytes, decode: bool):
+    """One pass over a whole `.krn` file's bytes, every reference checked.
 
-    With `decode` (for `load`) the file is read whole; without it (for the
-    `open` scan) a chunk at a time, and a node block that may go on past
-    its chunk is matched again with the next chunk in. Each run of lines
-    `_BLOCK` matches is read from the match; any other line token by
-    token, and only that path (and the duplicate and reference checks)
-    raises. With `decode`, a PROP/SIG record becomes a PropertyRecord,
-    matched records with equal value tokens sharing one Value, and a
-    SCRIPT record a ScriptRef, its text decoded and parsed only after the
-    reference checks, equal texts sharing one parse. Without it, each is
-    kept as its byte offset, for the index.
+    Each run of lines `_BLOCK` matches is read from the match; any other
+    line token by token, and only that path (and the duplicate and
+    reference checks) raises, whether or not records are decoded. With
+    `decode` (for `load`), a PROP/SIG record becomes a PropertyRecord,
+    matched records with equal value tokens sharing one Value, a SCRIPT
+    record a ScriptRef, its text decoded and parsed only after the
+    reference checks, equal texts sharing one parse, and a LABEL record a
+    label. Without it (for the `open` scan), each PROP/SIG and SCRIPT
+    record is kept as its byte offset, for the index, and no label is kept.
 
     Returns (nodes, props, scripts, isa, labels, spans, label_start): nodes
     maps id to (tag, provenance, subject, target, line) in file order;
@@ -500,13 +496,11 @@ def _read(fh, decode: bool):
     spans maps the id of each node whose matched block reads byte for byte
     as `save` writes that node to the block's range of byte offsets (a net
     keeps one per node, and unlike a tuple a range is not tracked by the
-    collector). label_start is the offset of the first LABEL line when the
-    LABEL lines are the file's last lines and all matched; else None.
+    collector), and label_start is the offset of the first LABEL line when
+    the LABEL lines are the file's last lines and all matched; else None.
     """
-    buf = fh.read() if decode else fh.read(_CHUNK)
-    eof = decode or len(buf) < _CHUNK
     header = HEADER.encode()
-    if not (buf.startswith(header + b"\n") or eof and buf == header):
+    if not (buf.startswith(header + b"\n") or buf == header):
         raise FormatError(f"missing {HEADER} header", 1)
     nodes: dict = {}
     props: dict[NodeId, dict] = {}
@@ -522,25 +516,15 @@ def _read(fh, decode: bool):
     values: dict[bytes, tuple[Value, Provenance, bool]] = {}   # _shared_value by field
     spans: dict[NodeId, range] = {}
     spoiled: set[NodeId] = set()   # nodes with a record outside their block
-    # the offset and line of the first LABEL line; None once one is tokenised
+    # with decode, the offset and line of the first LABEL line; None once
+    # one is tokenised
     label_start, label_line = None, 0
+    fh = io.BytesIO(buf)   # for the SCRIPT blocks of tokenised records
     match = _BLOCK.match
-    # buf holds the file from offset base on, and its lines before tail are whole
-    base, pos, lineno = 0, len(header) + 1, 2
-    tail = len(buf) if eof else buf.rfind(b"\n") + 1
-    while pos < tail or not eof:
-        m = match(buf, pos, tail)
-        if not eof and (pos == tail or m is not None and m.lastgroup == "NODE" and (
-                m.end() == tail or m["act"] and m["script"] is None
-                and buf.startswith(b"SCRIPT %s\n<<<\n" % m["nid"], m.end()))):
-            # read on: the buffer has no whole line left, or the block may go on
-            base += pos
-            want = max(_CHUNK, len(buf) - pos)
-            chunk = fh.read(want)
-            buf, pos, eof = buf[pos:] + chunk, 0, len(chunk) < want
-            tail = len(buf) if eof else buf.rfind(b"\n") + 1
-            continue
-        start = base + pos
+    pos, lineno = len(header) + 1, 2
+    while pos < len(buf):
+        m = match(buf, pos)
+        start = pos
         if m is not None:
             tag = m.lastgroup
             if tag == "NODE":
@@ -562,7 +546,7 @@ def _read(fh, decode: bool):
                     named = props.get(nid)
                     if named is None:
                         named = props[nid] = {}
-                    last, offset = b"", base + first
+                    last, offset = b"", first
                     for raw_name, field in _PROP_FIELDS.findall(buf, first, stop):
                         name = names.get(raw_name) or names.setdefault(raw_name, raw_name.decode())
                         if name in named:
@@ -582,13 +566,13 @@ def _read(fh, decode: bool):
                     if nid in scripts:
                         raise FormatError(f"duplicate SCRIPT for {nid}", lineno)
                     body = m["body"]
-                    at = base + m.start("script")
+                    at = m.start("script")
                     scripts[nid] = (body, lineno, at) if decode else at
                     # save writes no blank last line: ScriptRef strips its newline
                     saved = saved and (not body or body[-2:] != b"\n\n" and body != b"\n")
                     lineno += body.count(b"\n") + 3
                 if saved:
-                    spans[nid] = range(start, base + m.end())
+                    spans[nid] = range(start, m.end())
             elif tag == "ISA":
                 for inst, concept in _ISA_FIELDS.findall(buf, pos, m.end()):
                     inst, concept = int(inst), int(concept)
@@ -596,16 +580,17 @@ def _read(fh, decode: bool):
                     refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
                     lineno += 1
             else:
-                if not labels:
+                if decode and not labels:
                     label_start, label_line = start, lineno
                 for node, lang, text in _LABEL_FIELDS.findall(buf, pos, m.end()):
                     node = int(node)
-                    labels.append((node, lang.decode(), text.decode()))
+                    if decode:
+                        labels.append((node, lang.decode(), text.decode()))
                     label_owners.setdefault(node, lineno)
                     lineno += 1
             pos = m.end()
             continue
-        end = buf.find(b"\n", pos, tail) + 1 or tail
+        end = buf.find(b"\n", pos) + 1 or len(buf)
         toks = _tokens(buf[pos:end], lineno)
         pos = end
         line = lineno
@@ -628,7 +613,9 @@ def _read(fh, decode: bool):
             node = _int(toks[1], line)
             if not valid_language_tag(toks[2]):
                 raise FormatError(f"bad language tag {toks[2]!r}", line)
-            labels.append((node, toks[2], decode_text(toks[3], line)))
+            text = decode_text(toks[3], line)
+            if decode:
+                labels.append((node, toks[2], text))
             label_owners.setdefault(node, line)
             label_start = None
         elif tag == "OBJ" or tag == "ACT":
@@ -637,14 +624,9 @@ def _read(fh, decode: bool):
                 raise FormatError(f"duplicate node id {nid}", line)
             nodes[nid] = (tag, prov, subject, target, line)
         elif tag == "SCRIPT":
-            fh.seek(base + pos)
+            fh.seek(pos)
             block = _script_block(fh, line)
-            stop = fh.tell() - base
-            if stop <= tail:
-                pos = stop
-                fh.seek(base + len(buf))
-            else:   # the block went on past the chunk: read on from its end
-                base, buf, pos, tail = base + stop, b"", 0, 0
+            pos = fh.tell()
             lineno += len(block)
             body = b"".join(block[1:-1])
             owner = _int(toks[1], line)
@@ -702,7 +684,7 @@ def _load(data: bytes) -> tuple[Net, Lexicon]:
     """A fresh net plus its labels from a whole file's bytes. Both keep the
     bytes that `save` can copy: the net the file and its node blocks'
     spans, the lexicon its LABEL lines."""
-    nodes, props, scripts, isa, labels, spans, label_start = _read(io.BytesIO(data), decode=True)
+    nodes, props, scripts, isa, labels, spans, label_start = _read(data, decode=True)
     net = Net()
     objects, actions = net.objects, net.actions
     for nid in sorted(nodes):
@@ -765,10 +747,12 @@ class StoreHandle:
     `props` maps the id of each node with properties to {name: byte offset
     of its PROP or SIG record}; `scripts` maps the id of each action with a
     script to the byte offset of its SCRIPT record. A node with no property
-    or no script has no entry there. The handle reads only the file it
-    indexed: each public lazy call first checks that the path still names
-    that file with the device, inode, size, modification time and change
-    time it had at open, and raises FormatError once it does not.
+    or no script has no entry there. `isa` lists the is-a edges in file
+    order. Labels are checked at open but not kept: `load_full` reads
+    them. The handle reads only the file it indexed: each public lazy
+    call first checks that the path still names that file with the
+    device, inode, size, modification time and change time it had at
+    open, and raises FormatError once it does not.
     """
 
     def __init__(self, path: str):
@@ -780,12 +764,12 @@ class StoreHandle:
         self._fh = io.open(path, "rb")
         try:
             self._identity = _identity(os.fstat(self._fh.fileno()))
-            self.index, self.props, self.scripts, self.isa, self.labels, _, _ = _read(
-                self._fh, decode=False)
+            data = self._fh.read()
+            self.index, self.props, self.scripts, self.isa, *_ = _read(data, decode=False)
         except Exception:
             self._fh.close()
             raise
-        self.stats.bytes_read += self._fh.tell()
+        self.stats.bytes_read += len(data)
 
     def close(self) -> None:
         self._fh.close()

@@ -245,3 +245,25 @@ def test_matching_and_shaping_leave_no_cycle_holding_the_net():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_shape_matches_structure_reached_through_a_later_action():
+    # a 4-cycle concept R→A→B→C→R and an instance r that already ends the
+    # chain x→y→z→r: A is reached only through B→C, which comes after A→B
+    # breadth-first, yet x is its image, so only r→x is missing
+    pattern = Net()
+    R, A, B, C = (pattern.add_object([]) for _ in range(4))
+    for subject, target in ((R, A), (A, B), (B, C), (C, R)):
+        pattern.add_action(subject, target)
+    net = Net()
+    concept_id = register_concept(net, ConceptTemplate(pattern=pattern, root=R, support=2))
+    x, y, z, r = (net.add_object([]) for _ in range(4))
+    for subject, target in ((x, y), (y, z), (z, r)):
+        net.add_action(subject, target)
+    net.add_isa(r, concept_id)
+    template = concept_of(net, concept_id)
+    assert len(_max_anchored_match(template.pattern, template.root, net, r)) == 7
+    created = shape(net, r, concept_id)
+    assert len(created) == 1
+    act = net.actions[created[0]]
+    assert (act.subject, act.target, act.provenance) == (r, x, Provenance.INFERRED)

@@ -37,7 +37,8 @@ def _saved(tmp_path, net, lexicon=None, name="net.krn"):
 
 
 def _hydrated_lazily(path):
-    """Every node stubbed in, every property and script hydrated through a handle."""
+    """Every node stubbed in, every property and script hydrated through a
+    handle; a handle keeps no labels."""
     with store.open(path) as handle:
         net = Net()
         for nid in sorted(handle.index):
@@ -48,10 +49,7 @@ def _hydrated_lazily(path):
                 handle.hydrate_script(nid, net)
         for inst, concept in sorted(handle.isa):
             net.add_isa(inst, concept)
-        lexicon = Lexicon()
-        for node, lang, text in handle.labels:
-            lexicon.set_label(node, lang, text)
-    return net, lexicon
+    return net
 
 
 def test_save_empty_net_is_header_only(tmp_path):
@@ -98,18 +96,21 @@ def test_round_trip_fifty_random_nets(tmp_path):
 
 
 def test_open_builds_index_without_hydration(tmp_path):
-    net, man, wall, paint = wall_net()
-    path = _saved(tmp_path, net)
-    size = (tmp_path / "net.krn").stat().st_size
-    with store.open(path) as handle:
-        assert handle.stats.bytes_read == size
-        assert handle.stats.objects_hydrated == 0
-        assert handle.stats.properties_hydrated == 0
-        assert handle.stats.scripts_hydrated == 0
-        # index covers every OBJ and ACT record
-        with open(path, encoding="utf-8") as fh:
-            record_count = sum(1 for line in fh if line.startswith(("OBJ ", "ACT ")))
-        assert len(handle.index) == record_count
+    saved = Path(_saved(tmp_path, wall_net()[0])).read_bytes()
+    # a tokenised SCRIPT record (two spaces) before the last line: the scan
+    # reads its block from inside the file, and still counts the whole file
+    tokenised = b"KRN 1\nOBJ 1\nACT 2 - 1\nSCRIPT  2\n<<<\nset object.x = 1;\n>>>\nOBJ 3\n"
+    for data in (saved, tokenised):
+        path = tmp_path / "net.krn"
+        path.write_bytes(data)
+        with store.open(str(path)) as handle:
+            assert handle.stats.bytes_read == len(data)
+            assert handle.stats.objects_hydrated == 0
+            assert handle.stats.properties_hydrated == 0
+            assert handle.stats.scripts_hydrated == 0
+            # index covers every OBJ and ACT record
+            records = [line for line in data.split(b"\n") if line.startswith((b"OBJ ", b"ACT "))]
+            assert len(handle.index) == len(records)
 
 
 def test_open_rejects_garbage(tmp_path):
@@ -404,9 +405,9 @@ def test_load_equals_a_fully_hydrated_handle(tmp_path):
                            provenance=Provenance.INFERRED)
         path = _saved(tmp_path, net, lexicon, f"net{i}.krn")
         loaded, loaded_lex = store.load(path)
-        lazy, lazy_lex = _hydrated_lazily(path)
+        lazy = _hydrated_lazily(path)
         assert nets_equal(loaded, lazy) and nets_equal(loaded, net), f"net {i}"
-        assert loaded_lex.items() == lazy_lex.items() == lexicon.items()
+        assert loaded_lex.items() == lexicon.items()
         assert loaded.next_id == lazy.next_id
         again = _saved(tmp_path, loaded, loaded_lex, f"again{i}.krn")
         assert Path(again).read_bytes() == Path(path).read_bytes()
@@ -455,12 +456,17 @@ def test_bad_values_are_format_errors_at_their_line(tmp_path, record):
 
 
 def test_bad_language_tag_is_a_format_error_at_its_line(tmp_path):
+    # also a bad escape (the line is tokenised) and an unknown node: open
+    # keeps no label, but checks each as load does
     bad = tmp_path / "bad.krn"
-    bad.write_text('KRN 1\nOBJ 1\nLABEL 1 e_n "wall"\n')
-    for read in (store.load, store.open):
-        with pytest.raises(FormatError) as err:
-            read(str(bad))
-        assert err.value.line == 3
+    for record in ('LABEL 1 e_n "wall"', 'LABEL 1 en "a\\qb"', 'LABEL 7 en "wall"'):
+        bad.write_text(f"KRN 1\nOBJ 1\n{record}\n")
+        errors = []
+        for read in (store.load, store.open):
+            with pytest.raises(FormatError) as err:
+                read(str(bad))
+            errors.append((err.value.line, err.value.message))
+        assert errors[0] == errors[1] and errors[0][0] == 3, record
 
 
 @pytest.mark.parametrize("record, name", [
@@ -551,21 +557,9 @@ def _broken_blocks(rng, data: bytes, spans: dict) -> list[tuple[str, bytes]]:
     return broken
 
 
-def test_matched_and_tokenised_records_read_alike(tmp_path, monkeypatch):
+def test_matched_and_tokenised_records_read_alike(tmp_path):
     rng = random.Random(5151)
-    chunks = random.Random(5152)   # small scan chunk sizes, each holding the header line
     kinds = set()
-
-    def scanned(path, chunk=None):
-        """The node, property and script tables, is-a edges and labels of
-        the open scan, read in chunks of `chunk` bytes or in one."""
-        if chunk is not None:
-            monkeypatch.setattr(store, "_CHUNK", chunk)
-        with store.open(path) as handle:
-            got = (handle.index, handle.props, handle.scripts, handle.isa, handle.labels)
-        monkeypatch.undo()
-        return got
-
     for i in range(40):
         net, lexicon = random_net(rng, max_objects=rng.choice([3, 8, 30]))
         net.add_action(None, min(net.objects), "set object.x = 1;",
@@ -587,18 +581,8 @@ def test_matched_and_tokenised_records_read_alike(tmp_path, monkeypatch):
             assert {nid: named.keys() for nid, named in one.props.items()} == {
                 nid: named.keys() for nid, named in other.props.items()}
             assert one.scripts.keys() == other.scripts.keys()
-            assert (one.isa, one.labels) == (other.isa, other.labels)
-            whole = (one.index, one.props, one.scripts, one.isa, one.labels)
-        # tokenised lines and SCRIPT blocks that reach or pass a chunk's end
-        assert scanned(str(spaced), chunks.randrange(8, 256)) == scanned(str(spaced)), f"net {i}"
-        # a block split across two scan chunks is indexed as if read whole
+            assert one.isa == other.isa
         data = Path(path).read_bytes()
-        span = matched.spans[rng.choice(sorted(matched.spans))]
-        chunk = rng.randrange(span.start + 1, span.stop)
-        assert scanned(path, chunk) == whole, f"net {i}"
-        monkeypatch.setattr(store, "_CHUNK", chunk)
-        assert nets_equal(_hydrated_lazily(path)[0], matched), f"net {i}"
-        monkeypatch.undo()
         # a block cut into loads as its tokenised read; only untouched
         # saved-form blocks get spans, and the save equals a full save
         blocks = {nid: data[span.start:span.stop] for nid, span in matched.spans.items()}
@@ -612,9 +596,6 @@ def test_matched_and_tokenised_records_read_alike(tmp_path, monkeypatch):
             for nid, span in got.spans.items():
                 assert broken[span.start:span.stop] == blocks.get(nid), f"net {i}: {kind}"
             _check_splice(tmp_path, got, got_lex, str(bad))
-            for scan in (bad, bad_spaced):
-                chunk = chunks.randrange(8, 256)
-                assert scanned(str(scan), chunk) == scanned(str(scan)), f"net {i}: {kind}"
     assert len(kinds) == 8
 
 
@@ -744,7 +725,7 @@ def test_mutated_saves_fail_only_with_typed_errors(tmp_path):
             continue
         loaded += 1
         assert got[0].validate_bipartite().ok, f"mutant {i}"
-        assert nets_equal(got[0], lazy[0]) and got[1].items() == lazy[1].items()
+        assert nets_equal(got[0], lazy)
         again, again_lex = store.load(_saved(tmp_path, *got, name="again.krn"))
         assert nets_equal(again, got[0]) and again_lex.items() == got[1].items(), f"mutant {i}"
     assert loaded > 40  # mutants that still load reach the checks above
