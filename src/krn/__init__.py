@@ -23,7 +23,6 @@ from .core import (
     SensorSignal,
     Value,
     ViolationReport,
-    create_net,
     nets_equal,
     values_equal,
 )
@@ -51,7 +50,7 @@ from .reasoning import (
 )
 from .script import Ast, ExecContext, StaticIssue, apply_undo, check, execute, parse
 from .sim import Snapshot, Timeline, classify_change, diff, run_action, run_pending, snapshot
-from .store import StoreHandle, open_store, save
+from .store import StoreHandle, save
 
 __all__ = [
     "ActionRecord", "Additions", "Answer", "Ast", "ChangeSet", "ConceptTemplate",
@@ -60,10 +59,10 @@ __all__ = [
     "ScriptRef", "SensorAddress", "SensorSignal", "Snapshot", "StaticIssue",
     "StoreHandle", "Timeline", "Value", "ViolationReport",
     "agent", "apply_undo", "check", "classify_change", "collapse_to_action",
-    "collapse_to_object", "compute_boundary", "concept_of", "create_net", "diff",
+    "collapse_to_object", "compute_boundary", "concept_of", "diff",
     "canonical_key", "errors", "execute", "expand", "find_matches",
     "match_images", "mine_concepts", "nets_equal",
-    "open_store", "parse", "parse_fragment", "query_has", "reasoning",
+    "parse", "parse_fragment", "query_has", "reasoning",
     "register_concept", "run_action", "run_pending", "save", "shape", "sim",
     "snapshot", "specialize", "store", "values_equal",
 ]

@@ -591,10 +591,6 @@ class Net:
         return dropped
 
 
-def create_net() -> Net:
-    return Net()
-
-
 def _props_equal(a: dict[str, PropertyRecord], b: dict[str, PropertyRecord]) -> bool:
     if a.keys() != b.keys():
         return False

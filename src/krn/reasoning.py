@@ -535,23 +535,24 @@ def _connected_subsets(net: Net, max_nodes: int):
     nbrs = {nid: set(_neighbors(net, nid)) for nid in ids}
     results: list[frozenset] = []
 
-    def grow(sub: list, ext: list, root: int, sub_nbh: set) -> None:
-        if len(sub) >= max_nodes:
-            return
-        remaining = list(ext)
-        while remaining:
-            w = remaining.pop(0)
-            fresh = {u for u in nbrs[w]
-                     if u > root and u not in sub_nbh and u != w}
-            new_ext = sorted(set(remaining) | fresh)
-            new_sub = sub + [w]
-            results.append(frozenset(new_sub))
-            grow(new_sub, new_ext, root, sub_nbh | nbrs[w] | {w})
+    def grow(sub: frozenset, ext: list, root: int, sub_nbh: set) -> None:
+        # ext is sorted and lies inside sub_nbh (sub and its neighbours): a
+        # fresh neighbour of w is never in ext nor w, and w is in sub_nbh
+        last = len(sub) + 1 == max_nodes
+        for i, w in enumerate(ext):
+            new_sub = sub | {w}
+            results.append(new_sub)
+            if not last:
+                fresh = [u for u in nbrs[w] if u > root and u not in sub_nbh]
+                grow(new_sub, sorted(ext[i + 1:] + fresh), root, sub_nbh | nbrs[w])
 
-    for v in ids:
-        results.append(frozenset([v]))
-        ext0 = sorted(u for u in nbrs[v] if u > v)
-        grow([v], ext0, v, nbrs[v] | {v})
+    try:
+        for v in ids:
+            results.append(frozenset([v]))
+            if max_nodes > 1:
+                grow(frozenset([v]), sorted(u for u in nbrs[v] if u > v), v, nbrs[v] | {v})
+    finally:
+        del grow   # a nested function that calls itself is a cycle until dropped
     return results
 
 
@@ -596,15 +597,47 @@ def _closed_subsets(net: Net, shapes: dict, shape_index: dict, max_nodes: int) -
     return closed
 
 
-def _supported_buckets(nets, min_support: int, max_nodes: int) -> dict:
+def _memo_canonical(net: Net, sub, shapes: dict, memo: dict) -> tuple[str, list]:
+    """`_canonical(net, sub)`, computed once per structure held in `memo`.
+
+    The structure lists the subset's nodes in id order: an object's kind
+    and names, an action's kind, names, and subject (None if blank or
+    outside) and target as positions in that list. It fixes the view,
+    since an object's actions inside the subset are the ones naming it as
+    subject or target, and numbering by position keeps the id order that
+    `_canonical_view` breaks ties by; so the memo holds the key and the
+    order as positions.
+    """
+    ids = sorted(sub)
+    pos = {nid: i for i, nid in enumerate(ids)}
+    structure = tuple(shapes[n] if shapes[n][0] == "o" else
+                      (*shapes[n], pos.get(net.actions[n].subject), pos[net.actions[n].target])
+                      for n in ids)
+    if structure not in memo:
+        key, order = _canonical_view(_view(net, sub, shapes))
+        memo[structure] = key, [pos[n] for n in order]
+    key, positions = memo[structure]
+    return key, [ids[i] for i in positions]
+
+
+def _supported_buckets(nets, min_support: int, max_nodes: int) -> tuple[dict, set]:
     """Canonical key -> (support, net, order of its first subset) for each
-    key that at least min_support closed subsets across the nets share.
+    key that at least min_support closed subsets across the nets share,
+    and the set of those keys that a one-node step proves embedded in
+    another of them.
 
     Two passes over the same enumeration. The first counts invariants
     (`_closed_subsets`); the second canonicalises only the subsets whose
-    invariant at least min_support subsets share. A canonical bucket lies
-    inside one invariant bucket, so no member of a surviving bucket is
-    skipped and its first subset in enumeration order stays first.
+    invariant at least min_support subsets share, each structure once
+    per call (`_memo_canonical`). A canonical bucket lies inside one
+    invariant bucket, so no member of a surviving bucket is skipped and
+    its first subset in enumeration order stays first.
+
+    The proof: when a supported subset less one node is a subset with a
+    supported key, that key embeds in the larger subset's key by the
+    identity map, since names are equal and a subject that was the
+    removed node is blank, which any subject allows. A node id names
+    different nodes in different nets, so subsets are looked up per net.
     """
     shape_index: dict[tuple, int] = {}
     counted = []
@@ -614,13 +647,21 @@ def _supported_buckets(nets, min_support: int, max_nodes: int) -> dict:
     inv_count = Counter(inv for _, _, closed in counted for _, inv in closed)
     support: Counter = Counter()
     first: dict[str, tuple] = {}
+    memo: dict[tuple, tuple] = {}
+    keyed = []   # per net: each canonicalised subset's key
     for net, shapes, closed in counted:
+        keys = {}
         for sub, inv in closed:
             if inv_count[inv] >= min_support:
-                key, order = _canonical_view(_view(net, sub, shapes))
+                key, order = _memo_canonical(net, sub, shapes, memo)
+                keys[sub] = key
                 support[key] += 1
                 first.setdefault(key, (net, order))
-    return {key: (count, *first[key]) for key, count in support.items() if count >= min_support}
+        keyed.append(keys)
+    buckets = {key: (count, *first[key]) for key, count in support.items() if count >= min_support}
+    proven = {keys.get(sub - {w}) for keys in keyed
+              for sub, key in keys.items() if key in buckets for w in sub}
+    return buckets, proven & buckets.keys()
 
 
 def extract_pattern(net: Net, nodes) -> Net:
@@ -676,26 +717,33 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
 
     Every closed subset's cheap isomorphism invariant is counted first;
     only subsets whose invariant reaches min_support are canonicalised,
-    and a template is built only for a canonical bucket that reaches it
-    (`_supported_buckets`).
+    each subset structure once (`_supported_buckets`). A supported key
+    that a one-node step proves embedded in another is dropped unbuilt;
+    the maximality search runs, and templates are built, only among the
+    keys left unproven.
     """
     if min_support < 2:
         raise ValueError("min_support must be at least 2")
     if not 1 <= max_pattern_nodes <= 8:
         raise ValueError("max_pattern_nodes must be between 1 and 8")
-    buckets = _supported_buckets(nets, min_support, max_pattern_nodes)
-    patterns = {key: Net() for key in buckets}
-    for key, (_, net, order) in buckets.items():
-        _copy_structure(net, order, patterns[key])
+    buckets, proven = _supported_buckets(nets, min_support, max_pattern_nodes)
 
-    # maximal only: drop a pattern that embeds in another; most pairs
-    # fail the profile test and never reach the search
+    # maximal only: drop a key that embeds in another. A proven key does,
+    # into a larger key; following proofs upward through ever larger keys
+    # ends at an unproven one, so by transitivity a key that embeds in any
+    # other key embeds in an unproven key other than itself. Only unproven
+    # keys are built and searched; most pairs fail the profile test and
+    # never reach the search.
+    unproven = sorted(buckets.keys() - proven)
+    patterns = {key: Net() for key in unproven}
+    for key in unproven:
+        _, net, order = buckets[key]
+        _copy_structure(net, order, patterns[key])
     profiles = {key: _profile(pattern) for key, pattern in patterns.items()}
-    keys = sorted(patterns)
-    kept = [key for key in keys
+    kept = [key for key in unproven
             if not any(other != key and profiles[key] <= profiles[other]
                        and find_matches(patterns[key], patterns[other], limit=1)
-                       for other in keys)]
+                       for other in unproven)]
 
     # each key already is its pattern's canonical form
     kept.sort(key=lambda key: (-buckets[key][0], key))

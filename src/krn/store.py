@@ -967,6 +967,3 @@ def _identity(st: os.stat_result) -> tuple[tuple[int, int], tuple[int, int, int]
 
 def open(path: str) -> StoreHandle:  # noqa: A001 - deliberate name
     return StoreHandle(path)
-
-
-open_store = open

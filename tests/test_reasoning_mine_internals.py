@@ -2,11 +2,16 @@
 
 `mine_concepts` canonicalises a subset straight from the source net,
 canonicalises only subsets whose cheap invariant reaches the minimum
-support, builds a template only for a surviving bucket, and skips the
-maximality search for a pair whose profiles already rule an embedding
-out. Each shortcut must agree with the slow path it stands for.
+support, and each subset structure only once per call. It drops unbuilt
+a key that a one-node step proves embedded in another, builds a
+template only for a surviving bucket left unproven, searches maximality
+only among those, and skips the search for a pair whose profiles already
+rule an embedding out. Each shortcut must agree with the slow path it
+stands for, and the subset enumeration keeps the order that decides
+which subset of a bucket comes first.
 """
 
+import gc
 import random
 from collections import Counter
 
@@ -27,12 +32,16 @@ from krn.reasoning import (
     _closed_subsets,
     _connected_subsets,
     _copy_structure,
+    _memo_canonical,
+    _neighbors,
     _pattern_closed,
     _profile,
     _shape_table,
     _supported_buckets,
     extract_pattern,
 )
+
+from helpers import structure_net
 
 _VOCAB = ["leg", "arm", "head"]
 
@@ -134,8 +143,9 @@ def test_invariant_filter_keeps_every_bucket_that_reaches_min_support():
         for min_support in (2, 3):
             want = {key: (count, *first[key])
                     for key, count in support.items() if count >= min_support}
+            buckets, _ = _supported_buckets(nets, min_support, 4)
             got = {key: (count, id(net), order)
-                   for key, (count, net, order) in _supported_buckets(nets, min_support, 4).items()}
+                   for key, (count, net, order) in buckets.items()}
             assert got == want
             skipped[min_support] += sum(n for n in inv_count.values() if n < min_support)
     assert skipped[2] > 200 and skipped[3] > 200    # the filter had subsets to skip
@@ -169,3 +179,107 @@ def test_a_mined_template_survives_registration_unchanged():
             templates += 1
             mixed += "ao" in kinds   # an action comes before an object in canonical order
     assert templates >= 30 and mixed >= 1
+
+
+def _mined_over_every_bucket(nets, min_support: int, max_nodes: int) -> list:
+    """The reference maximality pass: every supported bucket is built and
+    searched against every other, profile test first; returns (key,
+    pattern, support) in `mine_concepts` order."""
+    buckets, _ = _supported_buckets(nets, min_support, max_nodes)
+    patterns = {}
+    for key, (_, net, order) in buckets.items():
+        _copy_structure(net, order, patterns.setdefault(key, Net()))
+    kept = [key for key in sorted(patterns)
+            if not any(other != key and _profile(patterns[key]) <= _profile(patterns[other])
+                       and find_matches(patterns[key], patterns[other], limit=1)
+                       for other in patterns)]
+    kept.sort(key=lambda key: (-buckets[key][0], key))
+    return [(key, patterns[key], buckets[key][0]) for key in kept]
+
+
+def test_memo_proofs_and_unproven_search_agree_with_the_slow_path():
+    rng = random.Random(1313)
+    hits = proofs = searched = 0
+    for _ in range(10):
+        nets = [_vocab_net(rng) for _ in range(4)]
+        memo = {}
+        for net in nets:
+            shapes = _shape_table(net, net.node_ids())
+            for sub in _connected_subsets(net, 6):
+                if _pattern_closed(net, sub):
+                    known = len(memo)
+                    assert _memo_canonical(net, sub, shapes, memo) == _canonical(net, sub)
+                    hits += len(memo) == known
+        for min_support in (2, 3):
+            for max_nodes in (3, 4, 5, 6):
+                buckets, proven = _supported_buckets(nets, min_support, max_nodes)
+                patterns = {}
+                for key, (_, net, order) in buckets.items():
+                    _copy_structure(net, order, patterns.setdefault(key, Net()))
+                for key in proven:
+                    assert any(find_matches(patterns[key], patterns[other], limit=1)
+                               for other in patterns if other != key), key
+                proofs += len(proven)
+                searched += len(buckets) - len(proven)
+                want = _mined_over_every_bucket(nets, min_support, max_nodes)
+                got = mine_concepts(nets, min_support, max_nodes)
+                assert [canonical_key(t.pattern) for t in got] == [key for key, _, _ in want]
+                for template, (_, pattern, support) in zip(got, want):
+                    assert nets_equal(template.pattern, pattern)
+                    assert template.support == support
+                    assert template.root == min(pattern.objects or pattern.actions)
+    assert hits > 300 and proofs > 500 and searched > 400   # every shortcut was taken
+
+
+def _connected_subsets_reference(net: Net, max_nodes: int) -> list:
+    """The enumeration order `_connected_subsets` must keep, as a plain
+    queue walk: each subset is grown by its extension nodes in id order,
+    and each child's extension is recomputed as a sorted set."""
+    ids = sorted(net.node_ids())
+    nbrs = {nid: set(_neighbors(net, nid)) for nid in ids}
+    results = []
+
+    def grow(sub, ext, root, sub_nbh):
+        if len(sub) >= max_nodes:
+            return
+        remaining = list(ext)
+        while remaining:
+            w = remaining.pop(0)
+            fresh = {u for u in nbrs[w]
+                     if u > root and u not in sub_nbh and u != w}
+            new_ext = sorted(set(remaining) | fresh)
+            new_sub = sub + [w]
+            results.append(frozenset(new_sub))
+            grow(new_sub, new_ext, root, sub_nbh | nbrs[w] | {w})
+
+    for v in ids:
+        results.append(frozenset([v]))
+        grow([v], sorted(u for u in nbrs[v] if u > v), v, nbrs[v] | {v})
+    return results
+
+
+def test_connected_subsets_keep_the_reference_order():
+    rng = random.Random(1414)
+    emitted = 0
+    for i in range(60):
+        net = (_vocab_net(rng) if i % 2 else
+               structure_net(rng, rng.randint(1, 7), rng.randint(0, 8), ["a", "b"]))
+        for max_nodes in range(1, 8):
+            got = _connected_subsets(net, max_nodes)
+            assert got == _connected_subsets_reference(net, max_nodes)
+            assert len(set(got)) == len(got)
+            emitted += len(got)
+    assert emitted > 10000
+
+
+def test_mining_leaves_no_reference_cycle():
+    # reference counting alone frees what a mining call made, so no
+    # collector pass is owed for it
+    nets = [_vocab_net(random.Random(seed)) for seed in range(3)]
+    gc.disable()
+    try:
+        gc.collect()
+        assert mine_concepts(nets, 2, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
