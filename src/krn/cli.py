@@ -428,6 +428,13 @@ def run_command(session: Session, text: str) -> list[str]:
             return ["no discrepancies"]
         return _change_lines(session, changes)
 
+    if verb == "validate":
+        if args:
+            raise CommandError("usage: validate")
+        report = session.net.validate_bipartite()
+        return [f"{v.kind} {' '.join(f'#{n}' for n in v.nodes)}: {v.detail}"
+                for v in report.violations] or ["ok"]
+
     raise CommandError(f"unknown command {verb!r}")
 
 

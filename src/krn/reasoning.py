@@ -441,14 +441,15 @@ def _shape_table(net: Net, nodes) -> dict:
     return table
 
 
-def _view(net: Net, nodes, shapes: dict) -> dict:
+def _view(net: Net, nodes) -> dict:
     """What `extract_pattern` copies of a node set, read in place.
 
-    Each node maps to (kind, names, x, y), kind and names read from the
-    shape table `shapes`: for an object, x and y are its outgoing and
-    incoming actions inside the set; for an action, its subject (None if
-    blank or outside the set) and its target.
+    Each node maps to (kind, names, x, y), kind and names as in
+    `_shape_table`: for an object, x and y are its outgoing and incoming
+    actions inside the set; for an action, its subject (None if blank or
+    outside the set) and its target.
     """
+    shapes = _shape_table(net, nodes)
     view = {}
     for nid in nodes:
         kind, names = shapes[nid]
@@ -484,7 +485,7 @@ def _refined_classes(view: dict) -> dict:
 def _canonical(net: Net, nodes) -> tuple[str, list]:
     """Canonical encoding of a node set's pattern, plus the ordering of
     the set's own ids that produced it."""
-    return _canonical_view(_view(net, nodes, _shape_table(net, nodes)))
+    return _canonical_view(_view(net, nodes))
 
 
 def _canonical_view(view: dict) -> tuple[str, list]:
@@ -529,95 +530,131 @@ def canonical_key(pattern: Net) -> str:
 
 # ------------------------------------------------------------- mining
 
-def _connected_subsets(net: Net, max_nodes: int):
-    """Every connected node subset of size <= max_nodes, exactly once."""
-    ids = sorted(net.node_ids())
-    nbrs = {nid: set(_neighbors(net, nid)) for nid in ids}
-    results: list[frozenset] = []
+# A subset of a net's nodes is an int: bit i stands for the i-th smallest
+# node id, since ids themselves reach 10**18.
 
-    def grow(sub: frozenset, ext: list, root: int, sub_nbh: set) -> None:
-        # ext is sorted and lies inside sub_nbh (sub and its neighbours): a
-        # fresh neighbour of w is never in ext nor w, and w is in sub_nbh
-        last = len(sub) + 1 == max_nodes
-        for i, w in enumerate(ext):
-            new_sub = sub | {w}
-            results.append(new_sub)
-            if not last:
-                fresh = [u for u in nbrs[w] if u > root and u not in sub_nbh]
-                grow(new_sub, sorted(ext[i + 1:] + fresh), root, sub_nbh | nbrs[w])
+def _bits(mask: int):
+    """The one-bit masks of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _bit_rows(net: Net) -> tuple[list, list]:
+    """The net's ids in ascending order, and for each its (kind, names)
+    shape with its subject bit and target bit; an object and a blank
+    subject have bit 0."""
+    ids = net.node_ids()
+    shapes = _shape_table(net, ids)
+    bit = {nid: 1 << i for i, nid in enumerate(ids)}
+    rows = []
+    for nid in ids:
+        rec = net.actions.get(nid)
+        rows.append((shapes[nid], 0, 0) if rec is None else
+                    (shapes[nid], bit.get(rec.subject, 0), bit[rec.target]))
+    return ids, rows
+
+
+def _closed_subsets(rows: list, shape_index: dict, max_nodes: int) -> list:
+    """Every closed connected subset of at most max_nodes nodes of a net,
+    as a mask over its `_bit_rows`, paired with a cheap isomorphism
+    invariant. Closed means that every member action's target is a member,
+    which a pattern needs.
+
+    The enumeration is ESU (Wernicke 2006): a subset grows from its
+    smallest node, the root, by the nodes of its extension mask, lowest
+    bit first, each exactly once; a child's extension is the rest of the
+    parent's plus the new node's neighbours above the root that are not
+    already in or next to the subset. Subsets come in the order of a
+    walk of sorted id lists, so the first subset of each bucket is fixed.
+    Closure is carried along the growth as the mask of the targets that
+    member actions need.
+
+    The invariant is the sorted tuple, over the subset's nodes, of the
+    node's shape id (numbered in `shape_index`, which nets whose
+    invariants are compared share) packed with two counts of members:
+    for an object, the actions naming it as subject and as target; for an
+    action, its subject (0 or 1) and 0. It reads only what `_view` reads,
+    so isomorphic views have equal invariants.
+    """
+    n = len(rows)
+    outs, ins = [0] * n, [0] * n
+    for i, (_, subject, target) in enumerate(rows):
+        if target:
+            if subject:
+                outs[subject.bit_length() - 1] |= 1 << i
+            ins[target.bit_length() - 1] |= 1 << i
+    nbr = [subject | target | outs[i] | ins[i] for i, (_, subject, target) in enumerate(rows)]
+    need = [target for _, _, target in rows]
+    base = [shape_index.setdefault(shape, len(shape_index)) << 8 for shape, _, _ in rows]
+    one = [subject | outs[i] for i, (_, subject, _) in enumerate(rows)]
+    closed = []
+    members = []   # the positions in the subset being grown
+
+    def grow(sub: int, ext: int, nbh: int, needed: int) -> None:
+        # nbh is sub and its neighbours; ext lies inside it
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            w = low.bit_length() - 1
+            new_sub = sub | low
+            new_need = needed | need[w]
+            members.append(w)
+            if not new_need & ~new_sub:
+                # a count is below max_nodes <= 8, so four bits hold it
+                closed.append((new_sub, tuple(sorted([
+                    base[i] | (one[i] & new_sub).bit_count() << 4 | (ins[i] & new_sub).bit_count()
+                    for i in members]))))
+            if len(members) < max_nodes:
+                grow(new_sub, ext | nbr[w] & above & ~nbh, nbh | nbr[w], new_need)
+            members.pop()
 
     try:
-        for v in ids:
-            results.append(frozenset([v]))
+        for v in range(n):
+            members.append(v)
+            if not need[v]:   # an action alone lacks its target
+                closed.append((1 << v, (base[v],)))
+            above = -(2 << v)   # the bits above the root
             if max_nodes > 1:
-                grow(frozenset([v]), sorted(u for u in nbrs[v] if u > v), v, nbrs[v] | {v})
+                grow(1 << v, nbr[v] & above, nbr[v] | 1 << v, need[v])
+            members.pop()
     finally:
         del grow   # a nested function that calls itself is a cycle until dropped
-    return results
-
-
-def _pattern_closed(net: Net, nodes: frozenset) -> bool:
-    """A valid pattern keeps every member action's target inside."""
-    for nid in nodes:
-        if net.is_action(nid) and net.actions[nid].target not in nodes:
-            return False
-    return True
-
-
-def _closed_subsets(net: Net, shapes: dict, shape_index: dict, max_nodes: int) -> list:
-    """Every closed connected subset of net (see `_pattern_closed`), in
-    `_connected_subsets` order, paired with a cheap isomorphism invariant.
-
-    The invariant is the sorted tuple, over the subset's nodes, of
-    (shape id, out-degree, in-degree) inside the subset for an object and
-    (shape id, subject inside the subset) for an action. `shape_index`
-    numbers the (kind, names) pairs of the shape table `shapes`; nets
-    whose invariants are compared share it. The invariant reads only
-    what `_view` reads, so isomorphic views have equal invariants.
-    """
-    shape_ids = {nid: shape_index.setdefault(shape, len(shape_index))
-                 for nid, shape in shapes.items()}
-    ends = {nid: (rec.subject, rec.target) for nid, rec in net.actions.items()}
-    closed = []
-    for sub in _connected_subsets(net, max_nodes):
-        subjects, targets, parts = [], [], []
-        for nid in sub:
-            if nid in ends:
-                subject, target = ends[nid]
-                if target not in sub:
-                    break
-                subjects.append(subject)
-                targets.append(target)
-                parts.append((shape_ids[nid], subject in sub))
-        else:
-            parts += [(shape_ids[nid], subjects.count(nid), targets.count(nid))
-                      for nid in sub if nid not in ends]
-            parts.sort()
-            closed.append((sub, tuple(parts)))
     return closed
 
 
-def _memo_canonical(net: Net, sub, shapes: dict, memo: dict) -> tuple[str, list]:
-    """`_canonical(net, sub)`, computed once per structure held in `memo`.
+def _memo_canonical(rows: list, sub: int, memo: dict) -> tuple[str, list]:
+    """The canonical key of a subset, given as a mask over `_bit_rows`,
+    and the order of its members' positions (0 for its smallest id, and
+    so on) that produced it; computed once per structure held in `memo`.
 
-    The structure lists the subset's nodes in id order: an object's kind
-    and names, an action's kind, names, and subject (None if blank or
-    outside) and target as positions in that list. It fixes the view,
-    since an object's actions inside the subset are the ones naming it as
-    subject or target, and numbering by position keeps the id order that
-    `_canonical_view` breaks ties by; so the memo holds the key and the
-    order as positions.
+    The structure lists the members in id order: an object's kind and
+    names, an action's kind, names, and subject (None if blank or
+    outside) and target as positions, each the count of members below
+    its bit. It fixes the view, since an object's actions inside the
+    subset are the ones naming it as subject or target, so the view is
+    built from the structure alone; numbering by position keeps the id
+    order that `_canonical_view` breaks ties by, so the result equals
+    `_canonical` on the subset's ids, with positions for ids.
     """
-    ids = sorted(sub)
-    pos = {nid: i for i, nid in enumerate(ids)}
-    structure = tuple(shapes[n] if shapes[n][0] == "o" else
-                      (*shapes[n], pos.get(net.actions[n].subject), pos[net.actions[n].target])
-                      for n in ids)
+    structure = []
+    for low in _bits(sub):
+        shape, subject, target = rows[low.bit_length() - 1]
+        structure.append(shape if not target else
+                         (*shape, (sub & (subject - 1)).bit_count() if sub & subject else None,
+                          (sub & (target - 1)).bit_count()))
+    structure = tuple(structure)
     if structure not in memo:
-        key, order = _canonical_view(_view(net, sub, shapes))
-        memo[structure] = key, [pos[n] for n in order]
-    key, positions = memo[structure]
-    return key, [ids[i] for i in positions]
+        view = {p: node if len(node) == 4 else (*node, [], [])
+                for p, node in enumerate(structure)}
+        for p, node in enumerate(structure):
+            if len(node) == 4:
+                if node[2] is not None:
+                    view[node[2]][2].append(p)
+                view[node[3]][3].append(p)
+        memo[structure] = _canonical_view(view)
+    return memo[structure]
 
 
 def _supported_buckets(nets, min_support: int, max_nodes: int) -> tuple[dict, set]:
@@ -633,34 +670,37 @@ def _supported_buckets(nets, min_support: int, max_nodes: int) -> tuple[dict, se
     invariant bucket, so no member of a surviving bucket is skipped and
     its first subset in enumeration order stays first.
 
-    The proof: when a supported subset less one node is a subset with a
-    supported key, that key embeds in the larger subset's key by the
-    identity map, since names are equal and a subject that was the
-    removed node is blank, which any subject allows. A node id names
-    different nodes in different nets, so subsets are looked up per net.
+    The proof: when a supported subset less one node (its mask with one
+    bit dropped) is a subset with a supported key, that key embeds in the
+    larger subset's key by the identity map, since names are equal and a
+    subject that was the removed node is blank, which any subject allows.
+    A mask names different nodes in different nets, so subsets are looked
+    up per net.
     """
     shape_index: dict[tuple, int] = {}
     counted = []
     for net in nets:
-        shapes = _shape_table(net, net.node_ids())
-        counted.append((net, shapes, _closed_subsets(net, shapes, shape_index, max_nodes)))
-    inv_count = Counter(inv for _, _, closed in counted for _, inv in closed)
+        ids, rows = _bit_rows(net)
+        counted.append((net, ids, rows, _closed_subsets(rows, shape_index, max_nodes)))
+    inv_count = Counter(inv for *_, closed in counted for _, inv in closed)
     support: Counter = Counter()
     first: dict[str, tuple] = {}
     memo: dict[tuple, tuple] = {}
     keyed = []   # per net: each canonicalised subset's key
-    for net, shapes, closed in counted:
+    for net, ids, rows, closed in counted:
         keys = {}
         for sub, inv in closed:
             if inv_count[inv] >= min_support:
-                key, order = _memo_canonical(net, sub, shapes, memo)
+                key, positions = _memo_canonical(rows, sub, memo)
                 keys[sub] = key
                 support[key] += 1
-                first.setdefault(key, (net, order))
+                if key not in first:
+                    members = [ids[low.bit_length() - 1] for low in _bits(sub)]
+                    first[key] = net, [members[p] for p in positions]
         keyed.append(keys)
     buckets = {key: (count, *first[key]) for key, count in support.items() if count >= min_support}
-    proven = {keys.get(sub - {w}) for keys in keyed
-              for sub, key in keys.items() if key in buckets for w in sub}
+    proven = {keys.get(sub ^ low) for keys in keyed
+              for sub, key in keys.items() if key in buckets for low in _bits(sub)}
     return buckets, proven & buckets.keys()
 
 
@@ -669,8 +709,8 @@ def extract_pattern(net: Net, nodes) -> Net:
 
     Subjects pointing outside the subset are blanked; bookkeeping
     property names are dropped. Every node must be in the net
-    (UnknownNode), and every action's target in the subset, as mining's
-    `_pattern_closed` asks (BoundaryViolation).
+    (UnknownNode), and every action's target in the subset, as in every
+    subset mining canonicalises (BoundaryViolation).
     """
     nodes = set(nodes)
     for nid in sorted(nodes):

@@ -14,6 +14,7 @@ from krn import (
     Value,
     register_concept,
 )
+from krn.reasoning import _bit_rows, _closed_subsets
 
 
 # ------------------------------------------------------------ vignettes
@@ -116,6 +117,15 @@ def structure_net(rng: random.Random, objects: int, actions: int, names) -> Net:
         net.add_action(subject, target, None,
                        [(n, Value.unset()) for n in names if rng.random() < 0.25])
     return net
+
+
+def closed_subsets(net: Net, max_nodes: int, shape_index: dict | None = None) -> list:
+    """The miner's closed subsets of net, in its order, each as the
+    frozenset of its node ids with its invariant."""
+    ids, rows = _bit_rows(net)
+    found = _closed_subsets(rows, {} if shape_index is None else shape_index, max_nodes)
+    return [(frozenset(nid for i, nid in enumerate(ids) if sub >> i & 1), inv)
+            for sub, inv in found]
 
 
 def rand_name(rng: random.Random, used=None) -> str:

@@ -153,6 +153,7 @@ def test_mine_flag_without_an_integer_value_is_a_usage_error(tmp_path):
     ("runs", "usage: runs <a1> <a2> ..."),
     ("expand", "usage: expand <id>"),
     ("mine --max-nodes 3", "usage: mine [--min-support N] [--max-nodes K] <paths...>"),
+    ("validate a", "usage: validate"),
 ])
 def test_a_usage_fault_is_a_command_error(tmp_path, command, usage):
     p = tmp_path / "a.krn"
@@ -251,7 +252,7 @@ _FUZZ_COMMANDS = [
     "collapse-act {node} {node} {node}", "expand {node}", "mine --max-nodes {num} {path} {path}",
     "isa {node} {node}", "shape {node}", "has {node} {frag}", "label {node} {lang} {value}",
     "say {node} --lang {lang}", "goal {node} has {prop}", "antigoal {node}.{prop} == {value}",
-    "goals", "compare", "frobnicate {value}",
+    "goals", "compare", "validate", "frobnicate {value}",
 ]
 _FUZZ_SLOTS = {
     "name": ["o", "p", "q"],
@@ -292,6 +293,17 @@ def test_cli_fuzz_lets_only_engine_and_path_errors_escape(tmp_path, monkeypatch)
                     pass
                 except OSError:
                     assert command.split()[0] in ("load", "save", "mine"), command
+
+
+def test_validate_prints_each_violation_or_ok():
+    session = Session()
+    run_command(session, "obj man")
+    run_command(session, "obj wall")
+    run_command(session, "act man wall as paint")
+    assert run_command(session, "validate") == ["ok"]
+    session.net.objects[1].outgoing.clear()    # the subject forgets its action
+    assert run_command(session, "validate") == [
+        "symmetry-break #1 #3: subject 1 outgoing does not list 3 once"]
 
 
 def test_snapshots_and_classification():

@@ -14,9 +14,9 @@ from krn import (
     specialize,
 )
 from krn.errors import BipartiteViolation
-from krn.reasoning import _connected_subsets, _pattern_closed, extract_pattern
+from krn.reasoning import extract_pattern
 
-from helpers import person_net, random_net
+from helpers import closed_subsets, person_net, random_net
 from oracle_mining import oracle_mine, same_result
 
 
@@ -102,7 +102,7 @@ def test_mining_parameter_validation():
 
 def test_connected_subset_enumeration_is_exact():
     net = person_net(80, 70)
-    subsets = _connected_subsets(net, 3)
+    subsets = [sub for sub, _ in closed_subsets(net, 3)]
     assert len(subsets) == len(set(subsets))
     # cross-check with itertools enumeration
     import itertools
@@ -125,7 +125,9 @@ def test_connected_subset_enumeration_is_exact():
                     if nb not in seen:
                         seen.add(nb)
                         frontier.append(nb)
-            if seen == sub:
+            # the miner keeps only closed subsets: every action's target inside
+            closed = all(net.actions[a].target in sub for a in sub if net.is_action(a))
+            if seen == sub and closed:
                 expected.add(sub)
     assert set(subsets) == expected
 
@@ -156,14 +158,15 @@ def test_blanked_subject_patterns_close_over_targets():
     head_action = min(net.actions)
     head = net.actions[head_action].target
     sub = frozenset({head_action, head})
-    assert _pattern_closed(net, sub)
+    closed = {found for found, _ in closed_subsets(net, 2)}
+    assert sub in closed
     pattern = extract_pattern(net, sub)
     aid = next(iter(pattern.actions))
     assert pattern.actions[aid].subject is None
     # subject-less pattern action still matches the subjected occurrence
     assert find_matches(pattern, net, limit=1)
     # but an action subset without its target is not a valid pattern
-    assert not _pattern_closed(net, frozenset({head_action}))
+    assert frozenset({head_action}) not in closed
 
 
 def test_exact_matching_pins_names_and_blank_subjects():

@@ -28,20 +28,18 @@ from krn import (
 )
 from krn.reasoning import (
     _BOOKKEEPING,
+    _bit_rows,
     _canonical,
     _closed_subsets,
-    _connected_subsets,
     _copy_structure,
     _memo_canonical,
     _neighbors,
-    _pattern_closed,
     _profile,
-    _shape_table,
     _supported_buckets,
     extract_pattern,
 )
 
-from helpers import structure_net
+from helpers import closed_subsets, structure_net
 
 _VOCAB = ["leg", "arm", "head"]
 
@@ -72,9 +70,7 @@ def test_in_place_canonical_form_and_profile_filter_agree_with_the_slow_path():
     blanked = bookkept = 0
     for _ in range(40):
         net = _vocab_net(rng)
-        for sub in _connected_subsets(net, 4):
-            if not _pattern_closed(net, sub):
-                continue
+        for sub, _ in closed_subsets(net, 4):
             blanked += any(net.actions[a].subject not in sub | {None}
                            for a in sub if a in net.actions)
             bookkept += any(_BOOKKEEPING & net.node(n).properties.keys() for n in sub)
@@ -130,8 +126,8 @@ def test_invariant_filter_keeps_every_bucket_that_reaches_min_support():
         inv_count = Counter()
         shape_index = {}
         for net in nets:
-            invariant = dict(_closed_subsets(net, _shape_table(net, net.node_ids()), shape_index, 4))
-            closed = [sub for sub in _connected_subsets(net, 4) if _pattern_closed(net, sub)]
+            invariant = dict(closed_subsets(net, 4, shape_index))
+            closed = [sub for sub in _connected_subsets_reference(net, 4) if _is_closed(net, sub)]
             assert list(invariant) == closed
             for sub in closed:
                 key, order = _canonical(net, sub)
@@ -157,8 +153,8 @@ def test_relabelled_copies_have_equal_invariants():
         net = _vocab_net(rng)
         twin, idmap = _relabelled(net, rng)
         shape_index = {}
-        closed = _closed_subsets(net, _shape_table(net, net.node_ids()), shape_index, 4)
-        relabelled = _closed_subsets(twin, _shape_table(twin, twin.node_ids()), shape_index, 4)
+        closed = closed_subsets(net, 4, shape_index)
+        relabelled = closed_subsets(twin, 4, shape_index)
         assert {frozenset(idmap[n] for n in sub): inv for sub, inv in closed} == dict(relabelled)
 
 
@@ -204,12 +200,13 @@ def test_memo_proofs_and_unproven_search_agree_with_the_slow_path():
         nets = [_vocab_net(rng) for _ in range(4)]
         memo = {}
         for net in nets:
-            shapes = _shape_table(net, net.node_ids())
-            for sub in _connected_subsets(net, 6):
-                if _pattern_closed(net, sub):
-                    known = len(memo)
-                    assert _memo_canonical(net, sub, shapes, memo) == _canonical(net, sub)
-                    hits += len(memo) == known
+            ids, rows = _bit_rows(net)
+            for mask, _ in _closed_subsets(rows, {}, 6):
+                members = [nid for i, nid in enumerate(ids) if mask >> i & 1]
+                known = len(memo)
+                key, positions = _memo_canonical(rows, mask, memo)
+                assert (key, [members[p] for p in positions]) == _canonical(net, members)
+                hits += len(memo) == known
         for min_support in (2, 3):
             for max_nodes in (3, 4, 5, 6):
                 buckets, proven = _supported_buckets(nets, min_support, max_nodes)
@@ -232,9 +229,10 @@ def test_memo_proofs_and_unproven_search_agree_with_the_slow_path():
 
 
 def _connected_subsets_reference(net: Net, max_nodes: int) -> list:
-    """The enumeration order `_connected_subsets` must keep, as a plain
-    queue walk: each subset is grown by its extension nodes in id order,
-    and each child's extension is recomputed as a sorted set."""
+    """Every connected subset in the enumeration order the miner must
+    keep, as a plain queue walk: each subset is grown by its extension
+    nodes in id order, and each child's extension is recomputed as a
+    sorted set."""
     ids = sorted(net.node_ids())
     nbrs = {nid: set(_neighbors(net, nid)) for nid in ids}
     results = []
@@ -258,18 +256,57 @@ def _connected_subsets_reference(net: Net, max_nodes: int) -> list:
     return results
 
 
+def _is_closed(net: Net, sub) -> bool:
+    return all(net.actions[a].target in sub for a in sub if a in net.actions)
+
+
+def _id_variants(net: Net, i: int):
+    """net, a copy whose ids start past 10**15, and net with every third
+    node erased: a bit stands for an id's rank, never for the id."""
+    yield net
+    far = Net()
+    far.bump_id(10**15 + i)
+    _copy_structure(net, net.node_ids(), far)
+    yield far
+    for nid in net.node_ids()[::3]:
+        if nid in net.objects or nid in net.actions:
+            net.erase_node(nid)
+    yield net
+
+
+def _hub(arms: int) -> Net:
+    net = Net()
+    hub = net.add_object([("hub", Value.unset())])
+    for _ in range(arms):
+        net.add_action(hub, net.add_object([("arm", Value.unset())]))
+    return net
+
+
 def test_connected_subsets_keep_the_reference_order():
+    # the miner's closed subsets are exactly the closed ones among the
+    # reference's connected subsets, in the reference's order
     rng = random.Random(1414)
-    emitted = 0
+    emitted = closed = far = 0
     for i in range(60):
         net = (_vocab_net(rng) if i % 2 else
                structure_net(rng, rng.randint(1, 7), rng.randint(0, 8), ["a", "b"]))
-        for max_nodes in range(1, 8):
-            got = _connected_subsets(net, max_nodes)
-            assert got == _connected_subsets_reference(net, max_nodes)
-            assert len(set(got)) == len(got)
-            emitted += len(got)
-    assert emitted > 10000
+        for variant in _id_variants(net, i):
+            far += min(variant.node_ids(), default=0) > 10**15
+            for max_nodes in range(1, 9):
+                want = _connected_subsets_reference(variant, max_nodes)
+                assert len(set(want)) == len(want)
+                got = [sub for sub, _ in closed_subsets(variant, max_nodes)]
+                assert got == [sub for sub in want if _is_closed(variant, sub)]
+                emitted += len(want)
+                closed += len(got)
+    hub = _hub(7)
+    want = _connected_subsets_reference(hub, 8)
+    got = [sub for sub, _ in closed_subsets(hub, 8)]
+    assert got == [sub for sub in want if _is_closed(hub, sub)]
+    # closed: the 8 objects, the 7 arms with their actions, and the hub
+    # with 1 to 3 whole arms (63), which stops it at 7 nodes
+    assert max(map(len, want)) == 8 and len(got) == 78 and max(map(len, got)) == 7
+    assert emitted > 10000 and closed > 10000 and far == 60
 
 
 def test_mining_leaves_no_reference_cycle():
