@@ -292,7 +292,9 @@ def run_command(session: Session, text: str) -> list[str]:
             first, second = map(int, args)
         except ValueError:   # not two integers
             raise CommandError("usage: diff <tick1> <tick2>") from None
-        tl = sim.timeline_of(session.net)
+        tl = session.net.timeline    # a query attaches no timeline
+        if tl is None:
+            raise KrnError(f"no snapshot at tick {first}")
         return _change_lines(session, sim.diff(tl.by_tick(first), tl.by_tick(second)))
 
     if verb in ("collapse-obj", "collapse-act"):
@@ -418,8 +420,8 @@ def run_command(session: Session, text: str) -> list[str]:
     if verb == "compare":
         if session.model is None:
             return ["no discrepancies"]
-        tl = sim.timeline_of(session.net)
-        predicted = tl.latest()
+        tl = session.net.timeline
+        predicted = None if tl is None else tl.latest()
         if predicted is None:
             return ["no snapshots"]
         sensed = agent.reality_snapshot(session.model)

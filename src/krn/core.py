@@ -331,10 +331,15 @@ class Net:
         self.clock: int = 0
         self.sense_log: list | None = None   # set by an attached SelfModel
         self.timeline = None    # lazily created by the sim module
+        # (node, name) -> the property record that the first write to the
+        # key since the timeline's last snapshot replaced, None if there was
+        # none; the timeline starts it at its first snapshot and empties it
+        # at each later one (`note`, `touch`)
+        self.journal: dict[tuple[NodeId, str], Optional[PropertyRecord]] | None = None
         self._executing = False
         # the bytes of the file the net was loaded from, and the range of
-        # offsets there of each node that `store.save` may copy; `touch`
-        # drops a node's span
+        # offsets there of each node that `store.save` may copy; `note` and
+        # `touch` drop a node's span
         self.source: bytes | None = None
         self.spans: dict[NodeId, range] = {}
 
@@ -354,13 +359,27 @@ class Net:
         self.clock += 1
         return self.clock
 
-    def touch(self, nid: NodeId) -> None:
-        """Report that what a save writes for this node changed: the node
-        was added or removed, one of its property records added, replaced
-        or removed, or one of its endpoints moved. The timeline, if any,
-        re-reads the node, and a save encodes it instead of copying it."""
-        if self.timeline is not None:
-            self.timeline.touched.add(nid)
+    def note(self, nid: NodeId, name: str, replaced: Optional[PropertyRecord]) -> None:
+        """Report, before it happens, that property `name` of node `nid`
+        gets a new record or loses `replaced` (None if it had none). The
+        journal, if any, keeps the first record replaced since the last
+        snapshot, and a save encodes the node instead of copying it."""
+        if self.journal is not None:
+            self.journal.setdefault((nid, name), replaced)
+        if self.spans:
+            self.spans.pop(nid, None)
+
+    def touch(self, nid: NodeId, rec: ObjectRecord | ActionRecord | None = None,
+              gone: bool = False) -> None:
+        """Report, before it happens, that what a save writes for node `nid`
+        changes: its record `rec` enters the net, or leaves it when `gone`,
+        or, with no `rec`, an endpoint or its script changes. The journal,
+        if any, gets one entry per property record that enters or leaves,
+        and a save encodes the node instead of copying it."""
+        journal = self.journal
+        if journal is not None and rec is not None:
+            for name, prop in rec.properties.items():
+                journal.setdefault((nid, name), prop if gone else None)
         if self.spans:
             self.spans.pop(nid, None)
 
@@ -391,8 +410,9 @@ class Net:
     ) -> NodeId:
         props = self._build_properties(properties, provenance)
         nid = self.allocate_id()
-        self.objects[nid] = ObjectRecord(id=nid, properties=props, provenance=provenance)
-        self.touch(nid)
+        rec = ObjectRecord(id=nid, properties=props, provenance=provenance)
+        self.touch(nid, rec)
+        self.objects[nid] = rec
         return nid
 
     def add_action(
@@ -415,14 +435,15 @@ class Net:
             ref = ScriptRef()
         props = self._build_properties(properties, provenance)
         nid = self.allocate_id()
-        self.actions[nid] = ActionRecord(
+        rec = ActionRecord(
             id=nid, subject=subject, target=target, script=ref,
             properties=props, provenance=provenance,
         )
+        self.touch(nid, rec)
+        self.actions[nid] = rec
         if subject is not None:
             self.objects[subject].outgoing.append(nid)
         self.objects[target].incoming.append(nid)
-        self.touch(nid)
         return nid
 
     def set_property(
@@ -436,8 +457,9 @@ class Net:
         _check_name(name)
         if provenance is SENSED and value.kind is not KIND_SIGNAL:
             raise InvalidName("sensed properties must hold signal values")
-        rec.properties[name] = PropertyRecord(name, value, provenance)
-        self.touch(nid)
+        properties = rec.properties
+        self.note(nid, name, properties.get(name))
+        properties[name] = PropertyRecord(name, value, provenance)
 
     def get_property(self, nid: NodeId, name: str) -> Value:
         rec = self.node(nid)
@@ -451,24 +473,24 @@ class Net:
         """Put back a property record as it was, or drop the property when
         there was none: the inverse of one write or erase."""
         properties = self.node(nid).properties
+        self.note(nid, name, properties.get(name))
         if record is None:
             properties.pop(name, None)
         else:
             properties[name] = record
-        self.touch(nid)
 
     def erase_property(self, nid: NodeId, name: str) -> None:
-        rec = self.node(nid)
-        if name not in rec.properties:
+        properties = self.node(nid).properties
+        if name not in properties:
             raise UnknownProperty(f"node {nid} has no property {name!r}")
-        del rec.properties[name]
-        self.touch(nid)
+        self.note(nid, name, properties[name])
+        del properties[name]
 
     def erase_node(self, nid: NodeId) -> None:
         obj = self.objects.pop(nid, None)
         if obj is not None:
             # popped first, so erasing its actions leaves its own lists alone
-            self.touch(nid)
+            self.touch(nid, obj, gone=True)
             for aid in sorted({*obj.outgoing, *obj.incoming}):
                 self._erase_action(aid)
             self._drop_isa({nid})
@@ -579,8 +601,8 @@ class Net:
             inc = self.objects[act.target].incoming
             if aid in inc:
                 inc.remove(aid)
+        self.touch(aid, act, gone=True)
         del self.actions[aid]
-        self.touch(aid)
 
     def _drop_isa(self, nodes) -> list[tuple[NodeId, NodeId]]:
         """Take out the is-a edges with an end in `nodes`; return them."""

@@ -181,10 +181,10 @@ def _take_inside(net: Net, inside, rewired: list) -> CollapsePayload:
     objects, actions = {}, {}
     for nid in sorted(inside):
         if nid in net.objects:
-            objects[nid] = net.objects.pop(nid)
+            rec = objects[nid] = net.objects.pop(nid)
         else:
-            actions[nid] = net.actions.pop(nid)
-        net.touch(nid)
+            rec = actions[nid] = net.actions.pop(nid)
+        net.touch(nid, rec, gone=True)
     net.collapsed = net.collapsed.union(inside)
     return CollapsePayload(objects, actions, net._drop_isa(inside), rewired)
 
@@ -201,8 +201,8 @@ def collapse_to_object(net: Net, inside) -> NodeId:
     payload = _take_inside(net, boundary.inside, rewired)
     new_id = net.allocate_id()
     record = ObjectRecord(id=new_id, collapse_payload=payload)
+    net.touch(new_id, record)
     net.objects[new_id] = record
-    net.touch(new_id)
     for aid, role, _orig in rewired:
         act = net.actions[aid]
         if role == "subject":
@@ -256,10 +256,9 @@ def collapse_to_action(net: Net, inside, *, subject_hint: NodeId | None = None,
         obj = net.objects[outside]
         (obj.outgoing if role == "subject" else obj.incoming).remove(aid)
     new_id = net.allocate_id()
-    net.actions[new_id] = ActionRecord(
-        id=new_id, subject=subject, target=target, collapse_payload=payload,
-    )
-    net.touch(new_id)
+    record = ActionRecord(id=new_id, subject=subject, target=target, collapse_payload=payload)
+    net.touch(new_id, record)
+    net.actions[new_id] = record
     if subject is not None:
         net.objects[subject].outgoing.append(new_id)
     net.objects[target].incoming.append(new_id)
@@ -301,17 +300,18 @@ def expand(net: Net, complex_id: NodeId) -> set:
             if end not in payload.objects and end not in net.objects:
                 raise UnknownNode(f"is-a end {end} vanished before expansion")
 
+    for records in (payload.objects, payload.actions):
+        for nid, record in records.items():
+            net.touch(nid, record)
     net.objects.update(payload.objects)
     net.actions.update(payload.actions)
-    for nid in restored:
-        net.touch(nid)
     if complex_id in net.objects:
         # outside crossing actions point at the complex object; point them back
         for aid, role, orig in payload.rewired:
             setattr(net.actions[aid], role, orig)
             net.touch(aid)
+        net.touch(complex_id, rec, gone=True)
         del net.objects[complex_id]
-        net.touch(complex_id)
         net._drop_isa({complex_id})
     else:
         # wire restored actions back into the outside objects' lists, each

@@ -10,15 +10,18 @@ persistent structure of Driscoll, Sarnak, Sleator and Tarjan ("Making
 data structures persistent", JCSS 1989): each (node, property) key keeps
 the versions at which its value changed and its value at each, and a
 snapshot's state is a read-only view of one version. The net reports
-every node whose records it adds, replaces or drops (`Net.touch`). The
-first snapshot of a timeline scans the net once, O(net), and keeps the
-per-node {name: value} dicts it builds as version 0, the base; it makes
-no history for any key. A key gets a history only when its value first
-changes, and a read before that change falls back to the base. Each
-later snapshot re-reads only the nodes touched since, O(touched nodes);
-`diff` of two snapshots of one timeline visits only the keys changed
-between them, O(changed keys); and the timeline's memory is the base
-plus the number of changes, not net size times snapshots.
+every property record it is about to add, replace or drop into one
+journal of (node, name) -> first replaced record (`Net.note`,
+`Net.touch`), which the timeline starts at its first snapshot. That
+first snapshot, version 0, reads and copies nothing, O(1): its state
+reads the net's live records, and a key written since keeps its
+version-0 value, its first pre-image, in the timeline's base. Each
+later snapshot folds the keys written since the one before against
+their live records and empties the journal, O(keys written); a key
+gets a history only when its value first changes. `diff` of two
+snapshots of one timeline visits only the keys changed between them,
+O(changed keys); and the timeline's memory is the keys written plus the
+number of changes, not net size times snapshots.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .core import PROP_HYDRATED, ChangeSet, Net, NodeId, PropertyChange, Value
+from .core import PROP_HYDRATED, ChangeSet, Net, NodeId, PropertyChange, PropertyRecord, Value
 from .errors import BatchError, FormatError, KrnError, NoLabel, UnknownNode, UnknownScript
 from .lexicon import Lexicon
 from .script import ExecContext, execute
@@ -42,7 +45,7 @@ DEFAULT_VERBS = {
 Key = tuple[NodeId, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snapshot:
     """Property state at one tick. Treated as immutable once captured."""
 
@@ -50,23 +53,45 @@ class Snapshot:
     state: Mapping[Key, Value]
 
 
+def _value(prop: PropertyRecord | None) -> Value | None:
+    """What a snapshot sees of a property record: its value if hydrated."""
+    return prop.value if prop is not None and prop.load_state is PROP_HYDRATED else None
+
+
+def _live(records: tuple[dict, dict], key: Key) -> Value | None:
+    """What a snapshot sees of a key in the net's (objects, actions) now."""
+    rec = records[0].get(key[0]) or records[1].get(key[0])
+    return None if rec is None else _value(rec.properties.get(key[1]))
+
+
 class TimelineState(Mapping):
     """The read-only state of one timeline version.
 
-    It holds the timeline's containers, never the timeline, so retained
-    snapshots make no reference cycle. A lookup bisects the key's history;
-    a key with no history, or read at a version before its first change,
-    has its version-0 value from `base`. `len` is kept, not counted.
+    It holds the timeline's containers and the net's record dicts, never
+    the timeline or the net, so a retained snapshot makes no reference
+    cycle and keeps no net alive. A lookup bisects the key's history. A
+    key with no history, or read at a version before its first change,
+    has its version-0 value: from `base` once a write to the key was
+    folded, from the journal's first pre-image while the write waits for
+    the next snapshot, and from the live record if nothing wrote the key
+    since version 0. `len` is the version-0 count, counted once per
+    timeline on first use, plus the recorded appearances less the
+    disappearances up to this version.
     """
 
-    __slots__ = ("history", "base", "changed", "version", "_len")
+    __slots__ = ("history", "base", "changed", "journal", "records", "version",
+                 "_delta", "_size0")
 
-    def __init__(self, history: dict, base: dict, changed: list, version: int, size: int):
+    def __init__(self, history: dict, base: dict, changed: list, journal: dict,
+                 records: tuple, version: int, delta: int, size0: list):
         self.history = history      # key -> (versions, values); None = absent
-        self.base = base            # node -> {name: value} at version 0
+        self.base = base            # key -> its value at version 0, once written
         self.changed = changed      # version -> keys recorded at it
+        self.journal = journal      # the net's journal: writes not yet folded
+        self.records = records      # the net's live (objects, actions) dicts
         self.version = version
-        self._len = size
+        self._delta = delta
+        self._size0 = size0         # [count at version 0], shared, None until asked
 
     def get(self, key, default=None):
         hist = self.history.get(key)
@@ -76,8 +101,13 @@ class TimelineState(Mapping):
             if i:
                 value = values[i - 1]
                 return default if value is None else value
-        props = self.base.get(key[0])
-        return default if props is None else props.get(key[1], default)
+        if key in self.base:
+            value = self.base[key]
+        elif key in self.journal:
+            value = _value(self.journal[key])
+        else:
+            value = _live(self.records, key)
+        return default if value is None else value
 
     def __getitem__(self, key) -> Value:
         value = self.get(key)
@@ -89,17 +119,23 @@ class TimelineState(Mapping):
         return self.get(key) is not None
 
     def __iter__(self):
-        base = self.base
-        for nid, props in base.items():
-            for name in props:
-                if (nid, name) in self:
-                    yield nid, name
-        for key in self.history:
-            if key[1] not in base.get(key[0], ()) and key in self:
+        written = self.base.keys() | self.journal.keys()
+        for records in self.records:
+            for nid, rec in records.items():
+                for name, prop in rec.properties.items():
+                    if prop.load_state is PROP_HYDRATED and (nid, name) not in written:
+                        yield nid, name
+        for key in written:
+            if key in self:
                 yield key
 
     def __len__(self) -> int:
-        return self._len
+        size0 = self._size0
+        if size0[0] is None:
+            at0 = TimelineState(self.history, self.base, self.changed, self.journal,
+                                self.records, 0, 0, size0)
+            size0[0] = sum(1 for _ in at0)
+        return size0[0] + self._delta
 
     def changed_between(self, other: "TimelineState") -> set[Key]:
         """Keys recorded at any version after the older of the two, up to the newer."""
@@ -110,29 +146,24 @@ class TimelineState(Mapping):
         return keys
 
 
-def _hydrated(rec) -> dict[str, Value]:
-    return {name: prop.value for name, prop in rec.properties.items()
-            if prop.load_state is PROP_HYDRATED}
-
-
 class Timeline:
-    """Snapshots of one net: a version-0 base plus per-key version histories.
+    """Snapshots of one net: per-key version histories over a lazy version 0.
 
-    `head` maps each node to its current {name: value} dict and `base` to
-    its dict at version 0; the two share dicts. `record` gives a touched
-    node a new dict in `head` and never changes a dict in place, so every
-    dict in `base` stays as version 0 saw it.
+    Version 0 copies nothing: its state reads the net's live records,
+    and `_base` gets the version-0 value of a key, its first pre-image in
+    the net's journal, when a later version folds the key's first write.
     """
 
     def __init__(self):
         self.snapshots: list[Snapshot] = []
-        self.touched: set[NodeId] = set()     # filled by Net.touch
-        self.head: dict[NodeId, dict[str, Value]] = {}
-        self.base: dict[NodeId, dict[str, Value]] = {}
+        self._base: dict[Key, Value | None] = {}
         self._by_tick: dict[int, Snapshot] = {}
         self._history: dict[Key, tuple[list[int], list[Value | None]]] = {}
         self._changed: list[list[Key]] = []
-        self._size = 0
+        self._records: tuple[dict, dict] | None = None   # set at version 0
+        self._journal: dict | None = None
+        self._delta = 0
+        self._size0: list[int | None] = [None]
 
     def append(self, snap: Snapshot) -> None:
         if self.snapshots and snap.tick <= self.snapshots[-1].tick:
@@ -153,36 +184,28 @@ class Timeline:
         return len(self.snapshots)
 
     def record(self, net: Net) -> TimelineState:
-        """Fold the nodes touched since the last version into a new one.
+        """Fold the net's journal into a new version, and empty it.
 
-        The first version scans the whole net into `base` and records no
-        key. After it, a key is recorded when its value object changes
-        identity, so a re-ingested equal signal with a new capture tick
-        still replaces the remembered one; a key's first record starts
-        its history.
+        The first version reads nothing: it starts the net's journal and
+        records no key. After it, each key written since the last version
+        is recorded when its live value is not the same object as its
+        first pre-image, so a re-ingested equal signal with a new capture
+        tick still replaces the remembered one; a key's first record
+        starts its history. O(keys written since the last version).
         """
         version = len(self._changed)
-        touched, self.touched = self.touched, set()
-        head, history = self.head, self._history
         changed: list[Key] = []
-        if not version:     # the base: per-node dicts, and no key recorded
-            for records in (net.objects, net.actions):
-                for nid, rec in records.items():
-                    new = _hydrated(rec)
-                    if new:
-                        head[nid] = new
-                        self._size += len(new)
-            self.base = dict(head)
-            touched = ()
-        for nid in touched:
-            rec = net.objects.get(nid) or net.actions.get(nid)
-            new = {} if rec is None else _hydrated(rec)
-            old = head.pop(nid, {})
-            updates = [(name, value) for name, value in new.items()
-                       if old.get(name) is not value]
-            updates += [(name, None) for name in old if name not in new]
-            for name, value in updates:
-                key = (nid, name)
+        if not version:
+            self._records = (net.objects, net.actions)
+            self._journal = net.journal = {}
+        else:
+            base, history = self._base, self._history
+            for key, replaced in self._journal.items():
+                before = _value(replaced)
+                value = _live(self._records, key)
+                base.setdefault(key, before)
+                if value is before:
+                    continue
                 hist = history.get(key)
                 if hist is None:
                     history[key] = ([version], [value])
@@ -190,11 +213,11 @@ class Timeline:
                     hist[0].append(version)
                     hist[1].append(value)
                 changed.append(key)
-            if new:
-                head[nid] = new
-            self._size += len(new) - len(old)
+                self._delta += (value is not None) - (before is not None)
+            self._journal.clear()
         self._changed.append(changed)
-        return TimelineState(history, self.base, self._changed, version, self._size)
+        return TimelineState(self._history, self._base, self._changed, self._journal,
+                             self._records, version, self._delta, self._size0)
 
 
 def timeline_of(net: Net) -> Timeline:

@@ -55,9 +55,9 @@ and atomic: it writes a temp file beside the target, syncs it and
 renames it over the target, which keeps its mode. It writes no label of
 a node the net does not hold. After a load it copies what has not
 changed: `load` keeps the byte span of each node block that reads
-exactly as `save` writes that node (`Net.spans`, dropped by
-`Net.touch`), and the LABEL lines while the lexicon holds just those
-labels (`Lexicon.source`). `save` copies those spans, adjacent ones as
+exactly as `save` writes that node (`Net.spans`, dropped by `Net.note`
+and `Net.touch`), and the LABEL lines while the lexicon holds just
+those labels (`Lexicon.source`). `save` copies those spans, adjacent ones as
 one slice, and encodes every other node and the ISA lines; a net with
 no spans takes the same loop and encodes everything, and the bytes are
 the same either way. Collapse payloads are not persisted; a saved
@@ -893,13 +893,13 @@ class StoreHandle:
         prop = rec.properties.get(name)
         if prop is not None and prop.load_state is PROP_HYDRATED:
             return prop.value
-        prop = self._read_at(named[name], nid, name)
-        rec.properties[name] = prop
-        net.touch(nid)
+        read = self._read_at(named[name], nid, name)
+        net.note(nid, name, prop)
+        rec.properties[name] = read
         if (nid, name) not in self._hydrated_props:
             self._hydrated_props.add((nid, name))
             self.stats.properties_hydrated += 1
-        return prop.value
+        return read.value
 
     def hydrate_script(self, action_id: NodeId, net: Net):
         """Read, parse, and cache an action's script; later runs reuse it."""
@@ -941,6 +941,7 @@ class StoreHandle:
         for name in self.props.get(nid, ()):
             prop = rec.properties.get(name)
             if prop is not None and prop.from_store:
+                net.note(nid, name, prop)
                 rec.properties[name] = PropertyRecord(name, _UNSET, None, PROP_STUB)
         net.touch(nid)
         offset = self.scripts.get(nid)

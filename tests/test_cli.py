@@ -535,3 +535,17 @@ goals
         "button.pressed = false",
         "goal 1 (goal): violated",
     ]
+
+
+def test_a_failed_diff_starts_no_timeline():
+    session = Session()
+    run_command(session, "obj wall x=0")
+    with pytest.raises(KrnError, match=r"^no snapshot at tick 1$"):
+        run_command(session, "diff 1 2")
+    assert run_command(session, "compare") == ["no discrepancies"]
+    for i in range(10_000):
+        run_command(session, f"set wall.x {i}")
+    assert session.net.timeline is None and session.net.journal is None
+    run_command(session, "snap")
+    run_command(session, "set wall.x -1")
+    assert list(session.net.journal) == [(session.resolve("wall"), "x")]

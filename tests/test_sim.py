@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -447,3 +449,148 @@ def test_a_key_reads_its_base_value_until_its_first_change():
     assert sorted(states[4]) == [(wall, "y"), (wall, "z")]
     assert diff(Snapshot(0, states[0]), Snapshot(4, states[4])) == diff(
         Snapshot(0, dict(states[0])), Snapshot(4, dict(states[4])))
+
+
+# ------------------------------------------------ the change journal
+
+_UNSET_SCRIPTS = [
+    "unset object.colour;",
+    'unset object.position;\nset object.colour = "grey";',
+    "set object.position = 4; unset self.speed;",
+]
+
+
+def test_delta_timeline_over_a_loaded_net_matches_full_scan_oracle(tmp_path):
+    """The oracle above starts from an empty net; this one from a loaded
+    net, whose version 0 reads the live records until a write journals a
+    key. A run's own two snapshots are checked as well."""
+    rng = random.Random(5087)
+    grey, green = chameleon_signals()
+    signals = [grey, green]
+    for round_no in range(40):
+        source, _ = random_net(rng, with_labels=False)
+        for oid in sorted(source.objects):
+            if rng.random() < 0.5:
+                source.add_action(None, oid, rng.choice(_UNSET_SCRIPTS))
+        path = str(tmp_path / f"src{round_no}.krn")
+        store.save(source, None, path)
+        net, _ = store.load(path)
+        with store.open(path) as handle:
+            stored = sorted(handle.index)
+            snaps, refs, last_run = [], [], []
+            for _ in range(25):
+                snap = snapshot(net)
+                ref = _full_scan_state(net)
+                assert dict(snap.state) == ref and len(snap.state) == len(ref)
+                assert all(snap.state[key] is value for key, value in ref.items())
+                snaps.append(snap)
+                refs.append(ref)
+                for old, old_ref in zip(snaps, refs):      # earlier versions are unchanged
+                    assert dict(old.state) == old_ref and len(old.state) == len(old_ref)
+                for _ in range(5):
+                    i, j = rng.randrange(len(snaps)), rng.randrange(len(snaps))
+                    assert diff(snaps[i], snaps[j]) == diff(Snapshot(0, refs[i]), Snapshot(1, refs[j]))
+                tl = net.timeline
+                for _ in range(rng.randrange(4)):
+                    pre, count = _full_scan_state(net), len(tl)
+                    try:
+                        _mutate(rng, net, handle, stored, signals, last_run)
+                    except KrnError:
+                        pass
+                    ran = tl.snapshots[count:]      # a run snapshots before and after its script
+                    snaps += ran
+                    refs += [pre, _full_scan_state(net)][:len(ran)]
+
+
+class _CountingRecords(dict):
+    """A net's record dict that counts the records it hands out."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+    def values(self):
+        self.reads += len(self)
+        return super().values()
+
+
+def test_first_run_after_a_load_reads_as_many_records_at_any_size(tmp_path):
+    reads = []
+    for n in (100, 10_000):
+        net = Net()
+        objs = [net.add_object([("x", Value.num(i)), ("y", Value.text("a"))]) for i in range(n)]
+        paint = net.add_action(objs[0], objs[-1], "set object.x = 1;")
+        path = str(tmp_path / f"n{n}.krn")
+        store.save(net, None, path)
+        loaded, _ = store.load(path)
+        loaded.objects = _CountingRecords(loaded.objects)
+        loaded.actions = _CountingRecords(loaded.actions)
+        changes = run_action(loaded, paint)
+        assert [(c.node, c.name, c.after) for c in changes] == [(objs[-1], "x", Value.num(1))]
+        reads.append(loaded.objects.reads + loaded.actions.reads)
+        assert len(timeline_of(loaded).latest().state) == 2 * n
+    assert reads[0] == reads[1]
+
+
+def test_a_net_without_a_snapshot_keeps_no_journal(tmp_path):
+    net = Net()
+    objs = [net.add_object([("x", Value.num(i))]) for i in range(10_000)]
+    for oid in objs:
+        net.set_property(oid, "x", Value.num(-1))
+    assert net.journal is None
+    path = str(tmp_path / "n.krn")
+    store.save(net, None, path)
+    target = Net()
+    with store.open(path) as handle:
+        for i in range(10_000):
+            oid = objs[i % 100]
+            handle.hydrate_property(oid, "x", target)
+            handle.evict(oid, target)
+    assert handle.stats.properties_hydrated == 100
+    assert target.journal is None and target.timeline is None
+
+
+def test_a_retained_snapshot_keeps_no_net_alive():
+    gc.disable()
+    try:
+        net, man, wall, paint = wall_net()
+        first = snapshot(net)
+        run_action(net, paint)
+        net.set_property(wall, "colour", Value.text("red"))
+        last = snapshot(net)
+        alive = weakref.ref(net)
+        del net
+        assert alive() is None
+        assert first.state[(wall, "colour")] == Value.text("green")
+        assert last.state[(wall, "colour")] == Value.text("red")
+        assert [c.after for c in diff(first, last)] == [Value.text("red")]
+    finally:
+        gc.enable()
+
+
+def test_a_read_between_a_write_and_the_next_snapshot_sees_the_old_value():
+    net = Net()
+    wall = net.add_object([("colour", Value.text("green"))])
+    base = snapshot(net)
+    net.set_property(wall, "colour", Value.text("red"))
+    net.erase_node(wall)
+    assert base.state[(wall, "colour")] == Value.text("green")
+    assert len(base.state) == 1
+    later = snapshot(net)
+    assert later.state == {} and len(later.state) == 0
+    assert base.state[(wall, "colour")] == Value.text("green")
+    assert net.journal == {}
