@@ -95,8 +95,9 @@ def compare_with_reality(model: SelfModel, predicted: Snapshot,
 
 
 def reality_snapshot(model: SelfModel) -> Snapshot:
-    """A snapshot built purely from the sense log: last signal per slot."""
+    """A snapshot built purely from the sense log: last signal per slot,
+    at the net's current tick; the clock does not move."""
     state: dict[tuple[NodeId, str], Value] = {}
     for _tick, node, name, signal in model.sense_log:
         state[(node, name)] = Value.signal(signal)
-    return Snapshot(model.net.next_tick(), state)
+    return Snapshot(model.net.clock, state)

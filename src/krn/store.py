@@ -56,8 +56,9 @@ renames it over the target, which keeps its mode. It writes no label of
 a node the net does not hold. After a load it copies what has not
 changed: `load` keeps the byte span of each node block that reads
 exactly as `save` writes that node (`Net.spans`, dropped by `Net.note`
-and `Net.touch`), and the LABEL lines while the lexicon holds just
-those labels (`Lexicon.source`). `save` copies those spans, adjacent ones as
+and `Net.touch`), and the LABEL lines when they are one matched run
+that ends the file, while the lexicon holds just those labels
+(`Lexicon.source`). `save` copies those spans, adjacent ones as
 one slice, and encodes every other node and the ISA lines; a net with
 no spans takes the same loop and encodes everything, and the bytes are
 the same either way. Collapse payloads are not persisted; a saved
@@ -72,6 +73,7 @@ import os
 import re
 import stat
 from dataclasses import dataclass
+from itertools import chain
 from urllib.parse import quote, unquote
 
 from .core import (
@@ -496,8 +498,8 @@ def _read(buf: bytes, decode: bool):
     spans maps the id of each node whose matched block reads byte for byte
     as `save` writes that node to the block's range of byte offsets (a net
     keeps one per node, and unlike a tuple a range is not tracked by the
-    collector), and label_start is the offset of the first LABEL line when
-    the LABEL lines are the file's last lines and all matched; else None.
+    collector), and label_start is the offset of the LABEL lines when they
+    are one matched run that ends the file; else None.
     """
     header = HEADER.encode()
     if not (buf.startswith(header + b"\n") or buf == header):
@@ -507,18 +509,14 @@ def _read(buf: bytes, decode: bool):
     scripts: dict = {}
     isa: list[tuple[NodeId, NodeId]] = []
     labels: list[tuple[NodeId, str, str]] = []
-    # per tag, the line of the first PROP, SIG or LABEL record naming each
-    # node, and (line, tag, id, tag it needs) of each SCRIPT and ISA reference
-    owners: dict[str, dict[NodeId, int]] = {"PROP": {}, "SIG": {}, "LABEL": {}}
-    label_owners = owners["LABEL"]
-    refs: list[tuple[int, str, NodeId, str]] = []
+    # (line, tag, id, tag it needs or None) of each record that names a node
+    # outside the node's block: a tokenised PROP, SIG or SCRIPT, and an ISA
+    refs: list[tuple[int, str, NodeId, str | None]] = []
+    label_owners: dict[NodeId, int] = {}   # the first LABEL line of each labelled node
     names: dict[bytes, str] = {}   # one str per matched property name
     values: dict[bytes, tuple[Value, Provenance, bool]] = {}   # _shared_value by field
     spans: dict[NodeId, range] = {}
-    spoiled: set[NodeId] = set()   # nodes with a record outside their block
-    # with decode, the offset and line of the first LABEL line; None once
-    # one is tokenised
-    label_start, label_line = None, 0
+    label_start = None
     fh = io.BytesIO(buf)   # for the SCRIPT blocks of tokenised records
     match = _BLOCK.match
     pos, lineno = len(header) + 1, 2
@@ -566,8 +564,7 @@ def _read(buf: bytes, decode: bool):
                     if nid in scripts:
                         raise FormatError(f"duplicate SCRIPT for {nid}", lineno)
                     body = m["body"]
-                    at = m.start("script")
-                    scripts[nid] = (body, lineno, at) if decode else at
+                    scripts[nid] = (body, lineno) if decode else m.start("script")
                     # save writes no blank last line: ScriptRef strips its newline
                     saved = saved and (not body or body[-2:] != b"\n\n" and body != b"\n")
                     lineno += body.count(b"\n") + 3
@@ -580,8 +577,8 @@ def _read(buf: bytes, decode: bool):
                     refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
                     lineno += 1
             else:
-                if decode and not labels:
-                    label_start, label_line = start, lineno
+                if decode and not labels and m.end() == len(buf):
+                    label_start = start
                 for node, lang, text in _LABEL_FIELDS.findall(buf, pos, m.end()):
                     node = int(node)
                     if decode:
@@ -601,14 +598,13 @@ def _read(buf: bytes, decode: bool):
             named = props.get(owner)
             if named is None:
                 named = props[owner] = {}
-                owners[tag][owner] = line
             name = toks[2]
             if not valid_property_name(name):
                 raise FormatError(f"bad property name {name!r}", line)
             if name in named:
                 raise FormatError(f"duplicate property {name!r} on {owner}", line)
             named[name] = _decode_prop(toks, line) if decode else start
-            spoiled.add(owner)
+            refs.append((line, tag, owner, None))
         elif tag == "LABEL":
             node = _int(toks[1], line)
             if not valid_language_tag(toks[2]):
@@ -617,7 +613,6 @@ def _read(buf: bytes, decode: bool):
             if decode:
                 labels.append((node, toks[2], text))
             label_owners.setdefault(node, line)
-            label_start = None
         elif tag == "OBJ" or tag == "ACT":
             nid, prov, subject, target = _decode_node(toks, line)
             if nid in nodes:
@@ -632,39 +627,37 @@ def _read(buf: bytes, decode: bool):
             owner = _int(toks[1], line)
             if owner in scripts:
                 raise FormatError(f"duplicate SCRIPT for {owner}", line)
-            scripts[owner] = (body, line, start) if decode else start
+            scripts[owner] = (body, line) if decode else start
             refs.append((line, tag, owner, "ACT"))
-            spoiled.add(owner)
         elif tag == "ISA":
             inst, concept = _int(toks[1], line), _int(toks[2], line)
             isa.append((inst, concept))
             refs += [(line, tag, inst, "OBJ"), (line, tag, concept, "OBJ")]
     # records may arrive in any order, so references are checked only now;
-    # of several bad ones the first in file order is reported
-    bad = [(line, f"{tag} record refers to unknown node {nid}")
-           for tag, first in owners.items() for nid, line in first.items() if nid not in nodes]
+    # the first bad one in file order is reported, of two on one line the
+    # first checked
+    labelled = ((line, "LABEL", nid, None) for nid, line in label_owners.items())
     ends = ((line, tag, end, "OBJ") for tag, _, subject, target, line in nodes.values()
             if tag == "ACT" for end in (target, subject) if end is not None)
-    for checked in (ends, refs):
-        for line, tag, nid, need in checked:   # in file order: the first bad one will do
-            node = nodes.get(nid)
-            if node is None:
-                bad.append((line, f"{tag} record refers to unknown node {nid}"))
-                break
-            if node[0] != need:
-                kind = "an object" if need == "OBJ" else "an action"
-                bad.append((line, f"{tag} record needs node {nid} to be {kind}"))
-                break
+    bad = None
+    for line, tag, nid, need in chain(refs, labelled, ends):
+        if bad and line >= bad.line:
+            continue
+        node = nodes.get(nid)
+        if node is None:
+            bad = FormatError(f"{tag} record refers to unknown node {nid}", line)
+        elif need and node[0] != need:
+            kind = "an object" if need == "OBJ" else "an action"
+            bad = FormatError(f"{tag} record needs node {nid} to be {kind}", line)
     if bad:
-        line, message = min(bad)
-        raise FormatError(message, line)
+        raise bad
     if decode:
         # a fault inside a script text is raised only now that the framing
         # and references hold, and in action id order, as a lazy read of
         # every script meets it; equal texts share one parse
         asts: dict = {}
         for owner in sorted(scripts):
-            body, line, start = scripts[owner]
+            body, line = scripts[owner]
             text = _script_text(body, line)
             ast = asts.get(text)
             if ast is None:
@@ -672,11 +665,10 @@ def _read(buf: bytes, decode: bool):
                     ast = asts[text] = parse_script(text)
                 except ScriptParseError as exc:
                     raise _in_file(exc, owner, line) from None
-            scripts[owner] = ScriptRef(text=text, ast=ast, offset=start)
-    for nid in spoiled:
-        spans.pop(nid, None)
-    if label_start is not None and label_line + len(labels) != lineno:
-        label_start = None   # the LABEL lines are not the file's last lines
+            scripts[owner] = ScriptRef(text=text, ast=ast)
+        for _, tag, nid, _ in refs:   # a node with a record outside its block has no span
+            if tag != "ISA":
+                spans.pop(nid, None)
     return nodes, props, scripts, isa, labels, spans, label_start
 
 
@@ -766,7 +758,7 @@ class StoreHandle:
             self._identity = _identity(os.fstat(self._fh.fileno()))
             data = self._fh.read()
             self.index, self.props, self.scripts, self.isa, *_ = _read(data, decode=False)
-        except Exception:
+        except BaseException:
             self._fh.close()
             raise
         self.stats.bytes_read += len(data)
@@ -920,7 +912,7 @@ class StoreHandle:
             ast = parse_script(text)
         except ScriptParseError as exc:
             raise _in_file(exc, action_id, self._line_at(offset)) from None
-        act.script = ScriptRef(text=text, ast=ast, offset=offset)
+        act.script = ScriptRef(text=text, ast=ast)
         if action_id not in self._hydrated_scripts:
             self._hydrated_scripts.add(action_id)
             self.stats.scripts_hydrated += 1

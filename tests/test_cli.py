@@ -410,6 +410,24 @@ goals
     assert lines[-1] == "goal 1 (goal): satisfied"
 
 
+def test_compare_does_not_move_the_clock():
+    # each snapshot takes the next tick, and compare takes none
+    script = """
+obj a x=1
+act - a script="set object.x = 2;" as r
+snap
+goal a.x > 0
+compare
+compare
+snap
+diff 1 2
+"""
+    out, code = run_script(script)
+    assert code == 0, out   # diff 1 2 finds both snapshots
+    assert out.splitlines()[2:7] == ["snapshot 1", "goal 1", "no discrepancies",
+                                     "no discrepancies", "snapshot 2"]
+
+
 def test_engine_error_gives_nonzero_exit():
     out, code = run_script("new\nobj wall\nrun wall\n")
     assert code == 1

@@ -108,6 +108,20 @@ def test_every_broad_handler_reraises():
     assert not swallowing, swallowing
 
 
+def test_every_cleanup_handler_runs_on_an_interrupt():
+    """A broad handler that cleans up and re-raises catches `BaseException`
+    (or is a bare `except:`): a KeyboardInterrupt or SystemExit must not
+    skip the cleanup, say leave a file open."""
+    narrow = [f"{module}:{node.lineno}"
+              for module, (_, tree) in _trees().items()
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and _broad(node)
+              and isinstance(node.body[-1], ast.Raise) and node.body[-1].exc is None
+              and not (node.type is None
+                       or isinstance(node.type, ast.Name) and node.type.id == "BaseException")]
+    assert not narrow, narrow
+
+
 # public signatures whose callers pass a parameter the body does not read:
 # the CLI, the tests and bench/tracing.py call compare_with_reality(model, ...)
 _UNREAD_KEPT = {("agent.py", "compare_with_reality", "model")}

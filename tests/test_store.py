@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import os
 import random
@@ -130,6 +131,21 @@ def test_open_rejects_garbage(tmp_path):
     dangling.write_text("KRN 1\nOBJ 1\nISA 1 9\n")
     with pytest.raises(FormatError):
         store.open(str(dangling))
+
+
+def test_an_interrupted_open_closes_its_file(tmp_path, monkeypatch):
+    # a file left open warns when it is collected, and the suite makes
+    # that ResourceWarning an error
+    path = tmp_path / "net.krn"
+    path.write_text("KRN 1\nOBJ 1\n")
+
+    def interrupted(buf, decode):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(store, "_read", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        store.open(str(path))
+    gc.collect()
 
 
 def test_deeply_nested_script_fails_with_a_typed_error(tmp_path):
@@ -665,6 +681,16 @@ def test_is_a_edge_to_an_action_is_refused_on_open_and_load(tmp_path):
                  "duplicate SCRIPT for 3", id="SCRIPT  3 twice"),
     pytest.param(b"SCRIPT  3\n<<<\n>>>\nACT 3 - 1\nSCRIPT 3\n<<<\nset object.y = 2;\n>>>", 12,
                  "duplicate SCRIPT for 3", id="SCRIPT  3 before its block"),
+    # two bad references on one line: the first checked is reported, an
+    # action's target before its subject and an instance before its concept
+    pytest.param(b"ACT 5 8 9", 8, "ACT record refers to unknown node 9", id="ACT 5 8 9"),
+    pytest.param(b"ISA 8 9", 8, "ISA record refers to unknown node 8", id="ISA 8 9"),
+    # a LABEL of an unknown node after a good one; a SIG, then a PROP, of
+    # one unknown node
+    pytest.param(b'LABEL 1 en "a"\nLABEL 9 en "b"', 9, "LABEL record refers to unknown node 9",
+                 id="LABEL 9 second"),
+    pytest.param(b"SIG 9 y skin 01 3\nPROP 9 x num 1", 8, "SIG record refers to unknown node 9",
+                 id="SIG 9 then PROP 9"),
 ])
 def test_a_bad_script_before_a_later_bad_record_gives_one_error(tmp_path, body, later, line,
                                                                  message):
@@ -1214,6 +1240,8 @@ LABEL 3 fr "peindre"
     ([(b'LABEL 1 en "wall"\n', b""), (b'"peindre"\n', b'"peindre"\nLABEL 1 en "wall"\n')],
      set(), False),                                                     # labels out of order
     ([(b'ISA 2 1\nLABEL 1 en "wall"\n', b'LABEL 1 en "wall"\nISA 2 1\n')], set(), False),
+    ([(b'"peindre"\n', b'"peindre"\n\n')], set(), False),              # a blank line after the labels
+    ([(b'"peindre"\n', b'"peindre"\nISA 1 2\n')], set(), False),       # an ISA line after the labels
 ])
 def test_a_block_unlike_what_save_writes_is_encoded(tmp_path, edits, unspanned, labels_copied):
     data = _CANONICAL
