@@ -356,7 +356,9 @@ def run_command(session: Session, text: str) -> list[str]:
     if verb == "shape":
         if len(args) != 1:
             raise CommandError("usage: shape <instance>")
-        created, error = reasoning.shape_all(session.net, session.resolve(args[0]))
+        inst = session.resolve(args[0])
+        session.net.node(inst)
+        created, error = reasoning.shape_all(session.net, inst)
         if error is not None:
             raise error
         return [f"shaped {args[0]}: {len(created)} new nodes"]
@@ -373,6 +375,7 @@ def run_command(session: Session, text: str) -> list[str]:
         if len(args) != 3:
             raise CommandError("usage: label <node> <lang> <text>")
         nid = session.resolve(args[0])
+        session.net.node(nid)
         session.lexicon.set_label(nid, args[1], args[2])
         return [f"label #{nid} {args[1]} {args[2]}"]
 
@@ -403,6 +406,7 @@ def run_command(session: Session, text: str) -> list[str]:
         if not source:
             raise CommandError("goal needs a condition")
         anchor = session.resolve(anchor_tok)
+        session.net.node(anchor)
         if session.model is None:
             session.model = agent.SelfModel(session.net)
         gid = agent.define_goal(session.model, verb, anchor, source)

@@ -14,14 +14,14 @@ every property record it is about to add, replace or drop into one
 journal of (node, name) -> first replaced record (`Net.note`,
 `Net.touch`), which the timeline starts at its first snapshot. That
 first snapshot, version 0, reads and copies nothing, O(1): its state
-reads the net's live records, and a key written since keeps its
-version-0 value, its first pre-image, in the timeline's base. Each
-later snapshot folds the keys written since the one before against
-their live records and empties the journal, O(keys written); a key
-gets a history only when its value first changes. `diff` of two
-snapshots of one timeline visits only the keys changed between them,
-O(changed keys); and the timeline's memory is the keys written plus the
-number of changes, not net size times snapshots.
+reads the net's live records. Each later snapshot folds the keys
+written since the one before against their live records and empties
+the journal, O(keys written); when a key's value first changes, its
+history starts with its version-0 value, the journal's first
+pre-image. `diff` of two snapshots of one timeline visits only the
+keys changed between them, O(changed keys); and the timeline's memory
+is the keys changed plus the number of changes, not net size times
+snapshots.
 """
 
 from __future__ import annotations
@@ -69,23 +69,19 @@ class TimelineState(Mapping):
 
     It holds the timeline's containers and the net's record dicts, never
     the timeline or the net, so a retained snapshot makes no reference
-    cycle and keeps no net alive. A lookup bisects the key's history. A
-    key with no history, or read at a version before its first change,
-    has its version-0 value: from `base` once a write to the key was
-    folded, from the journal's first pre-image while the write waits for
-    the next snapshot, and from the live record if nothing wrote the key
-    since version 0. `len` is the version-0 count, counted once per
-    timeline on first use, plus the recorded appearances less the
-    disappearances up to this version.
+    cycle and keeps no net alive. A lookup bisects the key's history,
+    which starts at version 0. A key with no history has had one value
+    object at every version: the journal's first pre-image while a write
+    waits for the next snapshot, else the live record's. `len` is the
+    version-0 count, counted once per timeline on first use, plus the
+    recorded appearances less the disappearances up to this version.
     """
 
-    __slots__ = ("history", "base", "changed", "journal", "records", "version",
-                 "_delta", "_size0")
+    __slots__ = ("history", "changed", "journal", "records", "version", "_delta", "_size0")
 
-    def __init__(self, history: dict, base: dict, changed: list, journal: dict,
+    def __init__(self, history: dict, changed: list, journal: dict,
                  records: tuple, version: int, delta: int, size0: list):
         self.history = history      # key -> (versions, values); None = absent
-        self.base = base            # key -> its value at version 0, once written
         self.changed = changed      # version -> keys recorded at it
         self.journal = journal      # the net's journal: writes not yet folded
         self.records = records      # the net's live (objects, actions) dicts
@@ -97,12 +93,7 @@ class TimelineState(Mapping):
         hist = self.history.get(key)
         if hist is not None:
             versions, values = hist
-            i = bisect_right(versions, self.version)
-            if i:
-                value = values[i - 1]
-                return default if value is None else value
-        if key in self.base:
-            value = self.base[key]
+            value = values[bisect_right(versions, self.version) - 1]
         elif key in self.journal:
             value = _value(self.journal[key])
         else:
@@ -119,7 +110,7 @@ class TimelineState(Mapping):
         return self.get(key) is not None
 
     def __iter__(self):
-        written = self.base.keys() | self.journal.keys()
+        written = self.history.keys() | self.journal.keys()
         for records in self.records:
             for nid, rec in records.items():
                 for name, prop in rec.properties.items():
@@ -132,8 +123,8 @@ class TimelineState(Mapping):
     def __len__(self) -> int:
         size0 = self._size0
         if size0[0] is None:
-            at0 = TimelineState(self.history, self.base, self.changed, self.journal,
-                                self.records, 0, 0, size0)
+            at0 = TimelineState(self.history, self.changed, self.journal, self.records,
+                                0, 0, size0)
             size0[0] = sum(1 for _ in at0)
         return size0[0] + self._delta
 
@@ -150,13 +141,12 @@ class Timeline:
     """Snapshots of one net: per-key version histories over a lazy version 0.
 
     Version 0 copies nothing: its state reads the net's live records,
-    and `_base` gets the version-0 value of a key, its first pre-image in
-    the net's journal, when a later version folds the key's first write.
+    and a later version that folds a key's first change starts the key's
+    history with its first pre-image in the net's journal.
     """
 
     def __init__(self):
         self.snapshots: list[Snapshot] = []
-        self._base: dict[Key, Value | None] = {}
         self._by_tick: dict[int, Snapshot] = {}
         self._history: dict[Key, tuple[list[int], list[Value | None]]] = {}
         self._changed: list[list[Key]] = []
@@ -190,8 +180,9 @@ class Timeline:
         records no key. After it, each key written since the last version
         is recorded when its live value is not the same object as its
         first pre-image, so a re-ingested equal signal with a new capture
-        tick still replaces the remembered one; a key's first record
-        starts its history. O(keys written since the last version).
+        tick still replaces the remembered one. A key's first record
+        starts its history at version 0 with that pre-image, as a key with
+        no history kept one value object at every fold. O(keys written).
         """
         version = len(self._changed)
         changed: list[Key] = []
@@ -199,16 +190,15 @@ class Timeline:
             self._records = (net.objects, net.actions)
             self._journal = net.journal = {}
         else:
-            base, history = self._base, self._history
+            history = self._history
             for key, replaced in self._journal.items():
                 before = _value(replaced)
                 value = _live(self._records, key)
-                base.setdefault(key, before)
                 if value is before:
                     continue
                 hist = history.get(key)
                 if hist is None:
-                    history[key] = ([version], [value])
+                    history[key] = ([0, version], [before, value])
                 else:
                     hist[0].append(version)
                     hist[1].append(value)
@@ -216,8 +206,8 @@ class Timeline:
                 self._delta += (value is not None) - (before is not None)
             self._journal.clear()
         self._changed.append(changed)
-        return TimelineState(self._history, self._base, self._changed, self._journal,
-                             self._records, version, self._delta, self._size0)
+        return TimelineState(self._history, self._changed, self._journal, self._records,
+                             version, self._delta, self._size0)
 
 
 def timeline_of(net: Net) -> Timeline:

@@ -9,7 +9,7 @@ import pytest
 
 from krn import SensorAddress, SensorSignal, Value
 from krn.cli import Session, main, run_command, run_lines, split_commands, split_words
-from krn.errors import CommandError, KrnError
+from krn.errors import CommandError, KrnError, UnknownNode
 
 
 def run_script(text: str) -> tuple[str, int]:
@@ -293,6 +293,20 @@ def test_cli_fuzz_lets_only_engine_and_path_errors_escape(tmp_path, monkeypatch)
                     pass
                 except OSError:
                     assert command.split()[0] in ("load", "save", "mine"), command
+                assert session.net.validate_bipartite().ok, command
+
+
+@pytest.mark.parametrize("command", [
+    "label #9 en ghost", "goal #9 has x", "antigoal #9.x > 0", "shape #9"])
+def test_a_command_on_a_node_the_net_does_not_hold_changes_nothing(command):
+    session = Session()
+    run_command(session, "obj a x=1")
+    run_command(session, "label a en alpha")
+    labels, nodes = dict(session.lexicon.labels), session.net.node_ids()
+    with pytest.raises(UnknownNode):
+        run_command(session, command)
+    assert session.lexicon.labels == labels and session.net.node_ids() == nodes
+    assert session.model is None
 
 
 def test_validate_prints_each_violation_or_ok():

@@ -1,8 +1,8 @@
 """No debris in `src/krn`: every import is used, every module-level
-private def or constant is named somewhere in the package, and every
-parameter is read by its function. No pattern needs a newer Python than
-the package allows. The README's command summary names exactly the
-verbs the CLI dispatches on."""
+private def or constant is named somewhere in the package, every
+private attribute assigned is read, and every parameter is read by its
+function. No pattern needs a newer Python than the package allows. The
+README's command summary names exactly the verbs the CLI dispatches on."""
 
 import ast
 import importlib
@@ -89,6 +89,22 @@ def test_every_private_module_name_is_used():
               if name.startswith("_") and not name.startswith("__")
               and len(re.findall(rf"(?<!\w){name}(?!\w)", text)) < 2]
     assert not unused, unused
+
+
+def test_every_private_attribute_is_read():
+    """A `_`-prefixed attribute assigned anywhere in the package is read
+    somewhere in it; an augmented assignment is not a read."""
+    assigned, read = {}, set()
+    for module, (_, tree) in _trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node.ctx, ast.Store):
+                    assigned.setdefault(node.attr, f"{module}:{node.lineno}")
+    unread = [f"{where} {name}" for name, where in sorted(assigned.items()) if name not in read]
+    assert not unread, unread
 
 
 def _broad(handler) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from krn import ConceptTemplate, Net, Value, reasoning, store
 from krn.core import PropLoad, SensorAddress, SensorSignal
 from krn.errors import BatchError, FormatError, KrnError, UnknownScript
-from krn.script import apply_undo
+from krn.script import ExecContext, apply_undo, execute, parse
 from krn.sim import Snapshot, classify_change, diff, load_verb_table, run_action, run_pending, snapshot, timeline_of
 
 from helpers import chameleon_signals, person_pattern, rand_name, rand_value, random_net, wall_net
@@ -436,9 +436,9 @@ def test_a_key_reads_its_base_value_until_its_first_change():
     assert [key in s for s in states] == [True] * 4 + [False]
     assert [s[(wall, "y")] for s in states] == [Value.num(7)] * 5
     assert [s.get((wall, "z")) for s in states] == [None] * 3 + [Value.num(5)] * 2
-    # version 0 built no history; x's starts at its first change and y has none
+    # version 0 built no history; x's starts at version 0 once x changes, y has none
     history = states[0].history
-    assert history[key] == ([2, 4], [Value.num(2), None])
+    assert history[key] == ([0, 2, 4], [Value.num(1), Value.num(2), None])
     assert (wall, "y") not in history and states[0].changed[0] == []
     # iteration and len agree with get at every version
     for s in states:
@@ -449,6 +449,31 @@ def test_a_key_reads_its_base_value_until_its_first_change():
     assert sorted(states[4]) == [(wall, "y"), (wall, "z")]
     assert diff(Snapshot(0, states[0]), Snapshot(4, states[4])) == diff(
         Snapshot(0, dict(states[0])), Snapshot(4, dict(states[4])))
+
+
+def test_a_write_put_back_before_the_next_snapshot_starts_no_history():
+    """A key whose live value is its first pre-image at a fold keeps one
+    value object throughout, so its later first change can start its
+    history at version 0 from the journal's pre-image."""
+    net = Net()
+    wall = net.add_object([("x", Value.num(1)), ("y", Value.num(7))])
+    key = (wall, "x")
+    snaps = [snapshot(net)]                             # version 0
+    apply_undo(net, execute(parse("set object.x = 5;"), ExecContext(net, wall)))
+    snaps.append(snapshot(net))                         # 1: x written, then put back
+    assert key not in snaps[1].state.history and net.journal == {}
+    net.set_property(wall, "x", Value.num(2))
+    # the write waits in the journal: both versions read its pre-image
+    assert [s.state.get(key) for s in snaps] == [Value.num(1)] * 2
+    snaps.append(snapshot(net))                         # 2: x changes
+    states = [s.state for s in snaps]
+    assert [s.get(key) for s in states] == [Value.num(1), Value.num(1), Value.num(2)]
+    assert [len(s) for s in states] == [2, 2, 2]
+    assert [sorted(s) for s in states] == [[key, (wall, "y")]] * 3
+    assert states[0].changed == [[], [], [key]]
+    assert diff(snaps[0], snaps[1]) == []
+    assert [(c.node, c.name, c.before, c.after) for c in diff(snaps[1], snaps[2])] == [
+        (wall, "x", Value.num(1), Value.num(2))]
 
 
 # ------------------------------------------------ the change journal
