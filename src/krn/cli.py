@@ -70,6 +70,12 @@ class Session:
             raise CommandError(f"name {tok!r} is ambiguous: {sorted(hits)}")
         raise CommandError(f"unknown name {tok!r}")
 
+    def node(self, tok: str) -> int:
+        """`resolve`, for a node the net holds; UnknownNode for one it does not."""
+        nid = self.resolve(tok)
+        self.net.node(nid)
+        return nid
+
     def bind(self, name: str, nid: int) -> None:
         if not _NAME_RE.match(name):
             raise CommandError(f"bad name {name!r}")
@@ -189,10 +195,271 @@ def _change_lines(session: Session, changes) -> list[str]:
     return lines or ["no changes"]
 
 
-def _take_as_name(args: list[str]) -> tuple[list[str], str | None]:
-    if len(args) >= 2 and args[-2] == "as":
-        return args[:-2], args[-1]
-    return args, None
+def _usage(verb: str, fault: str = "") -> CommandError:
+    """The usage error of a verb, after what was wrong if that is given."""
+    return CommandError(f"{fault}usage: {COMMANDS[verb][4]}")
+
+
+def _paths(verb: str, args: list[str]) -> list[str]:
+    """The args, each a path the file system can take; CommandError otherwise."""
+    try:   # a NUL byte, or a character with no file-system encoding
+        if any(b"\0" in os.fsencode(arg) for arg in args):
+            raise ValueError("embedded null byte")
+    except ValueError as exc:
+        raise CommandError(f"{verb}: bad path: {exc}") from None
+    return args
+
+
+def _options(verb: str, args: list[str], options: dict) -> list[str]:
+    """The args that are not `--flag value` pairs. Each flag's value, taken
+    as the type of its default, replaces that default in `options`."""
+    rest = []
+    it = iter(args)
+    for arg in it:
+        if arg not in options:
+            rest.append(arg)
+            continue
+        default = options[arg]
+        try:
+            options[arg] = type(default)(next(it))
+        except (StopIteration, ValueError):
+            needs = "an integer" if isinstance(default, int) else "a value"
+            raise _usage(verb, f"{arg} needs {needs}; ") from None
+    return rest
+
+
+def _owner_prop(session: Session, verb: str, arg: str) -> tuple[int, str]:
+    """The held node and the property name of an `<obj>.<prop>` word."""
+    owner, dot, prop = arg.partition(".")
+    if not dot:
+        raise _usage(verb)
+    return session.node(owner), prop
+
+
+def _made(session: Session, verb: str, nid: int, name: str | None) -> list[str]:
+    """The line for a node a verb made, bound to `name` first if one is given."""
+    if name is None:
+        return [f"{verb} #{nid}"]
+    session.bind(name, nid)
+    return [f"{verb} {name} #{nid}"]
+
+
+# Each handler takes (session, verb, args, words, name): the words after the
+# verb as tokens, less a trailing `as <name>` where the verb takes one, the
+# same words as typed, and the `as` name or None. It calls the engine
+# through module attributes looked up at each call (`sim.run_action`, ...),
+# since the traced benchmark (`bench/tracing.py`) wraps those attributes.
+
+def _do_new(session, _verb, _args, _words, _name):
+    session.reset()
+    return ["new net"]
+
+
+def _do_load(session, verb, args, _words, _name):
+    net, lexicon = store.load(_paths(verb, args)[0])
+    session.reset()
+    session.net = net
+    session.lexicon = lexicon
+    return [f"loaded {len(net.objects)} objects, {len(net.actions)} actions"]
+
+
+def _do_save(session, verb, args, _words, _name):
+    store.save(session.net, session.lexicon, _paths(verb, args)[0])
+    return [f"saved {args[0]}"]
+
+
+def _do_obj(session, verb, args, words, _name):
+    nid = session.net.add_object(_props_from_args(args[1:], words[1:]))
+    return _made(session, verb, nid, args[0])
+
+
+def _do_act(session, verb, args, words, name):
+    subject = None if args[0] == "-" else session.node(args[0])
+    target = session.node(args[1])
+    script = None
+    props = []
+    for arg, word in zip(args[2:], words[2:]):
+        if arg.startswith("script="):
+            script = arg[len("script="):]
+        else:
+            props.extend(_props_from_args([arg], [word]))
+    return _made(session, verb, session.net.add_action(subject, target, script, props), name)
+
+
+def _do_set(session, verb, args, words, _name):
+    nid, prop = _owner_prop(session, verb, args[0])
+    value = parse_value(args[1], _quoted(words[1], keyed=False))
+    session.net.set_property(nid, prop, value)
+    return [f"{session.display(nid)}.{prop} = {render_value(value)}"]
+
+
+def _do_show(session, verb, args, _words, _name):
+    nid, prop = _owner_prop(session, verb, args[0])
+    return [render_value(session.net.get_property(nid, prop))]
+
+
+def _do_run(session, _verb, args, _words, _name):
+    changes = sim.run_action(session.net, session.node(args[0]))
+    return _change_lines(session, changes)
+
+
+def _do_runs(session, _verb, args, _words, _name):
+    results = sim.run_pending(session.net, [session.node(a) for a in args])
+    lines = []
+    for changes in results:
+        lines.extend(_change_lines(session, changes) if changes else [])
+    return lines or ["no changes"]
+
+
+def _do_snap(session, _verb, _args, _words, _name):
+    snap = sim.snapshot(session.net)
+    return [f"snapshot {snap.tick}"]
+
+
+def _do_diff(session, verb, args, _words, _name):
+    try:
+        first, second = map(int, args)
+    except ValueError:   # not integers
+        raise _usage(verb) from None
+    tl = session.net.timeline    # a query attaches no timeline
+    if tl is None:
+        raise KrnError(f"no snapshot at tick {first}")
+    return _change_lines(session, sim.diff(tl.by_tick(first), tl.by_tick(second)))
+
+
+def _do_collapse(session, verb, args, _words, name):
+    inside = {session.node(a) for a in args}
+    collapse = (reasoning.collapse_to_object if verb == "collapse-obj"
+                else reasoning.collapse_to_action)
+    return _made(session, verb, collapse(session.net, inside), name)
+
+
+def _do_expand(session, _verb, args, _words, _name):
+    nid = session.node(args[0])
+    created = reasoning.expand(session.net, nid)
+    return [f"expanded #{nid}: {len(created)} nodes"]
+
+
+def _do_mine(_session, verb, args, _words, _name):
+    options = {"--min-support": 2, "--max-nodes": 4}
+    paths = _options(verb, _paths(verb, args), options)
+    if not paths:
+        raise _usage(verb)
+    if options["--min-support"] < 2 or not 1 <= options["--max-nodes"] <= 8:
+        raise _usage(verb, "--min-support must be at least 2, --max-nodes 1 to 8; ")
+    nets = [store.load(path)[0] for path in paths]
+    templates = reasoning.mine_concepts(nets, options["--min-support"], options["--max-nodes"])
+    return [f"template {i}: support {t.support}, {len(t.pattern.node_ids())} nodes"
+            for i, t in enumerate(templates, start=1)] or ["no templates"]
+
+
+def _do_isa(session, _verb, args, _words, _name):
+    inst = session.node(args[0])
+    concept = session.node(args[1])
+    session.net.add_isa(inst, concept)
+    return [f"isa #{inst} #{concept}"]
+
+
+def _do_shape(session, _verb, args, _words, _name):
+    created, error = reasoning.shape_all(session.net, session.node(args[0]))
+    if error is not None:
+        raise error
+    return [f"shaped {args[0]}: {len(created)} new nodes"]
+
+
+def _do_has(session, _verb, args, _words, _name):
+    answer = reasoning.query_has(session.net, session.node(args[0]), " ".join(args[1:]))
+    return [ANSWER_TEXT[answer]]
+
+
+def _do_label(session, _verb, args, _words, _name):
+    nid = session.node(args[0])
+    session.lexicon.set_label(nid, args[1], args[2])
+    return [f"label #{nid} {args[1]} {args[2]}"]
+
+
+def _do_say(session, verb, args, _words, _name):
+    options = {"--lang": "en"}
+    rest = _options(verb, args, options)
+    if len(rest) != 1:
+        raise _usage(verb)
+    # a label outlives a collapse, so the node need not be held
+    text, used = session.lexicon.label_of(session.resolve(rest[0]), options["--lang"])
+    return [f"{text} ({used})"]
+
+
+def _do_goal(session, verb, args, _words, _name):
+    anchor_tok, dot, first = args[0].partition(".")
+    source = " ".join([first, *args[1:]] if dot else args[1:])
+    if not source:
+        raise _usage(verb)
+    anchor = session.node(anchor_tok)
+    if session.model is None:
+        session.model = agent.SelfModel(session.net)
+    gid = agent.define_goal(session.model, verb, anchor, source)
+    return [f"{verb} {gid}"]
+
+
+def _do_goals(session, _verb, _args, _words, _name):
+    if session.model is None or not session.model.goals:
+        return ["no goals"]
+    statuses = dict(agent.evaluate_goals(session.model, session.net))
+    return [f"goal {goal.id} ({goal.polarity}): {statuses[goal.id]}"
+            for goal in session.model.goals]
+
+
+def _do_compare(session, _verb, _args, _words, _name):
+    if session.model is None:
+        return ["no discrepancies"]
+    tl = session.net.timeline
+    predicted = None if tl is None else tl.latest()
+    if predicted is None:
+        return ["no snapshots"]
+    sensed = agent.reality_snapshot(session.model)
+    changes = agent.compare_with_reality(session.model, predicted, sensed)
+    if not changes:
+        return ["no discrepancies"]
+    return _change_lines(session, changes)
+
+
+def _do_validate(session, _verb, _args, _words, _name):
+    report = session.net.validate_bipartite()
+    return [f"{v.kind} {' '.join(f'#{n}' for n in v.nodes)}: {v.detail}"
+            for v in report.violations] or ["ok"]
+
+
+_MANY = sys.maxsize   # no upper bound on a verb's words
+
+# verb -> (handler, fewest words, most words, takes `as <name>`, usage)
+COMMANDS = {
+    "new": (_do_new, 0, 0, False, "new"),
+    "load": (_do_load, 1, 1, False, "load <path>"),
+    "save": (_do_save, 1, 1, False, "save <path>"),
+    "obj": (_do_obj, 1, _MANY, False, "obj <name> [k=v ...]"),
+    "act": (_do_act, 2, _MANY, True,
+            "act <subject|-> <target> [script='...'] [k=v ...] [as <name>]"),
+    "set": (_do_set, 2, 2, False, "set <obj>.<prop> <value>"),
+    "show": (_do_show, 1, 1, False, "show <obj>.<prop>"),
+    "run": (_do_run, 1, 1, False, "run <action>"),
+    "runs": (_do_runs, 1, _MANY, False, "runs <a1> <a2> ..."),
+    "snap": (_do_snap, 0, 0, False, "snap"),
+    "diff": (_do_diff, 2, 2, False, "diff <tick1> <tick2>"),
+    "collapse-obj": (_do_collapse, 1, _MANY, True, "collapse-obj <ids...> [as <name>]"),
+    "collapse-act": (_do_collapse, 1, _MANY, True, "collapse-act <ids...> [as <name>]"),
+    "expand": (_do_expand, 1, 1, False, "expand <id>"),
+    "mine": (_do_mine, 1, _MANY, False, "mine [--min-support N] [--max-nodes K] <paths...>"),
+    "isa": (_do_isa, 2, 2, False, "isa <instance> <concept>"),
+    "shape": (_do_shape, 1, 1, False, "shape <instance>"),
+    "has": (_do_has, 2, _MANY, False, "has <instance> <fragment>"),
+    "label": (_do_label, 3, 3, False, "label <node> <lang> <text>"),
+    "say": (_do_say, 1, _MANY, False, "say <node> [--lang L]"),
+    "goal": (_do_goal, 1, _MANY, False, "goal <node>.<condition> | goal <node> has <name>"),
+    "antigoal": (_do_goal, 1, _MANY, False,
+                 "antigoal <node>.<condition> | antigoal <node> has <name>"),
+    "goals": (_do_goals, 0, 0, False, "goals"),
+    "compare": (_do_compare, 0, 0, False, "compare"),
+    "validate": (_do_validate, 0, 0, False, "validate"),
+}
 
 
 def run_command(session: Session, text: str) -> list[str]:
@@ -201,247 +468,16 @@ def run_command(session: Session, text: str) -> list[str]:
     if not tokens:
         return []
     verb, args = tokens[0], tokens[1:]
-    if verb in ("load", "save", "mine"):
-        try:   # a NUL byte, or a character with no file-system encoding
-            if any(b"\0" in os.fsencode(arg) for arg in args):
-                raise ValueError("embedded null byte")
-        except ValueError as exc:
-            raise CommandError(f"{verb}: bad path: {exc}") from None
-
-    if verb == "new":
-        session.reset()
-        return ["new net"]
-
-    if verb == "load":
-        if len(args) != 1:
-            raise CommandError("usage: load <path>")
-        net, lexicon = store.load(args[0])
-        session.reset()
-        session.net = net
-        session.lexicon = lexicon
-        return [f"loaded {len(net.objects)} objects, {len(net.actions)} actions"]
-
-    if verb == "save":
-        if len(args) != 1:
-            raise CommandError("usage: save <path>")
-        store.save(session.net, session.lexicon, args[0])
-        return [f"saved {args[0]}"]
-
-    if verb == "obj":
-        if not args:
-            raise CommandError("usage: obj <name> [k=v ...]")
-        name = args[0]
-        nid = session.net.add_object(_props_from_args(args[1:], words[2:]))
-        session.bind(name, nid)
-        return [f"obj {name} #{nid}"]
-
-    if verb == "act":
-        args, as_name = _take_as_name(args)
-        if len(args) < 2:
-            raise CommandError("usage: act <subject|-> <target> [script='...'] [k=v ...] [as <name>]")
-        subject = None if args[0] == "-" else session.resolve(args[0])
-        target = session.resolve(args[1])
-        script = None
-        props = []
-        for arg, word in zip(args[2:], words[3:]):
-            if arg.startswith("script="):
-                script = arg[len("script="):]
-            else:
-                props.extend(_props_from_args([arg], [word]))
-        nid = session.net.add_action(subject, target, script, props)
-        if as_name:
-            session.bind(as_name, nid)
-            return [f"act {as_name} #{nid}"]
-        return [f"act #{nid}"]
-
-    if verb in ("set", "show"):
-        if not args or "." not in args[0]:
-            raise CommandError(f"usage: {verb} <obj>.<prop> ...")
-        owner_tok, prop = args[0].split(".", 1)
-        nid = session.resolve(owner_tok)
-        if verb == "set":
-            if len(args) != 2:
-                raise CommandError("usage: set <obj>.<prop> <value>")
-            value = parse_value(args[1], _quoted(words[2], keyed=False))
-            session.net.set_property(nid, prop, value)
-            return [f"{session.display(nid)}.{prop} = {render_value(value)}"]
-        return [render_value(session.net.get_property(nid, prop))]
-
-    if verb == "run":
-        if len(args) != 1:
-            raise CommandError("usage: run <action>")
-        changes = sim.run_action(session.net, session.resolve(args[0]))
-        return _change_lines(session, changes)
-
-    if verb == "runs":
-        if not args:
-            raise CommandError("usage: runs <a1> <a2> ...")
-        ids = [session.resolve(a) for a in args]
-        results = sim.run_pending(session.net, ids)
-        lines = []
-        for changes in results:
-            lines.extend(_change_lines(session, changes) if changes else [])
-        return lines or ["no changes"]
-
-    if verb == "snap":
-        snap = sim.snapshot(session.net)
-        return [f"snapshot {snap.tick}"]
-
-    if verb == "diff":
-        try:
-            first, second = map(int, args)
-        except ValueError:   # not two integers
-            raise CommandError("usage: diff <tick1> <tick2>") from None
-        tl = session.net.timeline    # a query attaches no timeline
-        if tl is None:
-            raise KrnError(f"no snapshot at tick {first}")
-        return _change_lines(session, sim.diff(tl.by_tick(first), tl.by_tick(second)))
-
-    if verb in ("collapse-obj", "collapse-act"):
-        args, as_name = _take_as_name(args)
-        if not args:
-            raise CommandError(f"usage: {verb} <ids...> [as <name>]")
-        inside = {session.resolve(a) for a in args}
-        collapse = (reasoning.collapse_to_object if verb == "collapse-obj"
-                    else reasoning.collapse_to_action)
-        nid = collapse(session.net, inside)
-        if as_name:
-            session.bind(as_name, nid)
-            return [f"{verb} {as_name} #{nid}"]
-        return [f"{verb} #{nid}"]
-
-    if verb == "expand":
-        if len(args) != 1:
-            raise CommandError("usage: expand <id>")
-        nid = session.resolve(args[0])
-        created = reasoning.expand(session.net, nid)
-        return [f"expanded #{nid}: {len(created)} nodes"]
-
-    if verb == "mine":
-        usage = "usage: mine [--min-support N] [--max-nodes K] <paths...>"
-        options = {"--min-support": 2, "--max-nodes": 4}
-        paths = []
-        it = iter(args)
-        for arg in it:
-            if arg in options:
-                try:
-                    options[arg] = int(next(it, ""))
-                except ValueError:
-                    raise CommandError(f"{arg} needs an integer; {usage}") from None
-            else:
-                paths.append(arg)
-        if not paths:
-            raise CommandError(usage)
-        if options["--min-support"] < 2 or not 1 <= options["--max-nodes"] <= 8:
-            raise CommandError(f"--min-support must be at least 2, --max-nodes 1 to 8; {usage}")
-        nets = []
-        for path in paths:
-            nets.append(store.load(path)[0])
-        templates = reasoning.mine_concepts(nets, options["--min-support"], options["--max-nodes"])
-        if not templates:
-            return ["no templates"]
-        return [
-            f"template {i}: support {t.support}, {len(t.pattern.node_ids())} nodes"
-            for i, t in enumerate(templates, start=1)
-        ]
-
-    if verb == "isa":
-        if len(args) != 2:
-            raise CommandError("usage: isa <instance> <concept>")
-        inst = session.resolve(args[0])
-        concept = session.resolve(args[1])
-        session.net.add_isa(inst, concept)
-        return [f"isa #{inst} #{concept}"]
-
-    if verb == "shape":
-        if len(args) != 1:
-            raise CommandError("usage: shape <instance>")
-        inst = session.resolve(args[0])
-        session.net.node(inst)
-        created, error = reasoning.shape_all(session.net, inst)
-        if error is not None:
-            raise error
-        return [f"shaped {args[0]}: {len(created)} new nodes"]
-
-    if verb == "has":
-        if len(args) < 2:
-            raise CommandError("usage: has <instance> <fragment>")
-        inst = session.resolve(args[0])
-        fragment = " ".join(args[1:])
-        answer = reasoning.query_has(session.net, inst, fragment)
-        return [ANSWER_TEXT[answer]]
-
-    if verb == "label":
-        if len(args) != 3:
-            raise CommandError("usage: label <node> <lang> <text>")
-        nid = session.resolve(args[0])
-        session.net.node(nid)
-        session.lexicon.set_label(nid, args[1], args[2])
-        return [f"label #{nid} {args[1]} {args[2]}"]
-
-    if verb == "say":
-        lang = "en"
-        rest = []
-        it = iter(args)
-        for arg in it:
-            if arg == "--lang":
-                lang = next(it, "en")
-            else:
-                rest.append(arg)
-        if len(rest) != 1:
-            raise CommandError("usage: say <node> [--lang L]")
-        nid = session.resolve(rest[0])
-        text, used = session.lexicon.label_of(nid, lang)
-        return [f"{text} ({used})"]
-
-    if verb in ("goal", "antigoal"):
-        if not args:
-            raise CommandError(f"usage: {verb} <node>.<condition> | {verb} <node> has <name>")
-        if "." in args[0]:
-            anchor_tok, first = args[0].split(".", 1)
-            source = " ".join([first] + list(args[1:]))
-        else:
-            anchor_tok = args[0]
-            source = " ".join(args[1:])
-        if not source:
-            raise CommandError("goal needs a condition")
-        anchor = session.resolve(anchor_tok)
-        session.net.node(anchor)
-        if session.model is None:
-            session.model = agent.SelfModel(session.net)
-        gid = agent.define_goal(session.model, verb, anchor, source)
-        return [f"{verb} {gid}"]
-
-    if verb == "goals":
-        if session.model is None or not session.model.goals:
-            return ["no goals"]
-        lines = []
-        statuses = dict(agent.evaluate_goals(session.model, session.net))
-        for goal in session.model.goals:
-            lines.append(f"goal {goal.id} ({goal.polarity}): {statuses[goal.id]}")
-        return lines
-
-    if verb == "compare":
-        if session.model is None:
-            return ["no discrepancies"]
-        tl = session.net.timeline
-        predicted = None if tl is None else tl.latest()
-        if predicted is None:
-            return ["no snapshots"]
-        sensed = agent.reality_snapshot(session.model)
-        changes = agent.compare_with_reality(session.model, predicted, sensed)
-        if not changes:
-            return ["no discrepancies"]
-        return _change_lines(session, changes)
-
-    if verb == "validate":
-        if args:
-            raise CommandError("usage: validate")
-        report = session.net.validate_bipartite()
-        return [f"{v.kind} {' '.join(f'#{n}' for n in v.nodes)}: {v.detail}"
-                for v in report.violations] or ["ok"]
-
-    raise CommandError(f"unknown command {verb!r}")
+    command = COMMANDS.get(verb)
+    if command is None:
+        raise CommandError(f"unknown command {verb!r}")
+    handler, fewest, most, takes_as, _ = command
+    name = None
+    if takes_as and len(args) >= 2 and args[-2] == "as":
+        args, name = args[:-2], args[-1]
+    if not fewest <= len(args) <= most:
+        raise _usage(verb)
+    return handler(session, verb, args, words[1:], name)
 
 
 def _run(session: Session, lines, out, *, keep_going: bool) -> int:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from krn import SensorAddress, SensorSignal, Value
-from krn.cli import Session, main, run_command, run_lines, split_commands, split_words
+from krn.cli import COMMANDS, Session, main, run_command, run_lines, split_commands, split_words
 from krn.errors import CommandError, KrnError, UnknownNode
 
 
@@ -154,6 +154,13 @@ def test_mine_flag_without_an_integer_value_is_a_usage_error(tmp_path):
     ("expand", "usage: expand <id>"),
     ("mine --max-nodes 3", "usage: mine [--min-support N] [--max-nodes K] <paths...>"),
     ("validate a", "usage: validate"),
+    ("new x", "usage: new"),
+    ("snap 3", "usage: snap"),
+    ("goals x", "usage: goals"),
+    ("compare x", "usage: compare"),
+    ("show a.x extra", "usage: show <obj>.<prop>"),
+    ("say a --lang", "usage: say <node> [--lang L]"),
+    ("mine --max-nodes", "usage: mine [--min-support N] [--max-nodes K] <paths...>"),
 ])
 def test_a_usage_fault_is_a_command_error(tmp_path, command, usage):
     p = tmp_path / "a.krn"
@@ -273,6 +280,7 @@ _FUZZ_SLOTS = {
 def test_cli_fuzz_lets_only_engine_and_path_errors_escape(tmp_path, monkeypatch):
     """Seeded random sessions of CLI commands with hostile tokens (NUL, long
     digit runs, lone surrogates, unbalanced quotes, backslashes, `;`)."""
+    assert {t.split()[0] for t in _FUZZ_COMMANDS} - {"frobnicate"} == set(COMMANDS)
     monkeypatch.chdir(tmp_path)
     rng = random.Random(7)
 
@@ -297,7 +305,9 @@ def test_cli_fuzz_lets_only_engine_and_path_errors_escape(tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("command", [
-    "label #9 en ghost", "goal #9 has x", "antigoal #9.x > 0", "shape #9"])
+    "label #9 en ghost", "goal #9 has x", "antigoal #9.x > 0", "shape #9", "has #9 x",
+    "set #9.x 1", "show #9.x", "run #9", "runs #9", "expand #9", "isa #9 a",
+    "collapse-obj #9", "act a #9"])
 def test_a_command_on_a_node_the_net_does_not_hold_changes_nothing(command):
     session = Session()
     run_command(session, "obj a x=1")
@@ -307,6 +317,7 @@ def test_a_command_on_a_node_the_net_does_not_hold_changes_nothing(command):
         run_command(session, command)
     assert session.lexicon.labels == labels and session.net.node_ids() == nodes
     assert session.model is None
+    assert session.net.timeline is None
 
 
 def test_validate_prints_each_violation_or_ok():
