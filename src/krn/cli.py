@@ -77,9 +77,7 @@ class Session:
         return nid
 
     def bind(self, name: str, nid: int) -> None:
-        if not _NAME_RE.match(name):
-            raise CommandError(f"bad name {name!r}")
-        self.symbols[name] = nid
+        self.symbols[_bindable(name)] = nid
         self._display_names = None
         self.lexicon.set_label(nid, "en", name)
 
@@ -96,6 +94,13 @@ class Session:
             return text
         except NoLabel:
             return f"#{nid}"
+
+
+def _bindable(name: str) -> str:
+    """`name`, if a session can bind it; CommandError otherwise."""
+    if not _NAME_RE.match(name):
+        raise CommandError(f"bad name {name!r}")
+    return name
 
 
 def parse_value(tok: str, quoted: bool) -> Value:
@@ -269,6 +274,7 @@ def _do_save(session, verb, args, _words, _name):
 
 
 def _do_obj(session, verb, args, words, _name):
+    _bindable(args[0])   # before the net changes
     nid = session.net.add_object(_props_from_args(args[1:], words[1:]))
     return _made(session, verb, nid, args[0])
 
@@ -474,7 +480,7 @@ def run_command(session: Session, text: str) -> list[str]:
     handler, fewest, most, takes_as, _ = command
     name = None
     if takes_as and len(args) >= 2 and args[-2] == "as":
-        args, name = args[:-2], args[-1]
+        args, name = args[:-2], _bindable(args[-1])
     if not fewest <= len(args) <= most:
         raise _usage(verb)
     return handler(session, verb, args, words[1:], name)

@@ -315,7 +315,9 @@ class Net:
     """The bipartite store of objects and actions.
 
     A net is a single-owner value: one thread mutates it at a time.
-    Ids are allocated from a monotonically increasing counter and never
+    A new object or action record enters a net only through `insert`
+    (a fresh load fills its tables directly). A new node takes `next_id`,
+    which `insert` moves past every id it enters, so an id is never
     reused after erasure.
     """
 
@@ -345,13 +347,8 @@ class Net:
 
     # -- id and tick supply ------------------------------------------------
 
-    def allocate_id(self) -> NodeId:
-        nid = self.next_id
-        self.next_id += 1
-        return nid
-
     def bump_id(self, nid: NodeId) -> None:
-        """Keep the allocator ahead of externally supplied ids."""
+        """Move `next_id` past `nid`: no id the net has held is handed out again."""
         if nid >= self.next_id:
             self.next_id = nid + 1
 
@@ -402,6 +399,23 @@ class Net:
 
     # -- mutation ----------------------------------------------------------
 
+    def insert(self, rec: ObjectRecord | ActionRecord) -> NodeId:
+        """Enter a new record under its id, which the net does not hold: report
+        it (`touch`), put it in its table, list an action in its endpoints'
+        lists (held objects, checked by the caller) and move `next_id` past
+        the id. Returns the id."""
+        nid = rec.id
+        self.touch(nid, rec)
+        if type(rec) is ObjectRecord:
+            self.objects[nid] = rec
+        else:
+            self.actions[nid] = rec
+            if rec.subject is not None:
+                self.objects[rec.subject].outgoing.append(nid)
+            self.objects[rec.target].incoming.append(nid)
+        self.bump_id(nid)
+        return nid
+
     def add_object(
         self,
         properties: Iterable[tuple[str, Value]] = (),
@@ -409,11 +423,7 @@ class Net:
         provenance: Provenance = Provenance.ASSERTED,
     ) -> NodeId:
         props = self._build_properties(properties, provenance)
-        nid = self.allocate_id()
-        rec = ObjectRecord(id=nid, properties=props, provenance=provenance)
-        self.touch(nid, rec)
-        self.objects[nid] = rec
-        return nid
+        return self.insert(ObjectRecord(self.next_id, props, provenance=provenance))
 
     def add_action(
         self,
@@ -434,17 +444,8 @@ class Net:
         else:
             ref = ScriptRef()
         props = self._build_properties(properties, provenance)
-        nid = self.allocate_id()
-        rec = ActionRecord(
-            id=nid, subject=subject, target=target, script=ref,
-            properties=props, provenance=provenance,
-        )
-        self.touch(nid, rec)
-        self.actions[nid] = rec
-        if subject is not None:
-            self.objects[subject].outgoing.append(nid)
-        self.objects[target].incoming.append(nid)
-        return nid
+        return self.insert(ActionRecord(self.next_id, subject, target, ref, props,
+                                        provenance))
 
     def set_property(
         self,

@@ -199,10 +199,8 @@ def collapse_to_object(net: Net, inside) -> NodeId:
     rewired = [(cl.outside, cl.role, cl.inside)
                for cl in sorted(boundary.cut, key=lambda c: (c.outside, c.role))]
     payload = _take_inside(net, boundary.inside, rewired)
-    new_id = net.allocate_id()
-    record = ObjectRecord(id=new_id, collapse_payload=payload)
-    net.touch(new_id, record)
-    net.objects[new_id] = record
+    record = ObjectRecord(id=net.next_id, collapse_payload=payload)
+    new_id = net.insert(record)
     for aid, role, _orig in rewired:
         act = net.actions[aid]
         if role == "subject":
@@ -255,14 +253,8 @@ def collapse_to_action(net: Net, inside, *, subject_hint: NodeId | None = None,
     for outside, role, _, aid in payload.slots:
         obj = net.objects[outside]
         (obj.outgoing if role == "subject" else obj.incoming).remove(aid)
-    new_id = net.allocate_id()
-    record = ActionRecord(id=new_id, subject=subject, target=target, collapse_payload=payload)
-    net.touch(new_id, record)
-    net.actions[new_id] = record
-    if subject is not None:
-        net.objects[subject].outgoing.append(new_id)
-    net.objects[target].incoming.append(new_id)
-    return new_id
+    return net.insert(ActionRecord(id=net.next_id, subject=subject, target=target,
+                                   collapse_payload=payload))
 
 
 def expand(net: Net, complex_id: NodeId) -> set:

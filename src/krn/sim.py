@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .core import PROP_HYDRATED, ChangeSet, Net, NodeId, PropertyChange, PropertyRecord, Value
 from .errors import BatchError, FormatError, KrnError, NoLabel, UnknownNode, UnknownScript
 from .lexicon import Lexicon
-from .script import ExecContext, execute
+from .script import ExecContext, execute, parse
 
 # The two change classes named by the model; extend via a verb table file.
 DEFAULT_VERBS = {
@@ -244,8 +244,9 @@ def run_action(net: Net, action_id: NodeId, store=None) -> ChangeSet:
         store.hydrate_script(action_id, net)
     if act.script.state != "hydrated":
         raise UnknownScript(f"action {action_id} has no script")
+    ast = act.script.ast or parse(act.script.text)   # a ref made from text alone
     snapshot(net)
-    changes = execute(act.script.ast, ExecContext(
+    changes = execute(ast, ExecContext(
         net=net, target=act.target, subject=act.subject, self_node=action_id,
     ))
     snapshot(net)

@@ -823,6 +823,7 @@ class StoreHandle:
         Idempotent; a second call reads nothing. Action endpoints are
         stubbed in automatically so symmetry lists stay consistent. A node
         held inside a collapsed subnet is refused: `expand` brings it back.
+        So is an id the net holds as the other kind (BipartiteViolation).
         """
         self._check_unchanged()
         self._stub(nid, net)
@@ -834,10 +835,17 @@ class StoreHandle:
             raise UnknownNode(f"store has no node {nid}")
         return node
 
-    def _stub(self, nid: NodeId, net: Net) -> None:
+    def _stub(self, nid: NodeId, net: Net) -> ObjectRecord | ActionRecord:
+        """The net's record of node `nid`: the one it holds when the kinds
+        agree, or else a new stub. BipartiteViolation when the net holds
+        the id as the other kind, as for an action's endpoints."""
         tag, prov, subject, target, _ = self._node(nid)
+        rec = (net.objects if tag == "OBJ" else net.actions).get(nid)
+        if rec is not None:
+            return rec
         if nid in net.objects or nid in net.actions:
-            return
+            held = "an action" if tag == "OBJ" else "an object"
+            raise BipartiteViolation(f"the net holds store node {nid} ({tag}) as {held}")
         if nid in net.collapsed:
             raise NodeCollapsed(f"node {nid} is inside a collapsed subnet")
         props = {
@@ -845,7 +853,7 @@ class StoreHandle:
             for name in sorted(self.props.get(nid, ()))
         }
         if tag == "OBJ":
-            net.objects[nid] = ObjectRecord(id=nid, properties=props, provenance=prov)
+            rec = ObjectRecord(id=nid, properties=props, provenance=prov)
         else:
             # the file's endpoints are objects (checked on open); the net's
             # own nodes may still clash with their ids
@@ -859,29 +867,21 @@ class StoreHandle:
             for endpoint in (subject, target):
                 if endpoint is not None and endpoint not in net.objects:
                     self._stub(endpoint, net)
-            net.actions[nid] = ActionRecord(
-                id=nid, subject=subject, target=target,
-                script=ScriptRef(offset=self.scripts.get(nid)),
-                properties=props, provenance=prov,
-            )
-            if subject is not None:
-                net.objects[subject].outgoing.append(nid)
-            net.objects[target].incoming.append(nid)
-        net.bump_id(nid)
+            rec = ActionRecord(nid, subject, target, ScriptRef(offset=self.scripts.get(nid)),
+                               props, prov)
+        net.insert(rec)
         if nid not in self._loaded_nodes:
             self._loaded_nodes.add(nid)
             self.stats.objects_hydrated += 1
+        return rec
 
     def hydrate_property(self, nid: NodeId, name: str, net: Net) -> Value:
         """Load one property value; everything else on the node stays put."""
         self._check_unchanged()
-        self._node(nid)
-        if nid not in net.objects and nid not in net.actions:
-            self._stub(nid, net)
+        rec = self._stub(nid, net)
         named = self.props.get(nid)
         if named is None or name not in named:
             raise UnknownProperty(f"store has no property {name!r} on {nid}")
-        rec = net.node(nid)
         prop = rec.properties.get(name)
         if prop is not None and prop.load_state is PROP_HYDRATED:
             return prop.value
@@ -896,15 +896,12 @@ class StoreHandle:
     def hydrate_script(self, action_id: NodeId, net: Net):
         """Read, parse, and cache an action's script; later runs reuse it."""
         self._check_unchanged()
-        tag = self._node(action_id)[0]
-        if action_id not in net.actions:
-            if tag != "ACT":
-                raise UnknownScript(f"node {action_id} is not an action")
-            self._stub(action_id, net)
-        act = net.actions[action_id]
+        offset = self.scripts.get(action_id)   # only an action has one
+        if offset is None and self._node(action_id)[0] != "ACT":
+            raise UnknownScript(f"node {action_id} is not an action")
+        act = self._stub(action_id, net)
         if act.script.state == "hydrated":
-            return act.script.ast
-        offset = self.scripts.get(action_id)
+            return act.script.ast or parse_script(act.script.text)
         if act.script.state == "none" or offset is None:
             raise UnknownScript(f"action {action_id} has no script")
         text = self._read_at(offset, action_id, None)

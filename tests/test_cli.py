@@ -320,6 +320,19 @@ def test_a_command_on_a_node_the_net_does_not_hold_changes_nothing(command):
     assert session.net.timeline is None
 
 
+@pytest.mark.parametrize("command", [
+    "obj a.b x=1", "act ok ok as 'x y'", "collapse-obj ok as 'no good'"])
+def test_a_bad_name_is_refused_before_the_net_changes(command):
+    session = Session()
+    run_command(session, "obj ok")
+    nodes, collapsed = session.net.node_ids(), session.net.collapsed
+    labels = dict(session.lexicon.labels)
+    with pytest.raises(CommandError, match="bad name"):
+        run_command(session, command)
+    assert session.net.node_ids() == nodes and session.net.collapsed == collapsed
+    assert session.lexicon.labels == labels
+
+
 def test_validate_prints_each_violation_or_ok():
     session = Session()
     run_command(session, "obj man")

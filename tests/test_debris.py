@@ -1,7 +1,8 @@
 """No debris in `src/krn`: every import is used, every module-level
 private def or constant is named somewhere in the package, every
 private attribute assigned is read, and every parameter is read by its
-function. No pattern needs a newer Python than the package allows. The
+function. No module but `core.py` stores into a net's object or action
+table. No pattern needs a newer Python than the package allows. The
 README's command summary names exactly the verbs the CLI dispatches on."""
 
 import ast
@@ -107,6 +108,21 @@ def test_every_private_attribute_is_read():
                     assigned.setdefault(node.attr, f"{module}:{node.lineno}")
     unread = [f"{where} {name}" for name, where in sorted(assigned.items()) if name not in read]
     assert not unread, unread
+
+
+def test_only_core_stores_into_a_node_table():
+    """A new record enters a net through `Net.insert`, which wires an
+    action into its endpoints' lists and moves `next_id` past the id, so
+    no module but `core.py` writes `<expr>.objects[...]` or
+    `<expr>.actions[...]`. `store._load` fills its fresh net's tables
+    through local names, which this rule does not see."""
+    stores = [f"{module}:{node.lineno}"
+              for module, (_, tree) in _trees().items() if module != "core.py"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr in ("objects", "actions")]
+    assert not stores, stores
 
 
 def _broad(handler) -> bool:

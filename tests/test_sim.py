@@ -4,9 +4,9 @@ import weakref
 
 import pytest
 
-from krn import ConceptTemplate, Net, Value, reasoning, store
+from krn import ConceptTemplate, Net, ScriptRef, Value, reasoning, store
 from krn.core import PropLoad, SensorAddress, SensorSignal
-from krn.errors import BatchError, FormatError, KrnError, UnknownScript
+from krn.errors import BatchError, FormatError, KrnError, ScriptParseError, UnknownScript
 from krn.script import ExecContext, apply_undo, execute, parse
 from krn.sim import Snapshot, classify_change, diff, load_verb_table, run_action, run_pending, snapshot, timeline_of
 
@@ -159,6 +159,25 @@ def test_run_stub_action_without_a_store_is_an_unknown_script(tmp_path):
     with pytest.raises(UnknownScript, match="stubbed and no store given"):
         run_action(target, paint)
     assert target.actions[paint].script.state == "stub"
+
+
+def test_a_script_ref_made_from_text_alone_runs_through_the_parse_memo(tmp_path):
+    net = Net()
+    wall = net.add_object([("x", Value.num(0))])
+    paint = net.add_action(None, wall)
+    path = tmp_path / "net.krn"
+    store.save(net, None, str(path))
+    net.actions[paint].script = ScriptRef("set object.x = 1;")
+    run_action(net, paint)
+    assert net.get_property(wall, "x") == Value.num(1)
+    net.actions[paint].script = ScriptRef("set object.x = ;")
+    with pytest.raises(ScriptParseError):
+        run_action(net, paint)
+    with store.open(str(path)) as handle:
+        target = Net()
+        handle.load_stub(paint, target)
+        target.actions[paint].script = ScriptRef("set object.x = 2;")
+        assert handle.hydrate_script(paint, target) is parse("set object.x = 2;")
 
 
 def test_diff_chameleon():

@@ -218,6 +218,27 @@ def test_load_stub_refuses_an_endpoint_held_as_an_action(tmp_path):
     assert target.validate_bipartite().ok
 
 
+def test_a_lazy_read_refuses_a_node_the_net_holds_as_the_other_kind(tmp_path):
+    saved = Net()
+    saved.add_object([])
+    saved.add_object([("x", Value.num(7))])
+    assert saved.add_action(None, 1) == 3
+    path = _saved(tmp_path, saved)
+    holds_2_as_action = Net()
+    assert holds_2_as_action.add_action(None, holds_2_as_action.add_object([])) == 2
+    holds_3_as_object = Net()
+    for _ in range(3):
+        holds_3_as_object.add_object([])
+    with store.open(path) as handle:
+        for call, args, net in [("hydrate_property", (2, "x"), holds_2_as_action),
+                                ("load_stub", (2,), holds_2_as_action),
+                                ("hydrate_script", (3,), holds_3_as_object)]:
+            before = copy.deepcopy(net)
+            with pytest.raises(BipartiteViolation):
+                getattr(handle, call)(*args, net)
+            assert nets_equal(net, before), call
+
+
 def test_load_stub_refuses_a_file_action_aimed_at_an_action(tmp_path):
     bad = tmp_path / "bad.krn"
     bad.write_text("KRN 1\nOBJ 1\nACT 2 - 1\nACT 3 1 2\n")
