@@ -189,22 +189,22 @@ class PropertyRecord:
     value: Value
     provenance: Optional[Provenance]
     load_state: PropLoad = PropLoad.HYDRATED
-    # set by store hydration only; a write installs a fresh record, so
-    # eviction can tell values read from the file from values written since
-    from_store: bool = field(default=False, compare=False)
+    # the identity of the file that gave the value or is to fill the stub,
+    # else None; a write installs a fresh record, which eviction spares
+    from_store: Optional[tuple] = field(default=None, compare=False)
 
 
 @dataclass(slots=True)
 class ScriptRef:
-    """An action's executable half: inline text, a store offset, or absent.
+    """An action's executable half: its text, a stub of a file's, or absent.
 
-    Source text is normalized to carry no trailing newline so that the
-    persisted form round-trips byte for byte.
+    `from_store` is the identity of the file that gave the text or is to
+    fill the stub. Text drops a trailing newline, so a save round-trips it.
     """
 
     text: Optional[str] = None
     ast: Optional["Ast"] = field(default=None, compare=False)
-    offset: Optional[int] = field(default=None, compare=False)
+    from_store: Optional[tuple] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.text is not None:
@@ -214,7 +214,7 @@ class ScriptRef:
     def state(self) -> str:
         if self.text is not None:
             return "hydrated"
-        if self.offset is not None:
+        if self.from_store is not None:
             return "stub"
         return "none"
 

@@ -32,28 +32,30 @@ line, its PROP lines with plain values, an action's SCRIPT block), a run
 of ISA lines and a run of LABEL lines, ids with no leading zero. Any
 other line goes through the one line decoder that the lazy reads use,
 and that path finds every fault. `load` decodes each record as it
-passes, and matched records with equal value tokens share one Value. It
-reads script texts only once the framing and references hold, so a
-fault inside a script never hides a later framing or reference fault
-that `open` would report; each distinct text is parsed once per load,
-and actions with equal text share the AST. `script.parse` memoises by
-text across loads, so a reload parses no script seen before. `open`
+passes; matched records with equal value tokens share one Value, and
+actions with equal text one AST (`script.parse` memoises by text). It
+reads script texts only once the framing and references hold, so a fault
+inside a script never hides a later fault that `open` would report. `open`
 decodes no values and keeps no labels, though it checks every record as
 `load` does: its index is the scan's own tables of nodes, of the byte
 offsets of their records and of is-a edges, and nothing beyond them is
 held in memory until a node is stubbed in (from the index alone) and its
 properties or script are hydrated one by one. A handle reads only the
 file it indexed: once the path's device, inode, size, modification time
-or change time differ from those at open, every lazy read raises
-FormatError, and so does a lazy read that finds any record but the one
-indexed at its offset. After `close`, every lazy read but `evict` raises
-FormatError naming the path. A ScriptParseError from either reader names
-the action and gives the file line.
+or change time (its identity) differ from those at open, every lazy read
+raises FormatError, and so does a lazy read that finds any record but the
+one indexed at its offset. After `close`, every lazy read but `evict`
+raises FormatError naming the path. Each value, stub and script either
+reader gives is marked with its file's identity: a handle's `evict`
+demotes, and its hydrate calls fill, only what its own file marked, and
+a `load` of the same unchanged file marks alike. A ScriptParseError from
+either reader names the action and gives the file line.
 
 A save is byte-deterministic (records sorted by id, properties by name)
-and atomic: it writes a temp file beside the target, syncs it and
-renames it over the target, which keeps its mode. It writes no label of
-a node the net does not hold. After a load it copies what has not
+and atomic: it writes a temp file beside the target, syncs it, renames
+it over the target, which keeps its mode, and syncs the directory so the
+rename outlasts a crash. It writes no label of a node the net does not
+hold. After a load it copies what has not
 changed: `load` keeps the byte span of each node block that reads
 exactly as `save` writes that node (`Net.spans`, dropped by `Net.note`
 and `Net.touch`), and the LABEL lines when they are one matched run
@@ -215,8 +217,8 @@ def _decode_node(toks: list[str], line: int):
     return nid, prov, subject, _int(toks[3], line)
 
 
-def _decode_prop(toks: list[str], line: int) -> PropertyRecord:
-    """The property record of a PROP or SIG line, as read from the store."""
+def _decode_prop(toks: list[str], line: int, mark: tuple) -> PropertyRecord:
+    """The property record of a PROP or SIG line, read from the file `mark` names."""
     if toks[0] == "SIG":
         try:
             payload = b"" if toks[4] == "-" else bytes.fromhex(toks[4])
@@ -230,7 +232,7 @@ def _decode_prop(toks: list[str], line: int) -> PropertyRecord:
         prov = _provenance(toks[5] if len(toks) > 5 else None, ASSERTED, line)
         if prov is SENSED:
             raise FormatError("a sensed property must hold a signal", line)
-    return PropertyRecord(toks[2], value, prov, PROP_HYDRATED, from_store=True)
+    return PropertyRecord(toks[2], value, prov, PROP_HYDRATED, mark)
 
 
 # ------------------------------------------------------------------ save
@@ -265,10 +267,10 @@ def _prop_line(owner: NodeId, prop: PropertyRecord) -> str:
 
 
 def _replace(path: str, data: bytes) -> None:
-    """Write a file whole or not at all: a temp file beside it, synced, then
-    renamed over it. An existing file keeps its mode; a new one gets what a
-    plain open would give it. A symbolic link stays one: the file it points
-    to is replaced."""
+    """Write a file whole or not at all: a temp file beside it, synced and
+    renamed over it, then its directory synced. An existing file keeps its
+    mode; a new one gets what a plain open would give it. A symbolic link
+    stays one: the file it points to is replaced."""
     path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -287,6 +289,11 @@ def _replace(path: str, data: bytes) -> None:
         finally:
             os.close(fd)
         os.replace(tmp, path)
+        fd = os.open(os.path.dirname(path), os.O_RDONLY)   # the rename lasts a crash
+        try:                                                # once the directory is synced
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except BaseException:
         try:
             os.unlink(tmp)
@@ -479,22 +486,22 @@ def _shared_value(field: bytes, line: int) -> tuple[Value, Provenance, bool]:
     return value, INFERRED if prov == b"inferred" else ASSERTED, as_saved
 
 
-def _read(buf: bytes, decode: bool):
+def _read(buf: bytes, mark: tuple | None):
     """One pass over a whole `.krn` file's bytes, every reference checked.
 
     Each run of lines `_BLOCK` matches is read from the match; any other
     line token by token, and only that path (and the duplicate and
     reference checks) raises, whether or not records are decoded. With
-    `decode` (for `load`), a PROP/SIG record becomes a PropertyRecord,
-    matched records with equal value tokens sharing one Value, a SCRIPT
-    record a ScriptRef, its text decoded and parsed only after the
-    reference checks, equal texts sharing one parse, and a LABEL record a
-    label. Without it (for the `open` scan), each PROP/SIG and SCRIPT
-    record is kept as its byte offset, for the index, and no label is kept.
+    the file's identity as `mark` (for `load`), a PROP/SIG record becomes
+    a PropertyRecord and a SCRIPT record a ScriptRef, each carrying the
+    mark: matched values with equal tokens share one Value, and a text is
+    parsed after the reference checks, equal texts once; a LABEL record
+    becomes a label. With None (for the `open` scan), each PROP/SIG and
+    SCRIPT record is kept as its byte offset, for the index, and no label.
 
     Returns (nodes, props, scripts, isa, labels, spans, label_start): nodes
     maps id to (tag, provenance, subject, target, line) in file order;
-    props maps id to {name: kept}; scripts maps id to kept. With `decode`,
+    props maps id to {name: kept}; scripts maps id to kept. With a mark,
     spans maps the id of each node whose matched block reads byte for byte
     as `save` writes that node to the block's range of byte offsets (a net
     keeps one per node, and unlike a tuple a range is not tracked by the
@@ -538,7 +545,7 @@ def _read(buf: bytes, decode: bool):
                 else:
                     nodes[nid] = ("OBJ", prov, None, None, lineno)
                 lineno += 1
-                saved = decode   # whether save writes the node as this block holds it
+                saved = mark is not None   # whether save writes the node as this block holds it
                 first, stop = m.span("props")
                 if first < stop:
                     named = props.get(nid)
@@ -549,10 +556,10 @@ def _read(buf: bytes, decode: bool):
                         name = names.get(raw_name) or names.setdefault(raw_name, raw_name.decode())
                         if name in named:
                             raise FormatError(f"duplicate property {name!r} on {nid}", lineno)
-                        if decode:
+                        if mark:
                             shared = values.get(field) or values.setdefault(
                                 field, _shared_value(field, lineno))
-                            named[name] = PropertyRecord(name, shared[0], shared[1], PROP_HYDRATED, True)
+                            named[name] = PropertyRecord(name, shared[0], shared[1], PROP_HYDRATED, mark)
                             if raw_name <= last or not shared[2]:
                                 saved = False
                             last = raw_name
@@ -564,7 +571,7 @@ def _read(buf: bytes, decode: bool):
                     if nid in scripts:
                         raise FormatError(f"duplicate SCRIPT for {nid}", lineno)
                     body = m["body"]
-                    scripts[nid] = (body, lineno) if decode else m.start("script")
+                    scripts[nid] = (body, lineno) if mark else m.start("script")
                     # save writes no blank last line: ScriptRef strips its newline
                     saved = saved and (not body or body[-2:] != b"\n\n" and body != b"\n")
                     lineno += body.count(b"\n") + 3
@@ -577,11 +584,11 @@ def _read(buf: bytes, decode: bool):
                     refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
                     lineno += 1
             else:
-                if decode and not labels and m.end() == len(buf):
+                if mark and not labels and m.end() == len(buf):
                     label_start = start
                 for node, lang, text in _LABEL_FIELDS.findall(buf, pos, m.end()):
                     node = int(node)
-                    if decode:
+                    if mark:
                         labels.append((node, lang.decode(), text.decode()))
                     label_owners.setdefault(node, lineno)
                     lineno += 1
@@ -603,14 +610,14 @@ def _read(buf: bytes, decode: bool):
                 raise FormatError(f"bad property name {name!r}", line)
             if name in named:
                 raise FormatError(f"duplicate property {name!r} on {owner}", line)
-            named[name] = _decode_prop(toks, line) if decode else start
+            named[name] = _decode_prop(toks, line, mark) if mark else start
             refs.append((line, tag, owner, None))
         elif tag == "LABEL":
             node = _int(toks[1], line)
             if not valid_language_tag(toks[2]):
                 raise FormatError(f"bad language tag {toks[2]!r}", line)
             text = decode_text(toks[3], line)
-            if decode:
+            if mark:
                 labels.append((node, toks[2], text))
             label_owners.setdefault(node, line)
         elif tag == "OBJ" or tag == "ACT":
@@ -627,7 +634,7 @@ def _read(buf: bytes, decode: bool):
             owner = _int(toks[1], line)
             if owner in scripts:
                 raise FormatError(f"duplicate SCRIPT for {owner}", line)
-            scripts[owner] = (body, line) if decode else start
+            scripts[owner] = (body, line) if mark else start
             refs.append((line, tag, owner, "ACT"))
         elif tag == "ISA":
             inst, concept = _int(toks[1], line), _int(toks[2], line)
@@ -651,7 +658,7 @@ def _read(buf: bytes, decode: bool):
             bad = FormatError(f"{tag} record needs node {nid} to be {kind}", line)
     if bad:
         raise bad
-    if decode:
+    if mark:
         # a fault inside a script text is raised only now that the framing
         # and references hold, and in action id order, as a lazy read of
         # every script meets it; equal texts share one parse
@@ -665,18 +672,18 @@ def _read(buf: bytes, decode: bool):
                     ast = asts[text] = parse_script(text)
                 except ScriptParseError as exc:
                     raise _in_file(exc, owner, line) from None
-            scripts[owner] = ScriptRef(text=text, ast=ast)
+            scripts[owner] = ScriptRef(text, ast, mark)
         for _, tag, nid, _ in refs:   # a node with a record outside its block has no span
             if tag != "ISA":
                 spans.pop(nid, None)
     return nodes, props, scripts, isa, labels, spans, label_start
 
 
-def _load(data: bytes) -> tuple[Net, Lexicon]:
-    """A fresh net plus its labels from a whole file's bytes. Both keep the
-    bytes that `save` can copy: the net the file and its node blocks'
-    spans, the lexicon its LABEL lines."""
-    nodes, props, scripts, isa, labels, spans, label_start = _read(data, decode=True)
+def _load(data: bytes, mark: tuple) -> tuple[Net, Lexicon]:
+    """A fresh net plus its labels from a whole file's bytes, its records
+    marked `mark`. Both keep the bytes that `save` can copy: the net the
+    file and its node blocks' spans, the lexicon its LABEL lines."""
+    nodes, props, scripts, isa, labels, spans, label_start = _read(data, mark)
     net = Net()
     objects, actions = net.objects, net.actions
     for nid in sorted(nodes):
@@ -712,9 +719,8 @@ def _load(data: bytes) -> tuple[Net, Lexicon]:
 
 def load(path: str) -> tuple[Net, Lexicon]:
     """Read a whole `.krn` file into a fresh net plus its labels, in one pass."""
-    with io.open(path, "rb") as fh:
-        data = fh.read()
-    return _load(data)
+    with io.open(path, "rb") as fh:   # the mark is taken once the bytes are read
+        return _load(fh.read(), _identity(os.fstat(fh.fileno())))
 
 
 # ------------------------------------------------------------------ open
@@ -757,7 +763,7 @@ class StoreHandle:
         try:
             self._identity = _identity(os.fstat(self._fh.fileno()))
             data = self._fh.read()
-            self.index, self.props, self.scripts, self.isa, *_ = _read(data, decode=False)
+            self.index, self.props, self.scripts, self.isa, *_ = _read(data, None)
         except BaseException:
             self._fh.close()
             raise
@@ -809,7 +815,7 @@ class StoreHandle:
             if name is None:
                 kept = _script_text(b"".join(_script_block(self._fh, 1)[1:-1]), 1)
             else:
-                kept = _decode_prop(toks, 1)
+                kept = _decode_prop(toks, 1, self._identity)
             self.stats.bytes_read += self._fh.tell() - offset
             return kept
         except FormatError as exc:
@@ -828,47 +834,38 @@ class StoreHandle:
         self._check_unchanged()
         self._stub(nid, net)
 
-    def _node(self, nid: NodeId) -> tuple:
-        """The index's (tag, provenance, subject, target, line) of a node."""
+    def _held(self, nid: NodeId, net: Net) -> ObjectRecord | ActionRecord | None:
+        """The net's record of store node `nid` when the kinds agree, None if
+        it lacks the node. UnknownNode for an id the file lacks; for a kind
+        clash or a node inside a collapse, BipartiteViolation or NodeCollapsed."""
         node = self.index.get(nid)
         if node is None:
             raise UnknownNode(f"store has no node {nid}")
-        return node
+        rec = (net.objects if node[0] == "OBJ" else net.actions).get(nid)
+        if rec is None:
+            if nid in net.objects or nid in net.actions:
+                held = "an action" if node[0] == "OBJ" else "an object"
+                raise BipartiteViolation(f"the net holds store node {nid} ({node[0]}) as {held}")
+            if nid in net.collapsed:
+                raise NodeCollapsed(f"node {nid} is inside a collapsed subnet")
+        return rec
 
     def _stub(self, nid: NodeId, net: Net) -> ObjectRecord | ActionRecord:
-        """The net's record of node `nid`: the one it holds when the kinds
-        agree, or else a new stub. BipartiteViolation when the net holds
-        the id as the other kind, as for an action's endpoints."""
-        tag, prov, subject, target, _ = self._node(nid)
-        rec = (net.objects if tag == "OBJ" else net.actions).get(nid)
+        """The net's record of node `nid` (`_held`), or else a new stub that
+        carries this file's mark, an action's endpoints checked first."""
+        rec = self._held(nid, net)
         if rec is not None:
             return rec
-        if nid in net.objects or nid in net.actions:
-            held = "an action" if tag == "OBJ" else "an object"
-            raise BipartiteViolation(f"the net holds store node {nid} ({tag}) as {held}")
-        if nid in net.collapsed:
-            raise NodeCollapsed(f"node {nid} is inside a collapsed subnet")
-        props = {
-            name: PropertyRecord(name, _UNSET, None, PROP_STUB)
-            for name in sorted(self.props.get(nid, ()))
-        }
+        tag, prov, subject, target, _ = self.index[nid]
+        props = {name: PropertyRecord(name, _UNSET, None, PROP_STUB, self._identity)
+                 for name in sorted(self.props.get(nid, ()))}
         if tag == "OBJ":
             rec = ObjectRecord(id=nid, properties=props, provenance=prov)
-        else:
-            # the file's endpoints are objects (checked on open); the net's
-            # own nodes may still clash with their ids
-            for endpoint in (subject, target):   # check both before changing anything
-                if endpoint in net.actions:
-                    raise BipartiteViolation(
-                        f"endpoint {endpoint} of action {nid} is an action")
-                if endpoint in net.collapsed:
-                    raise NodeCollapsed(
-                        f"endpoint {endpoint} of action {nid} is inside a collapsed subnet")
-            for endpoint in (subject, target):
-                if endpoint is not None and endpoint not in net.objects:
-                    self._stub(endpoint, net)
-            rec = ActionRecord(nid, subject, target, ScriptRef(offset=self.scripts.get(nid)),
-                               props, prov)
+        else:   # both endpoints are checked before either is stubbed in
+            for end in [e for e in (subject, target) if e is not None and self._held(e, net) is None]:
+                self._stub(end, net)
+            script = ScriptRef(from_store=self._identity if nid in self.scripts else None)
+            rec = ActionRecord(nid, subject, target, script, props, prov)
         net.insert(rec)
         if nid not in self._loaded_nodes:
             self._loaded_nodes.add(nid)
@@ -876,15 +873,20 @@ class StoreHandle:
         return rec
 
     def hydrate_property(self, nid: NodeId, name: str, net: Net) -> Value:
-        """Load one property value; everything else on the node stays put."""
+        """Load one property value; everything else on the node stays put.
+        Only a stub this file gave is filled; a refused call changes nothing."""
         self._check_unchanged()
-        rec = self._stub(nid, net)
         named = self.props.get(nid)
         if named is None or name not in named:
+            self._held(nid, net)   # an unknown node or a clash first
             raise UnknownProperty(f"store has no property {name!r} on {nid}")
+        rec = self._stub(nid, net)
         prop = rec.properties.get(name)
-        if prop is not None and prop.load_state is PROP_HYDRATED:
-            return prop.value
+        if prop is not None:
+            if prop.load_state is PROP_HYDRATED:
+                return prop.value
+            if prop.from_store != self._identity:
+                raise UnknownProperty(f"property {name!r} of {nid} is a stub of another file")
         read = self._read_at(named[name], nid, name)
         net.note(nid, name, prop)
         rec.properties[name] = read
@@ -894,22 +896,23 @@ class StoreHandle:
         return read.value
 
     def hydrate_script(self, action_id: NodeId, net: Net):
-        """Read, parse, and cache an action's script; later runs reuse it."""
+        """Read, parse, and cache an action's script; later runs reuse it.
+        Only a stub this file gave is filled; a refused call changes nothing."""
         self._check_unchanged()
         offset = self.scripts.get(action_id)   # only an action has one
-        if offset is None and self._node(action_id)[0] != "ACT":
+        if offset is None and action_id in self.index and self.index[action_id][0] == "OBJ":
             raise UnknownScript(f"node {action_id} is not an action")
-        act = self._stub(action_id, net)
-        if act.script.state == "hydrated":
+        act = self._held(action_id, net) if offset is None else self._stub(action_id, net)
+        if act is not None and act.script.state == "hydrated":
             return act.script.ast or parse_script(act.script.text)
-        if act.script.state == "none" or offset is None:
-            raise UnknownScript(f"action {action_id} has no script")
+        if offset is None or act.script.from_store != self._identity:   # none, or another's
+            raise UnknownScript(f"action {action_id} has no script stub from {self.path}")
         text = self._read_at(offset, action_id, None)
         try:
             ast = parse_script(text)
         except ScriptParseError as exc:
             raise _in_file(exc, action_id, self._line_at(offset)) from None
-        act.script = ScriptRef(text=text, ast=ast)
+        act.script = ScriptRef(text, ast, self._identity)
         if action_id not in self._hydrated_scripts:
             self._hydrated_scripts.add(action_id)
             self.stats.scripts_hydrated += 1
@@ -918,33 +921,33 @@ class StoreHandle:
     def evict(self, nid: NodeId, net: Net) -> None:
         """Demote a store-backed node to a stub, freeing hydrated values.
 
-        Only values read from the store are dropped. A value written
-        since (a write installs a new record) or never loaded is kept,
-        and so are scripts that exist only in memory. Refused while a
-        script is executing against the net.
+        Only what this file gave is dropped: values and a script read through
+        this handle, or by `load` from the same unchanged file. Refused while
+        a script is executing against the net, and for a node the net lacks
+        or holds as the other kind.
         """
-        self._node(nid)
+        rec = self._held(nid, net)
         if net._executing:
             raise EvictionBlocked("cannot evict while a script is executing")
-        rec = net.node(nid)
+        if rec is None:
+            raise UnknownNode(f"no node {nid}")
+        mark = self._identity
         for name in self.props.get(nid, ()):
             prop = rec.properties.get(name)
-            if prop is not None and prop.from_store:
+            if prop is not None and prop.load_state is PROP_HYDRATED and prop.from_store == mark:
                 net.note(nid, name, prop)
-                rec.properties[name] = PropertyRecord(name, _UNSET, None, PROP_STUB)
+                rec.properties[name] = PropertyRecord(name, _UNSET, None, PROP_STUB, mark)
         net.touch(nid)
-        offset = self.scripts.get(nid)
-        if isinstance(rec, ActionRecord) and offset is not None:
-            rec.script = ScriptRef(offset=offset)
+        if nid in self.scripts and rec.script.from_store == mark:   # an action's own script
+            rec.script = ScriptRef(from_store=mark)
 
     def load_full(self) -> tuple[Net, Lexicon]:
         """Read everything into a fresh net plus its labels, as `load` does."""
         self._check_unchanged()
         self._fh.seek(0)
         data = self._fh.read()
-        loaded = _load(data)
         self.stats.bytes_read += len(data)
-        return loaded
+        return _load(data, self._identity)
 
 
 def _identity(st: os.stat_result) -> tuple[tuple[int, int], tuple[int, int, int]]:

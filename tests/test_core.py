@@ -373,7 +373,7 @@ _ONE_FIELD_CHANGED = {
     "incoming order": lambda net: net.objects[3].incoming.reverse(),
     "object load state": lambda net: _replaced(net, 1, "colour", load_state=PropLoad.STUB),
     "object provenance": lambda net: setattr(net.objects[2], "provenance", Provenance.INFERRED),
-    "action load state": lambda net: setattr(net.actions[6], "script", ScriptRef(offset=0)),
+    "action load state": lambda net: setattr(net.actions[6], "script", ScriptRef(from_store=((1, 2), ()))),
     "action provenance": lambda net: setattr(net.actions[4], "provenance", Provenance.INFERRED),
     "action subject": lambda net: setattr(net.actions[5], "subject", None),
     "action target": lambda net: setattr(net.actions[4], "target", 3),

@@ -2,7 +2,8 @@
 private def or constant is named somewhere in the package, every
 private attribute assigned is read, and every parameter is read by its
 function. No module but `core.py` stores into a net's object or action
-table. No pattern needs a newer Python than the package allows. The
+table, and inside `store.StoreHandle` only `_held` looks a node up in a
+net. No pattern needs a newer Python than the package allows. The
 README's command summary names exactly the verbs the CLI dispatches on."""
 
 import ast
@@ -123,6 +124,23 @@ def test_only_core_stores_into_a_node_table():
               and isinstance(node.value, ast.Attribute)
               and node.value.attr in ("objects", "actions")]
     assert not stores, stores
+
+
+def test_a_store_handle_looks_nodes_up_through_one_resolver():
+    """`StoreHandle._held` is the one place a store handle finds a node in
+    a net: it refuses an id the file lacks, a kind clash and a collapsed
+    node. No other method of the class reads `<expr>.objects`,
+    `<expr>.actions` or `<expr>.node`, the last as in `net.node(nid)`."""
+    tree = _trees()["store.py"][1]
+    handle = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "StoreHandle")
+    lookups = [f"store.py:{node.lineno} {method.name}"
+               for method in handle.body
+               if isinstance(method, ast.FunctionDef) and method.name != "_held"
+               for node in ast.walk(method)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+               and node.attr in ("objects", "actions", "node")]
+    assert not lookups, lookups
 
 
 def _broad(handler) -> bool:

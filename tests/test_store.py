@@ -17,7 +17,7 @@ from krn.cli import Session, run_command
 from krn.script import apply_undo
 from krn import sim
 from krn.sim import run_action
-from krn.core import NodeLoad, PropLoad
+from krn.core import NodeLoad, PropLoad, ScriptRef
 from krn.errors import (
     BipartiteViolation,
     EvictionBlocked,
@@ -216,6 +216,21 @@ def test_load_stub_refuses_an_endpoint_held_as_an_action(tmp_path):
     assert nets_equal(target, before)
     assert target.objects[1].outgoing == []
     assert target.validate_bipartite().ok
+
+
+def test_load_stub_checks_both_endpoints_before_stubbing_either(tmp_path):
+    saved = Net()
+    for _ in range(3):
+        saved.add_object([])
+    assert saved.add_action(3, 2) == 4
+    path = _saved(tmp_path, saved)
+    target = Net()
+    assert target.add_action(None, target.add_object([])) == 2   # the file's object 2
+    before = copy.deepcopy(target)
+    with store.open(path) as handle:
+        with pytest.raises(BipartiteViolation):
+            handle.load_stub(4, target)   # subject 3 is free, target 2 clashes
+    assert nets_equal(target, before)
 
 
 def test_a_lazy_read_refuses_a_node_the_net_holds_as_the_other_kind(tmp_path):
@@ -431,6 +446,125 @@ def test_evict_blocked_during_execution(tmp_path):
                 handle.evict(wall, target)
         finally:
             target._executing = False
+
+
+def test_evict_refuses_a_node_the_net_holds_as_the_other_kind(tmp_path):
+    a = Net()
+    a.add_object([])
+    assert a.add_object([("x", Value.num(7))]) == 2
+    b = Net()
+    b.add_object([])
+    assert b.add_action(None, 1, "set object.y = 1;", [("x", Value.num(5))]) == 2
+    net = store.load(_saved(tmp_path, b, name="b.krn"))[0]
+    before = copy.deepcopy(net)
+    with store.open(_saved(tmp_path, a, name="a.krn")) as handle:
+        with pytest.raises(BipartiteViolation):
+            handle.evict(2, net)
+    assert nets_equal(net, before)
+
+
+def _one_action_file(tmp_path, name, x, script):
+    net = Net()
+    net.add_object([("x", Value.num(x))])
+    net.add_action(None, 1, script)
+    return _saved(tmp_path, net, name=name)
+
+
+def test_a_handle_evicts_and_fills_only_what_its_own_file_gave(tmp_path):
+    a = _one_action_file(tmp_path, "a.krn", 1, "set object.y = 1;")
+    b = _one_action_file(tmp_path, "b.krn", 2, "set object.z = 9;")
+    # a value and a script that `load` read from a stay when b's handle evicts
+    net = store.load(a)[0]
+    with store.open(b) as other:
+        other.evict(1, net)
+        other.evict(2, net)
+        assert net.objects[1].properties["x"].load_state is PropLoad.HYDRATED
+        assert net.get_property(1, "x") == Value.num(1)
+        other.hydrate_script(2, net)
+        assert net.actions[2].script.text == "set object.y = 1;"
+    # b's handle does not fill a's stubs
+    net = Net()
+    with store.open(a) as own, store.open(b) as other:
+        own.load_stub(2, net)
+        before = copy.deepcopy(net)
+        for call, args in [("hydrate_property", (1, "x")), ("hydrate_script", (2,))]:
+            with pytest.raises(KrnError):
+                getattr(other, call)(*args, net)
+            assert nets_equal(net, before), call
+        assert own.hydrate_property(1, "x", net) == Value.num(1)
+        own.hydrate_script(2, net)
+        assert net.actions[2].script.text == "set object.y = 1;"
+
+
+def _lazy_call(rng, handle, net, ids, names):
+    """One random lazy read through `handle`, or a write to the net. A read
+    that succeeds replaces no property record or script that another file
+    or a write gave."""
+    nid = rng.choice(ids)
+    call = rng.choice(["load_stub", "hydrate_property", "hydrate_script", "evict", "set"])
+    if call == "set":
+        return net.set_property(nid, rng.choice(names), rand_value(rng, net))
+    others = {key: kept for key, kept in _marked(net) if kept.from_store != handle._identity}
+    if call == "hydrate_property":
+        handle.hydrate_property(nid, rng.choice(names), net)
+    else:
+        getattr(handle, call)(nid, net)
+    after = dict(_marked(net))
+    assert all(after.get(key) is kept for key, kept in others.items()), call
+
+
+def _marked(net):
+    """((node, name), property record) of each property, ((action, None),
+    script) of each script: what carries a file's mark."""
+    for rec in [*net.objects.values(), *net.actions.values()]:
+        yield from (((rec.id, name), prop) for name, prop in rec.properties.items())
+    yield from (((aid, None), act.script) for aid, act in net.actions.items())
+
+
+def _two_files(rng, tmp_path, round_):
+    """Two saved random nets whose ids overlap: mostly the second holds the
+    first's nodes with some values and scripts rewritten, else it is drawn
+    on its own, and its kinds may clash with the first's."""
+    first = random_net(rng, max_objects=5)[0]
+    second = random_net(rng, max_objects=5)[0] if rng.random() < 0.3 else copy.deepcopy(first)
+    for rec in [*second.objects.values(), *second.actions.values()]:
+        for name in [name for name in rec.properties if rng.random() < 0.5]:
+            second.set_property(rec.id, name, rand_value(rng, second))
+        if rec.id in second.actions and rng.random() < 0.5:
+            rec.script = ScriptRef(f"set object.x = {rec.id};")
+    return [_saved(tmp_path, net, name=f"{round_}{side}.krn") for side, net in zip("ab", (first, second))]
+
+
+def test_two_files_with_overlapping_ids_through_two_handles(tmp_path):
+    rng = random.Random(2929)
+    refused = steps = 0
+    for round_ in range(30):
+        paths = _two_files(rng, tmp_path, round_)
+        # each file's records, by the mark that `load` gives them
+        files = {store._identity(os.stat(path)): store.load(path)[0] for path in paths}
+        net = store.load(paths[0])[0]
+        with store.open(paths[0]) as a, store.open(paths[1]) as b:
+            ids = sorted({*a.index, *b.index, max(a.index) + max(b.index) + 1})
+            names = sorted({name for handle in (a, b) for named in handle.props.values()
+                            for name in named} | {"x"})
+            for _ in range(25):
+                before = copy.deepcopy(net)
+                try:
+                    _lazy_call(rng, rng.choice([a, b]), net, ids, names)
+                except KrnError:
+                    refused += 1
+                    assert nets_equal(net, before)
+                steps += 1
+                assert net.validate_bipartite().ok
+                for (nid, name), kept in _marked(net):   # a file's values read as in the file
+                    if kept.from_store is None:
+                        continue
+                    source = files[kept.from_store].node(nid)
+                    if name is None and kept.state == "hydrated":
+                        assert kept.text == source.script.text
+                    elif name is not None and kept.load_state is PropLoad.HYDRATED:
+                        assert kept == source.properties[name]
+    assert 0.2 * steps < refused < 0.8 * steps
 
 
 def test_load_equals_a_fully_hydrated_handle(tmp_path):
@@ -949,6 +1083,51 @@ def test_failed_save_leaves_the_old_file_whole(tmp_path, monkeypatch, failing):
     with open(path, "rb") as fh:
         assert fh.read() == old
     assert os.listdir(tmp_path) == ["net.krn"]
+
+
+# the os functions a save calls on its way to disk
+_SAVE_CALLS = ["lstat", "stat", "open", "fchmod", "write", "fsync", "close", "replace"]
+
+
+def _failing_at(monkeypatch, failing, counts):
+    """Count the calls to each of `_SAVE_CALLS`; the call (name, n) in
+    `failing` raises OSError. A failing close still frees its descriptor,
+    as it does on Linux."""
+    for name in _SAVE_CALLS:
+        def call(*args, _name=name, _real=getattr(os, name), **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            if (_name, counts[_name]) not in failing:
+                return _real(*args, **kwargs)
+            if _name == "close":
+                _real(*args)
+            raise OSError(5, "Input/output error")
+        monkeypatch.setattr(os, name, call)
+
+
+def test_a_save_failing_at_any_system_call_leaves_one_whole_file(tmp_path, monkeypatch):
+    net, wall, lexicon, path = _labelled_wall(tmp_path)
+    old = Path(path).read_bytes()
+    net.set_property(wall, "extra", Value.num(3))
+    dry = tmp_path / "dry"
+    dry.mkdir()
+    (dry / "net.krn").write_bytes(old)
+    counts = {}
+    with monkeypatch.context() as m:
+        _failing_at(m, set(), counts)
+        store.save(net, lexicon, str(dry / "net.krn"))
+    new = (dry / "net.krn").read_bytes()
+    assert counts["fsync"] == 2 and counts["open"] == 2   # the file, then its directory
+    for name, calls in sorted(counts.items()):
+        for n in range(1, calls + 1):
+            Path(path).write_bytes(old)
+            with monkeypatch.context() as m:
+                _failing_at(m, {(name, n)}, {})
+                try:
+                    store.save(net, lexicon, path)
+                except OSError:
+                    pass
+            assert Path(path).read_bytes() in (old, new), (name, n)
+            assert not list(tmp_path.rglob("*.tmp")), (name, n)
 
 
 # ---------------------------------------------------------------- changed files
