@@ -15,7 +15,7 @@ import re
 import sys
 
 from . import agent, reasoning, sim, store
-from .core import _NAME_RE, Kind, Net, Value
+from .core import _NAME_RE, KIND_BOOL, KIND_NUM, KIND_REF, KIND_SIGNAL, KIND_TEXT, Net, Value
 from .errors import CommandError, KrnError, NoLabel
 from .lexicon import Lexicon
 
@@ -126,17 +126,17 @@ def parse_value(tok: str, quoted: bool) -> Value:
 def render_value(v: Value | None) -> str:
     if v is None:
         return "-"
-    if v.kind is Kind.NUM:
+    if v.kind is KIND_NUM:
         if float(v.data).is_integer() and abs(v.data) < 1e15:
             return str(int(v.data))
         return repr(v.data)
-    if v.kind is Kind.TEXT:
+    if v.kind is KIND_TEXT:
         return v.data
-    if v.kind is Kind.BOOL:
+    if v.kind is KIND_BOOL:
         return "true" if v.data else "false"
-    if v.kind is Kind.REF:
+    if v.kind is KIND_REF:
         return f"#{v.data}"
-    if v.kind is Kind.SIGNAL:
+    if v.kind is KIND_SIGNAL:
         sig = v.data
         return f"signal({sig.origin.render()}, {len(sig.payload)}B)"
     return "unset"

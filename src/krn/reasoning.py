@@ -8,7 +8,9 @@ Four capabilities live here:
 * shaping: instantiate a concept's missing structure onto an instance
   that carries an is-a edge, marking everything created as inferred;
 * structural queries: does this instance have that fragment, and is the
-  answer asserted, inferred, or unknown.
+  answer asserted, inferred, or unknown. A fragment is a condition read
+  off its anchor (a property test, or a part carrying a name), not a
+  pattern searched for.
 
 Pattern matching compares node kinds, link shape, and property names;
 property values never participate. A pattern node's names must be a
@@ -35,10 +37,12 @@ from dataclasses import dataclass
 
 from .core import (
     _NAME_RE,
+    INFERRED,
+    KIND_NUM,
+    KIND_REF,
     ORDERINGS,
     ActionRecord,
     CollapsePayload,
-    Kind,
     Net,
     NodeId,
     ObjectRecord,
@@ -838,10 +842,10 @@ def concept_of(net: Net, concept_id: NodeId) -> ConceptTemplate:
     support = 0
     parent = None
     sp = root_rec.properties.get(SUPPORT_PROP)
-    if sp is not None and sp.value.kind is Kind.NUM:
+    if sp is not None and sp.value.kind is KIND_NUM:
         support = int(sp.value.data)
     pp = root_rec.properties.get(PARENT_PROP)
-    if pp is not None and pp.value.kind is Kind.REF:
+    if pp is not None and pp.value.kind is KIND_REF:
         parent = pp.value.data
     return ConceptTemplate(
         pattern=pattern, root=idmap[concept_id], support=support,
@@ -927,7 +931,7 @@ def shape(net: Net, instance: NodeId, concept) -> list:
     pattern = concept.pattern
     mapping = _max_anchored_match(pattern, concept.root, net, instance)
     missing = [p for p in pattern.node_ids() if p not in mapping]
-    _copy_structure(pattern, missing, net, mapping, provenance=Provenance.INFERRED)
+    _copy_structure(pattern, missing, net, mapping, provenance=INFERRED)
     return sorted(mapping[p] for p in missing)   # ids rise: creation order
 
 
@@ -957,37 +961,14 @@ class Answer(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Predicate:
-    node: NodeId
-    name: str
-    op: str          # comparison operator or "present"
-    value: Value | None = None
-
-
-@dataclass(frozen=True)
 class Fragment:
-    """A small anchored pattern plus optional value predicates."""
+    """A condition on an anchor: property `name` tested by `op`, a
+    comparison operator against `value` or "present", or with `op`
+    "part" an outgoing action to another object that carries `name`."""
 
-    pattern: Net
-    root: NodeId
-    predicates: tuple = ()
-    source: str = ""
-
-
-def property_fragment(name: str, op: str | None = None,
-                      value: Value | None = None, source: str = "") -> Fragment:
-    pattern = Net()
-    root = pattern.add_object([])
-    pred = Predicate(root, name, op or "present", value)
-    return Fragment(pattern, root, (pred,), source)
-
-
-def part_fragment(part_names, source: str = "") -> Fragment:
-    pattern = Net()
-    root = pattern.add_object([])
-    part = pattern.add_object([(n, Value.unset()) for n in sorted(part_names)])
-    pattern.add_action(root, part)
-    return Fragment(pattern, root, (), source)
+    name: str
+    op: str
+    value: Value | None = None
 
 
 _NUM_TOKEN = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
@@ -1029,16 +1010,16 @@ def parse_fragment(text: str) -> Fragment:
         name = src[4:].strip()
         if not _NAME_RE.match(name):
             raise MalformedCondition(f"bad part name {name!r}")
-        return part_fragment((name,), source=src)
+        return Fragment(name, "part")
     op = _PREDICATE_OP.search(src)
     if op:
         name = src[:op.start()].strip()
         if not _NAME_RE.match(name):
             raise MalformedCondition(f"bad property name {name!r}")
-        return property_fragment(name, op[0], parse_literal(src[op.end():]), source=src)
+        return Fragment(name, op[0], parse_literal(src[op.end():]))
     if not _NAME_RE.match(src):
         raise MalformedCondition(f"bad fragment {text!r}")
-    return property_fragment(src, source=src)
+    return Fragment(src, "present")
 
 
 def _compare(op: str, left: Value, right: Value) -> bool:
@@ -1046,47 +1027,34 @@ def _compare(op: str, left: Value, right: Value) -> bool:
         return values_equal(left, right)
     if op == "!=":
         return not values_equal(left, right)
-    return left.kind is Kind.NUM and right.kind is Kind.NUM and ORDERINGS[op](left.data, right.data)
-
-
-def check_predicate(net: Net, pred: Predicate, image: NodeId):
-    """True, False, or None when the referenced property is unset/absent."""
-    prop = net.node(image).properties.get(pred.name)
-    if prop is None or pred.op != "present" and prop.value.is_unset:
-        return None
-    ok = pred.op == "present" or _compare(pred.op, prop.value, pred.value)
-    return ok, prop.provenance is Provenance.INFERRED
+    return left.kind is KIND_NUM and right.kind is KIND_NUM and ORDERINGS[op](left.data, right.data)
 
 
 def fragment_state(net: Net, anchor: NodeId, frag: Fragment) -> tuple[bool | None, bool]:
-    """Judge a fragment at an anchor: (verdict, inferred).
+    """Judge a fragment at an anchor object: (verdict, inferred).
 
-    The verdict is True when some match satisfies every predicate; None
-    (undetermined) when none does but some match stopped at an absent
-    or unset property, or the anchor is not in the net; False otherwise,
-    missing structure included. `inferred` tells whether the witness
-    rests on inferred nodes or values; an asserted witness wins.
+    None (undetermined) when the net lacks the anchor, or a property test
+    meets an absent property or a comparison an unset one (a stub is
+    unset); False at an action anchor, on a failed comparison, or when a
+    part has no witness: an outgoing action to another object that carries
+    the name; else True. `inferred`: the anchor or the property is
+    inferred, or every witness has an inferred anchor, action or part.
     """
-    if anchor not in net.objects and anchor not in net.actions:
+    rec = net.objects.get(anchor)
+    if rec is None:
+        return (False if anchor in net.actions else None), False
+    if frag.op == "part":
+        # one flag per witness: whether its anchor, action or part is inferred
+        flags = [INFERRED in (rec.provenance, act.provenance, net.objects[act.target].provenance)
+                 for act in (net.actions[aid] for aid in rec.outgoing)
+                 if act.target != anchor and frag.name in net.objects[act.target].properties]
+        return bool(flags), bool(flags) and all(flags)
+    prop = rec.properties.get(frag.name)
+    if prop is None or frag.op != "present" and prop.value.is_unset:
         return None, False
-    verdict = False
-    for m in find_matches(frag.pattern, net, anchor=(frag.root, anchor)):
-        holds, inferred = True, False
-        for pred in frag.predicates:
-            res = check_predicate(net, pred, m[pred.node])
-            if res is None or res[0] is not True:
-                holds = None if res is None else False
-                break
-            inferred = inferred or res[1]
-        if holds is None:
-            if verdict is False:
-                verdict = None
-        elif holds:
-            if not (inferred or any(net.node(t).provenance is Provenance.INFERRED
-                                    for t in m.values())):
-                return True, False
-            verdict = True
-    return verdict, verdict is True
+    if frag.op != "present" and not _compare(frag.op, prop.value, frag.value):
+        return False, False
+    return True, INFERRED in (rec.provenance, prop.provenance)
 
 
 def query_has(net: Net, instance: NodeId, fragment) -> Answer:
@@ -1101,10 +1069,9 @@ def query_has(net: Net, instance: NodeId, fragment) -> Answer:
         return Answer.UNKNOWN
     frags = [fragment]
     if isinstance(fragment, str):
-        frag = parse_fragment(fragment)
-        frags = [frag]
-        if frag.predicates and frag.predicates[0].op == "present":   # a bare name
-            frags.append(part_fragment((frag.source,), source=frag.source))
+        frags = [parse_fragment(fragment)]
+        if frags[0].op == "present":   # a bare name
+            frags.append(Fragment(frags[0].name, "part"))
 
     def best_answer() -> Answer:
         best = Answer.UNKNOWN

@@ -874,7 +874,8 @@ class StoreHandle:
 
     def hydrate_property(self, nid: NodeId, name: str, net: Net) -> Value:
         """Load one property value; everything else on the node stays put.
-        Only a stub this file gave is filled; a refused call changes nothing."""
+        Only a stub this file gave is filled, never a property the net's
+        record lacks; a refused call changes nothing."""
         self._check_unchanged()
         named = self.props.get(nid)
         if named is None or name not in named:
@@ -882,11 +883,12 @@ class StoreHandle:
             raise UnknownProperty(f"store has no property {name!r} on {nid}")
         rec = self._stub(nid, net)
         prop = rec.properties.get(name)
-        if prop is not None:
-            if prop.load_state is PROP_HYDRATED:
-                return prop.value
-            if prop.from_store != self._identity:
-                raise UnknownProperty(f"property {name!r} of {nid} is a stub of another file")
+        if prop is None:
+            raise UnknownProperty(f"the net's node {nid} has no property {name!r}")
+        if prop.load_state is PROP_HYDRATED:
+            return prop.value
+        if prop.from_store != self._identity:
+            raise UnknownProperty(f"property {name!r} of {nid} is a stub of another file")
         read = self._read_at(named[name], nid, name)
         net.note(nid, name, prop)
         rec.properties[name] = read

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import io
 import weakref
@@ -24,7 +23,7 @@ from krn.agent import (
     evaluate_goals,
     reality_snapshot,
 )
-from krn.errors import MalformedCondition, UnknownNode
+from krn.errors import MalformedCondition
 from krn.reasoning import fragment_state, parse_fragment
 
 from helpers import peter_net, wall_net
@@ -77,8 +76,8 @@ def test_malformed_conditions_rejected():
     ('x <= "a!=b"', "<=", "a!=b"),
 ])
 def test_a_predicate_splits_at_its_leftmost_operator(condition, op, text):
-    (pred,) = parse_fragment(condition).predicates
-    assert (pred.name, pred.op, pred.value) == ("x", op, Value.text(text))
+    frag = parse_fragment(condition)
+    assert (frag.name, frag.op, frag.value) == ("x", op, Value.text(text))
     with pytest.raises(MalformedCondition):
         parse_fragment("9bad == 1")
 
@@ -106,19 +105,13 @@ def test_a_literal_outside_the_script_string_grammar_is_refused(condition):
     ("x == false", Value.truth(False)),
 ])
 def test_a_literal_reads_as_a_script_string_number_truth_or_bare_text(condition, value):
-    (pred,) = parse_fragment(condition).predicates
-    assert pred.value == value
+    assert parse_fragment(condition).value == value
 
 
-def test_a_fragment_whose_root_is_not_in_its_pattern_is_an_error():
+def test_a_fragment_is_judged_only_at_an_anchor_the_net_holds():
     net = Net()
     target = net.add_object([("height", Value.num(2))])
     frag = parse_fragment("height == 2")
-    malformed = dataclasses.replace(frag, root=frag.root + 99)
-    with pytest.raises(UnknownNode):
-        fragment_state(net, target, malformed)
-    with pytest.raises(UnknownNode):
-        query_has(net, target, malformed)
     assert fragment_state(net, target, frag) == (True, False)
     assert fragment_state(net, target + 99, frag) == (None, False)
 

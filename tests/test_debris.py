@@ -2,8 +2,9 @@
 private def or constant is named somewhere in the package, every
 private attribute assigned is read, and every parameter is read by its
 function. No module but `core.py` stores into a net's object or action
-table, and inside `store.StoreHandle` only `_held` looks a node up in a
-net. No pattern needs a newer Python than the package allows. The
+table or reads an enum member off its class in a function body, and
+inside `store.StoreHandle` only `_held` looks a node up in a net. No
+pattern needs a newer Python than the package allows. The
 README's command summary names exactly the verbs the CLI dispatches on."""
 
 import ast
@@ -141,6 +142,35 @@ def test_a_store_handle_looks_nodes_up_through_one_resolver():
                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                and node.attr in ("objects", "actions", "node")]
     assert not lookups, lookups
+
+
+_ENUMS = {"Kind", "Provenance", "PropLoad", "NodeLoad", "Role"}
+
+
+def test_function_bodies_read_enum_members_through_bound_names():
+    """On Python 3.11 reading a member off its enum class (`Kind.NUM`) is a
+    Python-level call, so outside `core.py` no function body does: it reads
+    the names core and script bind once (`KIND_NUM`, `INFERRED`,
+    `ROLE_SELF`). Defaults and annotations are evaluated once, and exempt."""
+    reads = []
+    for module, (_, tree) in _trees().items():
+        if module == "core.py":
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            # a nested function's defaults, and every annotation in the body
+            exempt = {id(node) for root in body
+                      for part in [*_annotations(root),
+                                   *(d for inner in ast.walk(root) if isinstance(inner, ast.arguments)
+                                     for d in [*inner.defaults, *inner.kw_defaults])]
+                      if part is not None for node in ast.walk(part)}
+            reads += [f"{module}:{node.lineno} {node.value.id}.{node.attr}"
+                      for root in body for node in ast.walk(root)
+                      if id(node) not in exempt and isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id in _ENUMS]
+    assert not reads, sorted(set(reads))
 
 
 def _broad(handler) -> bool:

@@ -496,6 +496,27 @@ def test_a_handle_evicts_and_fills_only_what_its_own_file_gave(tmp_path):
         assert net.actions[2].script.text == "set object.y = 1;"
 
 
+def test_a_handle_adds_no_property_the_nets_record_lacks(tmp_path):
+    a, b = Net(), Net()
+    a.add_object([("x", Value.num(1))])
+    b.add_object([("x", Value.num(2)), ("y", Value.num(5))])
+    net = store.load(_saved(tmp_path, a, name="a.krn"))[0]
+    before = copy.deepcopy(net)
+    with store.open(_saved(tmp_path, b, name="b.krn")) as handle:
+        # not onto a node that another file gave
+        with pytest.raises(UnknownProperty):
+            handle.hydrate_property(1, "y", net)
+        assert nets_equal(net, before)
+        # nor back onto a node of its own file's, once the net erased it
+        net = Net()
+        handle.load_stub(1, net)
+        net.erase_property(1, "y")
+        with pytest.raises(UnknownProperty):
+            handle.hydrate_property(1, "y", net)
+        assert "y" not in net.objects[1].properties
+        assert handle.hydrate_property(1, "x", net) == Value.num(2)
+
+
 def _lazy_call(rng, handle, net, ids, names):
     """One random lazy read through `handle`, or a write to the net. A read
     that succeeds replaces no property record or script that another file
