@@ -544,6 +544,10 @@ class Net:
                 if self.objects[act.target].incoming.count(aid) != 1:
                     add(Violation("symmetry-break", (act.target, aid),
                                   f"target {act.target} incoming does not list {aid} once"))
+            for prop in act.properties.values():
+                if prop.provenance is SENSED and prop.value.kind is not KIND_SIGNAL:
+                    add(Violation("bad-provenance", (aid,),
+                                  f"sensed property {prop.name!r} is not a signal"))
         for oid in sorted(self.objects):
             obj = self.objects[oid]
             for label, lst, role in (("outgoing", obj.outgoing, "subject"),

@@ -23,27 +23,26 @@ def valid_language_tag(lang: str) -> bool:
 class Lexicon:
     def __init__(self, fallback_chain: tuple[str, ...] = ("en",)):
         self.labels: dict[tuple[NodeId, str], str] = {}
-        self.reverse: dict[tuple[str, str], set[NodeId]] = {}
+        # language (once its tag passed) -> text -> node ids, kept as dict
+        # keys: a dict of ints, unlike a set, is never collector-tracked
+        self.reverse: dict[str, dict[str, dict[NodeId, None]]] = {}
         self.fallback_chain = list(fallback_chain)
-        self.languages: set[str] = set()
         # the LABEL lines of the file this lexicon was loaded from, while it
         # holds just those labels: `store.save` copies them
         self.source: bytes | None = None
 
     def set_label(self, node: NodeId, lang: str, text: str) -> None:
-        # `languages` holds only tags that passed this check
-        if lang not in self.languages and not valid_language_tag(lang):
+        if lang not in self.reverse and not valid_language_tag(lang):
             raise BadLanguageTag(f"bad language tag {lang!r}")
+        texts = self.reverse.setdefault(lang, {})
         old = self.labels.get((node, lang))
         if old is not None:
-            bucket = self.reverse.get((lang, old))
-            if bucket is not None:
-                bucket.discard(node)
-                if not bucket:
-                    del self.reverse[(lang, old)]
+            bucket = texts[old]
+            del bucket[node]
+            if not bucket:
+                del texts[old]
         self.labels[(node, lang)] = text
-        self.languages.add(lang)
-        self.reverse.setdefault((lang, text), set()).add(node)
+        texts.setdefault(text, {})[node] = None
         self.source = None
 
     def label_of(self, node: NodeId, lang: str) -> tuple[str, str]:
@@ -62,13 +61,13 @@ class Lexicon:
 
     def lookup(self, lang: str, text: str) -> set[NodeId]:
         """Exact-match reverse lookup; no fallback, no normalization."""
-        return set(self.reverse.get((lang, text), set()))
+        return set(self.reverse.get(lang, {}).get(text, ()))
 
     def lookup_any(self, text: str) -> set[NodeId]:
         """Exact-match reverse lookup in every language that has labels."""
         hits: set[NodeId] = set()
-        for lang in self.languages:
-            hits.update(self.reverse.get((lang, text), ()))
+        for texts in self.reverse.values():
+            hits.update(texts.get(text, ()))
         return hits
 
     def items(self) -> list[tuple[NodeId, str, str]]:

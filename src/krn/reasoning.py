@@ -382,10 +382,9 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
     results: list[dict] = []
     mapping: dict = {}
     used: set = set()
-    target_ids = None   # sorted on first need; anchored searches rarely need it
+    target_ids = target.node_ids()
 
     def extend(k: int) -> None:
-        nonlocal target_ids
         if limit is not None and len(results) >= limit:
             return
         if k == len(order):
@@ -395,8 +394,6 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
         bypass = anchor is not None and k == 0   # the anchor is first
         pool = [anchor[1]] if bypass else _images(pattern, target, mapping, p)
         if pool is None:
-            if target_ids is None:
-                target_ids = target.node_ids()
             pool = target_ids
         for t in pool:
             if t not in used and _compat(pattern, target, p, t, bypass):

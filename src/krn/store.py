@@ -120,6 +120,9 @@ HEADER = "KRN 1"
 _TEXT_ESC = str.maketrans(
     {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
 _TEXT_UNESC = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+# every backslash in a text token's body starts one of those escapes
+_TEXT_TOKEN = re.compile(r'"((?:[^\\]|\\[\\"ntr])*)"\Z', re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)")
 
 
 def encode_text(s: str) -> str:
@@ -135,20 +138,10 @@ def decode_text(tok: str, line: int) -> str:
         raise FormatError(f"bad text token {tok!r}", line)
     if "\\" not in tok:
         return tok[1:-1]
-    out = []
-    i = 1
-    end = len(tok) - 1
-    while i < end:
-        c = tok[i]
-        if c == "\\":
-            if i + 1 >= end or tok[i + 1] not in _TEXT_UNESC:
-                raise FormatError(f"bad escape in {tok!r}", line)
-            out.append(_TEXT_UNESC[tok[i + 1]])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    body = _TEXT_TOKEN.match(tok)
+    if body is None:
+        raise FormatError(f"bad escape in {tok!r}", line)
+    return _ESCAPE.sub(lambda esc: _TEXT_UNESC[esc[1]], body[1])
 
 
 # a quoted token runs to the first unescaped quote; a lone quote is one

@@ -273,6 +273,10 @@ def test_validate_detects_dangling_reference():
     # an is-a edge with a missing end
     (lambda net, man, act, wall: net.isa_edges.append((man, 9)),
      "dangling-ref", ("man", 9)),
+    # an action's sensed property that holds no signal
+    (lambda net, man, act, wall: net.actions[act].properties.update(
+        w=PropertyRecord("w", Value.num(1), Provenance.SENSED)),
+     "bad-provenance", ("act",)),
 ])
 def test_validate_reports_each_corruption_by_kind_and_nodes(corrupt, kind, names):
     net = Net()

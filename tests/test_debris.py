@@ -2,8 +2,9 @@
 private def or constant is named somewhere in the package, every
 private attribute assigned is read, and every parameter is read by its
 function. No module but `core.py` stores into a net's object or action
-table or reads an enum member off its class in a function body, and
-inside `store.StoreHandle` only `_held` looks a node up in a net. No
+table or reads an enum member off its class in a function body, no
+module but `lexicon.py` reads a lexicon's reverse index, and inside
+`store.StoreHandle` only `_held` looks a node up in a net. No
 pattern needs a newer Python than the package allows. The
 README's command summary names exactly the verbs the CLI dispatches on."""
 
@@ -142,6 +143,19 @@ def test_a_store_handle_looks_nodes_up_through_one_resolver():
                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                and node.attr in ("objects", "actions", "node")]
     assert not lookups, lookups
+
+
+def test_only_the_lexicon_reads_its_reverse_index():
+    """`Lexicon.reverse` is laid out for `set_label` and the two lookups,
+    so no module but `lexicon.py` reads `<expr>.reverse`: the others ask
+    `lookup` or `lookup_any`. A list's `.reverse()` call is not a read."""
+    reads = []
+    for module, (_, tree) in _trees().items():
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        reads += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if module != "lexicon.py" and isinstance(node, ast.Attribute)
+                  and node.attr == "reverse" and id(node) not in called]
+    assert not reads, reads
 
 
 _ENUMS = {"Kind", "Provenance", "PropLoad", "NodeLoad", "Role"}

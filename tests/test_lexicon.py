@@ -1,3 +1,8 @@
+import gc
+import random
+import re
+import tracemalloc
+
 import pytest
 
 from krn import Lexicon, Value
@@ -94,3 +99,97 @@ def test_engine_operations_never_consult_labels():
     assert query_has(p_net, peter, "head").value == "yes-inferred"
     templates = mine_concepts([person_net(1, 2), person_net(3, 4)], 2, 7)
     assert len(templates) == 1
+
+
+def test_labels_add_no_collector_tracked_object_per_label():
+    """A loaded net labels every node; its reverse index must not cost one
+    collector-tracked container per label."""
+    lex = Lexicon()
+    gc.collect()
+    before = len(gc.get_objects())
+    for node in range(1000):
+        lex.set_label(node, "en", f"word{node}")
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert added <= 5
+
+
+class _ScanningLexicon:
+    """The reference: one labels dict, every lookup a scan of it."""
+
+    def __init__(self, chain):
+        self.labels, self.chain = {}, chain
+
+    def set_label(self, node, lang, text):
+        if not re.fullmatch(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*", lang):
+            raise BadLanguageTag(lang)
+        self.labels[(node, lang)] = text
+
+    def lookup(self, lang, text):
+        return {n for (n, lg), t in self.labels.items() if (lg, t) == (lang, text)}
+
+    def lookup_any(self, text):
+        return {n for (n, _), t in self.labels.items() if t == text}
+
+    def label_of(self, node, lang):
+        for lg in (lang, *self.chain):
+            if (node, lg) in self.labels:
+                return self.labels[(node, lg)], lg
+        raise NoLabel(node)
+
+
+def test_lexicon_agrees_with_a_scanning_reference():
+    """Relabels, texts shared across nodes and languages, several
+    languages and bad tags, compared after every step."""
+    nodes = range(1, 7)
+    good, bad = ["en", "fr", "de", "zh-Hant"], ["", "en us", "-en", "toolongtag9", "en\n"]
+    texts = ["wall", "mur", "Wall", "", "a b", "w\u00e4nd"]
+    for seed in range(12):
+        rng = random.Random(seed)
+        chain = rng.choice([("en",), ("de", "en"), ()])
+        lex, ref = Lexicon(fallback_chain=chain), _ScanningLexicon(chain)
+        for _ in range(150):
+            lang = rng.choice(good if rng.random() < 0.8 else bad)
+            node, text = rng.choice(nodes), rng.choice(texts)
+            outcomes = []
+            for lexicon in (lex, ref):
+                try:
+                    lexicon.set_label(node, lang, text)
+                    outcomes.append("set")
+                except BadLanguageTag:
+                    outcomes.append("bad tag")
+            assert outcomes[0] == outcomes[1], (seed, lang, outcomes)
+            assert lex.labels == ref.labels
+            assert lex.items() == sorted((n, lg, t) for (n, lg), t in ref.labels.items())
+            for t in texts:
+                assert lex.lookup_any(t) == ref.lookup_any(t)
+                for lg in good + bad:
+                    assert lex.lookup(lg, t) == ref.lookup(lg, t)
+            for n in (*nodes, 99):
+                for lg in good + bad:
+                    try:
+                        want = ref.label_of(n, lg)
+                    except NoLabel:
+                        with pytest.raises(NoLabel):
+                            lex.label_of(n, lg)
+                    else:
+                        assert lex.label_of(n, lg) == want
+        # the lookups hand out fresh sets
+        for got in (lex.lookup("en", "wall"), lex.lookup_any("wall")):
+            got.add(-1)
+        assert -1 not in lex.lookup("en", "wall") | lex.lookup_any("wall")
+
+
+def test_relabelling_one_node_keeps_nothing_of_its_old_texts():
+    lex = Lexicon()
+    lex.set_label(1, "en", "start")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(1000):
+            lex.set_label(1, "en", f"text{n}")
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 10_000, grown
+    assert lex.lookup("en", "text999") == {1} and lex.lookup_any("start") == set()

@@ -647,6 +647,43 @@ def test_bad_values_are_format_errors_at_their_line(tmp_path, record):
     assert (lazy_err.value.line, lazy_err.value.message) == (4, err.value.message)
 
 
+def _decode_text_by_hand(tok: str, line: int) -> str:
+    """The character loop `store.decode_text` replaced, kept as a reference."""
+    if len(tok) < 2 or not tok.startswith('"') or not tok.endswith('"'):
+        raise FormatError(f"bad text token {tok!r}", line)
+    out, i, end = [], 1, len(tok) - 1
+    while i < end:
+        if tok[i] == "\\":
+            if i + 1 >= end or tok[i + 1] not in "\\\"ntr":
+                raise FormatError(f"bad escape in {tok!r}", line)
+            out.append({"n": "\n", "t": "\t", "r": "\r"}.get(tok[i + 1], tok[i + 1]))
+            i += 2
+        else:
+            out.append(tok[i])
+            i += 1
+    return "".join(out)
+
+
+def test_decode_text_agrees_with_a_character_loop():
+    """Random tokens over quotes, backslashes, escape letters, a newline and
+    a non-ASCII letter give the same text, or the same error at the same
+    line, as the loop."""
+    def outcome(decode, tok, line):
+        try:
+            return decode(tok, line)
+        except FormatError as err:
+            return (err.message, err.line)
+
+    rng = random.Random(30)
+    alphabet = ['"', "\\", "\\", "n", "t", "r", "q", "a", " ", "\n", "\u00e9"]
+    for line in range(20_000):
+        body = "".join(rng.choice(alphabet) for _ in range(rng.randrange(9)))
+        tok = rng.choice([f'"{body}"', f'"{body}"', body, f'"{body}'])
+        assert outcome(store.decode_text, tok, line) == outcome(_decode_text_by_hand, tok, line), tok
+    for text in ("", "a\\b", 'say "hi"\n', "\t\r\\\""):
+        assert store.decode_text(store.encode_text(text), 1) == text
+
+
 def test_bad_language_tag_is_a_format_error_at_its_line(tmp_path):
     # also a bad escape (the line is tokenised) and an unknown node: open
     # keeps no label, but checks each as load does
