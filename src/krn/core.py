@@ -185,6 +185,9 @@ ORDERINGS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operat
 
 @dataclass(slots=True)
 class PropertyRecord:
+    """One property of a node. A load shares one record among the equal
+    PROP lines of a file, so a record is never changed in place."""
+
     name: str
     value: Value
     provenance: Optional[Provenance]
@@ -200,6 +203,8 @@ class ScriptRef:
 
     `from_store` is the identity of the file that gave the text or is to
     fill the stub. Text drops a trailing newline, so a save round-trips it.
+    A load shares one ScriptRef among equal script bodies, so none is
+    changed in place once built.
     """
 
     text: Optional[str] = None

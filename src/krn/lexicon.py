@@ -31,6 +31,23 @@ class Lexicon:
         # holds just those labels: `store.save` copies them
         self.source: bytes | None = None
 
+    @classmethod
+    def of(cls, labels) -> "Lexicon":
+        """A lexicon of (node, language, text) labels in one pass, as
+        `set_label` of each in turn leaves it: of two for one node and
+        language the later wins. A bad tag raises BadLanguageTag."""
+        lexicon = cls()
+        pairs, reverse = lexicon.labels, lexicon.reverse
+        for node, lang, text in labels:
+            if lang not in reverse:
+                if not valid_language_tag(lang):
+                    raise BadLanguageTag(f"bad language tag {lang!r}")
+                reverse[lang] = {}
+            pairs[(node, lang)] = text
+        for (node, lang), text in pairs.items():
+            reverse[lang].setdefault(text, {})[node] = None
+        return lexicon
+
     def set_label(self, node: NodeId, lang: str, text: str) -> None:
         if lang not in self.reverse and not valid_language_tag(lang):
             raise BadLanguageTag(f"bad language tag {lang!r}")

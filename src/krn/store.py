@@ -32,8 +32,9 @@ line, its PROP lines with plain values, an action's SCRIPT block), a run
 of ISA lines and a run of LABEL lines, ids with no leading zero. Any
 other line goes through the one line decoder that the lazy reads use,
 and that path finds every fault. `load` decodes each record as it
-passes; matched records with equal value tokens share one Value, and
-actions with equal text one AST (`script.parse` memoises by text). It
+passes, each distinct thing once: matched PROP lines with equal bytes
+after the owner id share one PropertyRecord, and actions with equal
+script bodies one ScriptRef, so neither is ever changed in place. It
 reads script texts only once the framing and references hold, so a fault
 inside a script never hides a later fault that `open` would report. `open`
 decodes no values and keeps no labels, though it checks every record as
@@ -417,6 +418,7 @@ _BLOCK = re.compile(rb"""
 # the fields of the lines of a matched block: a PROP's name and
 # "<kind> <token>[ <provenance>]", an ISA's ids, a LABEL's id, tag and text
 _PROP_FIELDS = re.compile(rb"PROP [0-9]+ ([^ ]+) ([^\n]+)\n")
+_PROP_TAIL = re.compile(rb"PROP [0-9]+ ([^\n]+)\n")   # "<name> <kind> <token>[ <provenance>]"
 _ISA_FIELDS = re.compile(rb"ISA ([0-9]+) ([0-9]+)\n")
 _LABEL_FIELDS = re.compile(rb'LABEL ([0-9]+) ([^ ]+) "([^"]*)"\n')
 _VALUE_FIELDS = re.compile(rb'([a-z]+) ("[^"]*"|[^ ]+)(?: ([a-z]+))?')
@@ -470,13 +472,14 @@ def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
                             head + 1 + exc.line, exc.column, exc.expected)
 
 
-def _shared_value(field: bytes, line: int) -> tuple[Value, Provenance, bool]:
-    """(Value, Provenance, whether save writes them so) of a matched PROP
-    line's "<kind> <token>[ <provenance>]"."""
-    kind, tok, prov = _VALUE_FIELDS.fullmatch(field).groups()
+def _shared_prop(name: str, tail: bytes, line: int, mark: tuple) -> tuple:
+    """(name, PropertyRecord marked `mark`, whether save writes it so) of a
+    matched PROP line's "<name> <kind> <token>[ <provenance>]"."""
+    kind, tok, prov = _VALUE_FIELDS.fullmatch(tail, len(name) + 1).groups()
     value = _decode_value(kind.decode(), tok.decode(), line)
-    as_saved = prov is not None and f"{_value_token(value)} {prov.decode()}".encode() == field
-    return value, INFERRED if prov == b"inferred" else ASSERTED, as_saved
+    as_saved = prov is not None and f"{name} {_value_token(value)} {prov.decode()}".encode() == tail
+    prov = INFERRED if prov == b"inferred" else ASSERTED
+    return name, PropertyRecord(name, value, prov, PROP_HYDRATED, mark), as_saved
 
 
 def _read(buf: bytes, mark: tuple | None):
@@ -487,10 +490,12 @@ def _read(buf: bytes, mark: tuple | None):
     reference checks) raises, whether or not records are decoded. With
     the file's identity as `mark` (for `load`), a PROP/SIG record becomes
     a PropertyRecord and a SCRIPT record a ScriptRef, each carrying the
-    mark: matched values with equal tokens share one Value, and a text is
-    parsed after the reference checks, equal texts once; a LABEL record
-    becomes a label. With None (for the `open` scan), each PROP/SIG and
-    SCRIPT record is kept as its byte offset, for the index, and no label.
+    mark: matched PROP lines with equal tails after `PROP <id> ` share one
+    record, and a body is parsed after the reference checks, equal bodies
+    into one ScriptRef; a LABEL record becomes a label. With None (for
+    the `open` scan), each PROP/SIG and SCRIPT record is kept as its byte
+    offset, for the index, and no label. Set operations tell whether the
+    references hold; only when they may not are they searched in file order.
 
     Returns (nodes, props, scripts, isa, labels, spans, label_start): nodes
     maps id to (tag, provenance, subject, target, line) in file order;
@@ -513,8 +518,8 @@ def _read(buf: bytes, mark: tuple | None):
     # outside the node's block: a tokenised PROP, SIG or SCRIPT, and an ISA
     refs: list[tuple[int, str, NodeId, str | None]] = []
     label_owners: dict[NodeId, int] = {}   # the first LABEL line of each labelled node
-    names: dict[bytes, str] = {}   # one str per matched property name
-    values: dict[bytes, tuple[Value, Provenance, bool]] = {}   # _shared_value by field
+    names: dict[bytes, str] = {}   # the scan's one str per matched property name
+    tails: dict[bytes, tuple] = {}   # _shared_prop of each matched PROP line's tail
     spans: dict[NodeId, range] = {}
     label_start = None
     fh = io.BytesIO(buf)   # for the SCRIPT blocks of tokenised records
@@ -544,22 +549,29 @@ def _read(buf: bytes, mark: tuple | None):
                     named = props.get(nid)
                     if named is None:
                         named = props[nid] = {}
-                    last, offset = b"", first
-                    for raw_name, field in _PROP_FIELDS.findall(buf, first, stop):
-                        name = names.get(raw_name) or names.setdefault(raw_name, raw_name.decode())
-                        if name in named:
-                            raise FormatError(f"duplicate property {name!r} on {nid}", lineno)
-                        if mark:
-                            shared = values.get(field) or values.setdefault(
-                                field, _shared_value(field, lineno))
-                            named[name] = PropertyRecord(name, shared[0], shared[1], PROP_HYDRATED, mark)
-                            if raw_name <= last or not shared[2]:
+                    if mark:
+                        last = ""
+                        for tail in _PROP_TAIL.findall(buf, first, stop):
+                            shared = tails.get(tail)
+                            name = shared[0] if shared else tail[:tail.find(b" ")].decode()
+                            if name in named:
+                                raise FormatError(f"duplicate property {name!r} on {nid}", lineno)
+                            if shared is None:
+                                shared = tails[tail] = _shared_prop(name, tail, lineno, mark)
+                            named[name] = shared[1]
+                            if name <= last or not shared[2]:
                                 saved = False
-                            last = raw_name
-                        else:
+                            last = name
+                            lineno += 1
+                    else:
+                        offset = first
+                        for raw_name, field in _PROP_FIELDS.findall(buf, first, stop):
+                            name = names.get(raw_name) or names.setdefault(raw_name, raw_name.decode())
+                            if name in named:
+                                raise FormatError(f"duplicate property {name!r} on {nid}", lineno)
                             named[name] = offset
                             offset += len(ident) + len(raw_name) + len(field) + 8
-                        lineno += 1
+                            lineno += 1
                 if m["script"] is not None:
                     if nid in scripts:
                         raise FormatError(f"duplicate SCRIPT for {nid}", lineno)
@@ -633,39 +645,45 @@ def _read(buf: bytes, mark: tuple | None):
             inst, concept = _int(toks[1], line), _int(toks[2], line)
             isa.append((inst, concept))
             refs += [(line, tag, inst, "OBJ"), (line, tag, concept, "OBJ")]
-    # records may arrive in any order, so references are checked only now;
-    # the first bad one in file order is reported, of two on one line the
-    # first checked
-    labelled = ((line, "LABEL", nid, None) for nid, line in label_owners.items())
-    ends = ((line, tag, end, "OBJ") for tag, _, subject, target, line in nodes.values()
-            if tag == "ACT" for end in (target, subject) if end is not None)
-    bad = None
-    for line, tag, nid, need in chain(refs, labelled, ends):
-        if bad and line >= bad.line:
-            continue
-        node = nodes.get(nid)
-        if node is None:
-            bad = FormatError(f"{tag} record refers to unknown node {nid}", line)
-        elif need and node[0] != need:
-            kind = "an object" if need == "OBJ" else "an action"
-            bad = FormatError(f"{tag} record needs node {nid} to be {kind}", line)
-    if bad:
-        raise bad
+    # records may arrive in any order, so references are checked only now:
+    # set operations tell whether one is bad (a record outside a node block
+    # passes only as an is-a end), and only then is the first bad one in
+    # file order searched for, of two on one line the first checked
+    objects = {nid for nid, node in nodes.items() if node[0] == "OBJ"}
+    acts = [node for node in nodes.values() if node[0] == "ACT"]
+    endpoints = {node[3] for node in acts}.union(node[2] for node in acts) - {None}
+    if not (label_owners.keys() <= nodes.keys() and endpoints <= objects
+            and all(need == "OBJ" and nid in objects for _, _, nid, need in refs)):
+        labelled = ((line, "LABEL", nid, None) for nid, line in label_owners.items())
+        ends = ((line, tag, end, "OBJ") for tag, _, subject, target, line in nodes.values()
+                if tag == "ACT" for end in (target, subject) if end is not None)
+        bad = None
+        for line, tag, nid, need in chain(refs, labelled, ends):
+            if bad and line >= bad.line:
+                continue
+            node = nodes.get(nid)
+            if node is None:
+                bad = FormatError(f"{tag} record refers to unknown node {nid}", line)
+            elif need and node[0] != need:
+                kind = "an object" if need == "OBJ" else "an action"
+                bad = FormatError(f"{tag} record needs node {nid} to be {kind}", line)
+        if bad:
+            raise bad
     if mark:
         # a fault inside a script text is raised only now that the framing
         # and references hold, and in action id order, as a lazy read of
-        # every script meets it; equal texts share one parse
-        asts: dict = {}
+        # every script meets it; equal bodies share one ScriptRef
+        shared: dict[bytes, ScriptRef] = {}
         for owner in sorted(scripts):
             body, line = scripts[owner]
-            text = _script_text(body, line)
-            ast = asts.get(text)
-            if ast is None:
+            ref = shared.get(body)
+            if ref is None:
+                text = _script_text(body, line)
                 try:
-                    ast = asts[text] = parse_script(text)
+                    ref = shared[body] = ScriptRef(text, parse_script(text), mark)
                 except ScriptParseError as exc:
                     raise _in_file(exc, owner, line) from None
-            scripts[owner] = ScriptRef(text, ast, mark)
+            scripts[owner] = ref
         for _, tag, nid, _ in refs:   # a node with a record outside its block has no span
             if tag != "ISA":
                 spans.pop(nid, None)
@@ -701,9 +719,7 @@ def _load(data: bytes, mark: tuple) -> tuple[Net, Lexicon]:
         net.bump_id(max(nodes))
     net.isa_edges = sorted(set(isa))
     net.source, net.spans = data, spans
-    lexicon = Lexicon()
-    for node, lang, text in labels:
-        lexicon.set_label(node, lang, text)
+    lexicon = Lexicon.of(labels)
     # save writes labels by (node, language), each pair once
     if label_start is not None and len(lexicon.labels) == len(labels) and labels == sorted(labels):
         lexicon.source = data[label_start:]

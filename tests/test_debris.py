@@ -3,8 +3,9 @@ private def or constant is named somewhere in the package, every
 private attribute assigned is read, and every parameter is read by its
 function. No module but `core.py` stores into a net's object or action
 table or reads an enum member off its class in a function body, no
-module but `lexicon.py` reads a lexicon's reverse index, and inside
-`store.StoreHandle` only `_held` looks a node up in a net. No
+module but `lexicon.py` reads a lexicon's reverse index, no record a
+load may share is changed in place, and inside `store.StoreHandle` only
+`_held` looks a node up in a net. No
 pattern needs a newer Python than the package allows. The
 README's command summary names exactly the verbs the CLI dispatches on."""
 
@@ -156,6 +157,29 @@ def test_only_the_lexicon_reads_its_reverse_index():
                   if module != "lexicon.py" and isinstance(node, ast.Attribute)
                   and node.attr == "reverse" and id(node) not in called]
     assert not reads, reads
+
+
+# the fields of PropertyRecord and ScriptRef; a load shares one record
+# among equal PROP lines and one ScriptRef among equal script bodies
+_SHARED_FIELDS = {"value", "provenance", "load_state", "from_store", "text", "ast"}
+
+
+def test_no_module_changes_a_shared_record_in_place():
+    """A write, hydrate, evict or undo installs a fresh record, so no module
+    stores to or deletes `<expr>.value`, `.provenance`, `.load_state`,
+    `.from_store`, `.text` or `.ast`; `ScriptRef.__post_init__` alone
+    sets the text of the record it is building."""
+    stores = []
+    for module, (_, tree) in _trees().items():
+        exempt = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "ScriptRef"
+                  for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                  for node in ast.walk(fn)}
+        stores += [f"{module}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in _SHARED_FIELDS
+                   and isinstance(node.ctx, (ast.Store, ast.Del)) and id(node) not in exempt]
+    assert not stores, stores
 
 
 _ENUMS = {"Kind", "Provenance", "PropLoad", "NodeLoad", "Role"}

@@ -180,6 +180,38 @@ def test_lexicon_agrees_with_a_scanning_reference():
         assert -1 not in lex.lookup("en", "wall") | lex.lookup_any("wall")
 
 
+def test_lexicon_of_equals_a_set_label_replay():
+    """`Lexicon.of` builds in one pass what `set_label` of each label in
+    turn builds: duplicate (node, language) pairs, where the later wins,
+    several languages and texts shared across nodes; a bad tag raises."""
+    nodes = range(1, 9)
+    langs, texts = ["en", "fr", "de", "zh-Hant"], ["wall", "mur", "Wall", "", "a b", "w\u00e4nd"]
+    for seed in range(20):
+        rng = random.Random(seed)
+        labels = [(rng.choice(nodes), rng.choice(langs), rng.choice(texts))
+                  for _ in range(rng.randrange(60))]
+        built, replay = Lexicon.of(labels), Lexicon()
+        for node, lang, text in labels:
+            replay.set_label(node, lang, text)
+        assert built.labels == replay.labels and built.items() == replay.items()
+        assert built.source is None and built.fallback_chain == replay.fallback_chain
+        for text in [*texts, "absent"]:
+            assert built.lookup_any(text) == replay.lookup_any(text)
+            for lang in [*langs, "es"]:
+                assert built.lookup(lang, text) == replay.lookup(lang, text)
+        for node in (*nodes, 99):
+            for lang in [*langs, "es"]:
+                try:
+                    want = replay.label_of(node, lang)
+                except NoLabel:
+                    with pytest.raises(NoLabel):
+                        built.label_of(node, lang)
+                else:
+                    assert built.label_of(node, lang) == want
+    with pytest.raises(BadLanguageTag):
+        Lexicon.of([(1, "en", "wall"), (2, "en us", "wall")])
+
+
 def test_relabelling_one_node_keeps_nothing_of_its_old_texts():
     lex = Lexicon()
     lex.set_label(1, "en", "start")

@@ -3,6 +3,7 @@ import gc
 import itertools
 import os
 import random
+import re
 import time
 from pathlib import Path
 
@@ -1037,16 +1038,25 @@ def test_node_load_state_follows_its_records(tmp_path):
 # ---------------------------------------------------------------- reader
 
 
-@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+# the last two orders give a file whose every line `_BLOCK` matches, so
+# that no record is tokenised: a LABEL run and an action's block
+@pytest.mark.parametrize("order", [*itertools.permutations(range(3)), (1, 3), (3, 1)])
 def test_first_bad_reference_in_file_order_is_reported_by_both_readers(tmp_path, order):
     bad_records = [
         "PROP 9 colour text \"green\" asserted",   # owner 9 does not exist
         "ACT 4 2 1",                                 # subject 2 is an action
         "ISA 1 3",                                   # 3 is an action
+        'LABEL 9 en "ghost"',                        # node 9 does not exist
     ]
     body = ["OBJ 1", "ACT 2 - 1", "ACT 3 1 1"] + [bad_records[i] for i in order]
     bad = tmp_path / "bad.krn"
     bad.write_text("KRN 1\n" + "\n".join(body) + "\n")
+    if 0 not in order:
+        data, offset = bad.read_bytes(), len(b"KRN 1\n")
+        while offset < len(data):
+            m = store._BLOCK.match(data, offset)
+            assert m is not None, data[offset:]
+            offset = m.end()
     first = 5   # header and three good records come first
     for read in (store.load, store.open):
         with pytest.raises(FormatError) as err:
@@ -1070,11 +1080,15 @@ def test_values_shared_within_a_load_stay_independent(tmp_path):
     net = Net()
     left = net.add_object([("x", Value.num(1)), ("colour", Value.text("green"))])
     right = net.add_object([("x", Value.num(1)), ("colour", Value.text("green"))])
-    paint = net.add_action(None, left, 'set object.x = object.x + 1; set object.colour = "red";')
-    loaded, _ = store.load(_saved(tmp_path, net))
+    text = 'set object.x = object.x + 1; set object.colour = "red";'
+    paint, repaint = net.add_action(None, left, text), net.add_action(None, right, text)
+    path = _saved(tmp_path, net)
+    loaded, _ = store.load(path)
     lp, rp = loaded.objects[left].properties, loaded.objects[right].properties
-    assert lp["x"].value is rp["x"].value and lp["colour"].value is rp["colour"].value
-    assert lp["x"] is not rp["x"]
+    # equal PROP tails share one record, equal script bodies one ScriptRef
+    assert lp["x"] is rp["x"] and lp["colour"] is rp["colour"]
+    assert loaded.actions[paint].script is loaded.actions[repaint].script
+    shared_x, shared_colour, script = rp["x"], rp["colour"], loaded.actions[repaint].script
     changes = run_action(loaded, paint)
     assert loaded.get_property(left, "x") == Value.num(2)
     assert loaded.get_property(right, "x") == Value.num(1)
@@ -1088,6 +1102,48 @@ def test_values_shared_within_a_load_stay_independent(tmp_path):
     assert {(c.node, c.name) for c in sim.diff(snaps[-2], after_undo)} == {
         (left, "x"), (left, "colour")}
     assert sim.diff(snaps[0], after_undo) == []
+    # a write and an eviction replace the one node's records, never change them
+    loaded.set_property(left, "x", Value.num(5))
+    with store.open(path) as handle:
+        handle.evict(left, loaded)
+        handle.evict(paint, loaded)
+    assert lp["x"].value == Value.num(5) and lp["colour"].load_state is PropLoad.STUB
+    assert loaded.actions[paint].script.state == "stub"
+    assert rp["x"] is shared_x and rp["colour"] is shared_colour
+    assert loaded.actions[repaint].script is script and script.text == text
+    for prop, value in ((shared_x, Value.num(1)), (shared_colour, Value.text("green"))):
+        assert (prop.value, prop.provenance, prop.load_state) == (
+            value, Provenance.ASSERTED, PropLoad.HYDRATED)
+
+
+def test_a_load_builds_one_record_per_distinct_prop_tail_and_script_body(tmp_path):
+    """A count, not a timing: equal PROP tails and equal script bodies
+    become one PropertyRecord and one ScriptRef each."""
+    rng = random.Random(31)
+    pool = [Value.num(1), Value.num(2.5), Value.text("red"), Value.text("green"),
+            Value.truth(True), Value.ref(1), Value.unset()]
+    names = ["x", "y", "colour", "goal:warm"]
+    net = Net()
+    objs = [net.add_object([(name, rng.choice(pool)) for name in rng.sample(names, rng.randrange(5))],
+                           provenance=rng.choice(list(Provenance)[:2]))
+            for _ in range(60)]
+    for nid in rng.sample(objs, 10):
+        net.set_property(nid, "x", rng.choice(pool), Provenance.INFERRED)
+    texts = ["set object.x = 1;", 'set object.colour = "red";', "set object.y = object.y + 1;", None]
+    for _ in range(40):
+        net.add_action(rng.choice([None, *objs]), rng.choice(objs), rng.choice(texts),
+                       [(name, rng.choice(pool)) for name in rng.sample(names, rng.randrange(3))])
+    path = _saved(tmp_path, net)
+    data = Path(path).read_bytes()
+    lines = [line.split(b" ", 2)[2] for line in data.splitlines() if line.startswith(b"PROP ")]
+    bodies = re.findall(rb"\n<<<\n(.*?)>>>\n", data, re.DOTALL)
+    loaded, _ = store.load(path)
+    nodes = [*loaded.objects.values(), *loaded.actions.values()]
+    records = {id(prop) for rec in nodes for prop in rec.properties.values()}
+    scripts = {id(act.script) for act in loaded.actions.values() if act.script.text is not None}
+    assert len(records) == len(set(lines)) < len(lines)
+    assert len(scripts) == len(set(bodies)) < len(bodies)
+    assert nets_equal(loaded, net)
 
 
 # ---------------------------------------------------------------- atomic save
