@@ -47,6 +47,7 @@ ANSWER_TEXT = {
 class Session:
     def __init__(self):
         self.verb_table = sim.verb_table_from_env()
+        self.memo = store.ValueMemo()   # this session's decoded PROP fields, kept by `reset`
         self.reset()
 
     def reset(self) -> None:
@@ -261,7 +262,7 @@ def _do_new(session, _verb, _args, _words, _name):
 
 
 def _do_load(session, verb, args, _words, _name):
-    net, lexicon = store.load(_paths(verb, args)[0])
+    net, lexicon = store.load(_paths(verb, args)[0], session.memo)
     session.reset()
     session.net = net
     session.lexicon = lexicon
@@ -346,14 +347,14 @@ def _do_expand(session, _verb, args, _words, _name):
     return [f"expanded #{nid}: {len(created)} nodes"]
 
 
-def _do_mine(_session, verb, args, _words, _name):
+def _do_mine(session, verb, args, _words, _name):
     options = {"--min-support": 2, "--max-nodes": 4}
     paths = _options(verb, _paths(verb, args), options)
     if not paths:
         raise _usage(verb)
     if options["--min-support"] < 2 or not 1 <= options["--max-nodes"] <= 8:
         raise _usage(verb, "--min-support must be at least 2, --max-nodes 1 to 8; ")
-    nets = [store.load(path)[0] for path in paths]
+    nets = [store.load(path, session.memo)[0] for path in paths]
     templates = reasoning.mine_concepts(nets, options["--min-support"], options["--max-nodes"])
     return [f"template {i}: support {t.support}, {len(t.pattern.node_ids())} nodes"
             for i, t in enumerate(templates, start=1)] or ["no templates"]

@@ -34,9 +34,12 @@ other line goes through the one line decoder that the lazy reads use,
 and that path finds every fault. `load` decodes each record as it
 passes, each distinct thing once: matched PROP lines with equal bytes
 after the owner id share one PropertyRecord, and actions with equal
-script bodies one ScriptRef, so neither is ever changed in place. It
-reads script texts only once the framing and references hold, so a fault
-inside a script never hides a later fault that `open` would report. `open`
+script bodies one ScriptRef, so neither is ever changed in place. A
+`ValueMemo` passed to `load` carries the decoded fields of those lines
+from one load to the next, so a reload decodes only what is new; it
+holds no record, so no mark outlives its load. `load` reads script texts
+only once the framing and references hold, so a fault inside a script
+never hides a later fault that `open` would report. `open`
 decodes no values and keeps no labels, though it checks every record as
 `load` does: its index is the scan's own tables of nodes, of the byte
 offsets of their records and of is-a edges, and nothing beyond them is
@@ -472,17 +475,50 @@ def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
                             head + 1 + exc.line, exc.column, exc.expected)
 
 
-def _shared_prop(name: str, tail: bytes, line: int, mark: tuple) -> tuple:
-    """(name, PropertyRecord marked `mark`, whether save writes it so) of a
-    matched PROP line's "<name> <kind> <token>[ <provenance>]"."""
-    kind, tok, prov = _VALUE_FIELDS.fullmatch(tail, len(name) + 1).groups()
-    value = _decode_value(kind.decode(), tok.decode(), line)
-    as_saved = prov is not None and f"{name} {_value_token(value)} {prov.decode()}".encode() == tail
-    prov = INFERRED if prov == b"inferred" else ASSERTED
-    return name, PropertyRecord(name, value, prov, PROP_HYDRATED, mark), as_saved
+# How many bytes of PROP tails a value memo holds, summed over its keys;
+# at the bound it is emptied whole. A 200-object file has about 10 kB of
+# distinct tails.
+MAX_MEMO_BYTES = 1024 * 1024
 
 
-def _read(buf: bytes, mark: tuple | None):
+class ValueMemo:
+    """What `load` decoded of the matched PROP lines it read, kept by one
+    owner (a CLI session) across its loads: each line's bytes after
+    `PROP <id> ` map to (name, Value, Provenance, whether save writes
+    them so). A reload of an unchanged file decodes no value.
+
+    It holds only frozen values, names and flags, never a PropertyRecord
+    or ScriptRef, which carry a file's mark: each load still builds its own
+    records. A failed decode is never kept, nor a NaN, which no value of
+    another load may equal. The keys hold at most MAX_MEMO_BYTES bytes; the
+    memo is emptied whole when one more key would pass that.
+    """
+
+    __slots__ = ("fields", "size")
+
+    def __init__(self):
+        self.fields: dict[bytes, tuple] = {}
+        self.size = 0   # bytes of the keys held
+
+    def decoded(self, name: str, tail: bytes, line: int) -> tuple:
+        """The fields of a matched PROP line's "<name> <kind> <token>[ <provenance>]"."""
+        fields = self.fields.get(tail)
+        if fields is not None:
+            return fields
+        kind, tok, prov = _VALUE_FIELDS.fullmatch(tail, len(name) + 1).groups()
+        value = _decode_value(kind.decode(), tok.decode(), line)
+        as_saved = prov is not None and f"{name} {_value_token(value)} {prov.decode()}".encode() == tail
+        fields = name, value, INFERRED if prov == b"inferred" else ASSERTED, as_saved
+        if value.data == value.data:   # not NaN
+            if self.size + len(tail) > MAX_MEMO_BYTES:
+                self.fields.clear()
+                self.size = 0
+            self.fields[tail] = fields
+            self.size += len(tail)
+        return fields
+
+
+def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
     """One pass over a whole `.krn` file's bytes, every reference checked.
 
     Each run of lines `_BLOCK` matches is read from the match; any other
@@ -491,11 +527,13 @@ def _read(buf: bytes, mark: tuple | None):
     the file's identity as `mark` (for `load`), a PROP/SIG record becomes
     a PropertyRecord and a SCRIPT record a ScriptRef, each carrying the
     mark: matched PROP lines with equal tails after `PROP <id> ` share one
-    record, and a body is parsed after the reference checks, equal bodies
-    into one ScriptRef; a LABEL record becomes a label. With None (for
-    the `open` scan), each PROP/SIG and SCRIPT record is kept as its byte
-    offset, for the index, and no label. Set operations tell whether the
-    references hold; only when they may not are they searched in file order.
+    record, its fields taken from `memo` (decoded and kept there on a miss,
+    after the duplicate check), and a body is parsed after the reference
+    checks, equal bodies into one ScriptRef; a LABEL record becomes a
+    label. With None (for the `open` scan, which takes no memo), each
+    PROP/SIG and SCRIPT record is kept as its byte offset, for the index,
+    and no label. Set operations tell whether the references hold; only
+    when they may not are they searched in file order.
 
     Returns (nodes, props, scripts, isa, labels, spans, label_start): nodes
     maps id to (tag, provenance, subject, target, line) in file order;
@@ -519,7 +557,8 @@ def _read(buf: bytes, mark: tuple | None):
     refs: list[tuple[int, str, NodeId, str | None]] = []
     label_owners: dict[NodeId, int] = {}   # the first LABEL line of each labelled node
     names: dict[bytes, str] = {}   # the scan's one str per matched property name
-    tails: dict[bytes, tuple] = {}   # _shared_prop of each matched PROP line's tail
+    # (name, PropertyRecord, whether save writes it so) of each matched PROP line's tail
+    tails: dict[bytes, tuple] = {}
     spans: dict[NodeId, range] = {}
     label_start = None
     fh = io.BytesIO(buf)   # for the SCRIPT blocks of tokenised records
@@ -557,7 +596,10 @@ def _read(buf: bytes, mark: tuple | None):
                             if name in named:
                                 raise FormatError(f"duplicate property {name!r} on {nid}", lineno)
                             if shared is None:
-                                shared = tails[tail] = _shared_prop(name, tail, lineno, mark)
+                                name, value, prov, as_saved = memo.decoded(name, tail, lineno)
+                                shared = tails[tail] = (
+                                    name, PropertyRecord(name, value, prov, PROP_HYDRATED, mark),
+                                    as_saved)
                             named[name] = shared[1]
                             if name <= last or not shared[2]:
                                 saved = False
@@ -690,11 +732,13 @@ def _read(buf: bytes, mark: tuple | None):
     return nodes, props, scripts, isa, labels, spans, label_start
 
 
-def _load(data: bytes, mark: tuple) -> tuple[Net, Lexicon]:
+def _load(data: bytes, mark: tuple, memo: ValueMemo | None = None) -> tuple[Net, Lexicon]:
     """A fresh net plus its labels from a whole file's bytes, its records
-    marked `mark`. Both keep the bytes that `save` can copy: the net the
-    file and its node blocks' spans, the lexicon its LABEL lines."""
-    nodes, props, scripts, isa, labels, spans, label_start = _read(data, mark)
+    marked `mark` and its PROP fields decoded through `memo` (with None, a
+    fresh one for this read). Both keep the bytes that `save` can copy: the
+    net the file and its node blocks' spans, the lexicon its LABEL lines."""
+    nodes, props, scripts, isa, labels, spans, label_start = _read(
+        data, mark, ValueMemo() if memo is None else memo)
     net = Net()
     objects, actions = net.objects, net.actions
     for nid in sorted(nodes):
@@ -726,10 +770,13 @@ def _load(data: bytes, mark: tuple) -> tuple[Net, Lexicon]:
     return net, lexicon
 
 
-def load(path: str) -> tuple[Net, Lexicon]:
-    """Read a whole `.krn` file into a fresh net plus its labels, in one pass."""
+def load(path: str, memo: ValueMemo | None = None) -> tuple[Net, Lexicon]:
+    """Read a whole `.krn` file into a fresh net plus its labels, in one pass.
+
+    With a `memo`, a PROP field that an earlier load through it decoded is
+    not decoded again (`ValueMemo`); the net is the same either way."""
     with io.open(path, "rb") as fh:   # the mark is taken once the bytes are read
-        return _load(fh.read(), _identity(os.fstat(fh.fileno())))
+        return _load(fh.read(), _identity(os.fstat(fh.fileno())), memo)
 
 
 # ------------------------------------------------------------------ open

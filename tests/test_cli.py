@@ -124,6 +124,26 @@ save {q}
     assert mine_out.splitlines() == ["template 1: support 2, 3 nodes"]
 
 
+def test_a_session_keeps_its_value_memo_across_new_load_and_mine(tmp_path):
+    p, q = tmp_path / "mike.krn", tmp_path / "jack.krn"
+    session = Session()
+    memo = session.memo
+    for path, who, height in ((p, "a", 2), (q, "b", 3)):
+        for command in ("new", f"obj person-{who} height={height}", f"obj head-{who} head=true",
+                        f"act person-{who} head-{who}", f"save {path}"):
+            run_command(session, command)
+    assert not memo.fields   # only a load decodes
+    run_command(session, f"load {p}")
+    held = dict(memo.fields)
+    assert held and session.memo is memo
+    run_command(session, "new")
+    assert session.memo is memo and memo.fields == held
+    mine = f"mine --min-support 2 --max-nodes 3 {p} {q}"
+    assert run_command(session, mine) == run_command(Session(), mine) == [
+        "template 1: support 2, 3 nodes"]
+    assert session.memo is memo and len(memo.fields) > len(held)
+
+
 def test_mine_flag_without_an_integer_value_is_a_usage_error(tmp_path):
     p = tmp_path / "a.krn"
     q = tmp_path / "b.krn"

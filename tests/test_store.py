@@ -1146,6 +1146,145 @@ def test_a_load_builds_one_record_per_distinct_prop_tail_and_script_body(tmp_pat
     assert nets_equal(loaded, net)
 
 
+# ---------------------------------------------------------------- value memo
+
+
+def _prop_tails(path) -> list[bytes]:
+    """The bytes after `PROP <id> ` of each PROP line, in file order."""
+    return [line.split(b" ", 2)[2] for line in Path(path).read_bytes().splitlines()
+            if line.startswith(b"PROP ")]
+
+
+def test_a_reload_through_one_memo_decodes_no_value(tmp_path, monkeypatch):
+    """A count, not a timing: a first load decodes each distinct PROP field
+    once, and a reload of the unchanged file through the same memo none."""
+    rng = random.Random(44)
+    pool = [Value.num(1), Value.num(2.5), Value.text("red"), Value.truth(False),
+            Value.ref(1), Value.unset()]
+    net = Net()
+    for _ in range(40):
+        net.add_object([(name, rng.choice(pool))
+                        for name in rng.sample(["x", "y", "colour"], rng.randrange(4))])
+    path = _saved(tmp_path, net)
+    tails = _prop_tails(path)
+    decoded = []
+    real_decode = store._decode_value
+    monkeypatch.setattr(store, "_decode_value", lambda *args: decoded.append(args) or real_decode(*args))
+    memo = store.ValueMemo()
+    first = store.load(path, memo)[0]
+    assert len(decoded) == len(set(tails)) < len(tails)
+    decoded.clear()
+    again = store.load(path, memo)[0]
+    assert decoded == [] and nets_equal(again, first) and nets_equal(again, net)
+    store.load(path)   # without a memo, each load decodes afresh
+    assert len(decoded) == len(set(tails))
+
+
+def test_a_nan_value_is_never_shared_between_loads(tmp_path):
+    path = tmp_path / "nan.krn"
+    path.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num nan\n")
+    memo = store.ValueMemo()
+    one, two = (store.load(str(path), memo)[0] for _ in range(2))
+    # NaN equals nothing, so two loads of it differ, through a memo or not
+    assert not nets_equal(one, two)
+    assert not nets_equal(store.load(str(path))[0], store.load(str(path))[0])
+    assert not memo.fields
+
+
+def _props(net):
+    return [prop for (_, name), prop in _marked(net) if name is not None]
+
+
+def _equal_props_file(tmp_path, name, script):
+    net = Net()
+    obj = net.add_object([("x", Value.num(1)), ("colour", Value.text("green"))])
+    net.add_action(None, obj, script, [("x", Value.num(1))])
+    return _saved(tmp_path, net, name=name)
+
+
+def test_loads_through_one_memo_share_values_but_no_record_or_mark(tmp_path):
+    paths = [_equal_props_file(tmp_path, "a.krn", "set object.y = 1;"),
+             _equal_props_file(tmp_path, "b.krn", "set object.z = 9;")]
+    memo = store.ValueMemo()
+    nets = [store.load(path, memo)[0] for path in paths]
+    props = [_props(net) for net in nets]
+    assert {id(prop.value) for prop in props[0]} == {id(prop.value) for prop in props[1]}
+    assert not {id(prop) for prop in props[0]} & {id(prop) for prop in props[1]}
+    for path, own in zip(paths, props):
+        assert {prop.from_store for prop in own} == {store._identity(os.stat(path))}
+    # b's handle demotes what b's load gave and nothing of a's, as after
+    # loads without a memo
+    cold = [store.load(path)[0] for path in paths]
+    with store.open(paths[1]) as handle:
+        for net in [*nets, *cold]:
+            for nid in [*net.objects, *net.actions]:
+                handle.evict(nid, net)
+    for warm, plain in zip(nets, cold):
+        assert nets_equal(warm, plain)
+        assert [(key, kept.from_store) for key, kept in _marked(warm)] == [
+            (key, kept.from_store) for key, kept in _marked(plain)]
+    assert {prop.load_state for prop in _props(nets[0])} == {PropLoad.HYDRATED}
+    assert {prop.load_state for prop in _props(nets[1])} == {PropLoad.STUB}
+    assert nets[0].actions[2].script.state == "hydrated" and nets[1].actions[2].script.state == "stub"
+
+
+def _loaded(path, memo, copy_to):
+    """What a load gives, saved again to `copy_to`, or the error it raises."""
+    try:
+        net, lexicon = store.load(path, memo)
+    except (FormatError, ScriptParseError) as exc:
+        return type(exc), str(exc), exc.line
+    store.save(net, lexicon, copy_to)
+    return (net, lexicon.items(), dict(net.spans), net.next_id,
+            [(key, kept, kept.from_store) for key, kept in _marked(net)],
+            Path(copy_to).read_bytes())
+
+
+def test_a_load_through_a_warm_memo_equals_a_cold_load(tmp_path):
+    rng = random.Random(3232)
+    memo = store.ValueMemo()
+    source, path = str(tmp_path / "source.krn"), str(tmp_path / "net.krn")
+    failed = 0
+    for i in range(300):
+        net, lexicon = random_net(rng)
+        store.save(net, lexicon, source)
+        store.load(source, memo)   # warms the memo with the fields the mutant keeps
+        data = Path(source).read_bytes()
+        Path(path).write_bytes(data if rng.random() < 0.2 else _mutated(rng, data))
+        cold = _loaded(path, None, str(tmp_path / "cold.krn"))
+        warm = _loaded(path, memo, str(tmp_path / "warm.krn"))
+        if len(cold) == 3:
+            failed += 1
+            assert warm == cold, f"mutant {i}"
+            continue
+        assert len(warm) == 6 and nets_equal(warm[0], cold[0]), f"mutant {i}"
+        assert warm[1:] == cold[1:], f"mutant {i}"
+        assert memo.size == sum(map(len, memo.fields)) <= store.MAX_MEMO_BYTES
+    assert 50 < failed < 250
+
+
+def test_a_full_memo_empties_whole_and_a_failed_decode_leaves_it_alone(tmp_path, monkeypatch):
+    net = Net()
+    for x in range(5):
+        net.add_object([("x", Value.num(10 + x))])
+    path = _saved(tmp_path, net)
+    tails = _prop_tails(path)
+    size = len(tails[0])
+    assert {len(tail) for tail in tails} == {size}
+    monkeypatch.setattr(store, "MAX_MEMO_BYTES", 3 * size)
+    memo = store.ValueMemo()
+    assert nets_equal(store.load(path, memo)[0], net)
+    # the fourth tail would pass the bound: the first three go, all at once
+    assert list(memo.fields) == tails[3:] and memo.size == 2 * size
+    held = dict(memo.fields)
+    bad = tmp_path / "bad.krn"
+    bad.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num ten asserted\n")
+    with pytest.raises(FormatError, match="bad number") as exc:
+        store.load(str(bad), memo)
+    assert exc.value.line == 3
+    assert memo.fields == held and memo.size == 2 * size
+
+
 # ---------------------------------------------------------------- atomic save
 
 
