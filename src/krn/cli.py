@@ -47,7 +47,7 @@ ANSWER_TEXT = {
 class Session:
     def __init__(self):
         self.verb_table = sim.verb_table_from_env()
-        self.memo = store.ValueMemo()   # this session's decoded PROP fields, kept by `reset`
+        self.memo = store.ValueMemo()   # the runs of lines this session loaded, kept by `reset`
         self.reset()
 
     def reset(self) -> None:

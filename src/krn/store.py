@@ -34,10 +34,12 @@ other line goes through the one line decoder that the lazy reads use,
 and that path finds every fault. `load` decodes each record as it
 passes, each distinct thing once: matched PROP lines with equal bytes
 after the owner id share one PropertyRecord, and actions with equal
-script bodies one ScriptRef, so neither is ever changed in place. A
-`ValueMemo` passed to `load` carries the decoded fields of those lines
-from one load to the next, so a reload decodes only what is new; it
-holds no record, so no mark outlives its load. `load` reads script texts
+script texts one ScriptRef, so neither is ever changed in place. A
+`ValueMemo` passed to `load` carries what it decoded of each matched
+node block and run of LABEL lines, keyed by the run's bytes, from one
+load to the next, so a reload reads no line of a run it has read; it
+holds no record, so no mark outlives its load, and every check that
+belongs to one read still runs. `load` parses script texts
 only once the framing and references hold, so a fault inside a script
 never hides a later fault that `open` would report. `open`
 decodes no values and keeps no labels, though it checks every record as
@@ -475,47 +477,133 @@ def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
                             head + 1 + exc.line, exc.column, exc.expected)
 
 
-# How many bytes of PROP tails a value memo holds, summed over its keys;
-# at the bound it is emptied whole. A 200-object file has about 10 kB of
-# distinct tails.
-MAX_MEMO_BYTES = 1024 * 1024
+# What a value memo charges for a run it keeps: twice its bytes, for the
+# key and the bytes and strings decoded from it, plus the objects that hold
+# them, per run and per value, label or script text it decoded (about what
+# CPython 3.11 allocates, measured with tracemalloc). A 57 kB file of 200
+# objects, 200 actions and 440 labels is charged 287 kB and holds 230 kB.
+_RUN_COST = 200
+_PART_COST = 160
+MAX_MEMO_BYTES = 2 * 1024 * 1024
 
 
 class ValueMemo:
-    """What `load` decoded of the matched PROP lines it read, kept by one
-    owner (a CLI session) across its loads: each line's bytes after
-    `PROP <id> ` map to (name, Value, Provenance, whether save writes
-    them so). A reload of an unchanged file decodes no value.
+    """What `load` decoded of the runs of lines `_BLOCK` matched, kept by one
+    owner (a CLI session) across its loads and keyed by each run's bytes. A
+    node block maps to (id, tag, provenance, subject, target, fields,
+    whether save writes the node so, its script text, its line count), the
+    fields of each PROP line being (tail, name, Value, Provenance, whether
+    save writes the tail so), its tail the bytes after `PROP <id> `. A run
+    of LABEL lines maps to (labels, the first line of each owner counted
+    from the run's, its line count, whether save writes those labels so).
+    A reload of an unchanged file so reads no line of those runs again.
 
-    It holds only frozen values, names and flags, never a PropertyRecord
-    or ScriptRef, which carry a file's mark: each load still builds its own
-    records. A failed decode is never kept, nor a NaN, which no value of
-    another load may equal. The keys hold at most MAX_MEMO_BYTES bytes; the
-    memo is emptied whole when one more key would pass that.
+    It holds only bytes, frozen values, strings, ints and flags, never a
+    PropertyRecord or ScriptRef, which carry a file's mark: each load still
+    builds its own records. A run whose decode raises is never kept, nor one
+    that holds a NaN, which no value of another load may equal. Runs are
+    charged as `_RUN_COST` and `_PART_COST` state; the memo holds at most
+    MAX_MEMO_BYTES so charged, and is emptied whole when one more run would
+    pass that. Only its own methods touch its table.
     """
 
-    __slots__ = ("fields", "size")
+    __slots__ = ("runs", "size")
 
     def __init__(self):
-        self.fields: dict[bytes, tuple] = {}
-        self.size = 0   # bytes of the keys held
+        self.runs: dict[bytes, tuple] = {}
+        self.size = 0   # what the runs held are charged
 
-    def decoded(self, name: str, tail: bytes, line: int) -> tuple:
-        """The fields of a matched PROP line's "<name> <kind> <token>[ <provenance>]"."""
-        fields = self.fields.get(tail)
-        if fields is not None:
-            return fields
-        kind, tok, prov = _VALUE_FIELDS.fullmatch(tail, len(name) + 1).groups()
-        value = _decode_value(kind.decode(), tok.decode(), line)
-        as_saved = prov is not None and f"{name} {_value_token(value)} {prov.decode()}".encode() == tail
-        fields = name, value, INFERRED if prov == b"inferred" else ASSERTED, as_saved
-        if value.data == value.data:   # not NaN
-            if self.size + len(tail) > MAX_MEMO_BYTES:
-                self.fields.clear()
-                self.size = 0
-            self.fields[tail] = fields
-            self.size += len(tail)
-        return fields
+    def run(self, key: bytes) -> tuple | None:
+        """The decoded run of lines whose bytes are `key`, if kept."""
+        return self.runs.get(key)
+
+    def keep(self, key: bytes, run: tuple, parts: int) -> None:
+        """Hold a decoded run under its bytes: `parts` counts the values,
+        script texts, labels and labelled nodes it decoded itself."""
+        cost = 2 * len(key) + _RUN_COST + _PART_COST * parts
+        if cost > MAX_MEMO_BYTES:
+            return
+        if self.size + cost > MAX_MEMO_BYTES:
+            self.runs.clear()
+            self.size = 0
+        self.runs[key] = run
+        self.size += cost
+
+
+def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails: dict):
+    """The run a `ValueMemo` keeps for a matched node block on line `line`,
+    read line by line, and how many values and script texts it decoded
+    itself, or None when it may not be kept. In file order it raises
+    for a duplicate property, also of one in `named` (the node's properties
+    from lines outside the block), for a bad value, and for a SCRIPT when
+    `scripted` (the node had one outside the block). `names` holds one str
+    per property name and `tails` the fields of each tail this read met."""
+    nid = int(m["nid"])
+    if m["act"]:
+        subject = m["subject"]
+        tag, subject, target = "ACT", None if subject == b"-" else int(subject), int(m["target"])
+    else:
+        tag, subject, target = "OBJ", None, None
+    first, stop = m.span("props")
+    fields = []
+    seen = set(named)
+    saved = True   # whether save writes the node as the block holds it
+    keep, parts = True, 0
+    last = ""
+    for tail in _PROP_TAIL.findall(m.string, first, stop):
+        line += 1
+        shared = tails.get(tail)
+        if shared is None:
+            raw = tail[:tail.find(b" ")]
+            name = names.get(raw) or names.setdefault(raw, raw.decode())
+        else:
+            name = shared[0][1]
+        if name in seen:
+            raise FormatError(f"duplicate property {name!r} on {nid}", line)
+        seen.add(name)
+        if shared is None:
+            kind, tok, prov = _VALUE_FIELDS.fullmatch(tail, len(name) + 1).groups()
+            value = _decode_value(kind.decode(), tok.decode(), line)
+            as_saved = prov is not None and f"{name} {_value_token(value)} {prov.decode()}".encode() == tail
+            field = (tail, name, value, INFERRED if prov == b"inferred" else ASSERTED, as_saved)
+            parts += 1
+        else:
+            field = shared[0]
+        keep = keep and field[2].data == field[2].data   # not NaN
+        fields.append(field)
+        saved = saved and name > last and field[4]
+        last = name
+    lines = 1 + len(fields)
+    text = None
+    if m["script"] is not None:
+        if scripted:
+            raise FormatError(f"duplicate SCRIPT for {nid}", line + 1)
+        body = m["body"]
+        # save writes no blank last line: ScriptRef strips its newline
+        saved = saved and (not body or body[-2:] != b"\n\n" and body != b"\n")
+        try:
+            text = body[:-1].decode("utf-8")
+            parts += 1
+        except UnicodeDecodeError:   # raised once the references hold
+            text, keep = body, False
+        lines += body.count(b"\n") + 3
+    prov = INFERRED if m["inferred"] else ASSERTED
+    return (nid, tag, prov, subject, target, tuple(fields), saved, text, lines), parts if keep else None
+
+
+def _label_run(buf: bytes, start: int, stop: int, decode: bool) -> tuple:
+    """The run a `ValueMemo` keeps for matched LABEL lines, the labels
+    themselves only when `decode`. Save writes them so when each (node,
+    language) pair follows the one before."""
+    labels, owners, langs = [], {}, {}
+    for line, (node, lang, text) in enumerate(_LABEL_FIELDS.findall(buf, start, stop)):
+        node = int(node)
+        owners.setdefault(node, line)
+        if decode:
+            lang = langs.get(lang) or langs.setdefault(lang, lang.decode())
+            labels.append((node, lang, text.decode()))
+    ordered = all(a[:2] < b[:2] for a, b in zip(labels, labels[1:]))
+    return tuple(labels), owners, buf.count(b"\n", start, stop), ordered
 
 
 def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
@@ -524,16 +612,19 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
     Each run of lines `_BLOCK` matches is read from the match; any other
     line token by token, and only that path (and the duplicate and
     reference checks) raises, whether or not records are decoded. With
-    the file's identity as `mark` (for `load`), a PROP/SIG record becomes
-    a PropertyRecord and a SCRIPT record a ScriptRef, each carrying the
-    mark: matched PROP lines with equal tails after `PROP <id> ` share one
-    record, its fields taken from `memo` (decoded and kept there on a miss,
-    after the duplicate check), and a body is parsed after the reference
-    checks, equal bodies into one ScriptRef; a LABEL record becomes a
-    label. With None (for the `open` scan, which takes no memo), each
-    PROP/SIG and SCRIPT record is kept as its byte offset, for the index,
-    and no label. Set operations tell whether the references hold; only
-    when they may not are they searched in file order.
+    the file's identity as `mark` (for `load`), a node block or run of
+    LABEL lines is taken decoded from `memo` by its bytes when it holds
+    them, and is otherwise read line by line and kept there; a block whose
+    node had a PROP or SCRIPT line outside it is read line by line, so that
+    the duplicate checks see those. Each PROP/SIG record then becomes a
+    PropertyRecord and each SCRIPT record a ScriptRef, built per read and
+    carrying the mark: matched PROP lines with equal tails after
+    `PROP <id> ` share one record, and the scripts are parsed after the
+    reference checks, equal texts into one ScriptRef; a LABEL record
+    becomes a label. With None (for the `open` scan, which takes no memo),
+    each PROP/SIG and SCRIPT record is kept as its byte offset, for the
+    index, and no label. Set operations tell whether the references hold;
+    only when they may not are they searched in file order.
 
     Returns (nodes, props, scripts, isa, labels, spans, label_start): nodes
     maps id to (tag, provenance, subject, target, line) in file order;
@@ -542,7 +633,8 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
     as `save` writes that node to the block's range of byte offsets (a net
     keeps one per node, and unlike a tuple a range is not tracked by the
     collector), and label_start is the offset of the LABEL lines when they
-    are one matched run that ends the file; else None.
+    are one matched run that ends the file and reads as `save` writes
+    those labels; else None.
     """
     header = HEADER.encode()
     if not (buf.startswith(header + b"\n") or buf == header):
@@ -555,21 +647,53 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
     # (line, tag, id, tag it needs or None) of each record that names a node
     # outside the node's block: a tokenised PROP, SIG or SCRIPT, and an ISA
     refs: list[tuple[int, str, NodeId, str | None]] = []
-    label_owners: dict[NodeId, int] = {}   # the first LABEL line of each labelled node
-    names: dict[bytes, str] = {}   # the scan's one str per matched property name
-    # (name, PropertyRecord, whether save writes it so) of each matched PROP line's tail
+    # (first line, {node: its first line counted from there}) of each LABEL line or run
+    label_runs: list[tuple[int, dict[NodeId, int]]] = []
+    names: dict = {}   # the read's one str per matched property name
+    # (fields, PropertyRecord) of each matched PROP line's tail, for load
     tails: dict[bytes, tuple] = {}
     spans: dict[NodeId, range] = {}
     label_start = None
     fh = io.BytesIO(buf)   # for the SCRIPT blocks of tokenised records
     match = _BLOCK.match
+    if mark:
+        recall, keep = memo.run, memo.keep
     pos, lineno = len(header) + 1, 2
     while pos < len(buf):
         m = match(buf, pos)
         start = pos
         if m is not None:
             tag = m.lastgroup
-            if tag == "NODE":
+            pos = m.end()
+            if tag == "NODE" and mark:
+                key = m[0]
+                run = recall(key)
+                nid = int(m["nid"]) if run is None else run[0]
+                if nid in nodes:
+                    raise FormatError(f"duplicate node id {nid}", lineno)
+                if run is None or nid in props or nid in scripts:
+                    recalled = run
+                    run, parts = _node_run(m, lineno, props.get(nid, ()), nid in scripts, names, tails)
+                    if recalled is None and parts is not None:
+                        keep(key, run, parts)
+                nid, kind, prov, subject, target, fields, saved, text, lines = run
+                nodes[nid] = (kind, prov, subject, target, lineno)
+                if fields:
+                    named = props.get(nid)
+                    if named is None:
+                        named = props[nid] = {}
+                    for field in fields:
+                        shared = tails.get(field[0])
+                        if shared is None:
+                            shared = tails[field[0]] = (field, PropertyRecord(
+                                field[1], field[2], field[3], PROP_HYDRATED, mark))
+                        named[field[1]] = shared[1]
+                if text is not None:
+                    scripts[nid] = (text, lineno + 1 + len(fields))
+                if saved:
+                    spans[nid] = range(start, pos)
+                lineno += lines
+            elif tag == "NODE":
                 ident = m["nid"]
                 nid = int(ident)
                 if nid in nodes:
@@ -582,64 +706,45 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
                 else:
                     nodes[nid] = ("OBJ", prov, None, None, lineno)
                 lineno += 1
-                saved = mark is not None   # whether save writes the node as this block holds it
                 first, stop = m.span("props")
                 if first < stop:
                     named = props.get(nid)
                     if named is None:
                         named = props[nid] = {}
-                    if mark:
-                        last = ""
-                        for tail in _PROP_TAIL.findall(buf, first, stop):
-                            shared = tails.get(tail)
-                            name = shared[0] if shared else tail[:tail.find(b" ")].decode()
-                            if name in named:
-                                raise FormatError(f"duplicate property {name!r} on {nid}", lineno)
-                            if shared is None:
-                                name, value, prov, as_saved = memo.decoded(name, tail, lineno)
-                                shared = tails[tail] = (
-                                    name, PropertyRecord(name, value, prov, PROP_HYDRATED, mark),
-                                    as_saved)
-                            named[name] = shared[1]
-                            if name <= last or not shared[2]:
-                                saved = False
-                            last = name
-                            lineno += 1
-                    else:
-                        offset = first
-                        for raw_name, field in _PROP_FIELDS.findall(buf, first, stop):
-                            name = names.get(raw_name) or names.setdefault(raw_name, raw_name.decode())
-                            if name in named:
-                                raise FormatError(f"duplicate property {name!r} on {nid}", lineno)
-                            named[name] = offset
-                            offset += len(ident) + len(raw_name) + len(field) + 8
-                            lineno += 1
+                    offset = first
+                    for raw_name, field in _PROP_FIELDS.findall(buf, first, stop):
+                        name = names.get(raw_name) or names.setdefault(raw_name, raw_name.decode())
+                        if name in named:
+                            raise FormatError(f"duplicate property {name!r} on {nid}", lineno)
+                        named[name] = offset
+                        offset += len(ident) + len(raw_name) + len(field) + 8
+                        lineno += 1
                 if m["script"] is not None:
                     if nid in scripts:
                         raise FormatError(f"duplicate SCRIPT for {nid}", lineno)
-                    body = m["body"]
-                    scripts[nid] = (body, lineno) if mark else m.start("script")
-                    # save writes no blank last line: ScriptRef strips its newline
-                    saved = saved and (not body or body[-2:] != b"\n\n" and body != b"\n")
-                    lineno += body.count(b"\n") + 3
-                if saved:
-                    spans[nid] = range(start, m.end())
+                    scripts[nid] = m.start("script")
+                    lineno += m["body"].count(b"\n") + 3
             elif tag == "ISA":
-                for inst, concept in _ISA_FIELDS.findall(buf, pos, m.end()):
+                for inst, concept in _ISA_FIELDS.findall(buf, start, pos):
                     inst, concept = int(inst), int(concept)
                     isa.append((inst, concept))
                     refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
                     lineno += 1
             else:
-                if mark and not labels and m.end() == len(buf):
-                    label_start = start
-                for node, lang, text in _LABEL_FIELDS.findall(buf, pos, m.end()):
-                    node = int(node)
-                    if mark:
-                        labels.append((node, lang.decode(), text.decode()))
-                    label_owners.setdefault(node, lineno)
-                    lineno += 1
-            pos = m.end()
+                if mark:
+                    key = m[0]
+                    run = recall(key)
+                    if run is None:
+                        run = _label_run(buf, start, pos, True)
+                        keep(key, run, len(run[0]) + len(run[1]))   # a part per label and owner
+                    labels_of, owners, lines, ordered = run
+                    if not labels and pos == len(buf) and ordered:
+                        label_start = start
+                    labels += labels_of
+                else:
+                    _, owners, lines, _ = _label_run(buf, start, pos, False)
+                label_runs.append((lineno, owners))
+                lineno += lines
             continue
         end = buf.find(b"\n", pos) + 1 or len(buf)
         toks = _tokens(buf[pos:end], lineno)
@@ -666,7 +771,7 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
             text = decode_text(toks[3], line)
             if mark:
                 labels.append((node, toks[2], text))
-            label_owners.setdefault(node, line)
+            label_runs.append((line, {node: 0}))
         elif tag == "OBJ" or tag == "ACT":
             nid, prov, subject, target = _decode_node(toks, line)
             if nid in nodes:
@@ -694,9 +799,10 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
     objects = {nid for nid, node in nodes.items() if node[0] == "OBJ"}
     acts = [node for node in nodes.values() if node[0] == "ACT"]
     endpoints = {node[3] for node in acts}.union(node[2] for node in acts) - {None}
-    if not (label_owners.keys() <= nodes.keys() and endpoints <= objects
+    if not (all(owners.keys() <= nodes.keys() for _, owners in label_runs) and endpoints <= objects
             and all(need == "OBJ" and nid in objects for _, _, nid, need in refs)):
-        labelled = ((line, "LABEL", nid, None) for nid, line in label_owners.items())
+        labelled = ((first + line, "LABEL", nid, None)
+                    for first, owners in label_runs for nid, line in owners.items())
         ends = ((line, tag, end, "OBJ") for tag, _, subject, target, line in nodes.values()
                 if tag == "ACT" for end in (target, subject) if end is not None)
         bad = None
@@ -714,15 +820,16 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
     if mark:
         # a fault inside a script text is raised only now that the framing
         # and references hold, and in action id order, as a lazy read of
-        # every script meets it; equal bodies share one ScriptRef
-        shared: dict[bytes, ScriptRef] = {}
+        # every script meets it; equal texts share one ScriptRef
+        shared: dict[str, ScriptRef] = {}
         for owner in sorted(scripts):
-            body, line = scripts[owner]
-            ref = shared.get(body)
+            text, line = scripts[owner]
+            if type(text) is bytes:   # a tokenised block's body, or one not UTF-8
+                text = _script_text(text, line)
+            ref = shared.get(text)
             if ref is None:
-                text = _script_text(body, line)
                 try:
-                    ref = shared[body] = ScriptRef(text, parse_script(text), mark)
+                    ref = shared[text] = ScriptRef(text, parse_script(text), mark)
                 except ScriptParseError as exc:
                     raise _in_file(exc, owner, line) from None
             scripts[owner] = ref
@@ -734,9 +841,10 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
 
 def _load(data: bytes, mark: tuple, memo: ValueMemo | None = None) -> tuple[Net, Lexicon]:
     """A fresh net plus its labels from a whole file's bytes, its records
-    marked `mark` and its PROP fields decoded through `memo` (with None, a
-    fresh one for this read). Both keep the bytes that `save` can copy: the
-    net the file and its node blocks' spans, the lexicon its LABEL lines."""
+    marked `mark` and its matched runs of lines read through `memo` (with
+    None, a fresh one for this read). Both keep the bytes that `save` can
+    copy: the net the file and its node blocks' spans, the lexicon its
+    LABEL lines."""
     nodes, props, scripts, isa, labels, spans, label_start = _read(
         data, mark, ValueMemo() if memo is None else memo)
     net = Net()
@@ -764,8 +872,7 @@ def _load(data: bytes, mark: tuple, memo: ValueMemo | None = None) -> tuple[Net,
     net.isa_edges = sorted(set(isa))
     net.source, net.spans = data, spans
     lexicon = Lexicon.of(labels)
-    # save writes labels by (node, language), each pair once
-    if label_start is not None and len(lexicon.labels) == len(labels) and labels == sorted(labels):
+    if label_start is not None:
         lexicon.source = data[label_start:]
     return net, lexicon
 
@@ -773,8 +880,9 @@ def _load(data: bytes, mark: tuple, memo: ValueMemo | None = None) -> tuple[Net,
 def load(path: str, memo: ValueMemo | None = None) -> tuple[Net, Lexicon]:
     """Read a whole `.krn` file into a fresh net plus its labels, in one pass.
 
-    With a `memo`, a PROP field that an earlier load through it decoded is
-    not decoded again (`ValueMemo`); the net is the same either way."""
+    With a `memo`, a node block or run of LABEL lines that an earlier load
+    through it read is not read again (`ValueMemo`); the net, its labels
+    and every error are the same either way."""
     with io.open(path, "rb") as fh:   # the mark is taken once the bytes are read
         return _load(fh.read(), _identity(os.fstat(fh.fileno())), memo)
 

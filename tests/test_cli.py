@@ -132,16 +132,16 @@ def test_a_session_keeps_its_value_memo_across_new_load_and_mine(tmp_path):
         for command in ("new", f"obj person-{who} height={height}", f"obj head-{who} head=true",
                         f"act person-{who} head-{who}", f"save {path}"):
             run_command(session, command)
-    assert not memo.fields   # only a load decodes
+    assert not memo.runs   # only a load decodes
     run_command(session, f"load {p}")
-    held = dict(memo.fields)
+    held = dict(memo.runs)
     assert held and session.memo is memo
     run_command(session, "new")
-    assert session.memo is memo and memo.fields == held
+    assert session.memo is memo and memo.runs == held
     mine = f"mine --min-support 2 --max-nodes 3 {p} {q}"
     assert run_command(session, mine) == run_command(Session(), mine) == [
         "template 1: support 2, 3 nodes"]
-    assert session.memo is memo and len(memo.fields) > len(held)
+    assert session.memo is memo and len(memo.runs) > len(held)
 
 
 def test_mine_flag_without_an_integer_value_is_a_usage_error(tmp_path):

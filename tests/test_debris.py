@@ -4,8 +4,9 @@ private attribute assigned is read, and every parameter is read by its
 function. No module but `core.py` stores into a net's object or action
 table or reads an enum member off its class in a function body, no
 module but `lexicon.py` reads a lexicon's reverse index, no record a
-load may share is changed in place, and inside `store.StoreHandle` only
-`_held` looks a node up in a net. No
+load may share is changed in place, inside `store.StoreHandle` only
+`_held` looks a node up in a net, and only `store.ValueMemo`'s own
+methods touch its table. No
 pattern needs a newer Python than the package allows. The
 README's command summary names exactly the verbs the CLI dispatches on."""
 
@@ -157,6 +158,23 @@ def test_only_the_lexicon_reads_its_reverse_index():
                   if module != "lexicon.py" and isinstance(node, ast.Attribute)
                   and node.attr == "reverse" and id(node) not in called]
     assert not reads, reads
+
+
+def test_only_the_value_memo_touches_its_table():
+    """`store.ValueMemo` keeps its runs and what they are charged in its
+    slots, so no code in the package but the class's own methods reads or
+    writes an attribute of a slot's name (`<expr>.runs`, `<expr>.size`):
+    `_read` asks `run` for a decoded run and hands `keep` one it decoded."""
+    trees = _trees()
+    memo = next(node for node in trees["store.py"][1].body
+                if isinstance(node, ast.ClassDef) and node.name == "ValueMemo")
+    slots = next(ast.literal_eval(node.value) for node in memo.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets))
+    own = {id(node) for node in ast.walk(memo)}
+    pokes = [f"{module}:{node.lineno} .{node.attr}"
+             for module, (_, tree) in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in slots and id(node) not in own]
+    assert slots and not pokes, pokes
 
 
 # the fields of PropertyRecord and ScriptRef; a load shares one record

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,12 +14,12 @@ from krn import (
     ConceptTemplate, Lexicon, Net, Provenance, SensorAddress, SensorSignal, Value,
     collapse_to_action, collapse_to_object, expand, nets_equal, register_concept, shape,
 )
-from krn import store
+from krn import script, store
 from krn.cli import Session, run_command
 from krn.script import apply_undo
 from krn import sim
 from krn.sim import run_action
-from krn.core import NodeLoad, PropLoad, ScriptRef
+from krn.core import NodeLoad, PropertyRecord, PropLoad, ScriptRef
 from krn.errors import (
     BipartiteViolation,
     EvictionBlocked,
@@ -1188,7 +1189,7 @@ def test_a_nan_value_is_never_shared_between_loads(tmp_path):
     # NaN equals nothing, so two loads of it differ, through a memo or not
     assert not nets_equal(one, two)
     assert not nets_equal(store.load(str(path))[0], store.load(str(path))[0])
-    assert not memo.fields
+    assert not memo.runs
 
 
 def _props(net):
@@ -1248,7 +1249,7 @@ def test_a_load_through_a_warm_memo_equals_a_cold_load(tmp_path):
     for i in range(300):
         net, lexicon = random_net(rng)
         store.save(net, lexicon, source)
-        store.load(source, memo)   # warms the memo with the fields the mutant keeps
+        store.load(source, memo)   # warms the memo with the runs the mutant keeps
         data = Path(source).read_bytes()
         Path(path).write_bytes(data if rng.random() < 0.2 else _mutated(rng, data))
         cold = _loaded(path, None, str(tmp_path / "cold.krn"))
@@ -1259,8 +1260,14 @@ def test_a_load_through_a_warm_memo_equals_a_cold_load(tmp_path):
             continue
         assert len(warm) == 6 and nets_equal(warm[0], cold[0]), f"mutant {i}"
         assert warm[1:] == cold[1:], f"mutant {i}"
-        assert memo.size == sum(map(len, memo.fields)) <= store.MAX_MEMO_BYTES
+        assert sum(2 * len(key) + store._RUN_COST for key in memo.runs) <= memo.size
+        assert memo.size <= store.MAX_MEMO_BYTES
     assert 50 < failed < 250
+
+
+def _node_blocks(path) -> list[bytes]:
+    """The bytes of each OBJ line with the PROP lines after it, in file order."""
+    return re.findall(rb"OBJ [^\n]*\n(?:PROP [^\n]*\n)*", Path(path).read_bytes())
 
 
 def test_a_full_memo_empties_whole_and_a_failed_decode_leaves_it_alone(tmp_path, monkeypatch):
@@ -1268,21 +1275,250 @@ def test_a_full_memo_empties_whole_and_a_failed_decode_leaves_it_alone(tmp_path,
     for x in range(5):
         net.add_object([("x", Value.num(10 + x))])
     path = _saved(tmp_path, net)
-    tails = _prop_tails(path)
-    size = len(tails[0])
-    assert {len(tail) for tail in tails} == {size}
-    monkeypatch.setattr(store, "MAX_MEMO_BYTES", 3 * size)
+    blocks = _node_blocks(path)
+    assert len({len(block) for block in blocks}) == 1
+    # each block is charged for its bytes and its one decoded value
+    cost = 2 * len(blocks[0]) + store._RUN_COST + store._PART_COST
+    monkeypatch.setattr(store, "MAX_MEMO_BYTES", 3 * cost)
     memo = store.ValueMemo()
     assert nets_equal(store.load(path, memo)[0], net)
-    # the fourth tail would pass the bound: the first three go, all at once
-    assert list(memo.fields) == tails[3:] and memo.size == 2 * size
-    held = dict(memo.fields)
+    # the fourth block would pass the bound: the first three go, all at once
+    assert list(memo.runs) == blocks[3:] and memo.size == 2 * cost
+    held = dict(memo.runs)
     bad = tmp_path / "bad.krn"
     bad.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num ten asserted\n")
     with pytest.raises(FormatError, match="bad number") as exc:
         store.load(str(bad), memo)
     assert exc.value.line == 3
-    assert memo.fields == held and memo.size == 2 * size
+    assert memo.runs == held and memo.size == 2 * cost
+    # a run charged more than the bound is never kept, and empties nothing
+    big = tmp_path / "big.krn"
+    big.write_text(f"KRN 1\nOBJ 1\nPROP 1 x text \"{'a' * 3 * cost}\" asserted\n")
+    assert store.load(str(big), memo)[0].objects[1].properties["x"].value == Value.text("a" * 3 * cost)
+    assert memo.runs == held and memo.size == 2 * cost
+
+
+def _small_runs(shape):
+    """Distinct runs of lines of one shape, without end; a run that names
+    another comes right after it, the two at an even count."""
+    for i in itertools.count(1):
+        if shape == "bare":
+            yield f"OBJ {i}\n"
+        elif shape == "one-value":
+            yield f"OBJ {i}\nPROP {i} x num {i}.5 asserted\n"
+        elif shape == "script":
+            yield f"OBJ {2 * i}\n"
+            yield f"ACT {2 * i + 1} - {2 * i}\nSCRIPT {2 * i + 1}\n<<<\nset object.x = {i};\n>>>\n"
+        else:   # an object and a run of one LABEL line
+            yield f"OBJ {i}\n"
+            yield f'LABEL {i} en "w{i}"\n'
+
+
+@pytest.mark.parametrize("shape", ["bare", "one-value", "script", "labels"])
+def test_a_full_memo_holds_less_than_twice_its_bound(tmp_path, shape):
+    """Filled to its bound with many small distinct runs, 500 at a load,
+    the memo holds under 2 * MAX_MEMO_BYTES as tracemalloc counts it, up
+    to the load that empties it: each run is charged for what it decodes,
+    not only for its bytes. Charged for its keys alone, it held 9.1 MiB
+    for 1 MiB of keys."""
+    runs = _small_runs(shape)
+    path = tmp_path / "many.krn"
+    memo = store.ValueMemo()
+    most = loads = 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        while True:
+            path.write_text("KRN 1\n" + "".join(next(runs) for _ in range(500)))
+            size = memo.size
+            store.load(str(path), memo)
+            script.clear_parse_memo()
+            gc.collect()
+            if memo.size < size:   # emptied whole: it was full
+                break
+            most = max(most, tracemalloc.get_traced_memory()[0] - before)
+            loads += 1
+            assert most < 2 * store.MAX_MEMO_BYTES, f"after {loads} loads"
+    finally:
+        tracemalloc.stop()
+    assert loads > 3 and size > store.MAX_MEMO_BYTES * 0.9
+
+
+def _reloaded(tmp_path, warm_with: bytes, data: bytes):
+    """What a cold load of `data` gives, and what a load through a memo that
+    first read `warm_with` gives: `_loaded`'s view, or the error raised."""
+    first, path = tmp_path / "first.krn", str(tmp_path / "net.krn")
+    first.write_bytes(warm_with)
+    memo = store.ValueMemo()
+    store.load(str(first), memo)
+    Path(path).write_bytes(data)
+    cold = _loaded(path, None, str(tmp_path / "cold.krn"))
+    return cold, _loaded(path, memo, str(tmp_path / "warm.krn"))
+
+
+def _same_load(cold, warm):
+    if len(cold) == 3:
+        return warm == cold
+    return len(warm) == 6 and nets_equal(warm[0], cold[0]) and warm[1:] == cold[1:]
+
+
+_OBJ_1 = b"OBJ 1\nPROP 1 x num 1.0 asserted\n"
+_ACT_2 = b"ACT 2 - 1\nSCRIPT 2\n<<<\nset object.x = 2;\n>>>\n"
+
+
+@pytest.mark.parametrize("data, error", [
+    # a tokenised PROP line of node 1 before its block: the block's x is a duplicate
+    (b"KRN 1\nPROP 1 x num 2.0\n" + _OBJ_1, ("duplicate property 'x' on 1", 4)),
+    (b"KRN 1\nPROP 1 y num 2.0\n" + _OBJ_1, None),
+    # one block's bytes twice: the second is a duplicate node, at its own line
+    (b"KRN 1\n" + _OBJ_1 + b"OBJ 3\n" + _OBJ_1, ("duplicate node id 1", 5)),
+    (b"KRN 1\n" + _OBJ_1 + _ACT_2 + b"OBJ 3\n" + _ACT_2, ("duplicate node id 2", 10)),
+    # a tokenised SCRIPT of action 2 before its block: the block's is a duplicate
+    (b"KRN 1\n" + _OBJ_1 + b"SCRIPT 2\n<<<\nset object.x = 3;\n>>>\n" + _ACT_2,
+     ("duplicate SCRIPT for 2", 9)),
+    (b"KRN 1\n" + _OBJ_1 + b"PROP 2 y num 2.0\n" + _ACT_2, None),
+], ids=["prop-before", "prop-before-other-name", "object-twice", "action-twice",
+        "script-before", "action-prop-before"])
+def test_a_recalled_block_is_checked_against_what_the_read_has_seen(tmp_path, data, error):
+    """A block the memo holds is still checked against this read: against
+    a PROP or SCRIPT line of its node outside it, and against an earlier
+    block with its very bytes."""
+    cold, warm = _reloaded(tmp_path, b"KRN 1\n" + _OBJ_1 + _ACT_2, data)
+    if error is None:
+        assert len(cold) == 6
+    else:
+        assert cold == (FormatError, f"{error[0]} (line {error[1]})", error[1])
+    assert _same_load(cold, warm)
+
+
+@pytest.mark.parametrize("line, as_saved", [
+    (b"PROP 1 x num 1.0", False), (b"PROP 1 x num 1 asserted", False),
+    (b'PROP 1 x text "a"', False), (b"PROP 1 x bool true inferred", True)])
+def test_a_recalled_tail_save_writes_otherwise_gives_no_later_block_a_span(tmp_path, line, as_saved):
+    """A tail `save` would write otherwise (no provenance token, `num 1`)
+    met first in a block the memo holds and then in one it does not:
+    neither node has a span, as in a cold load."""
+    tail = line.split(b" ", 2)[2]
+    data = b"KRN 1\nOBJ 1\n" + line + b"\nOBJ 2\nPROP 2 " + tail + b"\n"
+    cold, warm = _reloaded(tmp_path, b"KRN 1\nOBJ 1\n" + line + b"\n", data)
+    assert len(cold) == 6 and sorted(cold[2]) == ([1, 2] if as_saved else [])
+    assert _same_load(cold, warm)
+
+
+def _traffic_files(rng, tmp_path) -> list[str]:
+    """Three saved nets shaped as the `store-full` benchmark's: objects
+    with shared values, actions whose scripts write their target, an
+    English label on every node and a French one on some actions."""
+    paths = []
+    for f in range(3):
+        net, lexicon = Net(), Lexicon()
+        objects = [net.add_object([
+            ("colour", Value.text(rng.choice(["red", "grey", "white"]))),
+            ("x", Value.num(rng.randrange(5))),
+            *([("mass", Value.num(rng.randrange(3) / 2))] if rng.random() < 0.5 else [])])
+            for _ in range(12)]
+        texts = ["set object.x = object.x + 1;", 'set object.colour = "red";',
+                 f"set object.x = {rng.randrange(100)};", None]
+        actions = [net.add_action(rng.choice([None, *objects]), rng.choice(objects), rng.choice(texts))
+                   for _ in range(10)]
+        for i, nid in enumerate(objects):
+            lexicon.set_label(nid, "en", f"o{i}")
+        for j, nid in enumerate(actions):
+            lexicon.set_label(nid, "en", f"a{j}")
+            if j % 3 == 0:
+                lexicon.set_label(nid, "fr", f"agir{j}")
+        paths.append(_saved(tmp_path, net, lexicon, name=f"traffic-{f}.krn"))
+    return paths
+
+
+def test_store_full_traffic_through_one_session_memo_loads_as_cold(tmp_path):
+    """load -> set or run -> save over three files in turn through one CLI
+    session, as the `store-full` benchmark runs: each reload through the
+    session's memo equals a cold load in net, labels, spans, next_id, the
+    records with their marks and the bytes it saves again."""
+    rng = random.Random(3333)
+    paths = _traffic_files(rng, tmp_path)
+    session = Session()
+    for step in range(90):
+        path = paths[step % 3]
+        run_command(session, f"load {path}")
+        warm = _loaded(path, session.memo, str(tmp_path / "warm.krn"))
+        cold = _loaded(path, None, str(tmp_path / "cold.krn"))
+        assert len(cold) == 6 and nets_equal(warm[0], cold[0]), f"step {step}"
+        assert warm[1:] == cold[1:], f"step {step}"
+        assert nets_equal(session.net, cold[0]) and session.net.spans == cold[2]
+        net = session.net
+        if rng.random() < 0.6:
+            scripted = [aid for aid, act in sorted(net.actions.items()) if act.script.text]
+            run_command(session, f"run #{rng.choice(scripted)}")
+        else:
+            obj = rng.choice(sorted(net.objects))
+            run_command(session, f"set #{obj}.{rng.choice(['x', 'mass'])} {rng.randrange(4)}")
+        run_command(session, f"save {path}")
+    assert session.memo.runs and session.memo.size <= store.MAX_MEMO_BYTES
+
+
+class _CountedPattern:
+    """A compiled pattern whose every call is counted under its name."""
+
+    def __init__(self, pattern, name, counts):
+        self.pattern, self.name, self.counts = pattern, name, counts
+
+    def __getattr__(self, method):
+        def counted(*args):
+            self.counts[self.name] += 1
+            return getattr(self.pattern, method)(*args)
+        return counted
+
+
+def test_a_reload_reads_no_line_of_a_recalled_run(tmp_path, monkeypatch):
+    """A count, not a timing: a reload of an unchanged file through one
+    memo decodes no value and no text, and reads no field of any line of a
+    matched node block or LABEL run (ISA runs are read each time, and the
+    file has none)."""
+    path = _traffic_files(random.Random(7), tmp_path)[0]
+    counts = dict.fromkeys(["_PROP_TAIL", "_PROP_FIELDS", "_VALUE_FIELDS", "_LABEL_FIELDS",
+                            "_ISA_FIELDS", "_decode_value", "decode_text", "_script_text"], 0)
+    for name in counts:
+        real = getattr(store, name)
+        if isinstance(real, re.Pattern):
+            monkeypatch.setattr(store, name, _CountedPattern(real, name, counts))
+        else:
+            def counted(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(store, name, counted)
+    memo = store.ValueMemo()
+    first = store.load(path, memo)
+    assert counts["_PROP_TAIL"] and counts["_LABEL_FIELDS"] and counts["_decode_value"]
+    counts.update(dict.fromkeys(counts, 0))
+    again = store.load(path, memo)
+    assert counts == dict.fromkeys(counts, 0)
+    assert nets_equal(again[0], first[0]) and again[1].items() == first[1].items()
+    assert again[0].spans == first[0].spans and again[1].source == first[1].source
+
+
+def test_the_memo_holds_no_record_and_no_mark(tmp_path):
+    """Nothing reachable from a memo after loads of three files is a
+    PropertyRecord, a ScriptRef or a file's mark: those are built per load."""
+    paths = _traffic_files(random.Random(8), tmp_path)
+    memo = store.ValueMemo()
+    nets = [store.load(path, memo)[0] for path in paths * 2]
+    marks = {store._identity(os.stat(path)) for path in paths}
+    assert marks <= {kept.from_store for net in nets for _, kept in _marked(net)}
+    seen, todo, kinds = set(), [memo], set()
+    while todo:   # into the memo's own containers, never into a class
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        kinds.add(type(obj))
+        assert not (type(obj) is tuple and any(obj == mark for mark in marks))
+        if type(obj) in (store.ValueMemo, dict, tuple, list, Value):
+            todo += [ref for ref in gc.get_referents(obj) if not isinstance(ref, type)]
+    assert not kinds & {PropertyRecord, ScriptRef}
+    assert {bytes, str, tuple, dict, Value} <= kinds and len(seen) > 300
 
 
 # ---------------------------------------------------------------- atomic save
