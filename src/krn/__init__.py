@@ -48,7 +48,7 @@ from .reasoning import (
     shape,
     specialize,
 )
-from .script import Ast, ExecContext, StaticIssue, apply_undo, check, execute, parse
+from .script import Ast, ExecContext, apply_undo, execute, parse
 from .sim import Snapshot, Timeline, classify_change, diff, run_action, run_pending, snapshot
 from .store import StoreHandle, save
 
@@ -56,9 +56,9 @@ __all__ = [
     "ActionRecord", "Additions", "Answer", "Ast", "ChangeSet", "ConceptTemplate",
     "ExecContext", "Fragment", "Kind", "Lexicon", "Net", "NodeId", "NodeLoad",
     "ObjectRecord", "PropertyChange", "PropertyRecord", "PropLoad", "Provenance",
-    "ScriptRef", "SensorAddress", "SensorSignal", "Snapshot", "StaticIssue",
-    "StoreHandle", "Timeline", "Value", "ViolationReport",
-    "agent", "apply_undo", "check", "classify_change", "collapse_to_action",
+    "ScriptRef", "SensorAddress", "SensorSignal", "Snapshot", "StoreHandle",
+    "Timeline", "Value", "ViolationReport",
+    "agent", "apply_undo", "classify_change", "collapse_to_action",
     "collapse_to_object", "compute_boundary", "concept_of", "diff",
     "canonical_key", "errors", "execute", "expand", "find_matches",
     "match_images", "mine_concepts", "nets_equal",

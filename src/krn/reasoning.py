@@ -417,12 +417,6 @@ def match_images(pattern: Net, target: Net) -> set:
 
 # ------------------------------------------------------- canonical form
 
-def _rank(colors: dict) -> dict:
-    ordered = sorted(set(colors.values()))
-    index = {c: i for i, c in enumerate(ordered)}
-    return {nid: index[c] for nid, c in colors.items()}
-
-
 def _shape_table(net: Net, nodes) -> dict:
     """Each node's (kind, sorted names minus bookkeeping): the part of its
     view that does not depend on the node set around it."""
@@ -456,25 +450,6 @@ def _view(net: Net, nodes) -> dict:
     return view
 
 
-def _refined_classes(view: dict) -> dict:
-    colors = {nid: node[:2] if node[0] == "o" else node[:2] + (node[2] is None,)
-              for nid, node in view.items()}
-    ranks = _rank(colors)
-    for _ in range(len(view)):
-        sig = {}
-        for nid, (kind, _names, x, y) in view.items():
-            if kind == "o":
-                nb = [("out", ranks[a]) for a in x] + [("in", ranks[a]) for a in y]
-            else:
-                nb = [("tgt", ranks[y])] if x is None else [("subj", ranks[x]), ("tgt", ranks[y])]
-            sig[nid] = (ranks[nid], tuple(sorted(nb)))
-        new_ranks = _rank(sig)
-        if new_ranks == ranks:
-            break
-        ranks = new_ranks
-    return ranks
-
-
 def _canonical(net: Net, nodes) -> tuple[str, list]:
     """Canonical encoding of a node set's pattern, plus the ordering of
     the set's own ids that produced it."""
@@ -487,33 +462,66 @@ def _canonical_view(view: dict) -> tuple[str, list]:
 
     Isomorphic patterns (same kinds, name sets, wiring, blank-subject
     flags) yield identical strings. Node classes come from iterative
-    color refinement; the encoding is minimized over permutations
-    within classes, which is exhaustive and fine at pattern scale.
+    color refinement: a node's class is ranked by its signature (its
+    class and its neighbours' classes by role) in sorted order, so the
+    classes and their order follow from the structure alone. Refinement
+    stops at the first round that splits no class, or once every class
+    is one node; then there is one order to encode. Otherwise the
+    encoding is minimized over permutations within classes, which is
+    exhaustive and fine at pattern scale.
     """
     if not view:
         return "", []
-    ranks = _refined_classes(view)
-    classes: dict[int, list] = {}
-    for nid in sorted(view):
-        classes.setdefault(ranks[nid], []).append(nid)
-    class_lists = [classes[r] for r in sorted(classes)]
+    ids = sorted(view)
+    n = len(ids)
+    at = {nid: i for i, nid in enumerate(ids)}
+    labels, colors, ends, nbrs = [], [], [], []
+    # a neighbour is its role's offset plus its rank, so the roles sort
+    # in, out, subj, tgt whatever the ranks
+    for nid in ids:
+        kind, names, x, y = view[nid]
+        labels.append(kind + "(" + ",".join(names) + ")")
+        if kind == "o":
+            colors.append((kind, names))
+            ends.append(None)
+            nbrs.append([(0, at[a]) for a in y] + [(n, at[a]) for a in x])
+        else:
+            colors.append((kind, names, x is None))
+            ends.append((None if x is None else at[x], at[y]))
+            nbrs.append([(3 * n, at[y])] if x is None else [(2 * n, at[x]), (3 * n, at[y])])
+    ordered = sorted(set(colors))
+    rank_of = {color: r for r, color in enumerate(ordered)}
+    ranks = [rank_of[color] for color in colors]
+    classes = len(ordered)
+    while classes < n:
+        sigs = [(ranks[i], *sorted([role + ranks[j] for role, j in nbr]))
+                for i, nbr in enumerate(nbrs)]
+        ordered = sorted(set(sigs))
+        if len(ordered) == classes:
+            break
+        rank_of = {sig: r for r, sig in enumerate(ordered)}
+        ranks = [rank_of[sig] for sig in sigs]
+        classes = len(ordered)
 
     def encode(order: list) -> str:
-        pos = {nid: i for i, nid in enumerate(order)}
-        node_parts = []
-        edge_parts = []
-        for i, nid in enumerate(order):
-            kind, names, subject, target = view[nid]
-            node_parts.append(kind + "(" + ",".join(names) + ")")
-            if kind == "a":
-                subj = "-" if subject is None else str(pos[subject])
-                edge_parts.append(f"{i}:s{subj}:t{pos[target]}")
-        return "|".join(node_parts) + "#" + ";".join(edge_parts)
+        pos = [0] * n
+        for i, p in enumerate(order):
+            pos[p] = i
+        edge_parts = [f"{i}:s{'-' if end[0] is None else pos[end[0]]}:t{pos[end[1]]}"
+                      for i, end in enumerate(map(ends.__getitem__, order)) if end]
+        return "|".join(map(labels.__getitem__, order)) + "#" + ";".join(edge_parts)
 
+    if classes == n:
+        order = sorted(range(n), key=ranks.__getitem__)
+        return encode(order), [ids[p] for p in order]
+    groups = [[] for _ in range(classes)]
+    for p in range(n):
+        groups[ranks[p]].append(p)
     # orders are generated in ascending order: a tie keeps the first one
-    orders = ([nid for group in combo for nid in group]
-              for combo in itertools.product(*map(itertools.permutations, class_lists)))
-    return min((encode(order), order) for order in orders)
+    orders = ([p for group in combo for p in group]
+              for combo in itertools.product(*map(itertools.permutations, groups)))
+    key, order = min((encode(order), order) for order in orders)
+    return key, [ids[p] for p in order]
 
 
 def canonical_key(pattern: Net) -> str:
@@ -617,19 +625,15 @@ def _closed_subsets(rows: list, shape_index: dict, max_nodes: int) -> list:
     return closed
 
 
-def _memo_canonical(rows: list, sub: int, memo: dict) -> tuple[str, list]:
-    """The canonical key of a subset, given as a mask over `_bit_rows`,
-    and the order of its members' positions (0 for its smallest id, and
-    so on) that produced it; computed once per structure held in `memo`.
+def _structure(rows: list, sub: int) -> tuple:
+    """A subset, given as a mask over `_bit_rows`, as its members in id
+    order: an object's kind and names, an action's kind, names, and
+    subject (None if blank or outside) and target as positions, each the
+    count of members below its bit.
 
-    The structure lists the members in id order: an object's kind and
-    names, an action's kind, names, and subject (None if blank or
-    outside) and target as positions, each the count of members below
-    its bit. It fixes the view, since an object's actions inside the
-    subset are the ones naming it as subject or target, so the view is
-    built from the structure alone; numbering by position keeps the id
-    order that `_canonical_view` breaks ties by, so the result equals
-    `_canonical` on the subset's ids, with positions for ids.
+    Equal structures are isomorphic by the map that keeps positions, and
+    each fixes its view (`_structure_view`), so a structure is
+    canonicalised at most once per call.
     """
     structure = []
     for low in _bits(sub):
@@ -637,38 +641,48 @@ def _memo_canonical(rows: list, sub: int, memo: dict) -> tuple[str, list]:
         structure.append(shape if not target else
                          (*shape, (sub & (subject - 1)).bit_count() if sub & subject else None,
                           (sub & (target - 1)).bit_count()))
-    structure = tuple(structure)
-    if structure not in memo:
-        view = {p: node if len(node) == 4 else (*node, [], [])
-                for p, node in enumerate(structure)}
-        for p, node in enumerate(structure):
-            if len(node) == 4:
-                if node[2] is not None:
-                    view[node[2]][2].append(p)
-                view[node[3]][3].append(p)
-        memo[structure] = _canonical_view(view)
-    return memo[structure]
+    return tuple(structure)
 
 
-def _supported_buckets(nets, min_support: int, max_nodes: int) -> tuple[dict, set]:
-    """Canonical key -> (support, net, order of its first subset) for each
-    key that at least min_support closed subsets across the nets share,
-    and the set of those keys that a one-node step proves embedded in
-    another of them.
+def _structure_view(structure: tuple) -> dict:
+    """The view of a structure's subset, with positions for ids: an
+    object's actions inside the subset are the ones naming it as subject
+    or target. Numbering by position keeps the id order that
+    `_canonical_view` breaks ties by, so its result is `_canonical` on
+    the subset's ids, with positions for ids."""
+    view = {p: node if len(node) == 4 else (*node, [], []) for p, node in enumerate(structure)}
+    for p, node in enumerate(structure):
+        if len(node) == 4:
+            if node[2] is not None:
+                view[node[2]][2].append(p)
+            view[node[3]][3].append(p)
+    return view
+
+
+def _supported_classes(nets, min_support: int, max_nodes: int) -> list:
+    """The isomorphism classes of closed subsets across the nets that at
+    least min_support subsets fall in, in the enumeration order of each
+    class's first subset, as (support, net, members, canonical): the net
+    and the ids (ascending) of that first subset, and for a class that
+    the one-node proof leaves unproven its canonical key with the order
+    of those ids that produced it; None for a proven class.
 
     Two passes over the same enumeration. The first counts invariants
-    (`_closed_subsets`); the second canonicalises only the subsets whose
-    invariant at least min_support subsets share, each structure once
-    per call (`_memo_canonical`). A canonical bucket lies inside one
-    invariant bucket, so no member of a surviving bucket is skipped and
-    its first subset in enumeration order stays first.
+    (`_closed_subsets`); the second groups the subsets whose invariant at
+    least min_support subsets share by `_structure`. Structures that are
+    isomorphic have equal invariants, so only a structure that shares its
+    invariant with another is canonicalised, and such structures merge
+    into one class by canonical key; two structures with equal invariants
+    and different keys stay two classes. A structure alone with its
+    invariant is a class of its own, canonicalised only if it heads an
+    unproven class, for the template's key and node order.
 
-    The proof: when a supported subset less one node (its mask with one
-    bit dropped) is a subset with a supported key, that key embeds in the
-    larger subset's key by the identity map, since names are equal and a
-    subject that was the removed node is blank, which any subject allows.
-    A mask names different nodes in different nets, so subsets are looked
-    up per net.
+    The proof: when a subset of a supported class less one node (its mask
+    with one bit dropped) is a subset of a supported class, that class
+    embeds in the larger subset's class by the identity map, since names
+    are equal and a subject that was the removed node is blank, which any
+    subject allows. A mask names different nodes in different nets, so
+    subsets are looked up per net.
     """
     shape_index: dict[tuple, int] = {}
     counted = []
@@ -676,25 +690,52 @@ def _supported_buckets(nets, min_support: int, max_nodes: int) -> tuple[dict, se
         ids, rows = _bit_rows(net)
         counted.append((net, ids, rows, _closed_subsets(rows, shape_index, max_nodes)))
     inv_count = Counter(inv for *_, closed in counted for _, inv in closed)
-    support: Counter = Counter()
-    first: dict[str, tuple] = {}
-    memo: dict[tuple, tuple] = {}
-    keyed = []   # per net: each canonicalised subset's key
+    heads: dict[tuple, list] = {}   # structure -> [count, invariant, net, members]
+    structures = []   # per net: each kept subset's structure
     for net, ids, rows, closed in counted:
-        keys = {}
+        found = {}
         for sub, inv in closed:
             if inv_count[inv] >= min_support:
-                key, positions = _memo_canonical(rows, sub, memo)
-                keys[sub] = key
-                support[key] += 1
-                if key not in first:
-                    members = [ids[low.bit_length() - 1] for low in _bits(sub)]
-                    first[key] = net, [members[p] for p in positions]
-        keyed.append(keys)
-    buckets = {key: (count, *first[key]) for key, count in support.items() if count >= min_support}
-    proven = {keys.get(sub ^ low) for keys in keyed
-              for sub, key in keys.items() if key in buckets for low in _bits(sub)}
-    return buckets, proven & buckets.keys()
+                structure = found[sub] = _structure(rows, sub)
+                if structure in heads:
+                    heads[structure][0] += 1
+                else:
+                    heads[structure] = [1, inv, net, [ids[low.bit_length() - 1] for low in _bits(sub)]]
+        structures.append(found)
+
+    sharing = Counter(inv for _, inv, _, _ in heads.values())
+    classes = []   # [support, net, members, head structure, canonical or None]
+    class_of = {}
+    by_key = {}
+    for structure, (count, inv, net, members) in heads.items():
+        canonical = None
+        if sharing[inv] > 1:
+            canonical = _canonical_view(_structure_view(structure))
+            c = by_key.setdefault(canonical[0], len(classes))
+        else:
+            c = len(classes)
+        if c == len(classes):
+            classes.append([0, net, members, structure, canonical])
+        classes[c][0] += count
+        class_of[structure] = c
+
+    supported = [support >= min_support for support, *_ in classes]
+    proven = set()
+    for found in structures:
+        ids_of = {sub: class_of[structure] for sub, structure in found.items()}
+        for sub, c in ids_of.items():
+            if supported[c]:
+                proven.update(ids_of.get(sub ^ low) for low in _bits(sub))
+    result = []
+    for c, (support, net, members, structure, canonical) in enumerate(classes):
+        if supported[c]:
+            if c in proven:
+                canonical = None
+            else:
+                key, positions = canonical or _canonical_view(_structure_view(structure))
+                canonical = key, [members[p] for p in positions]
+            result.append((support, net, members, canonical))
+    return result
 
 
 def extract_pattern(net: Net, nodes) -> Net:
@@ -715,15 +756,17 @@ def extract_pattern(net: Net, nodes) -> Net:
     return pattern
 
 
-def _profile(pattern: Net) -> Counter:
+def _profile(pattern: Net) -> frozenset:
     """Counts an embedding into another pattern cannot exceed: objects,
-    actions, actions with a subject, and nodes of each kind per name."""
-    profile = Counter(o=len(pattern.objects), a=len(pattern.actions))
-    profile["subject"] = sum(a.subject is not None for a in pattern.actions.values())
+    actions, actions with a subject, and nodes of each kind per name; a
+    count c of an item is the pairs (item, 1) to (item, c), so one
+    profile fits under another exactly when it is a subset of it."""
+    counts = Counter(o=len(pattern.objects), a=len(pattern.actions))
+    counts["subject"] = sum(a.subject is not None for a in pattern.actions.values())
     for kind, records in (("o", pattern.objects), ("a", pattern.actions)):
         for rec in records.values():
-            profile.update((kind, name) for name in rec.properties)
-    return profile
+            counts.update((kind, name) for name in rec.properties)
+    return frozenset((item, k) for item, count in counts.items() for k in range(1, count + 1))
 
 
 @dataclass
@@ -749,40 +792,44 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
     sets whose extracted structure matches the template exactly.
 
     Every closed subset's cheap isomorphism invariant is counted first;
-    only subsets whose invariant reaches min_support are canonicalised,
-    each subset structure once (`_supported_buckets`). A supported key
-    that a one-node step proves embedded in another is dropped unbuilt;
-    the maximality search runs, and templates are built, only among the
-    keys left unproven.
+    only subsets whose invariant reaches min_support are grouped into
+    classes by their id-order structure, and a structure is canonicalised
+    only where it shares its invariant with another structure, so that
+    isomorphic ones merge, or where it heads a class left unproven
+    (`_supported_classes`). A supported class that a one-node step proves
+    embedded in another is dropped unbuilt; the maximality search runs,
+    and templates are built, only among the classes left unproven.
     """
     if min_support < 2:
         raise ValueError("min_support must be at least 2")
     if not 1 <= max_pattern_nodes <= 8:
         raise ValueError("max_pattern_nodes must be between 1 and 8")
-    buckets, proven = _supported_buckets(nets, min_support, max_pattern_nodes)
+    unproven = {canonical[0]: (support, net, canonical[1])
+                for support, net, _, canonical
+                in _supported_classes(nets, min_support, max_pattern_nodes) if canonical}
 
-    # maximal only: drop a key that embeds in another. A proven key does,
-    # into a larger key; following proofs upward through ever larger keys
-    # ends at an unproven one, so by transitivity a key that embeds in any
-    # other key embeds in an unproven key other than itself. Only unproven
-    # keys are built and searched; most pairs fail the profile test and
-    # never reach the search.
-    unproven = sorted(buckets.keys() - proven)
-    patterns = {key: Net() for key in unproven}
-    for key in unproven:
-        _, net, order = buckets[key]
+    # maximal only: drop a key that embeds in another. A proven class
+    # does, into a larger class; following proofs upward through ever
+    # larger classes ends at an unproven one, so by transitivity a key
+    # that embeds in any other key embeds in an unproven key other than
+    # itself. Only unproven keys are built and searched; most pairs fail
+    # the profile test and never reach the search.
+    keys = sorted(unproven)
+    patterns = {key: Net() for key in keys}
+    for key in keys:
+        _, net, order = unproven[key]
         _copy_structure(net, order, patterns[key])
     profiles = {key: _profile(pattern) for key, pattern in patterns.items()}
-    kept = [key for key in unproven
+    kept = [key for key in keys
             if not any(other != key and profiles[key] <= profiles[other]
                        and find_matches(patterns[key], patterns[other], limit=1)
-                       for other in unproven)]
+                       for other in keys)]
 
     # each key already is its pattern's canonical form
-    kept.sort(key=lambda key: (-buckets[key][0], key))
+    kept.sort(key=lambda key: (-unproven[key][0], key))
     return [ConceptTemplate(pattern=patterns[key],
                             root=min(patterns[key].objects or patterns[key].actions),
-                            support=buckets[key][0])
+                            support=unproven[key][0])
             for key in kept]
 
 

@@ -69,7 +69,7 @@ MAX_SOURCE_BYTES = 64 * 1024
 MAX_MEMO_CHARS = 1024 * 1024
 # How deep parentheses, unary operators, if blocks and chains of binary
 # operators may nest, together. It bounds the parser's recursion and the
-# depth of the tree that `check` and `execute` walk.
+# depth of the tree that `execute` walks.
 MAX_NESTING = 64
 
 
@@ -80,7 +80,7 @@ class Role(enum.Enum):
 
 
 # bound once, as core binds its members: the interpreter reads them per statement
-ROLE_SUBJECT, ROLE_OBJECT, ROLE_SELF = Role.SUBJECT, Role.OBJECT, Role.SELF
+ROLE_SUBJECT, ROLE_OBJECT = Role.SUBJECT, Role.OBJECT
 
 
 # ---------------------------------------------------------------- ast
@@ -406,55 +406,6 @@ def parse(source: str) -> Ast:
     _memo[source] = ast
     _memo_chars += len(source)
     return ast
-
-
-# ---------------------------------------------------------------- checker
-
-@dataclass(frozen=True)
-class StaticIssue:
-    kind: str    # "requires-role" | "dead-branch"
-    detail: str
-
-
-def check(ast: Ast) -> list[StaticIssue]:
-    """Report roles a caller must bind and branches that can never run.
-
-    The object role is always bound, so only subject and self uses are
-    reported. Dead branches are detected for literal conditions only.
-    """
-    issues: list[StaticIssue] = []
-    roles_seen: set[Role] = set()
-
-    def walk_expr(ex):
-        if isinstance(ex, Read):
-            roles_seen.add(ex.lvalue.role)
-        elif isinstance(ex, Unary):
-            walk_expr(ex.operand)
-        elif isinstance(ex, Binary):
-            walk_expr(ex.left)
-            walk_expr(ex.right)
-
-    def walk(stmts):
-        for st in stmts:
-            if isinstance(st, SetStmt):
-                roles_seen.add(st.lvalue.role)
-                walk_expr(st.expr)
-            elif isinstance(st, UnsetStmt):
-                roles_seen.add(st.lvalue.role)
-            elif isinstance(st, IfStmt):
-                walk_expr(st.cond)
-                if isinstance(st.cond, Literal) and st.cond.value.kind is KIND_BOOL:
-                    dead = "else" if st.cond.value.data else "then"
-                    if dead == "then" or st.otherwise:
-                        issues.append(StaticIssue("dead-branch", dead))
-                walk(st.then)
-                walk(st.otherwise)
-
-    walk(ast.statements)
-    for role in (ROLE_SUBJECT, ROLE_SELF):
-        if role in roles_seen:
-            issues.append(StaticIssue("requires-role", role.value))
-    return issues
 
 
 # ---------------------------------------------------------------- interpreter

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from krn import (
@@ -126,6 +127,58 @@ def closed_subsets(net: Net, max_nodes: int, shape_index: dict | None = None) ->
     found = _closed_subsets(rows, {} if shape_index is None else shape_index, max_nodes)
     return [(frozenset(nid for i, nid in enumerate(ids) if sub >> i & 1), inv)
             for sub, inv in found]
+
+
+def refined_classes_reference(view: dict) -> dict:
+    """Each node's class rank under colour refinement run until a round
+    leaves every rank as it was: the loop the miner's certificate
+    stopped with before it learned to stop early."""
+    def rank(colors: dict) -> dict:
+        index = {c: i for i, c in enumerate(sorted(set(colors.values())))}
+        return {nid: index[c] for nid, c in colors.items()}
+
+    ranks = rank({nid: node[:2] if node[0] == "o" else node[:2] + (node[2] is None,)
+                  for nid, node in view.items()})
+    for _ in range(len(view)):
+        sig = {}
+        for nid, (kind, _names, x, y) in view.items():
+            if kind == "o":
+                nb = [("out", ranks[a]) for a in x] + [("in", ranks[a]) for a in y]
+            else:
+                nb = [("tgt", ranks[y])] if x is None else [("subj", ranks[x]), ("tgt", ranks[y])]
+            sig[nid] = (ranks[nid], tuple(sorted(nb)))
+        new_ranks = rank(sig)
+        if new_ranks == ranks:
+            break
+        ranks = new_ranks
+    return ranks
+
+
+def canonical_view_reference(view: dict) -> tuple[str, list]:
+    """The canonical (key, order) of a view by full refinement and a
+    search over every order within the classes, single-node ones too."""
+    if not view:
+        return "", []
+    ranks = refined_classes_reference(view)
+    classes: dict[int, list] = {}
+    for nid in sorted(view):
+        classes.setdefault(ranks[nid], []).append(nid)
+
+    def encode(order: list) -> str:
+        pos = {nid: i for i, nid in enumerate(order)}
+        node_parts, edge_parts = [], []
+        for i, nid in enumerate(order):
+            kind, names, subject, target = view[nid]
+            node_parts.append(kind + "(" + ",".join(names) + ")")
+            if kind == "a":
+                subj = "-" if subject is None else str(pos[subject])
+                edge_parts.append(f"{i}:s{subj}:t{pos[target]}")
+        return "|".join(node_parts) + "#" + ";".join(edge_parts)
+
+    orders = ([nid for group in combo for nid in group]
+              for combo in itertools.product(*(itertools.permutations(classes[r])
+                                                for r in sorted(classes))))
+    return min((encode(order), order) for order in orders)
 
 
 def rand_name(rng: random.Random, used=None) -> str:

@@ -207,7 +207,7 @@ def test_function_bodies_read_enum_members_through_bound_names():
     """On Python 3.11 reading a member off its enum class (`Kind.NUM`) is a
     Python-level call, so outside `core.py` no function body does: it reads
     the names core and script bind once (`KIND_NUM`, `INFERRED`,
-    `ROLE_SELF`). Defaults and annotations are evaluated once, and exempt."""
+    `ROLE_SUBJECT`). Defaults and annotations are evaluated once, and exempt."""
     reads = []
     for module, (_, tree) in _trees().items():
         if module == "core.py":

@@ -1,19 +1,23 @@
 """The miner's in-place shortcuts against the public routines they replace.
 
 `mine_concepts` canonicalises a subset straight from the source net,
-canonicalises only subsets whose cheap invariant reaches the minimum
-support, and each subset structure only once per call. It drops unbuilt
-a key that a one-node step proves embedded in another, builds a
-template only for a surviving bucket left unproven, searches maximality
-only among those, and skips the search for a pair whose profiles already
-rule an embedding out. Each shortcut must agree with the slow path it
-stands for, and the subset enumeration keeps the order that decides
-which subset of a bucket comes first.
+keeps only subsets whose cheap invariant reaches the minimum support,
+groups those by their id-order structure, and canonicalises a structure
+only where it shares its invariant with another or heads a class left
+unproven; the certificate stops refining as soon as a round splits no
+class. It drops unbuilt a class that a one-node step proves embedded in
+another, builds a template only for a supported class left unproven,
+searches maximality only among those, and skips the search for a pair
+whose profiles already rule an embedding out. Each shortcut must agree
+with the slow path it stands for, and the subset enumeration keeps the
+order that decides which subset of a class comes first.
 """
 
 import gc
 import random
 from collections import Counter
+
+import pytest
 
 from krn import (
     ConceptTemplate,
@@ -26,20 +30,25 @@ from krn import (
     nets_equal,
     register_concept,
 )
+from krn import reasoning
 from krn.reasoning import (
     _BOOKKEEPING,
     _bit_rows,
     _canonical,
+    _canonical_view,
     _closed_subsets,
     _copy_structure,
-    _memo_canonical,
     _neighbors,
     _profile,
-    _supported_buckets,
+    _shape_table,
+    _structure,
+    _structure_view,
+    _supported_classes,
+    _view,
     extract_pattern,
 )
 
-from helpers import closed_subsets, structure_net
+from helpers import canonical_view_reference, closed_subsets, refined_classes_reference, structure_net
 
 _VOCAB = ["leg", "arm", "head"]
 
@@ -139,10 +148,14 @@ def test_invariant_filter_keeps_every_bucket_that_reaches_min_support():
         for min_support in (2, 3):
             want = {key: (count, *first[key])
                     for key, count in support.items() if count >= min_support}
-            buckets, _ = _supported_buckets(nets, min_support, 4)
-            got = {key: (count, id(net), order)
-                   for key, (count, net, order) in buckets.items()}
-            assert got == want
+            classes = _supported_classes(nets, min_support, 4)
+            got = {}
+            for count, net, members, canonical in classes:
+                assert members == sorted(members)
+                key, order = _canonical(net, members)
+                assert canonical in (None, (key, order))   # an unproven class's own form
+                got[key] = (count, id(net), order)
+            assert got == want and len(classes) == len(want)
             skipped[min_support] += sum(n for n in inv_count.values() if n < min_support)
     assert skipped[2] > 200 and skipped[3] > 200    # the filter had subsets to skip
 
@@ -177,55 +190,75 @@ def test_a_mined_template_survives_registration_unchanged():
     assert templates >= 30 and mixed >= 1
 
 
-def _mined_over_every_bucket(nets, min_support: int, max_nodes: int) -> list:
-    """The reference maximality pass: every supported bucket is built and
-    searched against every other, profile test first; returns (key,
-    pattern, support) in `mine_concepts` order."""
-    buckets, _ = _supported_buckets(nets, min_support, max_nodes)
+def _every_subset_reference(nets, max_nodes: int) -> dict:
+    """Every closed subset of the nets canonicalised, no filter and no
+    grouping: key -> [support, net of the first subset, its canonical order]."""
+    found = {}
+    for net in nets:
+        for sub, _ in closed_subsets(net, max_nodes):
+            key, order = _canonical(net, sub)
+            if key in found:
+                found[key][0] += 1
+            else:
+                found[key] = [1, net, order]
+    return found
+
+
+def _mined_over_every_class(reference: dict, min_support: int) -> list:
+    """The reference maximality pass: every supported key of
+    `_every_subset_reference` is built and searched against every other,
+    profile test first; returns (key, pattern, support) in
+    `mine_concepts` order."""
     patterns = {}
-    for key, (_, net, order) in buckets.items():
-        _copy_structure(net, order, patterns.setdefault(key, Net()))
+    for key, (count, net, order) in reference.items():
+        if count >= min_support:
+            _copy_structure(net, order, patterns.setdefault(key, Net()))
     kept = [key for key in sorted(patterns)
             if not any(other != key and _profile(patterns[key]) <= _profile(patterns[other])
                        and find_matches(patterns[key], patterns[other], limit=1)
                        for other in patterns)]
-    kept.sort(key=lambda key: (-buckets[key][0], key))
-    return [(key, patterns[key], buckets[key][0]) for key in kept]
+    kept.sort(key=lambda key: (-reference[key][0], key))
+    return [(key, patterns[key], reference[key][0]) for key in kept]
 
 
-def test_memo_proofs_and_unproven_search_agree_with_the_slow_path():
+def test_structure_classes_proofs_and_unproven_search_agree_with_the_slow_path():
     rng = random.Random(1313)
-    hits = proofs = searched = 0
+    repeats = proofs = searched = 0
     for _ in range(10):
         nets = [_vocab_net(rng) for _ in range(4)]
-        memo = {}
+        seen = set()
         for net in nets:
             ids, rows = _bit_rows(net)
             for mask, _ in _closed_subsets(rows, {}, 6):
                 members = [nid for i, nid in enumerate(ids) if mask >> i & 1]
-                known = len(memo)
-                key, positions = _memo_canonical(rows, mask, memo)
+                structure = _structure(rows, mask)
+                key, positions = _canonical_view(_structure_view(structure))
                 assert (key, [members[p] for p in positions]) == _canonical(net, members)
-                hits += len(memo) == known
-        for min_support in (2, 3):
-            for max_nodes in (3, 4, 5, 6):
-                buckets, proven = _supported_buckets(nets, min_support, max_nodes)
-                patterns = {}
-                for key, (_, net, order) in buckets.items():
-                    _copy_structure(net, order, patterns.setdefault(key, Net()))
-                for key in proven:
-                    assert any(find_matches(patterns[key], patterns[other], limit=1)
-                               for other in patterns if other != key), key
-                proofs += len(proven)
-                searched += len(buckets) - len(proven)
-                want = _mined_over_every_bucket(nets, min_support, max_nodes)
+                repeats += structure in seen
+                seen.add(structure)
+        for max_nodes in (3, 4, 5, 6):
+            reference = _every_subset_reference(nets, max_nodes)
+            for min_support in (2, 3):
+                classes = _supported_classes(nets, min_support, max_nodes)
+                patterns = [extract_pattern(net, members) for _, net, members, _ in classes]
+                for (support, net, _, canonical), pattern in zip(classes, patterns):
+                    key = canonical_key(pattern)
+                    assert support == reference[key][0] and net is reference[key][1]
+                    if canonical is None:   # proven: embeds in another class
+                        assert any(find_matches(pattern, other, limit=1)
+                                   for other in patterns if other is not pattern), key
+                        proofs += 1
+                    else:
+                        assert canonical == (key, reference[key][2])
+                        searched += 1
+                want = _mined_over_every_class(reference, min_support)
                 got = mine_concepts(nets, min_support, max_nodes)
                 assert [canonical_key(t.pattern) for t in got] == [key for key, _, _ in want]
                 for template, (_, pattern, support) in zip(got, want):
                     assert nets_equal(template.pattern, pattern)
                     assert template.support == support
                     assert template.root == min(pattern.objects or pattern.actions)
-    assert hits > 300 and proofs > 500 and searched > 400   # every shortcut was taken
+    assert repeats > 300 and proofs > 500 and searched > 400   # every shortcut was taken
 
 
 def _connected_subsets_reference(net: Net, max_nodes: int) -> list:
@@ -320,3 +353,153 @@ def test_mining_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _cycle(length: int) -> Net:
+    """Unnamed objects joined in one directed cycle by unnamed actions."""
+    net = Net()
+    objs = [net.add_object([]) for _ in range(length)]
+    for a, b in zip(objs, objs[1:] + objs[:1]):
+        net.add_action(a, b)
+    return net
+
+
+def _marked_cycle() -> Net:
+    """Three objects in a cycle, one also the target of a blank act: the
+    refinement takes three splitting rounds."""
+    net = _cycle(3)
+    net.add_action(None, max(net.objects))
+    return net
+
+
+_WHOLE_NETS = {"marked-cycle": _marked_cycle,
+               "four-cycle": lambda: _cycle(4),
+               "three-part-hub": lambda: _hub(3)}
+
+
+@pytest.mark.parametrize("case", ["vocab-subsets", *_WHOLE_NETS])
+def test_the_early_stopping_certificate_agrees_with_full_refinement(case):
+    """`_canonical_view` stops refining at the first round that splits no
+    class and encodes a discrete refinement's one order unsearched; the
+    reference refines until the ranks stand still and searches every
+    order within the classes."""
+    if case == "vocab-subsets":
+        rng = random.Random(2626)
+        views = []
+        for _ in range(100):
+            net = _vocab_net(rng)
+            views += [_view(net, sub) for sub, _ in closed_subsets(net, 6)]
+    else:
+        net = _WHOLE_NETS[case]()
+        views = [_view(net, set(net.node_ids()))]
+    tied = 0
+    for view in views:
+        assert _canonical_view(view) == canonical_view_reference(view)
+        tied += len(set(refined_classes_reference(view).values())) < len(view)
+    if case == "vocab-subsets":
+        assert len(views) > 3000 and 400 < tied < len(views)   # both ways were taken
+    elif case == "marked-cycle":
+        assert tied == 0        # every class split: the one order, unsearched
+    else:
+        assert tied == 1        # refinement leaves classes tied: the search ran
+
+
+def _profile_counts(pattern: Net) -> Counter:
+    """The profile as the multiset of counts it encodes."""
+    counts = Counter(o=len(pattern.objects), a=len(pattern.actions))
+    counts["subject"] = sum(a.subject is not None for a in pattern.actions.values())
+    for kind, records in (("o", pattern.objects), ("a", pattern.actions)):
+        for rec in records.values():
+            counts.update((kind, name) for name in rec.properties)
+    return counts
+
+
+def test_profile_subset_test_is_inclusion_of_the_counts():
+    """The maximality filter's `<=` on two profiles says what `<=` on the
+    counts they encode says, and equal profiles are equal counts."""
+    rng = random.Random(2828)
+    patterns = []
+    for _ in range(30):
+        net = _vocab_net(rng)
+        patterns += [extract_pattern(net, sub) for sub, _ in closed_subsets(net, 5)]
+    sample = rng.sample(patterns, 120)
+    fits = equal = 0
+    for small in sample:
+        for big in sample:
+            want = _profile_counts(small) <= _profile_counts(big)
+            assert (_profile(small) <= _profile(big)) == want
+            assert (_profile(small) == _profile(big)) == (
+                _profile_counts(small) == _profile_counts(big))
+            fits += want
+            equal += _profile(small) == _profile(big)
+    assert len(sample) < equal < fits < len(sample) ** 2 - len(sample)   # every way was taken
+
+
+def _id_structure(net: Net, sub) -> tuple:
+    """A subset's structure read from ids: its members in id order, an
+    action's subject (None if blank or outside) and target as positions."""
+    members = sorted(sub)
+    at = {nid: i for i, nid in enumerate(members)}
+    shapes = _shape_table(net, members)
+    return tuple(shapes[nid] if nid in net.objects else
+                 (*shapes[nid], at.get(net.actions[nid].subject), at[net.actions[nid].target])
+                 for nid in members)
+
+
+def _push_to(part: str) -> Net:
+    """A hub acting on a leg and an arm, the act on `part` named push: the
+    two choices of part have equal invariants and are not isomorphic."""
+    net = Net()
+    hub = net.add_object([])
+    for name in ("leg", "arm"):
+        net.add_action(hub, net.add_object([(name, Value.unset())]), None,
+                       [("push", Value.unset())] if name == part else [])
+    return net
+
+
+def test_mining_canonicalises_shared_invariants_and_unproven_heads_only(monkeypatch):
+    """A count, not a timing: one `mine_concepts` call makes one
+    `_canonical_view` call per structure that shares its invariant with
+    another, plus one per unproven class head that shares none."""
+    rng = random.Random(2727)
+    hand = [_push_to("leg"), _push_to("arm"), _push_to("leg"), _push_to("arm")]
+    sharing_seen = unshared_heads = 0
+    for round_ in range(12):
+        nets = [_vocab_net(rng) for _ in range(6)] + (hand if round_ < 2 else [])
+        min_support, max_nodes = 2 + round_ % 2, 4 + round_ % 3
+        shape_index = {}
+        closed = [(net, sub, inv) for net in nets
+                  for sub, inv in closed_subsets(net, max_nodes, shape_index)]
+        inv_count = Counter(inv for _, _, inv in closed)
+        invariant = {_id_structure(net, sub): inv for net, sub, inv in closed
+                     if inv_count[inv] >= min_support}
+        sharing = Counter(invariant.values())
+        shared = sum(sharing[inv] > 1 for inv in invariant.values())
+        heads = sum(sharing[invariant[_id_structure(net, members)]] == 1
+                    for _, net, members, canonical
+                    in _supported_classes(nets, min_support, max_nodes) if canonical)
+        calls = []
+
+        def counted(view, _real=reasoning._canonical_view):
+            calls.append(len(view))
+            return _real(view)
+        monkeypatch.setattr(reasoning, "_canonical_view", counted)
+        mine_concepts(nets, min_support, max_nodes)
+        monkeypatch.undo()
+        assert len(calls) == shared + heads
+        sharing_seen += shared
+        unshared_heads += heads
+    assert sharing_seen > 60 and unshared_heads > 60   # both kinds of call were made
+
+    # equal invariants, different keys: two classes of support 2, both kept
+    structures = [_id_structure(net, net.node_ids()) for net in hand[:2]]
+    shape_index = {}
+    invariants = [dict(closed_subsets(net, 5, shape_index))[frozenset(net.node_ids())]
+                  for net in hand[:2]]
+    assert structures[0] != structures[1] and invariants[0] == invariants[1]
+    classes = {frozenset(members): support for support, _, members, _
+               in _supported_classes(hand, 2, 5)}
+    assert classes[frozenset(hand[0].node_ids())] == classes[frozenset(hand[1].node_ids())] == 2
+    templates = mine_concepts(hand, 2, 5)
+    assert len(templates) == 2 and {t.support for t in templates} == {2}
+    assert len({canonical_key(t.pattern) for t in templates}) == 2

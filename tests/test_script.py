@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from krn import (
-    Answer, ExecContext, Net, Provenance, Value, apply_undo, check, execute, parse, query_has, script,
+    Answer, ExecContext, Net, Provenance, Value, apply_undo, execute, parse, query_has, script,
     store,
 )
 from krn.errors import (
@@ -186,7 +186,6 @@ def test_nesting_past_the_limit_is_a_parse_error(kind):
 @pytest.mark.parametrize("kind", sorted(_NESTED))
 def test_nesting_at_the_limit_parses_checks_and_runs(kind):
     ast = parse(_NESTED[kind](MAX_NESTING))
-    check(ast)
     net = Net()
     target = net.add_object([])
     execute(ast, ExecContext(net, target))
@@ -215,7 +214,7 @@ _FUZZ_INSERTS = list("(){};.=<>+-*/#\"\\ \n\t1a") + [
 
 def test_seeded_parse_fuzz_raises_only_parse_errors():
     """String mutants of valid scripts, deep nesting and lone surrogates:
-    parse either returns an Ast that check accepts or raises ScriptParseError."""
+    parse either returns an Ast or raises ScriptParseError."""
     rng = random.Random(20261018)
     for _ in range(3000):
         src = rng.choice(_FUZZ_SEEDS)
@@ -232,10 +231,9 @@ def test_seeded_parse_fuzz_raises_only_parse_errors():
             else:
                 src = src[:at] + src[rng.randrange(len(src) + 1):]
         try:
-            ast = parse(src)
+            parse(src)
         except ScriptParseError:
-            continue
-        check(ast)
+            pass
 
 
 # ---------------------------------------------------------------- parse memo
@@ -289,31 +287,6 @@ def test_two_loads_of_one_file_share_asts_and_stay_independent(tmp_path):
     assert one.get_property(wall, "colour") == Value.text("black")
     assert two.get_property(wall, "colour") == Value.text("green")
     assert nets_equal(two, store.load(path)[0])
-
-
-# ---------------------------------------------------------------- checker
-
-def test_check_paint_script_has_no_issues():
-    assert check(parse('set object.colour = "black";')) == []
-
-
-def test_check_reports_subject_requirement():
-    issues = check(parse("set object.x = subject.hand;"))
-    assert [(i.kind, i.detail) for i in issues] == [("requires-role", "subject")]
-
-
-def test_check_reports_self_requirement():
-    issues = check(parse("set self.count = 1;"))
-    assert [(i.kind, i.detail) for i in issues] == [("requires-role", "self")]
-
-
-def test_check_reports_dead_branches():
-    issues = check(parse("if false { set object.x = 1; }"))
-    assert [(i.kind, i.detail) for i in issues] == [("dead-branch", "then")]
-    issues = check(parse("if true { set object.x = 1; } else { set object.y = 2; }"))
-    assert [(i.kind, i.detail) for i in issues] == [("dead-branch", "else")]
-    # constant-true condition with no else has nothing unreachable
-    assert check(parse("if true { set object.x = 1; }")) == []
 
 
 # -------------------------------------------------------------- execution
