@@ -47,7 +47,7 @@ ANSWER_TEXT = {
 class Session:
     def __init__(self):
         self.verb_table = sim.verb_table_from_env()
-        self.memo = store.ValueMemo()   # the runs of lines this session loaded, kept by `reset`
+        self.memo = store.ValueMemo()   # what this session's loads and saves decoded, kept by `reset`
         self.reset()
 
     def reset(self) -> None:
@@ -270,7 +270,7 @@ def _do_load(session, verb, args, _words, _name):
 
 
 def _do_save(session, verb, args, _words, _name):
-    store.save(session.net, session.lexicon, _paths(verb, args)[0])
+    store.save(session.net, session.lexicon, _paths(verb, args)[0], session.memo)
     return [f"saved {args[0]}"]
 
 

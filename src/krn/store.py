@@ -32,12 +32,15 @@ line, its PROP lines with plain values, an action's SCRIPT block), a run
 of ISA lines and a run of LABEL lines, ids with no leading zero. Any
 other line goes through the one line decoder that the lazy reads use,
 and that path finds every fault. `load` decodes each record as it
-passes, each distinct thing once: matched PROP lines with equal bytes
-after the owner id share one PropertyRecord, and actions with equal
-script texts one ScriptRef, so neither is ever changed in place. A
-`ValueMemo` passed to `load` carries what it decoded of each matched
-node block and run of LABEL lines, keyed by the run's bytes, from one
-load to the next, so a reload reads no line of a run it has read; it
+passes into a decode that holds no record (`_read`), then builds the
+net from the decode (`_build`), each distinct thing once: matched PROP
+lines with equal bytes after the owner id share one PropertyRecord,
+and actions with equal script texts one ScriptRef, so neither is ever
+changed in place. A `ValueMemo` passed to `load` carries from one load
+to the next what it decoded of each matched node block and run of
+LABEL lines, keyed by the run's bytes, and the decode of each whole
+file, keyed by the file's bytes: a reload reads no line of a run it
+has read, and a load of bytes whose decode it holds reads nothing. It
 holds no record, so no mark outlives its load, and every check that
 belongs to one read still runs. `load` parses script texts
 only once the framing and references hold, so a fault inside a script
@@ -69,7 +72,10 @@ that ends the file, while the lexicon holds just those labels
 (`Lexicon.source`). `save` copies those spans, adjacent ones as
 one slice, and encodes every other node and the ISA lines; a net with
 no spans takes the same loop and encodes everything, and the bytes are
-the same either way. Collapse payloads are not persisted; a saved
+the same either way. Through a `ValueMemo` that holds the decode of
+the bytes the net was loaded from, `save` leaves the decode of the
+bytes it writes, made from that one at the cost of what it encoded
+(`_derive`). Collapse payloads are not persisted; a saved
 complex node keeps its shape but loses its stored subnet. The records
 built here are slotted dataclasses and take no ad-hoc attributes.
 """
@@ -80,6 +86,7 @@ import io
 import os
 import re
 import stat
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from urllib.parse import quote, unquote
@@ -216,8 +223,8 @@ def _decode_node(toks: list[str], line: int):
     return nid, prov, subject, _int(toks[3], line)
 
 
-def _decode_prop(toks: list[str], line: int, mark: tuple) -> PropertyRecord:
-    """The property record of a PROP or SIG line, read from the file `mark` names."""
+def _decode_prop(toks: list[str], line: int) -> tuple[Value, Provenance]:
+    """The value and provenance of a PROP or SIG line."""
     if toks[0] == "SIG":
         try:
             payload = b"" if toks[4] == "-" else bytes.fromhex(toks[4])
@@ -231,7 +238,7 @@ def _decode_prop(toks: list[str], line: int, mark: tuple) -> PropertyRecord:
         prov = _provenance(toks[5] if len(toks) > 5 else None, ASSERTED, line)
         if prov is SENSED:
             raise FormatError("a sensed property must hold a signal", line)
-    return PropertyRecord(toks[2], value, prov, PROP_HYDRATED, mark)
+    return value, prov
 
 
 # ------------------------------------------------------------------ save
@@ -320,7 +327,7 @@ def _encoded(pieces: list) -> bytes:
     return b"".join(done)
 
 
-def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
+def save(net: Net, lexicon: Lexicon | None, path: str, memo: ValueMemo | None = None) -> None:
     """Serialize the whole net (plus labels) deterministically and atomically.
 
     A node that `load` read from a block already in the form written here,
@@ -331,10 +338,18 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     always; either way the bytes are the same. Labels of nodes that are not
     in the net are not written. A stubbed property or script
     (UnknownProperty, UnknownScript) or text with no UTF-8 form
-    (FormatError) fails before any file is touched.
+    (FormatError) fails before any file is touched. Through a `memo` that
+    holds a tight decode of the bytes the net was loaded from, a save that
+    writes no label line by line leaves there the decode of the bytes it
+    wrote (`_derive`), so that a load of them reads nothing.
     """
     objects, actions = net.objects, net.actions
     source, spans = net.source, net.spans
+    decode = None if memo is None or source is None else memo.decode(source)
+    # with a tight decode of `source`, what `_derive` needs: in file order,
+    # each span of `source` copied, as (start, stop), and each node block
+    # encoded, as (lines, first, stop)
+    layout = [] if decode is not None and decode[4] else None
     pieces: list = []          # the file in order: lists of lines, copied bytes
     lines = [HEADER]           # the lines since the last copy
     add = lines.append
@@ -349,12 +364,17 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
                 start = span.start
             elif stop != span.start:
                 pieces.append(source[start:stop])
+                if layout is not None:
+                    layout.append((start, stop))
                 start = span.start
             stop = span.stop
             continue
         if stop:
             pieces.append(source[start:stop])
+            if layout is not None:
+                layout.append((start, stop))
             stop = 0
+        first = len(lines)
         obj = objects.get(nid)
         if obj is not None:
             rec = obj
@@ -376,21 +396,33 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
                 if rec.script.text:
                     add(rec.script.text)
                 add(">>>")
+        if layout is not None:
+            layout.append((lines, first, len(lines)))
     if stop:
         pieces.append(source[start:stop])
-    for inst, concept in sorted(net.isa_edges):
+        if layout is not None:
+            layout.append((start, stop))
+    isa = sorted(net.isa_edges)
+    for inst, concept in isa:
         add(f"ISA {inst} {concept}")
+    copied = None
+    by_line = False   # whether a LABEL line is encoded
     if lexicon is not None:
         if lexicon.source is not None and (
                 {node for node, _ in lexicon.labels} <= objects.keys() | actions.keys()):
-            pieces += [lines, lexicon.source]
+            copied = lexicon.source
+            pieces += [lines, copied]
             lines = []
         else:
             for node, lang, text in lexicon.items():
                 if node in objects or node in actions:
                     add(f"LABEL {node} {lang} {encode_text(text)}")
+                    by_line = True
     pieces.append(lines)
-    _replace(path, _encoded(pieces))
+    data = _encoded(pieces)
+    _replace(path, data)
+    if layout is not None and data != source and not by_line:
+        _derive(memo, source, decode, layout, data, isa, copied)
 
 
 # ------------------------------------------------------------------ read
@@ -480,54 +512,119 @@ def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
 # What a value memo charges for a run it keeps: twice its bytes, for the
 # key and the bytes and strings decoded from it, plus the objects that hold
 # them, per run and per value, label or script text it decoded (about what
-# CPython 3.11 allocates, measured with tracemalloc). A 57 kB file of 200
-# objects, 200 actions and 440 labels is charged 287 kB and holds 230 kB.
+# CPython 3.11 allocates, measured with tracemalloc). A file's decode is
+# charged its bytes, the objects that hold its tables, and per node the
+# entry and range a load builds from; its values, labels and script texts
+# are the runs' own, and what no run holds (an is-a edge, or a record read
+# line by line) is charged as a part. A 57 kB file of 200 objects, 200
+# actions and 440 labels is charged 394 kB for its runs and 137 kB for its
+# decode, and the two hold 434 kB.
 _RUN_COST = 200
 _PART_COST = 160
+_ENTRY_COST = 200
 MAX_MEMO_BYTES = 2 * 1024 * 1024
 
 
+def _decode_cost(data: bytes, decode: tuple, parts: int) -> int:
+    return len(data) + _RUN_COST + _ENTRY_COST * len(decode[0]) + _PART_COST * parts
+
+
 class ValueMemo:
-    """What `load` decoded of the runs of lines `_BLOCK` matched, kept by one
-    owner (a CLI session) across its loads and keyed by each run's bytes. A
-    node block maps to (id, tag, provenance, subject, target, fields,
+    """What `load` decoded, kept by one owner (a CLI session) across its
+    loads and saves: the runs of lines `_BLOCK` matched, keyed by each run's
+    bytes, and the decode (`_read`) of each whole file, keyed by the file's
+    bytes.
+
+    A node block maps to (id, tag, provenance, subject, target, fields,
     whether save writes the node so, its script text, its line count), the
     fields of each PROP line being (tail, name, Value, Provenance, whether
     save writes the tail so), its tail the bytes after `PROP <id> `. A run
     of LABEL lines maps to (labels, the first line of each owner counted
     from the run's, its line count, whether save writes those labels so).
-    A reload of an unchanged file so reads no line of those runs again.
+    A load of a file whose bytes it knows builds the net from the decode
+    and reads no line; a load of any other file reads no line of a run it
+    knows. A `save` through it leaves the decode of the bytes it wrote,
+    laid out from the decode of the bytes the net was loaded from (`_derive`)
+    and checked on the first load that meets it (`_laid_out`); the decode it
+    supersedes goes.
 
-    It holds only bytes, frozen values, strings, ints and flags, never a
-    PropertyRecord or ScriptRef, which carry a file's mark: each load still
-    builds its own records. A run whose decode raises is never kept, nor one
-    that holds a NaN, which no value of another load may equal. Runs are
-    charged as `_RUN_COST` and `_PART_COST` state; the memo holds at most
-    MAX_MEMO_BYTES so charged, and is emptied whole when one more run would
-    pass that. Only its own methods touch its table.
+    It holds only bytes, ranges, frozen values, strings, ints and flags,
+    never a PropertyRecord or ScriptRef, which carry a file's mark: each
+    load still builds its own records. Nothing whose decode raises is ever
+    kept, nor anything that holds a NaN, which no value of another load may
+    equal: a read's decode is kept once a net was built from it, and a
+    save's only when every script it encoded parses, so a kept decode
+    builds with no line number to place a fault. Runs and decodes
+    are charged as `_RUN_COST`, `_ENTRY_COST` and `_PART_COST` state; the
+    memo holds at most MAX_MEMO_BYTES so charged, and is emptied whole when
+    one more thing would pass that. Only its own methods touch its tables.
     """
 
-    __slots__ = ("runs", "size")
+    __slots__ = ("runs", "files", "size")
 
     def __init__(self):
         self.runs: dict[bytes, tuple] = {}
-        self.size = 0   # what the runs held are charged
+        # file bytes -> (decode, its charge, None or the layout a save left)
+        self.files: dict[bytes, tuple] = {}
+        self.size = 0   # what the runs and decodes held are charged
+
+    def _room(self, cost: int) -> bool:
+        """Make room for `cost` more, emptying the memo whole if it must;
+        True when nothing went."""
+        if self.size + cost <= MAX_MEMO_BYTES:
+            return True
+        self.runs.clear()
+        self.files.clear()
+        self.size = 0
+        return False
 
     def run(self, key: bytes) -> tuple | None:
         """The decoded run of lines whose bytes are `key`, if kept."""
         return self.runs.get(key)
 
-    def keep(self, key: bytes, run: tuple, parts: int) -> None:
+    def keep(self, key: bytes, run: tuple, parts: int) -> bool:
         """Hold a decoded run under its bytes: `parts` counts the values,
-        script texts, labels and labelled nodes it decoded itself."""
+        script texts, labels and labelled nodes it decoded itself. True
+        when it is held and nothing went to make room for it."""
         cost = 2 * len(key) + _RUN_COST + _PART_COST * parts
         if cost > MAX_MEMO_BYTES:
-            return
-        if self.size + cost > MAX_MEMO_BYTES:
-            self.runs.clear()
-            self.size = 0
+            return False
+        kept = self._room(cost)
         self.runs[key] = run
         self.size += cost
+        return kept
+
+    def decode(self, data: bytes) -> tuple | None:
+        """The decode of the file whose bytes are `data`, if kept. One a
+        save left is laid out on this first use, or dropped if it fails a
+        check that a read of the bytes would make."""
+        held = self.files.get(data)
+        if held is None:
+            return None
+        decode, _, layout = held
+        if layout is not None:
+            decode = _laid_out(decode, layout)
+            if decode is None:
+                self.drop(data)
+            else:
+                self.hold(data, decode, _decode_cost(data, decode, len(decode[1])))
+        return decode
+
+    def hold(self, data: bytes, decode: tuple, cost: int, layout: list | None = None) -> None:
+        """Keep the decode of the file whose bytes are `data`, charged
+        `cost`, in place of any held for them. A decode shares the values
+        of the runs it was read from, so one that fits only once the memo
+        is emptied is not kept."""
+        self.drop(data)
+        if cost <= MAX_MEMO_BYTES and self._room(cost):
+            self.files[data] = (decode, cost, layout)
+            self.size += cost
+
+    def drop(self, data: bytes) -> None:
+        """Forget the decode of the file whose bytes are `data`, if held."""
+        held = self.files.pop(data, None)
+        if held is not None:
+            self.size -= held[1]
 
 
 def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails: dict):
@@ -537,7 +634,7 @@ def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails:
     for a duplicate property, also of one in `named` (the node's properties
     from lines outside the block), for a bad value, and for a SCRIPT when
     `scripted` (the node had one outside the block). `names` holds one str
-    per property name and `tails` the fields of each tail this read met."""
+    per property name and `tails` the fields of each tail this read decoded."""
     nid = int(m["nid"])
     if m["act"]:
         subject = m["subject"]
@@ -552,23 +649,22 @@ def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails:
     last = ""
     for tail in _PROP_TAIL.findall(m.string, first, stop):
         line += 1
-        shared = tails.get(tail)
-        if shared is None:
+        field = tails.get(tail)
+        if field is None:
             raw = tail[:tail.find(b" ")]
             name = names.get(raw) or names.setdefault(raw, raw.decode())
         else:
-            name = shared[0][1]
+            name = field[1]
         if name in seen:
             raise FormatError(f"duplicate property {name!r} on {nid}", line)
         seen.add(name)
-        if shared is None:
+        if field is None:
             kind, tok, prov = _VALUE_FIELDS.fullmatch(tail, len(name) + 1).groups()
             value = _decode_value(kind.decode(), tok.decode(), line)
             as_saved = prov is not None and f"{name} {_value_token(value)} {prov.decode()}".encode() == tail
-            field = (tail, name, value, INFERRED if prov == b"inferred" else ASSERTED, as_saved)
+            field = tails[tail] = (tail, name, value, INFERRED if prov == b"inferred" else ASSERTED,
+                                   as_saved)
             parts += 1
-        else:
-            field = shared[0]
         keep = keep and field[2].data == field[2].data   # not NaN
         fields.append(field)
         saved = saved and name > last and field[4]
@@ -606,35 +702,44 @@ def _label_run(buf: bytes, start: int, stop: int, decode: bool) -> tuple:
     return tuple(labels), owners, buf.count(b"\n", start, stop), ordered
 
 
-def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
+def _read(buf: bytes, memo: ValueMemo | None):
     """One pass over a whole `.krn` file's bytes, every reference checked.
 
     Each run of lines `_BLOCK` matches is read from the match; any other
     line token by token, and only that path (and the duplicate and
-    reference checks) raises, whether or not records are decoded. With
-    the file's identity as `mark` (for `load`), a node block or run of
-    LABEL lines is taken decoded from `memo` by its bytes when it holds
-    them, and is otherwise read line by line and kept there; a block whose
-    node had a PROP or SCRIPT line outside it is read line by line, so that
-    the duplicate checks see those. Each PROP/SIG record then becomes a
-    PropertyRecord and each SCRIPT record a ScriptRef, built per read and
-    carrying the mark: matched PROP lines with equal tails after
-    `PROP <id> ` share one record, and the scripts are parsed after the
-    reference checks, equal texts into one ScriptRef; a LABEL record
-    becomes a label. With None (for the `open` scan, which takes no memo),
-    each PROP/SIG and SCRIPT record is kept as its byte offset, for the
-    index, and no label. Set operations tell whether the references hold;
-    only when they may not are they searched in file order.
+    reference checks) raises, whether or not records are decoded. With a
+    `memo` (for `load`), a node block or run of LABEL lines is taken
+    decoded from it by its bytes when it holds them, and is otherwise read
+    line by line and kept there; a block whose node had a PROP or SCRIPT
+    line outside it is read line by line, so that the duplicate checks see
+    those. With None (for the `open` scan), each PROP/SIG and SCRIPT record
+    is kept as its byte offset, for the index, and no label. Set operations
+    tell whether the references hold; only when they may not are they
+    searched in file order.
 
-    Returns (nodes, props, scripts, isa, labels, spans, label_start): nodes
-    maps id to (tag, provenance, subject, target, line) in file order;
-    props maps id to {name: kept}; scripts maps id to kept. With a mark,
-    spans maps the id of each node whose matched block reads byte for byte
-    as `save` writes that node to the block's range of byte offsets (a net
-    keeps one per node, and unlike a tuple a range is not tracked by the
-    collector), and label_start is the offset of the LABEL lines when they
-    are one matched run that ends the file and reads as `save` writes
-    those labels; else None.
+    With None, returns (nodes, props, scripts, isa): nodes maps id to (tag,
+    provenance, subject, target, line) in file order; props maps id to
+    {name: offset}; scripts maps id to offset; isa lists the is-a edges.
+
+    With a memo, returns (decode, scripts, parts). The decode holds no record
+    and no mark: (entries, isa, labels, label_start, tight). Its entries are
+    (id, tag, provenance, subject, target, fields, script, span), objects
+    in id order, then actions. The fields are a node's PROP fields in name
+    order (`_node_run`; the tail is a line number for a line read token by
+    token), the script its text (bytes if not UTF-8) or None, and the span
+    the range of byte offsets of the node's block (a net keeps one per
+    node, and unlike a tuple a range is not tracked by the collector) when
+    it reads byte for byte as `save` writes that node and the node has no
+    record outside it, else None. labels lists (node, language, text) in file order, and
+    label_start is the offset of the LABEL lines when they are one matched
+    run that ends the file and reads as `save` writes those labels, else
+    None. tight says that every node has a span and the blocks follow the
+    header back to back in entry order, as `save` writes them. scripts
+    maps each action with a script to (its text, its SCRIPT record's
+    line), and parts counts what the decode holds that no run in the memo
+    holds, or is None when the decode may not be kept (it holds a NaN, a
+    run it holds is not in the memo, or the memo was emptied during the
+    read).
     """
     header = HEADER.encode()
     if not (buf.startswith(header + b"\n") or buf == header):
@@ -650,13 +755,14 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
     # (first line, {node: its first line counted from there}) of each LABEL line or run
     label_runs: list[tuple[int, dict[NodeId, int]]] = []
     names: dict = {}   # the read's one str per matched property name
-    # (fields, PropertyRecord) of each matched PROP line's tail, for load
-    tails: dict[bytes, tuple] = {}
+    tails: dict[bytes, tuple] = {}   # the fields of each PROP tail this read decoded
     spans: dict[NodeId, range] = {}
+    blocks: dict[NodeId, tuple] = {}   # the entry of each node read from its block, for load
     label_start = None
+    parts = 0
     fh = io.BytesIO(buf)   # for the SCRIPT blocks of tokenised records
     match = _BLOCK.match
-    if mark:
+    if memo is not None:
         recall, keep = memo.run, memo.keep
     pos, lineno = len(header) + 1, 2
     while pos < len(buf):
@@ -665,7 +771,7 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
         if m is not None:
             tag = m.lastgroup
             pos = m.end()
-            if tag == "NODE" and mark:
+            if tag == "NODE" and memo is not None:
                 key = m[0]
                 run = recall(key)
                 nid = int(m["nid"]) if run is None else run[0]
@@ -673,25 +779,19 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
                     raise FormatError(f"duplicate node id {nid}", lineno)
                 if run is None or nid in props or nid in scripts:
                     recalled = run
-                    run, parts = _node_run(m, lineno, props.get(nid, ()), nid in scripts, names, tails)
-                    if recalled is None and parts is not None:
-                        keep(key, run, parts)
+                    run, fresh = _node_run(m, lineno, props.get(nid, ()), nid in scripts, names, tails)
+                    if fresh is None or recalled is None and not keep(key, run, fresh):
+                        parts = None
+                    elif recalled is not None and parts is not None:
+                        parts += fresh
                 nid, kind, prov, subject, target, fields, saved, text, lines = run
                 nodes[nid] = (kind, prov, subject, target, lineno)
-                if fields:
-                    named = props.get(nid)
-                    if named is None:
-                        named = props[nid] = {}
-                    for field in fields:
-                        shared = tails.get(field[0])
-                        if shared is None:
-                            shared = tails[field[0]] = (field, PropertyRecord(
-                                field[1], field[2], field[3], PROP_HYDRATED, mark))
-                        named[field[1]] = shared[1]
+                span = range(start, pos) if saved else None
+                if saved:
+                    spans[nid] = span
+                blocks[nid] = (nid, kind, prov, subject, target, fields, text, span)
                 if text is not None:
                     scripts[nid] = (text, lineno + 1 + len(fields))
-                if saved:
-                    spans[nid] = range(start, pos)
                 lineno += lines
             elif tag == "NODE":
                 ident = m["nid"]
@@ -731,12 +831,14 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
                     refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
                     lineno += 1
             else:
-                if mark:
+                if memo is not None:
                     key = m[0]
                     run = recall(key)
                     if run is None:
                         run = _label_run(buf, start, pos, True)
-                        keep(key, run, len(run[0]) + len(run[1]))   # a part per label and owner
+                        # a part per label and owner
+                        if not keep(key, run, len(run[0]) + len(run[1])):
+                            parts = None
                     labels_of, owners, lines, ordered = run
                     if not labels and pos == len(buf) and ordered:
                         label_start = start
@@ -760,17 +862,23 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
             name = toks[2]
             if not valid_property_name(name):
                 raise FormatError(f"bad property name {name!r}", line)
-            if name in named:
+            if name in named or owner in blocks and any(field[1] == name for field in blocks[owner][5]):
                 raise FormatError(f"duplicate property {name!r} on {owner}", line)
-            named[name] = _decode_prop(toks, line, mark) if mark else start
+            if memo is None:
+                named[name] = start
+            else:
+                value, prov = _decode_prop(toks, line)
+                named[name] = (line, name, value, prov, False)
+                parts = parts + 1 if parts is not None and value.data == value.data else None
             refs.append((line, tag, owner, None))
         elif tag == "LABEL":
             node = _int(toks[1], line)
             if not valid_language_tag(toks[2]):
                 raise FormatError(f"bad language tag {toks[2]!r}", line)
             text = decode_text(toks[3], line)
-            if mark:
+            if memo is not None:
                 labels.append((node, toks[2], text))
+                parts = None if parts is None else parts + 1
             label_runs.append((line, {node: 0}))
         elif tag == "OBJ" or tag == "ACT":
             nid, prov, subject, target = _decode_node(toks, line)
@@ -782,11 +890,18 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
             block = _script_block(fh, line)
             pos = fh.tell()
             lineno += len(block)
-            body = b"".join(block[1:-1])
             owner = _int(toks[1], line)
             if owner in scripts:
                 raise FormatError(f"duplicate SCRIPT for {owner}", line)
-            scripts[owner] = (body, line) if mark else start
+            if memo is None:
+                scripts[owner] = start
+            else:
+                body = b"".join(block[1:-1])
+                try:
+                    scripts[owner] = (body[:-1].decode("utf-8"), line)
+                except UnicodeDecodeError:   # raised once the references hold
+                    scripts[owner] = (body, line)
+                parts = None if parts is None else parts + 1
             refs.append((line, tag, owner, "ACT"))
         elif tag == "ISA":
             inst, concept = _int(toks[1], line), _int(toks[2], line)
@@ -817,74 +932,200 @@ def _read(buf: bytes, mark: tuple | None, memo: ValueMemo | None = None):
                 bad = FormatError(f"{tag} record needs node {nid} to be {kind}", line)
         if bad:
             raise bad
-    if mark:
-        # a fault inside a script text is raised only now that the framing
-        # and references hold, and in action id order, as a lazy read of
-        # every script meets it; equal texts share one ScriptRef
-        shared: dict[str, ScriptRef] = {}
-        for owner in sorted(scripts):
-            text, line = scripts[owner]
-            if type(text) is bytes:   # a tokenised block's body, or one not UTF-8
-                text = _script_text(text, line)
-            ref = shared.get(text)
-            if ref is None:
-                try:
-                    ref = shared[text] = ScriptRef(text, parse_script(text), mark)
-                except ScriptParseError as exc:
-                    raise _in_file(exc, owner, line) from None
-            scripts[owner] = ref
-        for _, tag, nid, _ in refs:   # a node with a record outside its block has no span
-            if tag != "ISA":
-                spans.pop(nid, None)
-    return nodes, props, scripts, isa, labels, spans, label_start
+    if memo is None:
+        return nodes, props, scripts, isa
+    for _, tag, nid, _ in refs:   # a node with a record outside its block has no span
+        if tag != "ISA":
+            spans.pop(nid, None)
+    order = sorted(objects)
+    order += sorted(nodes.keys() - objects)
+    spanned = [*spans.values()] if len(spans) == len(nodes) and [*spans] == order else None
+    # every block spanned, in order and back to back from the header, as save writes them
+    tight = spanned is not None and (not spanned or spanned[0].start == len(header) + 1
+                                     and spanned[-1].stop - spanned[0].start == sum(map(len, spanned)))
+    if tight:
+        entries = [*blocks.values()]
+    else:
+        entries = []
+        for nid in order:
+            entry = blocks.get(nid)
+            if nid not in spans:   # its fields from inside and outside its block, in name order
+                named = props.get(nid, {})
+                fields = tuple(sorted([*(entry[5] if entry else ()), *named.values()], key=_field_name))
+                script = scripts.get(nid)
+                entry = (nid, *nodes[nid][:4], fields, script and script[0], None)
+            entries.append(entry)
+    if parts is not None:
+        parts += len(isa)
+    return (entries, isa, labels, label_start, tight), scripts, parts
 
 
-def _load(data: bytes, mark: tuple, memo: ValueMemo | None = None) -> tuple[Net, Lexicon]:
-    """A fresh net plus its labels from a whole file's bytes, its records
-    marked `mark` and its matched runs of lines read through `memo` (with
-    None, a fresh one for this read). Both keep the bytes that `save` can
-    copy: the net the file and its node blocks' spans, the lexicon its
-    LABEL lines."""
-    nodes, props, scripts, isa, labels, spans, label_start = _read(
-        data, mark, ValueMemo() if memo is None else memo)
+def _field_name(field: tuple) -> str:
+    return field[1]
+
+
+def _build(decode: tuple, data: bytes, mark: tuple, scripts: dict | None = None) -> tuple[Net, Lexicon]:
+    """A fresh net plus its labels from a decode of the bytes `data`
+    (`_read`), its records marked `mark`. Fields with equal tails share one
+    PropertyRecord and equal script texts one ScriptRef, so neither is ever
+    changed in place. Scripts are parsed in action id order; a fault in one
+    is placed at its SCRIPT line, from `scripts` (`_read`'s), which a
+    decode that has built once may go without. Both keep the bytes that
+    `save` can copy: the net the file and its node blocks' spans, the
+    lexicon its LABEL lines."""
+    entries, isa, labels, label_start, _ = decode
     net = Net()
-    objects, actions = net.objects, net.actions
-    for nid in sorted(nodes):
-        tag, prov, subject, target, _ = nodes[nid]
-        named = props.get(nid)
-        if not named:
-            properties = {}
-        elif nid in spans:   # read in name order
-            properties = named
-        else:
-            properties = {name: named[name] for name in sorted(named)}
-        if tag == "OBJ":
+    objects, actions, spans = net.objects, net.actions, net.spans
+    records: dict = {}
+    shared: dict[str, ScriptRef] = {}
+    for nid, kind, prov, subject, target, fields, text, span in entries:
+        properties = {}
+        for field in fields:
+            rec = records.get(field[0])
+            if rec is None:
+                rec = records[field[0]] = PropertyRecord(field[1], field[2], field[3], PROP_HYDRATED,
+                                                         mark)
+            properties[field[1]] = rec
+        if span is not None:
+            spans[nid] = span
+        if kind == "OBJ":
             objects[nid] = ObjectRecord(nid, properties, [], [], prov)
+            continue
+        if text is None:
+            script = ScriptRef()
         else:
-            actions[nid] = ActionRecord(nid, subject, target, scripts.get(nid) or ScriptRef(),
-                                        properties, prov)
+            if type(text) is bytes:   # a body that is not UTF-8
+                text = _script_text(text, scripts[nid][1])
+            script = shared.get(text)
+            if script is None:
+                try:
+                    script = shared[text] = ScriptRef(text, parse_script(text), mark)
+                except ScriptParseError as exc:
+                    raise _in_file(exc, nid, scripts[nid][1]) from None
+        actions[nid] = ActionRecord(nid, subject, target, script, properties, prov)
     for aid, act in actions.items():
         if act.subject is not None:
             objects[act.subject].outgoing.append(aid)
         objects[act.target].incoming.append(aid)
-    if nodes:
-        net.bump_id(max(nodes))
+    if entries:
+        net.bump_id(max(next(reversed(objects), 0), next(reversed(actions), 0)))
     net.isa_edges = sorted(set(isa))
-    net.source, net.spans = data, spans
+    net.source = data
     lexicon = Lexicon.of(labels)
     if label_start is not None:
         lexicon.source = data[label_start:]
     return net, lexicon
 
 
+def _span_start(entry: tuple) -> int:
+    return entry[7].start
+
+
+def _derive(memo: ValueMemo, source: bytes, decode: tuple, layout: list, data: bytes,
+            isa: list, labels: bytes | None) -> None:
+    """Leave in `memo` the decode of `data`, which `save` wrote from a net
+    loaded from `source`, whose tight decode `decode` the memo holds:
+    `layout` lists in file order the (start, stop) of each span of `source`
+    copied and the (lines, first, stop) of each node block encoded, `isa`
+    the is-a edges written and `labels` the LABEL lines copied, if any. A
+    copied span becomes the (first, stop, shift) of its entries in
+    `decode`, shifted to where it now lies, and an encoded block is read
+    by `_BLOCK` and `_node_run`, its run kept in `memo`;
+    `_laid_out` lays the entries out when a load first meets them. Nothing
+    is left, and the decode of `source` stays, when the labels copied are
+    not those of `source`, when an encoded block is not one matched run
+    read as `save` writes it, when its script does not parse, when it
+    holds a NaN, or when a run could not be kept without emptying the
+    memo: then a load reads the bytes."""
+    entries, _, source_labels, label_start, _ = decode
+    if labels is not None and (label_start is None or source[label_start:] != labels):
+        return
+    items = []
+    pos = len(HEADER) + 1
+    names: dict = {}
+    tails: dict = {}
+    for item in layout:
+        if len(item) == 2:
+            start, stop = item
+            first = bisect_left(entries, start, key=_span_start)
+            last = bisect_left(entries, stop, key=_span_start)
+            if first == last or entries[first][7].start != start or entries[last - 1][7].stop != stop:
+                return
+            items.append((first, last, pos - start))
+            pos += stop - start
+            continue
+        lines, first, stop = item
+        block = _encoded([lines[first:stop]])
+        m = _BLOCK.match(block)
+        if m is None or m.end() < len(block):
+            return
+        run = memo.run(block)
+        if run is None:
+            try:   # the line only places a fault, and a fault leaves nothing
+                run, parts = _node_run(m, 2, (), False, names, tails)
+            except FormatError:
+                return
+            if parts is None or not memo.keep(block, run, parts):
+                return
+        nid, kind, prov, subject, target, fields, saved, text, _ = run
+        if not saved:
+            return
+        if text is not None:
+            try:
+                parse_script(text)
+            except ScriptParseError:
+                return
+        items.append((nid, kind, prov, subject, target, fields, text, range(pos, pos + len(block))))
+        pos += len(block)
+    laid = (entries, isa, source_labels if labels else [], labels and len(data) - len(labels), True)
+    memo.drop(source)
+    memo.hold(data, laid, _decode_cost(data, laid, len(isa)) + _ENTRY_COST * len(items), items)
+
+
+def _laid_out(decode: tuple, layout: list) -> tuple | None:
+    """The decode `_derive` left, its entries laid out in file order, or
+    None when the bytes would fail a check of `_read`'s: a node id held
+    twice, an action's end or an is-a end that is not an object."""
+    source, isa, labels, label_start, _ = decode
+    entries = []
+    for item in layout:
+        if len(item) == 3:
+            first, stop, shift = item
+            if shift:
+                entries += [(*entry[:7], range(entry[7].start + shift, entry[7].stop + shift))
+                            for entry in source[first:stop]]
+            else:
+                entries += source[first:stop]
+        else:
+            entries.append(item)
+    objects = {entry[0] for entry in entries if entry[1] == "OBJ"}
+    ends = {end for entry in entries if entry[1] == "ACT" for end in entry[3:5]}
+    ends.discard(None)
+    if (len({entry[0] for entry in entries}) < len(entries) or not ends <= objects
+            or not {end for edge in isa for end in edge} <= objects):
+        return None
+    return entries, isa, labels, label_start, True
+
+
 def load(path: str, memo: ValueMemo | None = None) -> tuple[Net, Lexicon]:
     """Read a whole `.krn` file into a fresh net plus its labels, in one pass.
 
-    With a `memo`, a node block or run of LABEL lines that an earlier load
-    through it read is not read again (`ValueMemo`); the net, its labels
-    and every error are the same either way."""
+    With a `memo`, a file whose bytes it holds the decode of is built from
+    that decode and not read, and of any other file a node block or run of
+    LABEL lines that an earlier load through it read is not read again
+    (`ValueMemo`); the net, its labels and every error are the same either
+    way."""
     with io.open(path, "rb") as fh:   # the mark is taken once the bytes are read
-        return _load(fh.read(), _identity(os.fstat(fh.fileno())), memo)
+        data = fh.read()
+        mark = _identity(os.fstat(fh.fileno()))
+    decode = None if memo is None else memo.decode(data)
+    if decode is not None:
+        return _build(decode, data, mark)
+    decode, scripts, parts = _read(data, ValueMemo() if memo is None else memo)
+    built = _build(decode, data, mark, scripts)
+    if memo is not None and parts is not None:
+        memo.hold(data, decode, _decode_cost(data, decode, parts))
+    return built
 
 
 # ------------------------------------------------------------------ open
@@ -927,7 +1168,7 @@ class StoreHandle:
         try:
             self._identity = _identity(os.fstat(self._fh.fileno()))
             data = self._fh.read()
-            self.index, self.props, self.scripts, self.isa, *_ = _read(data, None)
+            self.index, self.props, self.scripts, self.isa = _read(data, None)
         except BaseException:
             self._fh.close()
             raise
@@ -979,7 +1220,8 @@ class StoreHandle:
             if name is None:
                 kept = _script_text(b"".join(_script_block(self._fh, 1)[1:-1]), 1)
             else:
-                kept = _decode_prop(toks, 1, self._identity)
+                value, prov = _decode_prop(toks, 1)
+                kept = PropertyRecord(name, value, prov, PROP_HYDRATED, self._identity)
             self.stats.bytes_read += self._fh.tell() - offset
             return kept
         except FormatError as exc:
@@ -1113,7 +1355,8 @@ class StoreHandle:
         self._fh.seek(0)
         data = self._fh.read()
         self.stats.bytes_read += len(data)
-        return _load(data, self._identity)
+        decode, scripts, _ = _read(data, ValueMemo())
+        return _build(decode, data, self._identity, scripts)
 
 
 def _identity(st: os.stat_result) -> tuple[tuple[int, int], tuple[int, int, int]]:

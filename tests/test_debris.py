@@ -5,10 +5,10 @@ function. No module but `core.py` stores into a net's object or action
 table or reads an enum member off its class in a function body, no
 module but `lexicon.py` reads a lexicon's reverse index, no record a
 load may share is changed in place, inside `store.StoreHandle` only
-`_held` looks a node up in a net, and only `store.ValueMemo`'s own
-methods touch its table. No
-pattern needs a newer Python than the package allows. The
-README's command summary names exactly the verbs the CLI dispatches on."""
+`_held` looks a node up in a net, only `store.ValueMemo`'s own methods
+touch its tables, and every CLI load and save passes the session's memo.
+No pattern needs a newer Python than the package allows. The README's
+command summary names exactly the verbs the CLI dispatches on."""
 
 import ast
 import importlib
@@ -119,7 +119,7 @@ def test_only_core_stores_into_a_node_table():
     """A new record enters a net through `Net.insert`, which wires an
     action into its endpoints' lists and moves `next_id` past the id, so
     no module but `core.py` writes `<expr>.objects[...]` or
-    `<expr>.actions[...]`. `store._load` fills its fresh net's tables
+    `<expr>.actions[...]`. `store._build` fills its fresh net's tables
     through local names, which this rule does not see."""
     stores = [f"{module}:{node.lineno}"
               for module, (_, tree) in _trees().items() if module != "core.py"
@@ -161,10 +161,12 @@ def test_only_the_lexicon_reads_its_reverse_index():
 
 
 def test_only_the_value_memo_touches_its_table():
-    """`store.ValueMemo` keeps its runs and what they are charged in its
-    slots, so no code in the package but the class's own methods reads or
-    writes an attribute of a slot's name (`<expr>.runs`, `<expr>.size`):
-    `_read` asks `run` for a decoded run and hands `keep` one it decoded."""
+    """`store.ValueMemo` keeps its runs, its file decodes and what they are
+    charged in its slots, so no code in the package but the class's own
+    methods reads or writes an attribute of a slot's name (`<expr>.runs`,
+    `<expr>.files`, `<expr>.size`): `_read` asks `run` for a decoded run
+    and hands `keep` one it decoded, and `load` and `save` ask `decode` for
+    a file's decode and hand `hold` one they made."""
     trees = _trees()
     memo = next(node for node in trees["store.py"][1].body
                 if isinstance(node, ast.ClassDef) and node.name == "ValueMemo")
@@ -175,6 +177,21 @@ def test_only_the_value_memo_touches_its_table():
              for module, (_, tree) in trees.items() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in slots and id(node) not in own]
     assert slots and not pokes, pokes
+
+
+def test_every_cli_load_and_save_goes_through_the_session_memo():
+    """Each `store.load` and `store.save` call in `cli.py` passes the
+    session's memo (`session.memo`), so that no verb reads a file past what
+    the session decoded, or writes one and leaves its decode behind."""
+    tree = _trees()["cli.py"][1]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr in ("load", "save")
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "store"]
+    bypass = [f"cli.py:{call.lineno} store.{call.func.attr}" for call in calls
+              if not any(isinstance(arg, ast.Attribute) and arg.attr == "memo"
+                         and isinstance(arg.value, ast.Name) and arg.value.id == "session"
+                         for arg in [*call.args, *(kw.value for kw in call.keywords)])]
+    assert {call.func.attr for call in calls} == {"load", "save"} and not bypass, bypass
 
 
 # the fields of PropertyRecord and ScriptRef; a load shares one record

@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import math
 import os
 import random
 import re
@@ -19,7 +20,7 @@ from krn.cli import Session, run_command
 from krn.script import apply_undo
 from krn import sim
 from krn.sim import run_action
-from krn.core import NodeLoad, PropertyRecord, PropLoad, ScriptRef
+from krn.core import NodeLoad, ObjectRecord, PropertyRecord, PropLoad, ScriptRef
 from krn.errors import (
     BipartiteViolation,
     EvictionBlocked,
@@ -1189,7 +1190,18 @@ def test_a_nan_value_is_never_shared_between_loads(tmp_path):
     # NaN equals nothing, so two loads of it differ, through a memo or not
     assert not nets_equal(one, two)
     assert not nets_equal(store.load(str(path))[0], store.load(str(path))[0])
-    assert not memo.runs
+    assert not memo.runs and not memo.files
+    # a save through the memo that writes a NaN leaves no decode of what it
+    # wrote, and no run of the block that holds it
+    clean = tmp_path / "clean.krn"
+    clean.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num 1.0 asserted\nOBJ 2\n")
+    net, lexicon = store.load(str(clean), memo)
+    net.set_property(1, "x", Value.num(math.nan))
+    store.save(net, lexicon, str(clean), memo)
+    assert clean.read_bytes() not in memo.files and list(memo.runs) == [
+        b"OBJ 1\nPROP 1 x num 1.0 asserted\n", b"OBJ 2\n"]
+    one, two = (store.load(str(clean), memo)[0] for _ in range(2))
+    assert not nets_equal(one, two) and clean.read_bytes() not in memo.files
 
 
 def _props(net):
@@ -1300,9 +1312,15 @@ def test_a_full_memo_empties_whole_and_a_failed_decode_leaves_it_alone(tmp_path,
 
 def _small_runs(shape):
     """Distinct runs of lines of one shape, without end; a run that names
-    another comes right after it, the two at an even count."""
+    another comes right after it, the two at an even count. In the "saved"
+    shape each 500 runs are a file as `save` writes it, and files differ
+    only in their last block: each load recalls 499 runs and keeps the
+    decode of a file the memo has not seen."""
     for i in itertools.count(1):
-        if shape == "bare":
+        if shape == "saved":
+            nid = i % 500 or 500
+            yield f"OBJ {nid}\nPROP {nid} x num {i if nid == 500 else nid}.5 asserted\n"
+        elif shape == "bare":
             yield f"OBJ {i}\n"
         elif shape == "one-value":
             yield f"OBJ {i}\nPROP {i} x num {i}.5 asserted\n"
@@ -1314,13 +1332,14 @@ def _small_runs(shape):
             yield f'LABEL {i} en "w{i}"\n'
 
 
-@pytest.mark.parametrize("shape", ["bare", "one-value", "script", "labels"])
+@pytest.mark.parametrize("shape", ["bare", "one-value", "script", "labels", "saved"])
 def test_a_full_memo_holds_less_than_twice_its_bound(tmp_path, shape):
     """Filled to its bound with many small distinct runs, 500 at a load,
-    the memo holds under 2 * MAX_MEMO_BYTES as tracemalloc counts it, up
-    to the load that empties it: each run is charged for what it decodes,
-    not only for its bytes. Charged for its keys alone, it held 9.1 MiB
-    for 1 MiB of keys."""
+    or with the decodes of many distinct files, the memo holds under
+    2 * MAX_MEMO_BYTES as tracemalloc counts it, up to the load that
+    empties it: each run and decode is charged for what it decodes, not
+    only for its bytes. Charged for its keys alone, it held 9.1 MiB for 1
+    MiB of keys."""
     runs = _small_runs(shape)
     path = tmp_path / "many.krn"
     memo = store.ValueMemo()
@@ -1476,7 +1495,8 @@ def test_a_reload_reads_no_line_of_a_recalled_run(tmp_path, monkeypatch):
     """A count, not a timing: a reload of an unchanged file through one
     memo decodes no value and no text, and reads no field of any line of a
     matched node block or LABEL run (ISA runs are read each time, and the
-    file has none)."""
+    file has none), whether the memo holds the file's decode or, as after
+    an edit from outside, only its runs."""
     path = _traffic_files(random.Random(7), tmp_path)[0]
     counts = dict.fromkeys(["_PROP_TAIL", "_PROP_FIELDS", "_VALUE_FIELDS", "_LABEL_FIELDS",
                             "_ISA_FIELDS", "_decode_value", "decode_text", "_script_text"], 0)
@@ -1492,11 +1512,14 @@ def test_a_reload_reads_no_line_of_a_recalled_run(tmp_path, monkeypatch):
     memo = store.ValueMemo()
     first = store.load(path, memo)
     assert counts["_PROP_TAIL"] and counts["_LABEL_FIELDS"] and counts["_decode_value"]
-    counts.update(dict.fromkeys(counts, 0))
-    again = store.load(path, memo)
-    assert counts == dict.fromkeys(counts, 0)
-    assert nets_equal(again[0], first[0]) and again[1].items() == first[1].items()
-    assert again[0].spans == first[0].spans and again[1].source == first[1].source
+    for drop in (False, True):
+        if drop:
+            memo.drop(first[0].source)
+        counts.update(dict.fromkeys(counts, 0))
+        again = store.load(path, memo)
+        assert counts == dict.fromkeys(counts, 0)
+        assert nets_equal(again[0], first[0]) and again[1].items() == first[1].items()
+        assert again[0].spans == first[0].spans and again[1].source == first[1].source
 
 
 def test_the_memo_holds_no_record_and_no_mark(tmp_path):
@@ -1519,6 +1542,220 @@ def test_the_memo_holds_no_record_and_no_mark(tmp_path):
             todo += [ref for ref in gc.get_referents(obj) if not isinstance(ref, type)]
     assert not kinds & {PropertyRecord, ScriptRef}
     assert {bytes, str, tuple, dict, Value} <= kinds and len(seen) > 300
+
+
+# ---------------------------------------------------------------- decodes a save leaves
+
+
+def _full_view(net, lexicon):
+    """Everything a load gives, in order: each record's provenance, its
+    properties (values by repr, so that a NaN equals itself here), its
+    endpoints or endpoint lists, its script, the mark on each, and which
+    records it shares with others; then next_id, the is-a edges, the spans,
+    the source, and the labels with the lexicon's source."""
+    seen: dict[int, int] = {}
+
+    def first_seen(kept):   # where a record was first met: the sharing pattern
+        return seen.setdefault(id(kept), len(seen))
+
+    nodes = []
+    for rec in [*net.objects.values(), *net.actions.values()]:
+        props = [(name, repr(prop.value), prop.provenance, prop.load_state, prop.from_store,
+                  first_seen(prop)) for name, prop in rec.properties.items()]
+        if rec.id in net.objects:
+            ends = (rec.outgoing, rec.incoming)
+        else:
+            script_ = rec.script
+            ends = (rec.subject, rec.target, script_.text, script_.from_store,
+                    script_.ast is not None, first_seen(script_))
+        nodes.append((rec.id, rec.provenance, props, ends))
+    return (nodes, net.next_id, net.isa_edges, list(net.spans.items()), net.source,
+            list(lexicon.labels.items()), lexicon.source)
+
+
+def _viewed(load):
+    """`_full_view` of what `load()` gives, or the typed error it raises."""
+    try:
+        return _full_view(*load())
+    except (FormatError, ScriptParseError) as exc:
+        return type(exc), str(exc), exc.line
+
+
+def _session_edit(rng, session, step):
+    """One random edit of the session's net through the CLI or the API; an
+    edit the engine refuses changes nothing."""
+    net = session.net
+    objects, actions = sorted(net.objects), sorted(net.actions)
+    roll = rng.random()
+    try:
+        if roll < 0.3 and objects:
+            # a text save writes as one escape (or none) is not a matched run
+            value = rng.choice(["1", "2.5", "-3", "true", "unset", '"grey"', str(step)] * 3
+                               + ['"héllo"', '"a\\"b"'])
+            run_command(session, f"set #{rng.choice(objects)}.{rng.choice(['x', 'mass', 'y'])} {value}")
+        elif roll < 0.45:
+            scripted = [aid for aid in actions if net.actions[aid].script.text]
+            if scripted:
+                run_command(session, f"run #{rng.choice(scripted)}")
+        elif roll < 0.55:
+            run_command(session, f"obj n{step} x={rng.randrange(9)} colour=\"red\"")
+        elif roll < 0.65 and objects:
+            subject = rng.choice(["-", *(f"#{o}" for o in objects)])
+            run_command(session, f"act {subject} #{rng.choice(objects)} script='set object.x = {step};'")
+        elif roll < 0.72 and objects:
+            run_command(session, f"label #{rng.choice(objects)} en w{step}")
+        elif roll < 0.8 and len(objects) > 1:
+            run_command(session, f"isa #{rng.choice(objects)} #{rng.choice(objects)}")
+        elif roll < 0.97 and objects:
+            net.erase_node(rng.choice([*objects, *actions]))
+        elif objects:   # a value no run may hold
+            net.set_property(rng.choice(objects), "x", Value.num(math.nan))
+    except KrnError:
+        pass
+
+
+def test_session_loads_after_its_own_saves_equal_cold_loads(tmp_path):
+    """load, edit through the CLI or the API, save, over six files through
+    one session, and now and then a file edited from outside: every load
+    through the session's memo equals a cold load of the same file in
+    everything `_full_view` compares, or raises the same typed error at the
+    same line, and a decode the memo holds for a file's bytes is the one a
+    read of them gives. A net reloaded through the memo after the session
+    saved its file is evictable by a handle on the file."""
+    rng = random.Random(3636)
+    paths = _traffic_files(rng, tmp_path)
+    for i in range(3):
+        paths.append(_saved(tmp_path, *random_net(rng, max_objects=12), f"random-{i}.krn"))
+    session = Session()
+    saved = set()   # paths whose last write was the session's save
+    held = 0
+    for step in range(600):
+        path = rng.choice(paths)
+        if rng.random() < 0.08:
+            Path(path).write_bytes(_mutated(rng, Path(path).read_bytes()))
+            saved.discard(path)
+        data = Path(path).read_bytes()
+        kept = session.memo.decode(data)
+        if kept is not None:
+            held += 1
+            assert kept == store._read(data, store.ValueMemo())[0], f"step {step}"
+        warm = _viewed(lambda: (run_command(session, f"load {path}"), (session.net, session.lexicon))[1])
+        cold = _viewed(lambda: store.load(path))
+        assert warm == cold, f"step {step}"
+        if len(cold) == 3:   # refused: start the file afresh
+            store.save(*random_net(rng, max_objects=12), path)
+            saved.discard(path)
+            continue
+        if path in saved:
+            net = store.load(path, session.memo)[0]
+            with store.open(path) as handle:
+                for nid in [*net.objects, *net.actions]:
+                    handle.evict(nid, net)
+            assert {prop.load_state for _, prop in _props_of(net)} <= {PropLoad.STUB}
+        for _ in range(rng.randrange(4)):
+            _session_edit(rng, session, step)
+        run_command(session, f"save {path}")
+        saved.add(path)
+    assert held > 100
+
+
+def _props_of(net):
+    return [(key, kept) for key, kept in _marked(net) if key[1] is not None]
+
+
+def test_a_load_after_a_save_through_the_memo_reads_no_run(tmp_path, monkeypatch):
+    """A count, not a timing: a save through the memo matches and decodes
+    exactly the blocks it encoded, and a load of what it wrote through the
+    same memo matches no run of lines and reads no block. A save whose
+    source the memo holds no decode of leaves none."""
+    counts = dict.fromkeys(["_BLOCK", "_node_run"], 0)
+    monkeypatch.setattr(store, "_BLOCK", _CountedPattern(store._BLOCK, "_BLOCK", counts))
+    real_node_run = store._node_run
+
+    def node_run(*args):
+        counts["_node_run"] += 1
+        return real_node_run(*args)
+
+    monkeypatch.setattr(store, "_node_run", node_run)
+    memo = store.ValueMemo()
+    path = _traffic_files(random.Random(9), tmp_path)[0]
+    net, lexicon = store.load(path, memo)
+    counts.update(dict.fromkeys(counts, 0))
+    # three blocks no file has held, the last right before the LABEL lines copied
+    for nid in [*sorted(net.objects)[:3:2], max(net.actions)]:
+        net.set_property(nid, "x", Value.num(1000 + nid))
+    store.save(net, lexicon, path, memo)
+    assert counts == {"_BLOCK": 3, "_node_run": 3}
+    counts.update(dict.fromkeys(counts, 0))
+    again = store.load(path, memo)
+    assert counts == {"_BLOCK": 0, "_node_run": 0}
+    assert _full_view(*again) == _full_view(*store.load(path))
+    # without a decode of the bytes the net was loaded from, nothing is left
+    fresh = store.ValueMemo()
+    net, lexicon = store.load(path)
+    net.set_property(sorted(net.objects)[0], "x", Value.num(7))
+    counts.update(dict.fromkeys(counts, 0))
+    store.save(net, lexicon, path, fresh)
+    assert not fresh.files and not fresh.runs and counts["_BLOCK"] == 0
+
+
+def test_a_superseded_decode_is_uncharged(tmp_path):
+    """A save that leaves the decode of what it wrote drops the decode of
+    the bytes its net was loaded from, and the memo's charge follows: it
+    gains the new decode's charge and the runs of the blocks the save
+    encoded, and loses the old decode's."""
+    memo = store.ValueMemo()
+    path = _traffic_files(random.Random(10), tmp_path)[0]
+    net, lexicon = store.load(path, memo)
+    old = Path(path).read_bytes()
+    old_cost = memo.files[old][1]
+    size, runs = memo.size, dict(memo.runs)
+    obj = sorted(net.objects)[0]
+    net.set_property(obj, "x", Value.num(1234))
+    store.save(net, lexicon, path, memo)
+    new = Path(path).read_bytes()
+    block = next(key for key in memo.runs if key not in runs)
+    # the encoded block, charged as a run of its values
+    run_cost = 2 * len(block) + store._RUN_COST + store._PART_COST * len(memo.runs[block][5])
+    assert list(memo.files) == [new] and len(memo.runs) == len(runs) + 1
+    assert memo.size == size - old_cost + memo.files[new][1] + run_cost
+    # the first load that meets it lays it out and charges it as a read would
+    store.load(path, memo)
+    decode = store._read(new, store.ValueMemo())[0]
+    assert memo.files[new][1] == store._decode_cost(new, decode, len(decode[1]))
+    assert memo.size == size - old_cost + memo.files[new][1] + run_cost
+
+
+@pytest.mark.parametrize("breakage", ["dangling-end", "dangling-isa", "both-kinds", "bad-script",
+                                      "other-labels"])
+def test_a_net_saved_through_the_memo_loads_through_it_as_cold(tmp_path, breakage):
+    """A net broken past what the file format holds, saved through the
+    memo, loads through it as a cold load does: a decode whose references
+    fail is dropped at its first use, and none is left when an encoded
+    script does not parse or the labels copied are not those of the file
+    the net was loaded from."""
+    paths = _traffic_files(random.Random(12), tmp_path)
+    memo = store.ValueMemo()
+    net, lexicon = store.load(paths[0], memo)
+    objects, actions = sorted(net.objects), sorted(net.actions)
+    if breakage == "dangling-end":   # an object goes, its actions stay
+        del net.objects[net.actions[actions[0]].target]
+    elif breakage == "dangling-isa":
+        net.isa_edges.append((objects[0], actions[-1] + 1))
+    elif breakage == "both-kinds":
+        net.objects[actions[0]] = ObjectRecord(actions[0])
+    elif breakage == "bad-script":
+        net.touch(actions[0])
+        net.actions[actions[0]].script = ScriptRef("set object.x = ;")
+    else:   # the lexicon of another file, whose LABEL lines differ
+        other, other_lexicon = store.load(paths[0])
+        other_lexicon.set_label(objects[0], "en", "elsewhere")
+        store.save(other, other_lexicon, paths[1])
+        lexicon = store.load(paths[1], memo)[1]
+    store.save(net, lexicon, paths[0], memo)
+    cold = _viewed(lambda: store.load(paths[0]))
+    assert (len(cold) == 3) == (breakage != "other-labels")   # a typed error, or a net
+    assert _viewed(lambda: store.load(paths[0], memo)) == cold
 
 
 # ---------------------------------------------------------------- atomic save
