@@ -16,7 +16,7 @@ import sys
 
 from . import agent, reasoning, sim, store
 from .core import _NAME_RE, KIND_BOOL, KIND_NUM, KIND_REF, KIND_SIGNAL, KIND_TEXT, Net, Value
-from .errors import CommandError, KrnError, NoLabel
+from .errors import CommandError, FormatError, KrnError, NoLabel
 from .lexicon import Lexicon
 
 _ID_RE = re.compile(r"#?[0-9]{1,18}\Z")   # as the store reader bounds ids
@@ -114,10 +114,10 @@ def parse_value(tok: str, quoted: bool) -> Value:
         return Value.truth(False)
     if tok == "unset":
         return Value.unset()
-    if tok.startswith("ref:"):
+    if tok.startswith("ref:"):   # an id as the store reads one
         try:
-            return Value.ref(int(tok[4:]))
-        except ValueError:
+            return Value.ref(store._int(tok[4:], None))
+        except FormatError:
             raise CommandError(f"bad reference {tok!r}; usage: ref:<id>") from None
     if reasoning._NUM_TOKEN.match(tok):
         return Value.num(float(tok))

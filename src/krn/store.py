@@ -37,12 +37,11 @@ net from the decode (`_build`), each distinct thing once: matched PROP
 lines with equal bytes after the owner id share one PropertyRecord,
 and actions with equal script texts one ScriptRef, so neither is ever
 changed in place. A `ValueMemo` passed to `load` carries from one load
-to the next what it decoded of each matched node block and run of
-LABEL lines, keyed by the run's bytes, and the decode of each whole
-file, keyed by the file's bytes: a reload reads no line of a run it
-has read, and a load of bytes whose decode it holds reads nothing. It
-holds no record, so no mark outlives its load, and every check that
-belongs to one read still runs. `load` parses script texts
+to the next the decode of each whole file, keyed by the file's bytes:
+a load of bytes whose decode it holds reads nothing, and a load of any
+other bytes reads them whole. It holds no record, so no mark outlives
+its load, and it keeps a decode only once a net was built from it, so
+every check that belongs to a read has passed. `load` parses script texts
 only once the framing and references hold, so a fault inside a script
 never hides a later fault that `open` would report. `open`
 decodes no values and keeps no labels, though it checks every record as
@@ -172,12 +171,22 @@ def _decode_origin(tok: str, line: int) -> SensorAddress:
         raise FormatError(f"bad origin path {tok!r}", line) from None
 
 
+def _plain(tok: str) -> bool:
+    """Whether a token is in ASCII, with no underscore and no whitespace
+    around it. int() and float() also take those, so a number passes
+    through here first: a digit of another script, `1_0` or `1\\t` is no
+    number in a file."""
+    return tok.isascii() and "_" not in tok and tok == tok.strip()
+
+
 def _decode_value(kind: str, tok: str, line: int) -> Value:
     if kind == "num":
-        try:
-            return Value.num(float(tok))
-        except ValueError:
-            raise FormatError(f"bad number {tok!r}", line) from None
+        if _plain(tok):
+            try:
+                return Value.num(float(tok))
+            except ValueError:
+                pass
+        raise FormatError(f"bad number {tok!r}", line)
     if kind == "text":
         return Value.text(decode_text(tok, line))
     if kind == "bool":
@@ -192,10 +201,12 @@ def _decode_value(kind: str, tok: str, line: int) -> Value:
 
 
 def _int(tok: str, line: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise FormatError(f"bad integer {tok!r}", line) from None
+    if _plain(tok):
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    raise FormatError(f"bad integer {tok!r}", line)
 
 
 _PROVENANCE = {p.value: p for p in Provenance}
@@ -509,44 +520,45 @@ def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
                             head + 1 + exc.line, exc.column, exc.expected)
 
 
-# What a value memo charges for a run it keeps: twice its bytes, for the
-# key and the bytes and strings decoded from it, plus the objects that hold
-# them, per run and per value, label or script text it decoded (about what
-# CPython 3.11 allocates, measured with tracemalloc). A file's decode is
-# charged its bytes, the objects that hold its tables, and per node the
-# entry and range a load builds from; its values, labels and script texts
-# are the runs' own, and what no run holds (an is-a edge, or a record read
-# line by line) is charged as a part. A 57 kB file of 200 objects, 200
-# actions and 440 labels is charged 394 kB for its runs and 137 kB for its
-# decode, and the two hold 434 kB.
-_RUN_COST = 200
+# What a value memo charges for the decode of a file it keeps: twice the
+# file's bytes, for the key and the bytes and strings decoded from it, plus
+# the objects that hold them: its tables, per node the entry and range a
+# load builds from, and per part (a value, a script text, a label or an
+# is-a edge) what holds it (about what CPython 3.11 allocates, measured
+# with tracemalloc). A 57 kB file of 200 objects, 200 actions and 440
+# labels is charged 450 kB and holds 279 kB.
+_FILE_COST = 200
 _PART_COST = 160
 _ENTRY_COST = 200
 MAX_MEMO_BYTES = 2 * 1024 * 1024
 
 
-def _decode_cost(data: bytes, decode: tuple, parts: int) -> int:
-    return len(data) + _RUN_COST + _ENTRY_COST * len(decode[0]) + _PART_COST * parts
+def _decode_cost(data: bytes, decode: tuple) -> int:
+    """What a `ValueMemo` charges for `decode`, of the bytes `data`."""
+    entries, isa, labels, _, _ = decode
+    parts = len(isa) + len(labels)
+    for entry in entries:
+        parts += len(entry[5]) + (entry[6] is not None)
+    return 2 * len(data) + _FILE_COST + _ENTRY_COST * len(entries) + _PART_COST * parts
+
+
+def _holds_nan(fields) -> bool:
+    """Whether a PROP field's value is a NaN, which no value of another load
+    may equal: no `ValueMemo` keeps a decode that holds one."""
+    return any(field[2].data != field[2].data for field in fields)
 
 
 class ValueMemo:
-    """What `load` decoded, kept by one owner (a CLI session) across its
-    loads and saves: the runs of lines `_BLOCK` matched, keyed by each run's
-    bytes, and the decode (`_read`) of each whole file, keyed by the file's
-    bytes.
+    """The decode (`_read`) of each file a load read or a save wrote, keyed
+    by the file's bytes and kept by one owner (a CLI session) across its
+    loads and saves.
 
-    A node block maps to (id, tag, provenance, subject, target, fields,
-    whether save writes the node so, its script text, its line count), the
-    fields of each PROP line being (tail, name, Value, Provenance, whether
-    save writes the tail so), its tail the bytes after `PROP <id> `. A run
-    of LABEL lines maps to (labels, the first line of each owner counted
-    from the run's, its line count, whether save writes those labels so).
     A load of a file whose bytes it knows builds the net from the decode
-    and reads no line; a load of any other file reads no line of a run it
-    knows. A `save` through it leaves the decode of the bytes it wrote,
-    laid out from the decode of the bytes the net was loaded from (`_derive`)
-    and checked on the first load that meets it (`_laid_out`); the decode it
-    supersedes goes.
+    and reads no line; a load of any other file reads it whole and leaves
+    its decode here. A `save` through it leaves the decode of the bytes it
+    wrote, laid out from the decode of the bytes the net was loaded from
+    (`_derive`) and checked on the first load that meets it (`_laid_out`);
+    the decode it supersedes goes.
 
     It holds only bytes, ranges, frozen values, strings, ints and flags,
     never a PropertyRecord or ScriptRef, which carry a file's mark: each
@@ -554,45 +566,19 @@ class ValueMemo:
     kept, nor anything that holds a NaN, which no value of another load may
     equal: a read's decode is kept once a net was built from it, and a
     save's only when every script it encoded parses, so a kept decode
-    builds with no line number to place a fault. Runs and decodes
-    are charged as `_RUN_COST`, `_ENTRY_COST` and `_PART_COST` state; the
-    memo holds at most MAX_MEMO_BYTES so charged, and is emptied whole when
-    one more thing would pass that. Only its own methods touch its tables.
+    builds with no line number to place a fault. Each decode is charged
+    for what it holds (`_decode_cost`); the memo holds at most
+    MAX_MEMO_BYTES so charged, is emptied whole when one more decode would
+    pass that, and keeps no decode charged more. Only its own methods touch
+    its table.
     """
 
-    __slots__ = ("runs", "files", "size")
+    __slots__ = ("files", "size")
 
     def __init__(self):
-        self.runs: dict[bytes, tuple] = {}
         # file bytes -> (decode, its charge, None or the layout a save left)
         self.files: dict[bytes, tuple] = {}
-        self.size = 0   # what the runs and decodes held are charged
-
-    def _room(self, cost: int) -> bool:
-        """Make room for `cost` more, emptying the memo whole if it must;
-        True when nothing went."""
-        if self.size + cost <= MAX_MEMO_BYTES:
-            return True
-        self.runs.clear()
-        self.files.clear()
-        self.size = 0
-        return False
-
-    def run(self, key: bytes) -> tuple | None:
-        """The decoded run of lines whose bytes are `key`, if kept."""
-        return self.runs.get(key)
-
-    def keep(self, key: bytes, run: tuple, parts: int) -> bool:
-        """Hold a decoded run under its bytes: `parts` counts the values,
-        script texts, labels and labelled nodes it decoded itself. True
-        when it is held and nothing went to make room for it."""
-        cost = 2 * len(key) + _RUN_COST + _PART_COST * parts
-        if cost > MAX_MEMO_BYTES:
-            return False
-        kept = self._room(cost)
-        self.runs[key] = run
-        self.size += cost
-        return kept
+        self.size = 0   # what the decodes held are charged
 
     def decode(self, data: bytes) -> tuple | None:
         """The decode of the file whose bytes are `data`, if kept. One a
@@ -607,34 +593,41 @@ class ValueMemo:
             if decode is None:
                 self.drop(data)
             else:
-                self.hold(data, decode, _decode_cost(data, decode, len(decode[1])))
+                self.hold(data, decode, _decode_cost(data, decode))
         return decode
 
     def hold(self, data: bytes, decode: tuple, cost: int, layout: list | None = None) -> None:
         """Keep the decode of the file whose bytes are `data`, charged
-        `cost`, in place of any held for them. A decode shares the values
-        of the runs it was read from, so one that fits only once the memo
-        is emptied is not kept."""
+        `cost`, in place of any held for them, unless it is charged more
+        than the bound."""
         self.drop(data)
-        if cost <= MAX_MEMO_BYTES and self._room(cost):
-            self.files[data] = (decode, cost, layout)
-            self.size += cost
+        if cost > MAX_MEMO_BYTES:
+            return
+        if self.size + cost > MAX_MEMO_BYTES:
+            self.files.clear()
+            self.size = 0
+        self.files[data] = (decode, cost, layout)
+        self.size += cost
 
-    def drop(self, data: bytes) -> None:
-        """Forget the decode of the file whose bytes are `data`, if held."""
-        held = self.files.pop(data, None)
-        if held is not None:
-            self.size -= held[1]
+    def drop(self, data: bytes) -> int:
+        """Forget the decode of the file whose bytes are `data`, if held;
+        what it was charged, or 0."""
+        _, cost, _ = self.files.pop(data, (None, 0, None))
+        self.size -= cost
+        return cost
 
 
-def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails: dict):
-    """The run a `ValueMemo` keeps for a matched node block on line `line`,
-    read line by line, and how many values and script texts it decoded
-    itself, or None when it may not be kept. In file order it raises
-    for a duplicate property, also of one in `named` (the node's properties
-    from lines outside the block), for a bad value, and for a SCRIPT when
+def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails: dict) -> tuple:
+    """The decode of a matched node block on line `line`, read line by line:
+    (id, tag, provenance, subject, target, fields, whether save writes the
+    node so, its script text, its line count), the fields of each PROP line
+    being (tail, name, Value, Provenance, whether save writes the tail so),
+    its tail the bytes after `PROP <id> `. In file order it raises for a
+    duplicate property, also of one in `named` (the node's properties from
+    lines outside the block), for a bad value, and for a SCRIPT when
     `scripted` (the node had one outside the block). `names` holds one str
-    per property name and `tails` the fields of each tail this read decoded."""
+    per property name and `tails` the fields of each tail this read
+    decoded."""
     nid = int(m["nid"])
     if m["act"]:
         subject = m["subject"]
@@ -645,7 +638,6 @@ def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails:
     fields = []
     seen = set(named)
     saved = True   # whether save writes the node as the block holds it
-    keep, parts = True, 0
     last = ""
     for tail in _PROP_TAIL.findall(m.string, first, stop):
         line += 1
@@ -664,8 +656,6 @@ def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails:
             as_saved = prov is not None and f"{name} {_value_token(value)} {prov.decode()}".encode() == tail
             field = tails[tail] = (tail, name, value, INFERRED if prov == b"inferred" else ASSERTED,
                                    as_saved)
-            parts += 1
-        keep = keep and field[2].data == field[2].data   # not NaN
         fields.append(field)
         saved = saved and name > last and field[4]
         last = name
@@ -679,18 +669,18 @@ def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails:
         saved = saved and (not body or body[-2:] != b"\n\n" and body != b"\n")
         try:
             text = body[:-1].decode("utf-8")
-            parts += 1
         except UnicodeDecodeError:   # raised once the references hold
-            text, keep = body, False
+            text = body
         lines += body.count(b"\n") + 3
     prov = INFERRED if m["inferred"] else ASSERTED
-    return (nid, tag, prov, subject, target, tuple(fields), saved, text, lines), parts if keep else None
+    return nid, tag, prov, subject, target, tuple(fields), saved, text, lines
 
 
 def _label_run(buf: bytes, start: int, stop: int, decode: bool) -> tuple:
-    """The run a `ValueMemo` keeps for matched LABEL lines, the labels
-    themselves only when `decode`. Save writes them so when each (node,
-    language) pair follows the one before."""
+    """What a run of matched LABEL lines holds: (labels, the first line of
+    each owner counted from the run's, its line count, whether save writes
+    those labels so), the labels themselves only when `decode`. Save
+    writes them so when each (node, language) pair follows the one before."""
     labels, owners, langs = [], {}, {}
     for line, (node, lang, text) in enumerate(_LABEL_FIELDS.findall(buf, start, stop)):
         node = int(node)
@@ -702,26 +692,26 @@ def _label_run(buf: bytes, start: int, stop: int, decode: bool) -> tuple:
     return tuple(labels), owners, buf.count(b"\n", start, stop), ordered
 
 
-def _read(buf: bytes, memo: ValueMemo | None):
+def _read(buf: bytes, decode: bool):
     """One pass over a whole `.krn` file's bytes, every reference checked.
 
     Each run of lines `_BLOCK` matches is read from the match; any other
     line token by token, and only that path (and the duplicate and
-    reference checks) raises, whether or not records are decoded. With a
-    `memo` (for `load`), a node block or run of LABEL lines is taken
-    decoded from it by its bytes when it holds them, and is otherwise read
-    line by line and kept there; a block whose node had a PROP or SCRIPT
-    line outside it is read line by line, so that the duplicate checks see
-    those. With None (for the `open` scan), each PROP/SIG and SCRIPT record
-    is kept as its byte offset, for the index, and no label. Set operations
-    tell whether the references hold; only when they may not are they
-    searched in file order.
+    reference checks) raises, whether or not records are decoded. With
+    `decode` (for `load`), a node block is read line by line (`_node_run`),
+    checked against its node's PROP, SIG and SCRIPT lines met before it,
+    and a run of LABEL lines is decoded (`_label_run`). Without (for the
+    `open` scan), each PROP/SIG and SCRIPT record is kept as its byte
+    offset, for the index, and no label. Set operations tell whether the
+    references hold; only when they may not are they searched in file
+    order.
 
-    With None, returns (nodes, props, scripts, isa): nodes maps id to (tag,
-    provenance, subject, target, line) in file order; props maps id to
-    {name: offset}; scripts maps id to offset; isa lists the is-a edges.
+    Without `decode`, returns (nodes, props, scripts, isa): nodes maps id
+    to (tag, provenance, subject, target, line) in file order; props maps
+    id to {name: offset}; scripts maps id to offset; isa lists the is-a
+    edges.
 
-    With a memo, returns (decode, scripts, parts). The decode holds no record
+    With `decode`, returns (decode, scripts, nan). The decode holds no record
     and no mark: (entries, isa, labels, label_start, tight). Its entries are
     (id, tag, provenance, subject, target, fields, script, span), objects
     in id order, then actions. The fields are a node's PROP fields in name
@@ -736,10 +726,7 @@ def _read(buf: bytes, memo: ValueMemo | None):
     None. tight says that every node has a span and the blocks follow the
     header back to back in entry order, as `save` writes them. scripts
     maps each action with a script to (its text, its SCRIPT record's
-    line), and parts counts what the decode holds that no run in the memo
-    holds, or is None when the decode may not be kept (it holds a NaN, a
-    run it holds is not in the memo, or the memo was emptied during the
-    read).
+    line), and nan says whether a value the decode holds is a NaN.
     """
     header = HEADER.encode()
     if not (buf.startswith(header + b"\n") or buf == header):
@@ -759,11 +746,8 @@ def _read(buf: bytes, memo: ValueMemo | None):
     spans: dict[NodeId, range] = {}
     blocks: dict[NodeId, tuple] = {}   # the entry of each node read from its block, for load
     label_start = None
-    parts = 0
     fh = io.BytesIO(buf)   # for the SCRIPT blocks of tokenised records
     match = _BLOCK.match
-    if memo is not None:
-        recall, keep = memo.run, memo.keep
     pos, lineno = len(header) + 1, 2
     while pos < len(buf):
         m = match(buf, pos)
@@ -771,20 +755,14 @@ def _read(buf: bytes, memo: ValueMemo | None):
         if m is not None:
             tag = m.lastgroup
             pos = m.end()
-            if tag == "NODE" and memo is not None:
-                key = m[0]
-                run = recall(key)
-                nid = int(m["nid"]) if run is None else run[0]
+            if tag == "NODE":
+                ident = m["nid"]
+                nid = int(ident)
                 if nid in nodes:
                     raise FormatError(f"duplicate node id {nid}", lineno)
-                if run is None or nid in props or nid in scripts:
-                    recalled = run
-                    run, fresh = _node_run(m, lineno, props.get(nid, ()), nid in scripts, names, tails)
-                    if fresh is None or recalled is None and not keep(key, run, fresh):
-                        parts = None
-                    elif recalled is not None and parts is not None:
-                        parts += fresh
-                nid, kind, prov, subject, target, fields, saved, text, lines = run
+            if tag == "NODE" and decode:
+                _, kind, prov, subject, target, fields, saved, text, lines = _node_run(
+                    m, lineno, props.get(nid, ()), nid in scripts, names, tails)
                 nodes[nid] = (kind, prov, subject, target, lineno)
                 span = range(start, pos) if saved else None
                 if saved:
@@ -794,10 +772,6 @@ def _read(buf: bytes, memo: ValueMemo | None):
                     scripts[nid] = (text, lineno + 1 + len(fields))
                 lineno += lines
             elif tag == "NODE":
-                ident = m["nid"]
-                nid = int(ident)
-                if nid in nodes:
-                    raise FormatError(f"duplicate node id {nid}", lineno)
                 prov = INFERRED if m["inferred"] else ASSERTED
                 if m["act"]:
                     subject = m["subject"]
@@ -831,20 +805,10 @@ def _read(buf: bytes, memo: ValueMemo | None):
                     refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
                     lineno += 1
             else:
-                if memo is not None:
-                    key = m[0]
-                    run = recall(key)
-                    if run is None:
-                        run = _label_run(buf, start, pos, True)
-                        # a part per label and owner
-                        if not keep(key, run, len(run[0]) + len(run[1])):
-                            parts = None
-                    labels_of, owners, lines, ordered = run
-                    if not labels and pos == len(buf) and ordered:
-                        label_start = start
-                    labels += labels_of
-                else:
-                    _, owners, lines, _ = _label_run(buf, start, pos, False)
+                labels_of, owners, lines, ordered = _label_run(buf, start, pos, decode)
+                if decode and not labels and pos == len(buf) and ordered:
+                    label_start = start
+                labels += labels_of
                 label_runs.append((lineno, owners))
                 lineno += lines
             continue
@@ -864,21 +828,19 @@ def _read(buf: bytes, memo: ValueMemo | None):
                 raise FormatError(f"bad property name {name!r}", line)
             if name in named or owner in blocks and any(field[1] == name for field in blocks[owner][5]):
                 raise FormatError(f"duplicate property {name!r} on {owner}", line)
-            if memo is None:
-                named[name] = start
-            else:
+            if decode:
                 value, prov = _decode_prop(toks, line)
                 named[name] = (line, name, value, prov, False)
-                parts = parts + 1 if parts is not None and value.data == value.data else None
+            else:
+                named[name] = start
             refs.append((line, tag, owner, None))
         elif tag == "LABEL":
             node = _int(toks[1], line)
             if not valid_language_tag(toks[2]):
                 raise FormatError(f"bad language tag {toks[2]!r}", line)
             text = decode_text(toks[3], line)
-            if memo is not None:
+            if decode:
                 labels.append((node, toks[2], text))
-                parts = None if parts is None else parts + 1
             label_runs.append((line, {node: 0}))
         elif tag == "OBJ" or tag == "ACT":
             nid, prov, subject, target = _decode_node(toks, line)
@@ -893,15 +855,14 @@ def _read(buf: bytes, memo: ValueMemo | None):
             owner = _int(toks[1], line)
             if owner in scripts:
                 raise FormatError(f"duplicate SCRIPT for {owner}", line)
-            if memo is None:
-                scripts[owner] = start
-            else:
+            if decode:
                 body = b"".join(block[1:-1])
                 try:
                     scripts[owner] = (body[:-1].decode("utf-8"), line)
                 except UnicodeDecodeError:   # raised once the references hold
                     scripts[owner] = (body, line)
-                parts = None if parts is None else parts + 1
+            else:
+                scripts[owner] = start
             refs.append((line, tag, owner, "ACT"))
         elif tag == "ISA":
             inst, concept = _int(toks[1], line), _int(toks[2], line)
@@ -932,7 +893,7 @@ def _read(buf: bytes, memo: ValueMemo | None):
                 bad = FormatError(f"{tag} record needs node {nid} to be {kind}", line)
         if bad:
             raise bad
-    if memo is None:
+    if not decode:
         return nodes, props, scripts, isa
     for _, tag, nid, _ in refs:   # a node with a record outside its block has no span
         if tag != "ISA":
@@ -955,9 +916,8 @@ def _read(buf: bytes, memo: ValueMemo | None):
                 script = scripts.get(nid)
                 entry = (nid, *nodes[nid][:4], fields, script and script[0], None)
             entries.append(entry)
-    if parts is not None:
-        parts += len(isa)
-    return (entries, isa, labels, label_start, tight), scripts, parts
+    nan = _holds_nan(chain(tails.values(), *map(dict.values, props.values())))
+    return (entries, isa, labels, label_start, tight), scripts, nan
 
 
 def _field_name(field: tuple) -> str:
@@ -1030,17 +990,18 @@ def _derive(memo: ValueMemo, source: bytes, decode: tuple, layout: list, data: b
     the is-a edges written and `labels` the LABEL lines copied, if any. A
     copied span becomes the (first, stop, shift) of its entries in
     `decode`, shifted to where it now lies, and an encoded block is read
-    by `_BLOCK` and `_node_run`, its run kept in `memo`;
-    `_laid_out` lays the entries out when a load first meets them. Nothing
+    by `_BLOCK` and `_node_run`; `_laid_out` lays the entries out when a
+    load first meets them. Until then it holds every entry of the decode
+    of `source`, which it replaces, and is charged what that one was plus
+    a decode of the blocks encoded and the is-a edges (`_decode_cost`). Nothing
     is left, and the decode of `source` stays, when the labels copied are
     not those of `source`, when an encoded block is not one matched run
-    read as `save` writes it, when its script does not parse, when it
-    holds a NaN, or when a run could not be kept without emptying the
-    memo: then a load reads the bytes."""
+    read as `save` writes it, when its script does not parse, or when it
+    holds a NaN: then a load reads the bytes."""
     entries, _, source_labels, label_start, _ = decode
     if labels is not None and (label_start is None or source[label_start:] != labels):
         return
-    items = []
+    items, encoded = [], []   # the layout of the decode left, and the entries encoded
     pos = len(HEADER) + 1
     names: dict = {}
     tails: dict = {}
@@ -1059,14 +1020,10 @@ def _derive(memo: ValueMemo, source: bytes, decode: tuple, layout: list, data: b
         m = _BLOCK.match(block)
         if m is None or m.end() < len(block):
             return
-        run = memo.run(block)
-        if run is None:
-            try:   # the line only places a fault, and a fault leaves nothing
-                run, parts = _node_run(m, 2, (), False, names, tails)
-            except FormatError:
-                return
-            if parts is None or not memo.keep(block, run, parts):
-                return
+        try:   # the line only places a fault, and a fault leaves nothing
+            run = _node_run(m, 2, (), False, names, tails)
+        except FormatError:
+            return
         nid, kind, prov, subject, target, fields, saved, text, _ = run
         if not saved:
             return
@@ -1075,11 +1032,14 @@ def _derive(memo: ValueMemo, source: bytes, decode: tuple, layout: list, data: b
                 parse_script(text)
             except ScriptParseError:
                 return
-        items.append((nid, kind, prov, subject, target, fields, text, range(pos, pos + len(block))))
+        entry = (nid, kind, prov, subject, target, fields, text, range(pos, pos + len(block)))
+        items.append(entry)
+        encoded.append(entry)
         pos += len(block)
-    laid = (entries, isa, source_labels if labels else [], labels and len(data) - len(labels), True)
-    memo.drop(source)
-    memo.hold(data, laid, _decode_cost(data, laid, len(isa)) + _ENTRY_COST * len(items), items)
+    if not _holds_nan(tails.values()):
+        laid = (entries, isa, source_labels if labels else [], labels and len(data) - len(labels), True)
+        added = _decode_cost(data, (encoded, isa, (), None, True))
+        memo.hold(data, laid, memo.drop(source) + added, items)
 
 
 def _laid_out(decode: tuple, layout: list) -> tuple | None:
@@ -1111,20 +1071,19 @@ def load(path: str, memo: ValueMemo | None = None) -> tuple[Net, Lexicon]:
     """Read a whole `.krn` file into a fresh net plus its labels, in one pass.
 
     With a `memo`, a file whose bytes it holds the decode of is built from
-    that decode and not read, and of any other file a node block or run of
-    LABEL lines that an earlier load through it read is not read again
-    (`ValueMemo`); the net, its labels and every error are the same either
-    way."""
+    that decode and not read, and the decode of any other file is kept
+    there once a net is built from it (`ValueMemo`); the net, its labels
+    and every error are the same either way."""
     with io.open(path, "rb") as fh:   # the mark is taken once the bytes are read
         data = fh.read()
         mark = _identity(os.fstat(fh.fileno()))
     decode = None if memo is None else memo.decode(data)
     if decode is not None:
         return _build(decode, data, mark)
-    decode, scripts, parts = _read(data, ValueMemo() if memo is None else memo)
+    decode, scripts, nan = _read(data, True)
     built = _build(decode, data, mark, scripts)
-    if memo is not None and parts is not None:
-        memo.hold(data, decode, _decode_cost(data, decode, parts))
+    if memo is not None and not nan:
+        memo.hold(data, decode, _decode_cost(data, decode))
     return built
 
 
@@ -1168,7 +1127,7 @@ class StoreHandle:
         try:
             self._identity = _identity(os.fstat(self._fh.fileno()))
             data = self._fh.read()
-            self.index, self.props, self.scripts, self.isa = _read(data, None)
+            self.index, self.props, self.scripts, self.isa = _read(data, False)
         except BaseException:
             self._fh.close()
             raise
@@ -1355,7 +1314,7 @@ class StoreHandle:
         self._fh.seek(0)
         data = self._fh.read()
         self.stats.bytes_read += len(data)
-        decode, scripts, _ = _read(data, ValueMemo())
+        decode, scripts, _ = _read(data, True)
         return _build(decode, data, self._identity, scripts)
 
 

@@ -132,16 +132,16 @@ def test_a_session_keeps_its_value_memo_across_new_load_and_mine(tmp_path):
         for command in ("new", f"obj person-{who} height={height}", f"obj head-{who} head=true",
                         f"act person-{who} head-{who}", f"save {path}"):
             run_command(session, command)
-    assert not memo.runs   # only a load decodes
+    assert not memo.files   # a save of a net no file gave leaves no decode
     run_command(session, f"load {p}")
-    held = dict(memo.runs)
-    assert held and session.memo is memo
+    held = dict(memo.files)
+    assert list(held) == [p.read_bytes()] and session.memo is memo
     run_command(session, "new")
-    assert session.memo is memo and memo.runs == held
+    assert session.memo is memo and memo.files == held
     mine = f"mine --min-support 2 --max-nodes 3 {p} {q}"
     assert run_command(session, mine) == run_command(Session(), mine) == [
         "template 1: support 2, 3 nodes"]
-    assert session.memo is memo and len(memo.runs) > len(held)
+    assert session.memo is memo and list(memo.files) == [p.read_bytes(), q.read_bytes()]
 
 
 def test_mine_flag_without_an_integer_value_is_a_usage_error(tmp_path):
@@ -162,6 +162,8 @@ def test_mine_flag_without_an_integer_value_is_a_usage_error(tmp_path):
     ("diff 1 >", "usage: diff <tick1> <tick2>"),
     ("set a.x ref:zz", "usage: ref:<id>"),
     ("obj b x=ref:abc", "usage: ref:<id>"),
+    ("set a.x ref:1_0", "usage: ref:<id>"),     # int() reads both as ids; the store reads neither
+    ("set a.x ref:\u0663", "usage: ref:<id>"),
     ("mine --max-nodes 0 {p} {q}", "usage: mine [--min-support N] [--max-nodes K] <paths...>"),
     ("mine --min-support 1 {p} {q}", "usage: mine [--min-support N] [--max-nodes K] <paths...>"),
     ("collapse-obj as tv", "usage: collapse-obj <ids...> [as <name>]"),

@@ -161,12 +161,12 @@ def test_only_the_lexicon_reads_its_reverse_index():
 
 
 def test_only_the_value_memo_touches_its_table():
-    """`store.ValueMemo` keeps its runs, its file decodes and what they are
-    charged in its slots, so no code in the package but the class's own
-    methods reads or writes an attribute of a slot's name (`<expr>.runs`,
-    `<expr>.files`, `<expr>.size`): `_read` asks `run` for a decoded run
-    and hands `keep` one it decoded, and `load` and `save` ask `decode` for
-    a file's decode and hand `hold` one they made."""
+    """`store.ValueMemo` keeps its file decodes and what they are charged
+    in its slots, so no code in the package but the class's own methods
+    reads or writes an attribute of a slot's name (`<expr>.files`,
+    `<expr>.size`): `load` and `save` ask `decode` for a file's decode and
+    hand `hold` one they made, and `save` learns what the decode it
+    supersedes was charged from `drop`."""
     trees = _trees()
     memo = next(node for node in trees["store.py"][1].body
                 if isinstance(node, ast.ClassDef) and node.name == "ValueMemo")

@@ -650,6 +650,39 @@ def test_bad_values_are_format_errors_at_their_line(tmp_path, record):
     assert (lazy_err.value.line, lazy_err.value.message) == (4, err.value.message)
 
 
+@pytest.mark.parametrize("record, want", [
+    ("OBJ 1\t", ("bad integer '1\\t'", 3)),
+    ("PROP 1 r ref \u0662", ("bad integer '\u0662'", 3)),         # an Arabic-Indic digit
+    ("PROP 1 x num \u0661.\u0665", ("bad number '\u0661.\u0665'", 3)),
+    ("PROP 1 r ref 1_0 asserted", ("bad integer '1_0'", 3)),        # a matched block
+    ("PROP 1 x num 1_0.5", ("bad number '1_0.5'", 3)),
+    ("PROP 1 x num 2.5\f", ("bad number '2.5\\x0c'", 3)),
+    ("PROP 1 r ref -007", Value.ref(-7)),
+    ("PROP 1 x num +1E3 asserted", Value.num(1000)),
+    ("PROP 1 x num -Infinity", Value.num(-math.inf)),
+])
+def test_numbers_are_read_in_ascii_only(tmp_path, record, want):
+    """A number or id is read as int() or float() reads it, signs and
+    leading zeros too, but only in ASCII: an underscore, whitespace around
+    it or a digit of another script is a FormatError at its line, from
+    `load` and from a lazy read alike."""
+    path = tmp_path / "n.krn"
+    path.write_text(f"KRN 1\n{'' if record.startswith('OBJ') else 'OBJ 1'}\n{record}\n", encoding="utf-8")
+    name = record.split(" ")[2] if record.startswith("PROP") else "x"
+    if isinstance(want, Value):
+        assert store.load(str(path))[0].get_property(1, name) == want
+        with store.open(str(path)) as handle:
+            assert handle.hydrate_property(1, name, Net()) == want
+        return
+    with pytest.raises(FormatError) as err:
+        store.load(str(path))
+    assert (err.value.message, err.value.line) == want
+    with pytest.raises(FormatError) as lazy_err:
+        with store.open(str(path)) as handle:
+            handle.hydrate_property(1, name, Net())
+    assert (lazy_err.value.message, lazy_err.value.line) == want
+
+
 def _decode_text_by_hand(tok: str, line: int) -> str:
     """The character loop `store.decode_text` replaced, kept as a reference."""
     if len(tok) < 2 or not tok.startswith('"') or not tok.endswith('"'):
@@ -1190,16 +1223,16 @@ def test_a_nan_value_is_never_shared_between_loads(tmp_path):
     # NaN equals nothing, so two loads of it differ, through a memo or not
     assert not nets_equal(one, two)
     assert not nets_equal(store.load(str(path))[0], store.load(str(path))[0])
-    assert not memo.runs and not memo.files
+    assert not memo.files and memo.size == 0
     # a save through the memo that writes a NaN leaves no decode of what it
-    # wrote, and no run of the block that holds it
+    # wrote, and the decode of the bytes the net was loaded from stays
     clean = tmp_path / "clean.krn"
-    clean.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num 1.0 asserted\nOBJ 2\n")
+    before = b"KRN 1\nOBJ 1\nPROP 1 x num 1.0 asserted\nOBJ 2\n"
+    clean.write_bytes(before)
     net, lexicon = store.load(str(clean), memo)
     net.set_property(1, "x", Value.num(math.nan))
     store.save(net, lexicon, str(clean), memo)
-    assert clean.read_bytes() not in memo.files and list(memo.runs) == [
-        b"OBJ 1\nPROP 1 x num 1.0 asserted\n", b"OBJ 2\n"]
+    assert list(memo.files) == [before] and memo.size == memo.files[before][1]
     one, two = (store.load(str(clean), memo)[0] for _ in range(2))
     assert not nets_equal(one, two) and clean.read_bytes() not in memo.files
 
@@ -1216,10 +1249,14 @@ def _equal_props_file(tmp_path, name, script):
 
 
 def test_loads_through_one_memo_share_values_but_no_record_or_mark(tmp_path):
+    """Two files with equal bytes, loaded through one memo: the second
+    load builds from the decode the first left, so the nets share values
+    but no record, and each record carries its own file's mark."""
     paths = [_equal_props_file(tmp_path, "a.krn", "set object.y = 1;"),
-             _equal_props_file(tmp_path, "b.krn", "set object.z = 9;")]
+             _equal_props_file(tmp_path, "b.krn", "set object.y = 1;")]
     memo = store.ValueMemo()
     nets = [store.load(path, memo)[0] for path in paths]
+    assert list(memo.files) == [Path(paths[1]).read_bytes()]
     props = [_props(net) for net in nets]
     assert {id(prop.value) for prop in props[0]} == {id(prop.value) for prop in props[1]}
     assert not {id(prop) for prop in props[0]} & {id(prop) for prop in props[1]}
@@ -1261,7 +1298,7 @@ def test_a_load_through_a_warm_memo_equals_a_cold_load(tmp_path):
     for i in range(300):
         net, lexicon = random_net(rng)
         store.save(net, lexicon, source)
-        store.load(source, memo)   # warms the memo with the runs the mutant keeps
+        store.load(source, memo)   # the decode one load in five below builds from
         data = Path(source).read_bytes()
         Path(path).write_bytes(data if rng.random() < 0.2 else _mutated(rng, data))
         cold = _loaded(path, None, str(tmp_path / "cold.krn"))
@@ -1272,50 +1309,46 @@ def test_a_load_through_a_warm_memo_equals_a_cold_load(tmp_path):
             continue
         assert len(warm) == 6 and nets_equal(warm[0], cold[0]), f"mutant {i}"
         assert warm[1:] == cold[1:], f"mutant {i}"
-        assert sum(2 * len(key) + store._RUN_COST for key in memo.runs) <= memo.size
-        assert memo.size <= store.MAX_MEMO_BYTES
+        assert memo.size == sum(held[1] for held in memo.files.values()) <= store.MAX_MEMO_BYTES
     assert 50 < failed < 250
 
 
-def _node_blocks(path) -> list[bytes]:
-    """The bytes of each OBJ line with the PROP lines after it, in file order."""
-    return re.findall(rb"OBJ [^\n]*\n(?:PROP [^\n]*\n)*", Path(path).read_bytes())
-
-
 def test_a_full_memo_empties_whole_and_a_failed_decode_leaves_it_alone(tmp_path, monkeypatch):
-    net = Net()
-    for x in range(5):
+    nets, paths = [], []
+    for x in range(5):   # five files of one size, one value each
+        net = Net()
         net.add_object([("x", Value.num(10 + x))])
-    path = _saved(tmp_path, net)
-    blocks = _node_blocks(path)
-    assert len({len(block) for block in blocks}) == 1
-    # each block is charged for its bytes and its one decoded value
-    cost = 2 * len(blocks[0]) + store._RUN_COST + store._PART_COST
+        nets.append(net)
+        paths.append(_saved(tmp_path, net, name=f"f{x}.krn"))
+    data = [Path(path).read_bytes() for path in paths]
+    # each decode is charged for its bytes, its entry and its one value
+    cost = 2 * len(data[0]) + store._FILE_COST + store._ENTRY_COST + store._PART_COST
+    assert {store._decode_cost(d, store._read(d, True)[0]) for d in data} == {cost}
     monkeypatch.setattr(store, "MAX_MEMO_BYTES", 3 * cost)
     memo = store.ValueMemo()
-    assert nets_equal(store.load(path, memo)[0], net)
-    # the fourth block would pass the bound: the first three go, all at once
-    assert list(memo.runs) == blocks[3:] and memo.size == 2 * cost
-    held = dict(memo.runs)
+    for net, path in zip(nets, paths):
+        assert nets_equal(store.load(path, memo)[0], net)
+    # the fourth decode would pass the bound: the first three go, all at once
+    assert list(memo.files) == data[3:] and memo.size == 2 * cost
+    held = dict(memo.files)
     bad = tmp_path / "bad.krn"
     bad.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num ten asserted\n")
     with pytest.raises(FormatError, match="bad number") as exc:
         store.load(str(bad), memo)
     assert exc.value.line == 3
-    assert memo.runs == held and memo.size == 2 * cost
-    # a run charged more than the bound is never kept, and empties nothing
+    assert memo.files == held and memo.size == 2 * cost
+    # a decode charged more than the bound is never kept, and empties nothing
     big = tmp_path / "big.krn"
     big.write_text(f"KRN 1\nOBJ 1\nPROP 1 x text \"{'a' * 3 * cost}\" asserted\n")
     assert store.load(str(big), memo)[0].objects[1].properties["x"].value == Value.text("a" * 3 * cost)
-    assert memo.runs == held and memo.size == 2 * cost
+    assert memo.files == held and memo.size == 2 * cost
 
 
 def _small_runs(shape):
     """Distinct runs of lines of one shape, without end; a run that names
     another comes right after it, the two at an even count. In the "saved"
     shape each 500 runs are a file as `save` writes it, and files differ
-    only in their last block: each load recalls 499 runs and keeps the
-    decode of a file the memo has not seen."""
+    only in their last block."""
     for i in itertools.count(1):
         if shape == "saved":
             nid = i % 500 or 500
@@ -1334,12 +1367,10 @@ def _small_runs(shape):
 
 @pytest.mark.parametrize("shape", ["bare", "one-value", "script", "labels", "saved"])
 def test_a_full_memo_holds_less_than_twice_its_bound(tmp_path, shape):
-    """Filled to its bound with many small distinct runs, 500 at a load,
-    or with the decodes of many distinct files, the memo holds under
-    2 * MAX_MEMO_BYTES as tracemalloc counts it, up to the load that
-    empties it: each run and decode is charged for what it decodes, not
-    only for its bytes. Charged for its keys alone, it held 9.1 MiB for 1
-    MiB of keys."""
+    """Filled to its bound with the decodes of many distinct files, each
+    of 500 small runs of one shape, the memo holds under 2 * MAX_MEMO_BYTES
+    as tracemalloc counts it, up to the load that empties it: each decode
+    is charged for what it holds, not only for its bytes."""
     runs = _small_runs(shape)
     path = tmp_path / "many.krn"
     memo = store.ValueMemo()
@@ -1364,15 +1395,15 @@ def test_a_full_memo_holds_less_than_twice_its_bound(tmp_path, shape):
     assert loads > 3 and size > store.MAX_MEMO_BYTES * 0.9
 
 
-def _reloaded(tmp_path, warm_with: bytes, data: bytes):
-    """What a cold load of `data` gives, and what a load through a memo that
-    first read `warm_with` gives: `_loaded`'s view, or the error raised."""
-    first, path = tmp_path / "first.krn", str(tmp_path / "net.krn")
-    first.write_bytes(warm_with)
-    memo = store.ValueMemo()
-    store.load(str(first), memo)
+def _reloaded(tmp_path, data: bytes):
+    """What a first load of `data` through a memo gives, and what a second
+    load gives from the decode the first left, if any: `_loaded`'s view,
+    or the error raised."""
+    path = str(tmp_path / "net.krn")
     Path(path).write_bytes(data)
-    cold = _loaded(path, None, str(tmp_path / "cold.krn"))
+    memo = store.ValueMemo()
+    cold = _loaded(path, memo, str(tmp_path / "cold.krn"))
+    assert (data in memo.files) == (len(cold) == 6)
     return cold, _loaded(path, memo, str(tmp_path / "warm.krn"))
 
 
@@ -1399,11 +1430,11 @@ _ACT_2 = b"ACT 2 - 1\nSCRIPT 2\n<<<\nset object.x = 2;\n>>>\n"
     (b"KRN 1\n" + _OBJ_1 + b"PROP 2 y num 2.0\n" + _ACT_2, None),
 ], ids=["prop-before", "prop-before-other-name", "object-twice", "action-twice",
         "script-before", "action-prop-before"])
-def test_a_recalled_block_is_checked_against_what_the_read_has_seen(tmp_path, data, error):
-    """A block the memo holds is still checked against this read: against
-    a PROP or SCRIPT line of its node outside it, and against an earlier
-    block with its very bytes."""
-    cold, warm = _reloaded(tmp_path, b"KRN 1\n" + _OBJ_1 + _ACT_2, data)
+def test_a_block_is_checked_against_what_the_read_has_seen(tmp_path, data, error):
+    """A node block is checked against what its read has seen: a PROP or
+    SCRIPT line of its node before it, and an earlier block with its very
+    bytes. A file that passes loads again from its held decode alike."""
+    cold, warm = _reloaded(tmp_path, data)
     if error is None:
         assert len(cold) == 6
     else:
@@ -1414,13 +1445,13 @@ def test_a_recalled_block_is_checked_against_what_the_read_has_seen(tmp_path, da
 @pytest.mark.parametrize("line, as_saved", [
     (b"PROP 1 x num 1.0", False), (b"PROP 1 x num 1 asserted", False),
     (b'PROP 1 x text "a"', False), (b"PROP 1 x bool true inferred", True)])
-def test_a_recalled_tail_save_writes_otherwise_gives_no_later_block_a_span(tmp_path, line, as_saved):
+def test_a_shared_tail_save_writes_otherwise_gives_no_block_a_span(tmp_path, line, as_saved):
     """A tail `save` would write otherwise (no provenance token, `num 1`)
-    met first in a block the memo holds and then in one it does not:
-    neither node has a span, as in a cold load."""
+    in two blocks of one read, the second sharing the first's decode of
+    it: neither node has a span, in a first load or one from its decode."""
     tail = line.split(b" ", 2)[2]
     data = b"KRN 1\nOBJ 1\n" + line + b"\nOBJ 2\nPROP 2 " + tail + b"\n"
-    cold, warm = _reloaded(tmp_path, b"KRN 1\nOBJ 1\n" + line + b"\n", data)
+    cold, warm = _reloaded(tmp_path, data)
     assert len(cold) == 6 and sorted(cold[2]) == ([1, 2] if as_saved else [])
     assert _same_load(cold, warm)
 
@@ -1475,7 +1506,7 @@ def test_store_full_traffic_through_one_session_memo_loads_as_cold(tmp_path):
             obj = rng.choice(sorted(net.objects))
             run_command(session, f"set #{obj}.{rng.choice(['x', 'mass'])} {rng.randrange(4)}")
         run_command(session, f"save {path}")
-    assert session.memo.runs and session.memo.size <= store.MAX_MEMO_BYTES
+    assert session.memo.files and session.memo.size <= store.MAX_MEMO_BYTES
 
 
 class _CountedPattern:
@@ -1491,14 +1522,12 @@ class _CountedPattern:
         return counted
 
 
-def test_a_reload_reads_no_line_of_a_recalled_run(tmp_path, monkeypatch):
+def test_a_reload_from_a_held_decode_reads_no_line(tmp_path, monkeypatch):
     """A count, not a timing: a reload of an unchanged file through one
-    memo decodes no value and no text, and reads no field of any line of a
-    matched node block or LABEL run (ISA runs are read each time, and the
-    file has none), whether the memo holds the file's decode or, as after
-    an edit from outside, only its runs."""
+    memo, built from the decode the first load left, matches no run of
+    lines, decodes no value and no text, and reads no field of any line."""
     path = _traffic_files(random.Random(7), tmp_path)[0]
-    counts = dict.fromkeys(["_PROP_TAIL", "_PROP_FIELDS", "_VALUE_FIELDS", "_LABEL_FIELDS",
+    counts = dict.fromkeys(["_BLOCK", "_PROP_TAIL", "_PROP_FIELDS", "_VALUE_FIELDS", "_LABEL_FIELDS",
                             "_ISA_FIELDS", "_decode_value", "decode_text", "_script_text"], 0)
     for name in counts:
         real = getattr(store, name)
@@ -1512,14 +1541,11 @@ def test_a_reload_reads_no_line_of_a_recalled_run(tmp_path, monkeypatch):
     memo = store.ValueMemo()
     first = store.load(path, memo)
     assert counts["_PROP_TAIL"] and counts["_LABEL_FIELDS"] and counts["_decode_value"]
-    for drop in (False, True):
-        if drop:
-            memo.drop(first[0].source)
-        counts.update(dict.fromkeys(counts, 0))
-        again = store.load(path, memo)
-        assert counts == dict.fromkeys(counts, 0)
-        assert nets_equal(again[0], first[0]) and again[1].items() == first[1].items()
-        assert again[0].spans == first[0].spans and again[1].source == first[1].source
+    counts.update(dict.fromkeys(counts, 0))
+    again = store.load(path, memo)
+    assert counts == dict.fromkeys(counts, 0)
+    assert nets_equal(again[0], first[0]) and again[1].items() == first[1].items()
+    assert again[0].spans == first[0].spans and again[1].source == first[1].source
 
 
 def test_the_memo_holds_no_record_and_no_mark(tmp_path):
@@ -1638,7 +1664,7 @@ def test_session_loads_after_its_own_saves_equal_cold_loads(tmp_path):
         kept = session.memo.decode(data)
         if kept is not None:
             held += 1
-            assert kept == store._read(data, store.ValueMemo())[0], f"step {step}"
+            assert kept == store._read(data, True)[0], f"step {step}"
         warm = _viewed(lambda: (run_command(session, f"load {path}"), (session.net, session.lexicon))[1])
         cold = _viewed(lambda: store.load(path))
         assert warm == cold, f"step {step}"
@@ -1696,34 +1722,32 @@ def test_a_load_after_a_save_through_the_memo_reads_no_run(tmp_path, monkeypatch
     net.set_property(sorted(net.objects)[0], "x", Value.num(7))
     counts.update(dict.fromkeys(counts, 0))
     store.save(net, lexicon, path, fresh)
-    assert not fresh.files and not fresh.runs and counts["_BLOCK"] == 0
+    assert not fresh.files and fresh.size == 0 and counts["_BLOCK"] == 0
 
 
 def test_a_superseded_decode_is_uncharged(tmp_path):
     """A save that leaves the decode of what it wrote drops the decode of
-    the bytes its net was loaded from, and the memo's charge follows: it
-    gains the new decode's charge and the runs of the blocks the save
-    encoded, and loses the old decode's."""
+    the bytes its net was loaded from, and the memo's charge follows: the
+    new decode is charged what the old one was plus a decode of the block
+    the save encoded and of the is-a edges, and the old one no more."""
     memo = store.ValueMemo()
     path = _traffic_files(random.Random(10), tmp_path)[0]
     net, lexicon = store.load(path, memo)
     old = Path(path).read_bytes()
     old_cost = memo.files[old][1]
-    size, runs = memo.size, dict(memo.runs)
+    assert memo.size == old_cost
     obj = sorted(net.objects)[0]
     net.set_property(obj, "x", Value.num(1234))
     store.save(net, lexicon, path, memo)
     new = Path(path).read_bytes()
-    block = next(key for key in memo.runs if key not in runs)
-    # the encoded block, charged as a run of its values
-    run_cost = 2 * len(block) + store._RUN_COST + store._PART_COST * len(memo.runs[block][5])
-    assert list(memo.files) == [new] and len(memo.runs) == len(runs) + 1
-    assert memo.size == size - old_cost + memo.files[new][1] + run_cost
+    decode, cost, layout = memo.files[new]
+    encoded = [item for item in layout if len(item) == 8]
+    added = store._decode_cost(new, (encoded, decode[1], (), None, True))
+    assert list(memo.files) == [new] and [entry[0] for entry in encoded] == [obj]
+    assert memo.size == cost == old_cost + added
     # the first load that meets it lays it out and charges it as a read would
     store.load(path, memo)
-    decode = store._read(new, store.ValueMemo())[0]
-    assert memo.files[new][1] == store._decode_cost(new, decode, len(decode[1]))
-    assert memo.size == size - old_cost + memo.files[new][1] + run_cost
+    assert memo.size == memo.files[new][1] == store._decode_cost(new, store._read(new, True)[0])
 
 
 @pytest.mark.parametrize("breakage", ["dangling-end", "dangling-isa", "both-kinds", "bad-script",
