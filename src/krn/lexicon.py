@@ -26,18 +26,18 @@ class Lexicon:
         # language (once its tag passed) -> text -> node ids, kept as dict
         # keys: a dict of ints, unlike a set, is never collector-tracked
         self.reverse: dict[str, dict[str, dict[NodeId, None]]] = {}
+        self._shared = False   # whether `reverse` is a label index others read too
         self.fallback_chain = list(fallback_chain)
         # the LABEL lines of the file this lexicon was loaded from, while it
         # holds just those labels: `store.save` copies them
         self.source: bytes | None = None
 
-    @classmethod
-    def of(cls, labels) -> "Lexicon":
-        """A lexicon of (node, language, text) labels in one pass, as
-        `set_label` of each in turn leaves it: of two for one node and
+    @staticmethod
+    def index(labels) -> tuple[dict, dict]:
+        """The (labels, reverse) of (node, language, text) labels in one pass,
+        as `set_label` of each in turn leaves them: of two for one node and
         language the later wins. A bad tag raises BadLanguageTag."""
-        lexicon = cls()
-        pairs, reverse = lexicon.labels, lexicon.reverse
+        pairs, reverse = {}, {}
         for node, lang, text in labels:
             if lang not in reverse:
                 if not valid_language_tag(lang):
@@ -46,11 +46,29 @@ class Lexicon:
             pairs[(node, lang)] = text
         for (node, lang), text in pairs.items():
             reverse[lang].setdefault(text, {})[node] = None
+        return pairs, reverse
+
+    @classmethod
+    def of(cls, labels) -> "Lexicon":
+        """A lexicon of (node, language, text) labels (`index`)."""
+        return cls.sharing(cls.index(labels))
+
+    @classmethod
+    def sharing(cls, index: tuple[dict, dict]) -> "Lexicon":
+        """A lexicon of a label index that others may read too, as each load
+        of one file's decode does: it copies the labels and reads the
+        reverse index in place until its first `set_label` copies it."""
+        lexicon = cls()
+        lexicon.labels, lexicon.reverse, lexicon._shared = dict(index[0]), index[1], True
         return lexicon
 
     def set_label(self, node: NodeId, lang: str, text: str) -> None:
         if lang not in self.reverse and not valid_language_tag(lang):
             raise BadLanguageTag(f"bad language tag {lang!r}")
+        if self._shared:   # copy on write
+            self.reverse = {tag: {said: dict(ids) for said, ids in by_text.items()}
+                            for tag, by_text in self.reverse.items()}
+            self._shared = False
         texts = self.reverse.setdefault(lang, {})
         old = self.labels.get((node, lang))
         if old is not None:

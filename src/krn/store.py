@@ -38,10 +38,11 @@ lines with equal bytes after the owner id share one PropertyRecord,
 and actions with equal script texts one ScriptRef, so neither is ever
 changed in place. A `ValueMemo` passed to `load` carries from one load
 to the next the decode of each whole file, keyed by the file's bytes:
-a load of bytes whose decode it holds reads nothing, and a load of any
-other bytes reads them whole. It holds no record, so no mark outlives
-its load, and it keeps a decode only once a net was built from it, so
-every check that belongs to a read has passed. `load` parses script texts
+a load of bytes whose decode it holds reads nothing and builds the net
+in one pass, which makes the checks of a read that the decode a save
+left may fail, and its lexicon shares the decode's label index until it
+changes; a load of any other bytes reads them whole. The memo holds no
+record, so no mark outlives its load. `load` parses script texts
 only once the framing and references hold, so a fault inside a script
 never hides a later fault that `open` would report. `open`
 decodes no values and keeps no labels, though it checks every record as
@@ -88,6 +89,7 @@ import stat
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter, itemgetter
 from urllib.parse import quote, unquote
 
 from .core import (
@@ -360,7 +362,7 @@ def save(net: Net, lexicon: Lexicon | None, path: str, memo: ValueMemo | None = 
     # with a tight decode of `source`, what `_derive` needs: in file order,
     # each span of `source` copied, as (start, stop), and each node block
     # encoded, as (lines, first, stop)
-    layout = [] if decode is not None and decode[4] else None
+    layout = [] if decode is not None and decode[5] else None
     pieces: list = []          # the file in order: lists of lines, copied bytes
     lines = [HEADER]           # the lines since the last copy
     add = lines.append
@@ -420,7 +422,7 @@ def save(net: Net, lexicon: Lexicon | None, path: str, memo: ValueMemo | None = 
     by_line = False   # whether a LABEL line is encoded
     if lexicon is not None:
         if lexicon.source is not None and (
-                {node for node, _ in lexicon.labels} <= objects.keys() | actions.keys()):
+                set(map(itemgetter(0), lexicon.labels)) <= objects.keys() | actions.keys()):
             copied = lexicon.source
             pieces += [lines, copied]
             lines = []
@@ -522,24 +524,28 @@ def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
 
 # What a value memo charges for the decode of a file it keeps: twice the
 # file's bytes, for the key and the bytes and strings decoded from it, plus
-# the objects that hold them: its tables, per node the entry and range a
-# load builds from, and per part (a value, a script text, a label or an
-# is-a edge) what holds it (about what CPython 3.11 allocates, measured
-# with tracemalloc). A 57 kB file of 200 objects, 200 actions and 440
-# labels is charged 450 kB and holds 279 kB.
+# the objects that hold them: its tables, per node its entry and span, per
+# part (a distinct PROP field, a script text or an is-a edge) what holds it
+# and per label its place in the label index (about what CPython 3.11
+# allocates, measured with tracemalloc).
 _FILE_COST = 200
-_PART_COST = 160
 _ENTRY_COST = 200
+_PART_COST = 160
+_LABEL_COST = 360
 MAX_MEMO_BYTES = 2 * 1024 * 1024
 
 
+def _charge(data: bytes, nodes: int, parts: int, labels: int) -> int:
+    """What a `ValueMemo` charges for a decode of `data` with so many entries, parts and labels."""
+    return 2 * len(data) + _FILE_COST + _ENTRY_COST * nodes + _PART_COST * parts + _LABEL_COST * labels
+
+
 def _decode_cost(data: bytes, decode: tuple) -> int:
-    """What a `ValueMemo` charges for `decode`, of the bytes `data`."""
-    entries, isa, labels, _, _ = decode
-    parts = len(isa) + len(labels)
-    for entry in entries:
-        parts += len(entry[5]) + (entry[6] is not None)
-    return 2 * len(data) + _FILE_COST + _ENTRY_COST * len(entries) + _PART_COST * parts
+    """`_charge` of `decode`, of the bytes `data`: one part per distinct PROP field."""
+    entries, _, isa, index, _, _ = decode
+    fields = {field[0] for entry in entries for field in entry[5]}
+    scripts = sum(entry[6] is not None for entry in entries)
+    return _charge(data, len(entries), len(fields) + scripts + len(isa), len(index[0]))
 
 
 def _holds_nan(fields) -> bool:
@@ -556,47 +562,34 @@ class ValueMemo:
     A load of a file whose bytes it knows builds the net from the decode
     and reads no line; a load of any other file reads it whole and leaves
     its decode here. A `save` through it leaves the decode of the bytes it
-    wrote, laid out from the decode of the bytes the net was loaded from
-    (`_derive`) and checked on the first load that meets it (`_laid_out`);
-    the decode it supersedes goes.
+    wrote in place of the one the net was loaded from (`_derive`), which a
+    load drops and reads the file if it fails a check of a read's (`_build`).
 
-    It holds only bytes, ranges, frozen values, strings, ints and flags,
-    never a PropertyRecord or ScriptRef, which carry a file's mark: each
-    load still builds its own records. Nothing whose decode raises is ever
-    kept, nor anything that holds a NaN, which no value of another load may
-    equal: a read's decode is kept once a net was built from it, and a
-    save's only when every script it encoded parses, so a kept decode
-    builds with no line number to place a fault. Each decode is charged
-    for what it holds (`_decode_cost`); the memo holds at most
-    MAX_MEMO_BYTES so charged, is emptied whole when one more decode would
-    pass that, and keeps no decode charged more. Only its own methods touch
-    its table.
+    It holds only bytes, ranges, frozen values, strings, ints, flags and
+    label indexes, never a PropertyRecord or ScriptRef, which carry a
+    file's mark: each load builds its own records, and its lexicon shares
+    the label index only until it changes. Nothing whose decode raises is
+    ever kept, nor anything that holds a NaN, which no value of another
+    load may equal: a read's decode is kept once a net was built from it,
+    and a save's only when every script it encoded parses, so a kept
+    decode builds with no line number to place a fault. Each decode is
+    charged for what it holds, as each build from it counts (`_charge`); the
+    memo holds at most MAX_MEMO_BYTES so charged, is emptied whole when one
+    more decode would pass that, and keeps no decode charged more. Only its
+    own methods touch its table.
     """
 
     __slots__ = ("files", "size")
 
     def __init__(self):
-        # file bytes -> (decode, its charge, None or the layout a save left)
-        self.files: dict[bytes, tuple] = {}
+        self.files: dict[bytes, tuple] = {}   # file bytes -> (decode, its charge)
         self.size = 0   # what the decodes held are charged
 
     def decode(self, data: bytes) -> tuple | None:
-        """The decode of the file whose bytes are `data`, if kept. One a
-        save left is laid out on this first use, or dropped if it fails a
-        check that a read of the bytes would make."""
-        held = self.files.get(data)
-        if held is None:
-            return None
-        decode, _, layout = held
-        if layout is not None:
-            decode = _laid_out(decode, layout)
-            if decode is None:
-                self.drop(data)
-            else:
-                self.hold(data, decode, _decode_cost(data, decode))
-        return decode
+        """The decode of the file whose bytes are `data`, if kept."""
+        return self.files.get(data, (None,))[0]
 
-    def hold(self, data: bytes, decode: tuple, cost: int, layout: list | None = None) -> None:
+    def hold(self, data: bytes, decode: tuple, cost: int) -> None:
         """Keep the decode of the file whose bytes are `data`, charged
         `cost`, in place of any held for them, unless it is charged more
         than the bound."""
@@ -606,13 +599,13 @@ class ValueMemo:
         if self.size + cost > MAX_MEMO_BYTES:
             self.files.clear()
             self.size = 0
-        self.files[data] = (decode, cost, layout)
+        self.files[data] = (decode, cost)
         self.size += cost
 
     def drop(self, data: bytes) -> int:
         """Forget the decode of the file whose bytes are `data`, if held;
         what it was charged, or 0."""
-        _, cost, _ = self.files.pop(data, (None, 0, None))
+        _, cost = self.files.pop(data, (None, 0))
         self.size -= cost
         return cost
 
@@ -626,8 +619,7 @@ def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails:
     duplicate property, also of one in `named` (the node's properties from
     lines outside the block), for a bad value, and for a SCRIPT when
     `scripted` (the node had one outside the block). `names` holds one str
-    per property name and `tails` the fields of each tail this read
-    decoded."""
+    per property name and `tails` the fields of each tail decoded before."""
     nid = int(m["nid"])
     if m["act"]:
         subject = m["subject"]
@@ -712,21 +704,24 @@ def _read(buf: bytes, decode: bool):
     edges.
 
     With `decode`, returns (decode, scripts, nan). The decode holds no record
-    and no mark: (entries, isa, labels, label_start, tight). Its entries are
-    (id, tag, provenance, subject, target, fields, script, span), objects
-    in id order, then actions. The fields are a node's PROP fields in name
-    order (`_node_run`; the tail is a line number for a line read token by
-    token), the script its text (bytes if not UTF-8) or None, and the span
-    the range of byte offsets of the node's block (a net keeps one per
-    node, and unlike a tuple a range is not tracked by the collector) when
-    it reads byte for byte as `save` writes that node and the node has no
-    record outside it, else None. labels lists (node, language, text) in file order, and
-    label_start is the offset of the LABEL lines when they are one matched
-    run that ends the file and reads as `save` writes those labels, else
-    None. tight says that every node has a span and the blocks follow the
-    header back to back in entry order, as `save` writes them. scripts
-    maps each action with a script to (its text, its SCRIPT record's
-    line), and nan says whether a value the decode holds is a NaN.
+    and no mark: (entries, spans, isa, labels, label_start, tight). Its
+    entries are (id, tag, provenance, subject, target, fields, script),
+    objects in id order, then actions. The fields are a node's PROP fields
+    in name order (`_node_run`; the tail is a line number for a line read
+    token by token) and the script its text (bytes if not UTF-8) or None.
+    spans lists, entry by entry, the range of byte offsets of the node's
+    block (a net keeps one per node, and unlike a tuple a range is not
+    tracked by the collector) when it reads byte for byte as `save` writes
+    that node and the node has no record outside it, else None; kept apart
+    from the entries, which hold nothing of where a block lies, so that a
+    decode `_derive` makes shares them. labels is the label index of the
+    LABEL lines (`Lexicon.index`), and label_start the offset of those
+    lines when they are one matched run that ends the file and reads as
+    `save` writes those labels, else None. tight says that every node has a
+    span and the blocks follow the header back to back in entry order, as
+    `save` writes them. scripts maps each action with a script to (its
+    text, its SCRIPT record's line), and nan says whether a value the
+    decode holds is a NaN.
     """
     header = HEADER.encode()
     if not (buf.startswith(header + b"\n") or buf == header):
@@ -764,10 +759,9 @@ def _read(buf: bytes, decode: bool):
                 _, kind, prov, subject, target, fields, saved, text, lines = _node_run(
                     m, lineno, props.get(nid, ()), nid in scripts, names, tails)
                 nodes[nid] = (kind, prov, subject, target, lineno)
-                span = range(start, pos) if saved else None
                 if saved:
-                    spans[nid] = span
-                blocks[nid] = (nid, kind, prov, subject, target, fields, text, span)
+                    spans[nid] = range(start, pos)
+                blocks[nid] = (nid, kind, prov, subject, target, fields, text)
                 if text is not None:
                     scripts[nid] = (text, lineno + 1 + len(fields))
                 lineno += lines
@@ -900,45 +894,44 @@ def _read(buf: bytes, decode: bool):
             spans.pop(nid, None)
     order = sorted(objects)
     order += sorted(nodes.keys() - objects)
-    spanned = [*spans.values()] if len(spans) == len(nodes) and [*spans] == order else None
+    entries, spanned = [], [spans.get(nid) for nid in order]
     # every block spanned, in order and back to back from the header, as save writes them
-    tight = spanned is not None and (not spanned or spanned[0].start == len(header) + 1
-                                     and spanned[-1].stop - spanned[0].start == sum(map(len, spanned)))
-    if tight:
-        entries = [*blocks.values()]
-    else:
-        entries = []
-        for nid in order:
-            entry = blocks.get(nid)
-            if nid not in spans:   # its fields from inside and outside its block, in name order
-                named = props.get(nid, {})
-                fields = tuple(sorted([*(entry[5] if entry else ()), *named.values()], key=_field_name))
-                script = scripts.get(nid)
-                entry = (nid, *nodes[nid][:4], fields, script and script[0], None)
-            entries.append(entry)
+    tight = [*spans] == order and (not order or spanned[0].start == len(header) + 1
+                                   and spanned[-1].stop - spanned[0].start == sum(map(len, spanned)))
+    for nid in order:
+        entry = blocks.get(nid)
+        if nid not in spans:   # its fields from inside and outside its block, in name order
+            named = props.get(nid, {})
+            fields = tuple(sorted([*(entry[5] if entry else ()), *named.values()], key=itemgetter(1)))
+            script = scripts.get(nid)
+            entry = (nid, *nodes[nid][:4], fields, script and script[0])
+        entries.append(entry)
     nan = _holds_nan(chain(tails.values(), *map(dict.values, props.values())))
-    return (entries, isa, labels, label_start, tight), scripts, nan
+    return (entries, spanned, isa, Lexicon.index(labels), label_start, tight), scripts, nan
 
 
-def _field_name(field: tuple) -> str:
-    return field[1]
-
-
-def _build(decode: tuple, data: bytes, mark: tuple, scripts: dict | None = None) -> tuple[Net, Lexicon]:
+def _build(decode: tuple, data: bytes, mark: tuple, scripts: dict | None = None) -> tuple | None:
     """A fresh net plus its labels from a decode of the bytes `data`
-    (`_read`), its records marked `mark`. Fields with equal tails share one
-    PropertyRecord and equal script texts one ScriptRef, so neither is ever
-    changed in place. Scripts are parsed in action id order; a fault in one
-    is placed at its SCRIPT line, from `scripts` (`_read`'s), which a
-    decode that has built once may go without. Both keep the bytes that
-    `save` can copy: the net the file and its node blocks' spans, the
-    lexicon its LABEL lines."""
-    entries, isa, labels, label_start, _ = decode
+    (`_read`), its records marked `mark`, and the decode's charge
+    (`_charge`), in one pass; None when the bytes would fail a check of
+    `_read`'s, as a decode `_derive` left may: an id held twice, an
+    action's end or an is-a end that is not an object (objects come first,
+    so an action is listed by its ends as it is built). Equal field tails
+    share one PropertyRecord and equal script texts one ScriptRef, so
+    neither is changed in place. Scripts are parsed in action id order; a
+    fault is placed at its SCRIPT line from `scripts` (`_read`'s), which a
+    decode that has built once may go without. The net keeps the file and
+    its blocks' spans, which `save` can copy, and the lexicon the LABEL
+    lines and, until it changes, the decode's label index."""
+    entries, spanned, isa, index, label_start, _ = decode
     net = Net()
     objects, actions, spans = net.objects, net.actions, net.spans
     records: dict = {}
     shared: dict[str, ScriptRef] = {}
-    for nid, kind, prov, subject, target, fields, text, span in entries:
+    scripted = 0
+    for (nid, kind, prov, subject, target, fields, text), span in zip(entries, spanned):
+        if nid in objects or nid in actions:
+            return None
         properties = {}
         for field in fields:
             rec = records.get(field[0])
@@ -951,9 +944,13 @@ def _build(decode: tuple, data: bytes, mark: tuple, scripts: dict | None = None)
         if kind == "OBJ":
             objects[nid] = ObjectRecord(nid, properties, [], [], prov)
             continue
+        head, tail = objects.get(subject), objects.get(target)
+        if tail is None or head is None and subject is not None:
+            return None
         if text is None:
             script = ScriptRef()
         else:
+            scripted += 1
             if type(text) is bytes:   # a body that is not UTF-8
                 text = _script_text(text, scripts[nid][1])
             script = shared.get(text)
@@ -963,22 +960,19 @@ def _build(decode: tuple, data: bytes, mark: tuple, scripts: dict | None = None)
                 except ScriptParseError as exc:
                     raise _in_file(exc, nid, scripts[nid][1]) from None
         actions[nid] = ActionRecord(nid, subject, target, script, properties, prov)
-    for aid, act in actions.items():
-        if act.subject is not None:
-            objects[act.subject].outgoing.append(aid)
-        objects[act.target].incoming.append(aid)
-    if entries:
-        net.bump_id(max(next(reversed(objects), 0), next(reversed(actions), 0)))
+        if head is not None:
+            head.outgoing.append(nid)
+        tail.incoming.append(nid)
+    if not all(inst in objects and concept in objects for inst, concept in isa):
+        return None
+    net.bump_id(max(next(reversed(objects), 0), next(reversed(actions), 0)))
     net.isa_edges = sorted(set(isa))
     net.source = data
-    lexicon = Lexicon.of(labels)
+    lexicon = Lexicon.sharing(index)
     if label_start is not None:
         lexicon.source = data[label_start:]
-    return net, lexicon
-
-
-def _span_start(entry: tuple) -> int:
-    return entry[7].start
+    parts = len(records) + scripted + len(isa)
+    return net, lexicon, _charge(data, len(entries), parts, len(lexicon.labels))
 
 
 def _derive(memo: ValueMemo, source: bytes, decode: tuple, layout: list, data: bytes,
@@ -988,31 +982,36 @@ def _derive(memo: ValueMemo, source: bytes, decode: tuple, layout: list, data: b
     `layout` lists in file order the (start, stop) of each span of `source`
     copied and the (lines, first, stop) of each node block encoded, `isa`
     the is-a edges written and `labels` the LABEL lines copied, if any. A
-    copied span becomes the (first, stop, shift) of its entries in
-    `decode`, shifted to where it now lies, and an encoded block is read
-    by `_BLOCK` and `_node_run`; `_laid_out` lays the entries out when a
-    load first meets them. Until then it holds every entry of the decode
-    of `source`, which it replaces, and is charged what that one was plus
-    a decode of the blocks encoded and the is-a edges (`_decode_cost`). Nothing
-    is left, and the decode of `source` stays, when the labels copied are
-    not those of `source`, when an encoded block is not one matched run
-    read as `save` writes it, when its script does not parse, or when it
-    holds a NaN: then a load reads the bytes."""
-    entries, _, source_labels, label_start, _ = decode
+    copied span shares the entries of its blocks in `decode`, and their
+    spans unless it moved, and copied labels the label index; an encoded
+    block is read by `_BLOCK` and `_node_run`, but for the lines its old
+    entry holds. The decode left replaces the decode of `source`, charged
+    what that one was plus a decode of the blocks encoded and the is-a
+    edges (`_decode_cost`) until the first build from it (`_build`)
+    charges it and makes the checks of a read that it may fail. Nothing is
+    left, and the decode of `source` stays, when the labels copied are not
+    those of `source`, when an encoded block is not one matched run read as
+    `save` writes it, when its script does not parse, or when it holds a
+    NaN: then a load reads the bytes."""
+    entries, spans, _, index, label_start, _ = decode
     if labels is not None and (label_start is None or source[label_start:] != labels):
         return
-    items, encoded = [], []   # the layout of the decode left, and the entries encoded
+    laid, spanned, encoded = [], [], []   # the decode left's entries and spans; the entries encoded
     pos = len(HEADER) + 1
-    names: dict = {}
-    tails: dict = {}
+    names, tails = {}, {}
+    at = 0   # the entry after the last span copied: most likely the next encoded block's old one
     for item in layout:
         if len(item) == 2:
             start, stop = item
-            first = bisect_left(entries, start, key=_span_start)
-            last = bisect_left(entries, stop, key=_span_start)
-            if first == last or entries[first][7].start != start or entries[last - 1][7].stop != stop:
+            first = bisect_left(spans, start, key=attrgetter("start"))
+            last = bisect_left(spans, stop, first, key=attrgetter("start"))
+            if first == last or spans[first].start != start or spans[last - 1].stop != stop:
                 return
-            items.append((first, last, pos - start))
+            laid += entries[first:last]
+            at = last
+            shift = pos - start
+            spanned += ([range(span.start + shift, span.stop + shift) for span in spans[first:last]]
+                        if shift else spans[first:last])
             pos += stop - start
             continue
         lines, first, stop = item
@@ -1020,11 +1019,13 @@ def _derive(memo: ValueMemo, source: bytes, decode: tuple, layout: list, data: b
         m = _BLOCK.match(block)
         if m is None or m.end() < len(block):
             return
+        if at < len(entries):   # its lines that the old one holds are not decoded again
+            tails.update((field[0], field) for field in entries[at][5])
+            at += 1
         try:   # the line only places a fault, and a fault leaves nothing
-            run = _node_run(m, 2, (), False, names, tails)
+            *node, saved, text, _ = _node_run(m, 2, (), False, names, tails)
         except FormatError:
             return
-        nid, kind, prov, subject, target, fields, saved, text, _ = run
         if not saved:
             return
         if text is not None:
@@ -1032,59 +1033,40 @@ def _derive(memo: ValueMemo, source: bytes, decode: tuple, layout: list, data: b
                 parse_script(text)
             except ScriptParseError:
                 return
-        entry = (nid, kind, prov, subject, target, fields, text, range(pos, pos + len(block)))
-        items.append(entry)
-        encoded.append(entry)
+        laid.append((*node, text))
+        encoded.append(laid[-1])
+        spanned.append(range(pos, pos + len(block)))
         pos += len(block)
     if not _holds_nan(tails.values()):
-        laid = (entries, isa, source_labels if labels else [], labels and len(data) - len(labels), True)
-        added = _decode_cost(data, (encoded, isa, (), None, True))
-        memo.hold(data, laid, memo.drop(source) + added, items)
-
-
-def _laid_out(decode: tuple, layout: list) -> tuple | None:
-    """The decode `_derive` left, its entries laid out in file order, or
-    None when the bytes would fail a check of `_read`'s: a node id held
-    twice, an action's end or an is-a end that is not an object."""
-    source, isa, labels, label_start, _ = decode
-    entries = []
-    for item in layout:
-        if len(item) == 3:
-            first, stop, shift = item
-            if shift:
-                entries += [(*entry[:7], range(entry[7].start + shift, entry[7].stop + shift))
-                            for entry in source[first:stop]]
-            else:
-                entries += source[first:stop]
-        else:
-            entries.append(item)
-    objects = {entry[0] for entry in entries if entry[1] == "OBJ"}
-    ends = {end for entry in entries if entry[1] == "ACT" for end in entry[3:5]}
-    ends.discard(None)
-    if (len({entry[0] for entry in entries}) < len(entries) or not ends <= objects
-            or not {end for edge in isa for end in edge} <= objects):
-        return None
-    return entries, isa, labels, label_start, True
+        left = (laid, spanned, isa, index if labels else Lexicon.index(()),
+                labels and len(data) - len(labels), True)
+        added = _decode_cost(data, (encoded, (), isa, ({}, {}), None, True))
+        memo.hold(data, left, memo.drop(source) + added)
 
 
 def load(path: str, memo: ValueMemo | None = None) -> tuple[Net, Lexicon]:
     """Read a whole `.krn` file into a fresh net plus its labels, in one pass.
 
     With a `memo`, a file whose bytes it holds the decode of is built from
-    that decode and not read, and the decode of any other file is kept
-    there once a net is built from it (`ValueMemo`); the net, its labels
-    and every error are the same either way."""
+    that decode and not read, and charged there for it; a decode that fails
+    a check as it builds (`_build`) is dropped and the file read. The
+    decode of any other file is kept there once a net is built from it
+    (`ValueMemo`). The net, its labels and every error are the same either
+    way."""
     with io.open(path, "rb") as fh:   # the mark is taken once the bytes are read
         data = fh.read()
         mark = _identity(os.fstat(fh.fileno()))
     decode = None if memo is None else memo.decode(data)
-    if decode is not None:
-        return _build(decode, data, mark)
-    decode, scripts, nan = _read(data, True)
-    built = _build(decode, data, mark, scripts)
-    if memo is not None and not nan:
-        memo.hold(data, decode, _decode_cost(data, decode))
-    return built
+    built = None if decode is None else _build(decode, data, mark)
+    if built is None:
+        if decode is not None:
+            memo.drop(data)   # it fails a check of a read's, so the read raises
+        decode, scripts, nan = _read(data, True)
+        built = _build(decode, data, mark, scripts)
+        memo = None if nan else memo
+    if memo is not None:
+        memo.hold(data, decode, built[2])
+    return built[:2]
 
 
 # ------------------------------------------------------------------ open
@@ -1315,7 +1297,7 @@ class StoreHandle:
         data = self._fh.read()
         self.stats.bytes_read += len(data)
         decode, scripts, _ = _read(data, True)
-        return _build(decode, data, self._identity, scripts)
+        return _build(decode, data, self._identity, scripts)[:2]
 
 
 def _identity(st: os.stat_result) -> tuple[tuple[int, int], tuple[int, int, int]]:

@@ -26,6 +26,7 @@ from krn.errors import (
     EvictionBlocked,
     FormatError,
     KrnError,
+    NoLabel,
     ScriptParseError,
     UnknownProperty,
     UnknownScript,
@@ -1570,6 +1571,71 @@ def test_the_memo_holds_no_record_and_no_mark(tmp_path):
     assert {bytes, str, tuple, dict, Value} <= kinds and len(seen) > 300
 
 
+def _reads_as(lexicon, want, nodes, texts):
+    """Whether `lexicon` answers every read as `want` does, for these nodes
+    and texts in each language either holds and one neither does."""
+    if lexicon.labels != want.labels or lexicon.items() != want.items():
+        return False
+    langs = {lang for _, lang in [*want.labels, *lexicon.labels]} | {"es"}
+    for text in texts:
+        if lexicon.lookup_any(text) != want.lookup_any(text) or any(
+                lexicon.lookup(lang, text) != want.lookup(lang, text) for lang in langs):
+            return False
+    for node in nodes:
+        for lang in langs:
+            try:
+                got = lexicon.label_of(node, lang)
+            except NoLabel:
+                got = None
+            try:
+                if got != want.label_of(node, lang):
+                    return False
+            except NoLabel:
+                if got is not None:
+                    return False
+    return True
+
+
+def test_lexicons_of_one_decode_share_its_label_index_until_they_change(tmp_path):
+    """Three loads of one file through one memo share its decode's label
+    index. One lexicon is relabelled through the API, one through the CLI
+    (`label`, and `obj` binding a name): every untouched lexicon, and a
+    later load, still reads as a lexicon built afresh from the file's
+    LABEL lines, and a save of a changed one writes its labels line by
+    line, as they now stand."""
+    rng = random.Random(3939)
+    path = _traffic_files(rng, tmp_path)[0]
+    labels = [(int(node), lang, store.decode_text(text, 0)) for node, lang, text in
+              re.findall(r'^LABEL ([0-9]+) (\S+) (".*")$', Path(path).read_text(), re.M)]
+    want = Lexicon.of(labels)
+    nodes = sorted({node for node, _, _ in labels}) + [999]
+    texts = sorted({text for _, _, text in labels}) + ["renamed", "nouveau", "fresh", "absent"]
+    session = Session()
+    net, first = store.load(path, session.memo)
+    run_command(session, f"load {path}")
+    third = store.load(path, session.memo)[1]
+    assert all(_reads_as(lexicon, want, nodes, texts) for lexicon in (first, session.lexicon, third))
+    picked = rng.sample(nodes[:-1], 3)
+    first.set_label(picked[0], "en", "renamed")
+    first.set_label(picked[1], "de", "nouveau")
+    run_command(session, f"label #{picked[2]} en {rng.choice(texts[:-4])}")
+    run_command(session, "obj fresh x=1")
+    assert first.label_of(picked[0], "en") == ("renamed", "en")
+    assert first.lookup("de", "nouveau") == {picked[1]}
+    assert session.lexicon.lookup("en", "fresh") == {max(session.net.objects)}
+    for lexicon in (first, session.lexicon):
+        assert lexicon.source is None and not _reads_as(lexicon, want, nodes, texts)
+    later = store.load(path, session.memo)[1]
+    assert _reads_as(third, want, nodes, texts) and _reads_as(later, want, nodes, texts)
+    # a changed lexicon's save writes its labels line by line, as they now stand,
+    # so it leaves no decode
+    store.save(net, first, str(tmp_path / "api.krn"), session.memo)
+    run_command(session, f"save {path}")
+    for saved, lexicon in ((str(tmp_path / "api.krn"), first), (path, session.lexicon)):
+        assert session.memo.decode(Path(saved).read_bytes()) is None
+        assert store.load(saved)[1].items() == lexicon.items()
+
+
 # ---------------------------------------------------------------- decodes a save leaves
 
 
@@ -1692,17 +1758,19 @@ def _props_of(net):
 def test_a_load_after_a_save_through_the_memo_reads_no_run(tmp_path, monkeypatch):
     """A count, not a timing: a save through the memo matches and decodes
     exactly the blocks it encoded, and a load of what it wrote through the
-    same memo matches no run of lines and reads no block. A save whose
+    same memo reads no line and builds each node once, in one pass that
+    also makes its checks and counts its charge: no run of lines is
+    matched, no block read and no decode walked again, and the memo then
+    charges the decode as it would a cold read of the bytes. A save whose
     source the memo holds no decode of leaves none."""
-    counts = dict.fromkeys(["_BLOCK", "_node_run"], 0)
+    counts = dict.fromkeys(["_BLOCK", "_node_run", "_read", "_build", "_decode_cost", "ObjectRecord",
+                            "ActionRecord"], 0)
     monkeypatch.setattr(store, "_BLOCK", _CountedPattern(store._BLOCK, "_BLOCK", counts))
-    real_node_run = store._node_run
-
-    def node_run(*args):
-        counts["_node_run"] += 1
-        return real_node_run(*args)
-
-    monkeypatch.setattr(store, "_node_run", node_run)
+    for name in [*counts][1:]:
+        def counted(*args, _real=getattr(store, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(store, name, counted)
     memo = store.ValueMemo()
     path = _traffic_files(random.Random(9), tmp_path)[0]
     net, lexicon = store.load(path, memo)
@@ -1711,11 +1779,14 @@ def test_a_load_after_a_save_through_the_memo_reads_no_run(tmp_path, monkeypatch
     for nid in [*sorted(net.objects)[:3:2], max(net.actions)]:
         net.set_property(nid, "x", Value.num(1000 + nid))
     store.save(net, lexicon, path, memo)
-    assert counts == {"_BLOCK": 3, "_node_run": 3}
+    assert counts["_BLOCK"] == counts["_node_run"] == 3 and counts["_read"] == counts["_build"] == 0
     counts.update(dict.fromkeys(counts, 0))
     again = store.load(path, memo)
-    assert counts == {"_BLOCK": 0, "_node_run": 0}
+    assert counts == {"_BLOCK": 0, "_node_run": 0, "_read": 0, "_build": 1, "_decode_cost": 0,
+                      "ObjectRecord": len(net.objects), "ActionRecord": len(net.actions)}
     assert _full_view(*again) == _full_view(*store.load(path))
+    data = Path(path).read_bytes()
+    assert memo.size == memo.files[data][1] == store._decode_cost(data, store._read(data, True)[0])
     # without a decode of the bytes the net was loaded from, nothing is left
     fresh = store.ValueMemo()
     net, lexicon = store.load(path)
@@ -1734,38 +1805,50 @@ def test_a_superseded_decode_is_uncharged(tmp_path):
     path = _traffic_files(random.Random(10), tmp_path)[0]
     net, lexicon = store.load(path, memo)
     old = Path(path).read_bytes()
-    old_cost = memo.files[old][1]
+    held, old_cost = memo.files[old]
     assert memo.size == old_cost
     obj = sorted(net.objects)[0]
     net.set_property(obj, "x", Value.num(1234))
     store.save(net, lexicon, path, memo)
     new = Path(path).read_bytes()
-    decode, cost, layout = memo.files[new]
-    encoded = [item for item in layout if len(item) == 8]
-    added = store._decode_cost(new, (encoded, decode[1], (), None, True))
+    decode, cost = memo.files[new]
+    # every entry but the one of the block encoded holds the old decode's fields
+    kept = {entry[0]: entry[5] for entry in held[0]}
+    encoded = [entry for entry in decode[0] if kept.get(entry[0]) is not entry[5]]
+    added = store._decode_cost(new, (encoded, (), decode[2], ({}, {}), None, True))
     assert list(memo.files) == [new] and [entry[0] for entry in encoded] == [obj]
     assert memo.size == cost == old_cost + added
-    # the first load that meets it lays it out and charges it as a read would
+    # the first load that builds from it charges it as a read would
     store.load(path, memo)
     assert memo.size == memo.files[new][1] == store._decode_cost(new, store._read(new, True)[0])
 
 
-@pytest.mark.parametrize("breakage", ["dangling-end", "dangling-isa", "both-kinds", "bad-script",
-                                      "other-labels"])
+@pytest.mark.parametrize("breakage", ["dangling-end", "dangling-subject", "dangling-isa",
+                                      "isa-from-action", "both-kinds", "bad-script", "other-labels"])
 def test_a_net_saved_through_the_memo_loads_through_it_as_cold(tmp_path, breakage):
     """A net broken past what the file format holds, saved through the
-    memo, loads through it as a cold load does: a decode whose references
-    fail is dropped at its first use, and none is left when an encoded
-    script does not parse or the labels copied are not those of the file
-    the net was loaded from."""
+    memo, loads through it as a cold load does. The bad reference of each
+    of the first five lies in a block the save copied or an is-a line, so
+    the memo holds the decode the save left, and the build from it finds
+    the fault and drops it; none is left when an encoded script does not
+    parse or the labels copied are not those of the file the net was
+    loaded from."""
     paths = _traffic_files(random.Random(12), tmp_path)
+    net, lexicon = store.load(paths[0])
+    act = next(aid for aid, rec in sorted(net.actions.items()) if rec.subject is not None)
+    gone = net.actions[act].target if breakage == "dangling-end" else net.actions[act].subject
+    if breakage.startswith("dangling-") and breakage != "dangling-isa":
+        # the object that goes has no label, so the save still copies the labels
+        store.save(net, Lexicon.of([label for label in lexicon.items() if label[0] != gone]), paths[0])
     memo = store.ValueMemo()
     net, lexicon = store.load(paths[0], memo)
     objects, actions = sorted(net.objects), sorted(net.actions)
-    if breakage == "dangling-end":   # an object goes, its actions stay
-        del net.objects[net.actions[actions[0]].target]
+    if breakage in ("dangling-end", "dangling-subject"):   # an object goes, its actions stay
+        del net.objects[gone]
     elif breakage == "dangling-isa":
         net.isa_edges.append((objects[0], actions[-1] + 1))
+    elif breakage == "isa-from-action":
+        net.isa_edges.append((actions[0], objects[0]))
     elif breakage == "both-kinds":
         net.objects[actions[0]] = ObjectRecord(actions[0])
     elif breakage == "bad-script":
@@ -1777,9 +1860,13 @@ def test_a_net_saved_through_the_memo_loads_through_it_as_cold(tmp_path, breakag
         store.save(other, other_lexicon, paths[1])
         lexicon = store.load(paths[1], memo)[1]
     store.save(net, lexicon, paths[0], memo)
+    data = Path(paths[0]).read_bytes()
+    # held: the decode the save left, or with other labels that of paths[1], the same bytes
+    assert (memo.decode(data) is not None) == (breakage != "bad-script")
     cold = _viewed(lambda: store.load(paths[0]))
     assert (len(cold) == 3) == (breakage != "other-labels")   # a typed error, or a net
     assert _viewed(lambda: store.load(paths[0], memo)) == cold
+    assert (memo.decode(data) is not None) == (breakage == "other-labels")
 
 
 # ---------------------------------------------------------------- atomic save
