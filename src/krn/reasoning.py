@@ -13,8 +13,8 @@ Four capabilities live here:
   pattern searched for.
 
 Pattern matching compares node kinds, link shape, and property names;
-property values never participate. A pattern node's names must be a
-subset of its image's names, so more specific patterns match fewer
+property values never participate. A pattern node's names, bookkeeping
+aside, must be among its image's, so more specific patterns match fewer
 nodes, and a pattern action with a blank subject leaves the image's
 subject unconstrained. Both searches, `find_matches` (every injective
 match) and shaping's `_max_anchored_match` (the largest partial match
@@ -46,6 +46,7 @@ from .core import (
     Net,
     NodeId,
     ObjectRecord,
+    PropertyRecord,
     Provenance,
     Value,
     values_equal,
@@ -94,25 +95,29 @@ def _copy_structure(src: Net, nodes, dst: Net, idmap: dict | None = None, *,
     """Copy the value-free structure of `nodes` from src into dst.
 
     Objects, then actions, each in the order given, get fresh dst ids,
-    their property names minus bookkeeping, and unset values. `idmap`
-    (src id to dst id) may be seeded with nodes that already have an
-    image; it is returned with the copies added. A subject with no image
-    is left blank.
+    sorted names minus bookkeeping and one shared unset value; a valid
+    src needs no check, so each record enters by `Net.insert`. `idmap`,
+    src id to dst id, may be seeded with nodes that have an image; it is
+    returned with the copies added. A subject with no image is blank.
     """
     if idmap is None:
         idmap = {}
+    unset = Value.unset()
 
-    def names(rec) -> list:
-        return [(n, Value.unset()) for n in sorted(set(rec.properties) - _BOOKKEEPING)]
+    def props(rec) -> dict:
+        return {n: PropertyRecord(n, unset, provenance)
+                for n in sorted(rec.properties.keys() - _BOOKKEEPING)}
 
     for nid in nodes:
-        if nid in src.objects:
-            idmap[nid] = dst.add_object(names(src.objects[nid]), provenance=provenance)
+        rec = src.objects.get(nid)
+        if rec is not None:
+            idmap[nid] = dst.insert(ObjectRecord(dst.next_id, props(rec), provenance=provenance))
     for nid in nodes:
         rec = src.actions.get(nid)
         if rec is not None:
-            idmap[nid] = dst.add_action(idmap.get(rec.subject), idmap[rec.target], None,
-                                        names(rec), provenance=provenance)
+            idmap[nid] = dst.insert(ActionRecord(dst.next_id, idmap.get(rec.subject),
+                                                 idmap[rec.target], properties=props(rec),
+                                                 provenance=provenance))
     return idmap
 
 
@@ -325,15 +330,17 @@ def expand(net: Net, complex_id: NodeId) -> set:
 
 def _compat(pattern: Net, target: Net, p: NodeId, t: NodeId, bypass_names: bool = False) -> bool:
     """Whether t, looked up in target, can be p's image: a node of p's kind,
-    with a subject if p is an action with one, and every name of p's
-    unless `bypass_names`."""
+    with a subject if p is an action with one, and unless `bypass_names`
+    every name of p's but bookkeeping ones, which concept roots carry."""
     if p in pattern.objects:
         prec, trec = pattern.objects[p], target.objects.get(t)
     else:
         prec, trec = pattern.actions[p], target.actions.get(t)
         if trec is not None and trec.subject is None and prec.subject is not None:
             return False
-    return trec is not None and (bypass_names or prec.properties.keys() <= trec.properties.keys())
+    names = prec.properties.keys()
+    return trec is not None and (bypass_names or names <= trec.properties.keys()
+                                 or names - _BOOKKEEPING <= trec.properties.keys())
 
 
 def _images(pattern: Net, target: Net, mapping: dict, p: NodeId) -> list | None:
@@ -570,7 +577,8 @@ def _closed_subsets(rows: list, shape_index: dict, max_nodes: int) -> list:
     already in or next to the subset. Subsets come in the order of a
     walk of sorted id lists, so the first subset of each bucket is fixed.
     Closure is carried along the growth as the mask of the targets that
-    member actions need.
+    member actions need; a subset grows only while a closed superset (one
+    more node, and every unmet target) fits in max_nodes, so none is lost.
 
     The invariant is the sorted tuple, over the subset's nodes, of the
     node's shape id (numbered in `shape_index`, which nets whose
@@ -602,12 +610,13 @@ def _closed_subsets(rows: list, shape_index: dict, max_nodes: int) -> list:
             new_sub = sub | low
             new_need = needed | need[w]
             members.append(w)
-            if not new_need & ~new_sub:
+            unmet = new_need & ~new_sub
+            if not unmet:
                 # a count is below max_nodes <= 8, so four bits hold it
                 closed.append((new_sub, tuple(sorted([
                     base[i] | (one[i] & new_sub).bit_count() << 4 | (ins[i] & new_sub).bit_count()
                     for i in members]))))
-            if len(members) < max_nodes:
+            if len(members) < max_nodes and len(members) + unmet.bit_count() <= max_nodes:
                 grow(new_sub, ext | nbr[w] & above & ~nbh, nbh | nbr[w], new_need)
             members.pop()
 
@@ -877,23 +886,16 @@ def concept_of(net: Net, concept_id: NodeId) -> ConceptTemplate:
 
     The pattern is the structural connected component around the root;
     is-a edges are not structural links, so instances stay outside.
+    Shaping reads that component in place and builds no template.
     """
     if concept_id not in net.objects:
         raise UnknownConcept(f"no concept object {concept_id}")
-    pattern = Net()
-    idmap = _copy_structure(net, sorted(_bfs_order(net, concept_id)), pattern)
-    root_rec = net.objects[concept_id]
-    support = 0
-    parent = None
-    sp = root_rec.properties.get(SUPPORT_PROP)
-    if sp is not None and sp.value.kind is KIND_NUM:
-        support = int(sp.value.data)
-    pp = root_rec.properties.get(PARENT_PROP)
-    if pp is not None and pp.value.kind is KIND_REF:
-        parent = pp.value.data
+    idmap = _copy_structure(net, sorted(_bfs_order(net, concept_id)), pattern := Net())
+    sp, pp = map(net.objects[concept_id].properties.get, (SUPPORT_PROP, PARENT_PROP))
     return ConceptTemplate(
-        pattern=pattern, root=idmap[concept_id], support=support,
-        id=concept_id, parent=parent,
+        pattern=pattern, root=idmap[concept_id], id=concept_id,
+        support=int(sp.value.data) if sp is not None and sp.value.kind is KIND_NUM else 0,
+        parent=pp.value.data if pp is not None and pp.value.kind is KIND_REF else None,
     )
 
 
@@ -960,22 +962,20 @@ def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
 def shape(net: Net, instance: NodeId, concept) -> list:
     """Give an instance the structure its concept promises.
 
-    Pattern nodes with no counterpart around the instance are created
-    with inferred provenance and unset values; already present structure
-    is never touched, so shaping twice creates nothing.
+    The pattern is the registered concept's component, read in place,
+    its root pinned to the instance; a `ConceptTemplate` is read through
+    its `id`. Pattern nodes with no counterpart around the instance are
+    created with inferred provenance and unset values; already present
+    structure is never touched, so shaping twice creates nothing.
     """
-    if isinstance(concept, int):
-        concept = concept_of(net, concept)
-    if concept.id is None or (instance, concept.id) not in net.isa_edges:
-        raise UnknownConcept(
-            f"no is-a edge from {instance} to concept {concept.id}"
-        )
+    cid = concept if isinstance(concept, int) else concept.id
+    if cid not in net.objects or (instance, cid) not in net.isa_edges:
+        raise UnknownConcept(f"no concept object {cid} with an is-a edge from {instance}")
     if instance not in net.objects:
         raise UnknownNode(f"no object {instance}")
-    pattern = concept.pattern
-    mapping = _max_anchored_match(pattern, concept.root, net, instance)
-    missing = [p for p in pattern.node_ids() if p not in mapping]
-    _copy_structure(pattern, missing, net, mapping, provenance=INFERRED)
+    mapping = _max_anchored_match(net, cid, net, instance)
+    missing = [p for p in sorted(_bfs_order(net, cid)) if p not in mapping]
+    _copy_structure(net, missing, net, mapping, provenance=INFERRED)
     return sorted(mapping[p] for p in missing)   # ids rise: creation order
 
 

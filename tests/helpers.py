@@ -13,9 +13,11 @@ from krn import (
     SensorAddress,
     SensorSignal,
     Value,
+    concept_of,
     register_concept,
 )
-from krn.reasoning import _bit_rows, _closed_subsets
+from krn.errors import UnknownConcept
+from krn.reasoning import _bit_rows, _closed_subsets, _copy_structure, _max_anchored_match
 
 
 # ------------------------------------------------------------ vignettes
@@ -127,6 +129,79 @@ def closed_subsets(net: Net, max_nodes: int, shape_index: dict | None = None) ->
     found = _closed_subsets(rows, {} if shape_index is None else shape_index, max_nodes)
     return [(frozenset(nid for i, nid in enumerate(ids) if sub >> i & 1), inv)
             for sub, inv in found]
+
+
+def closed_subsets_unpruned(rows: list, shape_index: dict, max_nodes: int) -> list:
+    """`reasoning._closed_subsets` as it was before it learned to stop
+    growing a subset that can no longer close within max_nodes: ESU grows
+    every connected subset up to max_nodes and keeps the closed ones."""
+    n = len(rows)
+    outs, ins = [0] * n, [0] * n
+    for i, (_, subject, target) in enumerate(rows):
+        if target:
+            if subject:
+                outs[subject.bit_length() - 1] |= 1 << i
+            ins[target.bit_length() - 1] |= 1 << i
+    nbr = [subject | target | outs[i] | ins[i] for i, (_, subject, target) in enumerate(rows)]
+    need = [target for _, _, target in rows]
+    base = [shape_index.setdefault(shape, len(shape_index)) << 8 for shape, _, _ in rows]
+    one = [subject | outs[i] for i, (_, subject, _) in enumerate(rows)]
+    closed = []
+
+    def grow(members: list, sub: int, ext: int, nbh: int, needed: int, above: int) -> None:
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            w = low.bit_length() - 1
+            new_sub, new_need, new_members = sub | low, needed | need[w], members + [w]
+            if not new_need & ~new_sub:
+                closed.append((new_sub, tuple(sorted(
+                    base[i] | (one[i] & new_sub).bit_count() << 4 | (ins[i] & new_sub).bit_count()
+                    for i in new_members))))
+            if len(new_members) < max_nodes:
+                grow(new_members, new_sub, ext | nbr[w] & above & ~nbh, nbh | nbr[w],
+                     new_need, above)
+
+    for v in range(n):
+        if not need[v]:
+            closed.append((1 << v, (base[v],)))
+        if max_nodes > 1:
+            grow([v], 1 << v, nbr[v] & -(2 << v), nbr[v] | 1 << v, need[v], -(2 << v))
+    return closed
+
+
+def shape_by_template(net: Net, instance: int, concept_id: int) -> list:
+    """Shaping as it was done from a rebuilt template: `concept_of`, the
+    largest anchored match of its value-free pattern, and a copy of what
+    the match leaves out."""
+    template = concept_of(net, concept_id)
+    if (instance, concept_id) not in net.isa_edges:
+        raise UnknownConcept(f"no is-a edge from {instance} to concept {concept_id}")
+    pattern = template.pattern
+    mapping = _max_anchored_match(pattern, template.root, net, instance)
+    missing = [p for p in pattern.node_ids() if p not in mapping]
+    _copy_structure(pattern, missing, net, mapping, provenance=Provenance.INFERRED)
+    return sorted(mapping[p] for p in missing)
+
+
+def star_net(legs: int) -> Net:
+    """A hub object with an action to each of `legs` bare part objects."""
+    net = Net()
+    hub = net.add_object([])
+    for _ in range(legs):
+        net.add_action(hub, net.add_object([]))
+    return net
+
+
+def chain_net(links: int) -> Net:
+    """Objects o0 .. o_links, each acting on the next."""
+    net = Net()
+    prev = net.add_object([])
+    for _ in range(links):
+        nxt = net.add_object([])
+        net.add_action(prev, nxt)
+        prev = nxt
+    return net
 
 
 def refined_classes_reference(view: dict) -> dict:

@@ -9,7 +9,7 @@ below read only records, never the searches' adjacency-driven candidates.
 import itertools
 import random
 
-from krn import Net
+from krn import Net, Value
 from krn.reasoning import _max_anchored_match, find_matches
 
 from helpers import structure_net
@@ -152,3 +152,19 @@ def test_the_shaping_match_is_valid_and_no_valid_partial_match_is_larger():
         grown += len(m) > 1
         branched += len(m.keys() & pattern.actions.keys()) > 1
     assert grown > 120 and branched > 25
+
+
+def test_a_bookkeeping_name_on_a_pattern_node_is_not_required():
+    # a registered concept root carries its support; matching it, as
+    # shaping does in place, asks the image only for the real names
+    pattern = Net()
+    root = pattern.add_object([("head", Value.unset()), ("concept-support", Value.num(2))])
+    limb = pattern.add_object([])
+    holds = pattern.add_action(root, limb)
+    target = Net()
+    bare = target.add_object([])
+    head = target.add_object([("head", Value.truth(True))])
+    part = target.add_object([])
+    target.add_action(bare, part)
+    act = target.add_action(head, part)
+    assert find_matches(pattern, target) == [{root: head, holds: act, limb: part}]

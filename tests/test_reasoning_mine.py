@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -14,9 +15,17 @@ from krn import (
     specialize,
 )
 from krn.errors import BipartiteViolation
-from krn.reasoning import extract_pattern
+from krn.reasoning import _bit_rows, _closed_subsets, extract_pattern
 
-from helpers import closed_subsets, person_net, random_net
+from helpers import (
+    chain_net,
+    closed_subsets,
+    closed_subsets_unpruned,
+    person_net,
+    random_net,
+    star_net,
+)
+from test_reasoning_mine_internals import _vocab_net
 from oracle_mining import oracle_mine, same_result
 
 
@@ -231,3 +240,44 @@ def test_specialize_part_attachment_and_bipartite_guard():
     some_action = next(iter(human.pattern.actions))
     with pytest.raises(BipartiteViolation):
         specialize(human, Additions(parts=((some_action, ("wing",)),)))
+
+
+class _CountingLimit(int):
+    """A max_nodes that counts the order comparisons made against it:
+    the enumeration makes one per root and one or two per subset it
+    visits."""
+
+    def _counting(op):
+        def compare(self, other):
+            self.compared += 1
+            return op(int(self), other)
+        return compare
+
+    compared = 0
+    __lt__, __le__, __gt__, __ge__ = map(_counting, (operator.lt, operator.le,
+                                                     operator.gt, operator.ge))
+    del _counting
+
+
+def test_mining_a_hub_visits_subsets_quadratic_in_its_legs():
+    # the hub with two of its actions lacks two targets, which leave no
+    # room for a third action at max_nodes 4; unpruned, the visits grow
+    # cubically (6 to 7 times per doubling of the legs)
+    visited = []
+    for legs in (10, 20, 40, 80):
+        limit = _CountingLimit(4)
+        _closed_subsets(_bit_rows(star_net(legs))[1], {}, limit)
+        visited.append(limit.compared)
+    assert visited[0] > 100
+    assert all(more <= 4.5 * fewer for fewer, more in zip(visited, visited[1:])), visited
+
+
+def test_pruned_enumeration_keeps_every_closed_subset():
+    rng = random.Random(2021)
+    nets = ([_vocab_net(rng) for _ in range(30)] + [star_net(k) for k in range(1, 7)]
+            + [chain_net(k) for k in range(1, 8)])
+    for net in nets:
+        rows = _bit_rows(net)[1]
+        for max_nodes in range(1, 9):
+            assert _closed_subsets(rows, {}, max_nodes) == \
+                closed_subsets_unpruned(rows, {}, max_nodes)

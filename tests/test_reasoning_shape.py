@@ -1,6 +1,8 @@
+import copy
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -11,14 +13,24 @@ from krn import (
     Provenance,
     Value,
     concept_of,
+    mine_concepts,
     query_has,
     register_concept,
     shape,
 )
+from krn import core, reasoning
 from krn.errors import UnknownConcept
-from krn.reasoning import _compat, _max_anchored_match, find_matches, shape_all
+from krn.reasoning import (
+    _BOOKKEEPING,
+    _bfs_order,
+    _compat,
+    _copy_structure,
+    _max_anchored_match,
+    find_matches,
+    shape_all,
+)
 
-from helpers import peter_net, person_pattern, wall_net
+from helpers import peter_net, person_pattern, shape_by_template, wall_net
 
 
 def test_shape_instantiates_missing_structure():
@@ -267,3 +279,107 @@ def test_shape_matches_structure_reached_through_a_later_action():
     assert len(created) == 1
     act = net.actions[created[0]]
     assert (act.subject, act.target, act.provenance) == (r, x, Provenance.INFERRED)
+
+
+# ------------------------------------------- shaping reads the concept in place
+
+_PARTS = ["head", "arm", "leg", "seat", "door"]
+
+
+def _scene(rng: random.Random) -> Net:
+    """Hubs with one or two named parts, and a cross link or two."""
+    net = Net()
+    objs = []
+    for _ in range(rng.randrange(2, 5)):
+        hub = net.add_object([("colour", Value.text("red"))] if rng.random() < 0.5 else [])
+        objs.append(hub)
+        for _ in range(rng.randrange(1, 3)):
+            names = sorted(rng.sample(_PARTS, rng.randrange(1, 3)))
+            part = net.add_object([(n, Value.truth(True)) for n in names])
+            objs.append(part)
+            net.add_action(hub if rng.random() < 0.85 else None, part)
+    for _ in range(rng.randrange(1, 3)):
+        a, b = rng.sample(objs, 2)
+        net.add_action(a if rng.random() < 0.7 else None, b)
+    return net
+
+
+def _concept_world(rng: random.Random, linked: bool) -> tuple[Net, list]:
+    """Mined concepts registered in a world, their parts' values set, and
+    per concept an instance that holds a random part of its structure;
+    with `linked`, an action joins each concept root to the next one's,
+    so a component holds another concept's root and its bookkeeping."""
+    world = Net()
+    templates = mine_concepts([_scene(rng) for _ in range(3)], 2, 5)[:3]
+    cids = [register_concept(world, t) for t in templates]
+    if linked:
+        for a, b in zip(cids, cids[1:]):
+            world.add_action(a, b)
+    for cid in cids:
+        for nid in _bfs_order(world, cid):
+            for name in sorted(world.node(nid).properties.keys() - _BOOKKEEPING):
+                if rng.random() < 0.7:
+                    world.set_property(nid, name, Value.num(rng.randrange(9)))
+    pairs = []
+    for cid in cids:
+        component = sorted(_bfs_order(world, cid))
+        kept = [n for n in component if n == cid or n in world.objects and rng.random() < 0.6]
+        kept += [a for a in component if a in world.actions
+                 and world.actions[a].target in kept and rng.random() < 0.7]
+        instance = _copy_structure(world, kept, world)[cid]
+        world.add_isa(instance, cid)
+        pairs.append((instance, cid))
+        bare = world.add_object([("colour", Value.text("blue"))])
+        world.add_isa(bare, cid)
+        pairs.append((bare, cid))
+    return world, pairs
+
+
+@pytest.mark.parametrize("linked", [False, True])
+def test_shaping_in_place_agrees_with_the_template_path(linked):
+    """Seeded worlds of mined, registered concepts: shaping from the
+    registered subnet creates the same ids, records and provenance, and
+    leaves the same next id, as shaping from a template rebuilt by
+    `concept_of` (`helpers.shape_by_template`)."""
+    rng = random.Random(4040 + linked)
+    shapes = partial = held_roots = 0
+    for i in range(40):
+        world, pairs = _concept_world(rng, linked)
+        ours, ref = copy.deepcopy(world), copy.deepcopy(world)
+        for k, (inst, cid) in enumerate(pairs):
+            held_roots += any(_BOOKKEEPING & world.node(n).properties.keys()
+                              for n in _bfs_order(world, cid) if n != cid)
+            concept = concept_of(ours, cid) if k % 3 == 0 else cid   # a template reads its id
+            created = shape(ours, inst, concept)
+            assert created == shape_by_template(ref, inst, cid), (i, k)
+            assert ours.objects == ref.objects and ours.actions == ref.actions, (i, k)
+            assert ours.next_id == ref.next_id and ours.isa_edges == ref.isa_edges
+            assert shape(ours, inst, cid) == [] == shape_by_template(ref, inst, cid)
+            shapes += bool(created)
+            partial += 0 < len(created) < len(_bfs_order(world, cid)) - 1
+        assert ours.validate_bipartite().ok
+    assert shapes > 150 and partial > (50 if linked else 10)
+    assert (held_roots > 40) if linked else held_roots == 0
+
+
+def test_a_shaping_query_builds_no_template_and_checks_no_name(monkeypatch):
+    net, peter, concept_id = peter_net()
+    far = Net()
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def stand_in(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, stand_in)
+
+    for owner, name in ((reasoning, "concept_of"), (Net, "__init__"), (Net, "add_object"),
+                        (Net, "add_action"), (core, "_check_name")):
+        counted(owner, name)
+    assert query_has(net, peter, "head") is Answer.YES_INFERRED
+    assert len(net.node_ids()) == 1 + 7 + 6   # peter, the concept, what shaping made
+    copied = _copy_structure(net, net.node_ids(), far)
+    assert len(copied) == len(far.node_ids()) == 14
+    assert calls == Counter()
