@@ -47,7 +47,7 @@ ANSWER_TEXT = {
 class Session:
     def __init__(self):
         self.verb_table = sim.verb_table_from_env()
-        self.memo = store.ValueMemo()   # what this session's loads and saves decoded, kept by `reset`
+        self.memo = store.ValueMemo()   # the nets this session let go, kept by `reset`
         self.reset()
 
     def reset(self) -> None:
@@ -257,12 +257,21 @@ def _made(session: Session, verb: str, nid: int, name: str | None) -> list[str]:
 # since the traced benchmark (`bench/tracing.py`) wraps those attributes.
 
 def _do_new(session, _verb, _args, _words, _name):
+    session.memo.keep(session.net, session.lexicon)
     session.reset()
     return ["new net"]
 
 
 def _do_load(session, verb, args, _words, _name):
-    net, lexicon = store.load(_paths(verb, args)[0], session.memo)
+    # the session lets its net go first, so that a load of the bytes it
+    # holds takes it back; a failed load gives it back as it was
+    path = _paths(verb, args)[0]
+    session.memo.keep(session.net, session.lexicon)
+    try:
+        net, lexicon = store.load(path, session.memo)
+    except BaseException:
+        session.memo.release(session.net)
+        raise
     session.reset()
     session.net = net
     session.lexicon = lexicon
@@ -270,7 +279,7 @@ def _do_load(session, verb, args, _words, _name):
 
 
 def _do_save(session, verb, args, _words, _name):
-    store.save(session.net, session.lexicon, _paths(verb, args)[0], session.memo)
+    store.save(session.net, session.lexicon, _paths(verb, args)[0])
     return [f"saved {args[0]}"]
 
 
@@ -354,8 +363,11 @@ def _do_mine(session, verb, args, _words, _name):
         raise _usage(verb)
     if options["--min-support"] < 2 or not 1 <= options["--max-nodes"] <= 8:
         raise _usage(verb, "--min-support must be at least 2, --max-nodes 1 to 8; ")
-    nets = [store.load(path, session.memo)[0] for path in paths]
-    templates = reasoning.mine_concepts(nets, options["--min-support"], options["--max-nodes"])
+    loaded = [store.load(path, session.memo) for path in paths]
+    templates = reasoning.mine_concepts([net for net, _ in loaded], options["--min-support"],
+                                        options["--max-nodes"])
+    for net, lexicon in loaded:   # mining changes no net it reads
+        session.memo.keep(net, lexicon)
     return [f"template {i}: support {t.support}, {len(t.pattern.node_ids())} nodes"
             for i, t in enumerate(templates, start=1)] or ["no templates"]
 

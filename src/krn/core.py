@@ -192,24 +192,25 @@ class PropertyRecord:
     value: Value
     provenance: Optional[Provenance]
     load_state: PropLoad = PropLoad.HYDRATED
-    # the identity of the file that gave the value or is to fill the stub,
-    # else None; a write installs a fresh record, which eviction spares
-    from_store: Optional[tuple] = field(default=None, compare=False)
+    # the mark of the file that gave the value or is to fill the stub (its
+    # identity, or a load's `store.FileMark`), else None; a write installs
+    # a fresh record, which eviction spares
+    from_store: Optional[object] = field(default=None, compare=False)
 
 
 @dataclass(slots=True)
 class ScriptRef:
     """An action's executable half: its text, a stub of a file's, or absent.
 
-    `from_store` is the identity of the file that gave the text or is to
-    fill the stub. Text drops a trailing newline, so a save round-trips it.
-    A load shares one ScriptRef among equal script bodies, so none is
-    changed in place once built.
+    `from_store` is the mark of the file that gave the text or is to fill
+    the stub, as on a PropertyRecord. Text drops a trailing newline, so a
+    save round-trips it. A load shares one ScriptRef among equal script
+    bodies, so none is changed in place once built.
     """
 
     text: Optional[str] = None
     ast: Optional["Ast"] = field(default=None, compare=False)
-    from_store: Optional[tuple] = field(default=None, compare=False)
+    from_store: Optional[object] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.text is not None:
@@ -344,11 +345,16 @@ class Net:
         # at each later one (`note`, `touch`)
         self.journal: dict[tuple[NodeId, str], Optional[PropertyRecord]] | None = None
         self._executing = False
-        # the bytes of the file the net was loaded from, and the range of
-        # offsets there of each node that `store.save` may copy; `note` and
-        # `touch` drop a node's span
+        # the bytes of the file the net was loaded from or last saved to,
+        # and the range of offsets there of each node that `store.save` may
+        # copy; `note` and `touch` drop a node's span
         self.source: bytes | None = None
         self.spans: dict[NodeId, range] = {}
+        # whether a read of `source` gives the net as it stands, but for its
+        # is-a edges and labels: set by the load or save that made `source`,
+        # dropped by `note` and `touch` (`store.ValueMemo.keep`)
+        self.clean = False
+        self.origin = None   # what the store keeps of that load or save (`store._Origin`)
 
     # -- id and tick supply ------------------------------------------------
 
@@ -365,11 +371,13 @@ class Net:
         """Report, before it happens, that property `name` of node `nid`
         gets a new record or loses `replaced` (None if it had none). The
         journal, if any, keeps the first record replaced since the last
-        snapshot, and a save encodes the node instead of copying it."""
+        snapshot, a save encodes the node instead of copying it, and the
+        net is no longer clean."""
         if self.journal is not None:
             self.journal.setdefault((nid, name), replaced)
         if self.spans:
             self.spans.pop(nid, None)
+        self.clean = False
 
     def touch(self, nid: NodeId, rec: ObjectRecord | ActionRecord | None = None,
               gone: bool = False) -> None:
@@ -377,13 +385,15 @@ class Net:
         changes: its record `rec` enters the net, or leaves it when `gone`,
         or, with no `rec`, an endpoint or its script changes. The journal,
         if any, gets one entry per property record that enters or leaves,
-        and a save encodes the node instead of copying it."""
+        a save encodes the node instead of copying it, and the net is no
+        longer clean."""
         journal = self.journal
         if journal is not None and rec is not None:
             for name, prop in rec.properties.items():
                 journal.setdefault((nid, name), prop if gone else None)
         if self.spans:
             self.spans.pop(nid, None)
+        self.clean = False
 
     # -- lookup ------------------------------------------------------------
 

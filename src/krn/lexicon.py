@@ -26,10 +26,10 @@ class Lexicon:
         # language (once its tag passed) -> text -> node ids, kept as dict
         # keys: a dict of ints, unlike a set, is never collector-tracked
         self.reverse: dict[str, dict[str, dict[NodeId, None]]] = {}
-        self._shared = False   # whether `reverse` is a label index others read too
         self.fallback_chain = list(fallback_chain)
-        # the LABEL lines of the file this lexicon was loaded from, while it
-        # holds just those labels: `store.save` copies them
+        # the LABEL lines of the file this lexicon was loaded from, or that a
+        # save wrote of it, while it holds just those labels: `store.save`
+        # copies them
         self.source: bytes | None = None
 
     @staticmethod
@@ -51,24 +51,13 @@ class Lexicon:
     @classmethod
     def of(cls, labels) -> "Lexicon":
         """A lexicon of (node, language, text) labels (`index`)."""
-        return cls.sharing(cls.index(labels))
-
-    @classmethod
-    def sharing(cls, index: tuple[dict, dict]) -> "Lexicon":
-        """A lexicon of a label index that others may read too, as each load
-        of one file's decode does: it copies the labels and reads the
-        reverse index in place until its first `set_label` copies it."""
         lexicon = cls()
-        lexicon.labels, lexicon.reverse, lexicon._shared = dict(index[0]), index[1], True
+        lexicon.labels, lexicon.reverse = cls.index(labels)
         return lexicon
 
     def set_label(self, node: NodeId, lang: str, text: str) -> None:
         if lang not in self.reverse and not valid_language_tag(lang):
             raise BadLanguageTag(f"bad language tag {lang!r}")
-        if self._shared:   # copy on write
-            self.reverse = {tag: {said: dict(ids) for said, ids in by_text.items()}
-                            for tag, by_text in self.reverse.items()}
-            self._shared = False
         texts = self.reverse.setdefault(lang, {})
         old = self.labels.get((node, lang))
         if old is not None:
@@ -79,6 +68,12 @@ class Lexicon:
         self.labels[(node, lang)] = text
         texts.setdefault(text, {})[node] = None
         self.source = None
+
+    def saved(self, source: bytes) -> None:
+        """Take `source`, LABEL lines a save wrote of every label held, in
+        order, as the lines the labels came from."""
+        self.labels = dict(sorted(self.labels.items()))
+        self.source = source
 
     def label_of(self, node: NodeId, lang: str) -> tuple[str, str]:
         """Label in the requested language, or the first fallback hit.

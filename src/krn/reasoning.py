@@ -902,7 +902,7 @@ def concept_of(net: Net, concept_id: NodeId) -> ConceptTemplate:
 # ------------------------------------------------------------- shaping
 
 def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
-                        instance: NodeId) -> dict:
+                        instance: NodeId, component: list | None = None) -> dict:
     """Largest partial match of the pattern with root pinned to instance.
 
     Backtracking over pattern actions: each step decides the first
@@ -914,9 +914,11 @@ def _max_anchored_match(pattern: Net, root: NodeId, net: Net,
     every connected partial match is reached, and the largest (the first
     found, candidates tried in id order) is returned. Nothing prunes the
     search: its cost can grow exponentially in the number of actions.
+    `component` is the root's `_bfs_order` in the pattern, if the caller
+    has walked it already.
     """
     actions = pattern.actions
-    order = [p for p in _bfs_order(pattern, root) if p in actions]
+    order = [p for p in component or _bfs_order(pattern, root) if p in actions]
 
     best: dict = {}
 
@@ -973,8 +975,9 @@ def shape(net: Net, instance: NodeId, concept) -> list:
         raise UnknownConcept(f"no concept object {cid} with an is-a edge from {instance}")
     if instance not in net.objects:
         raise UnknownNode(f"no object {instance}")
-    mapping = _max_anchored_match(net, cid, net, instance)
-    missing = [p for p in sorted(_bfs_order(net, cid)) if p not in mapping]
+    component = _bfs_order(net, cid)   # walked once, for the match and the nodes it leaves
+    mapping = _max_anchored_match(net, cid, net, instance, component)
+    missing = [p for p in sorted(component) if p not in mapping]
     _copy_structure(net, missing, net, mapping, provenance=INFERRED)
     return sorted(mapping[p] for p in missing)   # ids rise: creation order
 

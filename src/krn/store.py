@@ -36,48 +36,49 @@ passes into a decode that holds no record (`_read`), then builds the
 net from the decode (`_build`), each distinct thing once: matched PROP
 lines with equal bytes after the owner id share one PropertyRecord,
 and actions with equal script texts one ScriptRef, so neither is ever
-changed in place. A `ValueMemo` passed to `load` carries from one load
-to the next the decode of each whole file, keyed by the file's bytes:
-a load of bytes whose decode it holds reads nothing and builds the net
-in one pass, which makes the checks of a read that the decode a save
-left may fail, and its lexicon shares the decode's label index until it
-changes; a load of any other bytes reads them whole. The memo holds no
-record, so no mark outlives its load. `load` parses script texts
-only once the framing and references hold, so a fault inside a script
-never hides a later fault that `open` would report. `open`
-decodes no values and keeps no labels, though it checks every record as
-`load` does: its index is the scan's own tables of nodes, of the byte
-offsets of their records and of is-a edges, and nothing beyond them is
-held in memory until a node is stubbed in (from the index alone) and its
-properties or script are hydrated one by one. A handle reads only the
-file it indexed: once the path's device, inode, size, modification time
-or change time (its identity) differ from those at open, every lazy read
-raises FormatError, and so does a lazy read that finds any record but the
-one indexed at its offset. After `close`, every lazy read but `evict`
+changed in place. `load` parses script texts only once the framing and
+references hold, so a fault inside a script never hides a later fault
+that `open` would report. A `ValueMemo` passed to `load` holds the nets
+its owner let go while each is clean, keyed by the bytes a read of which
+gives that net (`Net.source`): a load of those bytes reads no record and
+takes the net back, reset as a cold load of them would give it; a load
+of any other bytes reads them whole. `open` decodes no values and keeps
+no labels, though it checks every record as `load` does: its index is
+the scan's own tables of nodes, of the byte offsets of their records
+and of is-a edges, and nothing beyond them is held in memory until a
+node is stubbed in (from the index alone) and its properties or script
+are hydrated one by one. A handle reads only the file it indexed: once
+the path's device, inode, size, modification time or change time (its
+identity) differ from those at open, every lazy read raises
+FormatError, and so does a lazy read that finds any record but the one
+indexed at its offset. After `close`, every lazy read but `evict`
 raises FormatError naming the path. Each value, stub and script either
-reader gives is marked with its file's identity: a handle's `evict`
-demotes, and its hydrate calls fill, only what its own file marked, and
-a `load` of the same unchanged file marks alike. A ScriptParseError from
-either reader names the action and gives the file line.
+reader gives is marked with its file: a handle's `evict` demotes, and
+its hydrate calls fill, only what its own file marked. A handle marks
+with its file's identity; a load marks all it builds with one
+`FileMark`, which equals that identity and which a save of the net
+re-points to the file it writes, so a handle on that file takes the net's
+values as its own. A ScriptParseError from either reader names the
+action and gives the file line.
 
 A save is byte-deterministic (records sorted by id, properties by name)
 and atomic: it writes a temp file beside the target, syncs it, renames
 it over the target, which keeps its mode, and syncs the directory so the
 rename outlasts a crash. It writes no label of a node the net does not
-hold. After a load it copies what has not
-changed: `load` keeps the byte span of each node block that reads
-exactly as `save` writes that node (`Net.spans`, dropped by `Net.note`
-and `Net.touch`), and the LABEL lines when they are one matched run
-that ends the file, while the lexicon holds just those labels
-(`Lexicon.source`). `save` copies those spans, adjacent ones as
-one slice, and encodes every other node and the ISA lines; a net with
-no spans takes the same loop and encodes everything, and the bytes are
-the same either way. Through a `ValueMemo` that holds the decode of
-the bytes the net was loaded from, `save` leaves the decode of the
-bytes it writes, made from that one at the cost of what it encoded
-(`_derive`). Collapse payloads are not persisted; a saved
-complex node keeps its shape but loses its stored subnet. The records
-built here are slotted dataclasses and take no ad-hoc attributes.
+hold. After a load it copies what has not changed: `load` keeps the
+byte span of each node block that reads exactly as `save` writes that
+node (`Net.spans`, dropped by `Net.note` and `Net.touch`), and the LABEL
+lines when they are one matched run that ends the file, while the
+lexicon holds just those labels (`Lexicon.source`). `save` copies those
+spans, adjacent ones as one slice, and encodes every other node and the
+ISA lines; a net with no spans takes the same loop and encodes
+everything, and the bytes are the same either way. A save of a net
+that has a source makes the bytes it wrote the source: the spans are
+those a read of them would give, and the net is clean when that read
+would give the net as it stands (`_rebase`). Collapse payloads are not
+persisted; a saved complex node keeps its shape but loses its stored
+subnet. The records built here are slotted dataclasses and take no
+ad-hoc attributes.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ import io
 import os
 import re
 import stat
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -285,11 +285,12 @@ def _prop_line(owner: NodeId, prop: PropertyRecord) -> str:
     return f"PROP {owner} {prop.name} {_value_token(value)} {prov}"
 
 
-def _replace(path: str, data: bytes) -> None:
+def _replace(path: str, data: bytes) -> tuple:
     """Write a file whole or not at all: a temp file beside it, synced and
     renamed over it, then its directory synced. An existing file keeps its
     mode; a new one gets what a plain open would give it. A symbolic link
-    stays one: the file it points to is replaced."""
+    stays one: the file it points to is replaced. Returns the identity of
+    the file written, as it stands once renamed (`_identity`)."""
     path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -305,9 +306,10 @@ def _replace(path: str, data: bytes) -> None:
             while view:
                 view = view[os.write(fd, view):]
             os.fsync(fd)
+            os.replace(tmp, path)
+            written = _identity(os.fstat(fd))   # of this file, whoever renames the path next
         finally:
             os.close(fd)
-        os.replace(tmp, path)
         fd = os.open(os.path.dirname(path), os.O_RDONLY)   # the rename lasts a crash
         try:                                                # once the directory is synced
             os.fsync(fd)
@@ -319,6 +321,7 @@ def _replace(path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
+    return written
 
 
 def _encoded(pieces: list) -> bytes:
@@ -340,7 +343,7 @@ def _encoded(pieces: list) -> bytes:
     return b"".join(done)
 
 
-def save(net: Net, lexicon: Lexicon | None, path: str, memo: ValueMemo | None = None) -> None:
+def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     """Serialize the whole net (plus labels) deterministically and atomically.
 
     A node that `load` read from a block already in the form written here,
@@ -351,41 +354,44 @@ def save(net: Net, lexicon: Lexicon | None, path: str, memo: ValueMemo | None = 
     always; either way the bytes are the same. Labels of nodes that are not
     in the net are not written. A stubbed property or script
     (UnknownProperty, UnknownScript) or text with no UTF-8 form
-    (FormatError) fails before any file is touched. Through a `memo` that
-    holds a tight decode of the bytes the net was loaded from, a save that
-    writes no label line by line leaves there the decode of the bytes it
-    wrote (`_derive`), so that a load of them reads nothing.
+    (FormatError) fails before any file is touched.
+
+    The file is always replaced, also when it holds the bytes written: the
+    equal bytes on disk may be another writer's that are not yet synced,
+    and a handle keys on the file's identity, so a save gives the path a
+    new inode and new times either way. A net that has a source (a load or
+    save made one) takes the bytes written as its source (`_rebase`).
     """
     objects, actions = net.objects, net.actions
     source, spans = net.source, net.spans
-    decode = None if memo is None or source is None else memo.decode(source)
-    # with a tight decode of `source`, what `_derive` needs: in file order,
-    # each span of `source` copied, as (start, stop), and each node block
-    # encoded, as (lines, first, stop)
-    layout = [] if decode is not None and decode[5] else None
+    order = [*sorted(objects), *sorted(actions)]
+    # with a source, what `_rebase` needs, in file order: each run of
+    # blocks copied, as (its first node's index in `order`, the index past
+    # its last, start, stop), and each block encoded, as (index, lines,
+    # first, stop); a net with spans has a source
+    layout = None if source is None else []
     pieces: list = []          # the file in order: lists of lines, copied bytes
     lines = [HEADER]           # the lines since the last copy
     add = lines.append
     start = stop = 0           # the source bytes to copy next; none while stop is 0
-    for nid in [*sorted(objects), *sorted(actions)]:
+    run = 0                    # the index of their first node
+    for at, nid in enumerate(order):
         span = spans.get(nid)
         if span is not None:
             if not stop:
                 pieces.append(lines)
                 lines = []
                 add = lines.append
-                start = span.start
+                start, run = span.start, at
             elif stop != span.start:
                 pieces.append(source[start:stop])
-                if layout is not None:
-                    layout.append((start, stop))
-                start = span.start
+                layout.append((run, at, start, stop))
+                start, run = span.start, at
             stop = span.stop
             continue
         if stop:
             pieces.append(source[start:stop])
-            if layout is not None:
-                layout.append((start, stop))
+            layout.append((run, at, start, stop))
             stop = 0
         first = len(lines)
         obj = objects.get(nid)
@@ -410,16 +416,15 @@ def save(net: Net, lexicon: Lexicon | None, path: str, memo: ValueMemo | None = 
                     add(rec.script.text)
                 add(">>>")
         if layout is not None:
-            layout.append((lines, first, len(lines)))
+            layout.append((at, lines, first, len(lines)))
     if stop:
         pieces.append(source[start:stop])
-        if layout is not None:
-            layout.append((start, stop))
+        layout.append((run, len(order), start, stop))
     isa = sorted(net.isa_edges)
     for inst, concept in isa:
         add(f"ISA {inst} {concept}")
     copied = None
-    by_line = False   # whether a LABEL line is encoded
+    labelled = []   # the LABEL lines encoded
     if lexicon is not None:
         if lexicon.source is not None and (
                 set(map(itemgetter(0), lexicon.labels)) <= objects.keys() | actions.keys()):
@@ -427,15 +432,96 @@ def save(net: Net, lexicon: Lexicon | None, path: str, memo: ValueMemo | None = 
             pieces += [lines, copied]
             lines = []
         else:
-            for node, lang, text in lexicon.items():
-                if node in objects or node in actions:
-                    add(f"LABEL {node} {lang} {encode_text(text)}")
-                    by_line = True
-    pieces.append(lines)
+            labelled = [f"LABEL {node} {lang} {encode_text(text)}"
+                        for node, lang, text in lexicon.items() if node in objects or node in actions]
+            lines += labelled
+    pieces.append(lines)   # a full save's one piece is its bytes, with no copy
     data = _encoded(pieces)
-    _replace(path, data)
-    if layout is not None and data != source and not by_line:
-        _derive(memo, source, decode, layout, data, isa, copied)
+    identity = _replace(path, data)
+    if source is not None:
+        if labelled:   # one matched run at the end, as a read takes the file's labels
+            size = len(_encoded([labelled]))
+            m = _BLOCK.match(data, len(data) - size)
+            copied = data[-size:] if m and m.lastgroup == "LABEL" and m.end() == len(data) else None
+            if copied is not None and len(labelled) == len(lexicon.labels):
+                lexicon.saved(copied)
+        elif copied is None:
+            copied = b""
+        _rebase(net, data, identity, order, layout, isa, copied)
+
+
+def _rebase(net: Net, data: bytes, identity: tuple, order: list, layout: list, isa: list,
+            labels: bytes | None) -> None:
+    """Make `data`, which `save` wrote from a net that has a source, the
+    net's source, its mark re-pointed to the file written (`identity`).
+
+    `order` lists the nodes in file order, `layout` the blocks `save`
+    copied and encoded, `isa` the is-a edges written and `labels` the
+    LABEL lines, when a read takes them as one run (b"" for none), else
+    None. A copied block keeps its span, moved to where it now lies. The
+    blocks encoded are read as a read of `data` reads them: each node
+    takes the records that read gives it, and its span if it gives one.
+    The net is clean when a read of `data` gives it as it stands, but for
+    its labels: that read succeeds, no node is collapsed, the tables are
+    in id order, and every action end and is-a end is an object.
+    """
+    objects, actions = net.objects, net.actions
+    acts = actions.values()
+    ends = set(map(attrgetter("target"), acts)).union(map(attrgetter("subject"), acts))
+    ends.discard(None)
+    clean = (not net.collapsed and [*objects, *actions] == order
+             and objects.keys().isdisjoint(actions)
+             and ends <= objects.keys() and all(i in objects and c in objects for i, c in isa))
+    origin = net.origin
+    mark = origin.mark
+    mark.identity = identity
+    spans, moved = net.spans, {}
+    blocks = []   # (id, offset in data, bytes) of each block encoded
+    pos = len(HEADER) + 1
+    for at, lines, first, stop in layout:
+        if type(lines) is int:   # a run of blocks copied: order[at:lines], source[first:stop]
+            nids = order[at:lines]
+            shift = pos - first
+            if shift:
+                moved.update({nid: range(span.start + shift, span.stop + shift)
+                              for nid, span in zip(nids, map(spans.__getitem__, nids))})
+            else:
+                moved.update(zip(nids, map(spans.__getitem__, nids)))
+            pos += stop - first
+            continue
+        blocks.append((order[at], pos, _encoded([lines[first:stop]])))
+        moved[order[at]] = None   # its place, until a read spans it
+        pos += len(blocks[-1][2])
+    # a read of the blocks encoded, after a line for each other object
+    # they name, gives what a read of `data` gives each of their nodes
+    named = {end for nid, _, _ in blocks if nid in actions
+             for end in (actions[nid].subject, actions[nid].target)} - {nid for nid, _, _ in blocks}
+    head = b"".join(b"OBJ %d\n" % nid for nid in sorted(named - {None}))
+    try:
+        entries, spanned, _, _, _ = _read(HEADER.encode() + b"\n" + head + b"".join(
+            block for _, _, block in blocks), True)[0]
+        read = {entry[0]: (entry, span) for entry, span in zip(entries, spanned)}
+        for nid, at, block in blocks:   # each node takes what that read gives it
+            (_, _, _, _, _, fields, text), span = read[nid]
+            rec = objects.get(nid) or actions[nid]
+            if text is not None:
+                rec.script = _shared_script(text, origin.scripts, mark)
+            rec.properties = _properties(nid, fields, origin.records, mark)
+            if span is not None:
+                moved[nid] = range(at, at + len(block))
+    except (FormatError, ScriptParseError):   # no read gives the net as it stands
+        clean = False
+    for nid, _, _ in blocks:
+        if moved[nid] is None:
+            del moved[nid]
+    if len(origin.records) > origin.bound:   # forget the records the net no longer holds
+        held = {id(prop) for rec in chain(objects.values(), acts) for prop in rec.properties.values()}
+        origin.records = {tail: rec for tail, rec in origin.records.items() if id(rec) in held}
+        held = {id(act.script) for act in acts}
+        origin.scripts = {text: ref for text, ref in origin.scripts.items() if id(ref) in held}
+        origin.bound = 2 * len(origin.records) + 64
+    net.source, net.spans, net.clean = data, moved, clean
+    origin.isa, origin.labels = tuple(sorted(set(isa))), labels
 
 
 # ------------------------------------------------------------------ read
@@ -522,92 +608,141 @@ def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
                             head + 1 + exc.line, exc.column, exc.expected)
 
 
-# What a value memo charges for the decode of a file it keeps: twice the
-# file's bytes, for the key and the bytes and strings decoded from it, plus
-# the objects that hold them: its tables, per node its entry and span, per
-# part (a distinct PROP field, a script text or an is-a edge) what holds it
-# and per label its place in the label index (about what CPython 3.11
-# allocates, measured with tracemalloc).
-_FILE_COST = 200
-_ENTRY_COST = 200
-_PART_COST = 160
-_LABEL_COST = 360
+class FileMark:
+    """The mark of the records one load built: one per load, shared by all
+    of them. It names the file they came from by its identity
+    (`_identity`), which a save of the net re-points to the file it wrote,
+    and equals another mark, or an identity, that names the same file."""
+
+    __slots__ = ("identity",)
+
+    def __init__(self, identity: tuple):
+        self.identity = identity
+
+    def __eq__(self, other) -> bool:
+        return self.identity == (other.identity if type(other) is FileMark else other)
+
+    def __hash__(self) -> int:
+        return hash(self.identity)
+
+
+@dataclass(slots=True, eq=False)
+class _Origin:
+    """What the store keeps of the load or save that gave a net its source:
+    the mark the load gave its records; the records and scripts a read of
+    the source shares, by PROP tail and by script text (some the net may
+    no longer hold, until their count passes `bound`); the is-a edges a
+    read of it gives; and its LABEL lines when a read takes them as one run
+    (b"" for none), else None."""
+
+    mark: FileMark
+    records: dict
+    scripts: dict
+    isa: tuple
+    labels: bytes | None
+    bound: int
+
+
+def _holds_nan(records: dict) -> bool:
+    """Whether a record of `records` holds a NaN, which equals no value."""
+    return any(rec.value.data != rec.value.data for rec in records.values())
+
+
+# What a value memo charges for a net it keeps: the net's source once (it
+# is the key too), plus the objects that hold it: the net and its tables,
+# per node its record, property dict, action lists and span, per distinct
+# record and script what holds it, and per label its place in the lexicon
+# (about what CPython 3.11 allocates, measured with tracemalloc).
+_NET_COST = 2000
+_NODE_COST = 420
+_RECORD_COST = 360
+_SCRIPT_COST = 650
+_LABEL_COST = 470
 MAX_MEMO_BYTES = 2 * 1024 * 1024
 
 
-def _charge(data: bytes, nodes: int, parts: int, labels: int) -> int:
-    """What a `ValueMemo` charges for a decode of `data` with so many entries, parts and labels."""
-    return 2 * len(data) + _FILE_COST + _ENTRY_COST * nodes + _PART_COST * parts + _LABEL_COST * labels
-
-
-def _decode_cost(data: bytes, decode: tuple) -> int:
-    """`_charge` of `decode`, of the bytes `data`: one part per distinct PROP field."""
-    entries, _, isa, index, _, _ = decode
-    fields = {field[0] for entry in entries for field in entry[5]}
-    scripts = sum(entry[6] is not None for entry in entries)
-    return _charge(data, len(entries), len(fields) + scripts + len(isa), len(index[0]))
-
-
-def _holds_nan(fields) -> bool:
-    """Whether a PROP field's value is a NaN, which no value of another load
-    may equal: no `ValueMemo` keeps a decode that holds one."""
-    return any(field[2].data != field[2].data for field in fields)
+def _charge(net: Net, lexicon: Lexicon) -> int:
+    """What a `ValueMemo` charges for keeping `net` and `lexicon`."""
+    origin = net.origin
+    return (len(net.source) + _NET_COST + _NODE_COST * (len(net.objects) + len(net.actions))
+            + _RECORD_COST * len(origin.records) + _SCRIPT_COST * len(origin.scripts)
+            + _LABEL_COST * len(lexicon.labels))
 
 
 class ValueMemo:
-    """The decode (`_read`) of each file a load read or a save wrote, keyed
-    by the file's bytes and kept by one owner (a CLI session) across its
-    loads and saves.
+    """The nets, with their lexicons, that one owner (a CLI session) let
+    go, each kept while clean (`Net.clean`), keyed by its source.
 
-    A load of a file whose bytes it knows builds the net from the decode
-    and reads no line; a load of any other file reads it whole and leaves
-    its decode here. A `save` through it leaves the decode of the bytes it
-    wrote in place of the one the net was loaded from (`_derive`), which a
-    load drops and reads the file if it fails a check of a read's (`_build`).
-
-    It holds only bytes, ranges, frozen values, strings, ints, flags and
-    label indexes, never a PropertyRecord or ScriptRef, which carry a
-    file's mark: each load builds its own records, and its lexicon shares
-    the label index only until it changes. Nothing whose decode raises is
-    ever kept, nor anything that holds a NaN, which no value of another
-    load may equal: a read's decode is kept once a net was built from it,
-    and a save's only when every script it encoded parses, so a kept
-    decode builds with no line number to place a fault. Each decode is
-    charged for what it holds, as each build from it counts (`_charge`); the
-    memo holds at most MAX_MEMO_BYTES so charged, is emptied whole when one
-    more decode would pass that, and keeps no decode charged more. Only its
-    own methods touch its table.
+    The owner hands over a net it lets go (`keep`), and a `load` of bytes
+    whose net is kept takes that net back out (`take`), reset as a cold
+    load of them gives it: clock 0, no timeline, journal or sense log, not
+    executing, `next_id` past its largest id. So each net has one owner,
+    and the memo never holds a net a caller still holds. It keeps no net
+    changed since its load or save (`Net.note`, `Net.touch`), holding a
+    collapsed subnet, with is-a edges or labels other than its source's,
+    or holding a NaN, which equals no value, not even a cold load's.
+    Each net is charged for what it holds (`_charge`); the memo holds at
+    most MAX_MEMO_BYTES so charged, is emptied whole when one more net
+    would pass that, and keeps no net charged more. Only its own methods
+    touch its table.
     """
 
-    __slots__ = ("files", "size")
+    __slots__ = ("nets", "size")
 
     def __init__(self):
-        self.files: dict[bytes, tuple] = {}   # file bytes -> (decode, its charge)
-        self.size = 0   # what the decodes held are charged
+        self.nets: dict[bytes, tuple] = {}   # source bytes -> (net, lexicon, its charge)
+        self.size = 0   # what the nets held are charged
+
+    def keep(self, net: Net, lexicon: Lexicon) -> bool:
+        """Take `net` and `lexicon`, which their owner lets go, if the net
+        is clean, in place of any net kept for the same bytes; whether kept."""
+        origin = net.origin
+        labels = None if origin is None else origin.labels
+        if not (net.clean and labels is not None and tuple(sorted(set(net.isa_edges))) == origin.isa
+                and (lexicon.source is labels if labels else not lexicon.labels)
+                and not _holds_nan(origin.records)):
+            return False
+        cost = _charge(net, lexicon)
+        if cost > MAX_MEMO_BYTES:
+            return False
+        self._drop(net.source)
+        if self.size + cost > MAX_MEMO_BYTES:
+            self.nets.clear()
+            self.size = 0
+        self.nets[net.source] = (net, lexicon, cost)
+        self.size += cost
+        return True
+
+    def release(self, net: Net) -> None:
+        """Give `net` back unreset, if kept: a load that fails leaves its
+        owner the net it let go."""
+        kept = self.nets.get(net.source)
+        if kept is not None and kept[0] is net:
+            self._drop(net.source)
+
+    def take(self, data: bytes, identity: tuple) -> tuple[Net, Lexicon] | None:
+        """The net and lexicon kept for the bytes `data`, of the file whose
+        identity is `identity`, handed over as a cold load of them gives
+        them; None if none is kept."""
+        kept = self.nets.get(data)
+        if kept is None:
+            return None
+        self._drop(data)
+        net, lexicon, _ = kept
+        net.origin.mark.identity = identity
+        net.clock, net.timeline, net.journal, net.sense_log, net._executing = 0, None, None, None, False
+        net.next_id = max(next(reversed(net.objects), 0), next(reversed(net.actions), 0)) + 1
+        net.isa_edges = list(net.origin.isa)
+        return net, lexicon
 
     def decode(self, data: bytes) -> tuple | None:
-        """The decode of the file whose bytes are `data`, if kept."""
-        return self.files.get(data, (None,))[0]
+        """What a read of the bytes `data` decodes (`_read`) when a net of
+        them is kept, else None: a check of what a load would take back."""
+        return _read(data, True)[0] if data in self.nets else None
 
-    def hold(self, data: bytes, decode: tuple, cost: int) -> None:
-        """Keep the decode of the file whose bytes are `data`, charged
-        `cost`, in place of any held for them, unless it is charged more
-        than the bound."""
-        self.drop(data)
-        if cost > MAX_MEMO_BYTES:
-            return
-        if self.size + cost > MAX_MEMO_BYTES:
-            self.files.clear()
-            self.size = 0
-        self.files[data] = (decode, cost)
-        self.size += cost
-
-    def drop(self, data: bytes) -> int:
-        """Forget the decode of the file whose bytes are `data`, if held;
-        what it was charged, or 0."""
-        _, cost = self.files.pop(data, (None, 0))
+    def _drop(self, data: bytes) -> None:
+        _, _, cost = self.nets.pop(data, (None, None, 0))
         self.size -= cost
-        return cost
 
 
 def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails: dict) -> tuple:
@@ -703,25 +838,21 @@ def _read(buf: bytes, decode: bool):
     id to {name: offset}; scripts maps id to offset; isa lists the is-a
     edges.
 
-    With `decode`, returns (decode, scripts, nan). The decode holds no record
-    and no mark: (entries, spans, isa, labels, label_start, tight). Its
-    entries are (id, tag, provenance, subject, target, fields, script),
-    objects in id order, then actions. The fields are a node's PROP fields
-    in name order (`_node_run`; the tail is a line number for a line read
-    token by token) and the script its text (bytes if not UTF-8) or None.
-    spans lists, entry by entry, the range of byte offsets of the node's
-    block (a net keeps one per node, and unlike a tuple a range is not
-    tracked by the collector) when it reads byte for byte as `save` writes
-    that node and the node has no record outside it, else None; kept apart
-    from the entries, which hold nothing of where a block lies, so that a
-    decode `_derive` makes shares them. labels is the label index of the
-    LABEL lines (`Lexicon.index`), and label_start the offset of those
-    lines when they are one matched run that ends the file and reads as
-    `save` writes those labels, else None. tight says that every node has a
-    span and the blocks follow the header back to back in entry order, as
-    `save` writes them. scripts maps each action with a script to (its
-    text, its SCRIPT record's line), and nan says whether a value the
-    decode holds is a NaN.
+    With `decode`, returns (decode, scripts). The decode holds no record
+    and no mark: (entries, spans, isa, labels, label_start). Its entries
+    are (id, tag, provenance, subject, target, fields, script), objects in
+    id order, then actions. The fields are a node's PROP fields in name
+    order (`_node_run`; the tail is a line number for a line read token by
+    token) and the script its text (bytes if not UTF-8) or None. spans
+    lists, entry by entry, the range of byte offsets of the node's block
+    (a net keeps one per node, and unlike a tuple a range is not tracked by
+    the collector) when it reads byte for byte as `save` writes that node
+    and the node has no record outside it, else None. labels lists the
+    (node, language, text) of the LABEL lines in file order, and
+    label_start is the offset of those lines when they are one matched run
+    that ends the file and reads as `save` writes those labels, else None.
+    scripts maps each action with a script to (its text, its SCRIPT
+    record's line).
     """
     header = HEADER.encode()
     if not (buf.startswith(header + b"\n") or buf == header):
@@ -895,9 +1026,6 @@ def _read(buf: bytes, decode: bool):
     order = sorted(objects)
     order += sorted(nodes.keys() - objects)
     entries, spanned = [], [spans.get(nid) for nid in order]
-    # every block spanned, in order and back to back from the header, as save writes them
-    tight = [*spans] == order and (not order or spanned[0].start == len(header) + 1
-                                   and spanned[-1].stop - spanned[0].start == sum(map(len, spanned)))
     for nid in order:
         entry = blocks.get(nid)
         if nid not in spans:   # its fields from inside and outside its block, in name order
@@ -906,167 +1034,90 @@ def _read(buf: bytes, decode: bool):
             script = scripts.get(nid)
             entry = (nid, *nodes[nid][:4], fields, script and script[0])
         entries.append(entry)
-    nan = _holds_nan(chain(tails.values(), *map(dict.values, props.values())))
-    return (entries, spanned, isa, Lexicon.index(labels), label_start, tight), scripts, nan
+    return (entries, spanned, isa, labels, label_start), scripts
 
 
-def _build(decode: tuple, data: bytes, mark: tuple, scripts: dict | None = None) -> tuple | None:
-    """A fresh net plus its labels from a decode of the bytes `data`
-    (`_read`), its records marked `mark`, and the decode's charge
-    (`_charge`), in one pass; None when the bytes would fail a check of
-    `_read`'s, as a decode `_derive` left may: an id held twice, an
-    action's end or an is-a end that is not an object (objects come first,
-    so an action is listed by its ends as it is built). Equal field tails
-    share one PropertyRecord and equal script texts one ScriptRef, so
-    neither is changed in place. Scripts are parsed in action id order; a
-    fault is placed at its SCRIPT line from `scripts` (`_read`'s), which a
-    decode that has built once may go without. The net keeps the file and
-    its blocks' spans, which `save` can copy, and the lexicon the LABEL
-    lines and, until it changes, the decode's label index."""
-    entries, spanned, isa, index, label_start, _ = decode
+def _build(decode: tuple, data: bytes, mark: FileMark, scripts: dict) -> tuple[Net, Lexicon]:
+    """A fresh net plus its labels from the decode (`_read`) of the bytes
+    `data`, its records marked `mark`, in one pass. Equal field tails share
+    one PropertyRecord and equal script texts one ScriptRef, so neither is
+    changed in place. Scripts are parsed in action id order; a fault is
+    placed at its SCRIPT line from `scripts` (`_read`'s). The net keeps the
+    file and its blocks' spans, which `save` can copy, and is clean; the
+    lexicon keeps the LABEL lines."""
+    entries, spanned, isa, labels, label_start = decode
     net = Net()
     objects, actions, spans = net.objects, net.actions, net.spans
     records: dict = {}
     shared: dict[str, ScriptRef] = {}
-    scripted = 0
     for (nid, kind, prov, subject, target, fields, text), span in zip(entries, spanned):
-        if nid in objects or nid in actions:
-            return None
-        properties = {}
-        for field in fields:
-            rec = records.get(field[0])
-            if rec is None:
-                rec = records[field[0]] = PropertyRecord(field[1], field[2], field[3], PROP_HYDRATED,
-                                                         mark)
-            properties[field[1]] = rec
+        properties = _properties(nid, fields, records, mark)
         if span is not None:
             spans[nid] = span
         if kind == "OBJ":
             objects[nid] = ObjectRecord(nid, properties, [], [], prov)
             continue
-        head, tail = objects.get(subject), objects.get(target)
-        if tail is None or head is None and subject is not None:
-            return None
         if text is None:
             script = ScriptRef()
         else:
-            scripted += 1
             if type(text) is bytes:   # a body that is not UTF-8
                 text = _script_text(text, scripts[nid][1])
-            script = shared.get(text)
-            if script is None:
-                try:
-                    script = shared[text] = ScriptRef(text, parse_script(text), mark)
-                except ScriptParseError as exc:
-                    raise _in_file(exc, nid, scripts[nid][1]) from None
+            try:
+                script = _shared_script(text, shared, mark)
+            except ScriptParseError as exc:
+                raise _in_file(exc, nid, scripts[nid][1]) from None
         actions[nid] = ActionRecord(nid, subject, target, script, properties, prov)
-        if head is not None:
-            head.outgoing.append(nid)
-        tail.incoming.append(nid)
-    if not all(inst in objects and concept in objects for inst, concept in isa):
-        return None
+        if subject is not None:   # objects come first: both ends are built
+            objects[subject].outgoing.append(nid)
+        objects[target].incoming.append(nid)
     net.bump_id(max(next(reversed(objects), 0), next(reversed(actions), 0)))
     net.isa_edges = sorted(set(isa))
     net.source = data
-    lexicon = Lexicon.sharing(index)
+    net.clean = True
+    lexicon = Lexicon.of(labels)
     if label_start is not None:
         lexicon.source = data[label_start:]
-    parts = len(records) + scripted + len(isa)
-    return net, lexicon, _charge(data, len(entries), parts, len(lexicon.labels))
+    net.origin = _Origin(mark, records, shared, tuple(net.isa_edges), lexicon.source if labels else b"",
+                         2 * len(records) + 64)
+    return net, lexicon
 
 
-def _derive(memo: ValueMemo, source: bytes, decode: tuple, layout: list, data: bytes,
-            isa: list, labels: bytes | None) -> None:
-    """Leave in `memo` the decode of `data`, which `save` wrote from a net
-    loaded from `source`, whose tight decode `decode` the memo holds:
-    `layout` lists in file order the (start, stop) of each span of `source`
-    copied and the (lines, first, stop) of each node block encoded, `isa`
-    the is-a edges written and `labels` the LABEL lines copied, if any. A
-    copied span shares the entries of its blocks in `decode`, and their
-    spans unless it moved, and copied labels the label index; an encoded
-    block is read by `_BLOCK` and `_node_run`, but for the lines its old
-    entry holds. The decode left replaces the decode of `source`, charged
-    what that one was plus a decode of the blocks encoded and the is-a
-    edges (`_decode_cost`) until the first build from it (`_build`)
-    charges it and makes the checks of a read that it may fail. Nothing is
-    left, and the decode of `source` stays, when the labels copied are not
-    those of `source`, when an encoded block is not one matched run read as
-    `save` writes it, when its script does not parse, or when it holds a
-    NaN: then a load reads the bytes."""
-    entries, spans, _, index, label_start, _ = decode
-    if labels is not None and (label_start is None or source[label_start:] != labels):
-        return
-    laid, spanned, encoded = [], [], []   # the decode left's entries and spans; the entries encoded
-    pos = len(HEADER) + 1
-    names, tails = {}, {}
-    at = 0   # the entry after the last span copied: most likely the next encoded block's old one
-    for item in layout:
-        if len(item) == 2:
-            start, stop = item
-            first = bisect_left(spans, start, key=attrgetter("start"))
-            last = bisect_left(spans, stop, first, key=attrgetter("start"))
-            if first == last or spans[first].start != start or spans[last - 1].stop != stop:
-                return
-            laid += entries[first:last]
-            at = last
-            shift = pos - start
-            spanned += ([range(span.start + shift, span.stop + shift) for span in spans[first:last]]
-                        if shift else spans[first:last])
-            pos += stop - start
-            continue
-        lines, first, stop = item
-        block = _encoded([lines[first:stop]])
-        m = _BLOCK.match(block)
-        if m is None or m.end() < len(block):
-            return
-        if at < len(entries):   # its lines that the old one holds are not decoded again
-            tails.update((field[0], field) for field in entries[at][5])
-            at += 1
-        try:   # the line only places a fault, and a fault leaves nothing
-            *node, saved, text, _ = _node_run(m, 2, (), False, names, tails)
-        except FormatError:
-            return
-        if not saved:
-            return
-        if text is not None:
-            try:
-                parse_script(text)
-            except ScriptParseError:
-                return
-        laid.append((*node, text))
-        encoded.append(laid[-1])
-        spanned.append(range(pos, pos + len(block)))
-        pos += len(block)
-    if not _holds_nan(tails.values()):
-        left = (laid, spanned, isa, index if labels else Lexicon.index(()),
-                labels and len(data) - len(labels), True)
-        added = _decode_cost(data, (encoded, (), isa, ({}, {}), None, True))
-        memo.hold(data, left, memo.drop(source) + added)
+def _properties(nid: NodeId, fields: tuple, records: dict, mark: FileMark) -> dict:
+    """The properties of node `nid` from its PROP fields (`_read`): one
+    record per distinct tail in `records`, carrying `mark`, and one of its
+    own for a line read token by token, whose tail is a line number."""
+    properties = {}
+    for tail, name, value, prov, _ in fields:
+        rec = records.get(tail) if type(tail) is bytes else None
+        if rec is None:
+            rec = records[tail if type(tail) is bytes else (nid, name)] = PropertyRecord(
+                name, value, prov, PROP_HYDRATED, mark)
+        properties[name] = rec
+    return properties
+
+
+def _shared_script(text: str, shared: dict, mark: FileMark) -> ScriptRef:
+    """The ScriptRef of `text` in `shared`, parsed and marked `mark` once."""
+    script = shared.get(text)
+    if script is None:
+        script = shared[text] = ScriptRef(text, parse_script(text), mark)
+    return script
 
 
 def load(path: str, memo: ValueMemo | None = None) -> tuple[Net, Lexicon]:
     """Read a whole `.krn` file into a fresh net plus its labels, in one pass.
 
-    With a `memo`, a file whose bytes it holds the decode of is built from
-    that decode and not read, and charged there for it; a decode that fails
-    a check as it builds (`_build`) is dropped and the file read. The
-    decode of any other file is kept there once a net is built from it
-    (`ValueMemo`). The net, its labels and every error are the same either
-    way."""
+    With a `memo` that keeps a net of the file's bytes, that net and its
+    lexicon are taken out of it and read nothing (`ValueMemo.take`). The
+    net, its labels, its marks and every error are the same either way."""
     with io.open(path, "rb") as fh:   # the mark is taken once the bytes are read
         data = fh.read()
-        mark = _identity(os.fstat(fh.fileno()))
-    decode = None if memo is None else memo.decode(data)
-    built = None if decode is None else _build(decode, data, mark)
-    if built is None:
-        if decode is not None:
-            memo.drop(data)   # it fails a check of a read's, so the read raises
-        decode, scripts, nan = _read(data, True)
-        built = _build(decode, data, mark, scripts)
-        memo = None if nan else memo
-    if memo is not None:
-        memo.hold(data, decode, built[2])
-    return built[:2]
+        identity = _identity(os.fstat(fh.fileno()))
+    kept = None if memo is None else memo.take(data, identity)
+    if kept is not None:
+        return kept
+    decode, scripts = _read(data, True)
+    return _build(decode, data, FileMark(identity), scripts)
 
 
 # ------------------------------------------------------------------ open
@@ -1296,8 +1347,8 @@ class StoreHandle:
         self._fh.seek(0)
         data = self._fh.read()
         self.stats.bytes_read += len(data)
-        decode, scripts, _ = _read(data, True)
-        return _build(decode, data, self._identity, scripts)[:2]
+        decode, scripts = _read(data, True)
+        return _build(decode, data, FileMark(self._identity), scripts)
 
 
 def _identity(st: os.stat_result) -> tuple[tuple[int, int], tuple[int, int, int]]:

@@ -9,7 +9,7 @@ import pytest
 
 from krn import SensorAddress, SensorSignal, Value
 from krn.cli import COMMANDS, Session, main, run_command, run_lines, split_commands, split_words
-from krn.errors import CommandError, KrnError, UnknownNode
+from krn.errors import CommandError, FormatError, KrnError, UnknownNode
 
 
 def run_script(text: str) -> tuple[str, int]:
@@ -124,7 +124,10 @@ save {q}
     assert mine_out.splitlines() == ["template 1: support 2, 3 nodes"]
 
 
-def test_a_session_keeps_its_value_memo_across_new_load_and_mine(tmp_path):
+def test_a_session_keeps_its_memo_across_new_load_and_mine(tmp_path):
+    """One memo for the session's life: `new` and `load` let the session's
+    net go into it, a load of its bytes takes it back, and `mine` loads
+    through it and lets each net it read go back."""
     p, q = tmp_path / "mike.krn", tmp_path / "jack.krn"
     session = Session()
     memo = session.memo
@@ -132,16 +135,37 @@ def test_a_session_keeps_its_value_memo_across_new_load_and_mine(tmp_path):
         for command in ("new", f"obj person-{who} height={height}", f"obj head-{who} head=true",
                         f"act person-{who} head-{who}", f"save {path}"):
             run_command(session, command)
-    assert not memo.files   # a save of a net no file gave leaves no decode
+    assert not memo.nets   # a net no file gave has no source, so none is kept
     run_command(session, f"load {p}")
-    held = dict(memo.files)
-    assert list(held) == [p.read_bytes()] and session.memo is memo
+    net = session.net
     run_command(session, "new")
-    assert session.memo is memo and memo.files == held
+    assert session.memo is memo and list(memo.nets) == [p.read_bytes()]
     mine = f"mine --min-support 2 --max-nodes 3 {p} {q}"
     assert run_command(session, mine) == run_command(Session(), mine) == [
         "template 1: support 2, 3 nodes"]
-    assert session.memo is memo and list(memo.files) == [p.read_bytes(), q.read_bytes()]
+    assert session.memo is memo and list(memo.nets) == [p.read_bytes(), q.read_bytes()]
+    run_command(session, f"load {p}")
+    assert session.net is net and list(memo.nets) == [q.read_bytes()]
+
+
+def test_a_failed_load_leaves_the_session_its_net(tmp_path):
+    """A load that fails keeps nothing of the session's: its net, run state
+    and all, stays its own and out of the memo, and a load of the bytes it
+    holds takes it back."""
+    p, bad = tmp_path / "p.krn", tmp_path / "bad.krn"
+    bad.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num ten\n")
+    session = Session()
+    for command in ("obj a x=1", "act - a script='set object.x = 2;' as bump", f"save {p}",
+                    f"load {p}", "run #2", f"save {p}"):
+        run_command(session, command)
+    net, timeline = session.net, session.net.timeline
+    for path in (bad, tmp_path / "absent.krn"):
+        with pytest.raises((FormatError, OSError)):
+            run_command(session, f"load {path}")
+        assert session.net is net and net.timeline is timeline and net.clock == 2
+        assert not session.memo.nets
+    assert run_command(session, f"load {p}") == ["loaded 1 objects, 1 actions"]
+    assert session.net is net and net.timeline is None and net.clock == 0
 
 
 def test_mine_flag_without_an_integer_value_is_a_usage_error(tmp_path):

@@ -6,7 +6,7 @@ table or reads an enum member off its class in a function body, no
 module but `lexicon.py` reads a lexicon's reverse index, no record a
 load may share is changed in place, inside `store.StoreHandle` only
 `_held` looks a node up in a net, only `store.ValueMemo`'s own methods
-touch its tables, and every CLI load and save passes the session's memo.
+touch its table, and every CLI load passes the session's memo.
 No pattern needs a newer Python than the package allows. The README's
 command summary names exactly the verbs the CLI dispatches on."""
 
@@ -161,12 +161,11 @@ def test_only_the_lexicon_reads_its_reverse_index():
 
 
 def test_only_the_value_memo_touches_its_table():
-    """`store.ValueMemo` keeps its file decodes and what they are charged
-    in its slots, so no code in the package but the class's own methods
-    reads or writes an attribute of a slot's name (`<expr>.files`,
-    `<expr>.size`): `load` and `save` ask `decode` for a file's decode and
-    hand `hold` one they made, and `save` learns what the decode it
-    supersedes was charged from `drop`."""
+    """`store.ValueMemo` keeps the nets let go into it and what they are
+    charged in its slots, so no code in the package but the class's own
+    methods reads or writes an attribute of a slot's name (`<expr>.nets`,
+    `<expr>.size`): an owner hands it a net through `keep` or `release`,
+    and `load` takes one back through `take`."""
     trees = _trees()
     memo = next(node for node in trees["store.py"][1].body
                 if isinstance(node, ast.ClassDef) and node.name == "ValueMemo")
@@ -179,19 +178,24 @@ def test_only_the_value_memo_touches_its_table():
     assert slots and not pokes, pokes
 
 
-def test_every_cli_load_and_save_goes_through_the_session_memo():
-    """Each `store.load` and `store.save` call in `cli.py` passes the
-    session's memo (`session.memo`), so that no verb reads a file past what
-    the session decoded, or writes one and leaves its decode behind."""
+def test_every_cli_load_goes_through_the_session_memo():
+    """Each `store.load` call in `cli.py` passes the session's memo
+    (`session.memo`), so that no verb reads a file whose net the session
+    let go, and each verb that drops the session's net or nets it loaded
+    (`new`, `load`, `mine`) lets them go into it (`session.memo.keep`)."""
     tree = _trees()["cli.py"][1]
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute) and node.func.attr in ("load", "save")
-             and isinstance(node.func.value, ast.Name) and node.func.value.id == "store"]
-    bypass = [f"cli.py:{call.lineno} store.{call.func.attr}" for call in calls
-              if not any(isinstance(arg, ast.Attribute) and arg.attr == "memo"
-                         and isinstance(arg.value, ast.Name) and arg.value.id == "session"
-                         for arg in [*call.args, *(kw.value for kw in call.keywords)])]
-    assert {call.func.attr for call in calls} == {"load", "save"} and not bypass, bypass
+
+    def calls(root, attr, owner):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute) and node.func.attr == attr
+                and ast.unparse(node.func.value) == owner]
+
+    loads = calls(tree, "load", "store")
+    bypass = [f"cli.py:{call.lineno} store.load" for call in loads
+              if "session.memo" not in map(ast.unparse, [*call.args, *(kw.value for kw in call.keywords)])]
+    assert loads and not bypass, bypass
+    handlers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert all(calls(handlers[name], "keep", "session.memo") for name in ("_do_new", "_do_load", "_do_mine"))
 
 
 # the fields of PropertyRecord and ScriptRef; a load shares one record

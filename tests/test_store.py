@@ -1191,9 +1191,10 @@ def _prop_tails(path) -> list[bytes]:
             if line.startswith(b"PROP ")]
 
 
-def test_a_reload_through_one_memo_decodes_no_value(tmp_path, monkeypatch):
+def test_a_reload_of_a_kept_net_decodes_no_value(tmp_path, monkeypatch):
     """A count, not a timing: a first load decodes each distinct PROP field
-    once, and a reload of the unchanged file through the same memo none."""
+    once, and a reload of the unchanged file through a memo that keeps the
+    first load's net decodes none: it takes that net back."""
     rng = random.Random(44)
     pool = [Value.num(1), Value.num(2.5), Value.text("red"), Value.truth(False),
             Value.ref(1), Value.unset()]
@@ -1207,35 +1208,35 @@ def test_a_reload_through_one_memo_decodes_no_value(tmp_path, monkeypatch):
     real_decode = store._decode_value
     monkeypatch.setattr(store, "_decode_value", lambda *args: decoded.append(args) or real_decode(*args))
     memo = store.ValueMemo()
-    first = store.load(path, memo)[0]
+    first, lexicon = store.load(path, memo)
     assert len(decoded) == len(set(tails)) < len(tails)
     decoded.clear()
+    assert memo.keep(first, lexicon)
     again = store.load(path, memo)[0]
-    assert decoded == [] and nets_equal(again, first) and nets_equal(again, net)
-    store.load(path)   # without a memo, each load decodes afresh
+    assert decoded == [] and again is first and nets_equal(again, net)
+    assert not memo.nets and memo.size == 0
+    store.load(path, memo)   # the net was taken back: this load decodes afresh
     assert len(decoded) == len(set(tails))
 
 
-def test_a_nan_value_is_never_shared_between_loads(tmp_path):
+def test_a_net_holding_a_nan_is_never_kept(tmp_path):
+    """A NaN equals no value, so no check could tell a net handed back from
+    a cold load's: a net that holds one, loaded or saved, is not kept, and
+    each load of its bytes reads them."""
     path = tmp_path / "nan.krn"
     path.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num nan\n")
     memo = store.ValueMemo()
+    net, lexicon = store.load(str(path), memo)
+    assert not memo.keep(net, lexicon) and not memo.nets and memo.size == 0
     one, two = (store.load(str(path), memo)[0] for _ in range(2))
-    # NaN equals nothing, so two loads of it differ, through a memo or not
-    assert not nets_equal(one, two)
-    assert not nets_equal(store.load(str(path))[0], store.load(str(path))[0])
-    assert not memo.files and memo.size == 0
-    # a save through the memo that writes a NaN leaves no decode of what it
-    # wrote, and the decode of the bytes the net was loaded from stays
+    assert one is not two and not nets_equal(one, two)
     clean = tmp_path / "clean.krn"
-    before = b"KRN 1\nOBJ 1\nPROP 1 x num 1.0 asserted\nOBJ 2\n"
-    clean.write_bytes(before)
+    clean.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num 1.0 asserted\nOBJ 2\n")
     net, lexicon = store.load(str(clean), memo)
     net.set_property(1, "x", Value.num(math.nan))
-    store.save(net, lexicon, str(clean), memo)
-    assert list(memo.files) == [before] and memo.size == memo.files[before][1]
-    one, two = (store.load(str(clean), memo)[0] for _ in range(2))
-    assert not nets_equal(one, two) and clean.read_bytes() not in memo.files
+    store.save(net, lexicon, str(clean))
+    assert net.clean and not memo.keep(net, lexicon) and not memo.nets
+    assert _full_view(*store.load(str(clean), memo)) == _full_view(*store.load(str(clean)))
 
 
 def _props(net):
@@ -1249,59 +1250,65 @@ def _equal_props_file(tmp_path, name, script):
     return _saved(tmp_path, net, name=name)
 
 
-def test_loads_through_one_memo_share_values_but_no_record_or_mark(tmp_path):
-    """Two files with equal bytes, loaded through one memo: the second
-    load builds from the decode the first left, so the nets share values
-    but no record, and each record carries its own file's mark."""
+def test_a_kept_net_is_taken_back_by_a_load_of_equal_bytes_with_its_marks(tmp_path):
+    """Two files with equal bytes: a net loaded from one and let go is
+    taken back by a load of the other, marked as that file's, so a handle
+    on the first demotes none of its values and a handle on the second
+    demotes them as it does a cold load's."""
     paths = [_equal_props_file(tmp_path, "a.krn", "set object.y = 1;"),
              _equal_props_file(tmp_path, "b.krn", "set object.y = 1;")]
     memo = store.ValueMemo()
-    nets = [store.load(path, memo)[0] for path in paths]
-    assert list(memo.files) == [Path(paths[1]).read_bytes()]
-    props = [_props(net) for net in nets]
-    assert {id(prop.value) for prop in props[0]} == {id(prop.value) for prop in props[1]}
-    assert not {id(prop) for prop in props[0]} & {id(prop) for prop in props[1]}
-    for path, own in zip(paths, props):
-        assert {prop.from_store for prop in own} == {store._identity(os.stat(path))}
-    # b's handle demotes what b's load gave and nothing of a's, as after
-    # loads without a memo
-    cold = [store.load(path)[0] for path in paths]
+    net, lexicon = store.load(paths[0], memo)
+    assert memo.keep(net, lexicon)
+    warm = store.load(paths[1], memo)[0]
+    assert warm is net and not memo.nets
+    assert {kept.from_store for _, kept in _marked(warm)} == {store._identity(os.stat(paths[1]))}
+    cold = store.load(paths[1])[0]
+    with store.open(paths[0]) as handle:
+        for nid in [*warm.objects, *warm.actions]:
+            handle.evict(nid, warm)
+    assert {prop.load_state for prop in _props(warm)} == {PropLoad.HYDRATED}
     with store.open(paths[1]) as handle:
-        for net in [*nets, *cold]:
-            for nid in [*net.objects, *net.actions]:
-                handle.evict(nid, net)
-    for warm, plain in zip(nets, cold):
-        assert nets_equal(warm, plain)
-        assert [(key, kept.from_store) for key, kept in _marked(warm)] == [
-            (key, kept.from_store) for key, kept in _marked(plain)]
-    assert {prop.load_state for prop in _props(nets[0])} == {PropLoad.HYDRATED}
-    assert {prop.load_state for prop in _props(nets[1])} == {PropLoad.STUB}
-    assert nets[0].actions[2].script.state == "hydrated" and nets[1].actions[2].script.state == "stub"
+        for held in (warm, cold):
+            for nid in [*held.objects, *held.actions]:
+                handle.evict(nid, held)
+    assert nets_equal(warm, cold)
+    assert [(key, kept.from_store) for key, kept in _marked(warm)] == [
+        (key, kept.from_store) for key, kept in _marked(cold)]
+    assert {prop.load_state for prop in _props(warm)} == {PropLoad.STUB}
+    assert warm.actions[2].script.state == "stub"
 
 
 def _loaded(path, memo, copy_to):
-    """What a load gives, saved again to `copy_to`, or the error it raises."""
+    """What a load through `memo` gives: the net, its labels, spans,
+    next_id, the records with the file each names, and the bytes a save of
+    a copy of them writes to `copy_to`; or the error it raises. The memo
+    then keeps the net, if it is clean."""
     try:
         net, lexicon = store.load(path, memo)
     except (FormatError, ScriptParseError) as exc:
         return type(exc), str(exc), exc.line
-    store.save(net, lexicon, copy_to)
-    return (net, lexicon.items(), dict(net.spans), net.next_id,
-            [(key, kept, kept.from_store) for key, kept in _marked(net)],
-            Path(copy_to).read_bytes())
+    store.save(*copy.deepcopy((net, lexicon)), copy_to)
+    view = (net, lexicon.items(), dict(net.spans), net.next_id,
+            [(key, kept, getattr(kept.from_store, "identity", kept.from_store))
+             for key, kept in _marked(net)], Path(copy_to).read_bytes())
+    if memo is not None:
+        memo.keep(net, lexicon)
+    return view
 
 
 def test_a_load_through_a_warm_memo_equals_a_cold_load(tmp_path):
     rng = random.Random(3232)
     memo = store.ValueMemo()
     source, path = str(tmp_path / "source.krn"), str(tmp_path / "net.krn")
-    failed = 0
+    failed = taken = 0
     for i in range(300):
         net, lexicon = random_net(rng)
         store.save(net, lexicon, source)
-        store.load(source, memo)   # the decode one load in five below builds from
+        memo.keep(*store.load(source))   # the net one load in five below takes back
         data = Path(source).read_bytes()
         Path(path).write_bytes(data if rng.random() < 0.2 else _mutated(rng, data))
+        taken += Path(path).read_bytes() in memo.nets
         cold = _loaded(path, None, str(tmp_path / "cold.krn"))
         warm = _loaded(path, memo, str(tmp_path / "warm.krn"))
         if len(cold) == 3:
@@ -1310,11 +1317,11 @@ def test_a_load_through_a_warm_memo_equals_a_cold_load(tmp_path):
             continue
         assert len(warm) == 6 and nets_equal(warm[0], cold[0]), f"mutant {i}"
         assert warm[1:] == cold[1:], f"mutant {i}"
-        assert memo.size == sum(held[1] for held in memo.files.values()) <= store.MAX_MEMO_BYTES
-    assert 50 < failed < 250
+        assert memo.size == sum(held[2] for held in memo.nets.values()) <= store.MAX_MEMO_BYTES
+    assert 50 < failed < 250 and taken > 30
 
 
-def test_a_full_memo_empties_whole_and_a_failed_decode_leaves_it_alone(tmp_path, monkeypatch):
+def test_a_full_memo_empties_whole_and_a_failed_load_leaves_it_alone(tmp_path, monkeypatch):
     nets, paths = [], []
     for x in range(5):   # five files of one size, one value each
         net = Net()
@@ -1322,27 +1329,29 @@ def test_a_full_memo_empties_whole_and_a_failed_decode_leaves_it_alone(tmp_path,
         nets.append(net)
         paths.append(_saved(tmp_path, net, name=f"f{x}.krn"))
     data = [Path(path).read_bytes() for path in paths]
-    # each decode is charged for its bytes, its entry and its one value
-    cost = 2 * len(data[0]) + store._FILE_COST + store._ENTRY_COST + store._PART_COST
-    assert {store._decode_cost(d, store._read(d, True)[0]) for d in data} == {cost}
+    loaded = [store.load(path) for path in paths]
+    # each net is charged for its bytes, its node, its one record
+    cost = (len(data[0]) + store._NET_COST + store._NODE_COST + store._RECORD_COST)
+    assert {store._charge(*pair) for pair in loaded} == {cost}
     monkeypatch.setattr(store, "MAX_MEMO_BYTES", 3 * cost)
     memo = store.ValueMemo()
-    for net, path in zip(nets, paths):
-        assert nets_equal(store.load(path, memo)[0], net)
-    # the fourth decode would pass the bound: the first three go, all at once
-    assert list(memo.files) == data[3:] and memo.size == 2 * cost
-    held = dict(memo.files)
+    for (net, lexicon), want in zip(loaded, nets):
+        assert nets_equal(net, want) and memo.keep(net, lexicon)
+    # the fourth net would pass the bound: the first three go, all at once
+    assert list(memo.nets) == data[3:] and memo.size == 2 * cost
+    held = dict(memo.nets)
     bad = tmp_path / "bad.krn"
     bad.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num ten asserted\n")
     with pytest.raises(FormatError, match="bad number") as exc:
         store.load(str(bad), memo)
     assert exc.value.line == 3
-    assert memo.files == held and memo.size == 2 * cost
-    # a decode charged more than the bound is never kept, and empties nothing
+    assert memo.nets == held and memo.size == 2 * cost
+    # a net charged more than the bound is never kept, and empties nothing
     big = tmp_path / "big.krn"
     big.write_text(f"KRN 1\nOBJ 1\nPROP 1 x text \"{'a' * 3 * cost}\" asserted\n")
-    assert store.load(str(big), memo)[0].objects[1].properties["x"].value == Value.text("a" * 3 * cost)
-    assert memo.files == held and memo.size == 2 * cost
+    net, lexicon = store.load(str(big), memo)
+    assert net.objects[1].properties["x"].value == Value.text("a" * 3 * cost)
+    assert not memo.keep(net, lexicon) and memo.nets == held and memo.size == 2 * cost
 
 
 def _small_runs(shape):
@@ -1368,44 +1377,49 @@ def _small_runs(shape):
 
 @pytest.mark.parametrize("shape", ["bare", "one-value", "script", "labels", "saved"])
 def test_a_full_memo_holds_less_than_twice_its_bound(tmp_path, shape):
-    """Filled to its bound with the decodes of many distinct files, each
-    of 500 small runs of one shape, the memo holds under 2 * MAX_MEMO_BYTES
-    as tracemalloc counts it, up to the load that empties it: each decode
-    is charged for what it holds, not only for its bytes."""
+    """Filled to its bound with the nets of many distinct files, each of
+    500 small runs of one shape, the memo holds under 2 * MAX_MEMO_BYTES
+    as tracemalloc counts it, up to the net that empties it: each net is
+    charged for what it holds, not only for its bytes."""
     runs = _small_runs(shape)
     path = tmp_path / "many.krn"
     memo = store.ValueMemo()
-    most = loads = 0
+    most = kept = 0
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         while True:
-            path.write_text("KRN 1\n" + "".join(next(runs) for _ in range(500)))
+            body = "".join(next(runs) for _ in range(500))
+            if shape == "labels":   # one run of LABEL lines that ends the file, as a save writes
+                body = "".join(sorted(body.splitlines(True), key=lambda line: line.startswith("LABEL")))
+            path.write_text("KRN 1\n" + body)
             size = memo.size
-            store.load(str(path), memo)
+            assert memo.keep(*store.load(str(path)))
             script.clear_parse_memo()
             gc.collect()
             if memo.size < size:   # emptied whole: it was full
                 break
             most = max(most, tracemalloc.get_traced_memory()[0] - before)
-            loads += 1
-            assert most < 2 * store.MAX_MEMO_BYTES, f"after {loads} loads"
+            kept += 1
+            assert most < 2 * store.MAX_MEMO_BYTES, f"after {kept} nets"
     finally:
         tracemalloc.stop()
-    assert loads > 3 and size > store.MAX_MEMO_BYTES * 0.9
+    assert kept > 3 and size > store.MAX_MEMO_BYTES * 0.9
 
 
 def _reloaded(tmp_path, data: bytes):
     """What a first load of `data` through a memo gives, and what a second
-    load gives from the decode the first left, if any: `_loaded`'s view,
-    or the error raised."""
+    load gives once the memo keeps the first's net: `_loaded`'s view, or
+    the error raised."""
     path = str(tmp_path / "net.krn")
     Path(path).write_bytes(data)
     memo = store.ValueMemo()
     cold = _loaded(path, memo, str(tmp_path / "cold.krn"))
-    assert (data in memo.files) == (len(cold) == 6)
-    return cold, _loaded(path, memo, str(tmp_path / "warm.krn"))
+    assert (data in memo.nets) == (len(cold) == 6)
+    warm = _loaded(path, memo, str(tmp_path / "warm.krn"))
+    assert len(warm) == 3 or warm[0] is cold[0]
+    return cold, warm
 
 
 def _same_load(cold, warm):
@@ -1434,7 +1448,7 @@ _ACT_2 = b"ACT 2 - 1\nSCRIPT 2\n<<<\nset object.x = 2;\n>>>\n"
 def test_a_block_is_checked_against_what_the_read_has_seen(tmp_path, data, error):
     """A node block is checked against what its read has seen: a PROP or
     SCRIPT line of its node before it, and an earlier block with its very
-    bytes. A file that passes loads again from its held decode alike."""
+    bytes. A file that passes loads again as the net the memo kept."""
     cold, warm = _reloaded(tmp_path, data)
     if error is None:
         assert len(cold) == 6
@@ -1449,7 +1463,7 @@ def test_a_block_is_checked_against_what_the_read_has_seen(tmp_path, data, error
 def test_a_shared_tail_save_writes_otherwise_gives_no_block_a_span(tmp_path, line, as_saved):
     """A tail `save` would write otherwise (no provenance token, `num 1`)
     in two blocks of one read, the second sharing the first's decode of
-    it: neither node has a span, in a first load or one from its decode."""
+    it: neither node has a span, in a first load or a reload."""
     tail = line.split(b" ", 2)[2]
     data = b"KRN 1\nOBJ 1\n" + line + b"\nOBJ 2\nPROP 2 " + tail + b"\n"
     cold, warm = _reloaded(tmp_path, data)
@@ -1483,23 +1497,35 @@ def _traffic_files(rng, tmp_path) -> list[str]:
     return paths
 
 
-def test_store_full_traffic_through_one_session_memo_loads_as_cold(tmp_path):
+def _counting(monkeypatch, counts, names=None):
+    """Each function of `store` named in `names`, else in `counts`, counts
+    its calls there."""
+    for name in counts if names is None else names:
+        def counted(*args, _real=getattr(store, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(store, name, counted)
+
+
+def test_store_full_traffic_through_one_session_memo_loads_as_cold(tmp_path, monkeypatch):
     """load -> set or run -> save over three files in turn through one CLI
-    session, as the `store-full` benchmark runs: each reload through the
-    session's memo equals a cold load in net, labels, spans, next_id, the
-    records with their marks and the bytes it saves again."""
+    session, as the `store-full` benchmark runs: each load after the
+    first three takes back the net the session saved, reads nothing, and
+    equals a cold load in everything `_full_view` compares and in its run
+    state."""
     rng = random.Random(3333)
     paths = _traffic_files(rng, tmp_path)
     session = Session()
+    counts = {"_read": 0, "_build": 0}
+    _counting(monkeypatch, counts)
     for step in range(90):
         path = paths[step % 3]
+        counts.update(dict.fromkeys(counts, 0))
         run_command(session, f"load {path}")
-        warm = _loaded(path, session.memo, str(tmp_path / "warm.krn"))
-        cold = _loaded(path, None, str(tmp_path / "cold.krn"))
-        assert len(cold) == 6 and nets_equal(warm[0], cold[0]), f"step {step}"
-        assert warm[1:] == cold[1:], f"step {step}"
-        assert nets_equal(session.net, cold[0]) and session.net.spans == cold[2]
         net = session.net
+        assert counts == dict.fromkeys(counts, int(step < 3)), f"step {step}"
+        assert _full_view(net, session.lexicon) == _full_view(*store.load(path)), f"step {step}"
+        assert (net.clock, net.timeline, net.journal, net.sense_log) == (0, None, None, None)
         if rng.random() < 0.6:
             scripted = [aid for aid, act in sorted(net.actions.items()) if act.script.text]
             run_command(session, f"run #{rng.choice(scripted)}")
@@ -1507,7 +1533,7 @@ def test_store_full_traffic_through_one_session_memo_loads_as_cold(tmp_path):
             obj = rng.choice(sorted(net.objects))
             run_command(session, f"set #{obj}.{rng.choice(['x', 'mass'])} {rng.randrange(4)}")
         run_command(session, f"save {path}")
-    assert session.memo.files and session.memo.size <= store.MAX_MEMO_BYTES
+    assert len(session.memo.nets) == 2 and session.memo.size <= store.MAX_MEMO_BYTES
 
 
 class _CountedPattern:
@@ -1523,10 +1549,10 @@ class _CountedPattern:
         return counted
 
 
-def test_a_reload_from_a_held_decode_reads_no_line(tmp_path, monkeypatch):
-    """A count, not a timing: a reload of an unchanged file through one
-    memo, built from the decode the first load left, matches no run of
-    lines, decodes no value and no text, and reads no field of any line."""
+def test_a_reload_of_a_kept_net_reads_no_line(tmp_path, monkeypatch):
+    """A count, not a timing: a reload of an unchanged file through a memo
+    that keeps the first load's net matches no run of lines, decodes no
+    value and no text, and reads no field of any line."""
     path = _traffic_files(random.Random(7), tmp_path)[0]
     counts = dict.fromkeys(["_BLOCK", "_PROP_TAIL", "_PROP_FIELDS", "_VALUE_FIELDS", "_LABEL_FIELDS",
                             "_ISA_FIELDS", "_decode_value", "decode_text", "_script_text"], 0)
@@ -1541,34 +1567,37 @@ def test_a_reload_from_a_held_decode_reads_no_line(tmp_path, monkeypatch):
             monkeypatch.setattr(store, name, counted)
     memo = store.ValueMemo()
     first = store.load(path, memo)
+    view = _full_view(*first)
     assert counts["_PROP_TAIL"] and counts["_LABEL_FIELDS"] and counts["_decode_value"]
     counts.update(dict.fromkeys(counts, 0))
+    assert memo.keep(*first)
     again = store.load(path, memo)
     assert counts == dict.fromkeys(counts, 0)
-    assert nets_equal(again[0], first[0]) and again[1].items() == first[1].items()
-    assert again[0].spans == first[0].spans and again[1].source == first[1].source
+    assert again[0] is first[0] and _full_view(*again) == view
 
 
-def test_the_memo_holds_no_record_and_no_mark(tmp_path):
-    """Nothing reachable from a memo after loads of three files is a
-    PropertyRecord, a ScriptRef or a file's mark: those are built per load."""
-    paths = _traffic_files(random.Random(8), tmp_path)
+def test_a_load_never_returns_a_net_a_caller_holds(tmp_path):
+    """Loads of three files through one memo, each net then let go into
+    the memo or held: no load returns a net the caller still holds, and a
+    net taken back leaves the memo, so the next load of its bytes reads
+    them and builds another."""
+    rng = random.Random(8)
+    paths = _traffic_files(rng, tmp_path)
     memo = store.ValueMemo()
-    nets = [store.load(path, memo)[0] for path in paths * 2]
-    marks = {store._identity(os.stat(path)) for path in paths}
-    assert marks <= {kept.from_store for net in nets for _, kept in _marked(net)}
-    seen, todo, kinds = set(), [memo], set()
-    while todo:   # into the memo's own containers, never into a class
-        obj = todo.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        kinds.add(type(obj))
-        assert not (type(obj) is tuple and any(obj == mark for mark in marks))
-        if type(obj) in (store.ValueMemo, dict, tuple, list, Value):
-            todo += [ref for ref in gc.get_referents(obj) if not isinstance(ref, type)]
-    assert not kinds & {PropertyRecord, ScriptRef}
-    assert {bytes, str, tuple, dict, Value} <= kinds and len(seen) > 300
+    held, taken = [], 0
+    for step in range(60):
+        path = rng.choice(paths)
+        data = Path(path).read_bytes()
+        kept = memo.nets.get(data, (None,))[0]
+        net, lexicon = store.load(path, memo)
+        assert all(net is not other for other in held), f"step {step}"
+        assert net is kept if kept is not None else data not in memo.nets, f"step {step}"
+        taken += kept is not None
+        if rng.random() < 0.5:
+            assert memo.keep(net, lexicon)
+        else:
+            held.append(net)
+    assert taken > 10 and len(held) > 10
 
 
 def _reads_as(lexicon, want, nodes, texts):
@@ -1596,47 +1625,43 @@ def _reads_as(lexicon, want, nodes, texts):
     return True
 
 
-def test_lexicons_of_one_decode_share_its_label_index_until_they_change(tmp_path):
-    """Three loads of one file through one memo share its decode's label
-    index. One lexicon is relabelled through the API, one through the CLI
-    (`label`, and `obj` binding a name): every untouched lexicon, and a
-    later load, still reads as a lexicon built afresh from the file's
-    LABEL lines, and a save of a changed one writes its labels line by
-    line, as they now stand."""
+def test_a_relabelled_net_is_never_kept_and_later_loads_read_the_file(tmp_path):
+    """A net whose lexicon changed since its load or save is not kept, so
+    every later load reads the file's LABEL lines, not the ones that
+    changed: relabelled through the API, or through the CLI (`label`, and
+    `obj` binding a name). A save of a changed lexicon writes its labels
+    line by line, as they now stand, and makes them the lexicon's source,
+    so the next let-go keeps the net, and a reload reads those labels."""
     rng = random.Random(3939)
-    path = _traffic_files(rng, tmp_path)[0]
+    path, other = _traffic_files(rng, tmp_path)[:2]
     labels = [(int(node), lang, store.decode_text(text, 0)) for node, lang, text in
               re.findall(r'^LABEL ([0-9]+) (\S+) (".*")$', Path(path).read_text(), re.M)]
     want = Lexicon.of(labels)
     nodes = sorted({node for node, _, _ in labels}) + [999]
     texts = sorted({text for _, _, text in labels}) + ["renamed", "nouveau", "fresh", "absent"]
-    session = Session()
-    net, first = store.load(path, session.memo)
-    run_command(session, f"load {path}")
-    third = store.load(path, session.memo)[1]
-    assert all(_reads_as(lexicon, want, nodes, texts) for lexicon in (first, session.lexicon, third))
+    memo = store.ValueMemo()
+    net, lexicon = store.load(path, memo)
     picked = rng.sample(nodes[:-1], 3)
-    first.set_label(picked[0], "en", "renamed")
-    first.set_label(picked[1], "de", "nouveau")
-    run_command(session, f"label #{picked[2]} en {rng.choice(texts[:-4])}")
-    run_command(session, "obj fresh x=1")
-    assert first.label_of(picked[0], "en") == ("renamed", "en")
-    assert first.lookup("de", "nouveau") == {picked[1]}
-    assert session.lexicon.lookup("en", "fresh") == {max(session.net.objects)}
-    for lexicon in (first, session.lexicon):
-        assert lexicon.source is None and not _reads_as(lexicon, want, nodes, texts)
-    later = store.load(path, session.memo)[1]
-    assert _reads_as(third, want, nodes, texts) and _reads_as(later, want, nodes, texts)
-    # a changed lexicon's save writes its labels line by line, as they now stand,
-    # so it leaves no decode
-    store.save(net, first, str(tmp_path / "api.krn"), session.memo)
+    lexicon.set_label(picked[0], "en", "renamed")
+    lexicon.set_label(picked[1], "de", "nouveau")
+    assert not memo.keep(net, lexicon) and not memo.nets
+    assert _reads_as(store.load(path, memo)[1], want, nodes, texts)
+    session = Session()
+    for command in (f"label #{picked[2]} en {rng.choice(texts[:-4])}", "obj fresh x=1"):
+        run_command(session, f"load {path}")
+        run_command(session, command)
+        run_command(session, f"load {other}")
+        assert not session.memo.nets
+        run_command(session, f"load {path}")
+        assert _reads_as(session.lexicon, want, nodes, texts)
+    # a changed lexicon's save writes its labels line by line, as they now stand
+    run_command(session, f"label #{picked[0]} en renamed")
     run_command(session, f"save {path}")
-    for saved, lexicon in ((str(tmp_path / "api.krn"), first), (path, session.lexicon)):
-        assert session.memo.decode(Path(saved).read_bytes()) is None
-        assert store.load(saved)[1].items() == lexicon.items()
-
-
-# ---------------------------------------------------------------- decodes a save leaves
+    saved, net = session.lexicon.items(), session.net
+    assert session.lexicon.source == Path(path).read_bytes()[-len(session.lexicon.source):]
+    run_command(session, f"load {other}")
+    run_command(session, f"load {path}")
+    assert session.net is net and session.lexicon.items() == saved == store.load(path)[1].items()
 
 
 def _full_view(net, lexicon):
@@ -1755,84 +1780,71 @@ def _props_of(net):
     return [(key, kept) for key, kept in _marked(net) if key[1] is not None]
 
 
-def test_a_load_after_a_save_through_the_memo_reads_no_run(tmp_path, monkeypatch):
-    """A count, not a timing: a save through the memo matches and decodes
-    exactly the blocks it encoded, and a load of what it wrote through the
-    same memo reads no line and builds each node once, in one pass that
-    also makes its checks and counts its charge: no run of lines is
-    matched, no block read and no decode walked again, and the memo then
-    charges the decode as it would a cold read of the bytes. A save whose
-    source the memo holds no decode of leaves none."""
-    counts = dict.fromkeys(["_BLOCK", "_node_run", "_read", "_build", "_decode_cost", "ObjectRecord",
+def test_a_load_after_a_save_reads_no_run(tmp_path, monkeypatch):
+    """A count, not a timing: a save reads, in one pass, exactly the
+    blocks it encoded and a line for each other object they name, and a
+    load of what it wrote, through a memo that keeps the saved net, reads
+    nothing and builds nothing: no run of lines is matched, no record read
+    and no node built."""
+    counts = dict.fromkeys(["_BLOCK", "_node_run", "_read", "_build", "ObjectRecord",
                             "ActionRecord"], 0)
     monkeypatch.setattr(store, "_BLOCK", _CountedPattern(store._BLOCK, "_BLOCK", counts))
-    for name in [*counts][1:]:
-        def counted(*args, _real=getattr(store, name), _name=name):
-            counts[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(store, name, counted)
+    _counting(monkeypatch, counts, [*counts][1:])
     memo = store.ValueMemo()
     path = _traffic_files(random.Random(9), tmp_path)[0]
     net, lexicon = store.load(path, memo)
     counts.update(dict.fromkeys(counts, 0))
     # three blocks no file has held, the last right before the LABEL lines copied
-    for nid in [*sorted(net.objects)[:3:2], max(net.actions)]:
+    encoded = [*sorted(net.objects)[:3:2], max(net.actions)]
+    for nid in encoded:
         net.set_property(nid, "x", Value.num(1000 + nid))
-    store.save(net, lexicon, path, memo)
-    assert counts["_BLOCK"] == counts["_node_run"] == 3 and counts["_read"] == counts["_build"] == 0
+    named = {net.actions[encoded[-1]].target, net.actions[encoded[-1]].subject} - {None, *encoded}
+    store.save(net, lexicon, path)
+    assert counts["_node_run"] == counts["_BLOCK"] == 3 + len(named)
+    assert counts["_read"] == 1 and counts["_build"] == 0
+    assert memo.keep(net, lexicon)
     counts.update(dict.fromkeys(counts, 0))
     again = store.load(path, memo)
-    assert counts == {"_BLOCK": 0, "_node_run": 0, "_read": 0, "_build": 1, "_decode_cost": 0,
-                      "ObjectRecord": len(net.objects), "ActionRecord": len(net.actions)}
+    assert counts == dict.fromkeys(counts, 0) and again[0] is net
     assert _full_view(*again) == _full_view(*store.load(path))
-    data = Path(path).read_bytes()
-    assert memo.size == memo.files[data][1] == store._decode_cost(data, store._read(data, True)[0])
-    # without a decode of the bytes the net was loaded from, nothing is left
-    fresh = store.ValueMemo()
-    net, lexicon = store.load(path)
-    net.set_property(sorted(net.objects)[0], "x", Value.num(7))
-    counts.update(dict.fromkeys(counts, 0))
-    store.save(net, lexicon, path, fresh)
-    assert not fresh.files and fresh.size == 0 and counts["_BLOCK"] == 0
+    # a net no file gave has no source after a save, and is never kept
+    fresh = Net()
+    fresh.add_object([("x", Value.num(7))])
+    store.save(fresh, Lexicon(), path)
+    assert fresh.source is None and not fresh.spans and not memo.keep(fresh, Lexicon())
 
 
-def test_a_superseded_decode_is_uncharged(tmp_path):
-    """A save that leaves the decode of what it wrote drops the decode of
-    the bytes its net was loaded from, and the memo's charge follows: the
-    new decode is charged what the old one was plus a decode of the block
-    the save encoded and of the is-a edges, and the old one no more."""
+def test_the_memo_charges_what_it_keeps(tmp_path):
+    """Each kept net is charged `_charge`: keeping a net for bytes the memo
+    keeps a net of replaces that one and its charge, a take or a release
+    uncharges it, and a release gives only the net named."""
+    paths = _traffic_files(random.Random(10), tmp_path)
     memo = store.ValueMemo()
-    path = _traffic_files(random.Random(10), tmp_path)[0]
-    net, lexicon = store.load(path, memo)
-    old = Path(path).read_bytes()
-    held, old_cost = memo.files[old]
-    assert memo.size == old_cost
-    obj = sorted(net.objects)[0]
-    net.set_property(obj, "x", Value.num(1234))
-    store.save(net, lexicon, path, memo)
-    new = Path(path).read_bytes()
-    decode, cost = memo.files[new]
-    # every entry but the one of the block encoded holds the old decode's fields
-    kept = {entry[0]: entry[5] for entry in held[0]}
-    encoded = [entry for entry in decode[0] if kept.get(entry[0]) is not entry[5]]
-    added = store._decode_cost(new, (encoded, (), decode[2], ({}, {}), None, True))
-    assert list(memo.files) == [new] and [entry[0] for entry in encoded] == [obj]
-    assert memo.size == cost == old_cost + added
-    # the first load that builds from it charges it as a read would
-    store.load(path, memo)
-    assert memo.size == memo.files[new][1] == store._decode_cost(new, store._read(new, True)[0])
+    nets = [store.load(path) for path in paths]
+    for pair in nets:
+        assert memo.keep(*pair)
+    assert memo.size == sum(store._charge(*pair) for pair in nets)
+    twin = store.load(paths[0])
+    assert memo.keep(*twin)
+    assert len(memo.nets) == 3 and memo.nets[twin[0].source][0] is twin[0]
+    assert memo.size == sum(store._charge(*pair) for pair in [twin, *nets[1:]])
+    memo.release(nets[0][0])   # no longer kept: nothing changes
+    memo.release(nets[1][0])
+    assert len(memo.nets) == 2 and memo.size == sum(store._charge(*pair) for pair in [twin, nets[2]])
+    assert store.load(paths[2], memo)[0] is nets[2][0]
+    assert list(memo.nets) == [twin[0].source] and memo.size == store._charge(*twin)
 
 
 @pytest.mark.parametrize("breakage", ["dangling-end", "dangling-subject", "dangling-isa",
                                       "isa-from-action", "both-kinds", "bad-script", "other-labels"])
-def test_a_net_saved_through_the_memo_loads_through_it_as_cold(tmp_path, breakage):
-    """A net broken past what the file format holds, saved through the
-    memo, loads through it as a cold load does. The bad reference of each
-    of the first five lies in a block the save copied or an is-a line, so
-    the memo holds the decode the save left, and the build from it finds
-    the fault and drops it; none is left when an encoded script does not
-    parse or the labels copied are not those of the file the net was
-    loaded from."""
+def test_a_net_a_read_of_its_save_refuses_is_never_kept(tmp_path, breakage):
+    """A net broken past what the file format holds and then saved is not
+    clean, since a read of what it wrote refuses it, and is never kept:
+    the load of its file raises as a cold load does. The bad reference of
+    each of the first five lies in a block the save copied or an is-a
+    line; an encoded script that does not parse, or the LABEL lines of
+    another file, are the other two, and with those labels the read gives
+    the net, which the memo keeps."""
     paths = _traffic_files(random.Random(12), tmp_path)
     net, lexicon = store.load(paths[0])
     act = next(aid for aid, rec in sorted(net.actions.items()) if rec.subject is not None)
@@ -1859,14 +1871,212 @@ def test_a_net_saved_through_the_memo_loads_through_it_as_cold(tmp_path, breakag
         other_lexicon.set_label(objects[0], "en", "elsewhere")
         store.save(other, other_lexicon, paths[1])
         lexicon = store.load(paths[1], memo)[1]
-    store.save(net, lexicon, paths[0], memo)
-    data = Path(paths[0]).read_bytes()
-    # held: the decode the save left, or with other labels that of paths[1], the same bytes
-    assert (memo.decode(data) is not None) == (breakage != "bad-script")
+    store.save(net, lexicon, paths[0])
+    assert memo.keep(net, lexicon) == (breakage == "other-labels")
     cold = _viewed(lambda: store.load(paths[0]))
     assert (len(cold) == 3) == (breakage != "other-labels")   # a typed error, or a net
     assert _viewed(lambda: store.load(paths[0], memo)) == cold
-    assert (memo.decode(data) is not None) == (breakage == "other-labels")
+    assert not memo.nets
+
+
+def test_a_net_saved_over_its_file_is_evictable_through_a_handle_on_it(tmp_path):
+    """A save makes the file it writes the net's own: after `load p` and
+    `save p` a handle on p demotes the net's values, copied or encoded, as
+    it does a cold load's, and after a save to q a handle on q does, and
+    one on p nothing."""
+    net = Net()
+    net.add_object([("x", Value.num(1))])
+    net.add_object([("y", Value.num(2))])
+    p, q = _saved(tmp_path, net, name="p.krn"), str(tmp_path / "q.krn")
+    net, lexicon = store.load(p)
+    store.save(net, lexicon, p)
+    net.set_property(2, "y", Value.num(3))   # encoded by the next save
+    store.save(net, lexicon, p)
+    with store.open(p) as handle:
+        handle.evict(1, net)
+        handle.evict(2, net)
+    assert [prop.load_state for _, prop in _props_of(net)] == [PropLoad.STUB] * 2
+    with store.open(p) as handle:
+        assert handle.hydrate_property(2, "y", net) == Value.num(3)
+        handle.hydrate_property(1, "x", net)
+    store.save(net, lexicon, q)
+    with store.open(p) as handle:
+        handle.evict(1, net)
+    assert net.objects[1].properties["x"].load_state is PropLoad.HYDRATED
+    with store.open(q) as handle:
+        handle.evict(1, net)
+    assert net.objects[1].properties["x"].load_state is PropLoad.STUB
+
+
+def test_a_net_saved_twice_is_taken_back_without_a_read(tmp_path, monkeypatch):
+    """load, set, save, set, save: each save makes what it wrote the net's
+    source, so the second copies the blocks the first wrote, and a reload
+    of the file through a memo that keeps the net reads nothing and builds
+    nothing, and equals a cold load."""
+    path = _traffic_files(random.Random(14), tmp_path)[0]
+    memo = store.ValueMemo()
+    net, lexicon = store.load(path, memo)
+    objects = sorted(net.objects)
+    for nid, x in ((objects[0], 11), (objects[3], 12)):
+        net.set_property(nid, "x", Value.num(x))
+        store.save(net, lexicon, path)
+        assert net.source == Path(path).read_bytes() and len(net.spans) == len(net.objects) + len(net.actions)
+    counts = {"_read": 0, "_build": 0}
+    _counting(monkeypatch, counts)
+    assert memo.keep(net, lexicon)
+    again = store.load(path, memo)
+    assert again[0] is net and counts == {"_read": 0, "_build": 0}
+    assert _full_view(*again) == _full_view(*store.load(path))
+
+
+@pytest.mark.parametrize("edit", ["set", "isa", "label", "erase", "collapse", "collapse-expand"])
+def test_a_net_changed_since_its_save_is_never_taken_back(tmp_path, monkeypatch, edit):
+    """A session's net changed after its save through a set, an is-a
+    edge, a label, an erase or a collapse is never kept: a load of its
+    file reads the file, and equals a cold load."""
+    paths = _traffic_files(random.Random(15), tmp_path)
+    session = Session()
+    run_command(session, f"load {paths[0]}")
+    run_command(session, f"save {paths[0]}")
+    net = session.net
+    obj = next(nid for nid, rec in sorted(net.objects.items()) if rec.incoming or rec.outgoing)
+    if edit == "set":
+        run_command(session, f"set #{obj}.x 99")
+    elif edit == "isa":
+        run_command(session, f"isa #{obj} #{max(net.objects)}")
+    elif edit == "erase":
+        net.erase_node(max(net.actions))
+    elif edit == "label":
+        run_command(session, f"label #{obj} en renamed")
+    else:
+        run_command(session, f"collapse-obj #{obj}")
+        if edit == "collapse-expand":
+            run_command(session, f"expand #{max(net.objects)}")
+    run_command(session, f"load {paths[1]}")
+    counts = {"_read": 0}
+    _counting(monkeypatch, counts)
+    run_command(session, f"load {paths[0]}")
+    assert session.net is not net and counts["_read"] == 1
+    assert _full_view(session.net, session.lexicon) == _full_view(*store.load(paths[0]))
+
+
+def test_a_net_out_of_id_order_is_never_kept(tmp_path, monkeypatch):
+    """An expand puts its nodes back at the end of the net's tables, out
+    of the id order a read gives, so a net saved after one is not clean:
+    a load of its file reads the file, and equals a cold load."""
+    paths = _traffic_files(random.Random(16), tmp_path)
+    session = Session()
+    run_command(session, f"load {paths[0]}")
+    net = session.net
+    obj = min(nid for nid, rec in net.objects.items() if rec.incoming or rec.outgoing)
+    made = run_command(session, f"collapse-obj #{obj}")[0]
+    run_command(session, f"expand #{made.rsplit('#', 1)[1]}")
+    run_command(session, f"save {paths[0]}")
+    assert list(net.objects) != sorted(net.objects) and not net.clean
+    run_command(session, f"load {paths[1]}")
+    counts = {"_read": 0}
+    _counting(monkeypatch, counts)
+    run_command(session, f"load {paths[0]}")
+    assert session.net is not net and counts["_read"] == 1
+    assert _full_view(session.net, session.lexicon) == _full_view(*store.load(paths[0]))
+
+
+def _session_step(rng, session, paths, step, complex_nodes):
+    """One random command of a session over `paths`, other than a load;
+    True if it was a save. A command the engine refuses changes nothing."""
+    net = session.net
+    objects, actions = sorted(net.objects), sorted(net.actions)
+    roll = rng.random()
+    try:
+        if roll < 0.2 and objects:
+            value = rng.choice(["1", "2.5", "true", "unset", '"grey"', str(step), '"héllo"'])
+            run_command(session, f"set #{rng.choice(objects)}.{rng.choice(['x', 'mass', 'y'])} {value}")
+        elif roll < 0.35 and actions:
+            scripted = [aid for aid in actions if net.actions[aid].script.text]
+            if scripted:
+                run_command(session, f"run #{rng.choice(scripted)}")
+        elif roll < 0.42 and len(objects) > 1:
+            run_command(session, f"isa #{rng.choice(objects)} #{rng.choice(objects)}")
+        elif roll < 0.49 and objects:
+            run_command(session, f"label #{rng.choice(objects)} {rng.choice(['en', 'fr'])} w{step}")
+        elif roll < 0.55 and objects:
+            net.erase_node(rng.choice([*objects, *actions]))
+        elif roll < 0.6 and objects:
+            made = run_command(session, f"collapse-obj #{rng.choice(objects)}")[0]
+            complex_nodes.append(int(made.rsplit("#", 1)[1]))
+        elif roll < 0.68 and complex_nodes:
+            run_command(session, f"expand #{complex_nodes.pop(rng.randrange(len(complex_nodes)))}")
+        elif roll < 0.7:
+            run_command(session, "new")
+        elif roll < 0.73:
+            run_command(session, f"mine {' '.join(rng.sample(paths, 2))}")
+        elif roll < 0.8:
+            run_command(session, f"obj n{step} x={rng.randrange(9)}")
+        else:
+            run_command(session, f"save {rng.choice(paths) if rng.random() < 0.3 else paths[0]}")
+            return True
+    except KrnError:
+        pass
+    return False
+
+
+def test_random_cli_sessions_load_as_cold_loads(tmp_path, monkeypatch):
+    """Seeded CLI sessions over four files mix every verb that changes a
+    net with saves to the file loaded and to another, `new`, `mine` and
+    loads of a corrupt file. Every load equals a cold `store.load` of the
+    same bytes: in everything `_full_view` compares (a NaN by its bytes),
+    in what a handle on the file demotes, and in its run state; a load
+    that fails leaves the session its net. Many loads take back a net the
+    session saved, reading nothing."""
+    counts = {"_read": 0}
+    _counting(monkeypatch, counts)
+    rng = random.Random(4242)
+    paths = _traffic_files(rng, tmp_path)
+    paths.append(_saved(tmp_path, *random_net(rng, max_objects=10), "random.krn"))
+    bad = tmp_path / "bad.krn"
+    bad.write_bytes(Path(paths[0]).read_bytes() + b"OBJ 1\n")   # a duplicate node
+    loads = taken = 0
+    for _ in range(4):
+        session = Session()
+        complex_nodes: list = []
+        current = None   # the path the session last loaded or saved to
+        for step in range(150):
+            if rng.random() < 0.06:
+                net = session.net
+                with pytest.raises(FormatError):
+                    run_command(session, f"load {bad}")
+                assert session.net is net
+                continue
+            if current is not None and rng.random() < 0.6:
+                path = current if rng.random() < 0.5 else rng.choice(paths)
+                counts["_read"] = 0
+                try:
+                    run_command(session, f"load {path}")
+                except KrnError:   # a file a save left a read refuses
+                    with pytest.raises(KrnError):
+                        store.load(path)
+                    continue
+                net = session.net
+                loads += 1
+                taken += not counts["_read"]
+                assert _full_view(net, session.lexicon) == _full_view(*store.load(path)), f"step {step}"
+                assert (net.clock, net.timeline, net.journal, net.sense_log, net._executing) == (
+                    0, None, None, None, False)
+                if step % 5 == 0:   # what a handle on the file demotes, in copies of both
+                    views = []
+                    for held in (copy.deepcopy(net), store.load(path)[0]):
+                        with store.open(path) as handle:
+                            for nid in [*held.objects, *held.actions]:
+                                handle.evict(nid, held)
+                        views.append([(key, kept.state if key[1] is None else kept.load_state)
+                                      for key, kept in _marked(held)])
+                    assert views[0] == views[1], f"step {step}"
+                current = path
+                complex_nodes.clear()
+                continue
+            if _session_step(rng, session, paths, step, complex_nodes):
+                current = paths[0] if current is None else current
+    assert loads > 200 and taken > loads / 3
 
 
 # ---------------------------------------------------------------- atomic save
