@@ -345,11 +345,14 @@ class Net:
         # at each later one (`note`, `touch`)
         self.journal: dict[tuple[NodeId, str], Optional[PropertyRecord]] | None = None
         self._executing = False
-        # the bytes of the file the net was loaded from or last saved to,
-        # and the range of offsets there of each node that `store.save` may
-        # copy; `note` and `touch` drop a node's span
+        # the bytes of the file the net was loaded from or last saved to;
+        # while the store lays them out (`store._Origin`), the slot there of
+        # each node block a save copies (`spans`), and each node a save
+        # encodes with the slot of its old block, None for a node that has
+        # none (`dirty`, the to-encode table; None when nothing is laid out)
         self.source: bytes | None = None
-        self.spans: dict[NodeId, range] = {}
+        self.spans: dict[NodeId, int] = {}
+        self.dirty: dict[NodeId, int | None] | None = None
         # whether a read of `source` gives the net as it stands, but for its
         # is-a edges and labels: set by the load or save that made `source`,
         # dropped by `note` and `touch` (`store.ValueMemo.keep`)
@@ -371,12 +374,15 @@ class Net:
         """Report, before it happens, that property `name` of node `nid`
         gets a new record or loses `replaced` (None if it had none). The
         journal, if any, keeps the first record replaced since the last
-        snapshot, a save encodes the node instead of copying it, and the
-        net is no longer clean."""
+        snapshot, the node moves with its slot into the to-encode table,
+        so that a save encodes it and copies the rest (O(changed blocks)
+        plus the copy of the bytes and the atomic write), and the net is
+        no longer clean."""
         if self.journal is not None:
             self.journal.setdefault((nid, name), replaced)
-        if self.spans:
-            self.spans.pop(nid, None)
+        dirty = self.dirty
+        if dirty is not None and nid not in dirty:
+            dirty[nid] = self.spans.pop(nid, None)
         self.clean = False
 
     def touch(self, nid: NodeId, rec: ObjectRecord | ActionRecord | None = None,
@@ -385,14 +391,15 @@ class Net:
         changes: its record `rec` enters the net, or leaves it when `gone`,
         or, with no `rec`, an endpoint or its script changes. The journal,
         if any, gets one entry per property record that enters or leaves,
-        a save encodes the node instead of copying it, and the net is no
-        longer clean."""
+        the node moves into the to-encode table as in `note`, a new one
+        with no slot, and the net is no longer clean."""
         journal = self.journal
         if journal is not None and rec is not None:
             for name, prop in rec.properties.items():
                 journal.setdefault((nid, name), prop if gone else None)
-        if self.spans:
-            self.spans.pop(nid, None)
+        dirty = self.dirty
+        if dirty is not None and nid not in dirty:
+            dirty[nid] = self.spans.pop(nid, None)
         self.clean = False
 
     # -- lookup ------------------------------------------------------------

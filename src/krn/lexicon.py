@@ -75,6 +75,10 @@ class Lexicon:
         self.labels = dict(sorted(self.labels.items()))
         self.source = source
 
+    def labelled(self, node: NodeId) -> bool:
+        """Whether `node` has a label in some language."""
+        return any((node, lang) in self.labels for lang in self.reverse)
+
     def label_of(self, node: NodeId, lang: str) -> tuple[str, str]:
         """Label in the requested language, or the first fallback hit.
 

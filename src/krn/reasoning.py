@@ -272,8 +272,8 @@ def expand(net: Net, complex_id: NodeId) -> set:
     Ids are never reallocated, so the restored nodes take their
     pre-collapse ids: names, labels, goal anchors and the ids of nested
     complex nodes stay valid. Every check runs before the net changes,
-    so a refused expansion leaves the net as it was. Returns the
-    restored ids.
+    so a refused expansion leaves the net as it was. The net's tables end
+    in id order, as a load gives them. Returns the restored ids.
     """
     rec = net.node(complex_id)
     payload = rec.collapse_payload
@@ -323,6 +323,10 @@ def expand(net: Net, complex_id: NodeId) -> set:
         net._erase_action(complex_id)
     net.isa_edges.extend(payload.isa)
     net.collapsed = net.collapsed.difference(restored)
+    for table in (net.objects, net.actions):
+        records = sorted(table.items())
+        table.clear()
+        table.update(records)
     return restored
 
 

@@ -39,8 +39,9 @@ and actions with equal script texts one ScriptRef, so neither is ever
 changed in place. `load` parses script texts only once the framing and
 references hold, so a fault inside a script never hides a later fault
 that `open` would report. A `ValueMemo` passed to `load` holds the nets
-its owner let go while each is clean, keyed by the bytes a read of which
-gives that net (`Net.source`): a load of those bytes reads no record and
+its owner let go while each is clean, with the bytes a read of which
+gives that net (`Net.source`), found by their size and compared, never
+hashed: a load of those bytes reads no record and
 takes the net back, reset as a cold load of them would give it; a load
 of any other bytes reads them whole. `open` decodes no values and keeps
 no labels, though it checks every record as `load` does: its index is
@@ -65,20 +66,27 @@ A save is byte-deterministic (records sorted by id, properties by name)
 and atomic: it writes a temp file beside the target, syncs it, renames
 it over the target, which keeps its mode, and syncs the directory so the
 rename outlasts a crash. It writes no label of a node the net does not
-hold. After a load it copies what has not changed: `load` keeps the
-byte span of each node block that reads exactly as `save` writes that
-node (`Net.spans`, dropped by `Net.note` and `Net.touch`), and the LABEL
-lines when they are one matched run that ends the file, while the
-lexicon holds just those labels (`Lexicon.source`). `save` copies those
-spans, adjacent ones as one slice, and encodes every other node and the
-ISA lines; a net with no spans takes the same loop and encodes
-everything, and the bytes are the same either way. A save of a net
-that has a source makes the bytes it wrote the source: the spans are
-those a read of them would give, and the net is clean when that read
-would give the net as it stands (`_rebase`). Collapse payloads are not
-persisted; a saved complex node keeps its shape but loses its stored
-subnet. The records built here are slotted dataclasses and take no
-ad-hoc attributes.
+hold. After a load or a save it copies what has not changed, as a piece
+table does (Crowley, "Data Structures for Text Sequences", 1998): the
+net's source lays its node blocks out in file order, one slot each, in
+a Fenwick tree of their sizes per table (`_Origin`), and a node whose
+block reads exactly as `save` writes it has its slot in `Net.spans`.
+`Net.note` and `Net.touch` move an edited node, with its slot, into the
+to-encode table (`Net.dirty`), where new nodes and nodes with no span
+go too. `save` walks that table in file order, copies the source
+between the old blocks as slices, and encodes the nodes there and the
+ISA lines; so a save after a load costs O(changed blocks) plus the copy
+of the bytes and the atomic write. With no source, or one that cannot
+be placed, every node is in the table, and the walk is the same. The
+LABEL lines are copied when they are one matched run that ends the
+file, while the lexicon holds just those labels (`Lexicon.source`). The
+bytes are the same either way. A save of a net that has a source makes
+the bytes it wrote the source: the slots of the blocks it encoded take
+their new sizes, those the read of them spans leave the table, and the
+net is clean when that read would give the net as it stands
+(`_rebase`). Collapse payloads are not persisted; a saved complex node
+keeps its shape but loses its stored subnet. The records built here
+are slotted dataclasses and take no ad-hoc attributes.
 """
 
 from __future__ import annotations
@@ -88,8 +96,8 @@ import os
 import re
 import stat
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter, itemgetter
+from itertools import chain, islice
+from operator import gt, itemgetter
 from urllib.parse import quote, unquote
 
 from .core import (
@@ -346,15 +354,17 @@ def _encoded(pieces: list) -> bytes:
 def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     """Serialize the whole net (plus labels) deterministically and atomically.
 
-    A node that `load` read from a block already in the form written here,
-    and that has not changed since (`Net.spans`), is copied from the bytes
-    it was loaded from, adjacent blocks as one slice. So are the labels,
-    while the lexicon holds just those it was loaded with (`Lexicon.source`)
-    and every labelled node is in the net. The rest is encoded, is-a edges
-    always; either way the bytes are the same. Labels of nodes that are not
-    in the net are not written. A stubbed property or script
-    (UnknownProperty, UnknownScript) or text with no UTF-8 form
-    (FormatError) fails before any file is touched.
+    One walk over the to-encode table in file order (`_plan`): the source
+    between the old blocks of the nodes there is copied as slices, those
+    nodes are encoded (or dropped, if gone), and so are the is-a edges.
+    With no source, or one that cannot be placed, every node is in the
+    table. So a save after a load or a save costs O(changed blocks) plus
+    the copy of the bytes and the atomic write. The labels are copied while
+    the lexicon holds just those it was loaded with (`Lexicon.source`) and
+    every labelled node is in the net; either way the bytes are the same.
+    Labels of nodes that are not in the net are not written. A stubbed
+    property or script (UnknownProperty, UnknownScript) or text with no
+    UTF-8 form (FormatError) fails before any file is touched.
 
     The file is always replaced, also when it holds the bytes written: the
     equal bytes on disk may be another writer's that are not yet synced,
@@ -363,43 +373,34 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     save made one) takes the bytes written as its source (`_rebase`).
     """
     objects, actions = net.objects, net.actions
-    source, spans = net.source, net.spans
-    order = [*sorted(objects), *sorted(actions)]
-    # with a source, what `_rebase` needs, in file order: each run of
-    # blocks copied, as (its first node's index in `order`, the index past
-    # its last, start, stop), and each block encoded, as (index, lines,
-    # first, stop); a net with spans has a source
-    layout = None if source is None else []
+    source = net.source
+    planned = _plan(net)
+    cursor = len(HEADER) + 1   # the source bytes before it are copied or passed
+    if planned is None:
+        plan, end = ((nid, None, cursor, cursor) for nid in chain(sorted(objects), sorted(actions))), cursor
+    else:
+        plan, end = planned
     pieces: list = []          # the file in order: lists of lines, copied bytes
     lines = [HEADER]           # the lines since the last copy
     add = lines.append
-    start = stop = 0           # the source bytes to copy next; none while stop is 0
-    run = 0                    # the index of their first node
-    for at, nid in enumerate(order):
-        span = spans.get(nid)
-        if span is not None:
-            if not stop:
-                pieces.append(lines)
-                lines = []
-                add = lines.append
-                start, run = span.start, at
-            elif stop != span.start:
-                pieces.append(source[start:stop])
-                layout.append((run, at, start, stop))
-                start, run = span.start, at
-            stop = span.stop
-            continue
-        if stop:
-            pieces.append(source[start:stop])
-            layout.append((run, at, start, stop))
-            stop = 0
+    # (id, old slot, old size, its lines or None if gone, first, stop) of
+    # each node encoded or dropped, for `_rebase`, if the net has a source
+    blocks = []
+    for nid, slot, start, stop in plan:
+        if start > cursor:
+            pieces += [lines, source[cursor:start]]
+            lines = []
+            add = lines.append
+        cursor = stop
         first = len(lines)
         obj = objects.get(nid)
+        rec = obj or actions.get(nid)
+        if rec is None:
+            blocks.append((nid, slot, stop - start, None, 0, 0))
+            continue
         if obj is not None:
-            rec = obj
             add(f"OBJ {nid} inferred" if obj.provenance is INFERRED else f"OBJ {nid}")
         else:
-            rec = actions[nid]
             subj = "-" if rec.subject is None else rec.subject
             marker = " inferred" if rec.provenance is INFERRED else ""
             add(f"ACT {nid} {subj} {rec.target}{marker}")
@@ -415,19 +416,22 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
                 if rec.script.text:
                     add(rec.script.text)
                 add(">>>")
-        if layout is not None:
-            layout.append((at, lines, first, len(lines)))
-    if stop:
-        pieces.append(source[start:stop])
-        layout.append((run, len(order), start, stop))
+        if source is not None:
+            blocks.append((nid, slot, stop - start, lines, first, len(lines)))
+    if end > cursor:
+        pieces += [lines, source[cursor:end]]
+        lines = []
     isa = sorted(net.isa_edges)
-    for inst, concept in isa:
-        add(f"ISA {inst} {concept}")
+    lines += [f"ISA {inst} {concept}" for inst, concept in isa]
     copied = None
     labelled = []   # the LABEL lines encoded
     if lexicon is not None:
+        # the labels a save copies name nodes that the net held then, so
+        # only those gone since need a look when the two are one load's
         if lexicon.source is not None and (
-                set(map(itemgetter(0), lexicon.labels)) <= objects.keys() | actions.keys()):
+                not any(lexicon.labelled(block[0]) for block in blocks if block[3] is None)
+                if planned is not None and lexicon.source is net.origin.labels
+                else set(map(itemgetter(0), lexicon.labels)) <= objects.keys() | actions.keys()):
             copied = lexicon.source
             pieces += [lines, copied]
             lines = []
@@ -447,80 +451,184 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
                 lexicon.saved(copied)
         elif copied is None:
             copied = b""
-        _rebase(net, data, identity, order, layout, isa, copied)
+        _rebase(net, data, identity, blocks, isa, copied, planned is not None)
 
 
-def _rebase(net: Net, data: bytes, identity: tuple, order: list, layout: list, isa: list,
-            labels: bytes | None) -> None:
+# Where a source lays its node blocks out (`_Origin.trees`): per table, a
+# Fenwick tree (Fenwick, "A new data structure for cumulative frequency
+# tables", 1994) of the sizes of its blocks in file order, so that a
+# block's offset is a sum of O(log n) entries and a block that changes
+# size moves every later one in O(log n). An object's slot is its index
+# in the first table, an action's the complement (~) of its index in the
+# second.
+
+def _prefix(tree: list, i: int) -> int:
+    """The size of the first `i` blocks of a table."""
+    total = 0
+    while i:
+        total += tree[i - 1]
+        i &= i - 1
+    return total
+
+
+def _grow(tree: list, i: int, by: int) -> None:
+    """Make block `i` of a table `by` bytes longer."""
+    i += 1
+    while i <= len(tree):
+        tree[i - 1] += by
+        i += i & -i
+
+
+def _append(tree: list, size: int) -> None:
+    """Add a block of `size` bytes at the end of a table."""
+    i = len(tree) + 1
+    tree.append(size + _prefix(tree, i - 1) - _prefix(tree, i - (i & -i)))
+
+
+def _extent(trees: list, slot: int) -> tuple[int, int]:
+    """The range of byte offsets of the block in `slot` of the source that
+    `trees` lays out (`_Origin`), as (start, stop)."""
+    table, i = (0, slot) if slot >= 0 else (1, ~slot)
+    tree = trees[table]
+    base = len(HEADER) + 1 + (_prefix(trees[0], len(trees[0])) if table else 0)
+    return base + _prefix(tree, i), base + _prefix(tree, i + 1)
+
+
+def _plan(net: Net):
+    """What a save of `net` encodes: each node of its to-encode table
+    (`Net.dirty`) in file order, as (id, its old slot or None, the range
+    of byte offsets of its old block in the source, or the empty range
+    where a new block goes), and the end of the node blocks there. None
+    when there is nothing to copy: the net has no source, its source
+    cannot be placed (`_build`), a node holds the slot of the other table,
+    a node is held as both kinds, or a new node does not go at the end of
+    its table (an id below the largest laid out there)."""
+    dirty = net.dirty
+    if dirty is None or net.source is None:
+        return None
+    objects, actions = net.objects, net.actions
+    trees, last = net.origin.trees, net.origin.last
+    ends = [len(HEADER) + 1 + _prefix(trees[0], len(trees[0]))]   # where each table's blocks end
+    ends.append(ends[0] + _prefix(trees[1], len(trees[1])))
+    plan = []
+    for nid, slot in dirty.items():
+        table = (nid in objects) + 2 * (nid in actions) - 1   # -1 gone, 0 object, 1 action
+        if table == 2:
+            return None
+        if slot is None:
+            if table < 0:   # came and went: no block, old or new
+                continue
+            if nid <= last[table]:
+                return None
+            i, start, stop = len(trees[table]), ends[table], ends[table]
+        else:
+            if table >= 0 and table != (slot < 0):
+                return None
+            table, i = (0, slot) if slot >= 0 else (1, ~slot)
+            start, stop = _extent(trees, slot)
+        plan.append(((table, i, nid), nid, slot, start, stop))
+    plan.sort()
+    return [entry[1:] for entry in plan], ends[1]
+
+
+def _in_order(table: dict, k: int) -> bool:
+    """Whether `table`, in id order but for at most `k` keys put in since,
+    is in id order: its last k + 1 keys are."""
+    tail = list(islice(reversed(table), k + 1))
+    return all(map(gt, tail, tail[1:]))
+
+
+def _rebase(net: Net, data: bytes, identity: tuple, blocks: list, isa: list,
+            labels: bytes | None, placed: bool) -> None:
     """Make `data`, which `save` wrote from a net that has a source, the
     net's source, its mark re-pointed to the file written (`identity`).
 
-    `order` lists the nodes in file order, `layout` the blocks `save`
-    copied and encoded, `isa` the is-a edges written and `labels` the
-    LABEL lines, when a read takes them as one run (b"" for none), else
-    None. A copied block keeps its span, moved to where it now lies. The
-    blocks encoded are read as a read of `data` reads them: each node
-    takes the records that read gives it, and its span if it gives one.
-    The net is clean when a read of `data` gives it as it stands, but for
-    its labels: that read succeeds, no node is collapsed, the tables are
-    in id order, and every action end and is-a end is an object.
+    `blocks` lists the nodes `save` encoded or dropped (`save`), `placed`
+    says whether it copied the rest, `isa` lists the is-a edges written and
+    `labels` the LABEL lines, when a read takes them as one run (b"" for
+    none), else None. The blocks copied keep their slots; the table of
+    each block encoded or dropped grows by what its size changed, and a
+    new block takes a slot at the end of its table, or, when nothing was
+    copied, every block does, in a fresh layout. The blocks encoded are
+    read as a read of `data` reads them: each node takes the records that
+    read gives it, and a span if it gives one, else it stays in the
+    to-encode table. The net is clean when a read of `data` gives it as it
+    stands, but for its labels: that read succeeds, no node is collapsed,
+    the tables are in id order, and every action end and is-a end is an
+    object. After a copy only the nodes encoded and the is-a edges are
+    checked: a `note` changes neither the table order nor any action end.
     """
     objects, actions = net.objects, net.actions
-    acts = actions.values()
-    ends = set(map(attrgetter("target"), acts)).union(map(attrgetter("subject"), acts))
-    ends.discard(None)
-    clean = (not net.collapsed and [*objects, *actions] == order
-             and objects.keys().isdisjoint(actions)
-             and ends <= objects.keys() and all(i in objects and c in objects for i, c in isa))
     origin = net.origin
     mark = origin.mark
     mark.identity = identity
-    spans, moved = net.spans, {}
-    blocks = []   # (id, offset in data, bytes) of each block encoded
-    pos = len(HEADER) + 1
-    for at, lines, first, stop in layout:
-        if type(lines) is int:   # a run of blocks copied: order[at:lines], source[first:stop]
-            nids = order[at:lines]
-            shift = pos - first
-            if shift:
-                moved.update({nid: range(span.start + shift, span.stop + shift)
-                              for nid, span in zip(nids, map(spans.__getitem__, nids))})
-            else:
-                moved.update(zip(nids, map(spans.__getitem__, nids)))
-            pos += stop - first
-            continue
-        blocks.append((order[at], pos, _encoded([lines[first:stop]])))
-        moved[order[at]] = None   # its place, until a read spans it
-        pos += len(blocks[-1][2])
+    if not placed:
+        net.spans, net.dirty = {}, {}
+        origin.trees, origin.last, origin.nans = [[], []], [-1, -1], set()
+    spans, dirty, nans = net.spans, net.dirty, origin.nans
+    trees, last = origin.trees, origin.last
+    dirty.clear()
+    encoded = [(nid, _encoded([lines[first:stop]])) for nid, _, _, lines, first, stop in blocks
+               if lines is not None]
     # a read of the blocks encoded, after a line for each other object
     # they name, gives what a read of `data` gives each of their nodes
-    named = {end for nid, _, _ in blocks if nid in actions
-             for end in (actions[nid].subject, actions[nid].target)} - {nid for nid, _, _ in blocks}
+    named = {end for nid, _ in encoded if nid in actions
+             for end in (actions[nid].subject, actions[nid].target)} - {nid for nid, _ in encoded}
     head = b"".join(b"OBJ %d\n" % nid for nid in sorted(named - {None}))
+    nans.difference_update(block[0] for block in blocks)
     try:
         entries, spanned, _, _, _ = _read(HEADER.encode() + b"\n" + head + b"".join(
-            block for _, _, block in blocks), True)[0]
-        read = {entry[0]: (entry, span) for entry, span in zip(entries, spanned)}
-        for nid, at, block in blocks:   # each node takes what that read gives it
-            (_, _, _, _, _, fields, text), span = read[nid]
+            block for _, block in encoded), True)[0]
+        read = {entry[0]: (entry[5:], span) for entry, span in zip(entries, spanned)}
+        for nid, _ in encoded:   # each node takes what that read gives it
+            (fields, text), _ = read[nid]
             rec = objects.get(nid) or actions[nid]
             if text is not None:
                 rec.script = _shared_script(text, origin.scripts, mark)
             rec.properties = _properties(nid, fields, origin.records, mark)
-            if span is not None:
-                moved[nid] = range(at, at + len(block))
+            if any(prop.value.data != prop.value.data for prop in rec.properties.values()):
+                nans.add(nid)
     except (FormatError, ScriptParseError):   # no read gives the net as it stands
-        clean = False
-    for nid, _, _ in blocks:
-        if moved[nid] is None:
-            del moved[nid]
+        read = None
+    sizes = dict(encoded)
+    for nid, slot, size, _, _, _ in blocks:
+        if nid not in sizes:   # gone
+            _grow(trees[slot < 0], slot if slot >= 0 else ~slot, -size)
+            continue
+        if slot is None:   # a new block, or any block of a fresh layout, whose trees come last
+            table = nid in actions
+            slot = ~len(trees[1]) if table else len(trees[0])
+            (_append if placed else list.append)(trees[table], len(sizes[nid]))
+            last[table] = nid
+        else:
+            _grow(trees[slot < 0], slot if slot >= 0 else ~slot, len(sizes[nid]) - size)
+        if read and read[nid][1] is not None:
+            spans[nid] = slot
+        else:
+            dirty[nid] = slot
+    if not placed:
+        origin.trees = list(map(_tree, trees))
+    if placed and origin.sound:   # only the nodes encoded can have come in or changed ends
+        acts = [actions[nid] for nid in sizes if nid in actions]
+        sound = _in_order(objects, len(sizes) - len(acts)) and _in_order(actions, len(acts))
+    else:
+        acts = actions.values()
+        sound = _in_order(objects, len(objects)) and _in_order(actions, len(actions))
+        if not objects.keys().isdisjoint(actions):   # an id held as both kinds: lay nothing out
+            net.spans, net.dirty, sound = {}, None, False
+    sound = sound and all(act.target in objects and (act.subject is None or act.subject in objects)
+                          for act in acts)
     if len(origin.records) > origin.bound:   # forget the records the net no longer holds
+        acts = actions.values()
         held = {id(prop) for rec in chain(objects.values(), acts) for prop in rec.properties.values()}
         origin.records = {tail: rec for tail, rec in origin.records.items() if id(rec) in held}
         held = {id(act.script) for act in acts}
         origin.scripts = {text: ref for text, ref in origin.scripts.items() if id(ref) in held}
         origin.bound = 2 * len(origin.records) + 64
-    net.source, net.spans, net.clean = data, moved, clean
+    origin.sound = sound
+    net.source = data
+    net.clean = (sound and read is not None and not net.collapsed
+                 and all(i in objects and c in objects for i, c in isa))
     origin.isa, origin.labels = tuple(sorted(set(isa))), labels
 
 
@@ -632,8 +740,13 @@ class _Origin:
     the mark the load gave its records; the records and scripts a read of
     the source shares, by PROP tail and by script text (some the net may
     no longer hold, until their count passes `bound`); the is-a edges a
-    read of it gives; and its LABEL lines when a read takes them as one run
-    (b"" for none), else None."""
+    read of it gives; its LABEL lines when a read takes them as one run
+    (b"" for none), else None; where its node blocks lie, as a Fenwick tree
+    of their sizes per table (`_prefix`), and the largest id laid out in
+    each table (-1 for none), both None when it cannot be placed; the
+    nodes whose records there hold a NaN, which equals no value; and
+    whether the net's tables were in id order, disjoint, and every action
+    end an object when it was read or written (`_rebase`)."""
 
     mark: FileMark
     records: dict
@@ -641,11 +754,10 @@ class _Origin:
     isa: tuple
     labels: bytes | None
     bound: int
-
-
-def _holds_nan(records: dict) -> bool:
-    """Whether a record of `records` holds a NaN, which equals no value."""
-    return any(rec.value.data != rec.value.data for rec in records.values())
+    trees: list | None
+    last: list | None
+    nans: set
+    sound: bool
 
 
 # What a value memo charges for a net it keeps: the net's source once (it
@@ -671,7 +783,9 @@ def _charge(net: Net, lexicon: Lexicon) -> int:
 
 class ValueMemo:
     """The nets, with their lexicons, that one owner (a CLI session) let
-    go, each kept while clean (`Net.clean`), keyed by its source.
+    go, each kept while clean (`Net.clean`) for its source: a lookup
+    finds it by the size of the bytes, then compares them, and no bytes
+    are hashed.
 
     The owner hands over a net it lets go (`keep`), and a `load` of bytes
     whose net is kept takes that net back out (`take`), reset as a cold
@@ -680,7 +794,8 @@ class ValueMemo:
     and the memo never holds a net a caller still holds. It keeps no net
     changed since its load or save (`Net.note`, `Net.touch`), holding a
     collapsed subnet, with is-a edges or labels other than its source's,
-    or holding a NaN, which equals no value, not even a cold load's.
+    or holding a NaN, which equals no value, not even a cold load's
+    (`_Origin.nans`, so no keep passes over the net's records).
     Each net is charged for what it holds (`_charge`); the memo holds at
     most MAX_MEMO_BYTES so charged, is emptied whole when one more net
     would pass that, and keeps no net charged more. Only its own methods
@@ -690,7 +805,9 @@ class ValueMemo:
     __slots__ = ("nets", "size")
 
     def __init__(self):
-        self.nets: dict[bytes, tuple] = {}   # source bytes -> (net, lexicon, its charge)
+        # the size of a source -> [(net, lexicon, its charge)] of each net
+        # of a source of that size, so that no lookup hashes the bytes
+        self.nets: dict[int, list[tuple]] = {}
         self.size = 0   # what the nets held are charged
 
     def keep(self, net: Net, lexicon: Lexicon) -> bool:
@@ -699,35 +816,32 @@ class ValueMemo:
         origin = net.origin
         labels = None if origin is None else origin.labels
         if not (net.clean and labels is not None and tuple(sorted(set(net.isa_edges))) == origin.isa
-                and (lexicon.source is labels if labels else not lexicon.labels)
-                and not _holds_nan(origin.records)):
+                and (lexicon.source is labels if labels else not lexicon.labels) and not origin.nans):
             return False
         cost = _charge(net, lexicon)
         if cost > MAX_MEMO_BYTES:
             return False
-        self._drop(net.source)
+        self._pop(net.source)
         if self.size + cost > MAX_MEMO_BYTES:
             self.nets.clear()
             self.size = 0
-        self.nets[net.source] = (net, lexicon, cost)
+        self.nets.setdefault(len(net.source), []).append((net, lexicon, cost))
         self.size += cost
         return True
 
     def release(self, net: Net) -> None:
         """Give `net` back unreset, if kept: a load that fails leaves its
         owner the net it let go."""
-        kept = self.nets.get(net.source)
-        if kept is not None and kept[0] is net:
-            self._drop(net.source)
+        if net.source is not None and any(kept[0] is net for kept in self.nets.get(len(net.source), ())):
+            self._pop(net.source)
 
     def take(self, data: bytes, identity: tuple) -> tuple[Net, Lexicon] | None:
         """The net and lexicon kept for the bytes `data`, of the file whose
         identity is `identity`, handed over as a cold load of them gives
         them; None if none is kept."""
-        kept = self.nets.get(data)
+        kept = self._pop(data)
         if kept is None:
             return None
-        self._drop(data)
         net, lexicon, _ = kept
         net.origin.mark.identity = identity
         net.clock, net.timeline, net.journal, net.sense_log, net._executing = 0, None, None, None, False
@@ -738,11 +852,21 @@ class ValueMemo:
     def decode(self, data: bytes) -> tuple | None:
         """What a read of the bytes `data` decodes (`_read`) when a net of
         them is kept, else None: a check of what a load would take back."""
-        return _read(data, True)[0] if data in self.nets else None
+        held = any(kept[0].source == data for kept in self.nets.get(len(data), ()))
+        return _read(data, True)[0] if held else None
 
-    def _drop(self, data: bytes) -> None:
-        _, _, cost = self.nets.pop(data, (None, None, 0))
-        self.size -= cost
+    def _pop(self, data: bytes) -> tuple | None:
+        """Stop keeping the net kept for the bytes `data`, if any; return
+        it with its lexicon and charge."""
+        held = self.nets.get(len(data), [])
+        for i, kept in enumerate(held):
+            if kept[0].source == data:
+                del held[i]
+                if not held:
+                    del self.nets[len(data)]
+                self.size -= kept[2]
+                return kept
+        return None
 
 
 def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails: dict) -> tuple:
@@ -845,9 +969,8 @@ def _read(buf: bytes, decode: bool):
     order (`_node_run`; the tail is a line number for a line read token by
     token) and the script its text (bytes if not UTF-8) or None. spans
     lists, entry by entry, the range of byte offsets of the node's block
-    (a net keeps one per node, and unlike a tuple a range is not tracked by
-    the collector) when it reads byte for byte as `save` writes that node
-    and the node has no record outside it, else None. labels lists the
+    when it reads byte for byte as `save` writes that node and the node
+    has no record outside it, else None. labels lists the
     (node, language, text) of the LABEL lines in file order, and
     label_start is the offset of those lines when they are one matched run
     that ends the file and reads as `save` writes those labels, else None.
@@ -1044,16 +1167,45 @@ def _build(decode: tuple, data: bytes, mark: FileMark, scripts: dict) -> tuple[N
     changed in place. Scripts are parsed in action id order; a fault is
     placed at its SCRIPT line from `scripts` (`_read`'s). The net keeps the
     file and its blocks' spans, which `save` can copy, and is clean; the
-    lexicon keeps the LABEL lines."""
+    lexicon keeps the LABEL lines.
+
+    The source is placed when its spanned blocks lie in file order and each
+    gap between them, or before the first, lies where only nodes with no
+    span go: the first such node takes the gap as its block, the others an
+    empty one, and those after the last spanned block the rest of the file.
+    Each spanned node gets its slot (`_Origin.trees`), and each other node
+    enters the to-encode table with its own, so a save encodes it and
+    copies the rest; the gaps hold nothing but records a save writes anew
+    (of those nodes, is-a edges, labels). A source that is not placed lays
+    nothing out, and its first save encodes everything."""
     entries, spanned, isa, labels, label_start = decode
     net = Net()
     objects, actions, spans = net.objects, net.actions, net.spans
+    dirty: dict = {}
     records: dict = {}
     shared: dict[str, ScriptRef] = {}
+    sizes: list = [[], []]   # the size of each block in file order, per table
+    pos = len(HEADER) + 1    # where the blocks laid out so far end
+    gap = None               # the table and index of the first node with no span since
+    placed = True
     for (nid, kind, prov, subject, target, fields, text), span in zip(entries, spanned):
         properties = _properties(nid, fields, records, mark)
-        if span is not None:
-            spans[nid] = span
+        table = sizes[kind == "ACT"]
+        slot = ~len(table) if kind == "ACT" else len(table)
+        if span is None:
+            dirty[nid] = slot
+            gap = gap or (table, len(table))
+            table.append(0)
+        else:
+            spans[nid] = slot
+            if span.start != pos:
+                if gap is None or span.start < pos:
+                    placed = False
+                else:
+                    gap[0][gap[1]] = span.start - pos
+            gap = None
+            table.append(len(span))
+            pos = span.stop
         if kind == "OBJ":
             objects[nid] = ObjectRecord(nid, properties, [], [], prov)
             continue
@@ -1070,6 +1222,8 @@ def _build(decode: tuple, data: bytes, mark: FileMark, scripts: dict) -> tuple[N
         if subject is not None:   # objects come first: both ends are built
             objects[subject].outgoing.append(nid)
         objects[target].incoming.append(nid)
+    if gap is not None:
+        gap[0][gap[1]] = len(data) - pos
     net.bump_id(max(next(reversed(objects), 0), next(reversed(actions), 0)))
     net.isa_edges = sorted(set(isa))
     net.source = data
@@ -1077,9 +1231,29 @@ def _build(decode: tuple, data: bytes, mark: FileMark, scripts: dict) -> tuple[N
     lexicon = Lexicon.of(labels)
     if label_start is not None:
         lexicon.source = data[label_start:]
+    nans = set()
+    if any(rec.value.data != rec.value.data for rec in records.values()):
+        nans = {rec.id for rec in chain(objects.values(), actions.values())
+                if any(prop.value.data != prop.value.data for prop in rec.properties.values())}
+    trees = last = None
+    if placed:
+        trees, last = list(map(_tree, sizes)), [next(reversed(objects), -1), next(reversed(actions), -1)]
+        net.dirty = dirty
+    else:
+        net.spans = {}
     net.origin = _Origin(mark, records, shared, tuple(net.isa_edges), lexicon.source if labels else b"",
-                         2 * len(records) + 64)
+                         2 * len(records) + 64, trees, last, nans, True)
     return net, lexicon
+
+
+def _tree(sizes: list) -> list:
+    """The Fenwick tree (`_prefix`) of the block sizes of a table, in O(n)."""
+    tree = list(sizes)
+    for i in range(1, len(tree) + 1):
+        j = i + (i & -i)
+        if j <= len(tree):
+            tree[j - 1] += tree[i - 1]
+    return tree
 
 
 def _properties(nid: NodeId, fields: tuple, records: dict, mark: FileMark) -> dict:

@@ -342,3 +342,9 @@ def random_net(rng: random.Random, *, max_objects: int = 8,
             lang = rng.choice(["en", "fr", "de", "zh-Hant"])
             lexicon.set_label(node, lang, rng.choice(_TEXT_POOL) or "thing")
     return net, lexicon
+
+
+def kept_nets(memo) -> dict:
+    """The nets a `store.ValueMemo` keeps, by source: {bytes: (net,
+    lexicon, charge)}, in the order their sizes were first kept."""
+    return {held[0].source: held for nets in memo.nets.values() for held in nets}

@@ -10,6 +10,7 @@ import pytest
 from krn import SensorAddress, SensorSignal, Value
 from krn.cli import COMMANDS, Session, main, run_command, run_lines, split_commands, split_words
 from krn.errors import CommandError, FormatError, KrnError, UnknownNode
+from helpers import kept_nets
 
 
 def run_script(text: str) -> tuple[str, int]:
@@ -139,13 +140,13 @@ def test_a_session_keeps_its_memo_across_new_load_and_mine(tmp_path):
     run_command(session, f"load {p}")
     net = session.net
     run_command(session, "new")
-    assert session.memo is memo and list(memo.nets) == [p.read_bytes()]
+    assert session.memo is memo and list(kept_nets(memo)) == [p.read_bytes()]
     mine = f"mine --min-support 2 --max-nodes 3 {p} {q}"
     assert run_command(session, mine) == run_command(Session(), mine) == [
         "template 1: support 2, 3 nodes"]
-    assert session.memo is memo and list(memo.nets) == [p.read_bytes(), q.read_bytes()]
+    assert session.memo is memo and list(kept_nets(memo)) == [p.read_bytes(), q.read_bytes()]
     run_command(session, f"load {p}")
-    assert session.net is net and list(memo.nets) == [q.read_bytes()]
+    assert session.net is net and list(kept_nets(memo)) == [q.read_bytes()]
 
 
 def test_a_failed_load_leaves_the_session_its_net(tmp_path):

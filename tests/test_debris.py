@@ -6,7 +6,9 @@ table or reads an enum member off its class in a function body, no
 module but `lexicon.py` reads a lexicon's reverse index, no record a
 load may share is changed in place, inside `store.StoreHandle` only
 `_held` looks a node up in a net, only `store.ValueMemo`'s own methods
-touch its table, and every CLI load passes the session's memo.
+touch its table, only `Net.note`, `Net.touch`, `store._build` and
+`store._rebase` write a net's span and to-encode tables, and every CLI
+load passes the session's memo.
 No pattern needs a newer Python than the package allows. The README's
 command summary names exactly the verbs the CLI dispatches on."""
 
@@ -176,6 +178,65 @@ def test_only_the_value_memo_touches_its_table():
              for module, (_, tree) in trees.items() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in slots and id(node) not in own]
     assert slots and not pokes, pokes
+
+
+def _table_writes(func, tables: set[str]) -> list:
+    """The nodes in `func` that write a table named in `tables`, read off
+    any object (`<expr>.spans`) or through a local name bound to one:
+    an assignment of the attribute, a store or delete of an item, and a
+    call of a method that changes a dict."""
+    aliases = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                aliases.update(t.id for t, v in pairs if isinstance(t, ast.Name)
+                               and isinstance(v, ast.Attribute) and v.attr in tables)
+
+    def table(expr) -> bool:
+        return (isinstance(expr, ast.Attribute) and expr.attr in tables
+                or isinstance(expr, ast.Name) and expr.id in aliases)
+
+    writes = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Attribute) and node.attr in tables and not isinstance(node.ctx, ast.Load):
+            writes.append(node)
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) and table(node.value):
+            writes.append(node)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("pop", "popitem", "clear", "update", "setdefault")
+              and table(node.func.value)):
+            writes.append(node)
+    return writes
+
+
+def test_only_note_touch_build_and_rebase_write_the_span_tables():
+    """A net's span table and to-encode table (`Net.spans`, `Net.dirty`)
+    say which blocks of its source a save copies and which nodes it
+    encodes. Only `Net.note` and `Net.touch` move a node from one to the
+    other, only `store._build` and `store._rebase` lay them out, and
+    `Net.__init__` starts them: no other function in the package writes
+    either table (`_table_writes`), and no code outside a function does."""
+    allowed = {("core.py", "__init__"), ("core.py", "note"), ("core.py", "touch"),
+               ("store.py", "_build"), ("store.py", "_rebase")}
+    tables = {"spans", "dirty"}
+    def outside_functions(body):
+        for stmt in body:
+            if isinstance(stmt, ast.ClassDef):
+                yield from outside_functions(stmt.body)
+            elif not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield stmt
+
+    writes = []
+    for module, (_, tree) in _trees().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and (module, func.name) not in allowed:
+                writes += [f"{module}:{node.lineno} in {func.name}" for node in _table_writes(func, tables)]
+        writes += [f"{module}:{node.lineno}" for stmt in outside_functions(tree.body)
+                   for node in _table_writes(stmt, tables)]
+    assert not writes, writes
 
 
 def test_every_cli_load_goes_through_the_session_memo():

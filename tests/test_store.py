@@ -32,7 +32,7 @@ from krn.errors import (
     UnknownScript,
 )
 
-from helpers import person_pattern, rand_name, rand_value, random_net, wall_net
+from helpers import kept_nets, person_pattern, rand_name, rand_value, random_net, wall_net
 
 
 def _saved(tmp_path, net, lexicon=None, name="net.krn"):
@@ -851,15 +851,15 @@ def test_matched_and_tokenised_records_read_alike(tmp_path):
         data = Path(path).read_bytes()
         # a block cut into loads as its tokenised read; only untouched
         # saved-form blocks get spans, and the save equals a full save
-        blocks = {nid: data[span.start:span.stop] for nid, span in matched.spans.items()}
-        for kind, broken in _broken_blocks(rng, data, matched.spans):
+        blocks = {nid: data[span.start:span.stop] for nid, span in _spans(matched).items()}
+        for kind, broken in _broken_blocks(rng, data, _spans(matched)):
             kinds.add(kind)
             bad, bad_spaced = tmp_path / "broken.krn", tmp_path / "broken-spaced.krn"
             bad.write_bytes(broken)
             bad_spaced.write_bytes(_respaced(broken))
             (got, got_lex), (want, want_lex) = map(store.load, (str(bad), str(bad_spaced)))
             assert nets_equal(got, want) and got_lex.labels == want_lex.labels, f"net {i}: {kind}"
-            for nid, span in got.spans.items():
+            for nid, span in _spans(got).items():
                 assert broken[span.start:span.stop] == blocks.get(nid), f"net {i}: {kind}"
             _check_splice(tmp_path, got, got_lex, str(bad))
     assert len(kinds) == 8
@@ -1239,6 +1239,27 @@ def test_a_net_holding_a_nan_is_never_kept(tmp_path):
     assert _full_view(*store.load(str(clean), memo)) == _full_view(*store.load(str(clean)))
 
 
+def test_a_nan_overwritten_and_saved_blocks_no_keep(tmp_path, monkeypatch):
+    """Only the NaN a net holds blocks a keep, not one it held: load, set
+    x to NaN, save, set x to 2, save, and a load of the file takes the net
+    back, reading nothing, as a cold load gives it."""
+    path = tmp_path / "one.krn"
+    path.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num 1.0 asserted\n")
+    memo = store.ValueMemo()
+    net, lexicon = store.load(str(path), memo)
+    net.set_property(1, "x", Value.num(math.nan))
+    store.save(net, lexicon, str(path))
+    assert net.clean and not memo.keep(net, lexicon)
+    net.set_property(1, "x", Value.num(2))
+    store.save(net, lexicon, str(path))
+    assert net.clean and memo.keep(net, lexicon)
+    counts = {"_read": 0}
+    _counting(monkeypatch, counts)
+    again = store.load(str(path), memo)
+    assert again[0] is net and counts["_read"] == 0
+    assert _full_view(*again) == _full_view(*store.load(str(path)))
+
+
 def _props(net):
     return [prop for (_, name), prop in _marked(net) if name is not None]
 
@@ -1289,7 +1310,7 @@ def _loaded(path, memo, copy_to):
     except (FormatError, ScriptParseError) as exc:
         return type(exc), str(exc), exc.line
     store.save(*copy.deepcopy((net, lexicon)), copy_to)
-    view = (net, lexicon.items(), dict(net.spans), net.next_id,
+    view = (net, lexicon.items(), _spans(net), net.next_id,
             [(key, kept, getattr(kept.from_store, "identity", kept.from_store))
              for key, kept in _marked(net)], Path(copy_to).read_bytes())
     if memo is not None:
@@ -1308,7 +1329,7 @@ def test_a_load_through_a_warm_memo_equals_a_cold_load(tmp_path):
         memo.keep(*store.load(source))   # the net one load in five below takes back
         data = Path(source).read_bytes()
         Path(path).write_bytes(data if rng.random() < 0.2 else _mutated(rng, data))
-        taken += Path(path).read_bytes() in memo.nets
+        taken += Path(path).read_bytes() in kept_nets(memo)
         cold = _loaded(path, None, str(tmp_path / "cold.krn"))
         warm = _loaded(path, memo, str(tmp_path / "warm.krn"))
         if len(cold) == 3:
@@ -1317,7 +1338,7 @@ def test_a_load_through_a_warm_memo_equals_a_cold_load(tmp_path):
             continue
         assert len(warm) == 6 and nets_equal(warm[0], cold[0]), f"mutant {i}"
         assert warm[1:] == cold[1:], f"mutant {i}"
-        assert memo.size == sum(held[2] for held in memo.nets.values()) <= store.MAX_MEMO_BYTES
+        assert memo.size == sum(held[2] for held in kept_nets(memo).values()) <= store.MAX_MEMO_BYTES
     assert 50 < failed < 250 and taken > 30
 
 
@@ -1338,20 +1359,20 @@ def test_a_full_memo_empties_whole_and_a_failed_load_leaves_it_alone(tmp_path, m
     for (net, lexicon), want in zip(loaded, nets):
         assert nets_equal(net, want) and memo.keep(net, lexicon)
     # the fourth net would pass the bound: the first three go, all at once
-    assert list(memo.nets) == data[3:] and memo.size == 2 * cost
-    held = dict(memo.nets)
+    assert list(kept_nets(memo)) == data[3:] and memo.size == 2 * cost
+    held = kept_nets(memo)
     bad = tmp_path / "bad.krn"
     bad.write_bytes(b"KRN 1\nOBJ 1\nPROP 1 x num ten asserted\n")
     with pytest.raises(FormatError, match="bad number") as exc:
         store.load(str(bad), memo)
     assert exc.value.line == 3
-    assert memo.nets == held and memo.size == 2 * cost
+    assert kept_nets(memo) == held and memo.size == 2 * cost
     # a net charged more than the bound is never kept, and empties nothing
     big = tmp_path / "big.krn"
     big.write_text(f"KRN 1\nOBJ 1\nPROP 1 x text \"{'a' * 3 * cost}\" asserted\n")
     net, lexicon = store.load(str(big), memo)
     assert net.objects[1].properties["x"].value == Value.text("a" * 3 * cost)
-    assert not memo.keep(net, lexicon) and memo.nets == held and memo.size == 2 * cost
+    assert not memo.keep(net, lexicon) and kept_nets(memo) == held and memo.size == 2 * cost
 
 
 def _small_runs(shape):
@@ -1416,7 +1437,7 @@ def _reloaded(tmp_path, data: bytes):
     Path(path).write_bytes(data)
     memo = store.ValueMemo()
     cold = _loaded(path, memo, str(tmp_path / "cold.krn"))
-    assert (data in memo.nets) == (len(cold) == 6)
+    assert (data in kept_nets(memo)) == (len(cold) == 6)
     warm = _loaded(path, memo, str(tmp_path / "warm.krn"))
     assert len(warm) == 3 or warm[0] is cold[0]
     return cold, warm
@@ -1533,7 +1554,7 @@ def test_store_full_traffic_through_one_session_memo_loads_as_cold(tmp_path, mon
             obj = rng.choice(sorted(net.objects))
             run_command(session, f"set #{obj}.{rng.choice(['x', 'mass'])} {rng.randrange(4)}")
         run_command(session, f"save {path}")
-    assert len(session.memo.nets) == 2 and session.memo.size <= store.MAX_MEMO_BYTES
+    assert len(kept_nets(session.memo)) == 2 and session.memo.size <= store.MAX_MEMO_BYTES
 
 
 class _CountedPattern:
@@ -1588,10 +1609,10 @@ def test_a_load_never_returns_a_net_a_caller_holds(tmp_path):
     for step in range(60):
         path = rng.choice(paths)
         data = Path(path).read_bytes()
-        kept = memo.nets.get(data, (None,))[0]
+        kept = kept_nets(memo).get(data, (None,))[0]
         net, lexicon = store.load(path, memo)
         assert all(net is not other for other in held), f"step {step}"
-        assert net is kept if kept is not None else data not in memo.nets, f"step {step}"
+        assert net is kept if kept is not None else data not in kept_nets(memo), f"step {step}"
         taken += kept is not None
         if rng.random() < 0.5:
             assert memo.keep(net, lexicon)
@@ -1686,7 +1707,7 @@ def _full_view(net, lexicon):
             ends = (rec.subject, rec.target, script_.text, script_.from_store,
                     script_.ast is not None, first_seen(script_))
         nodes.append((rec.id, rec.provenance, props, ends))
-    return (nodes, net.next_id, net.isa_edges, list(net.spans.items()), net.source,
+    return (nodes, net.next_id, net.isa_edges, list(_spans(net).items()), net.source,
             list(lexicon.labels.items()), lexicon.source)
 
 
@@ -1814,6 +1835,56 @@ def test_a_load_after_a_save_reads_no_run(tmp_path, monkeypatch):
     assert fresh.source is None and not fresh.spans and not memo.keep(fresh, Lexicon())
 
 
+class _Passes(dict):
+    """A dict that counts the passes over it: iterations of it, its keys,
+    its values or its items."""
+
+    passes = 0
+
+    def _pass(self, view):
+        self.passes += 1
+        return view
+
+    def __iter__(self):
+        return self._pass(super().__iter__())
+
+    def keys(self):
+        return self._pass(super().keys())
+
+    def values(self):
+        return self._pass(super().values())
+
+    def items(self):
+        return self._pass(super().items())
+
+
+def test_a_save_after_one_set_encodes_one_block(tmp_path, monkeypatch):
+    """A count, not a timing: after a warm load (a net taken back) and one
+    `set`, a save encodes the block of that node alone (`_prop_line` runs
+    for its properties only) and makes no span for any other node (each
+    keeps the very slot object it held), and neither `keep` nor `take`
+    passes over the records the net's source shares."""
+    memo = store.ValueMemo()
+    path = _traffic_files(random.Random(17), tmp_path)[0]
+    assert memo.keep(*store.load(path, memo))
+    net, lexicon = store.load(path, memo)   # warm: the net taken back
+    assert not memo.nets
+    nid = sorted(net.objects)[5]
+    net.set_property(nid, "x", Value.num(4242.5))
+    held = dict(net.spans)
+    owners = []
+    real = store._prop_line
+    monkeypatch.setattr(store, "_prop_line", lambda owner, prop: owners.append(owner) or real(owner, prop))
+    store.save(net, lexicon, path)
+    assert owners == [nid] * len(net.objects[nid].properties)
+    assert net.spans.keys() == held.keys() | {nid}
+    assert all(net.spans[other] is slot for other, slot in held.items())
+    net.origin.records = records = _Passes(net.origin.records)
+    assert memo.keep(net, lexicon)
+    assert store.load(path, memo)[0] is net and records.passes == 0
+    assert _full_view(net, lexicon) == _full_view(*store.load(path))
+
+
 def test_the_memo_charges_what_it_keeps(tmp_path):
     """Each kept net is charged `_charge`: keeping a net for bytes the memo
     keeps a net of replaces that one and its charge, a take or a release
@@ -1826,20 +1897,22 @@ def test_the_memo_charges_what_it_keeps(tmp_path):
     assert memo.size == sum(store._charge(*pair) for pair in nets)
     twin = store.load(paths[0])
     assert memo.keep(*twin)
-    assert len(memo.nets) == 3 and memo.nets[twin[0].source][0] is twin[0]
+    assert len(kept_nets(memo)) == 3 and kept_nets(memo)[twin[0].source][0] is twin[0]
     assert memo.size == sum(store._charge(*pair) for pair in [twin, *nets[1:]])
     memo.release(nets[0][0])   # no longer kept: nothing changes
     memo.release(nets[1][0])
-    assert len(memo.nets) == 2 and memo.size == sum(store._charge(*pair) for pair in [twin, nets[2]])
+    assert len(kept_nets(memo)) == 2 and memo.size == sum(store._charge(*pair) for pair in [twin, nets[2]])
     assert store.load(paths[2], memo)[0] is nets[2][0]
-    assert list(memo.nets) == [twin[0].source] and memo.size == store._charge(*twin)
+    assert list(kept_nets(memo)) == [twin[0].source] and memo.size == store._charge(*twin)
 
 
 @pytest.mark.parametrize("breakage", ["dangling-end", "dangling-subject", "dangling-isa",
                                       "isa-from-action", "both-kinds", "bad-script", "other-labels"])
 def test_a_net_a_read_of_its_save_refuses_is_never_kept(tmp_path, breakage):
-    """A net broken past what the file format holds and then saved is not
-    clean, since a read of what it wrote refuses it, and is never kept:
+    """A net broken past what the file format holds, each node it breaks
+    reported (`Net.touch`), and then saved is not clean, since a read of
+    what it wrote refuses it or a check of the nodes reported does, and is
+    never kept:
     the load of its file raises as a cold load does. The bad reference of
     each of the first five lies in a block the save copied or an is-a
     line; an encoded script that does not parse, or the LABEL lines of
@@ -1856,12 +1929,15 @@ def test_a_net_a_read_of_its_save_refuses_is_never_kept(tmp_path, breakage):
     net, lexicon = store.load(paths[0], memo)
     objects, actions = sorted(net.objects), sorted(net.actions)
     if breakage in ("dangling-end", "dangling-subject"):   # an object goes, its actions stay
+        net.touch(gone, net.objects[gone], gone=True)
+        net.touch(act)
         del net.objects[gone]
     elif breakage == "dangling-isa":
         net.isa_edges.append((objects[0], actions[-1] + 1))
     elif breakage == "isa-from-action":
         net.isa_edges.append((actions[0], objects[0]))
     elif breakage == "both-kinds":
+        net.touch(actions[0], ObjectRecord(actions[0]))
         net.objects[actions[0]] = ObjectRecord(actions[0])
     elif breakage == "bad-script":
         net.touch(actions[0])
@@ -1960,30 +2036,38 @@ def test_a_net_changed_since_its_save_is_never_taken_back(tmp_path, monkeypatch,
     assert _full_view(session.net, session.lexicon) == _full_view(*store.load(paths[0]))
 
 
-def test_a_net_out_of_id_order_is_never_kept(tmp_path, monkeypatch):
-    """An expand puts its nodes back at the end of the net's tables, out
-    of the id order a read gives, so a net saved after one is not clean:
-    a load of its file reads the file, and equals a cold load."""
+@pytest.mark.parametrize("saved_between", [False, True])
+def test_a_net_saved_after_an_expand_is_taken_back_without_a_read(tmp_path, monkeypatch,
+                                                                   saved_between):
+    """An expand puts its nodes back in the id order a read gives, so a
+    net saved after a collapse and an expand, with or without a save
+    between the two, is clean: a load of its file takes the net back,
+    reading nothing, and equals a cold load."""
     paths = _traffic_files(random.Random(16), tmp_path)
     session = Session()
     run_command(session, f"load {paths[0]}")
     net = session.net
     obj = min(nid for nid, rec in net.objects.items() if rec.incoming or rec.outgoing)
     made = run_command(session, f"collapse-obj #{obj}")[0]
+    if saved_between:
+        run_command(session, f"save {paths[0]}")
     run_command(session, f"expand #{made.rsplit('#', 1)[1]}")
     run_command(session, f"save {paths[0]}")
-    assert list(net.objects) != sorted(net.objects) and not net.clean
+    assert list(net.objects) == sorted(net.objects) and list(net.actions) == sorted(net.actions)
+    assert net.clean
     run_command(session, f"load {paths[1]}")
     counts = {"_read": 0}
     _counting(monkeypatch, counts)
     run_command(session, f"load {paths[0]}")
-    assert session.net is not net and counts["_read"] == 1
+    assert session.net is net and counts["_read"] == 0
     assert _full_view(session.net, session.lexicon) == _full_view(*store.load(paths[0]))
 
 
 def _session_step(rng, session, paths, step, complex_nodes):
     """One random command of a session over `paths`, other than a load;
-    True if it was a save. A command the engine refuses changes nothing."""
+    True if it was a save, whose bytes are checked against a full save of
+    a deep copy with no source (`_saved_in_full`). A command the engine
+    refuses changes nothing."""
     net = session.net
     objects, actions = sorted(net.objects), sorted(net.actions)
     roll = rng.random()
@@ -2012,8 +2096,11 @@ def _session_step(rng, session, paths, step, complex_nodes):
             run_command(session, f"mine {' '.join(rng.sample(paths, 2))}")
         elif roll < 0.8:
             run_command(session, f"obj n{step} x={rng.randrange(9)}")
-        else:
-            run_command(session, f"save {rng.choice(paths) if rng.random() < 0.3 else paths[0]}")
+        else:   # what it writes is what a full save of a copy writes
+            path = rng.choice(paths) if rng.random() < 0.3 else paths[0]
+            run_command(session, f"save {path}")
+            full = _saved_in_full(net, session.lexicon, str(Path(path).with_name("full.krn")))
+            assert Path(path).read_bytes() == full, f"step {step}"
             return True
     except KrnError:
         pass
@@ -2321,10 +2408,18 @@ def test_handle_refuses_a_same_size_rewrite_with_its_modification_time_put_back(
 # ---------------------------------------------------------------- splice save
 
 
+def _spans(net) -> dict:
+    """The range of byte offsets in the net's source of each node block a
+    save copies, in file order."""
+    ranges = [(nid, range(*store._extent(net.origin.trees, slot))) for nid, slot in net.spans.items()]
+    return dict(sorted(ranges, key=lambda item: item[1].start))
+
+
 def _saved_in_full(net, lexicon, path):
-    """The bytes a save writes with nothing to copy: same net and labels, no spans."""
-    bare, labels = copy.copy(net), copy.copy(lexicon)
-    bare.spans, labels.source = {}, None
+    """The bytes a save writes with nothing to copy: a deep copy of the net
+    and labels with no source, no spans and no to-encode table."""
+    bare, labels = copy.deepcopy((net, lexicon))
+    bare.source, bare.spans, bare.dirty, labels.source = None, {}, None, None
     store.save(bare, labels, path)
     return Path(path).read_bytes()
 
@@ -2482,7 +2577,7 @@ LABEL 3 fr "peindre"
     ([(b"OBJ 2 inferred\n", b"OBJ 2 inferred\nSIG 2 touch skin 01 5 sensed\n")], {2}, True),
     ([(b'"black";\n>>>', b'"black";\n\n>>>')], {3}, True),            # a blank line ScriptRef drops
     ([(b"OBJ 2 inferred\n", b""), (b"ACT 4 - 2\n", b"ACT 4 - 2\nOBJ 2 inferred\n")],
-     set(), True),                                                      # blocks out of id order
+     {1, 2, 3, 4}, True),         # blocks out of id order: not placed, so every node is encoded
     ([(b'LABEL 1 en "wall"\n', b'LABEL 1 en "wall"\nLABEL 1 en "wall2"\n')], set(), False),
     ([(b'LABEL 1 en "wall"\n', b""), (b'"peindre"\n', b'"peindre"\nLABEL 1 en "wall"\n')],
      set(), False),                                                     # labels out of order
