@@ -346,13 +346,12 @@ class Net:
         self.journal: dict[tuple[NodeId, str], Optional[PropertyRecord]] | None = None
         self._executing = False
         # the bytes of the file the net was loaded from or last saved to;
-        # while the store lays them out (`store._Origin`), the slot there of
-        # each node block a save copies (`spans`), and each node a save
-        # encodes with the slot of its old block, None for a node that has
-        # none (`dirty`, the to-encode table; None when nothing is laid out)
+        # the bytes there of each node block a save copies (`blocks`), and
+        # each node noted, touched or added since, which a save encodes
+        # (`dirty`; None while the net has no source)
         self.source: bytes | None = None
-        self.spans: dict[NodeId, int] = {}
-        self.dirty: dict[NodeId, int | None] | None = None
+        self.blocks: dict[NodeId, bytes] = {}
+        self.dirty: set[NodeId] | None = None
         # whether a read of `source` gives the net as it stands, but for its
         # is-a edges and labels: set by the load or save that made `source`,
         # dropped by `note` and `touch` (`store.ValueMemo.keep`)
@@ -374,15 +373,14 @@ class Net:
         """Report, before it happens, that property `name` of node `nid`
         gets a new record or loses `replaced` (None if it had none). The
         journal, if any, keeps the first record replaced since the last
-        snapshot, the node moves with its slot into the to-encode table,
-        so that a save encodes it and copies the rest (O(changed blocks)
-        plus the copy of the bytes and the atomic write), and the net is
-        no longer clean."""
+        snapshot, the node joins the to-encode set, so that a save encodes
+        it and copies the blocks of the rest (O(changed blocks) in Python,
+        a C-level join and the atomic write), and the net is no longer
+        clean."""
         if self.journal is not None:
             self.journal.setdefault((nid, name), replaced)
-        dirty = self.dirty
-        if dirty is not None and nid not in dirty:
-            dirty[nid] = self.spans.pop(nid, None)
+        if self.dirty is not None:
+            self.dirty.add(nid)
         self.clean = False
 
     def touch(self, nid: NodeId, rec: ObjectRecord | ActionRecord | None = None,
@@ -391,15 +389,14 @@ class Net:
         changes: its record `rec` enters the net, or leaves it when `gone`,
         or, with no `rec`, an endpoint or its script changes. The journal,
         if any, gets one entry per property record that enters or leaves,
-        the node moves into the to-encode table as in `note`, a new one
-        with no slot, and the net is no longer clean."""
+        the node joins the to-encode set as in `note`, and the net is no
+        longer clean."""
         journal = self.journal
         if journal is not None and rec is not None:
             for name, prop in rec.properties.items():
                 journal.setdefault((nid, name), prop if gone else None)
-        dirty = self.dirty
-        if dirty is not None and nid not in dirty:
-            dirty[nid] = self.spans.pop(nid, None)
+        if self.dirty is not None:
+            self.dirty.add(nid)
         self.clean = False
 
     # -- lookup ------------------------------------------------------------

@@ -68,22 +68,22 @@ it over the target, which keeps its mode, and syncs the directory so the
 rename outlasts a crash. It writes no label of a node the net does not
 hold. After a load or a save it copies what has not changed, as a piece
 table does (Crowley, "Data Structures for Text Sequences", 1998): the
-net's source lays its node blocks out in file order, one slot each, in
-a Fenwick tree of their sizes per table (`_Origin`), and a node whose
-block reads exactly as `save` writes it has its slot in `Net.spans`.
-`Net.note` and `Net.touch` move an edited node, with its slot, into the
-to-encode table (`Net.dirty`), where new nodes and nodes with no span
-go too. `save` walks that table in file order, copies the source
-between the old blocks as slices, and encodes the nodes there and the
-ISA lines; so a save after a load costs O(changed blocks) plus the copy
-of the bytes and the atomic write. With no source, or one that cannot
-be placed, every node is in the table, and the walk is the same. The
-LABEL lines are copied when they are one matched run that ends the
-file, while the lexicon holds just those labels (`Lexicon.source`). The
-bytes are the same either way. A save of a net that has a source makes
-the bytes it wrote the source: the slots of the blocks it encoded take
-their new sizes, those the read of them spans leave the table, and the
-net is clean when that read would give the net as it stands
+net keeps the bytes of each node block of its source that reads exactly
+as `save` writes it (`Net.blocks`), wherever it lies there. `Net.note`
+and `Net.touch` put an edited node in the to-encode set (`Net.dirty`),
+where new nodes and nodes with no block go too. `save` encodes the nodes
+in that set and the ISA lines, drops the blocks of the nodes gone, and
+joins the header, each table's blocks in id order and the rest; so a
+save after a load costs Python work of O(changed blocks), one C-level
+join over the blocks of the nodes held, and the atomic write. With no
+source every node is encoded, and so it is when the net holds an id as
+both kinds, whose two blocks would share a key. The LABEL lines are
+copied when they are one matched run that ends the file, while the
+lexicon holds just those labels (`Lexicon.source`). The bytes are the
+same either way. A save of a net that has a source makes the bytes it
+wrote the source: each block it encoded that a read of them spans
+becomes the node's block, the others stay in the set, and the net is
+clean when that read would give the net as it stands
 (`_rebase`). Collapse payloads are not persisted; a saved complex node
 keeps its shape but loses its stored subnet. The records built here
 are slotted dataclasses and take no ad-hoc attributes.
@@ -332,39 +332,56 @@ def _replace(path: str, data: bytes) -> tuple:
     return written
 
 
-def _encoded(pieces: list) -> bytes:
-    """The file from `save`'s pieces in order: lists of lines, encoded as
-    UTF-8 with a newline after each, and bytes, copied as they are."""
-    done: list[bytes] = []
-    for piece in pieces:
-        if type(piece) is list:
-            if not piece:
-                continue
-            text = "\n".join(piece) + "\n"
-            try:
-                piece = text.encode("utf-8")
-            except UnicodeEncodeError as exc:   # a lone surrogate has no UTF-8 form
-                line = sum(d.count(b"\n") for d in done) + text.count("\n", 0, exc.start) + 1
-                raise FormatError(f"cannot save {text[exc.start:exc.end]!r}: no UTF-8 encoding",
-                                  line) from None
-        done.append(piece)
-    return b"".join(done)
+def _block(nid: NodeId, rec: ObjectRecord | ActionRecord, action: bool) -> str:
+    """The lines `save` writes for node `nid`, whose record is `rec`, an
+    action's when `action`, each with its newline. A stubbed property or
+    script raises UnknownProperty or UnknownScript."""
+    if action:
+        subj = "-" if rec.subject is None else rec.subject
+        lines = [f"ACT {nid} {subj} {rec.target}{' inferred' if rec.provenance is INFERRED else ''}"]
+    else:
+        lines = [f"OBJ {nid} inferred" if rec.provenance is INFERRED else f"OBJ {nid}"]
+    props = rec.properties
+    lines += [_prop_line(nid, props[name]) for name in sorted(props)]
+    if action:
+        script = rec.script
+        if script.state == "stub":
+            raise UnknownScript(f"script of action {nid} is not hydrated")
+        if script.text is not None:
+            lines += [f"SCRIPT {nid}", "<<<"]
+            if script.text:
+                lines.append(script.text)
+            lines.append(">>>")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _utf8(text: str) -> bytes:
+    """`text` in UTF-8, or FormatError at the line of its first character
+    that has no UTF-8 form (a lone surrogate)."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"cannot save {text[exc.start:exc.end]!r}: no UTF-8 encoding",
+                          text.count("\n", 0, exc.start) + 1) from None
 
 
 def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     """Serialize the whole net (plus labels) deterministically and atomically.
 
-    One walk over the to-encode table in file order (`_plan`): the source
-    between the old blocks of the nodes there is copied as slices, those
-    nodes are encoded (or dropped, if gone), and so are the is-a edges.
-    With no source, or one that cannot be placed, every node is in the
-    table. So a save after a load or a save costs O(changed blocks) plus
-    the copy of the bytes and the atomic write. The labels are copied while
-    the lexicon holds just those it was loaded with (`Lexicon.source`) and
-    every labelled node is in the net; either way the bytes are the same.
-    Labels of nodes that are not in the net are not written. A stubbed
-    property or script (UnknownProperty, UnknownScript) or text with no
-    UTF-8 form (FormatError) fails before any file is touched.
+    The nodes in the to-encode set (`Net.dirty`) are encoded, the blocks
+    of those gone are dropped, and the file is the header, each table's
+    blocks in id order (`Net.blocks`, one C-level join), the is-a edges
+    and the labels. With no source, or an id held as both kinds (its two
+    blocks would share a key), every node is encoded. So a save after a
+    load or a save costs Python work of O(changed blocks), the join over
+    the blocks of the nodes held and the atomic write. The labels are
+    copied while the lexicon holds just those it was loaded with
+    (`Lexicon.source`) and every labelled node is in the net; either way
+    the bytes are the same. Labels of nodes that are not in the net are
+    not written. A stubbed property or script (UnknownProperty,
+    UnknownScript) or text with no UTF-8 form (FormatError, at its line in
+    the file) fails before any file is touched.
 
     The file is always replaced, also when it holds the bytes written: the
     equal bytes on disk may be another writer's that are not yet synced,
@@ -373,162 +390,53 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     save made one) takes the bytes written as its source (`_rebase`).
     """
     objects, actions = net.objects, net.actions
-    source = net.source
-    planned = _plan(net)
-    cursor = len(HEADER) + 1   # the source bytes before it are copied or passed
-    if planned is None:
-        plan, end = ((nid, None, cursor, cursor) for nid in chain(sorted(objects), sorted(actions))), cursor
-    else:
-        plan, end = planned
-    pieces: list = []          # the file in order: lists of lines, copied bytes
-    lines = [HEADER]           # the lines since the last copy
-    add = lines.append
-    # (id, old slot, old size, its lines or None if gone, first, stop) of
-    # each node encoded or dropped, for `_rebase`, if the net has a source
-    blocks = []
-    for nid, slot, start, stop in plan:
-        if start > cursor:
-            pieces += [lines, source[cursor:start]]
-            lines = []
-            add = lines.append
-        cursor = stop
-        first = len(lines)
-        obj = objects.get(nid)
-        rec = obj or actions.get(nid)
-        if rec is None:
-            blocks.append((nid, slot, stop - start, None, 0, 0))
-            continue
-        if obj is not None:
-            add(f"OBJ {nid} inferred" if obj.provenance is INFERRED else f"OBJ {nid}")
-        else:
-            subj = "-" if rec.subject is None else rec.subject
-            marker = " inferred" if rec.provenance is INFERRED else ""
-            add(f"ACT {nid} {subj} {rec.target}{marker}")
-        props = rec.properties
-        for name in sorted(props):
-            add(_prop_line(nid, props[name]))
-        if obj is None:
-            if rec.script.state == "stub":
-                raise UnknownScript(f"script of action {nid} is not hydrated")
-            if rec.script.text is not None:
-                add(f"SCRIPT {nid}")
-                add("<<<")
-                if rec.script.text:
-                    add(rec.script.text)
-                add(">>>")
-        if source is not None:
-            blocks.append((nid, slot, stop - start, lines, first, len(lines)))
-    if end > cursor:
-        pieces += [lines, source[cursor:end]]
-        lines = []
+    dirty = net.dirty
+    # an id held as both kinds entered one table since the source, so it is in the set
+    full = dirty is None or any(nid in objects and nid in actions for nid in dirty)
+    if full:
+        objs, acts, gone = sorted(objects), sorted(actions), set()
+    else:   # each in O(changed blocks)
+        objs = sorted(nid for nid in dirty if nid in objects)
+        acts = sorted(nid for nid in dirty if nid in actions)
+        gone = dirty.difference(objects).difference(actions)
     isa = sorted(net.isa_edges)
-    lines += [f"ISA {inst} {concept}" for inst, concept in isa]
+    isa_lines = "".join([f"ISA {inst} {concept}\n" for inst, concept in isa])
     copied = None
     labelled = []   # the LABEL lines encoded
     if lexicon is not None:
         # the labels a save copies name nodes that the net held then, so
         # only those gone since need a look when the two are one load's
         if lexicon.source is not None and (
-                not any(lexicon.labelled(block[0]) for block in blocks if block[3] is None)
-                if planned is not None and lexicon.source is net.origin.labels
+                not any(map(lexicon.labelled, gone)) if not full and lexicon.source is net.origin.labels
                 else set(map(itemgetter(0), lexicon.labels)) <= objects.keys() | actions.keys()):
             copied = lexicon.source
-            pieces += [lines, copied]
-            lines = []
         else:
-            labelled = [f"LABEL {node} {lang} {encode_text(text)}"
+            labelled = [f"LABEL {node} {lang} {encode_text(text)}\n"
                         for node, lang, text in lexicon.items() if node in objects or node in actions]
-            lines += labelled
-    pieces.append(lines)   # a full save's one piece is its bytes, with no copy
-    data = _encoded(pieces)
+    try:
+        encoded = [_block(nid, objects[nid], False).encode("utf-8") for nid in objs]
+        encoded += [_block(nid, actions[nid], True).encode("utf-8") for nid in acts]
+        labels = "".join(labelled).encode("utf-8")
+    except UnicodeEncodeError:   # the first text with no UTF-8 form, at its line in the file
+        _utf8("".join([HEADER + "\n", *(_block(nid, objects[nid], False) for nid in sorted(objects)),
+                       *(_block(nid, actions[nid], True) for nid in sorted(actions)), isa_lines, *labelled]))
+        raise
+    if full:
+        written, body = None, encoded
+    else:
+        written = net.blocks | dict(zip(objs + acts, encoded))
+        body = map(written.__getitem__, chain(sorted(objects), sorted(actions)))
+    data = b"".join([HEADER.encode() + b"\n", *body, isa_lines.encode(), copied or labels])
     identity = _replace(path, data)
-    if source is not None:
+    if net.source is not None:
         if labelled:   # one matched run at the end, as a read takes the file's labels
-            size = len(_encoded([labelled]))
-            m = _BLOCK.match(data, len(data) - size)
-            copied = data[-size:] if m and m.lastgroup == "LABEL" and m.end() == len(data) else None
+            m = _BLOCK.match(data, len(data) - len(labels))
+            copied = labels if m and m.lastgroup == "LABEL" and m.end() == len(data) else None
             if copied is not None and len(labelled) == len(lexicon.labels):
                 lexicon.saved(copied)
         elif copied is None:
             copied = b""
-        _rebase(net, data, identity, blocks, isa, copied, planned is not None)
-
-
-# Where a source lays its node blocks out (`_Origin.trees`): per table, a
-# Fenwick tree (Fenwick, "A new data structure for cumulative frequency
-# tables", 1994) of the sizes of its blocks in file order, so that a
-# block's offset is a sum of O(log n) entries and a block that changes
-# size moves every later one in O(log n). An object's slot is its index
-# in the first table, an action's the complement (~) of its index in the
-# second.
-
-def _prefix(tree: list, i: int) -> int:
-    """The size of the first `i` blocks of a table."""
-    total = 0
-    while i:
-        total += tree[i - 1]
-        i &= i - 1
-    return total
-
-
-def _grow(tree: list, i: int, by: int) -> None:
-    """Make block `i` of a table `by` bytes longer."""
-    i += 1
-    while i <= len(tree):
-        tree[i - 1] += by
-        i += i & -i
-
-
-def _append(tree: list, size: int) -> None:
-    """Add a block of `size` bytes at the end of a table."""
-    i = len(tree) + 1
-    tree.append(size + _prefix(tree, i - 1) - _prefix(tree, i - (i & -i)))
-
-
-def _extent(trees: list, slot: int) -> tuple[int, int]:
-    """The range of byte offsets of the block in `slot` of the source that
-    `trees` lays out (`_Origin`), as (start, stop)."""
-    table, i = (0, slot) if slot >= 0 else (1, ~slot)
-    tree = trees[table]
-    base = len(HEADER) + 1 + (_prefix(trees[0], len(trees[0])) if table else 0)
-    return base + _prefix(tree, i), base + _prefix(tree, i + 1)
-
-
-def _plan(net: Net):
-    """What a save of `net` encodes: each node of its to-encode table
-    (`Net.dirty`) in file order, as (id, its old slot or None, the range
-    of byte offsets of its old block in the source, or the empty range
-    where a new block goes), and the end of the node blocks there. None
-    when there is nothing to copy: the net has no source, its source
-    cannot be placed (`_build`), a node holds the slot of the other table,
-    a node is held as both kinds, or a new node does not go at the end of
-    its table (an id below the largest laid out there)."""
-    dirty = net.dirty
-    if dirty is None or net.source is None:
-        return None
-    objects, actions = net.objects, net.actions
-    trees, last = net.origin.trees, net.origin.last
-    ends = [len(HEADER) + 1 + _prefix(trees[0], len(trees[0]))]   # where each table's blocks end
-    ends.append(ends[0] + _prefix(trees[1], len(trees[1])))
-    plan = []
-    for nid, slot in dirty.items():
-        table = (nid in objects) + 2 * (nid in actions) - 1   # -1 gone, 0 object, 1 action
-        if table == 2:
-            return None
-        if slot is None:
-            if table < 0:   # came and went: no block, old or new
-                continue
-            if nid <= last[table]:
-                return None
-            i, start, stop = len(trees[table]), ends[table], ends[table]
-        else:
-            if table >= 0 and table != (slot < 0):
-                return None
-            table, i = (0, slot) if slot >= 0 else (1, ~slot)
-            start, stop = _extent(trees, slot)
-        plan.append(((table, i, nid), nid, slot, start, stop))
-    plan.sort()
-    return [entry[1:] for entry in plan], ends[1]
+        _rebase(net, data, identity, written, list(zip(objs + acts, encoded)), gone, isa, copied)
 
 
 def _in_order(table: dict, k: int) -> bool:
@@ -538,86 +446,69 @@ def _in_order(table: dict, k: int) -> bool:
     return all(map(gt, tail, tail[1:]))
 
 
-def _rebase(net: Net, data: bytes, identity: tuple, blocks: list, isa: list,
-            labels: bytes | None, placed: bool) -> None:
+def _rebase(net: Net, data: bytes, identity: tuple, written: dict | None, encoded: list,
+            gone: set, isa: list, labels: bytes | None) -> None:
     """Make `data`, which `save` wrote from a net that has a source, the
     net's source, its mark re-pointed to the file written (`identity`).
 
-    `blocks` lists the nodes `save` encoded or dropped (`save`), `placed`
-    says whether it copied the rest, `isa` lists the is-a edges written and
+    `written` maps each node to the block `save` wrote of it (None when it
+    encoded every node of a net that holds an id as both kinds), `encoded`
+    lists the (id, block) of the nodes it encoded, in file order, and
+    `gone` the nodes it dropped; `isa` lists the is-a edges written and
     `labels` the LABEL lines, when a read takes them as one run (b"" for
-    none), else None. The blocks copied keep their slots; the table of
-    each block encoded or dropped grows by what its size changed, and a
-    new block takes a slot at the end of its table, or, when nothing was
-    copied, every block does, in a fresh layout. The blocks encoded are
-    read as a read of `data` reads them: each node takes the records that
-    read gives it, and a span if it gives one, else it stays in the
-    to-encode table. The net is clean when a read of `data` gives it as it
-    stands, but for its labels: that read succeeds, no node is collapsed,
-    the tables are in id order, and every action end and is-a end is an
-    object. After a copy only the nodes encoded and the is-a edges are
+    none), else None. The blocks encoded are read as a read of `data`
+    reads them: each node takes the records that read gives it, and keeps
+    its block if that read spans it, else it stays in the to-encode set.
+    The net is clean when a read of `data` gives it as it stands, but for
+    its labels: that read succeeds, no node is collapsed, the tables are
+    in id order, and every action end and is-a end is an object. After a
+    check that passed, only the nodes encoded and the is-a edges are
     checked: a `note` changes neither the table order nor any action end.
     """
     objects, actions = net.objects, net.actions
     origin = net.origin
     mark = origin.mark
     mark.identity = identity
-    if not placed:
-        net.spans, net.dirty = {}, {}
-        origin.trees, origin.last, origin.nans = [[], []], [-1, -1], set()
-    spans, dirty, nans = net.spans, net.dirty, origin.nans
-    trees, last = origin.trees, origin.last
-    dirty.clear()
-    encoded = [(nid, _encoded([lines[first:stop]])) for nid, _, _, lines, first, stop in blocks
-               if lines is not None]
+    nans = origin.nans
+    nans.difference_update(gone)
+    nans.difference_update(map(itemgetter(0), encoded))
     # a read of the blocks encoded, after a line for each other object
     # they name, gives what a read of `data` gives each of their nodes
     named = {end for nid, _ in encoded if nid in actions
              for end in (actions[nid].subject, actions[nid].target)} - {nid for nid, _ in encoded}
     head = b"".join(b"OBJ %d\n" % nid for nid in sorted(named - {None}))
-    nans.difference_update(block[0] for block in blocks)
+    dirty = set()
     try:
         entries, spanned, _, _, _ = _read(HEADER.encode() + b"\n" + head + b"".join(
             block for _, block in encoded), True)[0]
         read = {entry[0]: (entry[5:], span) for entry, span in zip(entries, spanned)}
         for nid, _ in encoded:   # each node takes what that read gives it
-            (fields, text), _ = read[nid]
+            (fields, text), span = read[nid]
             rec = objects.get(nid) or actions[nid]
             if text is not None:
                 rec.script = _shared_script(text, origin.scripts, mark)
             rec.properties = _properties(nid, fields, origin.records, mark)
             if any(prop.value.data != prop.value.data for prop in rec.properties.values()):
                 nans.add(nid)
+            if span is None:
+                dirty.add(nid)
     except (FormatError, ScriptParseError):   # no read gives the net as it stands
         read = None
-    sizes = dict(encoded)
-    for nid, slot, size, _, _, _ in blocks:
-        if nid not in sizes:   # gone
-            _grow(trees[slot < 0], slot if slot >= 0 else ~slot, -size)
-            continue
-        if slot is None:   # a new block, or any block of a fresh layout, whose trees come last
-            table = nid in actions
-            slot = ~len(trees[1]) if table else len(trees[0])
-            (_append if placed else list.append)(trees[table], len(sizes[nid]))
-            last[table] = nid
-        else:
-            _grow(trees[slot < 0], slot if slot >= 0 else ~slot, len(sizes[nid]) - size)
-        if read and read[nid][1] is not None:
-            spans[nid] = slot
-        else:
-            dirty[nid] = slot
-    if not placed:
-        origin.trees = list(map(_tree, trees))
-    if placed and origin.sound:   # only the nodes encoded can have come in or changed ends
-        acts = [actions[nid] for nid in sizes if nid in actions]
-        sound = _in_order(objects, len(sizes) - len(acts)) and _in_order(actions, len(acts))
+        dirty = {nid for nid, _ in encoded}
+    if written is None:   # an id held as both kinds: no block is kept
+        net.blocks, net.dirty, sound = {}, objects.keys() | actions.keys(), False
     else:
-        acts = actions.values()
-        sound = _in_order(objects, len(objects)) and _in_order(actions, len(actions))
-        if not objects.keys().isdisjoint(actions):   # an id held as both kinds: lay nothing out
-            net.spans, net.dirty, sound = {}, None, False
-    sound = sound and all(act.target in objects and (act.subject is None or act.subject in objects)
-                          for act in acts)
+        for nid in gone | dirty:
+            written.pop(nid, None)
+        net.blocks, net.dirty = written, dirty
+        if origin.sound:   # only the nodes encoded can have come in or changed ends
+            acts = [actions[nid] for nid, _ in encoded if nid in actions]
+            sound = _in_order(objects, len(encoded) - len(acts)) and _in_order(actions, len(acts))
+        else:
+            acts = actions.values()
+            sound = _in_order(objects, len(objects)) and _in_order(actions, len(actions))
+        sound = sound and all(act.target in objects and (act.subject is None or act.subject in objects)
+                              for act in acts)
     if len(origin.records) > origin.bound:   # forget the records the net no longer holds
         acts = actions.values()
         held = {id(prop) for rec in chain(objects.values(), acts) for prop in rec.properties.values()}
@@ -741,10 +632,8 @@ class _Origin:
     the source shares, by PROP tail and by script text (some the net may
     no longer hold, until their count passes `bound`); the is-a edges a
     read of it gives; its LABEL lines when a read takes them as one run
-    (b"" for none), else None; where its node blocks lie, as a Fenwick tree
-    of their sizes per table (`_prefix`), and the largest id laid out in
-    each table (-1 for none), both None when it cannot be placed; the
-    nodes whose records there hold a NaN, which equals no value; and
+    (b"" for none), else None; the nodes whose records there hold a NaN,
+    which equals no value; and
     whether the net's tables were in id order, disjoint, and every action
     end an object when it was read or written (`_rebase`)."""
 
@@ -754,19 +643,19 @@ class _Origin:
     isa: tuple
     labels: bytes | None
     bound: int
-    trees: list | None
-    last: list | None
     nans: set
     sound: bool
 
 
-# What a value memo charges for a net it keeps: the net's source once (it
-# is the key too), plus the objects that hold it: the net and its tables,
-# per node its record, property dict, action lists and span, per distinct
+# What a value memo charges for a net it keeps: the net's source twice,
+# once as the key and once for the parts of it the net and lexicon hold
+# as copies (its node blocks, its LABEL lines), plus the objects that
+# hold them: the net and its tables, per node its record, property dict,
+# action lists and block object with its table entry, per distinct
 # record and script what holds it, and per label its place in the lexicon
 # (about what CPython 3.11 allocates, measured with tracemalloc).
 _NET_COST = 2000
-_NODE_COST = 420
+_NODE_COST = 380
 _RECORD_COST = 360
 _SCRIPT_COST = 650
 _LABEL_COST = 470
@@ -776,7 +665,7 @@ MAX_MEMO_BYTES = 2 * 1024 * 1024
 def _charge(net: Net, lexicon: Lexicon) -> int:
     """What a `ValueMemo` charges for keeping `net` and `lexicon`."""
     origin = net.origin
-    return (len(net.source) + _NET_COST + _NODE_COST * (len(net.objects) + len(net.actions))
+    return (2 * len(net.source) + _NET_COST + _NODE_COST * (len(net.objects) + len(net.actions))
             + _RECORD_COST * len(origin.records) + _SCRIPT_COST * len(origin.scripts)
             + _LABEL_COST * len(lexicon.labels))
 
@@ -848,12 +737,6 @@ class ValueMemo:
         net.next_id = max(next(reversed(net.objects), 0), next(reversed(net.actions), 0)) + 1
         net.isa_edges = list(net.origin.isa)
         return net, lexicon
-
-    def decode(self, data: bytes) -> tuple | None:
-        """What a read of the bytes `data` decodes (`_read`) when a net of
-        them is kept, else None: a check of what a load would take back."""
-        held = any(kept[0].source == data for kept in self.nets.get(len(data), ()))
-        return _read(data, True)[0] if held else None
 
     def _pop(self, data: bytes) -> tuple | None:
         """Stop keeping the net kept for the bytes `data`, if any; return
@@ -1166,46 +1049,21 @@ def _build(decode: tuple, data: bytes, mark: FileMark, scripts: dict) -> tuple[N
     one PropertyRecord and equal script texts one ScriptRef, so neither is
     changed in place. Scripts are parsed in action id order; a fault is
     placed at its SCRIPT line from `scripts` (`_read`'s). The net keeps the
-    file and its blocks' spans, which `save` can copy, and is clean; the
-    lexicon keeps the LABEL lines.
-
-    The source is placed when its spanned blocks lie in file order and each
-    gap between them, or before the first, lies where only nodes with no
-    span go: the first such node takes the gap as its block, the others an
-    empty one, and those after the last spanned block the rest of the file.
-    Each spanned node gets its slot (`_Origin.trees`), and each other node
-    enters the to-encode table with its own, so a save encodes it and
-    copies the rest; the gaps hold nothing but records a save writes anew
-    (of those nodes, is-a edges, labels). A source that is not placed lays
-    nothing out, and its first save encodes everything."""
+    file and the bytes of each block the read spans, wherever it lies,
+    which `save` copies; each other node is in the to-encode set, so a
+    save encodes it. The net is clean; the lexicon keeps the LABEL lines."""
     entries, spanned, isa, labels, label_start = decode
     net = Net()
-    objects, actions, spans = net.objects, net.actions, net.spans
-    dirty: dict = {}
+    objects, actions, blocks = net.objects, net.actions, net.blocks
+    dirty = net.dirty = set()
     records: dict = {}
     shared: dict[str, ScriptRef] = {}
-    sizes: list = [[], []]   # the size of each block in file order, per table
-    pos = len(HEADER) + 1    # where the blocks laid out so far end
-    gap = None               # the table and index of the first node with no span since
-    placed = True
     for (nid, kind, prov, subject, target, fields, text), span in zip(entries, spanned):
         properties = _properties(nid, fields, records, mark)
-        table = sizes[kind == "ACT"]
-        slot = ~len(table) if kind == "ACT" else len(table)
         if span is None:
-            dirty[nid] = slot
-            gap = gap or (table, len(table))
-            table.append(0)
+            dirty.add(nid)
         else:
-            spans[nid] = slot
-            if span.start != pos:
-                if gap is None or span.start < pos:
-                    placed = False
-                else:
-                    gap[0][gap[1]] = span.start - pos
-            gap = None
-            table.append(len(span))
-            pos = span.stop
+            blocks[nid] = data[span.start:span.stop]
         if kind == "OBJ":
             objects[nid] = ObjectRecord(nid, properties, [], [], prov)
             continue
@@ -1222,8 +1080,6 @@ def _build(decode: tuple, data: bytes, mark: FileMark, scripts: dict) -> tuple[N
         if subject is not None:   # objects come first: both ends are built
             objects[subject].outgoing.append(nid)
         objects[target].incoming.append(nid)
-    if gap is not None:
-        gap[0][gap[1]] = len(data) - pos
     net.bump_id(max(next(reversed(objects), 0), next(reversed(actions), 0)))
     net.isa_edges = sorted(set(isa))
     net.source = data
@@ -1235,25 +1091,9 @@ def _build(decode: tuple, data: bytes, mark: FileMark, scripts: dict) -> tuple[N
     if any(rec.value.data != rec.value.data for rec in records.values()):
         nans = {rec.id for rec in chain(objects.values(), actions.values())
                 if any(prop.value.data != prop.value.data for prop in rec.properties.values())}
-    trees = last = None
-    if placed:
-        trees, last = list(map(_tree, sizes)), [next(reversed(objects), -1), next(reversed(actions), -1)]
-        net.dirty = dirty
-    else:
-        net.spans = {}
     net.origin = _Origin(mark, records, shared, tuple(net.isa_edges), lexicon.source if labels else b"",
-                         2 * len(records) + 64, trees, last, nans, True)
+                         2 * len(records) + 64, nans, True)
     return net, lexicon
-
-
-def _tree(sizes: list) -> list:
-    """The Fenwick tree (`_prefix`) of the block sizes of a table, in O(n)."""
-    tree = list(sizes)
-    for i in range(1, len(tree) + 1):
-        j = i + (i & -i)
-        if j <= len(tree):
-            tree[j - 1] += tree[i - 1]
-    return tree
 
 
 def _properties(nid: NodeId, fields: tuple, records: dict, mark: FileMark) -> dict:

@@ -7,7 +7,7 @@ module but `lexicon.py` reads a lexicon's reverse index, no record a
 load may share is changed in place, inside `store.StoreHandle` only
 `_held` looks a node up in a net, only `store.ValueMemo`'s own methods
 touch its table, only `Net.note`, `Net.touch`, `store._build` and
-`store._rebase` write a net's span and to-encode tables, and every CLI
+`store._rebase` write a net's block table and to-encode set, and every CLI
 load passes the session's memo.
 No pattern needs a newer Python than the package allows. The README's
 command summary names exactly the verbs the CLI dispatches on."""
@@ -182,9 +182,10 @@ def test_only_the_value_memo_touches_its_table():
 
 def _table_writes(func, tables: set[str]) -> list:
     """The nodes in `func` that write a table named in `tables`, read off
-    any object (`<expr>.spans`) or through a local name bound to one:
-    an assignment of the attribute, a store or delete of an item, and a
-    call of a method that changes a dict."""
+    any object (`<expr>.blocks`) or through a local name bound to one:
+    an assignment of the attribute, a store or delete of an item, an
+    augmented assignment of the name, and a call of a method that changes
+    a dict or a set."""
     aliases = set()
     for node in ast.walk(func):
         if isinstance(node, ast.Assign):
@@ -205,23 +206,27 @@ def _table_writes(func, tables: set[str]) -> list:
             writes.append(node)
         elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) and table(node.value):
             writes.append(node)
+        elif isinstance(node, ast.AugAssign) and table(node.target):
+            writes.append(node)
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr in ("pop", "popitem", "clear", "update", "setdefault")
+              and node.func.attr in ("pop", "popitem", "clear", "update", "setdefault", "add", "discard",
+                                     "remove", "difference_update", "intersection_update",
+                                     "symmetric_difference_update")
               and table(node.func.value)):
             writes.append(node)
     return writes
 
 
-def test_only_note_touch_build_and_rebase_write_the_span_tables():
-    """A net's span table and to-encode table (`Net.spans`, `Net.dirty`)
+def test_only_note_touch_build_and_rebase_write_the_block_tables():
+    """A net's block table and to-encode set (`Net.blocks`, `Net.dirty`)
     say which blocks of its source a save copies and which nodes it
-    encodes. Only `Net.note` and `Net.touch` move a node from one to the
-    other, only `store._build` and `store._rebase` lay them out, and
+    encodes. Only `Net.note` and `Net.touch` put a node in the set, only
+    `store._build` and `store._rebase` fill them from a source, and
     `Net.__init__` starts them: no other function in the package writes
-    either table (`_table_writes`), and no code outside a function does."""
+    either (`_table_writes`), and no code outside a function does."""
     allowed = {("core.py", "__init__"), ("core.py", "note"), ("core.py", "touch"),
                ("store.py", "_build"), ("store.py", "_rebase")}
-    tables = {"spans", "dirty"}
+    tables = {"blocks", "dirty"}
     def outside_functions(body):
         for stmt in body:
             if isinstance(stmt, ast.ClassDef):

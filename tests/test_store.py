@@ -850,17 +850,20 @@ def test_matched_and_tokenised_records_read_alike(tmp_path):
             assert one.isa == other.isa
         data = Path(path).read_bytes()
         # a block cut into loads as its tokenised read; only untouched
-        # saved-form blocks get spans, and the save equals a full save
-        blocks = {nid: data[span.start:span.stop] for nid, span in _spans(matched).items()}
-        for kind, broken in _broken_blocks(rng, data, _spans(matched)):
+        # saved-form blocks are kept, and the save equals a full save
+        entries, spanned = store._read(data, True)[0][:2]
+        spans = {entry[0]: span for entry, span in zip(entries, spanned) if span is not None}
+        blocks = _blocks(matched)
+        assert blocks == {nid: data[span.start:span.stop] for nid, span in spans.items()}, f"net {i}"
+        for kind, broken in _broken_blocks(rng, data, spans):
             kinds.add(kind)
             bad, bad_spaced = tmp_path / "broken.krn", tmp_path / "broken-spaced.krn"
             bad.write_bytes(broken)
             bad_spaced.write_bytes(_respaced(broken))
             (got, got_lex), (want, want_lex) = map(store.load, (str(bad), str(bad_spaced)))
             assert nets_equal(got, want) and got_lex.labels == want_lex.labels, f"net {i}: {kind}"
-            for nid, span in _spans(got).items():
-                assert broken[span.start:span.stop] == blocks.get(nid), f"net {i}: {kind}"
+            for nid, block in _blocks(got).items():
+                assert block == blocks.get(nid) and block in broken, f"net {i}: {kind}"
             _check_splice(tmp_path, got, got_lex, str(bad))
     assert len(kinds) == 8
 
@@ -903,7 +906,7 @@ def test_every_plain_record_that_save_writes_is_matched(tmp_path):
         offset = m.end()
     assert runs == ["OBJ"] * 30 + ["ACT"] * 20 + ["ISA", "LABEL"]
     loaded, loaded_lex = store.load(path)
-    assert loaded.spans.keys() == set(net.node_ids()) and loaded_lex.source is not None
+    assert loaded.blocks.keys() == set(net.node_ids()) and loaded_lex.source is not None
     again = _saved(tmp_path, loaded, loaded_lex, name="again.krn")
     assert Path(again).read_bytes() == data
 
@@ -1301,7 +1304,7 @@ def test_a_kept_net_is_taken_back_by_a_load_of_equal_bytes_with_its_marks(tmp_pa
 
 
 def _loaded(path, memo, copy_to):
-    """What a load through `memo` gives: the net, its labels, spans,
+    """What a load through `memo` gives: the net, its labels, blocks,
     next_id, the records with the file each names, and the bytes a save of
     a copy of them writes to `copy_to`; or the error it raises. The memo
     then keeps the net, if it is clean."""
@@ -1310,7 +1313,7 @@ def _loaded(path, memo, copy_to):
     except (FormatError, ScriptParseError) as exc:
         return type(exc), str(exc), exc.line
     store.save(*copy.deepcopy((net, lexicon)), copy_to)
-    view = (net, lexicon.items(), _spans(net), net.next_id,
+    view = (net, lexicon.items(), _blocks(net), net.next_id,
             [(key, kept, getattr(kept.from_store, "identity", kept.from_store))
              for key, kept in _marked(net)], Path(copy_to).read_bytes())
     if memo is not None:
@@ -1351,8 +1354,9 @@ def test_a_full_memo_empties_whole_and_a_failed_load_leaves_it_alone(tmp_path, m
         paths.append(_saved(tmp_path, net, name=f"f{x}.krn"))
     data = [Path(path).read_bytes() for path in paths]
     loaded = [store.load(path) for path in paths]
-    # each net is charged for its bytes, its node, its one record
-    cost = (len(data[0]) + store._NET_COST + store._NODE_COST + store._RECORD_COST)
+    # each net is charged for its bytes twice (the key, and its block
+    # copied out of them), its node, its one record
+    cost = (2 * len(data[0]) + store._NET_COST + store._NODE_COST + store._RECORD_COST)
     assert {store._charge(*pair) for pair in loaded} == {cost}
     monkeypatch.setattr(store, "MAX_MEMO_BYTES", 3 * cost)
     memo = store.ValueMemo()
@@ -1689,7 +1693,7 @@ def _full_view(net, lexicon):
     """Everything a load gives, in order: each record's provenance, its
     properties (values by repr, so that a NaN equals itself here), its
     endpoints or endpoint lists, its script, the mark on each, and which
-    records it shares with others; then next_id, the is-a edges, the spans,
+    records it shares with others; then next_id, the is-a edges, the blocks,
     the source, and the labels with the lexicon's source."""
     seen: dict[int, int] = {}
 
@@ -1707,7 +1711,7 @@ def _full_view(net, lexicon):
             ends = (rec.subject, rec.target, script_.text, script_.from_store,
                     script_.ast is not None, first_seen(script_))
         nodes.append((rec.id, rec.provenance, props, ends))
-    return (nodes, net.next_id, net.isa_edges, list(_spans(net).items()), net.source,
+    return (nodes, net.next_id, net.isa_edges, list(_blocks(net).items()), net.source,
             list(lexicon.labels.items()), lexicon.source)
 
 
@@ -1757,9 +1761,10 @@ def test_session_loads_after_its_own_saves_equal_cold_loads(tmp_path):
     one session, and now and then a file edited from outside: every load
     through the session's memo equals a cold load of the same file in
     everything `_full_view` compares, or raises the same typed error at the
-    same line, and a decode the memo holds for a file's bytes is the one a
-    read of them gives. A net reloaded through the memo after the session
-    saved its file is evictable by a handle on the file."""
+    same line, and a net the memo keeps for a file's bytes holds the
+    blocks a read of them spans and has every other node to encode. A net
+    reloaded through the memo after the session saved its file is
+    evictable by a handle on the file."""
     rng = random.Random(3636)
     paths = _traffic_files(rng, tmp_path)
     for i in range(3):
@@ -1773,10 +1778,14 @@ def test_session_loads_after_its_own_saves_equal_cold_loads(tmp_path):
             Path(path).write_bytes(_mutated(rng, Path(path).read_bytes()))
             saved.discard(path)
         data = Path(path).read_bytes()
-        kept = session.memo.decode(data)
-        if kept is not None:
+        kept = kept_nets(session.memo).get(data)
+        if kept is not None:   # it holds the blocks a read of the bytes spans, the rest to encode
             held += 1
-            assert kept == store._read(data, True)[0], f"step {step}"
+            entries, spanned = store._read(data, True)[0][:2]
+            assert kept[0].blocks == {entry[0]: data[span.start:span.stop]
+                                      for entry, span in zip(entries, spanned) if span is not None}, f"step {step}"
+            assert kept[0].dirty == {entry[0] for entry, span in zip(entries, spanned)
+                                     if span is None}, f"step {step}"
         warm = _viewed(lambda: (run_command(session, f"load {path}"), (session.net, session.lexicon))[1])
         cold = _viewed(lambda: store.load(path))
         assert warm == cold, f"step {step}"
@@ -1832,7 +1841,7 @@ def test_a_load_after_a_save_reads_no_run(tmp_path, monkeypatch):
     fresh = Net()
     fresh.add_object([("x", Value.num(7))])
     store.save(fresh, Lexicon(), path)
-    assert fresh.source is None and not fresh.spans and not memo.keep(fresh, Lexicon())
+    assert fresh.source is None and not fresh.blocks and not memo.keep(fresh, Lexicon())
 
 
 class _Passes(dict):
@@ -1861,8 +1870,8 @@ class _Passes(dict):
 def test_a_save_after_one_set_encodes_one_block(tmp_path, monkeypatch):
     """A count, not a timing: after a warm load (a net taken back) and one
     `set`, a save encodes the block of that node alone (`_prop_line` runs
-    for its properties only) and makes no span for any other node (each
-    keeps the very slot object it held), and neither `keep` nor `take`
+    for its properties only) and every other node keeps the very bytes
+    object it held as its block, and neither `keep` nor `take`
     passes over the records the net's source shares."""
     memo = store.ValueMemo()
     path = _traffic_files(random.Random(17), tmp_path)[0]
@@ -1871,18 +1880,48 @@ def test_a_save_after_one_set_encodes_one_block(tmp_path, monkeypatch):
     assert not memo.nets
     nid = sorted(net.objects)[5]
     net.set_property(nid, "x", Value.num(4242.5))
-    held = dict(net.spans)
+    held = dict(net.blocks)
     owners = []
     real = store._prop_line
     monkeypatch.setattr(store, "_prop_line", lambda owner, prop: owners.append(owner) or real(owner, prop))
     store.save(net, lexicon, path)
     assert owners == [nid] * len(net.objects[nid].properties)
-    assert net.spans.keys() == held.keys() | {nid}
-    assert all(net.spans[other] is slot for other, slot in held.items())
+    assert net.blocks.keys() == held.keys() | {nid} and not net.dirty
+    assert all(net.blocks[other] is block for other, block in held.items() if other != nid)
     net.origin.records = records = _Passes(net.origin.records)
     assert memo.keep(net, lexicon)
     assert store.load(path, memo)[0] is net and records.passes == 0
     assert _full_view(net, lexicon) == _full_view(*store.load(path))
+
+
+def test_a_save_after_an_expand_encodes_what_the_expand_touched(tmp_path, monkeypatch):
+    """A count, not a timing: load, give each action a property, save,
+    collapse one object, save, expand it, save. The last save encodes the
+    restored object and the actions the expand points back at it alone
+    (`_prop_line` runs for their properties only): the restored id goes
+    in by its block like any other, and every other node's block is
+    copied. A reload through the memo takes the net back and equals a
+    cold load."""
+    memo = store.ValueMemo()
+    path = _traffic_files(random.Random(16), tmp_path)[0]
+    net, lexicon = store.load(path, memo)
+    for aid in net.actions:
+        net.set_property(aid, "w", Value.num(aid))
+    store.save(net, lexicon, path)
+    obj = min(nid for nid, rec in net.objects.items() if rec.incoming and rec.outgoing)
+    made = collapse_to_object(net, {obj})
+    store.save(net, lexicon, path)
+    expand(net, made)
+    touched = {obj, *net.objects[obj].incoming, *net.objects[obj].outgoing}
+    owners = []
+    real = store._prop_line
+    monkeypatch.setattr(store, "_prop_line", lambda owner, prop: owners.append(owner) or real(owner, prop))
+    store.save(net, lexicon, path)
+    assert sorted(owners) == sorted(nid for nid in touched for _ in net.node(nid).properties)
+    assert net.blocks.keys() == set(net.node_ids()) and not net.dirty
+    assert net.clean and memo.keep(net, lexicon)
+    again = store.load(path, memo)
+    assert again[0] is net and _full_view(*again) == _full_view(*store.load(path))
 
 
 def test_the_memo_charges_what_it_keeps(tmp_path):
@@ -1996,7 +2035,7 @@ def test_a_net_saved_twice_is_taken_back_without_a_read(tmp_path, monkeypatch):
     for nid, x in ((objects[0], 11), (objects[3], 12)):
         net.set_property(nid, "x", Value.num(x))
         store.save(net, lexicon, path)
-        assert net.source == Path(path).read_bytes() and len(net.spans) == len(net.objects) + len(net.actions)
+        assert net.source == Path(path).read_bytes() and len(net.blocks) == len(net.objects) + len(net.actions)
     counts = {"_read": 0, "_build": 0}
     _counting(monkeypatch, counts)
     assert memo.keep(net, lexicon)
@@ -2408,18 +2447,17 @@ def test_handle_refuses_a_same_size_rewrite_with_its_modification_time_put_back(
 # ---------------------------------------------------------------- splice save
 
 
-def _spans(net) -> dict:
-    """The range of byte offsets in the net's source of each node block a
-    save copies, in file order."""
-    ranges = [(nid, range(*store._extent(net.origin.trees, slot))) for nid, slot in net.spans.items()]
-    return dict(sorted(ranges, key=lambda item: item[1].start))
+def _blocks(net) -> dict:
+    """The bytes of each node block a save copies (`Net.blocks`), in the
+    order a save writes them: objects, then actions, each in id order."""
+    return dict(sorted(net.blocks.items(), key=lambda item: (item[0] in net.actions, item[0])))
 
 
 def _saved_in_full(net, lexicon, path):
     """The bytes a save writes with nothing to copy: a deep copy of the net
-    and labels with no source, no spans and no to-encode table."""
+    and labels with no source, no blocks and no to-encode set."""
     bare, labels = copy.deepcopy((net, lexicon))
-    bare.source, bare.spans, bare.dirty, labels.source = None, {}, None, None
+    bare.source, bare.blocks, bare.dirty, labels.source = None, {}, None, None
     store.save(bare, labels, path)
     return Path(path).read_bytes()
 
@@ -2515,7 +2553,7 @@ def test_load_edit_save_cycles_save_as_a_full_save(tmp_path, monkeypatch):
                 assert Path(path).read_bytes() == before
                 evicted += 1
                 continue
-            copied += bool(net.spans) + (lexicon.source is not None)
+            copied += bool(net.blocks) + (lexicon.source is not None)
             _check_splice(tmp_path, net, lexicon, path)
     assert copied > 100 and evicted > 5   # saves copy blocks and labels; evicts reach the check
 
@@ -2577,7 +2615,7 @@ LABEL 3 fr "peindre"
     ([(b"OBJ 2 inferred\n", b"OBJ 2 inferred\nSIG 2 touch skin 01 5 sensed\n")], {2}, True),
     ([(b'"black";\n>>>', b'"black";\n\n>>>')], {3}, True),            # a blank line ScriptRef drops
     ([(b"OBJ 2 inferred\n", b""), (b"ACT 4 - 2\n", b"ACT 4 - 2\nOBJ 2 inferred\n")],
-     {1, 2, 3, 4}, True),         # blocks out of id order: not placed, so every node is encoded
+     set(), True),                # blocks out of id order: each is copied from where it lies
     ([(b'LABEL 1 en "wall"\n', b'LABEL 1 en "wall"\nLABEL 1 en "wall2"\n')], set(), False),
     ([(b'LABEL 1 en "wall"\n', b""), (b'"peindre"\n', b'"peindre"\nLABEL 1 en "wall"\n')],
      set(), False),                                                     # labels out of order
@@ -2593,7 +2631,7 @@ def test_a_block_unlike_what_save_writes_is_encoded(tmp_path, edits, unspanned, 
     path = tmp_path / "net.krn"
     path.write_bytes(data)
     net, lexicon = store.load(str(path))
-    assert set(net.node_ids()) - net.spans.keys() == unspanned
+    assert set(net.node_ids()) - net.blocks.keys() == unspanned
     assert (lexicon.source is not None) is labels_copied
     for nid in net.node_ids():
         assert list(net.node(nid).properties) == sorted(net.node(nid).properties)
@@ -2606,7 +2644,7 @@ def test_a_respaced_file_saves_as_a_full_save(tmp_path):
     path = tmp_path / "net.krn"
     path.write_bytes(_respaced(_CANONICAL))
     net, lexicon = store.load(str(path))
-    assert net.spans == {} and lexicon.source is None
+    assert net.blocks == {} and lexicon.source is None
     _check_splice(tmp_path, net, lexicon, str(path))
     assert path.read_bytes() == _CANONICAL
 
