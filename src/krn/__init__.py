@@ -29,7 +29,6 @@ from .core import (
 from . import agent, errors, reasoning, sim, store
 from .lexicon import Lexicon
 from .reasoning import (
-    Additions,
     Answer,
     ConceptTemplate,
     Fragment,
@@ -46,14 +45,13 @@ from .reasoning import (
     query_has,
     register_concept,
     shape,
-    specialize,
 )
 from .script import Ast, ExecContext, apply_undo, execute, parse
 from .sim import Snapshot, Timeline, classify_change, diff, run_action, run_pending, snapshot
 from .store import StoreHandle, save
 
 __all__ = [
-    "ActionRecord", "Additions", "Answer", "Ast", "ChangeSet", "ConceptTemplate",
+    "ActionRecord", "Answer", "Ast", "ChangeSet", "ConceptTemplate",
     "ExecContext", "Fragment", "Kind", "Lexicon", "Net", "NodeId", "NodeLoad",
     "ObjectRecord", "PropertyChange", "PropertyRecord", "PropLoad", "Provenance",
     "ScriptRef", "SensorAddress", "SensorSignal", "Snapshot", "StoreHandle",
@@ -64,7 +62,7 @@ __all__ = [
     "match_images", "mine_concepts", "nets_equal",
     "parse", "parse_fragment", "query_has", "reasoning",
     "register_concept", "run_action", "run_pending", "save", "shape", "sim",
-    "snapshot", "specialize", "store", "values_equal",
+    "snapshot", "store", "values_equal",
 ]
 
 __version__ = "0.1.0"

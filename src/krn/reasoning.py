@@ -4,7 +4,8 @@ Four capabilities live here:
 
 * collapse/expand: replace a subnet with one complex node and restore
   it later, the "zooming" abstraction;
-* concept mining: find value-free structural patterns that repeat;
+* concepts: mine value-free structural patterns that repeat, and
+  register one as ordinary nodes that is-a edges point at;
 * shaping: instantiate a concept's missing structure onto an instance
   that carries an is-a edge, marking everything created as inferred;
 * structural queries: does this instance have that fragment, and is the
@@ -28,7 +29,6 @@ properly contains it.
 
 from __future__ import annotations
 
-import copy
 import enum
 import itertools
 import re
@@ -39,7 +39,6 @@ from .core import (
     _NAME_RE,
     INFERRED,
     KIND_NUM,
-    KIND_REF,
     ORDERINGS,
     ActionRecord,
     CollapsePayload,
@@ -64,7 +63,8 @@ from .errors import (
 from .script import _lex
 
 # Property names used for template bookkeeping on registered concept
-# roots; they are stripped from extracted patterns.
+# roots; they are stripped from extracted patterns. Only the support is
+# written; a `concept-parent` that a file carries is bookkeeping all the same.
 SUPPORT_PROP = "concept-support"
 PARENT_PROP = "concept-parent"
 _BOOKKEEPING = {SUPPORT_PROP, PARENT_PROP}
@@ -332,10 +332,10 @@ def expand(net: Net, complex_id: NodeId) -> set:
 
 # ------------------------------------------------------------- matching
 
-def _compat(pattern: Net, target: Net, p: NodeId, t: NodeId, bypass_names: bool = False) -> bool:
+def _compat(pattern: Net, target: Net, p: NodeId, t: NodeId) -> bool:
     """Whether t, looked up in target, can be p's image: a node of p's kind,
-    with a subject if p is an action with one, and unless `bypass_names`
-    every name of p's but bookkeeping ones, which concept roots carry."""
+    with a subject if p is an action with one, and every name of p's but
+    bookkeeping ones, which concept roots carry."""
     if p in pattern.objects:
         prec, trec = pattern.objects[p], target.objects.get(t)
     else:
@@ -343,7 +343,7 @@ def _compat(pattern: Net, target: Net, p: NodeId, t: NodeId, bypass_names: bool 
         if trec is not None and trec.subject is None and prec.subject is not None:
             return False
     names = prec.properties.keys()
-    return trec is not None and (bypass_names or names <= trec.properties.keys()
+    return trec is not None and (names <= trec.properties.keys()
                                  or names - _BOOKKEEPING <= trec.properties.keys())
 
 
@@ -369,25 +369,17 @@ def _images(pattern: Net, target: Net, mapping: dict, p: NodeId) -> list | None:
     return sorted(set(pools[0]).intersection(*pools[1:]))
 
 
-def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
-                 limit: int | None = None) -> list[dict]:
-    """All injective structure-preserving mappings of pattern into target.
+def find_matches(pattern: Net, target: Net, *, limit: int | None = None) -> list[dict]:
+    """All injective structure-preserving mappings of pattern into target,
+    at most `limit` of them.
 
-    `anchor` pins one pattern node to one target node, bypassing the
-    property-name requirement for that pair (the caller vouches for it).
-    Pattern nodes are taken breadth-first from the anchor (or the lowest
-    object), then the unreached ones by id.
+    Pattern nodes are taken breadth-first from the lowest object (or the
+    lowest action), then the unreached ones by id.
     """
     ids = pattern.node_ids()
     if not ids:
         return [{}]
-    if anchor is not None:
-        start = anchor[0]
-        if start not in pattern.objects and start not in pattern.actions:
-            raise UnknownNode(f"anchor {start} is not in the pattern")
-    else:
-        start = min(pattern.objects, default=ids[0])
-    order = _bfs_order(pattern, start)
+    order = _bfs_order(pattern, min(pattern.objects, default=ids[0]))
     order += sorted(set(ids).difference(order))  # disconnected: full scans
 
     results: list[dict] = []
@@ -402,12 +394,11 @@ def find_matches(pattern: Net, target: Net, *, anchor: tuple | None = None,
             results.append(dict(mapping))
             return
         p = order[k]
-        bypass = anchor is not None and k == 0   # the anchor is first
-        pool = [anchor[1]] if bypass else _images(pattern, target, mapping, p)
+        pool = _images(pattern, target, mapping, p)
         if pool is None:
             pool = target_ids
         for t in pool:
-            if t not in used and _compat(pattern, target, p, t, bypass):
+            if t not in used and _compat(pattern, target, p, t):
                 mapping[p] = t
                 used.add(t)
                 extend(k + 1)
@@ -794,7 +785,6 @@ class ConceptTemplate:
     root: NodeId
     support: int = 0
     id: NodeId | None = None
-    parent: NodeId | None = None
 
 
 def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
@@ -846,41 +836,18 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
             for key in kept]
 
 
-@dataclass(frozen=True)
-class Additions:
-    """What a specialization adds: property names and attached parts."""
-
-    properties: tuple = ()  # (pattern node id, new property name)
-    parts: tuple = ()       # (attach object id, tuple of part property names)
-
-
-def specialize(concept: ConceptTemplate, additions: Additions) -> ConceptTemplate:
-    """Derive a narrower template; every match of the child matches the parent."""
-    pattern = copy.deepcopy(concept.pattern)
-    for nid, name in additions.properties:
-        pattern.set_property(nid, name, Value.unset())
-    for attach, part_names in additions.parts:
-        part = pattern.add_object([(n, Value.unset()) for n in sorted(part_names)])
-        pattern.add_action(attach, part)
-    return ConceptTemplate(
-        pattern=pattern, root=concept.root, support=0, parent=concept.id,
-    )
-
-
 def register_concept(net: Net, template: ConceptTemplate) -> NodeId:
     """Insert a template's pattern into a net as ordinary concept nodes.
 
-    The returned root id is what is-a edges point at; support and parent
-    ride along as bookkeeping properties of the root, which must be an
-    object of the pattern (UnknownConcept otherwise, with the net unchanged).
+    The returned root id is what is-a edges point at; support rides along
+    as a bookkeeping property of the root, which must be an object of the
+    pattern (UnknownConcept otherwise, with the net unchanged).
     """
     pattern = template.pattern
     if template.root not in pattern.objects:
         raise UnknownConcept(f"concept root {template.root} is not an object of its pattern")
     root = _copy_structure(pattern, pattern.node_ids(), net)[template.root]
     net.set_property(root, SUPPORT_PROP, Value.num(template.support))
-    if template.parent is not None:
-        net.set_property(root, PARENT_PROP, Value.ref(template.parent))
     template.id = root
     return root
 
@@ -895,11 +862,10 @@ def concept_of(net: Net, concept_id: NodeId) -> ConceptTemplate:
     if concept_id not in net.objects:
         raise UnknownConcept(f"no concept object {concept_id}")
     idmap = _copy_structure(net, sorted(_bfs_order(net, concept_id)), pattern := Net())
-    sp, pp = map(net.objects[concept_id].properties.get, (SUPPORT_PROP, PARENT_PROP))
+    sp = net.objects[concept_id].properties.get(SUPPORT_PROP)
     return ConceptTemplate(
         pattern=pattern, root=idmap[concept_id], id=concept_id,
         support=int(sp.value.data) if sp is not None and sp.value.kind is KIND_NUM else 0,
-        parent=pp.value.data if pp is not None and pp.value.kind is KIND_REF else None,
     )
 
 

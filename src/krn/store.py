@@ -76,14 +76,14 @@ in that set and the ISA lines, drops the blocks of the nodes gone, and
 joins the header, each table's blocks in id order and the rest; so a
 save after a load costs Python work of O(changed blocks), one C-level
 join over the blocks of the nodes held, and the atomic write. With no
-source every node is encoded, and so it is when the net holds an id as
-both kinds, whose two blocks would share a key. The LABEL lines are
-copied when they are one matched run that ends the file, while the
-lexicon holds just those labels (`Lexicon.source`). The bytes are the
-same either way. A save of a net that has a source makes the bytes it
-wrote the source: each block it encoded that a read of them spans
-becomes the node's block, the others stay in the set, and the net is
-clean when that read would give the net as it stands
+source every node is encoded. A net that holds an id as both kinds is
+refused before any file is touched: no read takes such a file back. The
+LABEL lines are copied when they are one matched run that ends the
+file, while the lexicon holds just those labels (`Lexicon.source`). The
+bytes are the same either way. A save of a net that has a source makes
+the bytes it wrote the source: each block it encoded that a read of
+them spans becomes the node's block, the others stay in the set, and
+the net is clean when that read would give the net as it stands
 (`_rebase`). Collapse payloads are not persisted; a saved complex node
 keeps its shape but loses its stored subnet. The records built here
 are slotted dataclasses and take no ad-hoc attributes.
@@ -372,14 +372,14 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     The nodes in the to-encode set (`Net.dirty`) are encoded, the blocks
     of those gone are dropped, and the file is the header, each table's
     blocks in id order (`Net.blocks`, one C-level join), the is-a edges
-    and the labels. With no source, or an id held as both kinds (its two
-    blocks would share a key), every node is encoded. So a save after a
+    and the labels. With no source every node is encoded. So a save after a
     load or a save costs Python work of O(changed blocks), the join over
     the blocks of the nodes held and the atomic write. The labels are
     copied while the lexicon holds just those it was loaded with
     (`Lexicon.source`) and every labelled node is in the net; either way
     the bytes are the same. Labels of nodes that are not in the net are
-    not written. A stubbed property or script (UnknownProperty,
+    not written. An id held as both kinds (BipartiteViolation: a load
+    refuses the file), a stubbed property or script (UnknownProperty,
     UnknownScript) or text with no UTF-8 form (FormatError, at its line in
     the file) fails before any file is touched.
 
@@ -391,8 +391,12 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     """
     objects, actions = net.objects, net.actions
     dirty = net.dirty
+    full = dirty is None
     # an id held as both kinds entered one table since the source, so it is in the set
-    full = dirty is None or any(nid in objects and nid in actions for nid in dirty)
+    both = (objects.keys() & actions.keys() if full
+            else [nid for nid in dirty if nid in objects and nid in actions])
+    if both:
+        raise BipartiteViolation(f"the net holds node {min(both)} as both an object and an action")
     if full:
         objs, acts, gone = sorted(objects), sorted(actions), set()
     else:   # each in O(changed blocks)
@@ -446,13 +450,12 @@ def _in_order(table: dict, k: int) -> bool:
     return all(map(gt, tail, tail[1:]))
 
 
-def _rebase(net: Net, data: bytes, identity: tuple, written: dict | None, encoded: list,
+def _rebase(net: Net, data: bytes, identity: tuple, written: dict, encoded: list,
             gone: set, isa: list, labels: bytes | None) -> None:
     """Make `data`, which `save` wrote from a net that has a source, the
     net's source, its mark re-pointed to the file written (`identity`).
 
-    `written` maps each node to the block `save` wrote of it (None when it
-    encoded every node of a net that holds an id as both kinds), `encoded`
+    `written` maps each node to the block `save` wrote of it, `encoded`
     lists the (id, block) of the nodes it encoded, in file order, and
     `gone` the nodes it dropped; `isa` lists the is-a edges written and
     `labels` the LABEL lines, when a read takes them as one run (b"" for
@@ -495,20 +498,17 @@ def _rebase(net: Net, data: bytes, identity: tuple, written: dict | None, encode
     except (FormatError, ScriptParseError):   # no read gives the net as it stands
         read = None
         dirty = {nid for nid, _ in encoded}
-    if written is None:   # an id held as both kinds: no block is kept
-        net.blocks, net.dirty, sound = {}, objects.keys() | actions.keys(), False
+    for nid in gone | dirty:
+        written.pop(nid, None)
+    net.blocks, net.dirty = written, dirty
+    if origin.sound:   # only the nodes encoded can have come in or changed ends
+        acts = [actions[nid] for nid, _ in encoded if nid in actions]
+        sound = _in_order(objects, len(encoded) - len(acts)) and _in_order(actions, len(acts))
     else:
-        for nid in gone | dirty:
-            written.pop(nid, None)
-        net.blocks, net.dirty = written, dirty
-        if origin.sound:   # only the nodes encoded can have come in or changed ends
-            acts = [actions[nid] for nid, _ in encoded if nid in actions]
-            sound = _in_order(objects, len(encoded) - len(acts)) and _in_order(actions, len(acts))
-        else:
-            acts = actions.values()
-            sound = _in_order(objects, len(objects)) and _in_order(actions, len(actions))
-        sound = sound and all(act.target in objects and (act.subject is None or act.subject in objects)
-                              for act in acts)
+        acts = actions.values()
+        sound = _in_order(objects, len(objects)) and _in_order(actions, len(actions))
+    sound = sound and all(act.target in objects and (act.subject is None or act.subject in objects)
+                          for act in acts)
     if len(origin.records) > origin.bound:   # forget the records the net no longer holds
         acts = actions.values()
         held = {id(prop) for rec in chain(objects.values(), acts) for prop in rec.properties.values()}

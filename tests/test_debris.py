@@ -8,16 +8,19 @@ load may share is changed in place, inside `store.StoreHandle` only
 `_held` looks a node up in a net, only `store.ValueMemo`'s own methods
 touch its table, only `Net.note`, `Net.touch`, `store._build` and
 `store._rebase` write a net's block table and to-encode set, and every CLI
-load passes the session's memo.
-No pattern needs a newer Python than the package allows. The README's
-command summary names exactly the verbs the CLI dispatches on."""
+load passes the session's memo. Every function `krn` exports is named
+by the engine or the benchmark, or is on a short list of API kept for
+callers. No pattern needs a newer Python than the package allows. The
+README's command summary names exactly the verbs the CLI dispatches on."""
 
 import ast
 import importlib
+import inspect
 import re
 import tomllib
 from pathlib import Path
 
+import krn
 from krn import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "krn"
@@ -371,6 +374,27 @@ def test_every_parameter_is_read():
                        and param.arg != "self" and not param.arg.startswith("_")
                        and (module, name, param.arg) not in _UNREAD_KEPT]
     assert not unread, unread
+
+
+# exported functions that neither the engine nor the benchmark names, each
+# kept for callers for the reason given
+_API_KEPT = {
+    "apply_undo": "reverts the ChangeSet that `execute` returns, for a caller running scripts itself",
+    "canonical_key": "the isomorphism class of a pattern, which mined templates are ordered by",
+    "concept_of": "reads a registered concept back as a template, support included",
+    "nets_equal": "structural equality of two nets, what a round trip through the store keeps",
+}
+
+
+def test_every_exported_function_is_used_or_kept_for_callers():
+    """A function in `krn.__all__` is named in `src/krn` (but the package's
+    own re-export) or in `bench/`, or `_API_KEPT` says why it stays."""
+    named = set()
+    for path in [*SRC.glob("*.py"), *(SRC.parent.parent / "bench").rglob("*.py")]:
+        if path.parent != SRC or path.name != "__init__.py":
+            named |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    functions = {name for name in krn.__all__ if inspect.isfunction(getattr(krn, name))}
+    assert functions - named == _API_KEPT.keys(), sorted((functions - named) ^ _API_KEPT.keys())
 
 
 def _opcodes(node):

@@ -1,9 +1,9 @@
 """The two structural searches against brute-force enumeration.
 
 `find_matches` must return exactly the injective maps that keep kinds,
-names (but an anchor's) and wiring; `_max_anchored_match` must return a
-valid partial match that no other is larger than. Both enumerations
-below read only records, never the searches' adjacency-driven candidates.
+names and wiring; `_max_anchored_match` must return a valid partial
+match that no other is larger than. Both enumerations below read only
+records, never the searches' adjacency-driven candidates.
 """
 
 import itertools
@@ -36,12 +36,10 @@ def _wired(pattern: Net, target: Net, m: dict, a) -> bool:
         prec.subject is None or m[prec.subject] == trec.subject)
 
 
-def _every_match(pattern: Net, target: Net, anchor=None) -> set:
-    """Every injective map that keeps kinds, names (but the anchor's) and wiring."""
+def _every_match(pattern: Net, target: Net) -> set:
+    """Every injective map that keeps kinds, names and wiring."""
     def options(p):
         kind = target.objects if p in pattern.objects else target.actions
-        if anchor is not None and p == anchor[0]:
-            return [anchor[1]] if anchor[1] in kind else []
         names = _records(pattern, p)[p].properties.keys()
         return [t for t in sorted(kind) if names <= kind[t].properties.keys()]
 
@@ -57,7 +55,7 @@ def _every_match(pattern: Net, target: Net, anchor=None) -> set:
 
 def test_find_matches_returns_every_match_and_no_other():
     rng = random.Random(11)
-    full = anchored = bypassed = dead = 0
+    full = 0
     for _ in range(1000):
         pattern, target = _pair(rng)
         doomed = rng.choice(target.node_ids())
@@ -68,19 +66,7 @@ def test_find_matches_returns_every_match_and_no_other():
         assert {frozenset(m.items()) for m in results} == _every_match(pattern, target)
         assert find_matches(pattern, target, limit=1) == results[:1]
         full += bool(results)
-        for _ in range(3):
-            anchor = (rng.choice(pattern.node_ids()), rng.choice(target.node_ids() + [doomed]))
-            results = find_matches(pattern, target, anchor=anchor)
-            expected = _every_match(pattern, target, anchor)
-            assert {frozenset(m.items()) for m in results} == expected
-            assert len(results) == len(expected)
-            assert find_matches(pattern, target, anchor=anchor, limit=1) == results[:1]
-            anchored += bool(results)
-            dead += anchor[1] not in target.objects and anchor[1] not in target.actions
-            p, t = anchor
-            bypassed += bool(results) and not (_records(pattern, p)[p].properties.keys()
-                                               <= _records(target, t)[t].properties.keys())
-    assert full > 150 and anchored > 300 and bypassed > 120 and dead > 110   # the cases reach each
+    assert full > 150   # the cases reach matches
 
 
 def _connected(pattern: Net, m: dict, root) -> bool:

@@ -4,17 +4,12 @@ import random
 import pytest
 
 from krn import (
-    Additions,
     Net,
     Value,
     canonical_key,
     find_matches,
-    match_images,
     mine_concepts,
-    register_concept,
-    specialize,
 )
-from krn.errors import BipartiteViolation
 from krn.reasoning import _bit_rows, _closed_subsets, extract_pattern
 
 from helpers import (
@@ -193,53 +188,6 @@ def test_exact_matching_pins_names_and_blank_subjects():
     # loose semantics: extra names and present subjects are fine
     assert find_matches(loose, net, limit=1)
     assert find_matches(loose, subjected, limit=1)
-
-
-def test_specialize_adds_property_and_subsumes():
-    mike = person_net(80, 70)
-    jack = person_net(95, 77)
-    human = mine_concepts([mike, jack], 2, 7)[0]
-    registry = Net()
-    register_concept(registry, human)
-    man = specialize(human, Additions(properties=((human.root, "beard"),)))
-    assert man.parent == human.id
-    assert "beard" in man.pattern.objects[man.root].properties
-    # matches of the child are a subset of matches of the parent
-    fixture = person_net(80, 70)
-    fixture.set_property(1, "beard", Value.truth(True))
-    bare = person_net(60, 50)
-    for net in (fixture, bare):
-        child_images = match_images(man.pattern, net)
-        parent_images = match_images(human.pattern, net)
-        assert child_images <= parent_images
-    assert match_images(man.pattern, bare) == set()
-    assert match_images(man.pattern, fixture)
-
-
-def test_specialize_with_empty_additions_is_distinct_child():
-    mike = person_net(80, 70)
-    jack = person_net(95, 77)
-    human = mine_concepts([mike, jack], 2, 7)[0]
-    registry = Net()
-    register_concept(registry, human)
-    child = specialize(human, Additions())
-    assert child is not human
-    assert child.parent == human.id
-    assert canonical_key(child.pattern) == canonical_key(human.pattern)
-    register_concept(registry, child)
-    assert child.id != human.id
-
-
-def test_specialize_part_attachment_and_bipartite_guard():
-    mike = person_net(80, 70)
-    jack = person_net(95, 77)
-    human = mine_concepts([mike, jack], 2, 7)[0]
-    winged = specialize(human, Additions(parts=((human.root, ("wing",)),)))
-    assert len(winged.pattern.node_ids()) == len(human.pattern.node_ids()) + 2
-    assert winged.pattern.validate_bipartite().ok
-    some_action = next(iter(human.pattern.actions))
-    with pytest.raises(BipartiteViolation):
-        specialize(human, Additions(parts=((some_action, ("wing",)),)))
 
 
 class _CountingLimit(int):

@@ -67,8 +67,10 @@ def _vocab_net(rng: random.Random) -> Net:
     root = pattern.add_object([("head", Value.unset())])
     pattern.add_action(root, pattern.add_object([(rng.choice(_VOCAB), Value.unset())]))
     concept = register_concept(net, ConceptTemplate(
-        pattern=pattern, root=root, support=rng.randrange(2, 5),
-        parent=rng.choice([None, objs[0]])))
+        pattern=pattern, root=root, support=rng.randrange(2, 5)))
+    parent = rng.choice([None, objs[0]])
+    if parent is not None:
+        net.set_property(concept, "concept-parent", Value.ref(parent))
     net.add_action(concept, rng.choice(objs))
     return net
 

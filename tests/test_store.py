@@ -1946,14 +1946,14 @@ def test_the_memo_charges_what_it_keeps(tmp_path):
 
 
 @pytest.mark.parametrize("breakage", ["dangling-end", "dangling-subject", "dangling-isa",
-                                      "isa-from-action", "both-kinds", "bad-script", "other-labels"])
+                                      "isa-from-action", "bad-script", "other-labels"])
 def test_a_net_a_read_of_its_save_refuses_is_never_kept(tmp_path, breakage):
     """A net broken past what the file format holds, each node it breaks
     reported (`Net.touch`), and then saved is not clean, since a read of
     what it wrote refuses it or a check of the nodes reported does, and is
     never kept:
     the load of its file raises as a cold load does. The bad reference of
-    each of the first five lies in a block the save copied or an is-a
+    each of the first four lies in a block the save copied or an is-a
     line; an encoded script that does not parse, or the LABEL lines of
     another file, are the other two, and with those labels the read gives
     the net, which the memo keeps."""
@@ -1975,9 +1975,6 @@ def test_a_net_a_read_of_its_save_refuses_is_never_kept(tmp_path, breakage):
         net.isa_edges.append((objects[0], actions[-1] + 1))
     elif breakage == "isa-from-action":
         net.isa_edges.append((actions[0], objects[0]))
-    elif breakage == "both-kinds":
-        net.touch(actions[0], ObjectRecord(actions[0]))
-        net.objects[actions[0]] = ObjectRecord(actions[0])
     elif breakage == "bad-script":
         net.touch(actions[0])
         net.actions[actions[0]].script = ScriptRef("set object.x = ;")
@@ -1992,6 +1989,26 @@ def test_a_net_a_read_of_its_save_refuses_is_never_kept(tmp_path, breakage):
     assert (len(cold) == 3) == (breakage != "other-labels")   # a typed error, or a net
     assert _viewed(lambda: store.load(paths[0], memo)) == cold
     assert not memo.nets
+
+
+@pytest.mark.parametrize("sourced", [False, True])
+def test_save_refuses_an_id_held_as_both_kinds_and_leaves_the_file_alone(tmp_path, sourced):
+    """A load refuses a file that holds an id as both kinds, so a save of
+    such a net raises before any file is touched, whether it encodes every
+    node (no source) or only those changed since its source; the refused
+    net is never kept."""
+    net = Net()
+    assert net.add_action(net.add_object([]), net.add_object([])) == 3
+    path = _saved(tmp_path, net)
+    before = Path(path).read_bytes()
+    memo = store.ValueMemo()
+    if sourced:
+        net, lexicon = store.load(path, memo)
+    net.insert(ObjectRecord(3))
+    with pytest.raises(BipartiteViolation, match="node 3"):
+        store.save(net, None, path)
+    assert Path(path).read_bytes() == before and os.listdir(tmp_path) == ["net.krn"]
+    assert not (sourced and memo.keep(net, lexicon))
 
 
 def test_a_net_saved_over_its_file_is_evictable_through_a_handle_on_it(tmp_path):
