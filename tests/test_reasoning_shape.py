@@ -13,6 +13,7 @@ from krn import (
     Net,
     Provenance,
     Value,
+    canonical_key,
     concept_of,
     mine_concepts,
     query_has,
@@ -155,6 +156,30 @@ def test_concept_round_trip_through_net():
     # bookkeeping properties stay out of the pattern
     root_names = set(template.pattern.objects[template.root].properties)
     assert "concept-support" not in root_names
+
+
+def test_a_concept_parent_a_file_carries_stays_bookkeeping(tmp_path):
+    """`concept-parent` is no longer written, but a file that carries one
+    on a concept's root still loads, keeps it, and reads, matches and
+    shapes as the same file without it: the property stays out of the
+    template's pattern and out of what shaping compares or copies."""
+    (plain, peter, concept_id), (carrying, _, _) = peter_net(), peter_net()
+    for net in (plain, carrying):
+        other = register_concept(net, ConceptTemplate(*person_pattern(), support=1))
+    carrying.set_property(concept_id, "concept-parent", Value.ref(other))
+    path = str(tmp_path / "parent.krn")
+    store.save(carrying, None, path)
+    carrying, _ = store.load(path)
+    assert carrying.objects[concept_id].properties["concept-parent"].value == Value.ref(other)
+    read = concept_of(carrying, concept_id)
+    assert "concept-parent" not in read.pattern.objects[read.root].properties
+    assert canonical_key(read.pattern) == canonical_key(concept_of(plain, concept_id).pattern)
+    assert read.support == 2
+    created = shape(carrying, peter, concept_id)
+    assert created == shape(plain, peter, concept_id) and len(created) == 6
+    assert all("concept-parent" not in carrying.node(n).properties for n in created)
+    assert query_has(carrying, peter, "head") is query_has(plain, peter, "head")
+    assert carrying.validate_bipartite().ok
 
 
 def test_shaping_from_a_large_concept_keeps_its_result():
