@@ -348,7 +348,10 @@ class Net:
         # the bytes of the file the net was loaded from or last saved to;
         # the bytes there of each node block a save copies (`blocks`), and
         # each node noted, touched or added since, which a save encodes
-        # (`dirty`; None while the net has no source)
+        # (`dirty`; None while the net has no source). Every node held has
+        # a block or is in `dirty`, and `blocks` is in write order, objects
+        # by id and then actions by id, as of each node's kind when its
+        # block was kept; the block of a node in `dirty` is stale
         self.source: bytes | None = None
         self.blocks: dict[NodeId, bytes] = {}
         self.dirty: set[NodeId] | None = None

@@ -63,30 +63,37 @@ values as its own. A ScriptParseError from either reader names the
 action and gives the file line.
 
 A save is byte-deterministic (records sorted by id, properties by name)
-and atomic: it writes a temp file beside the target, syncs it, renames
-it over the target, which keeps its mode, and syncs the directory so the
-rename outlasts a crash. It writes no label of a node the net does not
-hold. After a load or a save it copies what has not changed, as a piece
-table does (Crowley, "Data Structures for Text Sequences", 1998): the
-net keeps the bytes of each node block of its source that reads exactly
-as `save` writes it (`Net.blocks`), wherever it lies there. `Net.note`
-and `Net.touch` put an edited node in the to-encode set (`Net.dirty`),
-where new nodes and nodes with no block go too. `save` encodes the nodes
-in that set and the ISA lines, drops the blocks of the nodes gone, and
-joins the header, each table's blocks in id order and the rest; so a
-save after a load costs Python work of O(changed blocks), one C-level
-join over the blocks of the nodes held, and the atomic write. With no
-source every node is encoded. A net that holds an id as both kinds is
-refused before any file is touched: no read takes such a file back. The
-LABEL lines are copied when they are one matched run that ends the
-file, while the lexicon holds just those labels (`Lexicon.source`). The
-bytes are the same either way. A save of a net that has a source makes
-the bytes it wrote the source: each block it encoded that a read of
-them spans becomes the node's block, the others stay in the set, and
-the net is clean when that read would give the net as it stands
-(`_rebase`). Collapse payloads are not persisted; a saved complex node
-keeps its shape but loses its stored subnet. The records built here
-are slotted dataclasses and take no ad-hoc attributes.
+and atomic: it writes a temp file with a short name beside the target,
+syncs it, renames it over the target, which keeps its mode, and syncs
+the directory so the rename outlasts a crash. The path is resolved with
+one `lstat`; only a symbolic link, which stays one, or a trailing
+separator is resolved component by component. It writes no label of a
+node the net does not hold. After a load or a save it copies what has
+not changed, as a piece table does (Crowley, "Data Structures for Text
+Sequences", 1998): the net keeps the bytes of each node block of its
+source that reads exactly as `save` writes it (`Net.blocks`), wherever
+it lies there, in write order (objects by id, then actions by id).
+`Net.note` and `Net.touch` put an edited node in the to-encode set
+(`Net.dirty`), where new nodes and nodes with no block go too. `save`
+encodes the nodes in that set and the ISA lines, puts each block it
+encoded in the place of the node's old one, and joins the header, the
+blocks as they stand and the rest; only when a node came, went or
+changed kind since does it first build the table again in write order.
+So a save after a load costs Python work of O(changed blocks), one
+C-level copy and join of the blocks of the nodes held, and the atomic
+write. With no source every node is encoded, into one buffer. A net
+that holds an id as both kinds is refused before any file is touched:
+no read takes such a file back. The LABEL lines are copied when they
+are one matched run that ends the file, while the lexicon holds just
+those labels (`Lexicon.source`). The bytes are the same either way. A
+save of a net that has a source makes the bytes it wrote the source:
+each block it encoded is read alone, as a read of the file reads a
+matched block, and becomes the node's block if that read spans it,
+while the others stay in the set, and the net is clean when a read of
+the file would give the net as it stands (`_rebase`). Collapse payloads
+are not persisted; a saved complex node keeps its shape but loses its
+stored subnet. The records built here are slotted dataclasses and take
+no ad-hoc attributes.
 """
 
 from __future__ import annotations
@@ -296,20 +303,32 @@ def _prop_line(owner: NodeId, prop: PropertyRecord) -> str:
 def _replace(path: str, data: bytes) -> tuple:
     """Write a file whole or not at all: a temp file beside it, synced and
     renamed over it, then its directory synced. An existing file keeps its
-    mode; a new one gets what a plain open would give it. A symbolic link
-    stays one: the file it points to is replaced. Returns the identity of
-    the file written, as it stands once renamed (`_identity`)."""
-    path = os.path.realpath(path)
+    mode; a new one gets what a plain open would give it. The path is
+    resolved with one `lstat`; only a symbolic link, which stays one while
+    the file it points to is replaced, or a trailing separator, which
+    names the file without it, is resolved component by component. The
+    temp file's name is short, so any name the target may have fits.
+    Returns the identity of the file written, as it stands once renamed
+    (`_identity`)."""
+    path = os.fspath(path)
+    trailing = path.endswith(os.sep)
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        st = None if trailing else os.lstat(path)
     except FileNotFoundError:
-        mode = None
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+        st = None
+    if trailing or st and stat.S_ISLNK(st.st_mode):
+        path = os.path.realpath(path)
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            st = None
+    folder = os.path.dirname(path) or "."
+    tmp = os.path.join(folder, f"krn-{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         try:
-            if mode is not None:
-                os.fchmod(fd, mode)
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view):]
@@ -318,8 +337,8 @@ def _replace(path: str, data: bytes) -> tuple:
             written = _identity(os.fstat(fd))   # of this file, whoever renames the path next
         finally:
             os.close(fd)
-        fd = os.open(os.path.dirname(path), os.O_RDONLY)   # the rename lasts a crash
-        try:                                                # once the directory is synced
+        fd = os.open(folder, os.O_RDONLY)   # the rename lasts a crash
+        try:                                # once the directory is synced
             os.fsync(fd)
         finally:
             os.close(fd)
@@ -369,12 +388,18 @@ def _utf8(text: str) -> bytes:
 def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     """Serialize the whole net (plus labels) deterministically and atomically.
 
-    The nodes in the to-encode set (`Net.dirty`) are encoded, the blocks
-    of those gone are dropped, and the file is the header, each table's
-    blocks in id order (`Net.blocks`, one C-level join), the is-a edges
-    and the labels. With no source every node is encoded. So a save after a
-    load or a save costs Python work of O(changed blocks), the join over
-    the blocks of the nodes held and the atomic write. The labels are
+    The nodes in the to-encode set (`Net.dirty`) are encoded, each block
+    in the place of the node's old one in the block table (`Net.blocks`,
+    in write order: objects by id, then actions by id), and the file is
+    the header, the table's blocks as they stand (one C-level join), the
+    is-a edges and the labels. When a node came, went or changed kind
+    since the source, the table is first built again in write order, at
+    the cost of a sort of each node table and a lookup per node. With no
+    source every node is encoded, into one buffer that is written as it
+    is. So a save after a load or a save costs Python work of O(changed
+    blocks), a copy and the join of the blocks of the nodes held, and the
+    atomic write (`_replace`, which resolves the path with one `lstat`
+    unless it names a symbolic link or ends in a separator). The labels are
     copied while the lexicon holds just those it was loaded with
     (`Lexicon.source`) and every labelled node is in the net; either way
     the bytes are the same. Labels of nodes that are not in the net are
@@ -402,7 +427,7 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     else:   # each in O(changed blocks)
         objs = sorted(nid for nid in dirty if nid in objects)
         acts = sorted(nid for nid in dirty if nid in actions)
-        gone = dirty.difference(objects).difference(actions)
+        gone = {nid for nid in dirty if nid not in objects and nid not in actions}
     isa = sorted(net.isa_edges)
     isa_lines = "".join([f"ISA {inst} {concept}\n" for inst, concept in isa])
     copied = None
@@ -418,29 +443,44 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
             labelled = [f"LABEL {node} {lang} {encode_text(text)}\n"
                         for node, lang, text in lexicon.items() if node in objects or node in actions]
     try:
-        encoded = [_block(nid, objects[nid], False).encode("utf-8") for nid in objs]
-        encoded += [_block(nid, actions[nid], True).encode("utf-8") for nid in acts]
+        if full:   # into one buffer, written as it is: a net with no source is never rebased
+            data = bytearray(HEADER.encode() + b"\n")
+            for nid in objs:
+                data += _block(nid, objects[nid], False).encode("utf-8")
+            for nid in acts:
+                data += _block(nid, actions[nid], True).encode("utf-8")
+        else:
+            encoded = [(nid, _block(nid, objects[nid], False).encode("utf-8")) for nid in objs]
+            encoded += [(nid, _block(nid, actions[nid], True).encode("utf-8")) for nid in acts]
         labels = "".join(labelled).encode("utf-8")
     except UnicodeEncodeError:   # the first text with no UTF-8 form, at its line in the file
         _utf8("".join([HEADER + "\n", *(_block(nid, objects[nid], False) for nid in sorted(objects)),
                        *(_block(nid, actions[nid], True) for nid in sorted(actions)), isa_lines, *labelled]))
         raise
     if full:
-        written, body = None, encoded
-    else:
-        written = net.blocks | dict(zip(objs + acts, encoded))
-        body = map(written.__getitem__, chain(sorted(objects), sorted(actions)))
-    data = b"".join([HEADER.encode() + b"\n", *body, isa_lines.encode(), copied or labels])
+        data += isa_lines.encode()
+        data += copied or labels
+        _replace(path, data)
+        return
+    blocks = net.blocks   # in write order: objects by id, then actions by id
+    written = blocks | dict(encoded)
+    # each encoded block took the place of its node's stale one, which is
+    # write order unless a node came, went or changed kind since: then a
+    # node encoded had no block of its kind (its first byte), or the table,
+    # which holds a block of every other node, holds more blocks than nodes
+    if not (len(blocks) == len(objects) + len(actions)
+            and all(blocks.get(nid, b"")[:1] == block[:1] for nid, block in encoded)):
+        written = {nid: written[nid] for nid in chain(sorted(objects), sorted(actions))}
+    data = b"".join([HEADER.encode() + b"\n", *written.values(), isa_lines.encode(), copied or labels])
     identity = _replace(path, data)
-    if net.source is not None:
-        if labelled:   # one matched run at the end, as a read takes the file's labels
-            m = _BLOCK.match(data, len(data) - len(labels))
-            copied = labels if m and m.lastgroup == "LABEL" and m.end() == len(data) else None
-            if copied is not None and len(labelled) == len(lexicon.labels):
-                lexicon.saved(copied)
-        elif copied is None:
-            copied = b""
-        _rebase(net, data, identity, written, list(zip(objs + acts, encoded)), gone, isa, copied)
+    if labelled:   # one matched run at the end, as a read takes the file's labels
+        m = _BLOCK.match(data, len(data) - len(labels))
+        copied = labels if m and m.lastgroup == "LABEL" and m.end() == len(data) else None
+        if copied is not None and len(labelled) == len(lexicon.labels):
+            lexicon.saved(copied)
+    elif copied is None:
+        copied = b""
+    _rebase(net, data, identity, written, encoded, gone, isa, copied)
 
 
 def _in_order(table: dict, k: int) -> bool:
@@ -455,13 +495,17 @@ def _rebase(net: Net, data: bytes, identity: tuple, written: dict, encoded: list
     """Make `data`, which `save` wrote from a net that has a source, the
     net's source, its mark re-pointed to the file written (`identity`).
 
-    `written` maps each node to the block `save` wrote of it, `encoded`
-    lists the (id, block) of the nodes it encoded, in file order, and
-    `gone` the nodes it dropped; `isa` lists the is-a edges written and
-    `labels` the LABEL lines, when a read takes them as one run (b"" for
-    none), else None. The blocks encoded are read as a read of `data`
-    reads them: each node takes the records that read gives it, and keeps
-    its block if that read spans it, else it stays in the to-encode set.
+    `written` maps each node to the block `save` wrote of it, in write
+    order, `encoded` lists the (id, block) of the nodes it encoded, in
+    file order, and `gone` the nodes it dropped; `isa` lists the is-a
+    edges written and `labels` the LABEL lines, when a read takes them as
+    one run (b"" for none), else None. The blocks encoded are read one by
+    one, as a read of `data` reads a block `_BLOCK` matches whole
+    (`_node_run`); when one has a line no match reads (a SIG line, escaped
+    or non-ASCII text), all of them go through `_read` together, after a
+    line for each other object they name. Each node takes the records that
+    read gives it, and keeps its block if that read spans it, else it
+    stays in the to-encode set.
     The net is clean when a read of `data` gives it as it stands, but for
     its labels: that read succeeds, no node is collapsed, the tables are
     in id order, and every action end and is-a end is an object. After a
@@ -475,25 +519,30 @@ def _rebase(net: Net, data: bytes, identity: tuple, written: dict, encoded: list
     nans = origin.nans
     nans.difference_update(gone)
     nans.difference_update(map(itemgetter(0), encoded))
-    # a read of the blocks encoded, after a line for each other object
-    # they name, gives what a read of `data` gives each of their nodes
-    named = {end for nid, _ in encoded if nid in actions
-             for end in (actions[nid].subject, actions[nid].target)} - {nid for nid, _ in encoded}
-    head = b"".join(b"OBJ %d\n" % nid for nid in sorted(named - {None}))
     dirty = set()
     try:
-        entries, spanned, _, _, _ = _read(HEADER.encode() + b"\n" + head + b"".join(
-            block for _, block in encoded), True)[0]
-        read = {entry[0]: (entry[5:], span) for entry, span in zip(entries, spanned)}
-        for nid, _ in encoded:   # each node takes what that read gives it
-            (fields, text), span = read[nid]
+        matches = [_BLOCK.match(block) for _, block in encoded]
+        if all(m and m.end() == len(block) for m, (_, block) in zip(matches, encoded)):
+            names, tails = {}, {}
+            runs = [_node_run(m, 1, (), False, names, tails) for m in matches]
+            read = [(run[5], run[7], run[6]) for run in runs]   # fields, script, spanned
+        else:   # a read of the blocks after a line for each other object
+            # they name gives what a read of `data` gives their nodes
+            named = {end for nid, _ in encoded if nid in actions
+                     for end in (actions[nid].subject, actions[nid].target)} - {nid for nid, _ in encoded}
+            head = b"".join(b"OBJ %d\n" % nid for nid in sorted(named - {None}))
+            entries, spans, _, _, _ = _read(HEADER.encode() + b"\n" + head + b"".join(
+                block for _, block in encoded), True)[0]
+            read = {entry[0]: (entry[5], entry[6], span is not None) for entry, span in zip(entries, spans)}
+            read = [read[nid] for nid, _ in encoded]
+        for (nid, _), (fields, text, spanned) in zip(encoded, read):   # each takes what it reads
             rec = objects.get(nid) or actions[nid]
             if text is not None:
                 rec.script = _shared_script(text, origin.scripts, mark)
             rec.properties = _properties(nid, fields, origin.records, mark)
             if any(prop.value.data != prop.value.data for prop in rec.properties.values()):
                 nans.add(nid)
-            if span is None:
+            if not spanned:
                 dirty.add(nid)
     except (FormatError, ScriptParseError):   # no read gives the net as it stands
         read = None

@@ -1811,9 +1811,9 @@ def _props_of(net):
 
 
 def test_a_load_after_a_save_reads_no_run(tmp_path, monkeypatch):
-    """A count, not a timing: a save reads, in one pass, exactly the
-    blocks it encoded and a line for each other object they name, and a
-    load of what it wrote, through a memo that keeps the saved net, reads
+    """A count, not a timing: a save reads exactly the blocks it encoded,
+    one match and one block read each and no pass of `_read`, and a load
+    of what it wrote, through a memo that keeps the saved net, reads
     nothing and builds nothing: no run of lines is matched, no record read
     and no node built."""
     counts = dict.fromkeys(["_BLOCK", "_node_run", "_read", "_build", "ObjectRecord",
@@ -1828,10 +1828,9 @@ def test_a_load_after_a_save_reads_no_run(tmp_path, monkeypatch):
     encoded = [*sorted(net.objects)[:3:2], max(net.actions)]
     for nid in encoded:
         net.set_property(nid, "x", Value.num(1000 + nid))
-    named = {net.actions[encoded[-1]].target, net.actions[encoded[-1]].subject} - {None, *encoded}
     store.save(net, lexicon, path)
-    assert counts["_node_run"] == counts["_BLOCK"] == 3 + len(named)
-    assert counts["_read"] == 1 and counts["_build"] == 0
+    assert counts["_node_run"] == counts["_BLOCK"] == 3
+    assert counts["_read"] == counts["_build"] == 0
     assert memo.keep(net, lexicon)
     counts.update(dict.fromkeys(counts, 0))
     again = store.load(path, memo)
@@ -1845,14 +1844,26 @@ def test_a_load_after_a_save_reads_no_run(tmp_path, monkeypatch):
 
 
 class _Passes(dict):
-    """A dict that counts the passes over it: iterations of it, its keys,
-    its values or its items."""
+    """A dict that counts the passes over it (iterations of it, its keys,
+    its values or its items, or a copy by `|`) and the lookups of one key
+    in it (`[]` or `get`)."""
 
-    passes = 0
+    passes = lookups = 0
 
     def _pass(self, view):
         self.passes += 1
         return view
+
+    def __or__(self, other):   # a copy through the methods above would count each key
+        return self._pass(dict(dict.items(self)) | other)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
 
     def __iter__(self):
         return self._pass(super().__iter__())
@@ -1870,9 +1881,11 @@ class _Passes(dict):
 def test_a_save_after_one_set_encodes_one_block(tmp_path, monkeypatch):
     """A count, not a timing: after a warm load (a net taken back) and one
     `set`, a save encodes the block of that node alone (`_prop_line` runs
-    for its properties only) and every other node keeps the very bytes
-    object it held as its block, and neither `keep` nor `take`
-    passes over the records the net's source shares."""
+    for its properties only), makes one pass over the block table
+    (`Net.blocks`, in write order), with at most one lookup there, and
+    none over the node tables, and every other node keeps the very bytes
+    object it held as its block; neither `keep` nor `take` passes over
+    the records the net's source shares."""
     memo = store.ValueMemo()
     path = _traffic_files(random.Random(17), tmp_path)[0]
     assert memo.keep(*store.load(path, memo))
@@ -1884,14 +1897,70 @@ def test_a_save_after_one_set_encodes_one_block(tmp_path, monkeypatch):
     owners = []
     real = store._prop_line
     monkeypatch.setattr(store, "_prop_line", lambda owner, prop: owners.append(owner) or real(owner, prop))
+    blocks, objects, actions = net.blocks, net.objects, net.actions = (
+        _Passes(net.blocks), _Passes(net.objects), _Passes(net.actions))
     store.save(net, lexicon, path)
+    assert blocks.passes == 1 and blocks.lookups <= 1 and objects.passes == actions.passes == 0
     assert owners == [nid] * len(net.objects[nid].properties)
-    assert net.blocks.keys() == held.keys() | {nid} and not net.dirty
+    assert list(net.blocks) == [*sorted(net.objects), *sorted(net.actions)] and not net.dirty
     assert all(net.blocks[other] is block for other, block in held.items() if other != nid)
     net.origin.records = records = _Passes(net.origin.records)
     assert memo.keep(net, lexicon)
     assert store.load(path, memo)[0] is net and records.passes == 0
     assert _full_view(net, lexicon) == _full_view(*store.load(path))
+
+
+@pytest.mark.parametrize("came", ["obj", "stub"])
+def test_a_node_that_comes_puts_the_block_table_in_write_order_once(tmp_path, came):
+    """A count, not a timing: after a node comes in, by a CLI `obj` (an id
+    past every node, written before every action) or as a stub through a
+    handle (an id an erase freed, inside the table), the next save
+    builds the block table (`Net.blocks`) again in write order, objects by
+    id and then actions by id, and writes what a full save writes; the
+    save after one more `set` makes one pass over it again."""
+    paths = _traffic_files(random.Random(18), tmp_path)
+    session = Session()
+    run_command(session, f"load {paths[0]}")
+    net = session.net
+    if came == "obj":
+        run_command(session, "obj lamp colour=red")
+    else:
+        freed = sorted(net.objects)[4]
+        net.erase_node(freed)
+        run_command(session, f"save {paths[0]}")
+        with store.open(paths[1]) as handle:
+            for name in handle.props[freed]:
+                handle.hydrate_property(freed, name, net)
+    run_command(session, f"save {paths[0]}")
+    order = [*sorted(net.objects), *sorted(net.actions)]
+    assert list(net.blocks) == order and not net.dirty
+    assert Path(paths[0]).read_bytes() == _saved_in_full(net, session.lexicon, str(tmp_path / "full.krn"))
+    net.set_property(order[-1], "x", Value.num(5))
+    net.blocks = blocks = _Passes(net.blocks)
+    run_command(session, f"save {paths[0]}")
+    assert blocks.passes == 1 and blocks.lookups <= 1
+    assert list(net.blocks) == order and not net.dirty
+    assert Path(paths[0]).read_bytes() == _saved_in_full(net, session.lexicon, str(tmp_path / "full.krn"))
+
+
+def test_an_id_that_changes_kind_between_saves_is_written_in_its_table(tmp_path):
+    """An object erased and its id stubbed back in as an action through a
+    handle, with no save between, is written among the actions: the save
+    writes what a full save writes and leaves the block table in write
+    order, although every node held has a block and none dropped has one."""
+    net = Net()
+    first, freed, last = (net.add_object([("x", Value.num(i))]) for i in range(3))
+    net.add_action(first, last)
+    net, lexicon = store.load(_saved(tmp_path, net))
+    other = Net()
+    assert other.add_action(None, other.add_object()) == freed
+    net.erase_node(freed)
+    with store.open(_saved(tmp_path, other, name="other.krn")) as handle:
+        handle.load_stub(freed, net)
+    path = str(tmp_path / "net.krn")
+    store.save(net, lexicon, path)
+    assert Path(path).read_bytes() == _saved_in_full(net, lexicon, str(tmp_path / "full.krn"))
+    assert list(net.blocks) == [*sorted(net.objects), *sorted(net.actions)]
 
 
 def test_a_save_after_an_expand_encodes_what_the_expand_touched(tmp_path, monkeypatch):
@@ -2245,15 +2314,69 @@ def test_save_keeps_the_file_mode_and_leaves_no_temp_file(tmp_path):
     assert nets_equal(store.load(path)[0], net)
 
 
-def test_save_through_a_symbolic_link_keeps_the_link(tmp_path):
-    net, wall, lexicon, path = _labelled_wall(tmp_path)
-    link = tmp_path / "link.krn"
-    link.symlink_to("net.krn")
+def _path_form(tmp_path, monkeypatch, form):
+    """(the path a save is given, the file it names, {each link on the
+    way: what it points to}) for one form of path, the named file made
+    first unless it is a dangling link's."""
+    if form == "bare name":   # a relative name in the working directory
+        monkeypatch.chdir(tmp_path)
+        return "net.krn", tmp_path / "net.krn", {}
+    if form == "dir link then ..":   # `..` leaves the directory the link points to
+        (tmp_path / "a" / "b").mkdir(parents=True)
+        (tmp_path / "l").symlink_to(Path("a", "b"))
+        return str(tmp_path / "l" / ".." / "net.krn"), tmp_path / "a" / "net.krn", {"l": "a/b"}
+    if form == "trailing separator":   # names the file without it
+        return str(tmp_path / "net.krn") + os.sep, tmp_path / "net.krn", {}
+    if form == "path object":
+        return tmp_path / "net.krn", tmp_path / "net.krn", {}
+    links = {"symlink": {"link.krn": "net.krn"},
+             "chain of links": {"outer.krn": "inner.krn", "inner.krn": "net.krn"},
+             "dangling link": {"link.krn": "new.krn"}}[form]
+    for link, to in links.items():
+        (tmp_path / link).symlink_to(to)
+    return str(tmp_path / next(iter(links))), tmp_path / [*links.values()][-1], links
+
+
+@pytest.mark.parametrize("form", ["bare name", "symlink", "chain of links", "dangling link",
+                                  "dir link then ..", "trailing separator", "path object"])
+def test_save_writes_the_file_each_form_of_path_names(tmp_path, monkeypatch, form):
+    """A save through each form of path writes the file the path names: a
+    link stays a link to what it pointed to, the file keeps its mode (a
+    new one gets what a plain open gives it) and no temp file is left."""
+    made = tmp_path / "made"
+    made.mkdir()
+    net, wall, lexicon, _ = _labelled_wall(made)
+    path, named, links = _path_form(tmp_path, monkeypatch, form)
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    if form != "dangling link":
+        store.save(net, lexicon, str(named))
+        os.chmod(named, 0o640)
     net.set_property(wall, "extra", Value.num(3))
-    store.save(net, lexicon, str(link))
-    assert link.is_symlink()
+    store.save(net, lexicon, path)
+    assert named.read_bytes() == _saved_in_full(net, lexicon, str(made / "full.krn"))
+    assert {link: os.readlink(tmp_path / link) for link in links} == links
+    mode = os.stat(plain).st_mode & 0o777 if form == "dangling link" else 0o640
+    assert os.stat(named).st_mode & 0o777 == mode
+    files = [os.path.relpath(os.path.join(folder, name), tmp_path)
+             for folder, _, names in os.walk(tmp_path) for name in names
+             if not os.path.islink(os.path.join(folder, name))]
+    assert sorted(files) == sorted(["plain", "made/net.krn", "made/full.krn",
+                                    str(named.relative_to(tmp_path))])
+
+
+@pytest.mark.parametrize("name", ["n" * 251 + ".krn", "é" * 125 + "x.krn"], ids=["ascii", "utf-8"])
+def test_a_save_to_a_name_of_255_bytes_leaves_no_temp_file(tmp_path, name):
+    """A file name may take NAME_MAX (255) bytes, in any script: a save
+    makes such a file and replaces it, and leaves no temp file."""
+    assert len(os.fsencode(name)) == 255
+    net, wall, lexicon, _ = _labelled_wall(tmp_path)
+    path = str(tmp_path / name)
+    store.save(net, lexicon, path)
+    net.set_property(wall, "extra", Value.num(3))
+    store.save(net, lexicon, path)
     assert nets_equal(store.load(path)[0], net)
-    assert sorted(os.listdir(tmp_path)) == ["link.krn", "net.krn"]
+    assert sorted(os.listdir(tmp_path)) == sorted(["net.krn", name])
 
 
 @pytest.mark.parametrize("failing", ["write", "fsync"])
