@@ -419,14 +419,18 @@ def match_images(pattern: Net, target: Net) -> set:
 
 # ------------------------------------------------------- canonical form
 
+def _names(rec) -> tuple:
+    """A record's names, bookkeeping aside, sorted."""
+    return tuple(sorted(rec.properties.keys() - _BOOKKEEPING))
+
+
 def _shape_table(net: Net, nodes) -> dict:
     """Each node's (kind, sorted names minus bookkeeping): the part of its
     view that does not depend on the node set around it."""
     table = {}
     for nid in nodes:
         rec = net.node(nid)
-        table[nid] = ("o" if isinstance(rec, ObjectRecord) else "a",
-                      tuple(sorted(rec.properties.keys() - _BOOKKEEPING)))
+        table[nid] = ("o" if isinstance(rec, ObjectRecord) else "a", _names(rec))
     return table
 
 
@@ -546,16 +550,15 @@ def _bits(mask: int):
 
 def _bit_rows(net: Net) -> tuple[list, list]:
     """The net's ids in ascending order, and for each its (kind, names)
-    shape with its subject bit and target bit; an object and a blank
-    subject have bit 0."""
+    shape, as `_shape_table` gives it, with its subject bit and target
+    bit; an object and a blank subject have bit 0."""
     ids = net.node_ids()
-    shapes = _shape_table(net, ids)
     bit = {nid: 1 << i for i, nid in enumerate(ids)}
     rows = []
     for nid in ids:
         rec = net.actions.get(nid)
-        rows.append((shapes[nid], 0, 0) if rec is None else
-                    (shapes[nid], bit.get(rec.subject, 0), bit[rec.target]))
+        rows.append((("o", _names(net.objects[nid])), 0, 0) if rec is None else
+                    (("a", _names(rec)), bit.get(rec.subject, 0), bit[rec.target]))
     return ids, rows
 
 
@@ -608,9 +611,12 @@ def _closed_subsets(rows: list, shape_index: dict, max_nodes: int) -> list:
             unmet = new_need & ~new_sub
             if not unmet:
                 # a count is below max_nodes <= 8, so four bits hold it
-                closed.append((new_sub, tuple(sorted([
-                    base[i] | (one[i] & new_sub).bit_count() << 4 | (ins[i] & new_sub).bit_count()
-                    for i in members]))))
+                inv = []
+                for i in members:
+                    inv.append(base[i] | (one[i] & new_sub).bit_count() << 4
+                               | (ins[i] & new_sub).bit_count())
+                inv.sort()
+                closed.append((new_sub, tuple(inv)))
             if len(members) < max_nodes and len(members) + unmet.bit_count() <= max_nodes:
                 grow(new_sub, ext | nbr[w] & above & ~nbh, nbh | nbr[w], new_need)
             members.pop()
@@ -663,6 +669,18 @@ def _structure_view(structure: tuple) -> dict:
     return view
 
 
+def _structure_of(net: Net, order) -> tuple:
+    """The structure, as `_structure` gives one, of the nodes in `order`
+    (every action's target among them), numbered by their place in it."""
+    at = {nid: p for p, nid in enumerate(order)}
+    structure = []
+    for nid in order:
+        rec = net.actions.get(nid)
+        structure.append(("o", _names(net.objects[nid])) if rec is None else
+                         ("a", _names(rec), at.get(rec.subject), at[rec.target]))
+    return tuple(structure)
+
+
 def _supported_classes(nets, min_support: int, max_nodes: int) -> list:
     """The isomorphism classes of closed subsets across the nets that at
     least min_support subsets fall in, in the enumeration order of each
@@ -672,21 +690,21 @@ def _supported_classes(nets, min_support: int, max_nodes: int) -> list:
     of those ids that produced it; None for a proven class.
 
     Two passes over the same enumeration. The first counts invariants
-    (`_closed_subsets`); the second groups the subsets whose invariant at
-    least min_support subsets share by `_structure`. Structures that are
-    isomorphic have equal invariants, so only a structure that shares its
-    invariant with another is canonicalised, and such structures merge
-    into one class by canonical key; two structures with equal invariants
-    and different keys stay two classes. A structure alone with its
-    invariant is a class of its own, canonicalised only if it heads an
-    unproven class, for the template's key and node order.
+    (`_closed_subsets`); the second hashes the `_structure` of each subset
+    whose invariant min_support subsets share, once, to its head's index.
+    Isomorphic structures have equal invariants, so only a structure that
+    shares its invariant with another is canonicalised, and such
+    structures merge into one class by canonical key; two structures with
+    equal invariants and different keys stay two classes. A structure
+    alone with its invariant is a class of its own, canonicalised only if
+    it heads an unproven class, for the template's key and node order.
 
     The proof: when a subset of a supported class less one node (its mask
     with one bit dropped) is a subset of a supported class, that class
     embeds in the larger subset's class by the identity map, since names
     are equal and a subject that was the removed node is blank, which any
     subject allows. A mask names different nodes in different nets, so
-    subsets are looked up per net.
+    subsets are looked up per net, each mask mapping to its head index.
     """
     shape_index: dict[tuple, int] = {}
     counted = []
@@ -694,24 +712,25 @@ def _supported_classes(nets, min_support: int, max_nodes: int) -> list:
         ids, rows = _bit_rows(net)
         counted.append((net, ids, rows, _closed_subsets(rows, shape_index, max_nodes)))
     inv_count = Counter(inv for *_, closed in counted for _, inv in closed)
-    heads: dict[tuple, list] = {}   # structure -> [count, invariant, net, members]
-    structures = []   # per net: each kept subset's structure
+    index: dict[tuple, int] = {}   # structure -> its head's index
+    heads = []   # [count, invariant, net, ids, mask, structure]
+    founds = []   # per net: each kept subset's mask -> its head's index
     for net, ids, rows, closed in counted:
         found = {}
         for sub, inv in closed:
             if inv_count[inv] >= min_support:
-                structure = found[sub] = _structure(rows, sub)
-                if structure in heads:
-                    heads[structure][0] += 1
-                else:
-                    heads[structure] = [1, inv, net, [ids[low.bit_length() - 1] for low in _bits(sub)]]
-        structures.append(found)
+                structure = _structure(rows, sub)
+                h = found[sub] = index.setdefault(structure, len(heads))
+                if h == len(heads):
+                    heads.append([0, inv, net, ids, sub, structure])
+                heads[h][0] += 1
+        founds.append(found)
 
-    sharing = Counter(inv for _, inv, _, _ in heads.values())
-    classes = []   # [support, net, members, head structure, canonical or None]
-    class_of = {}
+    sharing = Counter(head[1] for head in heads)
+    classes = []   # [support, head index, canonical or None]
+    class_of = []   # head index -> class index
     by_key = {}
-    for structure, (count, inv, net, members) in heads.items():
+    for h, (count, inv, *_, structure) in enumerate(heads):
         canonical = None
         if sharing[inv] > 1:
             canonical = _canonical_view(_structure_view(structure))
@@ -719,20 +738,22 @@ def _supported_classes(nets, min_support: int, max_nodes: int) -> list:
         else:
             c = len(classes)
         if c == len(classes):
-            classes.append([0, net, members, structure, canonical])
+            classes.append([0, h, canonical])
         classes[c][0] += count
-        class_of[structure] = c
+        class_of.append(c)
 
-    supported = [support >= min_support for support, *_ in classes]
-    proven = set()
-    for found in structures:
-        ids_of = {sub: class_of[structure] for sub, structure in found.items()}
-        for sub, c in ids_of.items():
-            if supported[c]:
-                proven.update(ids_of.get(sub ^ low) for low in _bits(sub))
+    supported = [support >= min_support for support, _, _ in classes]
+    proven = set()   # heads of subsets one node short of a supported class's subset
+    for found in founds:
+        for sub, h in found.items():
+            if supported[class_of[h]]:
+                proven.update([found.get(sub ^ low) for low in _bits(sub)])
+    proven = {class_of[h] for h in proven if h is not None}
     result = []
-    for c, (support, net, members, structure, canonical) in enumerate(classes):
+    for c, (support, h, canonical) in enumerate(classes):
         if supported[c]:
+            _, _, net, ids, sub, structure = heads[h]
+            members = [ids[low.bit_length() - 1] for low in _bits(sub)]
             if c in proven:
                 canonical = None
             else:
@@ -760,17 +781,55 @@ def extract_pattern(net: Net, nodes) -> Net:
     return pattern
 
 
-def _profile(pattern: Net) -> frozenset:
+def _profile(pattern) -> frozenset:
     """Counts an embedding into another pattern cannot exceed: objects,
     actions, actions with a subject, and nodes of each kind per name; a
     count c of an item is the pairs (item, 1) to (item, c), so one
-    profile fits under another exactly when it is a subset of it."""
-    counts = Counter(o=len(pattern.objects), a=len(pattern.actions))
-    counts["subject"] = sum(a.subject is not None for a in pattern.actions.values())
-    for kind, records in (("o", pattern.objects), ("a", pattern.actions)):
-        for rec in records.values():
-            counts.update((kind, name) for name in rec.properties)
-    return frozenset((item, k) for item, count in counts.items() for k in range(1, count + 1))
+    profile fits under another exactly when it is a subset of it. It
+    reads a structure (`_structure_of`), or a pattern Net's structure."""
+    if isinstance(pattern, Net):
+        pattern = _structure_of(pattern, pattern.node_ids())
+    counts = {}
+    pairs = []
+    for node in pattern:
+        items = [node[0], *[(node[0], name) for name in node[1]]]
+        if len(node) == 4 and node[2] is not None:
+            items.append("subject")
+        for item in items:
+            counts[item] = k = counts.get(item, 0) + 1
+            pairs.append((item, k))
+    return frozenset(pairs)
+
+
+def _embeds(small: tuple, big: tuple, image: dict | None = None) -> bool:
+    """Whether structure `small`'s pattern embeds in `big`'s, as
+    `find_matches(..., limit=1)` on their Nets decides. The first node
+    that `image` (position to position) lacks goes on each big node of its
+    kind, names and subject in turn, an action with its ends, so links
+    hold; the canonical order puts actions first."""
+    image = {} if image is None else image
+    p = next((p for p in range(len(small)) if p not in image), None)
+    if p is None:
+        return True
+    node = small[p]
+    for q, other in enumerate(big):
+        if len(other) != len(node) or len(node) == 4 and node[2] is not None and other[2] is None:
+            continue   # the other kind, or no subject for node's
+        placed = []
+        for s, b in [(p, q)] if len(node) == 2 else [(p, q), (node[3], other[3]),
+                                                      (node[2], other[2])]:
+            if s is None or image.get(s) == b:   # a blank subject, or an end placed
+                continue
+            if s in image or b in image.values() or not set(small[s][1]).issubset(big[b][1]):
+                break
+            image[s] = b
+            placed.append(s)
+        else:
+            if _embeds(small, big, image):
+                return True
+        for s in placed:
+            del image[s]
+    return False
 
 
 @dataclass
@@ -800,8 +859,9 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
     only where it shares its invariant with another structure, so that
     isomorphic ones merge, or where it heads a class left unproven
     (`_supported_classes`). A supported class that a one-node step proves
-    embedded in another is dropped unbuilt; the maximality search runs,
-    and templates are built, only among the classes left unproven.
+    embedded in another is dropped; the maximality test runs only among
+    the classes left unproven, on their structures (`_embeds`), and a
+    pattern is built only for a template returned.
     """
     if min_support < 2:
         raise ValueError("min_support must be at least 2")
@@ -815,25 +875,22 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
     # does, into a larger class; following proofs upward through ever
     # larger classes ends at an unproven one, so by transitivity a key
     # that embeds in any other key embeds in an unproven key other than
-    # itself. Only unproven keys are built and searched; most pairs fail
-    # the profile test and never reach the search.
-    keys = sorted(unproven)
-    patterns = {key: Net() for key in keys}
-    for key in keys:
-        _, net, order = unproven[key]
-        _copy_structure(net, order, patterns[key])
-    profiles = {key: _profile(pattern) for key, pattern in patterns.items()}
-    kept = [key for key in keys
-            if not any(other != key and profiles[key] <= profiles[other]
-                       and find_matches(patterns[key], patterns[other], limit=1)
-                       for other in keys)]
+    # itself. The search runs on unproven keys' structures, and only where
+    # one profile is below the other: an embedding between equal profiles
+    # is an isomorphism, which two keys rule out.
+    structures = {key: _structure_of(net, order) for key, (_, net, order) in unproven.items()}
+    profiles = {key: _profile(structure) for key, structure in structures.items()}
+    kept = [key for key in unproven
+            if not any(profiles[key] < profiles[other] and _embeds(structures[key], structures[other])
+                       for other in unproven)]
 
     # each key already is its pattern's canonical form
     kept.sort(key=lambda key: (-unproven[key][0], key))
-    return [ConceptTemplate(pattern=patterns[key],
-                            root=min(patterns[key].objects or patterns[key].actions),
-                            support=unproven[key][0])
-            for key in kept]
+    patterns = [Net() for _ in kept]
+    for key, pattern in zip(kept, patterns):
+        _copy_structure(*unproven[key][1:], pattern)
+    return [ConceptTemplate(pattern=pattern, root=min(pattern.objects or pattern.actions),
+                            support=unproven[key][0]) for key, pattern in zip(kept, patterns)]
 
 
 def register_concept(net: Net, template: ConceptTemplate) -> NodeId:

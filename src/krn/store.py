@@ -926,6 +926,7 @@ def _read(buf: bytes, decode: bool):
     tails: dict[bytes, tuple] = {}   # the fields of each PROP tail this read decoded
     spans: dict[NodeId, range] = {}
     blocks: dict[NodeId, tuple] = {}   # the entry of each node read from its block, for load
+    block_names: dict[NodeId, set] = {}   # a block's names, once a record outside it names its node
     label_start = None
     fh = io.BytesIO(buf)   # for the SCRIPT blocks of tokenised records
     match = _BLOCK.match
@@ -1006,7 +1007,9 @@ def _read(buf: bytes, decode: bool):
             name = toks[2]
             if not valid_property_name(name):
                 raise FormatError(f"bad property name {name!r}", line)
-            if name in named or owner in blocks and any(field[1] == name for field in blocks[owner][5]):
+            if owner in blocks and owner not in block_names:
+                block_names[owner] = {field[1] for field in blocks[owner][5]}
+            if name in named or name in block_names.get(owner, ()):
                 raise FormatError(f"duplicate property {name!r} on {owner}", line)
             if decode:
                 value, prov = _decode_prop(toks, line)

@@ -10,8 +10,10 @@ touch its table, only `Net.note`, `Net.touch`, `store._build` and
 `store._rebase` write a net's block table and to-encode set, and every CLI
 load passes the session's memo. Every function `krn` exports is named
 by the engine or the benchmark, or is on a short list of API kept for
-callers. No pattern needs a newer Python than the package allows. The
-README's command summary names exactly the verbs the CLI dispatches on."""
+callers. No pattern needs a newer Python than the package allows. A
+nested function that calls itself is dropped in a `finally` of the
+function that defines it. The README's command summary names exactly the
+verbs the CLI dispatches on."""
 
 import ast
 import importlib
@@ -348,6 +350,40 @@ def test_every_cleanup_handler_runs_on_an_interrupt():
               and not (node.type is None
                        or isinstance(node.type, ast.Name) and node.type.id == "BaseException")]
     assert not narrow, narrow
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, nested definitions included but not
+    what is inside them."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_a_nested_function_that_calls_itself_is_dropped_in_a_finally():
+    """A nested function that calls itself holds its own closure cell, a
+    reference cycle that only the collector frees, so the function that
+    defines it ends with `del` of its name in a `finally`: reference
+    counting then frees each call's frames, as
+    `test_mining_leaves_no_reference_cycle` checks for mining."""
+    undropped = []
+    for module, (_, tree) in _trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = list(_own_nodes(fn))
+            dropped = {target.id for node in own if isinstance(node, ast.Try)
+                       for stmt in node.finalbody if isinstance(stmt, ast.Delete)
+                       for target in stmt.targets if isinstance(target, ast.Name)}
+            undropped += [f"{module}:{inner.lineno} {inner.name}" for inner in own
+                          if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and inner.name not in dropped
+                          and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                                  and node.func.id == inner.name for node in ast.walk(inner))]
+    assert not undropped, undropped
 
 
 # public signatures whose callers pass a parameter the body does not read:

@@ -1263,6 +1263,40 @@ def test_a_nan_overwritten_and_saved_blocks_no_keep(tmp_path, monkeypatch):
     assert _full_view(*again) == _full_view(*store.load(str(path)))
 
 
+def test_a_save_past_the_bound_forgets_the_records_the_net_no_longer_holds(tmp_path):
+    """Each save of a new value leaves the record it replaced among the
+    records a read of the source shares; once they outnumber the origin's
+    bound, the save keeps only those the net holds. The net stays what a
+    cold load of its file gives, and a reload through the memo takes it
+    back as that load gives it."""
+    net = Net()
+    obj = net.add_object([("x", Value.num(0)), ("colour", Value.text("red"))])
+    net.add_action(obj, net.add_object([("x", Value.num(0))]), "set object.x = 1;")
+    lexicon = Lexicon()
+    lexicon.set_label(obj, "en", "one")
+    path = _saved(tmp_path, net, lexicon)
+    memo = store.ValueMemo()
+    net, lexicon = store.load(path, memo)
+    bound = net.origin.bound
+    for value in range(1, bound + 2):
+        grown = len(net.origin.records)
+        net.set_property(obj, "x", Value.num(value))
+        store.save(net, lexicon, path)
+        if len(net.origin.records) <= grown:   # the prune ran
+            break
+    # the save that took one record past the bound kept three: each value the net holds
+    assert grown == bound and len(net.origin.records) == 3
+    held = {id(prop) for rec in [*net.objects.values(), *net.actions.values()]
+            for prop in rec.properties.values()}
+    assert {id(rec) for rec in net.origin.records.values()} == held
+    cold, cold_labels = store.load(path)
+    assert nets_equal(net, cold) and lexicon.items() == cold_labels.items()
+    assert net.clean and memo.keep(net, lexicon)
+    again = store.load(path, memo)
+    assert again[0] is net
+    assert _full_view(*again) == _full_view(*store.load(path))
+
+
 def _props(net):
     return [prop for (_, name), prop in _marked(net) if name is not None]
 
@@ -1468,18 +1502,70 @@ _ACT_2 = b"ACT 2 - 1\nSCRIPT 2\n<<<\nset object.x = 2;\n>>>\n"
     (b"KRN 1\n" + _OBJ_1 + b"SCRIPT 2\n<<<\nset object.x = 3;\n>>>\n" + _ACT_2,
      ("duplicate SCRIPT for 2", 9)),
     (b"KRN 1\n" + _OBJ_1 + b"PROP 2 y num 2.0\n" + _ACT_2, None),
+    # tokenised PROP lines of node 1 after its block: one naming the block's x
+    # is a duplicate at its own line, whether or not another came first
+    (b"KRN 1\n" + _OBJ_1 + b"OBJ 3\nPROP 01 x num 2.0\n", ("duplicate property 'x' on 1", 5)),
+    (b"KRN 1\n" + _OBJ_1 + b"OBJ 3\nPROP 01 y num 2.0\nPROP 1 x num 3.0\n",
+     ("duplicate property 'x' on 1", 6)),
+    (b"KRN 1\n" + _OBJ_1 + b"OBJ 3\nPROP 01 y num 2.0\nPROP 1 y num 3.0\n",
+     ("duplicate property 'y' on 1", 6)),
+    (b"KRN 1\n" + _OBJ_1 + b"OBJ 3\nPROP 01 y num 2.0\nPROP 1 z num 3.0\n", None),
 ], ids=["prop-before", "prop-before-other-name", "object-twice", "action-twice",
-        "script-before", "action-prop-before"])
+        "script-before", "action-prop-before", "prop-after", "prop-after-another",
+        "prop-after-twice", "props-after-other-names"])
 def test_a_block_is_checked_against_what_the_read_has_seen(tmp_path, data, error):
     """A node block is checked against what its read has seen: a PROP or
     SCRIPT line of its node before it, and an earlier block with its very
-    bytes. A file that passes loads again as the net the memo kept."""
+    bytes; a PROP line read token by token after its node's block is
+    checked against that block's names. A file that passes loads again as
+    the net the memo kept."""
     cold, warm = _reloaded(tmp_path, data)
     if error is None:
         assert len(cold) == 6
     else:
         assert cold == (FormatError, f"{error[0]} (line {error[1]})", error[1])
     assert _same_load(cold, warm)
+
+
+def _outside_blocks(shape: str, k: int) -> bytes:
+    """A file with k records that a read takes token by token (an id with a
+    leading zero is no id `_BLOCK` matches): PROP lines of object 1 after
+    its block of k PROP lines, or ISA or LABEL lines between k + 1 objects."""
+    if shape == "prop":
+        block = b"OBJ 1\n" + b"".join(b"PROP 1 p%d num 1 asserted\n" % i for i in range(k))
+        return b"KRN 1\n" + block + b"".join(b"PROP 01 q%d num 1 asserted\n" % i for i in range(k))
+    objects = b"".join(b"OBJ %d\n" % i for i in range(1, k + 2))
+    if shape == "isa":
+        return b"KRN 1\n" + objects + b"".join(b"ISA 0%d 0%d\n" % (i, i + 1) for i in range(1, k + 1))
+    return b"KRN 1\n" + objects + b"".join(b'LABEL 0%d en "l%d"\n' % (i, i) for i in range(1, k + 1))
+
+
+def _open_and_close(path):
+    with store.open(path):
+        pass
+
+
+@pytest.mark.parametrize("shape", ["prop", "isa", "label"])
+@pytest.mark.parametrize("read", [store.load, _open_and_close], ids=["load", "open"])
+def test_records_outside_their_blocks_read_in_linear_time(tmp_path, shape, read):
+    """A file with eight times the records takes a load or an open about
+    eight times as long: the ratio of the best times stays under 24, which
+    linear time (about 8) meets and quadratic time (about 64) does not. At
+    600 PROP lines after a block of 600, a load that checks each line
+    against every line of the block takes about 50 times as long at 4 800."""
+    def best(k, tries):
+        path = tmp_path / f"{shape}-{k}.krn"
+        path.write_bytes(_outside_blocks(shape, k))
+        times = []
+        for _ in range(tries):
+            start = time.perf_counter()
+            read(str(path))
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small = best(600, 3)
+    ratio = best(4800, 2) / small
+    assert ratio < 24, ratio
 
 
 @pytest.mark.parametrize("line, as_saved", [
