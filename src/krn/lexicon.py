@@ -20,12 +20,24 @@ def valid_language_tag(lang: str) -> bool:
     return bool(_LANG_RE.match(lang))
 
 
+def _hold(texts: dict, text: str, node: NodeId) -> None:
+    """Add `node`, which does not hold `text`, to its holders in `texts`."""
+    held = texts.get(text)
+    if held is None:
+        texts[text] = node
+    elif type(held) is dict:
+        held[node] = None
+    else:
+        texts[text] = {held: None, node: None}
+
+
 class Lexicon:
     def __init__(self, fallback_chain: tuple[str, ...] = ("en",)):
         self.labels: dict[tuple[NodeId, str], str] = {}
-        # language (once its tag passed) -> text -> node ids, kept as dict
-        # keys: a dict of ints, unlike a set, is never collector-tracked
-        self.reverse: dict[str, dict[str, dict[NodeId, None]]] = {}
+        # language (once its tag passed) -> text -> the id of the one node
+        # that holds it, or, while two or more do, their ids as the keys of
+        # a dict: a dict of ints, unlike a set, is never collector-tracked
+        self.reverse: dict[str, dict[str, NodeId | dict[NodeId, None]]] = {}
         self.fallback_chain = list(fallback_chain)
         # the LABEL lines of the file this lexicon was loaded from, or that a
         # save wrote of it, while it holds just those labels: `store.save`
@@ -36,7 +48,8 @@ class Lexicon:
     def index(labels) -> tuple[dict, dict]:
         """The (labels, reverse) of (node, language, text) labels in one pass,
         as `set_label` of each in turn leaves them: of two for one node and
-        language the later wins. A bad tag raises BadLanguageTag."""
+        language the later wins, and a text one node holds maps to its id.
+        A bad tag raises BadLanguageTag."""
         pairs, reverse = {}, {}
         for node, lang, text in labels:
             if lang not in reverse:
@@ -45,7 +58,7 @@ class Lexicon:
                 reverse[lang] = {}
             pairs[(node, lang)] = text
         for (node, lang), text in pairs.items():
-            reverse[lang].setdefault(text, {})[node] = None
+            _hold(reverse[lang], text, node)
         return pairs, reverse
 
     @classmethod
@@ -61,12 +74,15 @@ class Lexicon:
         texts = self.reverse.setdefault(lang, {})
         old = self.labels.get((node, lang))
         if old is not None:
-            bucket = texts[old]
-            del bucket[node]
-            if not bucket:
+            held = texts[old]
+            if type(held) is dict:
+                del held[node]
+                if len(held) == 1:
+                    texts[old] = next(iter(held))
+            else:
                 del texts[old]
         self.labels[(node, lang)] = text
-        texts.setdefault(text, {})[node] = None
+        _hold(texts, text, node)
         self.source = None
 
     def saved(self, source: bytes) -> None:
@@ -95,13 +111,18 @@ class Lexicon:
 
     def lookup(self, lang: str, text: str) -> set[NodeId]:
         """Exact-match reverse lookup; no fallback, no normalization."""
-        return set(self.reverse.get(lang, {}).get(text, ()))
+        held = self.reverse.get(lang, {}).get(text, {})
+        return set(held) if type(held) is dict else {held}
 
     def lookup_any(self, text: str) -> set[NodeId]:
         """Exact-match reverse lookup in every language that has labels."""
         hits: set[NodeId] = set()
         for texts in self.reverse.values():
-            hits.update(texts.get(text, ()))
+            held = texts.get(text, {})
+            if type(held) is dict:
+                hits.update(held)
+            else:
+                hits.add(held)
         return hits
 
     def items(self) -> list[tuple[NodeId, str, str]]:

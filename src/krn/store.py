@@ -605,6 +605,9 @@ _PROP_FIELDS = re.compile(rb"PROP [0-9]+ ([^ ]+) ([^\n]+)\n")
 _PROP_TAIL = re.compile(rb"PROP [0-9]+ ([^\n]+)\n")   # "<name> <kind> <token>[ <provenance>]"
 _ISA_FIELDS = re.compile(rb"ISA ([0-9]+) ([0-9]+)\n")
 _LABEL_FIELDS = re.compile(rb'LABEL ([0-9]+) ([^ ]+) "([^"]*)"\n')
+# the node token of each line of a matched LABEL run, or of one LABEL line
+# the tokenising path took
+_LABEL_NODE = re.compile(rb" *LABEL +([-+]?[0-9]+) [^\n]*\n?")
 _VALUE_FIELDS = re.compile(rb'([a-z]+) ("[^"]*"|[^ ]+)(?: ([a-z]+))?')
 
 
@@ -707,7 +710,7 @@ _NET_COST = 2000
 _NODE_COST = 380
 _RECORD_COST = 360
 _SCRIPT_COST = 650
-_LABEL_COST = 470
+_LABEL_COST = 200
 MAX_MEMO_BYTES = 2 * 1024 * 1024
 
 
@@ -859,20 +862,14 @@ def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails:
     return nid, tag, prov, subject, target, tuple(fields), saved, text, lines
 
 
-def _label_run(buf: bytes, start: int, stop: int, decode: bool) -> tuple:
-    """What a run of matched LABEL lines holds: (labels, the first line of
-    each owner counted from the run's, its line count, whether save writes
-    those labels so), the labels themselves only when `decode`. Save
-    writes them so when each (node, language) pair follows the one before."""
-    labels, owners, langs = [], {}, {}
-    for line, (node, lang, text) in enumerate(_LABEL_FIELDS.findall(buf, start, stop)):
-        node = int(node)
-        owners.setdefault(node, line)
-        if decode:
-            lang = langs.get(lang) or langs.setdefault(lang, lang.decode())
-            labels.append((node, lang, text.decode()))
-    ordered = all(a[:2] < b[:2] for a, b in zip(labels, labels[1:]))
-    return tuple(labels), owners, buf.count(b"\n", start, stop), ordered
+def _label_run(buf: bytes, start: int, stop: int) -> tuple[list, bool]:
+    """The (node, language, text) of each line of a matched LABEL run, and
+    whether save writes those labels so: each (node, language) pair
+    follows the one before."""
+    langs = {}
+    labels = [(int(node), langs.get(lang) or langs.setdefault(lang, lang.decode()), text.decode())
+              for node, lang, text in _LABEL_FIELDS.findall(buf, start, stop)]
+    return labels, all(a[:2] < b[:2] for a, b in zip(labels, labels[1:]))
 
 
 def _read(buf: bytes, decode: bool):
@@ -885,9 +882,12 @@ def _read(buf: bytes, decode: bool):
     checked against its node's PROP, SIG and SCRIPT lines met before it,
     and a run of LABEL lines is decoded (`_label_run`). Without (for the
     `open` scan), each PROP/SIG and SCRIPT record is kept as its byte
-    offset, for the index, and no label. Set operations tell whether the
-    references hold; only when they may not are they searched in file
-    order.
+    offset, for the index, and no label. Either way a LABEL run or line is
+    kept as its first line and byte span, and its nodes are checked once
+    the scan is done: with `decode` those of the decoded labels, without
+    it each line's node token, found again in the span. Set operations
+    tell whether the other references hold; only when some may not are
+    they searched in file order, a LABEL line's number counted in its span.
 
     Without `decode`, returns (nodes, props, scripts, isa): nodes maps id
     to (tag, provenance, subject, target, line) in file order; props maps
@@ -920,8 +920,8 @@ def _read(buf: bytes, decode: bool):
     # (line, tag, id, tag it needs or None) of each record that names a node
     # outside the node's block: a tokenised PROP, SIG or SCRIPT, and an ISA
     refs: list[tuple[int, str, NodeId, str | None]] = []
-    # (first line, {node: its first line counted from there}) of each LABEL line or run
-    label_runs: list[tuple[int, dict[NodeId, int]]] = []
+    # (first line, start offset, end offset) of each LABEL line or run
+    label_runs: list[tuple[int, int, int]] = []
     names: dict = {}   # the read's one str per matched property name
     tails: dict[bytes, tuple] = {}   # the fields of each PROP tail this read decoded
     spans: dict[NodeId, range] = {}
@@ -986,12 +986,13 @@ def _read(buf: bytes, decode: bool):
                     refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
                     lineno += 1
             else:
-                labels_of, owners, lines, ordered = _label_run(buf, start, pos, decode)
-                if decode and not labels and pos == len(buf) and ordered:
-                    label_start = start
-                labels += labels_of
-                label_runs.append((lineno, owners))
-                lineno += lines
+                if decode:
+                    run, ordered = _label_run(buf, start, pos)
+                    if not labels and pos == len(buf) and ordered:
+                        label_start = start
+                    labels += run
+                label_runs.append((lineno, start, pos))
+                lineno += buf.count(b"\n", start, pos)
             continue
         end = buf.find(b"\n", pos) + 1 or len(buf)
         toks = _tokens(buf[pos:end], lineno)
@@ -1024,7 +1025,7 @@ def _read(buf: bytes, decode: bool):
             text = decode_text(toks[3], line)
             if decode:
                 labels.append((node, toks[2], text))
-            label_runs.append((line, {node: 0}))
+            label_runs.append((line, start, pos))
         elif tag == "OBJ" or tag == "ACT":
             nid, prov, subject, target = _decode_node(toks, line)
             if nid in nodes:
@@ -1058,10 +1059,12 @@ def _read(buf: bytes, decode: bool):
     objects = {nid for nid, node in nodes.items() if node[0] == "OBJ"}
     acts = [node for node in nodes.values() if node[0] == "ACT"]
     endpoints = {node[3] for node in acts}.union(node[2] for node in acts) - {None}
-    if not (all(owners.keys() <= nodes.keys() for _, owners in label_runs) and endpoints <= objects
+    labelled = (map(itemgetter(0), labels) if decode else
+                (int(m[1]) for _, start, stop in label_runs for m in _LABEL_NODE.finditer(buf, start, stop)))
+    if not (all(map(nodes.__contains__, labelled)) and endpoints <= objects
             and all(need == "OBJ" and nid in objects for _, _, nid, need in refs)):
-        labelled = ((first + line, "LABEL", nid, None)
-                    for first, owners in label_runs for nid, line in owners.items())
+        labelled = ((first + line, "LABEL", int(m[1]), None) for first, start, stop in label_runs
+                    for line, m in enumerate(_LABEL_NODE.finditer(buf, start, stop)))
         ends = ((line, tag, end, "OBJ") for tag, _, subject, target, line in nodes.values()
                 if tag == "ACT" for end in (target, subject) if end is not None)
         bad = None
