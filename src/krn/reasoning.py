@@ -523,11 +523,21 @@ def _canonical_view(view: dict) -> tuple[str, list]:
     groups = [[] for _ in range(classes)]
     for p in range(n):
         groups[ranks[p]].append(p)
-    # orders are generated in ascending order: a tie keeps the first one
     orders = ([p for group in combo for p in group]
-              for combo in itertools.product(*map(itertools.permutations, groups)))
+              for combo in itertools.product(*(_twin_orders(group, ends) for group in groups)))
     key, order = min((encode(order), order) for order in orders)
     return key, [ids[p] for p in order]
+
+
+def _twin_orders(group: list, ends: list):
+    """The orders of a class's positions (ascending) that keep twin actions,
+    those with equal ends, ascending: swapping twins changes no encoding,
+    and the least of equal encodings' orders has them ascending."""
+    for i, p in enumerate(group):
+        if ends[p] is None or ends[p] not in [ends[q] for q in group[:i]]:
+            rest = group[:i] + group[i + 1:]
+            for tail in _twin_orders(rest, ends) if rest else [[]]:
+                yield [p, *tail]
 
 
 def canonical_key(pattern: Net) -> str:
@@ -642,8 +652,8 @@ def _structure(rows: list, sub: int) -> tuple:
     count of members below its bit.
 
     Equal structures are isomorphic by the map that keeps positions, and
-    each fixes its view (`_structure_view`), so a structure is
-    canonicalised at most once per call.
+    each fixes its view (`_structure_view`); mining canonicalises one only
+    for a template it returns.
     """
     structure = []
     for low in _bits(sub):
@@ -684,20 +694,18 @@ def _structure_of(net: Net, order) -> tuple:
 def _supported_classes(nets, min_support: int, max_nodes: int) -> list:
     """The isomorphism classes of closed subsets across the nets that at
     least min_support subsets fall in, in the enumeration order of each
-    class's first subset, as (support, net, members, canonical): the net
+    class's first subset, as (support, net, members, structure): the net
     and the ids (ascending) of that first subset, and for a class that
-    the one-node proof leaves unproven its canonical key with the order
-    of those ids that produced it; None for a proven class.
+    the one-node proof leaves unproven that subset's `_structure`, whose
+    positions index members; None for a proven class.
 
     Two passes over the same enumeration. The first counts invariants
     (`_closed_subsets`); the second hashes the `_structure` of each subset
     whose invariant min_support subsets share, once, to its head's index.
-    Isomorphic structures have equal invariants, so only a structure that
-    shares its invariant with another is canonicalised, and such
-    structures merge into one class by canonical key; two structures with
-    equal invariants and different keys stay two classes. A structure
-    alone with its invariant is a class of its own, canonicalised only if
-    it heads an unproven class, for the template's key and node order.
+    Isomorphic structures have equal invariants, so a head is compared
+    only with the classes already formed in its invariant's bucket, and
+    merges into the one its structure embeds in (`_embeds`): equal
+    invariants give equal profiles, so an embedding is an isomorphism.
 
     The proof: when a subset of a supported class less one node (its mask
     with one bit dropped) is a subset of a supported class, that class
@@ -726,23 +734,20 @@ def _supported_classes(nets, min_support: int, max_nodes: int) -> list:
                 heads[h][0] += 1
         founds.append(found)
 
-    sharing = Counter(head[1] for head in heads)
-    classes = []   # [support, head index, canonical or None]
+    classes = []   # [support, head index]
     class_of = []   # head index -> class index
-    by_key = {}
+    buckets = {}   # invariant -> the indices of its classes
     for h, (count, inv, *_, structure) in enumerate(heads):
-        canonical = None
-        if sharing[inv] > 1:
-            canonical = _canonical_view(_structure_view(structure))
-            c = by_key.setdefault(canonical[0], len(classes))
-        else:
+        bucket = buckets.setdefault(inv, [])
+        c = next((c for c in bucket if _embeds(structure, heads[classes[c][1]][5])), None)
+        if c is None:
             c = len(classes)
-        if c == len(classes):
-            classes.append([0, h, canonical])
+            bucket.append(c)
+            classes.append([0, h])
         classes[c][0] += count
         class_of.append(c)
 
-    supported = [support >= min_support for support, _, _ in classes]
+    supported = [support >= min_support for support, _ in classes]
     proven = set()   # heads of subsets one node short of a supported class's subset
     for found in founds:
         for sub, h in found.items():
@@ -750,16 +755,11 @@ def _supported_classes(nets, min_support: int, max_nodes: int) -> list:
                 proven.update([found.get(sub ^ low) for low in _bits(sub)])
     proven = {class_of[h] for h in proven if h is not None}
     result = []
-    for c, (support, h, canonical) in enumerate(classes):
+    for c, (support, h) in enumerate(classes):
         if supported[c]:
             _, _, net, ids, sub, structure = heads[h]
-            members = [ids[low.bit_length() - 1] for low in _bits(sub)]
-            if c in proven:
-                canonical = None
-            else:
-                key, positions = canonical or _canonical_view(_structure_view(structure))
-                canonical = key, [members[p] for p in positions]
-            result.append((support, net, members, canonical))
+            result.append((support, net, [ids[low.bit_length() - 1] for low in _bits(sub)],
+                           None if c in proven else structure))
     return result
 
 
@@ -803,12 +803,13 @@ def _profile(pattern) -> frozenset:
 
 def _embeds(small: tuple, big: tuple, image: dict | None = None) -> bool:
     """Whether structure `small`'s pattern embeds in `big`'s, as
-    `find_matches(..., limit=1)` on their Nets decides. The first node
-    that `image` (position to position) lacks goes on each big node of its
-    kind, names and subject in turn, an action with its ends, so links
-    hold; the canonical order puts actions first."""
+    `find_matches(..., limit=1)` on their Nets decides. The first action
+    that `image` (position to position) lacks, else its first object, goes
+    on each big node of its kind, names and subject in turn, an action
+    with its ends, so links hold in any order of positions."""
     image = {} if image is None else image
-    p = next((p for p in range(len(small)) if p not in image), None)
+    p = max((p for p in range(len(small)) if p not in image), key=lambda p: len(small[p]),
+            default=None)
     if p is None:
         return True
     node = small[p]
@@ -855,42 +856,40 @@ def mine_concepts(nets, min_support: int = 2, max_pattern_nodes: int = 4):
 
     Every closed subset's cheap isomorphism invariant is counted first;
     only subsets whose invariant reaches min_support are grouped into
-    classes by their id-order structure, and a structure is canonicalised
-    only where it shares its invariant with another structure, so that
-    isomorphic ones merge, or where it heads a class left unproven
-    (`_supported_classes`). A supported class that a one-node step proves
-    embedded in another is dropped; the maximality test runs only among
-    the classes left unproven, on their structures (`_embeds`), and a
-    pattern is built only for a template returned.
+    classes by their id-order structure, structures of one invariant
+    merging where one embeds in the other (`_supported_classes`). A
+    supported class that a one-node step proves embedded in another is
+    dropped; the maximality test runs only among the classes left
+    unproven, on their structures (`_embeds`), and only a template
+    returned is canonicalised, for its key and node order, and built.
     """
     if min_support < 2:
         raise ValueError("min_support must be at least 2")
     if not 1 <= max_pattern_nodes <= 8:
         raise ValueError("max_pattern_nodes must be between 1 and 8")
-    unproven = {canonical[0]: (support, net, canonical[1])
-                for support, net, _, canonical
-                in _supported_classes(nets, min_support, max_pattern_nodes) if canonical}
+    unproven = [cls for cls in _supported_classes(nets, min_support, max_pattern_nodes) if cls[3]]
 
-    # maximal only: drop a key that embeds in another. A proven class
+    # maximal only: drop a class that embeds in another. A proven class
     # does, into a larger class; following proofs upward through ever
-    # larger classes ends at an unproven one, so by transitivity a key
-    # that embeds in any other key embeds in an unproven key other than
-    # itself. The search runs on unproven keys' structures, and only where
-    # one profile is below the other: an embedding between equal profiles
-    # is an isomorphism, which two keys rule out.
-    structures = {key: _structure_of(net, order) for key, (_, net, order) in unproven.items()}
-    profiles = {key: _profile(structure) for key, structure in structures.items()}
-    kept = [key for key in unproven
-            if not any(profiles[key] < profiles[other] and _embeds(structures[key], structures[other])
-                       for other in unproven)]
+    # larger classes ends at an unproven one, so by transitivity a class
+    # that embeds in any other embeds in an unproven class other than
+    # itself. The search runs on unproven classes' structures, and only
+    # where one profile is below the other: an embedding between equal
+    # profiles is an isomorphism, which two classes rule out.
+    profiles = [_profile(structure) for *_, structure in unproven]
+    kept = []   # (-support, key, net, canonical order)
+    for (support, net, members, structure), profile in zip(unproven, profiles):
+        if not any(profile < other and _embeds(structure, bigger[3])
+                   for bigger, other in zip(unproven, profiles)):
+            key, positions = _canonical_view(_structure_view(structure))
+            kept.append((-support, key, net, [members[p] for p in positions]))
 
-    # each key already is its pattern's canonical form
-    kept.sort(key=lambda key: (-unproven[key][0], key))
-    patterns = [Net() for _ in kept]
-    for key, pattern in zip(kept, patterns):
-        _copy_structure(*unproven[key][1:], pattern)
-    return [ConceptTemplate(pattern=pattern, root=min(pattern.objects or pattern.actions),
-                            support=unproven[key][0]) for key, pattern in zip(kept, patterns)]
+    templates = []   # no two keys are equal: (-support, key) orders them fully
+    for support, _, net, order in sorted(kept, key=lambda cls: cls[:2]):
+        _copy_structure(net, order, pattern := Net())
+        templates.append(ConceptTemplate(pattern=pattern, support=-support,
+                                         root=min(pattern.objects or pattern.actions)))
+    return templates
 
 
 def register_concept(net: Net, template: ConceptTemplate) -> NodeId:

@@ -1,19 +1,20 @@
 """The miner's in-place shortcuts against the public routines they replace.
 
-`mine_concepts` canonicalises a subset straight from the source net,
-keeps only subsets whose cheap invariant reaches the minimum support,
-groups those by their id-order structure, and canonicalises a structure
-only where it shares its invariant with another or heads a class left
-unproven; the certificate stops refining as soon as a round splits no
-class. It drops unbuilt a class that a one-node step proves embedded in
-another, builds a template only for a supported class left unproven,
-searches maximality only among those, and skips the search for a pair
-whose profiles already rule an embedding out. Each shortcut must agree
-with the slow path it stands for, and the subset enumeration keeps the
-order that decides which subset of a class comes first.
+`mine_concepts` keeps only subsets whose cheap invariant reaches the
+minimum support, groups those by their id-order structure, and merges
+two structures of one invariant where one embeds in the other. It drops
+unbuilt a class that a one-node step proves embedded in another,
+searches maximality only among the classes left unproven, skips the
+search for a pair whose profiles already rule an embedding out, and
+canonicalises and builds only the templates it returns; the certificate
+stops refining as soon as a round splits no class, and never permutes
+twin actions. Each shortcut must agree with the slow path it stands for,
+and the subset enumeration keeps the order that decides which subset of
+a class comes first.
 """
 
 import gc
+import itertools
 import random
 from collections import Counter
 
@@ -38,12 +39,14 @@ from krn.reasoning import (
     _canonical_view,
     _closed_subsets,
     _copy_structure,
+    _embeds,
     _neighbors,
     _profile,
     _shape_table,
     _structure,
     _structure_view,
     _supported_classes,
+    _twin_orders,
     _view,
     extract_pattern,
 )
@@ -125,6 +128,15 @@ def _relabelled(net: Net, rng: random.Random) -> tuple[Net, dict]:
     return twin, idmap
 
 
+def _structure_form(structure: tuple | None, members: list) -> tuple | None:
+    """The canonical key of a class's structure, with the order of its
+    members that produced it; None for a proven class."""
+    if structure is None:
+        return None
+    key, positions = _canonical_view(_structure_view(structure))
+    return key, [members[p] for p in positions]
+
+
 def test_invariant_filter_keeps_every_bucket_that_reaches_min_support():
     rng = random.Random(909)
     skipped = {2: 0, 3: 0}
@@ -152,10 +164,12 @@ def test_invariant_filter_keeps_every_bucket_that_reaches_min_support():
                     for key, count in support.items() if count >= min_support}
             classes = _supported_classes(nets, min_support, 4)
             got = {}
-            for count, net, members, canonical in classes:
+            for count, net, members, structure in classes:
                 assert members == sorted(members)
                 key, order = _canonical(net, members)
-                assert canonical in (None, (key, order))   # an unproven class's own form
+                # an unproven class's own structure, in id order
+                assert structure in (None, _id_structure(net, members))
+                assert _structure_form(structure, members) in (None, (key, order))
                 got[key] = (count, id(net), order)
             assert got == want and len(classes) == len(want)
             skipped[min_support] += sum(n for n in inv_count.values() if n < min_support)
@@ -243,15 +257,15 @@ def test_structure_classes_proofs_and_unproven_search_agree_with_the_slow_path()
             for min_support in (2, 3):
                 classes = _supported_classes(nets, min_support, max_nodes)
                 patterns = [extract_pattern(net, members) for _, net, members, _ in classes]
-                for (support, net, _, canonical), pattern in zip(classes, patterns):
+                for (support, net, members, structure), pattern in zip(classes, patterns):
                     key = canonical_key(pattern)
                     assert support == reference[key][0] and net is reference[key][1]
-                    if canonical is None:   # proven: embeds in another class
+                    if structure is None:   # proven: embeds in another class
                         assert any(find_matches(pattern, other, limit=1)
                                    for other in patterns if other is not pattern), key
                         proofs += 1
                     else:
-                        assert canonical == (key, reference[key][2])
+                        assert _structure_form(structure, members) == (key, reference[key][2])
                         searched += 1
                 want = _mined_over_every_class(reference, min_support)
                 got = mine_concepts(nets, min_support, max_nodes)
@@ -374,9 +388,42 @@ def _marked_cycle() -> Net:
     return net
 
 
+def _fan(k: int) -> Net:
+    """One unnamed object that k blank-subject actions act on: k twins."""
+    net = Net()
+    target = net.add_object([])
+    for _ in range(k):
+        net.add_action(None, target)
+    return net
+
+
+def _two_fans(k: int) -> Net:
+    """A hub acting on two arms that k blank-subject actions each act on:
+    the arms are equivalent, and each is the target of k twins."""
+    net = _hub(2)
+    for arm in list(net.objects)[1:]:
+        for _ in range(k):
+            net.add_action(None, arm)
+    return net
+
+
+def _loops_and_crossings() -> Net:
+    """Two objects, each acting on itself and on the other: refinement
+    leaves all four actions in one class, and no two of them are twins,
+    though two share a target."""
+    net = Net()
+    a, b = net.add_object([]), net.add_object([])
+    for subject, target in ((b, b), (a, a), (a, b), (b, a)):
+        net.add_action(subject, target)
+    return net
+
+
 _WHOLE_NETS = {"marked-cycle": _marked_cycle,
                "four-cycle": lambda: _cycle(4),
-               "three-part-hub": lambda: _hub(3)}
+               "three-part-hub": lambda: _hub(3),
+               **{f"fan-{k}": lambda k=k: _fan(k) for k in range(2, 8)},
+               "two-fans": lambda: _two_fans(3),
+               "loops-and-crossings": _loops_and_crossings}
 
 
 @pytest.mark.parametrize("case", ["vocab-subsets", *_WHOLE_NETS])
@@ -404,6 +451,20 @@ def test_the_early_stopping_certificate_agrees_with_full_refinement(case):
         assert tied == 0        # every class split: the one order, unsearched
     else:
         assert tied == 1        # refinement leaves classes tied: the search ran
+
+
+def test_twin_actions_keep_ascending_order():
+    """Twin actions (equal names and ends) are never permuted among
+    themselves: a class of k twins has one order, not k!, and two sets of
+    three twins in one class have C(6, 3) = 20; objects are never twins."""
+    for k in range(1, 8):
+        assert list(_twin_orders(list(range(k)), [(None, k)] * k)) == [list(range(k))]
+    ends = [(None, 6)] * 3 + [(None, 7)] * 3
+    orders = list(_twin_orders(list(range(6)), ends))
+    assert len(orders) == len({tuple(o) for o in orders}) == 20
+    assert all(o.index(0) < o.index(1) < o.index(2) and o.index(3) < o.index(4) < o.index(5)
+               for o in orders)
+    assert len(list(_twin_orders([0, 1, 2], [None] * 3))) == 6
 
 
 def _profile_counts(pattern: Net) -> Counter:
@@ -459,13 +520,13 @@ def _push_to(part: str) -> Net:
     return net
 
 
-def test_mining_canonicalises_shared_invariants_and_unproven_heads_only(monkeypatch):
+def test_mining_canonicalises_the_templates_it_returns_only(monkeypatch):
     """A count, not a timing: one `mine_concepts` call makes one
-    `_canonical_view` call per structure that shares its invariant with
-    another, plus one per unproven class head that shares none."""
+    `_canonical_view` call per template it returns, though structures
+    share invariants and unproven classes are dropped."""
     rng = random.Random(2727)
     hand = [_push_to("leg"), _push_to("arm"), _push_to("leg"), _push_to("arm")]
-    sharing_seen = unshared_heads = 0
+    sharing_seen = dropped = 0
     for round_ in range(12):
         nets = [_vocab_net(rng) for _ in range(6)] + (hand if round_ < 2 else [])
         min_support, max_nodes = 2 + round_ % 2, 4 + round_ % 3
@@ -476,24 +537,48 @@ def test_mining_canonicalises_shared_invariants_and_unproven_heads_only(monkeypa
         invariant = {_id_structure(net, sub): inv for net, sub, inv in closed
                      if inv_count[inv] >= min_support}
         sharing = Counter(invariant.values())
-        shared = sum(sharing[inv] > 1 for inv in invariant.values())
-        heads = sum(sharing[invariant[_id_structure(net, members)]] == 1
-                    for _, net, members, canonical
-                    in _supported_classes(nets, min_support, max_nodes) if canonical)
+        unproven = sum(structure is not None for *_, structure
+                       in _supported_classes(nets, min_support, max_nodes))
         calls = []
 
         def counted(view, _real=reasoning._canonical_view):
             calls.append(len(view))
             return _real(view)
         monkeypatch.setattr(reasoning, "_canonical_view", counted)
-        mine_concepts(nets, min_support, max_nodes)
+        templates = mine_concepts(nets, min_support, max_nodes)
         monkeypatch.undo()
-        assert len(calls) == shared + heads
-        sharing_seen += shared
-        unshared_heads += heads
-    assert sharing_seen > 60 and unshared_heads > 60   # both kinds of call were made
+        assert len(calls) == len(templates)
+        sharing_seen += sum(sharing[inv] > 1 for inv in invariant.values())
+        dropped += unproven - len(templates)
+    assert sharing_seen > 60 and dropped > 20   # merges were decided, classes dropped
+
+
+def test_structures_of_one_invariant_embed_exactly_when_their_keys_are_equal():
+    """The merge rule: two structures with equal invariants have equal
+    profiles, so `_embeds` either way says what equal canonical keys say.
+    Every pair in every invariant bucket of seeded nets is checked."""
+    rng = random.Random(3030)
+    seen = Counter()
+    for _ in range(30):
+        nets = [_vocab_net(rng) for _ in range(4)]
+        for max_nodes in (3, 4, 5, 6):
+            shape_index = {}
+            buckets = {}
+            for net in nets:
+                _, rows = _bit_rows(net)
+                for mask, inv in _closed_subsets(rows, shape_index, max_nodes):
+                    buckets.setdefault(inv, {}).setdefault(_structure(rows, mask))
+            for bucket in buckets.values():
+                keys = {s: _canonical_view(_structure_view(s))[0] for s in bucket}
+                for a, b in itertools.combinations(bucket, 2):
+                    assert _profile(a) == _profile(b)
+                    same = keys[a] == keys[b]
+                    assert _embeds(a, b) == _embeds(b, a) == same, (a, b)
+                    seen[same] += 1
+    assert seen[True] > 300 and seen[False] > 20, seen   # both ways were taken
 
     # equal invariants, different keys: two classes of support 2, both kept
+    hand = [_push_to("leg"), _push_to("arm"), _push_to("leg"), _push_to("arm")]
     structures = [_id_structure(net, net.node_ids()) for net in hand[:2]]
     shape_index = {}
     invariants = [dict(closed_subsets(net, 5, shape_index))[frozenset(net.node_ids())]

@@ -1555,14 +1555,20 @@ def test_a_block_is_checked_against_what_the_read_has_seen(tmp_path, data, error
 
 def _outside_blocks(shape: str, k: int) -> bytes:
     """A file with k records that a read takes token by token (an id with a
-    leading zero is no id `_BLOCK` matches): PROP lines of object 1 after
-    its block of k PROP lines, or ISA or LABEL lines between k + 1 objects;
-    or one matched run of k LABEL lines of object 1, each in its own language."""
+    leading zero is no id `_BLOCK` matches): PROP or SIG lines of object 1
+    after its block of k PROP lines, the SCRIPT blocks of k actions after
+    their ACT blocks, or ISA or LABEL lines between k + 1 objects; or one
+    matched run of k LABEL lines of object 1, each in its own language."""
     if shape == "label-run":
         return b"KRN 1\nOBJ 1\n" + b"".join(b'LABEL 1 en-%d "l"\n' % i for i in range(k))
-    if shape == "prop":
+    if shape in ("prop", "sig"):
         block = b"OBJ 1\n" + b"".join(b"PROP 1 p%d num 1 asserted\n" % i for i in range(k))
-        return b"KRN 1\n" + block + b"".join(b"PROP 01 q%d num 1 asserted\n" % i for i in range(k))
+        line = b"PROP 01 q%d num 1 asserted\n" if shape == "prop" else b"SIG 01 q%d skin ff 3\n"
+        return b"KRN 1\n" + block + b"".join(line % i for i in range(k))
+    if shape == "script":
+        acts = b"".join(b"ACT %d - 1\n" % i for i in range(2, k + 2))
+        return b"KRN 1\nOBJ 1\n" + acts + b"".join(
+            b"SCRIPT 0%d\n<<<\nset object.x = %d;\n>>>\n" % (i, i) for i in range(2, k + 2))
     objects = b"".join(b"OBJ %d\n" % i for i in range(1, k + 2))
     if shape == "isa":
         return b"KRN 1\n" + objects + b"".join(b"ISA 0%d 0%d\n" % (i, i + 1) for i in range(1, k + 1))
@@ -1574,7 +1580,7 @@ def _open_and_close(path):
         pass
 
 
-@pytest.mark.parametrize("shape", ["prop", "isa", "label", "label-run"])
+@pytest.mark.parametrize("shape", ["prop", "sig", "script", "isa", "label", "label-run"])
 @pytest.mark.parametrize("read", [store.load, _open_and_close], ids=["load", "open"])
 def test_records_outside_their_blocks_read_in_linear_time(tmp_path, shape, read):
     """A file with eight times the records takes a load or an open about
