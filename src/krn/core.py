@@ -368,6 +368,14 @@ class Net:
         if nid >= self.next_id:
             self.next_id = nid + 1
 
+    def sort_tables(self) -> None:
+        """Put both node tables back in id order, in place: each stays the
+        dict a timeline state may hold."""
+        for table in (self.objects, self.actions):
+            records = sorted(table.items())
+            table.clear()
+            table.update(records)
+
     def next_tick(self) -> int:
         self.clock += 1
         return self.clock

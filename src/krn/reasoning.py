@@ -323,10 +323,7 @@ def expand(net: Net, complex_id: NodeId) -> set:
         net._erase_action(complex_id)
     net.isa_edges.extend(payload.isa)
     net.collapsed = net.collapsed.difference(restored)
-    for table in (net.objects, net.actions):
-        records = sorted(table.items())
-        table.clear()
-        table.update(records)
+    net.sort_tables()
     return restored
 
 

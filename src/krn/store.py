@@ -25,13 +25,13 @@ once through one record reader that checks the framing and every
 reference between records (an action's endpoints and is-a ends must be
 objects); of several bad references, the first in file order is
 reported. Both read the whole file first; `load` keeps its bytes,
-`open` drops them once its index is built. The runs of lines `save`
-writes for all but the rarest nets are each matched whole by one
-compiled pattern and read from the match: a node block (its OBJ or ACT
-line, its PROP lines with plain values, an action's SCRIPT block), a run
-of ISA lines and a run of LABEL lines, ids with no leading zero. Any
-other line goes through the one line decoder that the lazy reads use,
-and that path finds every fault. `load` decodes each record as it
+`open` drops them once its index is built. Every run of lines `save`
+writes is matched whole by one compiled pattern and read from the
+match: a node block (its OBJ or ACT line, its PROP and SIG lines, an
+action's SCRIPT block), a run of ISA lines and a run of LABEL lines, ids
+with no leading zero. Any other line, as in a file edited by hand, goes
+through the one line decoder that the lazy reads use, and that path
+finds every fault. `load` decodes each record as it
 passes into a decode that holds no record (`_read`), then builds the
 net from the decode (`_build`), each distinct thing once: matched PROP
 lines with equal bytes after the owner id share one PropertyRecord,
@@ -87,10 +87,11 @@ no read takes such a file back. The LABEL lines are copied when they
 are one matched run that ends the file, while the lexicon holds just
 those labels (`Lexicon.source`). The bytes are the same either way. A
 save of a net that has a source makes the bytes it wrote the source:
-each block it encoded is read alone, as a read of the file reads a
-matched block, and becomes the node's block if that read spans it,
-while the others stay in the set, and the net is clean when a read of
-the file would give the net as it stands (`_rebase`). Collapse payloads
+each block it encoded is read alone from its match, as a read of the
+file reads it, and becomes the node's block if that read spans it; the
+tables are put back in id order if a node came out of order, and the
+net is clean when a read of the file would give the net as it stands
+(`_rebase`). Collapse payloads
 are not persisted; a saved complex node keeps its shape but loses its
 stored subnet. The records built here are slotted dataclasses and take
 no ad-hoc attributes.
@@ -252,7 +253,7 @@ def _decode_node(toks: list[str], line: int):
 
 
 def _decode_prop(toks: list[str], line: int) -> tuple[Value, Provenance]:
-    """The value and provenance of a PROP or SIG line."""
+    """The value and provenance of a PROP or SIG line, from its tokens."""
     if toks[0] == "SIG":
         try:
             payload = b"" if toks[4] == "-" else bytes.fromhex(toks[4])
@@ -272,7 +273,8 @@ def _decode_prop(toks: list[str], line: int) -> tuple[Value, Provenance]:
 # ------------------------------------------------------------------ save
 
 def _value_token(value: Value) -> str:
-    """`<kind> <encoded-value>` as a PROP line holds it; not for signals."""
+    """What a PROP line holds between its name and its provenance,
+    `<kind> <encoded-value>`, or a SIG line, `<origin-path> <hex-payload|-> <tick>`."""
     kind, data = value.kind, value.data
     if kind is KIND_NUM:
         return f"num {data!r}"
@@ -282,6 +284,8 @@ def _value_token(value: Value) -> str:
         return "bool true" if data else "bool false"
     if kind is KIND_REF:
         return f"ref {data}"
+    if kind is KIND_SIGNAL:
+        return f"{_encode_origin(data.origin)} {data.payload.hex() or '-'} {data.captured_at}"
     return "unset -"
 
 
@@ -292,12 +296,8 @@ def _prop_line(owner: NodeId, prop: PropertyRecord) -> str:
     prov = prop.provenance
     prov = "inferred" if prov is INFERRED else "sensed" if prov is SENSED else "asserted"
     value = prop.value
-    if value.kind is KIND_SIGNAL:   # signal values are written as SIG records
-        sig = value.data
-        payload = sig.payload.hex() if sig.payload else "-"
-        return (f"SIG {owner} {prop.name} {_encode_origin(sig.origin)} "
-                f"{payload} {sig.captured_at} {prov}")
-    return f"PROP {owner} {prop.name} {_value_token(value)} {prov}"
+    tag = "SIG" if value.kind is KIND_SIGNAL else "PROP"   # signal values are written as SIG records
+    return f"{tag} {owner} {prop.name} {_value_token(value)} {prov}"
 
 
 def _replace(path: str, data: bytes) -> tuple:
@@ -411,8 +411,10 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
     The file is always replaced, also when it holds the bytes written: the
     equal bytes on disk may be another writer's that are not yet synced,
     and a handle keys on the file's identity, so a save gives the path a
-    new inode and new times either way. A net that has a source (a load or
-    save made one) takes the bytes written as its source (`_rebase`).
+    new inode and new times either way. Every line written is one the
+    matched reader reads (`_BLOCK`): a net that has a source takes the
+    bytes written as its source with no pass over them (`_rebase`), and a
+    lexicon all of whose labels were written takes their run (`Lexicon.saved`).
     """
     objects, actions = net.objects, net.actions
     dirty = net.dirty
@@ -473,14 +475,9 @@ def save(net: Net, lexicon: Lexicon | None, path: str) -> None:
         written = {nid: written[nid] for nid in chain(sorted(objects), sorted(actions))}
     data = b"".join([HEADER.encode() + b"\n", *written.values(), isa_lines.encode(), copied or labels])
     identity = _replace(path, data)
-    if labelled:   # one matched run at the end, as a read takes the file's labels
-        m = _BLOCK.match(data, len(data) - len(labels))
-        copied = labels if m and m.lastgroup == "LABEL" and m.end() == len(data) else None
-        if copied is not None and len(labelled) == len(lexicon.labels):
-            lexicon.saved(copied)
-    elif copied is None:
-        copied = b""
-    _rebase(net, data, identity, written, encoded, gone, isa, copied)
+    if labelled and len(labelled) == len(lexicon.labels):   # every label, in one run a read takes
+        lexicon.saved(labels)
+    _rebase(net, data, identity, written, encoded, gone, isa, copied or labels)
 
 
 def _in_order(table: dict, k: int) -> bool:
@@ -491,26 +488,23 @@ def _in_order(table: dict, k: int) -> bool:
 
 
 def _rebase(net: Net, data: bytes, identity: tuple, written: dict, encoded: list,
-            gone: set, isa: list, labels: bytes | None) -> None:
+            gone: set, isa: list, labels: bytes) -> None:
     """Make `data`, which `save` wrote from a net that has a source, the
     net's source, its mark re-pointed to the file written (`identity`).
 
     `written` maps each node to the block `save` wrote of it, in write
     order, `encoded` lists the (id, block) of the nodes it encoded, in
     file order, and `gone` the nodes it dropped; `isa` lists the is-a
-    edges written and `labels` the LABEL lines, when a read takes them as
-    one run (b"" for none), else None. The blocks encoded are read one by
-    one, as a read of `data` reads a block `_BLOCK` matches whole
-    (`_node_run`); when one has a line no match reads (a SIG line, escaped
-    or non-ASCII text), all of them go through `_read` together, after a
-    line for each other object they name. Each node takes the records that
-    read gives it, and keeps its block if that read spans it, else it
-    stays in the to-encode set.
-    The net is clean when a read of `data` gives it as it stands, but for
-    its labels: that read succeeds, no node is collapsed, the tables are
-    in id order, and every action end and is-a end is an object. After a
-    check that passed, only the nodes encoded and the is-a edges are
-    checked: a `note` changes neither the table order nor any action end.
+    edges written and `labels` the LABEL lines, one run (b"" for none).
+    Each block encoded is read from its `_BLOCK` match as a read of `data`
+    reads it (`_node_run`): its node takes the records read, and keeps the
+    block if the read spans it, else stays in the to-encode set. A node put
+    in after a larger id (a handle's stub) puts both tables back in id
+    order, in place. The net is clean when a read of `data` gives it as it
+    stands, but for its labels: every block encoded is matched whole (not
+    so for an id past 18 digits) and its script parses, no node is
+    collapsed, and every action end and is-a end is an object; once every
+    end was, only the actions encoded are checked, as a `note` changes none.
     """
     objects, actions = net.objects, net.actions
     origin = net.origin
@@ -521,21 +515,11 @@ def _rebase(net: Net, data: bytes, identity: tuple, written: dict, encoded: list
     nans.difference_update(map(itemgetter(0), encoded))
     dirty = set()
     try:
-        matches = [_BLOCK.match(block) for _, block in encoded]
-        if all(m and m.end() == len(block) for m, (_, block) in zip(matches, encoded)):
-            names, tails = {}, {}
-            runs = [_node_run(m, 1, (), False, names, tails) for m in matches]
-            read = [(run[5], run[7], run[6]) for run in runs]   # fields, script, spanned
-        else:   # a read of the blocks after a line for each other object
-            # they name gives what a read of `data` gives their nodes
-            named = {end for nid, _ in encoded if nid in actions
-                     for end in (actions[nid].subject, actions[nid].target)} - {nid for nid, _ in encoded}
-            head = b"".join(b"OBJ %d\n" % nid for nid in sorted(named - {None}))
-            entries, spans, _, _, _ = _read(HEADER.encode() + b"\n" + head + b"".join(
-                block for _, block in encoded), True)[0]
-            read = {entry[0]: (entry[5], entry[6], span is not None) for entry, span in zip(entries, spans)}
-            read = [read[nid] for nid, _ in encoded]
-        for (nid, _), (fields, text, spanned) in zip(encoded, read):   # each takes what it reads
+        for nid, block in encoded:   # each takes what a read of `data` gives it
+            m = _BLOCK.match(block)
+            if m is None or m.end() != len(block):
+                raise FormatError(f"node {nid} is written as no match reads it", None)
+            _, _, _, _, _, fields, spanned, text, _ = _node_run(m, 1, (), False, {}, {})
             rec = objects.get(nid) or actions[nid]
             if text is not None:
                 rec.script = _shared_script(text, origin.scripts, mark)
@@ -544,20 +528,20 @@ def _rebase(net: Net, data: bytes, identity: tuple, written: dict, encoded: list
                 nans.add(nid)
             if not spanned:
                 dirty.add(nid)
-    except (FormatError, ScriptParseError):   # no read gives the net as it stands
-        read = None
+        read = True
+    except (FormatError, ScriptParseError):
+        read = False
         dirty = {nid for nid, _ in encoded}
     for nid in gone | dirty:
         written.pop(nid, None)
     net.blocks, net.dirty = written, dirty
-    if origin.sound:   # only the nodes encoded can have come in or changed ends
-        acts = [actions[nid] for nid, _ in encoded if nid in actions]
-        sound = _in_order(objects, len(encoded) - len(acts)) and _in_order(actions, len(acts))
-    else:
+    # the tables were in id order at the source, and each node put in since was encoded
+    acts = [actions[nid] for nid, _ in encoded if nid in actions]
+    if not (_in_order(objects, len(encoded) - len(acts)) and _in_order(actions, len(acts))):
+        net.sort_tables()
+    if not origin.sound:   # an end that was no object may be one now
         acts = actions.values()
-        sound = _in_order(objects, len(objects)) and _in_order(actions, len(actions))
-    sound = sound and all(act.target in objects and (act.subject is None or act.subject in objects)
-                          for act in acts)
+    sound = all(act.target in objects and (act.subject is None or act.subject in objects) for act in acts)
     if len(origin.records) > origin.bound:   # forget the records the net no longer holds
         acts = actions.values()
         held = {id(prop) for rec in chain(objects.values(), acts) for prop in rec.properties.values()}
@@ -567,7 +551,7 @@ def _rebase(net: Net, data: bytes, identity: tuple, written: dict, encoded: list
         origin.bound = 2 * len(origin.records) + 64
     origin.sound = sound
     net.source = data
-    net.clean = (sound and read is not None and not net.collapsed
+    net.clean = (sound and read and not net.collapsed
                  and all(i in objects and c in objects for i, c in isa))
     origin.isa, origin.labels = tuple(sorted(set(isa))), labels
 
@@ -578,37 +562,39 @@ def _rebase(net: Net, data: bytes, identity: tuple, written: dict, encoded: list
 _ARITY = {"OBJ": (2, 3), "ACT": (4, 5), "PROP": (5, 6), "SIG": (6, 7),
           "SCRIPT": (2,), "ISA": (3,), "LABEL": (4,)}
 
-# The runs of lines `save` writes for all but the rarest nets, each matched
-# whole with its newlines: a node block (an OBJ or ACT line, then its PROP
-# lines with plain values, then an action's SCRIPT block), a run of ISA
-# lines or a run of LABEL lines; the lastgroup of a match names which. Record
-# fields are single-spaced printable ASCII. Names follow valid_property_name
-# and tags valid_language_tag; a token is unquoted, or quoted text with no
-# quote or backslash inside. Ids are written as `save` writes them, with no
-# leading zero and at most 18 digits, so int() takes them as the tokenising
-# path would, and equal ids have equal bytes. A matched line holds no fault
-# but a duplicate, a bad value or a bad reference. The repeats are
-# possessive (Python 3.11): a greedy one keeps about 1 KB of backtracking
-# state per matched line until the match ends.
+# The runs of lines `save` writes, each matched whole with its newlines: a
+# node block (an OBJ or ACT line, its PROP and SIG lines, an action's SCRIPT
+# block), a run of ISA lines or a run of LABEL lines; the lastgroup of a
+# match names which. Fields are single-spaced; names follow
+# valid_property_name and tags valid_language_tag. A value is unquoted
+# printable ASCII, or quoted text: escape pairs and any byte but a quote, a
+# backslash or a newline, in an unrolled loop (escape-free text is one
+# repeat), checked as UTF-8 by `_read`. Ids have no leading zero and at most
+# 18 digits, as `save` writes them, so int() takes them as the tokenising
+# path would and equal ids have equal bytes. A matched line holds no fault
+# but a duplicate, a bad value, bytes that are not UTF-8 or a bad reference.
+# The repeats are possessive (Python 3.11): a greedy one keeps about 1 KB of
+# backtracking state per matched line until the match ends.
 _BLOCK = re.compile(rb"""
     (?P<NODE>(?:OBJ|(?P<act>ACT))\ (?P<nid><id>)(?(act)\ (?P<subject>-|<id>)\ (?P<target><id>))
         (?P<inferred>\ inferred)?\n
-      (?P<props>(?:PROP\ (?P=nid)\ (?:[a-z][a-z0-9_-]*|(?:goal|antigoal):[a-z0-9_-]+)
-        \ (?:num|text|bool|ref|unset)\ (?:[!#-~]+|"[ !#-\[\]-~]*")(?:\ (?:asserted|inferred))?\n)*+)
+      (?P<props>(?:(?:PROP\ (?P=nid)\ <name>\ (?:num|text|bool|ref|unset)\ (?:[!#-~]+|<text>)
+          (?:\ (?:asserted|inferred))?
+        | SIG\ (?P=nid)\ <name>\ [!#-~]+\ (?:-|[0-9a-f]+)\ -?<id>(?:\ (?:asserted|inferred|sensed))?)\n)*+)
       (?(act)(?P<script>SCRIPT\ (?P=nid)\n<<<\n(?P<body>(?:(?!>>>\n)[^\n]*\n)*+)>>>\n)?))
   | (?P<ISA>(?:ISA\ <id>\ <id>\n)++)
-  | (?P<LABEL>(?:LABEL\ <id>\ [A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*+\ "[ !#-\[\]-~]*"\n)++)
-""".replace(b"<id>", rb"(?:0|[1-9][0-9]{0,17})"), re.X)
-# the fields of the lines of a matched block: a PROP's name and
-# "<kind> <token>[ <provenance>]", an ISA's ids, a LABEL's id, tag and text
-_PROP_FIELDS = re.compile(rb"PROP [0-9]+ ([^ ]+) ([^\n]+)\n")
-_PROP_TAIL = re.compile(rb"PROP [0-9]+ ([^\n]+)\n")   # "<name> <kind> <token>[ <provenance>]"
+  | (?P<LABEL>(?:LABEL\ <id>\ [A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*+\ <text>\n)++)
+""".replace(b"<name>", rb"(?:[a-z][a-z0-9_-]*|(?:goal|antigoal):[a-z0-9_-]+)")
+   .replace(b"<text>", rb'"[^"\\\n]*+(?:\\[\\"ntr][^"\\\n]*+)*+"')
+   .replace(b"<id>", rb"(?:0|[1-9][0-9]{0,17})"), re.X)
+# the lines of a matched block: a PROP or SIG line's b"S" if SIG, its
+# "<name> <fields>" tail and its name; an ISA's ids; a LABEL's id, tag and text
+_PROP_LINE = re.compile(rb"(?:PROP|(S)IG) [0-9]+ (([^ ]+) [^\n]+)\n")
 _ISA_FIELDS = re.compile(rb"ISA ([0-9]+) ([0-9]+)\n")
-_LABEL_FIELDS = re.compile(rb'LABEL ([0-9]+) ([^ ]+) "([^"]*)"\n')
+_LABEL_FIELDS = re.compile(rb"LABEL ([0-9]+) ([^ ]+) ([^\n]+)\n")
 # the node token of each line of a matched LABEL run, or of one LABEL line
 # the tokenising path took
 _LABEL_NODE = re.compile(rb" *LABEL +([-+]?[0-9]+) [^\n]*\n?")
-_VALUE_FIELDS = re.compile(rb'([a-z]+) ("[^"]*"|[^ ]+)(?: ([a-z]+))?')
 
 
 def _tokens(raw: bytes, lineno: int) -> list[str] | None:
@@ -644,12 +630,13 @@ def _script_block(fh, head: int) -> list[bytes]:
     raise FormatError("unterminated SCRIPT block", head)
 
 
-def _script_text(body: bytes, head: int) -> str:
-    """The script text of the lines inside a block, without its final newline."""
+def _utf8_text(data: bytes, line: int) -> str:
+    """`data`, lines from line `line` on, as text, or FormatError at the
+    first of them that is not UTF-8, as the tokenising path raises it."""
     try:
-        return body[:-1].decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError("undecodable line", head + 2 + body.count(b"\n", 0, exc.start)) from None
+        raise FormatError("undecodable line", line + data.count(b"\n", 0, exc.start)) from None
 
 
 def _in_file(exc: ScriptParseError, aid: NodeId, head: int) -> ScriptParseError:
@@ -685,9 +672,8 @@ class _Origin:
     no longer hold, until their count passes `bound`); the is-a edges a
     read of it gives; its LABEL lines when a read takes them as one run
     (b"" for none), else None; the nodes whose records there hold a NaN,
-    which equals no value; and
-    whether the net's tables were in id order, disjoint, and every action
-    end an object when it was read or written (`_rebase`)."""
+    which equals no value; and whether every action end was an object
+    when it was read or written, its tables then in id order (`_rebase`)."""
 
     mark: FileMark
     records: dict
@@ -701,16 +687,18 @@ class _Origin:
 
 # What a value memo charges for a net it keeps: the net's source twice,
 # once as the key and once for the parts of it the net and lexicon hold
-# as copies (its node blocks, its LABEL lines), plus the objects that
-# hold them: the net and its tables, per node its record, property dict,
-# action lists and block object with its table entry, per distinct
-# record and script what holds it, and per label its place in the lexicon
-# (about what CPython 3.11 allocates, measured with tracemalloc).
+# as copies (its node blocks, its LABEL lines), plus what holds them: the
+# net and its tables, per node its record, property dict, action lists and
+# block object with its table entry, per distinct record and script what
+# holds it (a script's parse too), per label its place in the lexicon. A
+# least-squares fit to what tracemalloc counts a load holding (CPython
+# 3.11), over benchmark-shaped nets with and without labels and nets of
+# 500 runs of one shape, each raised about 6 %, so none is charged less.
 _NET_COST = 2000
-_NODE_COST = 380
-_RECORD_COST = 360
-_SCRIPT_COST = 650
-_LABEL_COST = 200
+_NODE_COST = 400
+_RECORD_COST = 400
+_SCRIPT_COST = 760
+_LABEL_COST = 215
 MAX_MEMO_BYTES = 2 * 1024 * 1024
 
 
@@ -779,7 +767,8 @@ class ValueMemo:
     def take(self, data: bytes, identity: tuple) -> tuple[Net, Lexicon] | None:
         """The net and lexicon kept for the bytes `data`, of the file whose
         identity is `identity`, handed over as a cold load of them gives
-        them; None if none is kept."""
+        them (its tables in id order, as `_rebase` leaves them, so that
+        `next_id` follows their last keys); None if none is kept."""
         kept = self._pop(data)
         if kept is None:
             return None
@@ -807,13 +796,15 @@ class ValueMemo:
 def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails: dict) -> tuple:
     """The decode of a matched node block on line `line`, read line by line:
     (id, tag, provenance, subject, target, fields, whether save writes the
-    node so, its script text, its line count), the fields of each PROP line
-    being (tail, name, Value, Provenance, whether save writes the tail so),
-    its tail the bytes after `PROP <id> `. In file order it raises for a
-    duplicate property, also of one in `named` (the node's properties from
-    lines outside the block), for a bad value, and for a SCRIPT when
-    `scripted` (the node had one outside the block). `names` holds one str
-    per property name and `tails` the fields of each tail decoded before."""
+    node so, its script text, its line count), the fields of each PROP or
+    SIG line being (tail, name, Value, Provenance, whether save writes the
+    tail so), its tail the bytes after `PROP <id> ` or `SIG <id> `, decoded
+    token by token as the tokenising path decodes the line (`_decode_prop`).
+    In file order it raises for a duplicate property, also of one in
+    `named` (the node's properties from lines outside the block), for a bad
+    value, and for a SCRIPT when `scripted` (the node had one outside the
+    block). `names` holds one str per property name and `tails` the fields
+    of each tail decoded before."""
     nid = int(m["nid"])
     if m["act"]:
         subject = m["subject"]
@@ -825,11 +816,11 @@ def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails:
     seen = set(named)
     saved = True   # whether save writes the node as the block holds it
     last = ""
-    for tail in _PROP_TAIL.findall(m.string, first, stop):
+    for sig, tail, raw in _PROP_LINE.findall(m.string, first, stop):
         line += 1
-        field = tails.get(tail)
-        if field is None:
-            raw = tail[:tail.find(b" ")]
+        field = tails.get(tail)   # a PROP tail is never a SIG one: its 4th token is no tick
+        if field is None:   # a line is decoded before it is checked, as `_tokens` does
+            text = _utf8_text(tail, line)
             name = names.get(raw) or names.setdefault(raw, raw.decode())
         else:
             name = field[1]
@@ -837,11 +828,11 @@ def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails:
             raise FormatError(f"duplicate property {name!r} on {nid}", line)
         seen.add(name)
         if field is None:
-            kind, tok, prov = _VALUE_FIELDS.fullmatch(tail, len(name) + 1).groups()
-            value = _decode_value(kind.decode(), tok.decode(), line)
-            as_saved = prov is not None and f"{name} {_value_token(value)} {prov.decode()}".encode() == tail
-            field = tails[tail] = (tail, name, value, INFERRED if prov == b"inferred" else ASSERTED,
-                                   as_saved)
+            toks = _TOKEN_RE.findall(text)   # the name, the value's tokens, the provenance if any
+            value, prov = _decode_prop(["SIG" if sig else "PROP", "", *toks], line)
+            as_saved = (len(toks) == (5 if sig else 4)
+                        and f"{name} {_value_token(value)} {toks[-1]}" == text)
+            field = tails[tail] = (tail, name, value, prov, as_saved)
         fields.append(field)
         saved = saved and name > last and field[4]
         last = name
@@ -865,19 +856,23 @@ def _node_run(m: re.Match, line: int, named, scripted: bool, names: dict, tails:
 def _label_run(buf: bytes, start: int, stop: int) -> tuple[list, bool]:
     """The (node, language, text) of each line of a matched LABEL run, and
     whether save writes those labels so: each (node, language) pair
-    follows the one before."""
+    follows the one before, and no text holds a raw tab or carriage
+    return, the only characters a matched token may hold that
+    `encode_text` writes otherwise."""
     langs = {}
-    labels = [(int(node), langs.get(lang) or langs.setdefault(lang, lang.decode()), text.decode())
-              for node, lang, text in _LABEL_FIELDS.findall(buf, start, stop)]
-    return labels, all(a[:2] < b[:2] for a, b in zip(labels, labels[1:]))
+    labels = [(int(node), langs.get(lang) or langs.setdefault(lang, lang.decode()),
+               decode_text(tok.decode(), 0)) for node, lang, tok in _LABEL_FIELDS.findall(buf, start, stop)]
+    return labels, (all(a[:2] < b[:2] for a, b in zip(labels, labels[1:]))
+                    and buf.find(b"\t", start, stop) < 0 and buf.find(b"\r", start, stop) < 0)
 
 
 def _read(buf: bytes, decode: bool):
     """One pass over a whole `.krn` file's bytes, every reference checked.
 
-    Each run of lines `_BLOCK` matches is read from the match; any other
-    line token by token, and only that path (and the duplicate and
-    reference checks) raises, whether or not records are decoded. With
+    Each run of lines `_BLOCK` matches is read from the match, its lines
+    past ASCII checked as UTF-8; any other line token by token. Only those
+    checks, that path and the duplicate and reference checks raise, whether
+    or not records are decoded. With
     `decode` (for `load`), a node block is read line by line (`_node_run`),
     checked against its node's PROP, SIG and SCRIPT lines met before it,
     and a run of LABEL lines is decoded (`_label_run`). Without (for the
@@ -930,6 +925,7 @@ def _read(buf: bytes, decode: bool):
     label_start = None
     fh = io.BytesIO(buf)   # for the SCRIPT blocks of tokenised records
     match = _BLOCK.match
+    all_ascii = buf.isascii()   # else each matched PROP, SIG and LABEL line is checked as UTF-8
     pos, lineno = len(header) + 1, 2
     while pos < len(buf):
         m = match(buf, pos)
@@ -967,12 +963,14 @@ def _read(buf: bytes, decode: bool):
                     if named is None:
                         named = props[nid] = {}
                     offset = first
-                    for raw_name, field in _PROP_FIELDS.findall(buf, first, stop):
+                    for sig, tail, raw_name in _PROP_LINE.findall(buf, first, stop):
+                        if not all_ascii:   # each line in file order, as `_node_run` checks it
+                            _utf8_text(tail, lineno)
                         name = names.get(raw_name) or names.setdefault(raw_name, raw_name.decode())
                         if name in named:
                             raise FormatError(f"duplicate property {name!r} on {nid}", lineno)
                         named[name] = offset
-                        offset += len(ident) + len(raw_name) + len(field) + 8
+                        offset += len(ident) + len(tail) + 7 - len(sig)   # "PROP " or "SIG ", " ", "\n"
                         lineno += 1
                 if m["script"] is not None:
                     if nid in scripts:
@@ -986,6 +984,8 @@ def _read(buf: bytes, decode: bool):
                     refs += [(lineno, tag, inst, "OBJ"), (lineno, tag, concept, "OBJ")]
                     lineno += 1
             else:
+                if not all_ascii:
+                    _utf8_text(buf[start:pos], lineno)
                 if decode:
                     run, ordered = _label_run(buf, start, pos)
                     if not labels and pos == len(buf) and ordered:
@@ -1126,7 +1126,7 @@ def _build(decode: tuple, data: bytes, mark: FileMark, scripts: dict) -> tuple[N
             script = ScriptRef()
         else:
             if type(text) is bytes:   # a body that is not UTF-8
-                text = _script_text(text, scripts[nid][1])
+                text = _utf8_text(text[:-1], scripts[nid][1] + 2)
             try:
                 script = _shared_script(text, shared, mark)
             except ScriptParseError as exc:
@@ -1279,7 +1279,7 @@ class StoreHandle:
                     or name is not None and toks[2] != name):
                 raise FormatError("indexed record missing", 1)
             if name is None:
-                kept = _script_text(b"".join(_script_block(self._fh, 1)[1:-1]), 1)
+                kept = _utf8_text(b"".join(_script_block(self._fh, 1)[1:-1])[:-1], 3)
             else:
                 value, prov = _decode_prop(toks, 1)
                 kept = PropertyRecord(name, value, prov, PROP_HYDRATED, self._identity)

@@ -7,8 +7,9 @@ module but `lexicon.py` reads a lexicon's reverse index, no record a
 load may share is changed in place, inside `store.StoreHandle` only
 `_held` looks a node up in a net, only `store.ValueMemo`'s own methods
 touch its table, only `Net.note`, `Net.touch`, `store._build` and
-`store._rebase` write a net's block table and to-encode set, and every CLI
-load passes the session's memo. Every function `krn` exports is named
+`store._rebase` write a net's block table and to-encode set, only `load`
+and the two `StoreHandle` readers call `store._read`, and every CLI load
+passes the session's memo. Every function `krn` exports is named
 by the engine or the benchmark, or is on a short list of API kept for
 callers. No pattern needs a newer Python than the package allows. A
 nested function that calls itself is dropped in a `finally` of the
@@ -476,3 +477,36 @@ def test_the_readme_command_summary_names_every_verb_the_cli_dispatches_on():
              for verb in item.split(" ", 1)[0].split("|")}
     verbs = _dispatched_verbs()
     assert named == verbs, (sorted(named - verbs), sorted(verbs - named))
+
+
+def _functions(body, owner=""):
+    """(name, node) of each function defined in `body` or in a class
+    there, a method named `Class.method`."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{owner}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{owner}{node.name}", node
+
+
+def test_only_the_two_readers_call_the_whole_file_read():
+    """`store._read` reads a whole file's bytes: `load`, `StoreHandle.__init__`
+    (the `open` scan) and `StoreHandle.load_full` call it, and nothing else
+    does. A save reads each block it wrote from its own match
+    (`store._rebase`), so no second read path comes back on the save side."""
+    def reads(root):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "_read"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "_read"
+            and ast.unparse(node.func.value) == "store")]
+
+    callers, outside = set(), []
+    for module, (_, tree) in _trees().items():
+        inside = 0
+        for name, func in _functions(tree.body):
+            calls = reads(func)
+            inside += len(calls)
+            callers.update((module, name) for _ in calls)
+        outside += [module] * (len(reads(tree)) - inside)
+    assert callers == {("store.py", "load"), ("store.py", "StoreHandle.__init__"),
+                       ("store.py", "StoreHandle.load_full")} and not outside, (callers, outside)

@@ -16,11 +16,12 @@ from krn import (
     collapse_to_action, collapse_to_object, expand, nets_equal, register_concept, shape,
 )
 from krn import script, store
-from krn.cli import Session, run_command
+from krn.reasoning import parse_fragment
+from krn.cli import Session, run_command, split_commands, split_words
 from krn.script import apply_undo
 from krn import sim
 from krn.sim import run_action
-from krn.core import NodeLoad, ObjectRecord, PropertyRecord, PropLoad, ScriptRef
+from krn.core import ActionRecord, NodeLoad, ObjectRecord, PropertyRecord, PropLoad, ScriptRef
 from krn.errors import (
     BipartiteViolation,
     EvictionBlocked,
@@ -797,8 +798,8 @@ def _broken_blocks(rng, data: bytes, spans: dict) -> list[tuple[str, bytes]]:
 
     broken = [("a last line with no newline", data[:-1])]
     nid = rng.choice(sorted(block))
-    broken.append(("a SIG inside a block",
-                   edited(block[nid][0] + 1, f"SIG {nid} zz skin 01 5 sensed".encode(), drop=0)))
+    broken.append(("a SIG without its provenance token",
+                   edited(block[nid][0] + 1, f"SIG {nid} zz skin 01 5".encode(), drop=0)))
     named = sorted(nid for nid in props if props[nid])
     if named:
         nid = rng.choice(named)
@@ -1439,15 +1440,18 @@ def test_a_full_memo_empties_whole_and_a_failed_load_leaves_it_alone(tmp_path, m
     assert not memo.keep(net, lexicon) and kept_nets(memo) == held and memo.size == 2 * cost
 
 
+_FILE_RUNS = 250   # each net a small share of MAX_MEMO_BYTES, so the memo fills near its bound
+
+
 def _small_runs(shape):
     """Distinct runs of lines of one shape, without end; a run that names
     another comes right after it, the two at an even count. In the "saved"
-    shape each 500 runs are a file as `save` writes it, and files differ
-    only in their last block."""
+    shape each _FILE_RUNS runs are a file as `save` writes it, and files
+    differ only in their last block."""
     for i in itertools.count(1):
         if shape == "saved":
-            nid = i % 500 or 500
-            yield f"OBJ {nid}\nPROP {nid} x num {i if nid == 500 else nid}.5 asserted\n"
+            nid = i % _FILE_RUNS or _FILE_RUNS
+            yield f"OBJ {nid}\nPROP {nid} x num {i if nid == _FILE_RUNS else nid}.5 asserted\n"
         elif shape == "bare":
             yield f"OBJ {i}\n"
         elif shape == "one-value":
@@ -1463,7 +1467,7 @@ def _small_runs(shape):
 @pytest.mark.parametrize("shape", ["bare", "one-value", "script", "labels", "saved"])
 def test_a_full_memo_holds_less_than_twice_its_bound(tmp_path, shape):
     """Filled to its bound with the nets of many distinct files, each of
-    500 small runs of one shape, the memo holds under 2 * MAX_MEMO_BYTES
+    _FILE_RUNS small runs of one shape, the memo holds under 2 * MAX_MEMO_BYTES
     as tracemalloc counts it, up to the net that empties it: each net is
     charged for what it holds, not only for its bytes."""
     runs = _small_runs(shape)
@@ -1475,7 +1479,7 @@ def test_a_full_memo_holds_less_than_twice_its_bound(tmp_path, shape):
     try:
         before = tracemalloc.get_traced_memory()[0]
         while True:
-            body = "".join(next(runs) for _ in range(500))
+            body = "".join(next(runs) for _ in range(_FILE_RUNS))
             if shape == "labels":   # one run of LABEL lines that ends the file, as a save writes
                 body = "".join(sorted(body.splitlines(True), key=lambda line: line.startswith("LABEL")))
             path.write_text("KRN 1\n" + body)
@@ -1558,9 +1562,14 @@ def _outside_blocks(shape: str, k: int) -> bytes:
     leading zero is no id `_BLOCK` matches): PROP or SIG lines of object 1
     after its block of k PROP lines, the SCRIPT blocks of k actions after
     their ACT blocks, or ISA or LABEL lines between k + 1 objects; or one
-    matched run of k LABEL lines of object 1, each in its own language."""
+    matched run of k LABEL lines of object 1, each in its own language; or
+    a PROP line of object 1 whose text holds 50k escape pairs, or whose
+    quote, followed by 50k characters, is left open to the end of the line."""
     if shape == "label-run":
         return b"KRN 1\nOBJ 1\n" + b"".join(b'LABEL 1 en-%d "l"\n' % i for i in range(k))
+    if shape in ("escapes", "open-quote"):
+        text = b'"' + b"\\n" * (50 * k) + b'"' if shape == "escapes" else b'"' + b"a " * (25 * k)
+        return b"KRN 1\nOBJ 1\nPROP 1 x text " + text + b" asserted\n"
     if shape in ("prop", "sig"):
         block = b"OBJ 1\n" + b"".join(b"PROP 1 p%d num 1 asserted\n" % i for i in range(k))
         line = b"PROP 01 q%d num 1 asserted\n" if shape == "prop" else b"SIG 01 q%d skin ff 3\n"
@@ -1580,26 +1589,56 @@ def _open_and_close(path):
         pass
 
 
-@pytest.mark.parametrize("shape", ["prop", "sig", "script", "isa", "label", "label-run"])
-@pytest.mark.parametrize("read", [store.load, _open_and_close], ids=["load", "open"])
-def test_records_outside_their_blocks_read_in_linear_time(tmp_path, shape, read):
-    """A file with eight times the records takes a load or an open about
-    eight times as long: the ratio of the best times stays under 24, which
-    linear time (about 8) meets and quadratic time (about 64) does not. At
-    600 PROP lines after a block of 600, a load that checks each line
-    against every line of the block takes about 50 times as long at 4 800."""
+def _time_ratio(prepared) -> float:
+    """The best time of the call `prepared(4800)` gives over that of the
+    call `prepared(600)` gives: about 8 for a call linear in k, about 64
+    for a quadratic one."""
     def best(k, tries):
-        path = tmp_path / f"{shape}-{k}.krn"
-        path.write_bytes(_outside_blocks(shape, k))
+        call = prepared(k)
         times = []
         for _ in range(tries):
             start = time.perf_counter()
-            read(str(path))
+            call()
             times.append(time.perf_counter() - start)
         return min(times)
 
     small = best(600, 3)
-    ratio = best(4800, 2) / small
+    return best(4800, 2) / small
+
+
+@pytest.mark.parametrize("shape", ["prop", "sig", "script", "isa", "label", "label-run", "escapes",
+                                   "open-quote"])
+@pytest.mark.parametrize("read", [store.load, _open_and_close], ids=["load", "open"])
+def test_records_outside_their_blocks_read_in_linear_time(tmp_path, shape, read):
+    """A file with eight times the records, or a line eight times as long,
+    takes a load or an open about eight times as long: the ratio of the
+    best times stays under 24, which linear time meets and quadratic time
+    does not. At 600 PROP lines after a block of 600, a load that checks
+    each line against every line of the block takes about 50 times as
+    long at 4 800. A quote left open fails, in linear time too."""
+    def prepared(k):
+        path = tmp_path / f"{shape}-{k}.krn"
+        path.write_bytes(_outside_blocks(shape, k))
+        if shape == "open-quote":
+            return lambda: pytest.raises(FormatError, read, str(path))
+        return lambda: read(str(path))
+
+    ratio = _time_ratio(prepared)
+    assert ratio < 24, ratio
+
+
+@pytest.mark.parametrize("parse, unit", [
+    (split_commands, 'set #1.x "a;\\"b" ; '), (split_words, "w 'q r' \"s\\\"t\" "),
+    (parse_fragment, 'ab\\"')], ids=["split_commands", "split_words", "parse_fragment"])
+def test_the_command_splitters_and_the_fragment_parser_run_in_linear_time(parse, unit):
+    """A command line, or a fragment's string literal, of eight times the
+    characters takes `split_commands`, `split_words` or `parse_fragment`
+    about eight times as long (`_time_ratio` under 24)."""
+    def prepared(k):
+        text = unit * k if parse is not parse_fragment else f'colour == "{unit * 5 * k}"'
+        return lambda: parse(text)
+
+    ratio = _time_ratio(prepared)
     assert ratio < 24, ratio
 
 
@@ -1726,8 +1765,8 @@ def test_a_reload_of_a_kept_net_reads_no_line(tmp_path, monkeypatch):
     that keeps the first load's net matches no run of lines, decodes no
     value and no text, and reads no field of any line."""
     path = _traffic_files(random.Random(7), tmp_path)[0]
-    counts = dict.fromkeys(["_BLOCK", "_PROP_TAIL", "_PROP_FIELDS", "_VALUE_FIELDS", "_LABEL_FIELDS",
-                            "_ISA_FIELDS", "_decode_value", "decode_text", "_script_text"], 0)
+    counts = dict.fromkeys(["_BLOCK", "_PROP_LINE", "_TOKEN_RE", "_LABEL_FIELDS", "_ISA_FIELDS",
+                            "_decode_prop", "_decode_value", "decode_text", "_utf8_text"], 0)
     for name in counts:
         real = getattr(store, name)
         if isinstance(real, re.Pattern):
@@ -1740,7 +1779,7 @@ def test_a_reload_of_a_kept_net_reads_no_line(tmp_path, monkeypatch):
     memo = store.ValueMemo()
     first = store.load(path, memo)
     view = _full_view(*first)
-    assert counts["_PROP_TAIL"] and counts["_LABEL_FIELDS"] and counts["_decode_value"]
+    assert counts["_PROP_LINE"] and counts["_LABEL_FIELDS"] and counts["_decode_prop"]
     counts.update(dict.fromkeys(counts, 0))
     assert memo.keep(*first)
     again = store.load(path, memo)
@@ -2899,7 +2938,8 @@ LABEL 3 fr "peindre"
     ([(b"PROP 1 colour", b"PROP 1 zcolour")], {1}, True),           # names out of order
     ([(b"PROP 1 mass num 2.5 asserted\n", b""),                        # a PROP away from its node
       (b"ACT 4 - 2\n", b"ACT 4 - 2\nPROP 1 mass num 2.5 asserted\n")], {1}, True),
-    ([(b"OBJ 2 inferred\n", b"OBJ 2 inferred\nSIG 2 touch skin 01 5 sensed\n")], {2}, True),
+    ([(b"OBJ 2 inferred\n", b"OBJ 2 inferred\nSIG 2 touch skin 01 5 sensed\n")], set(), True),
+    ([(b"OBJ 2 inferred\n", b"OBJ 2 inferred\nSIG 2 touch skin 01 5\n")], {2}, True),
     ([(b'"black";\n>>>', b'"black";\n\n>>>')], {3}, True),            # a blank line ScriptRef drops
     ([(b"OBJ 2 inferred\n", b""), (b"ACT 4 - 2\n", b"ACT 4 - 2\nOBJ 2 inferred\n")],
      set(), True),                # blocks out of id order: each is copied from where it lies
@@ -2968,3 +3008,234 @@ def test_mutants_that_load_save_as_a_full_save(tmp_path, monkeypatch):
         loaded += 1
         _check_splice(tmp_path, net, lexicon, path)
     assert loaded > 40
+
+
+# ---------------------------------------------- what save writes, the matched reader reads
+
+# characters a text may hold: each one `encode_text` escapes, raw control
+# characters, quotes, and UTF-8 sequences of two, three and four bytes
+_TEXT_SAMPLE = ["a", "Z", "0", " ", '"', "\\", "\n", "\t", "\r", "\x00", "\x01", "\x1f", "\x7f",
+                "\x85", "é", "ß", "動", " ", "﻿", "😀", "%", "/", "#", "~", ">"]
+_NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_-"
+_IDS_AT_LIMITS = [0, 1, 9, 10, 10 ** 17, 10 ** 18 - 1]   # `_BLOCK` takes ids of up to 18 digits
+
+
+def _drawn_text(rng, most=12) -> str:
+    return "".join(rng.choice(_TEXT_SAMPLE) for _ in range(rng.randint(0, most)))
+
+
+def _drawn_name(rng) -> str:
+    """A property name, at its limits too: one character, or 61."""
+    tail = "".join(rng.choice(_NAME_CHARS) for _ in range(rng.choice([0, 1, 5, 60])))
+    if rng.random() < 0.2:
+        return f"{rng.choice(['goal', 'antigoal'])}:{tail or '-'}"
+    return rng.choice(_NAME_CHARS[:26]) + tail
+
+
+def _drawn_property(rng, name) -> PropertyRecord:
+    """A property holding any kind of value, with any provenance it may
+    have: a sensed one holds a signal."""
+    kind = rng.randrange(6)
+    prov = rng.choice([Provenance.ASSERTED, Provenance.INFERRED])
+    if kind == 0:
+        value = Value.num(rng.choice([0.0, -0.0, 1.5, -1e-300, 5e-324, 1.7976931348623157e308, math.inf,
+                                      -math.inf, math.nan, rng.uniform(-1e6, 1e6)]))
+    elif kind == 1:
+        value = Value.text(_drawn_text(rng))
+    elif kind == 2:
+        value = Value.truth(rng.random() < 0.5)
+    elif kind == 3:
+        value = Value.ref(rng.choice(_IDS_AT_LIMITS))
+    elif kind == 4:
+        value = Value.unset()
+    else:   # origin segments that need percent-encoding, empty and non-empty payloads
+        origin = SensorAddress(tuple(_drawn_text(rng, 6) or "s" for _ in range(rng.randint(1, 3))))
+        tick = rng.choice([0, 1, rng.randrange(10 ** 6), 10 ** 18 - 1, -(10 ** 18 - 1)])
+        value = Value.signal(SensorSignal(origin, rng.randbytes(rng.choice([0, 1, 7])), tick))
+        prov = rng.choice(list(Provenance))
+    return PropertyRecord(name, value, prov)
+
+
+_SCRIPTS = [None, "", "set object.x = 1;", 'set object.name = "動く\\n";\n  # a comment: "é"',
+            "set object.x = object.x + 1;\n\nset object.y = 2;"]
+
+
+def _drawn_net(rng) -> tuple[Net, Lexicon]:
+    """A net of drawn records, ids at their limits among them, and a
+    lexicon of drawn labels of its nodes."""
+    ids = rng.sample(sorted({*_IDS_AT_LIMITS, *rng.sample(range(2, 10 ** 6), 8)}), rng.randint(2, 10))
+    objects, actions = ids[:len(ids) // 2], ids[len(ids) // 2:]
+    net, lexicon = Net(), Lexicon()
+    for nid in ids:
+        names = dict.fromkeys(_drawn_name(rng) for _ in range(rng.randint(0, 5)))
+        props = {name: _drawn_property(rng, name) for name in names}
+        prov = rng.choice([Provenance.ASSERTED, Provenance.INFERRED])
+        if nid in objects:
+            net.insert(ObjectRecord(nid, props, provenance=prov))
+        else:
+            net.insert(ActionRecord(nid, rng.choice([None, *objects]), rng.choice(objects),
+                                    ScriptRef(rng.choice(_SCRIPTS)), props, prov))
+        for lang in rng.sample(["en", "ja", "zh-Hant", "Q", "abcdefgh-12345678-x"], rng.randint(0, 2)):
+            lexicon.set_label(nid, lang, _drawn_text(rng))
+    return net, lexicon
+
+
+def test_every_line_save_writes_is_read_from_its_match(tmp_path):
+    """The writer's language is a subset of the fast reader's: each node
+    block `_block` writes of a drawn record is matched whole by `_BLOCK`,
+    and `_node_run` gives back the record's fields, each as save writes
+    it; so is the LABEL run of drawn labels, by `_label_run`. A load of a
+    file of such blocks gives every node a span and takes the labels as
+    one run, and the net saves back byte for byte."""
+    rng = random.Random(4949)
+    for i in range(60):
+        net, lexicon = _drawn_net(rng)
+        for nid, rec in [*net.objects.items(), *net.actions.items()]:
+            block = store._block(nid, rec, nid in net.actions).encode()
+            m = store._BLOCK.match(block)
+            assert m is not None and m.end() == len(block) and m.lastgroup == "NODE", block
+            got, tag, prov, subject, target, fields, saved, text, lines = store._node_run(
+                m, 1, (), False, {}, {})
+            assert saved and all(field[4] for field in fields), block
+            assert [(name, repr(value), vprov) for _, name, value, vprov, _ in fields] == [
+                (name, repr(prop.value), prop.provenance) for name, prop in sorted(rec.properties.items())]
+            assert (got, prov, lines) == (nid, rec.provenance, block.count(b"\n"))
+            if nid in net.actions:
+                assert (tag, subject, target, text) == ("ACT", rec.subject, rec.target, rec.script.text)
+        run = "".join(f"LABEL {node} {lang} {store.encode_text(text)}\n"
+                      for node, lang, text in lexicon.items()).encode()
+        if run:
+            m = store._BLOCK.match(run)
+            assert m is not None and m.end() == len(run) and m.lastgroup == "LABEL", run
+            assert store._label_run(run, 0, len(run)) == (lexicon.items(), True)
+        path = _saved(tmp_path, net, lexicon, name=f"drawn-{i}.krn")
+        data = Path(path).read_bytes()
+        assert data.endswith(run)
+        loaded, loaded_lex = store.load(path)
+        assert loaded.blocks.keys() == set(net.node_ids()) and not loaded.dirty, f"net {i}"
+        assert loaded_lex.source == (run or None) and loaded_lex.items() == lexicon.items()
+        assert Path(_saved(tmp_path, loaded, loaded_lex, name="again.krn")).read_bytes() == data
+
+
+def test_a_matched_line_that_is_not_utf8_fails_at_its_line(tmp_path):
+    """Bytes that are not UTF-8 in a PROP or LABEL line that `_BLOCK`
+    matches raise "undecodable line" at that line, in `load` and `open`
+    alike, as the tokenising path raises it for a line it takes."""
+    lines = ["KRN 1", "OBJ 1", 'PROP 1 a text "é{}" asserted', 'PROP 1 b text "ok{}" asserted',
+             "SIG 1 c skin 01 5 sensed", "ACT 2 - 1", "SCRIPT 2", "<<<", 'set object.a = "動";', ">>>",
+             'LABEL 1 ja "動{}"', 'LABEL 2 en "go{}"', ""]
+    runs = {3: 2, 4: 2, 11: 11, 12: 11}   # the line a bad line's matched run starts on
+    for at, first in runs.items():
+        for bad in (b"\xff", b"\xe5\x8b", b"\xc3("):
+            data = b"\n".join(line.encode().replace(b"{}", bad if i == at else b"")
+                              for i, line in enumerate(lines, 1))
+            m = store._BLOCK.match(data, sum(len(line) + 1 for line in data.split(b"\n")[:first - 1]))
+            assert data.count(b"\n", 0, m.end()) >= at
+            path = tmp_path / "bad.krn"
+            path.write_bytes(data)
+            for read in (store.load, store.open):
+                with pytest.raises(FormatError) as err:
+                    read(str(path))
+                assert (err.value.message, err.value.line) == ("undecodable line", at), (at, bad)
+    # a fault on a line before the bad one in the same block is the one raised;
+    # `open` reads no value, so the bad value's block fails at the bad bytes
+    for fault, expected in (('PROP 1 a text "y" asserted', "duplicate property 'a' on 1"),
+                            ("PROP 1 b bool maybe asserted", "bad bool 'maybe'")):
+        path.write_bytes("\n".join(["KRN 1", "OBJ 1", 'PROP 1 a text "x" asserted', fault,
+                                    'PROP 1 c text "\udcff" asserted', ""]).encode(errors="surrogateescape"))
+        assert store._BLOCK.match(path.read_bytes(), 6).end() == len(path.read_bytes())
+        for read in (store.load, store.open):
+            with pytest.raises(FormatError) as err:
+                read(str(path))
+            earlier = read is store.load or "duplicate" in expected
+            assert (err.value.message, err.value.line) == ((expected, 4) if earlier
+                                                           else ("undecodable line", 5)), (read, fault)
+    path.write_bytes("\n".join(lines).replace("{}", "").encode())
+    net, lexicon = store.load(str(path))
+    assert net.blocks.keys() == {1, 2} and lexicon.source is not None
+    assert net.objects[1].properties["a"].value == Value.text("é")
+
+
+@pytest.mark.parametrize("edit", ["héllo", "a\nb", "signal", "ja-label"],
+                         ids=["non-ascii-text", "escaped-text", "signal", "ja-label"])
+def test_a_save_past_printable_ascii_reads_no_file_and_keeps_every_block(tmp_path, monkeypatch, edit):
+    """A text past printable ASCII, a signal or a label in a language of
+    another script is read on the matched path: each save of a session's
+    net after a `set` reads its encoded blocks from their matches, with
+    no `_read` pass, and leaves no node to encode; each load after it
+    takes the net back, reading nothing, as a cold load gives it."""
+    path = _traffic_files(random.Random(4949), tmp_path)[0]
+    session = Session()
+    run_command(session, f"load {path}")
+    net = session.net
+    obj, act = min(net.objects), min(net.actions)
+    if edit == "signal":
+        net.ingest_signal(obj, "touch", SensorSignal(SensorAddress.of("skin", "left hand"), b"\x01\xff"))
+    elif edit == "ja-label":
+        run_command(session, f"label #{act} ja 動く")
+    else:
+        net.set_property(obj, "colour", Value.text(edit))
+    counts = {"_read": 0}
+    _counting(monkeypatch, counts)
+    for step in range(3):
+        run_command(session, f"set #{obj}.x {step}")
+        run_command(session, f"save {path}")
+        assert counts["_read"] == 0 and net.dirty == set() and net.clean, f"step {step}"
+        run_command(session, f"load {path}")
+        assert session.net is net and counts["_read"] == 0, f"step {step}"
+    assert _full_view(net, session.lexicon) == _full_view(*store.load(path))
+
+
+def test_a_node_stubbed_in_through_a_handle_is_put_in_id_order_by_the_next_save(tmp_path):
+    """A stub a handle puts in after larger ids stays where it is until
+    the next save, which puts both tables back in id order in place (the
+    same dicts, which a timeline state may hold): the net is then clean,
+    and a memo keeps it."""
+    paths = _traffic_files(random.Random(1777), tmp_path)
+    net, lexicon = store.load(paths[0])
+    objects, actions = net.objects, net.actions
+    lone = min(nid for nid, rec in objects.items() if not rec.outgoing and not rec.incoming)
+    assert lone < max(objects)
+    net.erase_node(lone)
+    store.save(net, lexicon, paths[0])
+    with store.open(paths[1]) as handle:   # the other file holds an object of that id
+        handle.load_stub(lone, net)
+        for name in sorted(net.objects[lone].properties):
+            handle.hydrate_property(lone, name, net)
+    assert list(objects)[-1] == lone   # between the edit and its save, where the stub put it
+    store.save(net, lexicon, paths[0])
+    net.set_property(max(objects), "x", Value.num(7))
+    store.save(net, lexicon, paths[0])
+    assert net.objects is objects and net.actions is actions
+    assert list(objects) == sorted(objects) and list(actions) == sorted(actions)
+    assert net.clean and store.ValueMemo().keep(net, lexicon)
+    assert _full_view(net, lexicon) == _full_view(*store.load(paths[0]))
+
+
+def _held_by_a_load(path) -> tuple[int, int]:
+    """What tracemalloc counts a load of `path` holding, its parse memo
+    empty first, and what a value memo charges for what it gives."""
+    script.clear_parse_memo()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        net, lexicon = store.load(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held, store._charge(net, lexicon)
+
+
+def test_the_memo_charges_a_loaded_net_at_least_what_it_holds(tmp_path):
+    """A net shaped as `store-full`'s, with its labels and without, is
+    charged at least what tracemalloc counts its load holding, and at most
+    a quarter more."""
+    for path in _traffic_files(random.Random(1888), tmp_path):
+        data = Path(path).read_bytes()
+        bare = tmp_path / "unlabelled.krn"
+        bare.write_bytes(b"".join(line for line in data.splitlines(True) if not line.startswith(b"LABEL ")))
+        for each in (path, str(bare)):
+            held, charge = _held_by_a_load(each)
+            assert held <= charge <= 1.25 * held, (each, held, charge)
